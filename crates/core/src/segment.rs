@@ -63,18 +63,17 @@ pub(crate) struct Segment {
     pub(crate) engine: PairwiseHist,
     /// The segment's retained rows — GreedyGD or per-column codecs, whichever
     /// won the size model at seal time — shared by `Arc` so epoch restamps and
-    /// state swaps never copy row data. `None` only for tables reopened from
-    /// the legacy single-blob format, which carried no rows.
-    pub(crate) store: Option<Arc<RowStore>>,
+    /// state swaps never copy row data.
+    pub(crate) store: Arc<RowStore>,
     /// Serialized size of `store` (O(columns) accounting, see
     /// [`RowStore::packed_bytes`]).
     pub(crate) store_bytes: usize,
 }
 
 impl Segment {
-    pub(crate) fn new(engine: PairwiseHist, store: Option<Arc<RowStore>>) -> Self {
-        let store_bytes = store.as_ref().map_or(0, |s| s.packed_bytes());
-        Self { engine, store, store_bytes }
+    pub(crate) fn new(engine: PairwiseHist, store: RowStore) -> Self {
+        let store_bytes = store.packed_bytes();
+        Self { engine, store: Arc::new(store), store_bytes }
     }
 
     /// A copy of this segment whose engine carries `epoch` (used when a seal or
@@ -89,10 +88,9 @@ impl Segment {
         Self { engine, store: self.store.clone(), store_bytes: self.store_bytes }
     }
 
-    /// Rows held by this segment (from the store when present, else the
-    /// synopsis's row count).
+    /// Rows held by this segment.
     pub(crate) fn n_rows(&self) -> usize {
-        self.store.as_ref().map_or(self.engine.params().n_total as usize, |s| s.n_rows())
+        self.store.n_rows()
     }
 }
 
@@ -216,7 +214,7 @@ pub(crate) fn registration_segment(
     let engine = PairwiseHist::build_with_preprocessor(data, pre.clone(), &build_cfg);
     let matrix = pre.encode(data);
     let gd = GdCompressor::new().compress(&matrix);
-    Segment::new(engine, Some(Arc::new(choose_store(&matrix, gd))))
+    Segment::new(engine, choose_store(&matrix, gd))
 }
 
 /// Seals delta rows into a fresh segment: GD-compress, then refine a synopsis
@@ -243,7 +241,7 @@ pub(crate) fn seal_segment(
         choose_store(&matrix, gd)
     };
     scratch.reclaim(matrix);
-    Segment::new(engine, Some(Arc::new(store)))
+    Segment::new(engine, store)
 }
 
 /// Builds the delta synopsis over un-sealed rows, stamped with the table epoch.
@@ -263,39 +261,32 @@ pub(crate) fn build_delta(
 /// Merges sealed segments into one: their stores are decompressed (already in
 /// the shared encoded domain — the transforms are lossless, so no value-level
 /// re-preprocessing is needed), concatenated, re-compressed, and a single
-/// synopsis is refined over the merged store. Returns `None` if any input lacks
-/// a row store (legacy blobs).
+/// synopsis is refined over the merged store.
 pub(crate) fn merge_segments(
     parts: &[Arc<Segment>],
     pre: &Arc<Preprocessor>,
     cfg: &PairwiseHistConfig,
     epoch: u64,
-) -> Option<Segment> {
-    let matrices: Vec<EncodedMatrix> =
-        parts.iter().map(|s| s.store.as_ref().map(|st| st.decompress())).collect::<Option<_>>()?;
-    let combined = concat_matrices(matrices)?;
+) -> Segment {
+    // Row-wise concatenation: every store decodes to the table's schema.
+    let mut cols: Vec<Vec<u64>> = vec![Vec::new(); pre.n_columns()];
+    for part in parts {
+        let m = part.store.decompress();
+        for (col, src) in cols.iter_mut().zip(&m.columns) {
+            col.extend_from_slice(src);
+        }
+    }
+    let combined = EncodedMatrix::new(cols);
     let gd = GdCompressor::new().compress(&combined);
     let mut engine = PairwiseHist::build_from_gd(&gd, pre.clone(), cfg);
     engine.plan_epoch = epoch;
-    Some(Segment::new(engine, Some(Arc::new(choose_store(&combined, gd)))))
-}
-
-/// Concatenates encoded matrices row-wise (same schema by construction).
-fn concat_matrices(mats: Vec<EncodedMatrix>) -> Option<EncodedMatrix> {
-    let d = mats.first()?.n_columns();
-    let mut cols: Vec<Vec<u64>> = vec![Vec::new(); d];
-    for m in &mats {
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.extend_from_slice(&m.columns[c]);
-        }
-    }
-    Some(EncodedMatrix::new(cols))
+    Segment::new(engine, choose_store(&combined, gd))
 }
 
 /// Decodes a segment's compressed rows back into a raw [`Dataset`] named
 /// `name` — the source material for refit rebuilds (novel categorical values or
-/// NULLs that the fitted transforms cannot encode) and the reason a reopened
-/// catalog is no longer an ingest dead-end: the compressed rows round-trip.
+/// NULLs that the fitted transforms cannot encode), on a reopened catalog as
+/// much as a fresh one: the compressed rows round-trip.
 ///
 /// Fallible: a store deserialized from a damaged or version-skewed blob can
 /// hold codes with no preimage; those surface as [`PhError::Corrupt`] for the

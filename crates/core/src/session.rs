@@ -113,8 +113,8 @@ use crate::segment::{
     seal_segment, CompactReport, FootprintReport, Segment, TableState,
 };
 use crate::storage::{
-    segment_from_bytes, segment_to_bytes, table_manifest_from_bytes, table_manifest_to_bytes,
-    TABLE_MAGIC,
+    reject_reason, segment_from_bytes, segment_to_bytes, table_manifest_from_bytes,
+    table_manifest_to_bytes, SEGMENT_MAGIC, TABLE_MAGIC,
 };
 use crate::wal;
 
@@ -229,12 +229,11 @@ impl TableSnapshot {
     /// skip whole runs, and nothing is materialized. Bit-identical to decoding
     /// every store and scanning (the codec equivalence suite asserts this).
     /// Delta (un-sealed) rows are not counted; `None` when the column is out
-    /// of range or a legacy segment retained no rows.
+    /// of range.
     pub fn count_sealed_matching(&self, column: usize, rs: &RangeSet) -> Option<u64> {
         let mut total = 0u64;
         for seg in &self.0.segments {
-            let store = seg.store.as_ref()?;
-            total = total.checked_add(count_store_matching(store, column, rs)?)?;
+            total = total.checked_add(count_store_matching(&seg.store, column, rs)?)?;
         }
         Some(total)
     }
@@ -611,6 +610,14 @@ impl Session {
     /// Registers a dataset with an explicit build configuration.
     pub fn register_with(&self, data: Dataset, cfg: &PairwiseHistConfig) -> Result<(), PhError> {
         let name = data.name().to_string();
+        // The manifest frames the name with a u16 length.
+        if name.len() > u16::MAX as usize {
+            return Err(PhError::Schema(format!(
+                "table name is {} bytes; the limit is {}",
+                name.len(),
+                u16::MAX
+            )));
+        }
         let taken = |name: &str| {
             Err(PhError::Schema(format!("table '{name}' is already registered")))
         };
@@ -871,10 +878,8 @@ impl Session {
         let delta_rows = state.delta.as_ref().map_or(0, |d| d.params().n_total);
         let mut mix: BTreeMap<&'static str, u64> = BTreeMap::new();
         for seg in &state.segments {
-            if let Some(store) = &seg.store {
-                for name in store.codec_names() {
-                    *mix.entry(name).or_insert(0) += 1;
-                }
+            for name in seg.store.codec_names() {
+                *mix.entry(name).or_insert(0) += 1;
             }
         }
         let codec_mix = mix.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
@@ -1011,9 +1016,9 @@ impl Session {
             // the delta and the batch, refit the transforms over everything and
             // collapse to one fresh segment. O(total) — the documented cost of
             // values the fitted encoding cannot represent. The delta rows are
-            // only consumed *after* the rebuild succeeds: a failure (e.g. a
-            // legacy segment without retained rows) must leave the table — and
-            // the delta-rows ↔ delta-synopsis invariant — exactly as it was.
+            // only consumed *after* the rebuild succeeds: a failure (a store
+            // holding a code with no preimage) must leave the table — and the
+            // delta-rows ↔ delta-synopsis invariant — exactly as it was.
             let state = self.rebuild_with_batch(table, &cur, delta_rows.as_ref(), batch)?;
             // Journal only once the batch is certain to apply: a journaled
             // batch that could never re-apply would poison replay.
@@ -1070,9 +1075,9 @@ impl Session {
             // refit instead: decode everything, fit transforms that cover the
             // extended range, rebuild once. (The monolithic design healed the
             // same case through its staleness rebuild; baking saturated codes
-            // into a store would have made it permanent.) Tables without
-            // decodable rows (legacy segments) can't refit and seal lossily,
-            // exactly as the old no-retained-rows posture behaved.
+            // into a store would have made it permanent.) A table whose
+            // stores do not decode can't refit; its batch is already
+            // journaled, so it seals as encoded rather than failing.
             if below_fitted_min(&pre, delta_data) {
                 if let Ok(state) =
                     self.rebuild_with_batch(table, &cur, delta_rows.as_ref(), &batch.take(&[]))
@@ -1184,14 +1189,7 @@ impl Session {
     ) -> Result<TableState, PhError> {
         let mut all: Option<Dataset> = None;
         for seg in &cur.segments {
-            let Some(store) = &seg.store else {
-                return Err(PhError::Schema(format!(
-                    "batch introduces values unrepresentable under table '{table}'s \
-                     fitted transforms, and a legacy segment has no retained rows \
-                     to rebuild from"
-                )));
-            };
-            let decoded = decode_store(table, &cur.pre, store)?;
+            let decoded = decode_store(table, &cur.pre, &seg.store)?;
             match all.as_mut() {
                 Some(d) => d.append(&decoded)?,
                 None => all = Some(decoded),
@@ -1223,13 +1221,13 @@ impl Session {
     /// kept and held plans stay valid.
     ///
     /// Serializes with ingest on the per-table writer lock; readers are never
-    /// blocked. Legacy segments without row stores are left as they are.
+    /// blocked.
     pub fn compact(&self, table: &str) -> Result<CompactReport, PhError> {
         let cell = self.cell(table)?;
         let _writer = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
         let cur = cell.snapshot();
         let threshold = self.seal_threshold();
-        let is_small = |s: &Arc<Segment>| s.store.is_some() && s.n_rows() < threshold;
+        let is_small = |s: &Arc<Segment>| s.n_rows() < threshold;
         let small: Vec<Arc<Segment>> =
             cur.segments.iter().filter(|s| is_small(s)).cloned().collect();
         let before = cur.segments.len();
@@ -1241,11 +1239,7 @@ impl Session {
             });
         }
         let rows_compacted: usize = small.iter().map(|s| s.n_rows()).sum();
-        let merged = Arc::new(
-            merge_segments(&small, &cur.pre, &cur.cfg, cur.epoch)
-                // ph-lint: allow(no-panic-serving) — `small` only admits segments with a row store (is_small filter)
-                .expect("small segments all carry stores"),
-        );
+        let merged = Arc::new(merge_segments(&small, &cur.pre, &cur.cfg, cur.epoch));
         // The merged segment takes the position of the oldest segment it
         // absorbed, keeping the list oldest-first (and the primary engine —
         // `TableSnapshot`'s deref target — stable whenever segment 0 survives).
@@ -1340,13 +1334,13 @@ impl Session {
             let mut blobs: Vec<Vec<u8>> = state
                 .segments
                 .iter()
-                .map(|s| segment_to_bytes(&s.engine, s.store.as_deref()))
+                .map(|s| segment_to_bytes(&s.engine, &s.store))
                 .collect();
             if let (Some(rows), Some(delta)) = (delta_rows.as_ref(), state.delta.as_ref()) {
                 let matrix = state.pre.encode(rows);
                 let gd = ph_gd::GdCompressor::new().compress(&matrix);
                 let store = ph_gd::choose_store(&matrix, gd);
-                blobs.push(segment_to_bytes(delta, Some(&store)));
+                blobs.push(segment_to_bytes(delta, &store));
             }
             let base = file_base_for(name);
             let gen = gen_of(&base) + 1;
@@ -1421,11 +1415,10 @@ impl Session {
     /// `dir` becomes a registered table with its full segment list, serving
     /// straight from the deserialized synopses. Compressed rows are restored
     /// with each segment, so ingest — including batches that force a refit
-    /// rebuild — keeps working on the reopened catalog. Legacy single-blob
-    /// `.pwhs` files (the pre-segmentation format) load as one-segment tables
-    /// without rows.
+    /// rebuild — keeps working on the reopened catalog.
     ///
-    /// Tables whose files fail checksum or decode verification are
+    /// Tables whose files fail checksum or decode verification — or are not in
+    /// the one format this build reads — are
     /// **quarantined** rather than failing the whole open: the rest of the
     /// catalog serves, queries on the damaged table answer
     /// [`PhError::Quarantined`], and [`Session::quarantined`] lists the
@@ -1471,58 +1464,41 @@ impl Session {
                     let bytes =
                         // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
                         faultfs::read(path).map_err(|e| fail(&file_base, e.into()))?;
-                    if bytes.starts_with(TABLE_MAGIC) {
-                        let m = table_manifest_from_bytes(&bytes).ok_or_else(|| {
-                            fail(&file_base, corrupt("manifest does not decode".into()))
-                        })?;
-                        let name = m.name;
-                        let pre = Arc::new(m.pre);
-                        let base = file_base_for(&name);
-                        let epoch = next_plan_epoch();
-                        let mut segments = Vec::with_capacity(m.n_segments);
-                        for i in 0..m.n_segments {
-                            let seg_path = dir.join(segment_file_name(&base, m.gen, i));
-                            let seg_bytes =
-                                // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
-                                faultfs::read(&seg_path).map_err(|e| fail(&name, e.into()))?;
-                            let (mut engine, store) = segment_from_bytes(&seg_bytes, pre.clone())
-                                .ok_or_else(|| {
-                                    fail(&name, corrupt(format!("segment {i} does not decode")))
-                                })?;
-                            engine.plan_epoch = epoch;
-                            segments.push(Arc::new(Segment::new(engine, store.map(Arc::new))));
-                        }
-                        let Some(first) = segments.first() else {
-                            return Err(fail(&name, corrupt("manifest lists no segments".into())));
-                        };
-                        let cfg = config_from_engine(&first.engine);
-                        let state = TableState {
-                            epoch,
-                            pre,
-                            segments,
-                            delta: None,
-                            cfg,
-                            footprint: OnceLock::new(),
-                        };
-                        Ok((name, state, m.wal_seq))
-                    } else {
-                        // Legacy single-blob format: one segment, no retained
-                        // rows, nothing journaled against it.
-                        let (name, engine) = PairwiseHist::from_bytes_named(&bytes)
-                            .ok_or_else(|| fail(&file_base, corrupt("does not decode".into())))?;
-                        let cfg = config_from_engine(&engine);
-                        let pre = engine.preprocessor().clone();
-                        let epoch = engine.plan_epoch();
-                        let state = TableState {
-                            epoch,
-                            pre,
-                            segments: vec![Arc::new(Segment::new(engine, None))],
-                            delta: None,
-                            cfg,
-                            footprint: OnceLock::new(),
-                        };
-                        Ok((name, state, 0))
+                    let m = table_manifest_from_bytes(&bytes).ok_or_else(|| {
+                        let why = reject_reason(TABLE_MAGIC, &bytes);
+                        fail(&file_base, corrupt(format!("manifest: {why}")))
+                    })?;
+                    let name = m.name;
+                    let pre = Arc::new(m.pre);
+                    let base = file_base_for(&name);
+                    let epoch = next_plan_epoch();
+                    let mut segments = Vec::with_capacity(m.n_segments);
+                    for i in 0..m.n_segments {
+                        let seg_path = dir.join(segment_file_name(&base, m.gen, i));
+                        let seg_bytes =
+                            // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
+                            faultfs::read(&seg_path).map_err(|e| fail(&name, e.into()))?;
+                        let (mut engine, store) = segment_from_bytes(&seg_bytes, pre.clone())
+                            .ok_or_else(|| {
+                                let why = reject_reason(SEGMENT_MAGIC, &seg_bytes);
+                                fail(&name, corrupt(format!("segment {i}: {why}")))
+                            })?;
+                        engine.plan_epoch = epoch;
+                        segments.push(Arc::new(Segment::new(engine, store)));
                     }
+                    let Some(first) = segments.first() else {
+                        return Err(fail(&name, corrupt("manifest lists no segments".into())));
+                    };
+                    let cfg = config_from_engine(&first.engine);
+                    let state = TableState {
+                        epoch,
+                        pre,
+                        segments,
+                        delta: None,
+                        cfg,
+                        footprint: OnceLock::new(),
+                    };
+                    Ok((name, state, m.wal_seq))
                 };
                 match load() {
                     Ok((name, state, watermark)) => {
@@ -1630,39 +1606,31 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PhError> {
 }
 
 /// File name of segment `i` at generation `gen` for a table with file-name base
-/// `base`. Generation 0 is the legacy un-numbered layout (`<base>.seg<i>.phseg`)
-/// that pre-v3 saves produced; later generations embed the number so a new save
-/// never overwrites blobs the previously committed manifest still references.
+/// `base`. The generation is part of the name so a new save never overwrites
+/// blobs the previously committed manifest still references.
 fn segment_file_name(base: &str, gen: u64, i: usize) -> String {
-    if gen == 0 {
-        format!("{base}.seg{i}.phseg")
-    } else {
-        format!("{base}.g{gen}.seg{i}.phseg")
-    }
+    format!("{base}.g{gen}.seg{i}.phseg")
 }
 
 /// The table file base a catalog file name belongs to, or `None` for names this
 /// layer never produces. Recognized shapes: `<base>.pwhs`, `<base>.phwal`,
-/// `<base>[.g<gen>].seg<i>.phseg`. [`file_base_for`] output never contains a
+/// `<base>.g<gen>.seg<i>.phseg`. [`file_base_for`] output never contains a
 /// dot, so any parse that leaves one marks a foreign file the sweep must leave
 /// alone.
 fn owned_base_of(logical: &str) -> Option<&str> {
-    fn no_dots(s: &str) -> Option<&str> {
-        (!s.is_empty() && !s.contains('.')).then_some(s)
-    }
     let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    if let Some(base) = logical.strip_suffix(".pwhs").or_else(|| logical.strip_suffix(".phwal")) {
-        return no_dots(base);
-    }
-    let stem = logical.strip_suffix(".phseg")?;
-    let (head, idx) = stem.rsplit_once(".seg")?;
-    if !digits(idx) {
-        return None;
-    }
-    match head.rsplit_once(".g") {
-        Some((base, gen)) if digits(gen) => no_dots(base),
-        _ => no_dots(head),
-    }
+    let base = match logical.strip_suffix(".pwhs").or_else(|| logical.strip_suffix(".phwal")) {
+        Some(base) => base,
+        None => {
+            let (head, idx) = logical.strip_suffix(".phseg")?.rsplit_once(".seg")?;
+            let (base, gen) = head.rsplit_once(".g")?;
+            if !digits(idx) || !digits(gen) {
+                return None;
+            }
+            base
+        }
+    };
+    (!base.is_empty() && !base.contains('.')).then_some(base)
 }
 
 /// Whether `data` holds a numeric value below the fitted minimum of its
@@ -1690,12 +1658,20 @@ fn config_from_engine(engine: &PairwiseHist) -> PairwiseHistConfig {
     }
 }
 
-/// Filesystem-safe file-name base for a table: hostile characters are replaced
-/// and a name hash appended so distinct tables never collide. The authoritative
-/// name lives inside the manifest.
+/// Longest sanitized-name prefix a file-name base carries. File names are
+/// bounded (255 bytes on most filesystems) while table names are not; the
+/// appended hash already disambiguates and the authoritative name lives in
+/// the manifest, so the prefix is only for the operator's eye.
+const FILE_BASE_PREFIX: usize = 64;
+
+/// Filesystem-safe file-name base for a table: hostile characters are replaced,
+/// the result capped at [`FILE_BASE_PREFIX`] bytes, and a name hash appended so
+/// distinct tables never collide. The authoritative name lives inside the
+/// manifest.
 fn file_base_for(table: &str) -> String {
     let safe: String = table
         .chars()
+        .take(FILE_BASE_PREFIX)
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
         .collect();
     format!("{safe}-{:08x}", ph_types::fnv1a(table.as_bytes()))
@@ -2172,23 +2148,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A failed refit rebuild (legacy table without retained rows) must leave
-    /// the delta — rows *and* synopsis — exactly as it was, not half-consumed.
+    /// A failed refit rebuild (a segment store holding a categorical code with
+    /// no preimage) must leave the delta — rows *and* synopsis — exactly as it
+    /// was, not half-consumed.
     #[test]
     fn failed_refit_rebuild_preserves_delta_rows() {
-        // A legacy-format table: single blob, no row store.
         let s = session_with("t", 3_000, 90);
-        let dir = std::env::temp_dir().join(format!("ph_legacy_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let blob = s.engine("t").unwrap().engine().to_bytes_named("t");
-        std::fs::write(dir.join("t-legacy.pwhs"), blob).unwrap();
-        let cold = Session::open_dir(&dir).unwrap();
-        cold.set_max_staleness(f64::INFINITY);
+        s.set_max_staleness(f64::INFINITY);
+        // Swap in a store whose category column carries a rank the dictionary
+        // (a, b, c) has no entry for: it serves, but cannot be decoded.
+        let cell = s.cell("t").unwrap();
+        let cur = cell.snapshot();
+        let mut matrix = cur.segments[0].store.decompress();
+        matrix.columns[2][0] = 99;
+        let doctored = Segment::new(
+            cur.segments[0].engine.clone(),
+            ph_gd::RowStore::Columnar(ph_gd::ColumnarStore::encode(&matrix)),
+        );
+        cell.swap(TableState {
+            epoch: cur.epoch,
+            pre: cur.pre.clone(),
+            segments: vec![Arc::new(doctored)],
+            delta: None,
+            cfg: cur.cfg.clone(),
+            footprint: OnceLock::new(),
+        });
 
         // Edge-free rows land in the delta…
-        cold.ingest("t", &dataset("t", 1_000, 91)).unwrap();
-        // …then a novel-category batch fails the rebuild (no rows to decode).
+        s.ingest("t", &dataset("t", 1_000, 91)).unwrap();
+        // …then a novel-category batch fails the rebuild (the store does not decode).
         let novel = Dataset::builder("t")
             .column(Column::from_ints("x", vec![Some(1)]))
             .unwrap()
@@ -2197,16 +2185,41 @@ mod tests {
             .column(Column::from_strings("c", vec![Some("NEW")]))
             .unwrap()
             .build();
-        assert!(matches!(cold.ingest("t", &novel), Err(PhError::Schema(_))));
+        assert!(matches!(s.ingest("t", &novel), Err(PhError::Corrupt(_))));
         // The delta survives: its rows still answer, and further edge ingests
         // (and the seals they trigger) still see them.
-        let est = cold.sql("SELECT COUNT(x) FROM t").unwrap().scalar().unwrap();
+        let est = s.sql("SELECT COUNT(x) FROM t").unwrap().scalar().unwrap();
         assert!((est.value - 4_000.0).abs() / 4_000.0 < 0.02, "{}", est.value);
-        cold.set_seal_threshold(1_500); // next batch crosses it
-        let r = cold.ingest("t", &dataset("t", 1_000, 92)).unwrap();
+        s.set_seal_threshold(1_500); // next batch crosses it
+        let r = s.ingest("t", &dataset("t", 1_000, 92)).unwrap();
         assert!(r.rebuilt, "threshold seal fires over the preserved delta");
-        let est = cold.sql("SELECT COUNT(x) FROM t").unwrap().scalar().unwrap();
+        let est = s.sql("SELECT COUNT(x) FROM t").unwrap().scalar().unwrap();
         assert!((est.value - 5_000.0).abs() / 5_000.0 < 0.02, "{}", est.value);
+    }
+
+    /// Regression: a table name longer than a file name may be used to fail
+    /// `save_dir` for the whole catalog ("File name too long") with nothing
+    /// written. The file-name base now carries a capped prefix of the name.
+    #[test]
+    fn long_table_names_save_and_reopen() {
+        let long = "n".repeat(300);
+        let s = session_with(&long, 2_000, 97);
+        s.register(dataset("short", 2_000, 98)).unwrap();
+        let dir = std::env::temp_dir().join(format!("ph_sess_longname_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(s.save_dir(&dir).unwrap(), 2);
+        let reopened = Session::open_dir(&dir).unwrap();
+        assert_eq!(reopened.tables(), s.tables());
+        for table in [long.as_str(), "short"] {
+            let sql = format!("SELECT AVG(y) FROM {table} WHERE x > 300 GROUP BY c");
+            assert_eq!(s.sql(&sql).unwrap(), reopened.sql(&sql).unwrap(), "{table}");
+        }
+        // Names up to the cap keep the file names they always had.
+        assert_eq!(file_base_for("short"), format!("short-{:08x}", ph_types::fnv1a(b"short")));
+        // Beyond what the manifest's u16 length field can frame, registration
+        // refuses instead of truncating on save.
+        let huge = dataset(&"h".repeat(u16::MAX as usize + 1), 10, 99);
+        assert!(matches!(s.register(huge), Err(PhError::Schema(_))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -372,140 +372,95 @@ impl PairwiseHist {
     }
 }
 
-/// Magic for the self-describing "table synopsis" blob: name + preprocessor +
-/// synopsis in one unit (the `Session` persistence format).
-const NAMED_MAGIC: &[u8; 4] = b"PWHS";
-const NAMED_VERSION: u8 = 1;
-
-impl PairwiseHist {
-    /// Serializes the synopsis **together with** its fitted preprocessor and the
-    /// table name, as one self-describing blob.
-    ///
-    /// [`PairwiseHist::to_bytes`] deliberately excludes the preprocessor (in the
-    /// Fig 2 pipeline it travels with the compressed store); a serving catalog has
-    /// no compressed store at hand, so its persistence unit must carry everything
-    /// needed to answer queries after a cold start. Layout:
-    ///
-    /// ```text
-    /// "PWHS" | u8 version | u16 name_len | name | u32 pre_len | preprocessor
-    ///        | u64 syn_len | synopsis (Fig 6 encoding)
-    /// ```
-    pub fn to_bytes_named(&self, table: &str) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(NAMED_MAGIC);
-        out.push(NAMED_VERSION);
-        let name = table.as_bytes();
-        debug_assert!(name.len() <= u16::MAX as usize, "table name too long");
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
-        let pre = self.pre.to_bytes();
-        out.extend_from_slice(&(pre.len() as u32).to_le_bytes());
-        out.extend_from_slice(&pre);
-        let syn = self.to_bytes();
-        out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
-        out.extend_from_slice(&syn);
-        out
-    }
-
-    /// Restores a `(table name, synopsis)` pair from [`PairwiseHist::to_bytes_named`]
-    /// output. Returns `None` on malformed input.
-    pub fn from_bytes_named(data: &[u8]) -> Option<(String, Self)> {
-        let mut pos = 0usize;
-        if data.get(..4)? != NAMED_MAGIC {
-            return None;
-        }
-        pos += 4;
-        if *data.get(pos)? != NAMED_VERSION {
-            return None;
-        }
-        pos += 1;
-        let name_len = u16::from_le_bytes(data.get(pos..pos + 2)?.try_into().ok()?) as usize;
-        pos += 2;
-        let name = std::str::from_utf8(data.get(pos..pos.checked_add(name_len)?)?)
-            .ok()?
-            .to_string();
-        pos += name_len;
-        let pre_len = u32::from_le_bytes(data.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let pre = Preprocessor::from_bytes(data.get(pos..pos.checked_add(pre_len)?)?)?;
-        pos += pre_len;
-        let syn_len = u64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?) as usize;
-        pos += 8;
-        // The length words are corruption-controlled: all arithmetic on them must
-        // be checked so a hostile blob fails with `None`, never a panic.
-        let end = pos.checked_add(syn_len)?;
-        let syn = data.get(pos..end)?;
-        if end != data.len() {
-            return None; // trailing bytes: not a clean blob
-        }
-        let ph = PairwiseHist::from_bytes(syn, Arc::new(pre))?;
-        Some((name, ph))
-    }
-}
-
-// --- Segmented catalog persistence (versions 2 and 3) --------------------------
+// --- Segmented catalog persistence ------------------------------------------
 //
 // A `Session` table persists as one **manifest** plus one blob **per segment**
 // (the delta, if any, is serialized as a final sealed segment). The manifest
 // carries what every segment shares — the table name and the fitted
 // preprocessor — so segment blobs stay self-contained pairs of synopsis +
-// compressed rows:
+// compressed rows. Both are one frame, `magic | u8 version | body | u32 crc32
+// of all prior bytes`, around these bodies:
 //
 // ```text
-// manifest (<name>-<hash>.pwhs):   "PWT2" | u8 version | u16 name_len | name
-//                                  | u32 pre_len | preprocessor | u32 n_segments
-//                                  | u64 gen | u64 wal_seq        (v3 only)
-//                                  | u32 crc32 of all prior bytes (v3 only)
-// segment  (<name>-<hash>.g<gen>.seg<i>.phseg):
-//                                  "PSG3" | u8 version | u64 syn_len | synopsis
-//                                  | u8 store_kind | u64 store_len | store bytes
-//                                  | u32 crc32 of all prior bytes
+// manifest "PWT2" (<base>.pwhs):   u16 name_len | name | u32 pre_len | preprocessor
+//                                  | u32 n_segments | u64 gen | u64 wal_seq
+// segment  "PSG3" (<base>.g<gen>.seg<i>.phseg):
+//                                  u64 syn_len | synopsis | u8 store_kind
+//                                  | u64 store_len | store bytes
 // ```
 //
-// `store_kind` names the row-store representation: 0 = no retained rows,
-// 1 = GreedyGD ([`ph_gd::GdStore`]), 2 = per-column codec cascade
-// ([`ph_gd::ColumnarStore`]). Older `PSG2` blobs (where that byte was a
-// has_store flag and the payload always GreedyGD) are still read; writes
-// always emit `PSG3`.
+// `store_kind` names the row-store representation: 1 = GreedyGD
+// ([`ph_gd::GdStore`]), 2 = per-column codec cascade ([`ph_gd::ColumnarStore`]).
+// `gen` is the snapshot generation (segment files are generation-numbered so a
+// crashed save can never tear the files the committed manifest still
+// references), `wal_seq` is the ingest-WAL watermark (replay skips WAL records
+// with seq ≤ it), and the CRC32 trailer lets `open_dir` tell a clean blob from
+// bit-rot and quarantine the table instead of loading garbage.
 //
-// Version 3 adds the durability fields: `gen` is the snapshot generation
-// (segment files are generation-numbered so a crashed save can never tear the
-// files the committed manifest still references), `wal_seq` is the ingest-WAL
-// watermark (replay skips WAL records with seq ≤ it), and the CRC32 trailer
-// lets `open_dir` distinguish a clean blob from bit-rot and quarantine the
-// table instead of loading garbage. Version-2 blobs (no trailer, gen 0,
-// watermark 0) are still read.
-//
-// Because each segment ships its compressed rows, a reopened catalog is fully
-// ingestable — rebuilds (novel categorical values, NULL-introducing batches,
-// compaction) decode the stores instead of hitting the legacy "no retained
-// rows" dead-end. The legacy single-blob `PWHS` format is still read by
-// `Session::open_dir` (as a one-segment table without rows).
+// There is exactly one reader per blob kind: anything else — another magic,
+// another version, another store kind — is rejected, never guessed at.
 
-/// Magic of the table manifest (versions 2 and 3).
+/// Magic of the table manifest.
 pub(crate) const TABLE_MAGIC: &[u8; 4] = b"PWT2";
-/// Magic of a segment blob carrying a tagged row store (always CRC-trailed).
+/// Magic of a segment blob.
 pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"PSG3";
-/// Magic of legacy segment blobs whose row store is implicitly GreedyGD.
-pub(crate) const SEGMENT_MAGIC_V2: &[u8; 4] = b"PSG2";
-const V2_VERSION: u8 = 2;
-const V3_VERSION: u8 = 3;
+/// The one frame version this build writes and reads.
+const FRAME_VERSION: u8 = 3;
 
-/// Decoded table manifest (v2 or v3).
+/// Wraps a body in the catalog frame: `magic | version | body | crc32`.
+fn frame(magic: &[u8; 4], write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(magic);
+    out.push(FRAME_VERSION);
+    write_body(&mut out);
+    let crc = ph_encoding::crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// The body of a frame written by [`frame`], or `None` when the header is not
+/// `magic` at the current version or the checksum fails — in which case none
+/// of the other bytes can be trusted, not even their length fields.
+fn unframe<'a>(magic: &[u8; 4], data: &'a [u8]) -> Option<&'a [u8]> {
+    let (framed, trailer) = data.split_at_checked(data.len().checked_sub(4)?)?;
+    let body = framed.strip_prefix(magic)?.strip_prefix(&[FRAME_VERSION])?;
+    (ph_encoding::crc32(framed) == u32::from_le_bytes(trailer.try_into().ok()?)).then_some(body)
+}
+
+/// Why a blob that [`unframe`]s or decodes to `None` was turned away, for the
+/// quarantine reason: a container this build does not read — a retired or
+/// foreign magic/version, or an intact frame around a body it has no reader
+/// for — is named as such; everything else is damage.
+pub(crate) fn reject_reason(magic: &[u8; 4], data: &[u8]) -> String {
+    let shown = |m: &[u8]| String::from_utf8_lossy(m).into_owned();
+    match (data.get(..4), data.get(4)) {
+        (Some(m), Some(&v)) if m != magic || v != FRAME_VERSION => format!(
+            "unsupported format '{}' v{v} (this build reads '{}' v{FRAME_VERSION})",
+            shown(m),
+            shown(magic)
+        ),
+        _ if unframe(magic, data).is_some() => format!(
+            "unsupported format: intact '{}' v{FRAME_VERSION} frame around a body this \
+             build does not read",
+            shown(magic)
+        ),
+        _ => "does not decode (checksum mismatch or truncation)".to_string(),
+    }
+}
+
+/// Decoded table manifest.
 pub(crate) struct TableManifest {
     pub name: String,
     pub pre: Preprocessor,
     pub n_segments: usize,
-    /// Snapshot generation the segment files of this manifest belong to
-    /// (0 for v2 manifests, whose segment files are un-generation-numbered).
+    /// Snapshot generation the segment files of this manifest belong to.
     pub gen: u64,
     /// Ingest-WAL watermark: every WAL record with `seq <= wal_seq` is already
     /// folded into the segments this manifest references.
     pub wal_seq: u64,
 }
 
-/// Serializes a table manifest (shared metadata of all its segment blobs),
-/// version 3: generation + WAL watermark + CRC32 trailer.
+/// Serializes a table manifest (shared metadata of all its segment blobs).
 pub(crate) fn table_manifest_to_bytes(
     table: &str,
     pre: &Preprocessor,
@@ -513,49 +468,25 @@ pub(crate) fn table_manifest_to_bytes(
     gen: u64,
     wal_seq: u64,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(TABLE_MAGIC);
-    out.push(V3_VERSION);
-    let name = table.as_bytes();
-    debug_assert!(name.len() <= u16::MAX as usize, "table name too long");
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(name);
-    let pre_bytes = pre.to_bytes();
-    out.extend_from_slice(&(pre_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&pre_bytes);
-    out.extend_from_slice(&(n_segments as u32).to_le_bytes());
-    out.extend_from_slice(&gen.to_le_bytes());
-    out.extend_from_slice(&wal_seq.to_le_bytes());
-    let crc = ph_encoding::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    frame(TABLE_MAGIC, |out| {
+        let name = table.as_bytes();
+        debug_assert!(name.len() <= u16::MAX as usize, "register_with rejects longer names");
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name);
+        let pre_bytes = pre.to_bytes();
+        out.extend_from_slice(&(pre_bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(&pre_bytes);
+        out.extend_from_slice(&(n_segments as u32).to_le_bytes());
+        out.extend_from_slice(&gen.to_le_bytes());
+        out.extend_from_slice(&wal_seq.to_le_bytes());
+    })
 }
 
-/// Restores a [`TableManifest`] from v2 or v3 bytes, verifying the v3 CRC
-/// trailer. Returns `None` on malformed or corrupted input.
+/// Restores a [`TableManifest`]. Returns `None` on malformed or corrupted
+/// input.
 pub(crate) fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
+    let body = unframe(TABLE_MAGIC, data)?;
     let mut pos = 0usize;
-    if data.get(..4)? != TABLE_MAGIC {
-        return None;
-    }
-    pos += 4;
-    let version = *data.get(pos)?;
-    pos += 1;
-    let body = match version {
-        V2_VERSION => data,
-        V3_VERSION => {
-            // Trailer first: a failed checksum means the rest of the bytes
-            // cannot be trusted, not even their length fields.
-            let body_len = data.len().checked_sub(4)?;
-            let stored = u32::from_le_bytes(data.get(body_len..)?.try_into().ok()?);
-            let body = data.get(..body_len)?;
-            if ph_encoding::crc32(body) != stored {
-                return None;
-            }
-            body
-        }
-        _ => return None,
-    };
     let name_len = u16::from_le_bytes(body.get(pos..pos + 2)?.try_into().ok()?) as usize;
     pos += 2;
     let name =
@@ -567,105 +498,58 @@ pub(crate) fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
     pos += pre_len;
     let n_segments = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
     pos += 4;
-    let (gen, wal_seq) = if version == V3_VERSION {
-        let g = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        let w = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        (g, w)
-    } else {
-        (0, 0)
-    };
+    let gen = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
+    pos += 8;
+    let wal_seq = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
+    pos += 8;
     if pos != body.len() || n_segments > 1 << 20 {
         return None;
     }
     Some(TableManifest { name, pre, n_segments, gen, wal_seq })
 }
 
-/// Serializes one segment (`PSG3`, CRC32 trailer): its synopsis and (when
-/// present) its compressed rows under a tagged row-store representation.
-pub(crate) fn segment_to_bytes(
-    engine: &PairwiseHist,
-    store: Option<&ph_gd::RowStore>,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(SEGMENT_MAGIC);
-    out.push(V3_VERSION);
-    let syn = engine.to_bytes();
-    out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
-    out.extend_from_slice(&syn);
-    let (kind, store_bytes): (u8, Vec<u8>) = match store {
-        None => (0, Vec::new()),
-        Some(ph_gd::RowStore::Gd(s)) => (1, s.to_bytes()),
-        Some(ph_gd::RowStore::Columnar(s)) => (2, s.to_bytes()),
-    };
-    out.push(kind);
-    out.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
-    out.extend_from_slice(&store_bytes);
-    let crc = ph_encoding::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Serializes one segment: its synopsis and its compressed rows under a tagged
+/// row-store representation.
+pub(crate) fn segment_to_bytes(engine: &PairwiseHist, store: &ph_gd::RowStore) -> Vec<u8> {
+    frame(SEGMENT_MAGIC, |out| {
+        let syn = engine.to_bytes();
+        out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
+        out.extend_from_slice(&syn);
+        let (kind, store_bytes): (u8, Vec<u8>) = match store {
+            ph_gd::RowStore::Gd(s) => (1, s.to_bytes()),
+            ph_gd::RowStore::Columnar(s) => (2, s.to_bytes()),
+        };
+        out.push(kind);
+        out.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
+        out.extend_from_slice(&store_bytes);
+    })
 }
 
-/// Restores a segment blob (`PSG3`, or legacy `PSG2` v2/v3) against the
-/// table's shared preprocessor, verifying the CRC trailer where the format
-/// carries one. Returns `None` on malformed or corrupted input.
+/// Restores a segment blob against the table's shared preprocessor. Returns
+/// `None` on malformed or corrupted input.
 pub(crate) fn segment_from_bytes(
     data: &[u8],
     pre: Arc<Preprocessor>,
-) -> Option<(PairwiseHist, Option<ph_gd::RowStore>)> {
-    let magic = data.get(..4)?;
-    let legacy = if magic == SEGMENT_MAGIC {
-        false
-    } else if magic == SEGMENT_MAGIC_V2 {
-        true
-    } else {
-        return None;
-    };
-    let mut pos = 4usize;
-    let version = *data.get(pos)?;
-    let data = match version {
-        // PSG2 v2 predates the CRC trailer; everything later carries one.
-        V2_VERSION if legacy => data,
-        V3_VERSION => {
-            let body_len = data.len().checked_sub(4)?;
-            let stored = u32::from_le_bytes(data.get(body_len..)?.try_into().ok()?);
-            let body = data.get(..body_len)?;
-            if ph_encoding::crc32(body) != stored {
-                return None;
-            }
-            body
-        }
-        _ => return None,
-    };
-    pos += 1;
-    let syn_len = u64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?) as usize;
+) -> Option<(PairwiseHist, ph_gd::RowStore)> {
+    let body = unframe(SEGMENT_MAGIC, data)?;
+    let mut pos = 0usize;
+    let syn_len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?) as usize;
     pos += 8;
     let end = pos.checked_add(syn_len)?;
-    let engine = PairwiseHist::from_bytes(data.get(pos..end)?, pre)?;
+    let engine = PairwiseHist::from_bytes(body.get(pos..end)?, pre)?;
     pos = end;
-    // PSG2's byte here was a has_store flag over an implicit GdStore payload;
-    // PSG3 widens it to a store-kind tag. Flag values coincide with kinds 0/1.
-    let kind = *data.get(pos)?;
+    let kind = *body.get(pos)?;
     pos += 1;
-    let store_len = u64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?) as usize;
+    let store_len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?) as usize;
     pos += 8;
     let end = pos.checked_add(store_len)?;
-    let store_slice = data.get(pos..end)?;
-    if end != data.len() {
+    let store_slice = body.get(pos..end)?;
+    if end != body.len() {
         return None; // trailing bytes: not a clean blob
     }
     let store = match kind {
-        0 => {
-            if store_len != 0 {
-                return None;
-            }
-            None
-        }
-        1 => Some(ph_gd::RowStore::Gd(ph_gd::GdStore::from_bytes(store_slice)?)),
-        2 if !legacy => {
-            Some(ph_gd::RowStore::Columnar(ph_gd::ColumnarStore::from_bytes(store_slice)?))
-        }
+        1 => ph_gd::RowStore::Gd(ph_gd::GdStore::from_bytes(store_slice)?),
+        2 => ph_gd::RowStore::Columnar(ph_gd::ColumnarStore::from_bytes(store_slice)?),
         _ => return None,
     };
     Some((engine, store))
@@ -998,89 +882,33 @@ mod tests {
         assert!(PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone()).is_some());
     }
 
-    /// Every row-store representation survives the PSG3 blob round trip with
-    /// its kind tag intact, and the CRC trailer catches a flipped bit.
+    /// Every row-store representation survives the segment-blob round trip
+    /// with its kind tag intact, and the CRC trailer catches a flipped bit.
     #[test]
-    fn psg3_roundtrips_every_store_kind() {
+    fn segment_blob_roundtrips_every_store_kind() {
         let data = dataset(4_000, 7);
         let ph = build(4_000, 7);
         let pre = ph.preprocessor().clone();
         let matrix = pre.encode(&data);
         let gd = ph_gd::GdCompressor::new().compress(&matrix);
         let columnar = ph_gd::ColumnarStore::encode(&matrix);
-        let stores = [
-            None,
-            Some(ph_gd::RowStore::Gd(gd)),
-            Some(ph_gd::RowStore::Columnar(columnar)),
-        ];
-        for store in &stores {
-            let bytes = segment_to_bytes(&ph, store.as_ref());
+        for store in [ph_gd::RowStore::Gd(gd), ph_gd::RowStore::Columnar(columnar)] {
+            let bytes = segment_to_bytes(&ph, &store);
             assert_eq!(&bytes[..4], SEGMENT_MAGIC);
             let (engine, back) =
                 segment_from_bytes(&bytes, pre.clone()).expect("clean blob decodes");
             assert_eq!(engine.params, ph.params);
-            match (store, &back) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(
-                        std::mem::discriminant(a),
-                        std::mem::discriminant(b),
-                        "store kind survives"
-                    );
-                    assert_eq!(a.decompress().columns, b.decompress().columns);
-                }
-                _ => panic!("store presence changed across the round trip"),
-            }
+            assert_eq!(
+                std::mem::discriminant(&store),
+                std::mem::discriminant(&back),
+                "store kind survives"
+            );
+            assert_eq!(store.decompress().columns, back.decompress().columns);
             // Any flipped payload bit must fail the CRC, not decode garbage.
             let mut bad = bytes.clone();
             let mid = bad.len() / 2;
             bad[mid] ^= 0x40;
             assert!(segment_from_bytes(&bad, pre.clone()).is_none());
         }
-    }
-
-    /// Pre-cascade `PSG2` blobs — where the kind byte was a has_store flag and
-    /// the payload implicitly GreedyGD — still load, with and without the v3
-    /// CRC trailer. A PSG2 blob claiming the columnar kind is rejected: no
-    /// legacy writer ever produced one.
-    #[test]
-    fn legacy_psg2_blobs_still_load() {
-        let data = dataset(3_000, 9);
-        let ph = build(3_000, 9);
-        let pre = ph.preprocessor().clone();
-        let gd = ph_gd::GdCompressor::new().compress(&pre.encode(&data));
-        let syn = ph.to_bytes();
-        let store_bytes = gd.to_bytes();
-        let body = |version: u8, kind: u8| -> Vec<u8> {
-            let mut out = Vec::new();
-            out.extend_from_slice(b"PSG2");
-            out.push(version);
-            out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
-            out.extend_from_slice(&syn);
-            out.push(kind);
-            out.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
-            out.extend_from_slice(&store_bytes);
-            out
-        };
-        // v2: no trailer. v3: CRC-trailed.
-        let v2 = body(2, 1);
-        let mut v3 = body(3, 1);
-        let crc = ph_encoding::crc32(&v3);
-        v3.extend_from_slice(&crc.to_le_bytes());
-        for blob in [v2, v3] {
-            let (engine, store) =
-                segment_from_bytes(&blob, pre.clone()).expect("legacy blob decodes");
-            assert_eq!(engine.params, ph.params);
-            match store {
-                Some(ph_gd::RowStore::Gd(s)) => {
-                    assert_eq!(s.decompress().columns, gd.decompress().columns)
-                }
-                _ => panic!("legacy store must load as GreedyGD"),
-            }
-        }
-        let mut bad_kind = body(3, 2);
-        let crc = ph_encoding::crc32(&bad_kind);
-        bad_kind.extend_from_slice(&crc.to_le_bytes());
-        assert!(segment_from_bytes(&bad_kind, pre.clone()).is_none());
     }
 }

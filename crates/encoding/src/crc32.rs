@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //!
-//! The durability layer stamps every persisted blob — `PWT2`/`PSG2` snapshot
+//! The durability layer stamps every persisted blob — `PWT2`/`PSG3` snapshot
 //! files and each `PHWL1` WAL record — with this checksum so `open_dir` can
 //! tell a torn write from bit-rot and quarantine the damage instead of loading
 //! a silently wrong catalog. Table-driven, one table built at first use; this

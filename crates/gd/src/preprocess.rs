@@ -305,10 +305,9 @@ impl Preprocessor {
     /// preprocessing it was built under (the persistence path of a `Session`
     /// catalog). Inverse of [`Preprocessor::from_bytes`].
     ///
-    /// Writes the `PRE2` format: every string is uvarint-framed (the `PRE1`
-    /// u16 length field silently truncated >64 KiB strings in release builds),
-    /// and each categorical dictionary may be FSST-compressed when the static
-    /// symbol table pays for itself. `PRE1` blobs still load.
+    /// Writes the `PRE2` format: every string is uvarint-framed (no length a
+    /// value can reach is truncated), and each categorical dictionary may be
+    /// FSST-compressed when the static symbol table pays for itself.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"PRE2");
@@ -339,17 +338,12 @@ impl Preprocessor {
         out
     }
 
-    /// Restores a [`Preprocessor`] from [`Preprocessor::to_bytes`] output —
-    /// current `PRE2` or legacy `PRE1`. Returns `None` on malformed input.
+    /// Restores a [`Preprocessor`] from [`Preprocessor::to_bytes`] output.
+    /// Returns `None` on malformed input.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        match data.get(..4)? {
-            b"PRE2" => Self::from_bytes_v2(data),
-            b"PRE1" => Self::from_bytes_v1(data),
-            _ => None,
+        if data.get(..4)? != b"PRE2" {
+            return None;
         }
-    }
-
-    fn from_bytes_v2(data: &[u8]) -> Option<Self> {
         let mut pos = 4usize;
         let d = read_uvarint(data, &mut pos)? as usize;
         if d > 1 << 16 {
@@ -412,73 +406,6 @@ impl Preprocessor {
         Some(Self { transforms, names, types })
     }
 
-    /// Legacy `PRE1` reader: u16-framed strings, u32 dictionary counts.
-    fn from_bytes_v1(data: &[u8]) -> Option<Self> {
-        let mut pos = 4usize;
-        let d = u16::from_le_bytes(data.get(pos..pos + 2)?.try_into().ok()?) as usize;
-        pos += 2;
-        let mut names = Vec::with_capacity(d);
-        let mut types = Vec::with_capacity(d);
-        let mut transforms = Vec::with_capacity(d);
-        for _ in 0..d {
-            names.push(read_str_v1(data, &mut pos)?);
-            let tag = *data.get(pos)?;
-            pos += 1;
-            match tag {
-                0..=2 => {
-                    let scale = *data.get(pos)?;
-                    pos += 1;
-                    let min_scaled =
-                        i64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    let max_enc =
-                        u64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    if max_enc >= MAX_ENC {
-                        return None;
-                    }
-                    let has_null = *data.get(pos)? != 0;
-                    pos += 1;
-                    types.push(match tag {
-                        0 => ColumnType::Int,
-                        1 => ColumnType::Float { scale },
-                        _ => ColumnType::Timestamp,
-                    });
-                    transforms.push(ColumnTransform::Numeric {
-                        min_scaled,
-                        scale,
-                        max_enc,
-                        null_code: has_null.then_some(max_enc + 1),
-                    });
-                }
-                3 => {
-                    let n = u32::from_le_bytes(data.get(pos..pos + 4)?.try_into().ok()?)
-                        as usize;
-                    pos += 4;
-                    if n > 1 << 24 {
-                        return None;
-                    }
-                    let mut by_rank = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        by_rank.push(read_str_v1(data, &mut pos)?);
-                    }
-                    let has_null = *data.get(pos)? != 0;
-                    pos += 1;
-                    types.push(ColumnType::Categorical);
-                    transforms.push(ColumnTransform::Categorical {
-                        null_code: has_null.then_some(by_rank.len() as u64),
-                        by_rank,
-                    });
-                }
-                _ => return None,
-            }
-        }
-        if pos != data.len() {
-            return None; // trailing bytes: not ours
-        }
-        Some(Self { transforms, names, types })
-    }
-
     /// Serialized footprint of the transforms (constants + dictionaries) in bytes;
     /// counted as part of the compressed-store size in storage experiments.
     /// Exact: the actual `PRE2` blob length, including FSST-compressed
@@ -517,9 +444,9 @@ impl EncodeScratch {
     }
 }
 
-/// Uvarint-framed string (PRE2). Unlike the PRE1 u16 frame, this cannot
-/// truncate: any length serializes exactly, so a >64 KiB categorical value
-/// round-trips instead of silently corrupting the blob in release builds.
+/// Uvarint-framed string. A fixed-width length field would truncate: any
+/// length serializes exactly here, so a >64 KiB categorical value round-trips
+/// instead of silently corrupting the blob in release builds.
 fn write_str(out: &mut Vec<u8>, s: &str) {
     write_uvarint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -530,15 +457,6 @@ fn read_str(data: &[u8], pos: &mut usize) -> Option<String> {
     if len > data.len().saturating_sub(*pos) {
         return None;
     }
-    let s = std::str::from_utf8(data.get(*pos..*pos + len)?).ok()?;
-    *pos += len;
-    Some(s.to_string())
-}
-
-/// Legacy PRE1 string frame: u16 length prefix.
-fn read_str_v1(data: &[u8], pos: &mut usize) -> Option<String> {
-    let len = u16::from_le_bytes(data.get(*pos..*pos + 2)?.try_into().ok()?) as usize;
-    *pos += 2;
     let s = std::str::from_utf8(data.get(*pos..*pos + len)?).ok()?;
     *pos += len;
     Some(s.to_string())
@@ -906,7 +824,7 @@ mod tests {
 
     #[test]
     fn giant_string_survives_serialization() {
-        // Regression: PRE1 framed strings with a u16 length, and release
+        // Regression: a u16 length field once framed these strings, and release
         // builds silently truncated a >64 KiB string, corrupting the blob.
         let big = "x".repeat(70 * 1024);
         let d = Dataset::builder("t")
@@ -918,48 +836,6 @@ mod tests {
         let back = Preprocessor::from_bytes(&bytes).expect("deserialize");
         assert_eq!(back, pre);
         assert_eq!(back.transform(0).category(0), Some(big.as_str()));
-    }
-
-    #[test]
-    fn legacy_pre1_blobs_still_load() {
-        // A PRE1 blob written by the previous format version: u16 column
-        // count, u16-framed strings, u32 dictionary counts.
-        fn put_str_v1(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"PRE1");
-        v1.extend_from_slice(&2u16.to_le_bytes());
-        put_str_v1(&mut v1, "x");
-        v1.push(0); // Int
-        v1.push(0); // scale
-        v1.extend_from_slice(&(-5i64).to_le_bytes());
-        v1.extend_from_slice(&15u64.to_le_bytes());
-        v1.push(1); // has_null
-        put_str_v1(&mut v1, "c");
-        v1.push(3); // Categorical
-        v1.extend_from_slice(&2u32.to_le_bytes());
-        put_str_v1(&mut v1, "common");
-        put_str_v1(&mut v1, "rare");
-        v1.push(0); // no null
-        let pre = Preprocessor::from_bytes(&v1).expect("PRE1 must still load");
-        assert_eq!(pre.names(), &["x".to_string(), "c".to_string()]);
-        assert_eq!(
-            pre.transform(0),
-            &ColumnTransform::Numeric {
-                min_scaled: -5,
-                scale: 0,
-                max_enc: 15,
-                null_code: Some(16)
-            }
-        );
-        assert_eq!(pre.transform(1).category(0), Some("common"));
-        assert_eq!(pre.transform(1).category(1), Some("rare"));
-        // Re-serializing upgrades to PRE2, which round-trips bit-stably.
-        let v2 = pre.to_bytes();
-        assert_eq!(&v2[..4], b"PRE2");
-        assert_eq!(Preprocessor::from_bytes(&v2).unwrap(), pre);
     }
 
     #[test]

@@ -294,3 +294,88 @@ proptest! {
         ));
     }
 }
+
+/// Retired on-disk formats are outside input, rejected like any other: a
+/// pre-segmentation `PWHS` single blob, a `PSG2` segment and a `PSG3` segment
+/// claiming store kind 0 (a row-less segment) each quarantine their table under
+/// a reason naming the format, while the healthy table beside them serves.
+#[test]
+fn retired_formats_quarantine_without_taking_down_the_catalog() {
+    use pairwisehist::encoding::crc32;
+
+    let dir = std::env::temp_dir().join(format!("ph_retired_formats_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::new();
+    for (name, seed) in [("healthy", 21), ("oldseg", 22), ("rowless", 23)] {
+        session.register(dataset(name, BASE_ROWS, seed)).unwrap();
+    }
+    session.save_dir(&dir).unwrap();
+    let segment_of = |table: &str| -> PathBuf {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| {
+                p.extension().is_some_and(|x| x == "phseg")
+                    && p.file_name().unwrap().to_str().unwrap().starts_with(table)
+            })
+            .expect("one segment file per table")
+    };
+    // Current layout: magic(4) version(1) syn_len(8) synopsis kind(1) store_len(8) store crc(4).
+    let current = std::fs::read(segment_of("oldseg")).unwrap();
+    let syn_len = u64::from_le_bytes(current[5..13].try_into().unwrap()) as usize;
+    let (synopsis, store) = (&current[13..13 + syn_len], &current[13 + syn_len + 9..current.len() - 4]);
+
+    // `PSG2` v2: has_store flag, implicit GreedyGD payload, no CRC trailer.
+    let mut psg2 = b"PSG2\x02".to_vec();
+    psg2.extend_from_slice(&(syn_len as u64).to_le_bytes());
+    psg2.extend_from_slice(synopsis);
+    psg2.push(1);
+    psg2.extend_from_slice(&(store.len() as u64).to_le_bytes());
+    psg2.extend_from_slice(store);
+    std::fs::write(segment_of("oldseg"), psg2).unwrap();
+
+    // `PSG3` v3 with store kind 0: intact frame, no rows.
+    let current = std::fs::read(segment_of("rowless")).unwrap();
+    let syn_end = 13 + u64::from_le_bytes(current[5..13].try_into().unwrap()) as usize;
+    let mut kind0 = current[..syn_end].to_vec();
+    kind0.push(0);
+    kind0.extend_from_slice(&0u64.to_le_bytes());
+    let crc = crc32(&kind0);
+    kind0.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(segment_of("rowless"), kind0).unwrap();
+
+    // `PWHS` v1: name + preprocessor + synopsis in one blob, no rows, no CRC.
+    let ph = PairwiseHist::build(&dataset("single", BASE_ROWS, 24), &PairwiseHistConfig::default());
+    let (pre, syn) = (ph.preprocessor().to_bytes(), ph.to_bytes());
+    let mut pwhs = b"PWHS\x01".to_vec();
+    pwhs.extend_from_slice(&6u16.to_le_bytes());
+    pwhs.extend_from_slice(b"single");
+    pwhs.extend_from_slice(&(pre.len() as u32).to_le_bytes());
+    pwhs.extend_from_slice(&pre);
+    pwhs.extend_from_slice(&(syn.len() as u64).to_le_bytes());
+    pwhs.extend_from_slice(&syn);
+    std::fs::write(dir.join("single-0000.pwhs"), pwhs).unwrap();
+
+    let reopened = Session::open_dir(&dir).expect("retired formats must not fail the open");
+    assert_eq!(reopened.tables(), vec!["healthy"], "only the current-format table loads");
+    let sql = "SELECT AVG(y) FROM healthy WHERE x > 300 GROUP BY c";
+    assert_eq!(reopened.sql(sql).unwrap(), session.sql(sql).unwrap());
+
+    let quarantined = reopened.quarantined();
+    for (key, format) in [("oldseg", "PSG2"), ("rowless", "PSG3"), ("single-0000", "PWHS")] {
+        let reason = &quarantined
+            .iter()
+            .find(|(name, _)| name == key)
+            .unwrap_or_else(|| panic!("{key} must be quarantined: {quarantined:?}"))
+            .1;
+        assert!(
+            reason.contains("unsupported format") && reason.contains(format),
+            "{key}: reason must name the unsupported format {format}: {reason}"
+        );
+    }
+    for table in ["oldseg", "rowless"] {
+        let sql = format!("SELECT COUNT(x) FROM {table}");
+        assert!(matches!(reopened.sql(&sql), Err(PhError::Quarantined(_))), "{table}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,7 +1,7 @@
 //! Persistence guarantees of the synopsis and the `Session` catalog:
 //!
 //! * property: `to_bytes` → `from_bytes` → `to_bytes` is **bit-identical** over
-//!   randomized datasets (and likewise for the named session blob);
+//!   randomized datasets (and likewise for the fitted preprocessor);
 //! * a catalog saved with `save_dir` and reopened with `open_dir` answers a
 //!   50-query generated workload identically to the original session.
 
@@ -62,13 +62,10 @@ proptest! {
             .expect("bytes produced by to_bytes must deserialize");
         prop_assert_eq!(restored.to_bytes(), bytes, "re-serialization must be bit-identical");
 
-        // The named blob (synopsis + preprocessor + table name) round-trips the
-        // same way.
-        let named = ph.to_bytes_named("p");
-        let (name, reloaded) =
-            PairwiseHist::from_bytes_named(&named).expect("named blob decodes");
-        prop_assert_eq!(name, "p");
-        prop_assert_eq!(reloaded.to_bytes_named("p"), named);
+        // The preprocessor the synopsis travels with round-trips the same way.
+        let pre_bytes = ph.preprocessor().to_bytes();
+        let pre = Preprocessor::from_bytes(&pre_bytes).expect("preprocessor bytes decode");
+        prop_assert_eq!(pre.to_bytes(), pre_bytes);
     }
 }
 
