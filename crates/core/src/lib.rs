@@ -51,6 +51,7 @@ mod build2d;
 mod coverage;
 mod engine;
 pub mod merge;
+mod persist;
 mod plan;
 mod prepared;
 mod segment;

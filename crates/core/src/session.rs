@@ -23,7 +23,8 @@
 //!   accumulated small segments on an explicit [`Session::compact`];
 //! * persists every table to a directory (one manifest + one blob per segment,
 //!   compressed rows included) and reopens it cold with ingest *still working*:
-//!   the compressed rows round-trip, so rebuilds keep their source material.
+//!   the compressed rows round-trip, so rebuilds keep their source material
+//!   (`save_dir` / `open_dir` and the on-disk format live in `crate::persist`).
 //!
 //! # Threading model
 //!
@@ -112,10 +113,7 @@ use crate::segment::{
     build_delta, count_store_matching, decode_store, merge_segments, registration_segment,
     seal_segment, CompactReport, FootprintReport, Segment, TableState,
 };
-use crate::storage::{
-    reject_reason, segment_from_bytes, segment_to_bytes, table_manifest_from_bytes,
-    table_manifest_to_bytes, SEGMENT_MAGIC, TABLE_MAGIC,
-};
+use crate::persist::file_base_for;
 use crate::wal;
 
 /// Plan-cache capacity across all shards. Caching is keyed by full query
@@ -153,12 +151,12 @@ fn next_session_id() -> u64 {
 /// drop the first's rows), and it guards the only writer-side mutable data, so
 /// delta rows are appended in place (O(batch) per ingest) instead of cloned per
 /// batch. Readers never touch it: snapshots expose only the engines.
-struct TableCell {
+pub(crate) struct TableCell {
     state: RwLock<Arc<TableState>>,
     /// Raw rows ingested since the last seal; `None` when the delta is empty.
     /// Invariant under the writer lock: `Some` here ⟺ the published state has
     /// a delta synopsis.
-    delta_rows: Mutex<Option<Dataset>>,
+    pub(crate) delta_rows: Mutex<Option<Dataset>>,
     /// Heap bytes of `delta_rows`, maintained by writers after each mutation,
     /// so footprint queries never touch the writer lock (a metrics poll must
     /// not stall behind an in-flight seal, rebuild or save).
@@ -167,7 +165,7 @@ struct TableCell {
     /// from) this table's WAL; 0 = none. Written only under the writer lock
     /// (or during single-threaded `open_dir` replay); `save_dir` reads it as
     /// the manifest's replay watermark.
-    wal_seq: AtomicU64,
+    pub(crate) wal_seq: AtomicU64,
     /// Reusable encode buffers for the seal path. Sealing encodes every delta
     /// slice into a fresh `EncodedMatrix`; recycling the column buffers across
     /// seals removes the allocation spike that dominated ingest tail latency
@@ -177,7 +175,7 @@ struct TableCell {
 }
 
 impl TableCell {
-    fn new(state: TableState) -> Self {
+    pub(crate) fn new(state: TableState) -> Self {
         Self {
             state: RwLock::new(Arc::new(state)),
             delta_rows: Mutex::new(None),
@@ -188,7 +186,7 @@ impl TableCell {
     }
 
     /// The current state; the read lock is held only for the `Arc` clone.
-    fn snapshot(&self) -> Arc<TableState> {
+    pub(crate) fn snapshot(&self) -> Arc<TableState> {
         self.state.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
@@ -487,7 +485,7 @@ pub struct IngestReport {
 pub struct Session {
     /// Process-unique identity for the cross-session plan check.
     id: u64,
-    tables: RwLock<BTreeMap<String, Arc<TableCell>>>,
+    pub(crate) tables: RwLock<BTreeMap<String, Arc<TableCell>>>,
     cache: PlanCache,
     default_cfg: PairwiseHistConfig,
     /// Seal the delta once its staleness exceeds this (see
@@ -501,17 +499,17 @@ pub struct Session {
     /// deletes their persisted blobs. Only files belonging to this catalog's
     /// current or dropped tables are ever touched — a shared directory's
     /// foreign files are left alone.
-    dropped: Mutex<HashSet<String>>,
+    pub(crate) dropped: Mutex<HashSet<String>>,
     /// Durability home (see [`Session::enable_wal`]): when set, every accepted
-    /// ingest batch is journaled and fsynced to `<dir>/<base>.phwal` before
+    /// ingest batch is journaled and fsynced to the table's log in `<dir>` before
     /// the in-memory swap, and a [`Session::save_dir`] into this directory
     /// truncates the logs it has folded in.
-    wal_dir: Mutex<Option<PathBuf>>,
+    pub(crate) wal_dir: Mutex<Option<PathBuf>>,
     /// Tables whose persisted state failed checksum/decode verification at
     /// [`Session::open_dir`]: key (table name, or the file-name base when the
     /// manifest itself was unreadable) → reason. Quarantined tables are not
     /// served; everything else in the catalog is.
-    quarantined: Mutex<BTreeMap<String, String>>,
+    pub(crate) quarantined: Mutex<BTreeMap<String, String>>,
 }
 
 impl Default for Session {
@@ -542,7 +540,7 @@ impl Session {
     }
 
     /// Turns on write-ahead logging: from now on every accepted [`Session::ingest`]
-    /// batch is appended — and fsynced — to `<dir>/<table base>.phwal` *before*
+    /// batch is appended — and fsynced — to the table's log in `dir` *before*
     /// the in-memory swap, so a crash after `ingest` returns loses nothing;
     /// [`Session::open_dir`] on the directory replays the tail past the last
     /// snapshot. A [`Session::save_dir`] into the same directory folds the
@@ -1270,308 +1268,6 @@ impl Session {
         })
     }
 
-    /// Persists every table to `dir` (created if missing) in the versioned
-    /// multi-file layout: one manifest (`.pwhs`) plus one blob per segment
-    /// (`.phseg`), the un-sealed delta serialized as a final segment. Compressed
-    /// rows ship with each segment, so a reopened catalog remains fully
-    /// ingestable. Returns the number of tables written.
-    ///
-    /// The save is **crash-safe**. Every file is written to a `.tmp` sibling,
-    /// fsynced, renamed into place, and the directory fsynced; segment blobs
-    /// land before their manifest, and segment files are generation-numbered
-    /// (`<base>.g<gen>.seg<i>.phseg`) so an interrupted save can never tear the
-    /// files the previously committed manifest still references. The manifest
-    /// rename is each table's single commit point; it records the table's WAL
-    /// watermark, and a save into the WAL home directory (see
-    /// [`Session::enable_wal`]) then truncates that table's log. A crash
-    /// anywhere leaves the directory opening to either the old or the new
-    /// snapshot, never a torn mix.
-    ///
-    /// Only after every table has committed are stale files swept: blobs of
-    /// [`Session::drop_table`]ed names, segment files of superseded
-    /// generations, and orphaned `*.tmp` files from interrupted saves (never
-    /// counted as catalog members). The sweep is scoped to file-name bases
-    /// this catalog's current or dropped tables own — a shared directory's
-    /// foreign files are left alone.
-    ///
-    /// Concurrent writers may swap tables while the directory is written; each
-    /// table's files are internally consistent (serialized under the table's
-    /// writer lock), and the set of tables is the registration set at the start
-    /// of the call.
-    pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<usize, PhError> {
-        let dir = dir.as_ref();
-        faultfs::create_dir_all(dir)?;
-        let cells: Vec<(String, Arc<TableCell>)> = self
-            .tables
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(n, c)| (n.clone(), c.clone()))
-            .collect();
-        let truncate_wal =
-            self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner).as_deref() == Some(dir);
-        // One listing up front decides each table's next generation number:
-        // one past the highest generation any existing file of its base claims.
-        let mut existing: Vec<PathBuf> = faultfs::read_dir_paths(dir)?;
-        existing.sort();
-        let gen_of = |base: &str| -> u64 {
-            let prefix = format!("{base}.g");
-            existing
-                .iter()
-                .filter_map(|p| p.file_name()?.to_str()?.strip_prefix(&prefix))
-                .filter_map(|rest| rest.split('.').next()?.parse::<u64>().ok())
-                .max()
-                .unwrap_or(0)
-        };
-        let mut expected: HashSet<String> = HashSet::new();
-        for (name, cell) in &cells {
-            // The writer lock pins the delta-rows ↔ state invariant so the
-            // serialized delta segment matches the published delta synopsis —
-            // and freezes `wal_seq`, so the watermark written below covers
-            // exactly the batches folded into these blobs.
-            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
-            let state = cell.snapshot();
-            let mut blobs: Vec<Vec<u8>> = state
-                .segments
-                .iter()
-                .map(|s| segment_to_bytes(&s.engine, &s.store))
-                .collect();
-            if let (Some(rows), Some(delta)) = (delta_rows.as_ref(), state.delta.as_ref()) {
-                let matrix = state.pre.encode(rows);
-                let gd = ph_gd::GdCompressor::new().compress(&matrix);
-                let store = ph_gd::choose_store(&matrix, gd);
-                blobs.push(segment_to_bytes(delta, &store));
-            }
-            let base = file_base_for(name);
-            let gen = gen_of(&base) + 1;
-            // Segments first: the manifest must never name a blob that is not
-            // already durable.
-            for (i, blob) in blobs.iter().enumerate() {
-                let seg_name = segment_file_name(&base, gen, i);
-                // ph-lint: allow(lock-across-io) — the writer lock freezes delta ↔ wal_seq
-                // so the manifest's watermark covers exactly the blobs written here;
-                // releasing it would let an ingest slip between blob and watermark
-                write_atomic(dir, &seg_name, blob)?;
-                expected.insert(seg_name);
-            }
-            let wal_seq = cell.wal_seq.load(Ordering::Relaxed);
-            let manifest =
-                table_manifest_to_bytes(name, &state.pre, blobs.len(), gen, wal_seq);
-            let manifest_name = format!("{base}.pwhs");
-            // Commit point for this table.
-            // ph-lint: allow(lock-across-io) — same invariant as the segment writes above
-            write_atomic(dir, &manifest_name, &manifest)?;
-            expected.insert(manifest_name);
-            if truncate_wal {
-                // Everything the log holds up to `wal_seq` is now in the
-                // committed snapshot. A crash right here replays nothing: the
-                // watermark skips every surviving record.
-                // ph-lint: allow(lock-across-io) — WAL truncation must precede any new
-                // journaled batch, which the held writer lock excludes
-                wal::remove_wal(&wal::wal_path(dir, &base))?;
-            }
-        }
-        // Post-commit sweep — reached only with every manifest committed, so a
-        // failed save never deletes the files a reopen would still need.
-        let dropped_bases: HashSet<String> = self
-            .dropped
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|n| file_base_for(n))
-            .collect();
-        let mut owned_bases: HashSet<String> =
-            cells.iter().map(|(name, _)| file_base_for(name)).collect();
-        owned_bases.extend(dropped_bases.iter().cloned());
-        for path in faultfs::read_dir_paths(dir)? {
-            let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            // A `.tmp` sibling is an interrupted save's orphan: whatever its
-            // underlying name, it was never a catalog member.
-            let logical = file_name.strip_suffix(".tmp").unwrap_or(file_name);
-            let is_tmp = logical.len() != file_name.len();
-            let Some(base) = owned_base_of(logical) else { continue };
-            if !owned_bases.contains(base) {
-                continue;
-            }
-            let remove = if is_tmp {
-                true
-            } else if logical.ends_with(".phwal") {
-                // Live tables keep their (just-truncated) logs; a dropped
-                // table's log goes with its blobs.
-                dropped_bases.contains(base)
-            } else {
-                !expected.contains(logical)
-            };
-            if remove {
-                faultfs::remove_file(&path)?;
-            }
-        }
-        Ok(cells.len())
-    }
-
-    /// Reopens a catalog persisted with [`Session::save_dir`]: every manifest in
-    /// `dir` becomes a registered table with its full segment list, serving
-    /// straight from the deserialized synopses. Compressed rows are restored
-    /// with each segment, so ingest — including batches that force a refit
-    /// rebuild — keeps working on the reopened catalog.
-    ///
-    /// Tables whose files fail checksum or decode verification — or are not in
-    /// the one format this build reads — are
-    /// **quarantined** rather than failing the whole open: the rest of the
-    /// catalog serves, queries on the damaged table answer
-    /// [`PhError::Quarantined`], and [`Session::quarantined`] lists the
-    /// casualties with reasons. Only directory-level I/O failures abort.
-    ///
-    /// After the snapshot loads, each table's write-ahead log tail is replayed
-    /// through the normal ingest path: records at or below the manifest's
-    /// watermark (already folded into the snapshot) are skipped, a torn final
-    /// record — the signature of a crash mid-append — is discarded as never
-    /// acknowledged, and mid-log damage quarantines the table. The opened
-    /// directory becomes the session's WAL home (see [`Session::enable_wal`]),
-    /// so the reopened catalog is durable by default.
-    pub fn open_dir(dir: impl AsRef<Path>) -> Result<Session, PhError> {
-        let dir = dir.as_ref();
-        let session = Session::new();
-        let mut paths = faultfs::read_dir_paths(dir)?;
-        // Deterministic load order: fault injection counts filesystem ops, and
-        // quarantine-on-duplicate must pick the same file every run.
-        paths.sort();
-        // Tables that loaded, with their manifest's WAL watermark.
-        let mut loaded: Vec<(String, u64)> = Vec::new();
-        {
-            let mut map = session.tables.write().unwrap_or_else(PoisonError::into_inner);
-            let mut quarantined = session.quarantined.lock().unwrap_or_else(PoisonError::into_inner);
-            for path in &paths {
-                if path.extension().and_then(|e| e.to_str()) != Some("pwhs") {
-                    continue;
-                }
-                // Until the manifest's checksum clears, the name bytes inside
-                // it cannot be trusted — early failures quarantine under the
-                // file's base name instead.
-                let file_base = path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("<non-utf8>")
-                    .to_string();
-                let fail = |k: &str, e: PhError| (k.to_string(), e);
-                let corrupt =
-                    |detail: String| PhError::Corrupt(format!("{}: {detail}", path.display()));
-                let load = || -> Result<(String, TableState, u64), (String, PhError)> {
-                    // open_dir runs before the session is shared: both maps are
-                    // locked for the whole single-threaded load.
-                    let bytes =
-                        // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
-                        faultfs::read(path).map_err(|e| fail(&file_base, e.into()))?;
-                    let m = table_manifest_from_bytes(&bytes).ok_or_else(|| {
-                        let why = reject_reason(TABLE_MAGIC, &bytes);
-                        fail(&file_base, corrupt(format!("manifest: {why}")))
-                    })?;
-                    let name = m.name;
-                    let pre = Arc::new(m.pre);
-                    let base = file_base_for(&name);
-                    let epoch = next_plan_epoch();
-                    let mut segments = Vec::with_capacity(m.n_segments);
-                    for i in 0..m.n_segments {
-                        let seg_path = dir.join(segment_file_name(&base, m.gen, i));
-                        let seg_bytes =
-                            // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
-                            faultfs::read(&seg_path).map_err(|e| fail(&name, e.into()))?;
-                        let (mut engine, store) = segment_from_bytes(&seg_bytes, pre.clone())
-                            .ok_or_else(|| {
-                                let why = reject_reason(SEGMENT_MAGIC, &seg_bytes);
-                                fail(&name, corrupt(format!("segment {i}: {why}")))
-                            })?;
-                        engine.plan_epoch = epoch;
-                        segments.push(Arc::new(Segment::new(engine, store)));
-                    }
-                    let Some(first) = segments.first() else {
-                        return Err(fail(&name, corrupt("manifest lists no segments".into())));
-                    };
-                    let cfg = config_from_engine(&first.engine);
-                    let state = TableState {
-                        epoch,
-                        pre,
-                        segments,
-                        delta: None,
-                        cfg,
-                        footprint: OnceLock::new(),
-                    };
-                    Ok((name, state, m.wal_seq))
-                };
-                match load() {
-                    Ok((name, state, watermark)) => {
-                        if map.contains_key(&name) {
-                            quarantined.insert(
-                                file_base,
-                                format!("table '{name}' appears in more than one file"),
-                            );
-                            continue;
-                        }
-                        map.insert(name.clone(), Arc::new(TableCell::new(state)));
-                        loaded.push((name, watermark));
-                    }
-                    Err((key, e)) => {
-                        quarantined.insert(key, e.to_string());
-                    }
-                }
-            }
-        }
-        // Replay each surviving table's WAL tail. `wal_dir` is still `None`
-        // here, so the replayed ingests do not re-journal themselves.
-        for (name, watermark) in loaded {
-            let wal_path = wal::wal_path(dir, &file_base_for(&name));
-            let replayed = (|| -> Result<u64, PhError> {
-                let replay = wal::read_wal(&wal_path)?;
-                if replay.torn_tail {
-                    // Amputate the torn bytes now: a later append landing
-                    // after them would read as mid-log damage next open. A
-                    // prefix too short to hold even the magic means no intact
-                    // record ever hit the disk — start the log over.
-                    if replay.valid_len <= wal::WAL_MAGIC.len() {
-                        wal::remove_wal(&wal_path)?;
-                    } else {
-                        faultfs::truncate(&wal_path, replay.valid_len as u64)?;
-                    }
-                }
-                let mut max_seq = watermark;
-                for (seq, batch) in &replay.records {
-                    // At or below the watermark: already in the snapshot. A
-                    // crash between manifest commit and WAL truncation leaves
-                    // such records behind; skipping them is what makes the
-                    // commit protocol idempotent.
-                    if *seq <= watermark {
-                        continue;
-                    }
-                    session.ingest(&name, batch)?;
-                    max_seq = max_seq.max(*seq);
-                }
-                Ok(max_seq)
-            })();
-            match replayed {
-                Ok(max_seq) => {
-                    if let Some(cell) = session.tables.read().unwrap_or_else(PoisonError::into_inner).get(&name) {
-                        cell.wal_seq.store(max_seq, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => {
-                    // A log that cannot be trusted poisons the whole table:
-                    // serving the snapshot alone could silently drop
-                    // acknowledged rows.
-                    session.tables.write().unwrap_or_else(PoisonError::into_inner).remove(&name);
-                    session
-                        .quarantined
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(name, format!("WAL replay failed: {e}"));
-                }
-            }
-        }
-        *session.wal_dir.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.to_path_buf());
-        Ok(session)
-    }
-
     /// Journals `batch` to the table's write-ahead log; a no-op unless
     /// [`Session::enable_wal`] (or [`Session::open_dir`]) armed one.
     ///
@@ -1591,48 +1287,6 @@ impl Session {
     }
 }
 
-/// Writes `bytes` to `dir/name` atomically: a `.tmp` sibling is written and
-/// fsynced, renamed over the final name, and the directory fsynced so the
-/// rename itself is durable. A crash at any point leaves either the old file,
-/// the new file, or a `.tmp` orphan (swept after the next fully committed
-/// save) — never a partially written file under the final name.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PhError> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    faultfs::write(&tmp, bytes)?;
-    faultfs::fsync_file(&tmp)?;
-    faultfs::rename(&tmp, &dir.join(name))?;
-    faultfs::fsync_dir(dir)?;
-    Ok(())
-}
-
-/// File name of segment `i` at generation `gen` for a table with file-name base
-/// `base`. The generation is part of the name so a new save never overwrites
-/// blobs the previously committed manifest still references.
-fn segment_file_name(base: &str, gen: u64, i: usize) -> String {
-    format!("{base}.g{gen}.seg{i}.phseg")
-}
-
-/// The table file base a catalog file name belongs to, or `None` for names this
-/// layer never produces. Recognized shapes: `<base>.pwhs`, `<base>.phwal`,
-/// `<base>.g<gen>.seg<i>.phseg`. [`file_base_for`] output never contains a
-/// dot, so any parse that leaves one marks a foreign file the sweep must leave
-/// alone.
-fn owned_base_of(logical: &str) -> Option<&str> {
-    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    let base = match logical.strip_suffix(".pwhs").or_else(|| logical.strip_suffix(".phwal")) {
-        Some(base) => base,
-        None => {
-            let (head, idx) = logical.strip_suffix(".phseg")?.rsplit_once(".seg")?;
-            let (base, gen) = head.rsplit_once(".g")?;
-            if !digits(idx) || !digits(gen) {
-                return None;
-            }
-            base
-        }
-    };
-    (!base.is_empty() && !base.contains('.')).then_some(base)
-}
-
 /// Whether `data` holds a numeric value below the fitted minimum of its
 /// column's transform — the one value shape `Preprocessor::encode` cannot
 /// represent losslessly (it saturates to 0). Sealing such rows would bake the
@@ -1648,43 +1302,14 @@ fn below_fitted_min(pre: &ph_gd::Preprocessor, data: &Dataset) -> bool {
     })
 }
 
-/// Reconstructs a build configuration from a deserialized engine's parameters.
-fn config_from_engine(engine: &PairwiseHist) -> PairwiseHistConfig {
-    PairwiseHistConfig {
-        ns: engine.params().ns,
-        alpha: engine.params().alpha,
-        m_absolute: Some(engine.params().m_min),
-        ..PairwiseHistConfig::default()
-    }
-}
-
-/// Longest sanitized-name prefix a file-name base carries. File names are
-/// bounded (255 bytes on most filesystems) while table names are not; the
-/// appended hash already disambiguates and the authoritative name lives in
-/// the manifest, so the prefix is only for the operator's eye.
-const FILE_BASE_PREFIX: usize = 64;
-
-/// Filesystem-safe file-name base for a table: hostile characters are replaced,
-/// the result capped at [`FILE_BASE_PREFIX`] bytes, and a name hash appended so
-/// distinct tables never collide. The authoritative name lives inside the
-/// manifest.
-fn file_base_for(table: &str) -> String {
-    let safe: String = table
-        .chars()
-        .take(FILE_BASE_PREFIX)
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    format!("{safe}-{:08x}", ph_types::fnv1a(table.as_bytes()))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::prepared::AqpEngine;
     use ph_types::Column;
     use rand::{Rng, SeedableRng};
 
-    fn dataset(name: &str, n: usize, seed: u64) -> Dataset {
+    pub(crate) fn dataset(name: &str, n: usize, seed: u64) -> Dataset {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..1000))).collect();
         let mut y: Vec<Option<i64>> = x
@@ -1715,7 +1340,7 @@ mod tests {
             .build()
     }
 
-    fn session_with(name: &str, n: usize, seed: u64) -> Session {
+    pub(crate) fn session_with(name: &str, n: usize, seed: u64) -> Session {
         let s = Session::with_config(PairwiseHistConfig {
             parallel: false,
             ..Default::default()
@@ -2127,27 +1752,6 @@ mod tests {
         assert!((fresh.value - 10_000.0).abs() / 10_000.0 < 0.02, "{}", fresh.value);
     }
 
-    #[test]
-    fn save_and_open_dir_round_trip_answers() {
-        let s = session_with("alpha", 12_000, 14);
-        s.register(dataset("beta", 9_000, 15)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ph_session_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(s.save_dir(&dir).unwrap(), 2);
-
-        let reopened = Session::open_dir(&dir).unwrap();
-        assert_eq!(reopened.tables(), vec!["alpha", "beta"]);
-        for sql in [
-            "SELECT COUNT(y) FROM alpha WHERE x > 500",
-            "SELECT AVG(x) FROM alpha WHERE y < 800",
-            "SELECT MEDIAN(y) FROM beta WHERE c = 'b'",
-            "SELECT COUNT(x) FROM beta WHERE x > 100 GROUP BY c",
-        ] {
-            assert_eq!(s.sql(sql).unwrap(), reopened.sql(sql).unwrap(), "{sql}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A failed refit rebuild (a segment store holding a categorical code with
     /// no preimage) must leave the delta — rows *and* synopsis — exactly as it
     /// was, not half-consumed.
@@ -2195,67 +1799,6 @@ mod tests {
         assert!(r.rebuilt, "threshold seal fires over the preserved delta");
         let est = s.sql("SELECT COUNT(x) FROM t").unwrap().scalar().unwrap();
         assert!((est.value - 5_000.0).abs() / 5_000.0 < 0.02, "{}", est.value);
-    }
-
-    /// Regression: a table name longer than a file name may be used to fail
-    /// `save_dir` for the whole catalog ("File name too long") with nothing
-    /// written. The file-name base now carries a capped prefix of the name.
-    #[test]
-    fn long_table_names_save_and_reopen() {
-        let long = "n".repeat(300);
-        let s = session_with(&long, 2_000, 97);
-        s.register(dataset("short", 2_000, 98)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ph_sess_longname_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(s.save_dir(&dir).unwrap(), 2);
-        let reopened = Session::open_dir(&dir).unwrap();
-        assert_eq!(reopened.tables(), s.tables());
-        for table in [long.as_str(), "short"] {
-            let sql = format!("SELECT AVG(y) FROM {table} WHERE x > 300 GROUP BY c");
-            assert_eq!(s.sql(&sql).unwrap(), reopened.sql(&sql).unwrap(), "{table}");
-        }
-        // Names up to the cap keep the file names they always had.
-        assert_eq!(file_base_for("short"), format!("short-{:08x}", ph_types::fnv1a(b"short")));
-        // Beyond what the manifest's u16 length field can frame, registration
-        // refuses instead of truncating on save.
-        let huge = dataset(&"h".repeat(u16::MAX as usize + 1), 10, 99);
-        assert!(matches!(s.register(huge), Err(PhError::Schema(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Two catalogs sharing one save directory: each save sweeps only its own
-    /// stale files and never deletes the other catalog's tables.
-    #[test]
-    fn save_dir_leaves_foreign_catalog_files_alone() {
-        let a = session_with("mine", 1_500, 95);
-        let b = session_with("theirs", 1_500, 96);
-        let dir = std::env::temp_dir().join(format!("ph_shared_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        a.save_dir(&dir).unwrap();
-        b.save_dir(&dir).unwrap();
-        // Session `a` drops its table and re-saves: only `mine`'s files go.
-        a.drop_table("mine").unwrap();
-        a.save_dir(&dir).unwrap();
-        let reopened = Session::open_dir(&dir).unwrap();
-        assert_eq!(reopened.tables(), vec!["theirs"], "foreign table must survive");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn save_dir_sweeps_dropped_tables() {
-        let s = session_with("keep", 2_000, 80);
-        s.register(dataset("gone", 2_000, 81)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ph_sess_sweep_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(s.save_dir(&dir).unwrap(), 2);
-        let files = |d: &std::path::Path| -> usize { std::fs::read_dir(d).unwrap().count() };
-        assert_eq!(files(&dir), 4, "2 manifests + 2 segment blobs");
-        s.drop_table("gone").unwrap();
-        assert_eq!(s.save_dir(&dir).unwrap(), 1);
-        assert_eq!(files(&dir), 2, "dropped table's blobs swept on save");
-        let reopened = Session::open_dir(&dir).unwrap();
-        assert_eq!(reopened.tables(), vec!["keep"]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -372,189 +372,6 @@ impl PairwiseHist {
     }
 }
 
-// --- Segmented catalog persistence ------------------------------------------
-//
-// A `Session` table persists as one **manifest** plus one blob **per segment**
-// (the delta, if any, is serialized as a final sealed segment). The manifest
-// carries what every segment shares — the table name and the fitted
-// preprocessor — so segment blobs stay self-contained pairs of synopsis +
-// compressed rows. Both are one frame, `magic | u8 version | body | u32 crc32
-// of all prior bytes`, around these bodies:
-//
-// ```text
-// manifest "PWT2" (<base>.pwhs):   u16 name_len | name | u32 pre_len | preprocessor
-//                                  | u32 n_segments | u64 gen | u64 wal_seq
-// segment  "PSG3" (<base>.g<gen>.seg<i>.phseg):
-//                                  u64 syn_len | synopsis | u8 store_kind
-//                                  | u64 store_len | store bytes
-// ```
-//
-// `store_kind` names the row-store representation: 1 = GreedyGD
-// ([`ph_gd::GdStore`]), 2 = per-column codec cascade ([`ph_gd::ColumnarStore`]).
-// `gen` is the snapshot generation (segment files are generation-numbered so a
-// crashed save can never tear the files the committed manifest still
-// references), `wal_seq` is the ingest-WAL watermark (replay skips WAL records
-// with seq ≤ it), and the CRC32 trailer lets `open_dir` tell a clean blob from
-// bit-rot and quarantine the table instead of loading garbage.
-//
-// There is exactly one reader per blob kind: anything else — another magic,
-// another version, another store kind — is rejected, never guessed at.
-
-/// Magic of the table manifest.
-pub(crate) const TABLE_MAGIC: &[u8; 4] = b"PWT2";
-/// Magic of a segment blob.
-pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"PSG3";
-/// The one frame version this build writes and reads.
-const FRAME_VERSION: u8 = 3;
-
-/// Wraps a body in the catalog frame: `magic | version | body | crc32`.
-fn frame(magic: &[u8; 4], write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(magic);
-    out.push(FRAME_VERSION);
-    write_body(&mut out);
-    let crc = ph_encoding::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// The body of a frame written by [`frame`], or `None` when the header is not
-/// `magic` at the current version or the checksum fails — in which case none
-/// of the other bytes can be trusted, not even their length fields.
-fn unframe<'a>(magic: &[u8; 4], data: &'a [u8]) -> Option<&'a [u8]> {
-    let (framed, trailer) = data.split_at_checked(data.len().checked_sub(4)?)?;
-    let body = framed.strip_prefix(magic)?.strip_prefix(&[FRAME_VERSION])?;
-    (ph_encoding::crc32(framed) == u32::from_le_bytes(trailer.try_into().ok()?)).then_some(body)
-}
-
-/// Why a blob that [`unframe`]s or decodes to `None` was turned away, for the
-/// quarantine reason: a container this build does not read — a retired or
-/// foreign magic/version, or an intact frame around a body it has no reader
-/// for — is named as such; everything else is damage.
-pub(crate) fn reject_reason(magic: &[u8; 4], data: &[u8]) -> String {
-    let shown = |m: &[u8]| String::from_utf8_lossy(m).into_owned();
-    match (data.get(..4), data.get(4)) {
-        (Some(m), Some(&v)) if m != magic || v != FRAME_VERSION => format!(
-            "unsupported format '{}' v{v} (this build reads '{}' v{FRAME_VERSION})",
-            shown(m),
-            shown(magic)
-        ),
-        _ if unframe(magic, data).is_some() => format!(
-            "unsupported format: intact '{}' v{FRAME_VERSION} frame around a body this \
-             build does not read",
-            shown(magic)
-        ),
-        _ => "does not decode (checksum mismatch or truncation)".to_string(),
-    }
-}
-
-/// Decoded table manifest.
-pub(crate) struct TableManifest {
-    pub name: String,
-    pub pre: Preprocessor,
-    pub n_segments: usize,
-    /// Snapshot generation the segment files of this manifest belong to.
-    pub gen: u64,
-    /// Ingest-WAL watermark: every WAL record with `seq <= wal_seq` is already
-    /// folded into the segments this manifest references.
-    pub wal_seq: u64,
-}
-
-/// Serializes a table manifest (shared metadata of all its segment blobs).
-pub(crate) fn table_manifest_to_bytes(
-    table: &str,
-    pre: &Preprocessor,
-    n_segments: usize,
-    gen: u64,
-    wal_seq: u64,
-) -> Vec<u8> {
-    frame(TABLE_MAGIC, |out| {
-        let name = table.as_bytes();
-        debug_assert!(name.len() <= u16::MAX as usize, "register_with rejects longer names");
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
-        let pre_bytes = pre.to_bytes();
-        out.extend_from_slice(&(pre_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&pre_bytes);
-        out.extend_from_slice(&(n_segments as u32).to_le_bytes());
-        out.extend_from_slice(&gen.to_le_bytes());
-        out.extend_from_slice(&wal_seq.to_le_bytes());
-    })
-}
-
-/// Restores a [`TableManifest`]. Returns `None` on malformed or corrupted
-/// input.
-pub(crate) fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
-    let body = unframe(TABLE_MAGIC, data)?;
-    let mut pos = 0usize;
-    let name_len = u16::from_le_bytes(body.get(pos..pos + 2)?.try_into().ok()?) as usize;
-    pos += 2;
-    let name =
-        std::str::from_utf8(body.get(pos..pos.checked_add(name_len)?)?).ok()?.to_string();
-    pos += name_len;
-    let pre_len = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let pre = Preprocessor::from_bytes(body.get(pos..pos.checked_add(pre_len)?)?)?;
-    pos += pre_len;
-    let n_segments = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let gen = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-    pos += 8;
-    let wal_seq = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-    pos += 8;
-    if pos != body.len() || n_segments > 1 << 20 {
-        return None;
-    }
-    Some(TableManifest { name, pre, n_segments, gen, wal_seq })
-}
-
-/// Serializes one segment: its synopsis and its compressed rows under a tagged
-/// row-store representation.
-pub(crate) fn segment_to_bytes(engine: &PairwiseHist, store: &ph_gd::RowStore) -> Vec<u8> {
-    frame(SEGMENT_MAGIC, |out| {
-        let syn = engine.to_bytes();
-        out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
-        out.extend_from_slice(&syn);
-        let (kind, store_bytes): (u8, Vec<u8>) = match store {
-            ph_gd::RowStore::Gd(s) => (1, s.to_bytes()),
-            ph_gd::RowStore::Columnar(s) => (2, s.to_bytes()),
-        };
-        out.push(kind);
-        out.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&store_bytes);
-    })
-}
-
-/// Restores a segment blob against the table's shared preprocessor. Returns
-/// `None` on malformed or corrupted input.
-pub(crate) fn segment_from_bytes(
-    data: &[u8],
-    pre: Arc<Preprocessor>,
-) -> Option<(PairwiseHist, ph_gd::RowStore)> {
-    let body = unframe(SEGMENT_MAGIC, data)?;
-    let mut pos = 0usize;
-    let syn_len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?) as usize;
-    pos += 8;
-    let end = pos.checked_add(syn_len)?;
-    let engine = PairwiseHist::from_bytes(body.get(pos..end)?, pre)?;
-    pos = end;
-    let kind = *body.get(pos)?;
-    pos += 1;
-    let store_len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?) as usize;
-    pos += 8;
-    let end = pos.checked_add(store_len)?;
-    let store_slice = body.get(pos..end)?;
-    if end != body.len() {
-        return None; // trailing bytes: not a clean blob
-    }
-    let store = match kind {
-        1 => ph_gd::RowStore::Gd(ph_gd::GdStore::from_bytes(store_slice)?),
-        2 => ph_gd::RowStore::Columnar(ph_gd::ColumnarStore::from_bytes(store_slice)?),
-        _ => return None,
-    };
-    Some((engine, store))
-}
-
 /// Rebuilds a pair dimension from stored extras: metadata for split-parent bins comes
 /// from the wire, everything else copies the 1-d histogram.
 fn rebuild_dim(
@@ -880,35 +697,5 @@ mod tests {
         let cells = ph.total_2d_cells();
         assert!(bytes.len() < cells * 8, "{} bytes for {} cells", bytes.len(), cells);
         assert!(PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone()).is_some());
-    }
-
-    /// Every row-store representation survives the segment-blob round trip
-    /// with its kind tag intact, and the CRC trailer catches a flipped bit.
-    #[test]
-    fn segment_blob_roundtrips_every_store_kind() {
-        let data = dataset(4_000, 7);
-        let ph = build(4_000, 7);
-        let pre = ph.preprocessor().clone();
-        let matrix = pre.encode(&data);
-        let gd = ph_gd::GdCompressor::new().compress(&matrix);
-        let columnar = ph_gd::ColumnarStore::encode(&matrix);
-        for store in [ph_gd::RowStore::Gd(gd), ph_gd::RowStore::Columnar(columnar)] {
-            let bytes = segment_to_bytes(&ph, &store);
-            assert_eq!(&bytes[..4], SEGMENT_MAGIC);
-            let (engine, back) =
-                segment_from_bytes(&bytes, pre.clone()).expect("clean blob decodes");
-            assert_eq!(engine.params, ph.params);
-            assert_eq!(
-                std::mem::discriminant(&store),
-                std::mem::discriminant(&back),
-                "store kind survives"
-            );
-            assert_eq!(store.decompress().columns, back.decompress().columns);
-            // Any flipped payload bit must fail the CRC, not decode garbage.
-            let mut bad = bytes.clone();
-            let mid = bad.len() / 2;
-            bad[mid] ^= 0x40;
-            assert!(segment_from_bytes(&bad, pre.clone()).is_none());
-        }
     }
 }

@@ -107,7 +107,7 @@ mod tests {
         for rel in [
             "crates/types/src/faultfs.rs",
             "shims/rand/src/lib.rs",
-            "crates/bench/src/bin/latency_json.rs",
+            "crates/bench/src/bin/logreplay.rs",
             "crates/server/tests/server_tests.rs",
             "tests/crash_matrix.rs",
             "examples/quickstart.rs",
