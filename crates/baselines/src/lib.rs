@@ -37,11 +37,6 @@ pub use spn::{SpnAqp, SpnConfig};
 /// The shared bounded-estimate type all engines answer with.
 pub use ph_core::Estimate;
 
-/// Former baseline-only answer type, now unified with [`ph_core::Estimate`]
-/// (identical fields; `unbounded` and `contains` moved with it).
-#[deprecated(since = "0.2.0", note = "use ph_core::Estimate (re-exported here as Estimate)")]
-pub type Approx = Estimate;
-
 /// Why a baseline declined a query — the paper's §2/§6 catalogue of unsupported
 /// query shapes drives workload support accounting.
 #[derive(Debug, Clone, PartialEq)]

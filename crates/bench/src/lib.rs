@@ -368,8 +368,8 @@ impl Args {
 /// Power/`rows` with a categorical `day` column derived from `weekday`, so the
 /// GROUP BY benchmarks have a dictionary column to group on (GROUP BY requires
 /// a categorical column; `weekday` itself is numeric). Shared by the
-/// `query_latency` criterion bench and the `latency_json` trajectory binary so
-/// both always measure the same dataset.
+/// `query_latency` criterion bench and `phbench` so both always measure the
+/// same dataset.
 pub fn power_with_day(rows: usize) -> Dataset {
     use ph_types::Column;
     let power = ph_datagen::generate("Power", rows, 2).expect("dataset");
@@ -387,10 +387,8 @@ pub fn power_with_day(rows: usize) -> Dataset {
 
 /// Slim Power projection (aggregation + predicate columns) plus a synthetic
 /// categorical `g` column with `n_groups` round-robin categories — the
-/// group-count-scaling workload. Shared by the `query_latency` criterion bench
-/// and the `latency_json` trajectory binary so both always measure the same
-/// dataset; pass the same base `power` dataset to avoid regenerating it per
-/// group count.
+/// group-count-scaling workload of the `query_latency` criterion bench; pass
+/// the same base `power` dataset to avoid regenerating it per group count.
 pub fn power_with_groups(power: &Dataset, n_groups: usize) -> Dataset {
     use ph_types::Column;
     let names: Vec<String> =

@@ -93,14 +93,14 @@ fn reject_reason(magic: &[u8; 4], data: &[u8]) -> String {
 
 /// Decoded table manifest.
 struct TableManifest {
-    pub name: String,
-    pub pre: Preprocessor,
-    pub n_segments: usize,
+    name: String,
+    pre: Preprocessor,
+    n_segments: usize,
     /// Snapshot generation the segment files of this manifest belong to.
-    pub gen: u64,
+    gen: u64,
     /// Ingest-WAL watermark: every WAL record with `seq <= wal_seq` is already
     /// folded into the segments this manifest references.
-    pub wal_seq: u64,
+    wal_seq: u64,
 }
 
 /// Serializes a table manifest (shared metadata of all its segment blobs).

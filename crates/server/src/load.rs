@@ -1,8 +1,7 @@
 //! Closed-loop load generation: `N` active connections each firing the next
 //! query (or pipelined batch) the moment the previous answer lands, optionally
 //! alongside a large population of held-open *idle* keep-alive connections.
-//! Shared by the `ph-bench-client` binary, the `server_throughput` bench
-//! section of `BENCH_query_latency.json`, and the high-connection CI smoke.
+//! Shared by the `ph-bench-client` binary and the high-connection CI smoke.
 //!
 //! Closed-loop (rather than fixed-rate) load matches how the paper frames
 //! interactivity: each connection models one user who reads an answer and

@@ -79,7 +79,8 @@
 //! and [`Session::open_dir`](ph_core::Session::open_dir) reopens the catalog
 //! cold — on another machine, an edge device, or the next process — answering
 //! the same queries identically *and* remaining fully ingestable: rebuilds
-//! decode the persisted compressed rows instead of dead-ending.
+//! decode the persisted compressed rows. Each blob kind has one format and
+//! one reader; a file in any other format quarantines its table (below).
 //!
 //! ## Crash safety: WAL, atomic snapshots, quarantine
 //!
@@ -186,8 +187,9 @@
 //!
 //! See `examples/` for the full compression pipeline (Fig 2), an edge-analytics
 //! scenario, a flight-delay analysis and the served deployment (`serve.rs`),
-//! and `crates/bench` for the binaries that regenerate every table and figure
-//! of the paper's evaluation.
+//! `crates/bench` for the binaries that regenerate every table and figure of
+//! the paper's evaluation, and `phbench/` (with `BENCHMARK.json`) for the
+//! performance benchmark of record.
 
 pub use ph_baselines as baselines;
 pub use ph_core as core;

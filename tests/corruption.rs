@@ -321,23 +321,20 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
             .expect("one segment file per table")
     };
     // Current layout: magic(4) version(1) syn_len(8) synopsis kind(1) store_len(8) store crc(4).
-    let current = std::fs::read(segment_of("oldseg")).unwrap();
-    let syn_len = u64::from_le_bytes(current[5..13].try_into().unwrap()) as usize;
-    let (synopsis, store) = (&current[13..13 + syn_len], &current[13 + syn_len + 9..current.len() - 4]);
+    let syn_end = |blob: &[u8]| 13 + u64::from_le_bytes(blob[5..13].try_into().unwrap()) as usize;
 
-    // `PSG2` v2: has_store flag, implicit GreedyGD payload, no CRC trailer.
+    // `PSG2` v2: the same body (has_store flag where the kind byte is, implicit
+    // GreedyGD payload) under the old magic and version, without a CRC trailer.
+    let current = std::fs::read(segment_of("oldseg")).unwrap();
     let mut psg2 = b"PSG2\x02".to_vec();
-    psg2.extend_from_slice(&(syn_len as u64).to_le_bytes());
-    psg2.extend_from_slice(synopsis);
+    psg2.extend_from_slice(&current[5..syn_end(&current)]);
     psg2.push(1);
-    psg2.extend_from_slice(&(store.len() as u64).to_le_bytes());
-    psg2.extend_from_slice(store);
+    psg2.extend_from_slice(&current[syn_end(&current) + 1..current.len() - 4]);
     std::fs::write(segment_of("oldseg"), psg2).unwrap();
 
     // `PSG3` v3 with store kind 0: intact frame, no rows.
     let current = std::fs::read(segment_of("rowless")).unwrap();
-    let syn_end = 13 + u64::from_le_bytes(current[5..13].try_into().unwrap()) as usize;
-    let mut kind0 = current[..syn_end].to_vec();
+    let mut kind0 = current[..syn_end(&current)].to_vec();
     kind0.push(0);
     kind0.extend_from_slice(&0u64.to_le_bytes());
     let crc = crc32(&kind0);
