@@ -365,45 +365,6 @@ impl Args {
     }
 }
 
-/// Power/`rows` with a categorical `day` column derived from `weekday`, so the
-/// GROUP BY benchmarks have a dictionary column to group on (GROUP BY requires
-/// a categorical column; `weekday` itself is numeric). Shared by the
-/// `query_latency` criterion bench and `phbench` so both always measure the
-/// same dataset.
-pub fn power_with_day(rows: usize) -> Dataset {
-    use ph_types::Column;
-    let power = ph_datagen::generate("Power", rows, 2).expect("dataset");
-    let weekday = power.column_by_name("weekday").expect("weekday column");
-    let names: Vec<Option<String>> = (0..power.n_rows())
-        .map(|i| weekday.numeric(i).map(|d| format!("d{}", d as i64)))
-        .collect();
-    let day: Vec<Option<&str>> = names.iter().map(|n| n.as_deref()).collect();
-    let mut b = Dataset::builder("Power");
-    for col in power.columns() {
-        b = b.column(col.clone()).expect("copy column");
-    }
-    b.column(Column::from_strings("day", day)).expect("day column").build()
-}
-
-/// Slim Power projection (aggregation + predicate columns) plus a synthetic
-/// categorical `g` column with `n_groups` round-robin categories — the
-/// group-count-scaling workload of the `query_latency` criterion bench; pass
-/// the same base `power` dataset to avoid regenerating it per group count.
-pub fn power_with_groups(power: &Dataset, n_groups: usize) -> Dataset {
-    use ph_types::Column;
-    let names: Vec<String> =
-        (0..power.n_rows()).map(|i| format!("g{:03}", i % n_groups)).collect();
-    let g: Vec<Option<&str>> = names.iter().map(|s| Some(s.as_str())).collect();
-    Dataset::builder("Power")
-        .column(power.column_by_name("global_active_power").expect("gap column").clone())
-        .expect("copy column")
-        .column(power.column_by_name("voltage").expect("voltage column").clone())
-        .expect("copy column")
-        .column(Column::from_strings("g", g))
-        .expect("group column")
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,6 +6,7 @@ use std::collections::HashMap;
 
 use ph_encoding::{bits_for, read_uvarint, write_uvarint, BitReader, BitWriter};
 
+use crate::codec::{uvarint_len, MAX_CODEC_ROWS};
 use crate::EncodedMatrix;
 
 /// A GD-compressed table: deduplicated bases, per-row base IDs and verbatim
@@ -200,15 +201,6 @@ impl GdStore {
     /// resident row-store bytes through this on every footprint query, so it
     /// must stay exactly in sync with the wire layout (pinned by a test).
     pub fn packed_bytes(&self) -> usize {
-        let uvarint_len = |v: u64| -> usize {
-            let mut v = v;
-            let mut n = 1;
-            while v >= 0x80 {
-                v >>= 7;
-                n += 1;
-            }
-            n
-        };
         let d = self.widths.len();
         let header = uvarint_len(self.n_rows as u64)
             + uvarint_len(d as u64)
@@ -273,27 +265,48 @@ impl GdStore {
 
     /// Restores a store from [`GdStore::to_bytes`] output.
     ///
-    /// Returns `None` on malformed input.
+    /// Returns `None` on malformed input. Total: the three lengths in the
+    /// header are capped, and the payload must hold every bit they promise
+    /// before anything is sized from them.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
         let mut pos = 0;
-        let n_rows = read_uvarint(data, &mut pos)? as usize;
-        let d = read_uvarint(data, &mut pos)? as usize;
-        let n_bases = read_uvarint(data, &mut pos)? as usize;
-        let widths: Vec<u32> = data.get(pos..pos + d)?.iter().map(|&b| b as u32).collect();
+        let mut length = || {
+            let v = usize::try_from(read_uvarint(data, &mut pos)?).ok()?;
+            (v <= MAX_CODEC_ROWS).then_some(v)
+        };
+        let (n_rows, d, n_bases) = (length()?, length()?, length()?);
+        // `base_parts` holds n_bases·d words, and zero-width columns make them
+        // cost no payload bits, so the product needs its own cap.
+        if n_bases.checked_mul(d)? > MAX_CODEC_ROWS {
+            return None;
+        }
+        let widths: Vec<u32> =
+            data.get(pos..pos.checked_add(d)?)?.iter().map(|&b| b as u32).collect();
         pos += d;
-        let dev_bits: Vec<u32> = data.get(pos..pos + d)?.iter().map(|&b| b as u32).collect();
+        let dev_bits: Vec<u32> =
+            data.get(pos..pos.checked_add(d)?)?.iter().map(|&b| b as u32).collect();
         pos += d;
         if widths.iter().zip(&dev_bits).any(|(w, b)| b > w || *w > 64) {
             return None;
         }
         let mut reader = BitReader::new(data.get(pos..)?);
+        let base_bits: u64 = widths.iter().zip(&dev_bits).map(|(w, b)| (w - b) as u64).sum();
+        let id_bits = bits_for(n_bases.saturating_sub(1) as u64);
+        let dev_stride: u64 = dev_bits.iter().map(|&b| b as u64).sum();
+        let dev_total = (n_rows as u64).checked_mul(dev_stride)?;
+        let payload_bits = (n_bases as u64)
+            .checked_mul(base_bits)?
+            .checked_add((n_rows as u64).checked_mul(id_bits as u64)?)?
+            .checked_add(dev_total)?;
+        if reader.remaining_bits() < payload_bits {
+            return None;
+        }
         let mut base_parts = Vec::with_capacity(n_bases * d);
         for _ in 0..n_bases {
             for c in 0..d {
                 base_parts.push(reader.read_bits(widths[c] - dev_bits[c])?);
             }
         }
-        let id_bits = bits_for(n_bases.saturating_sub(1) as u64);
         let mut ids = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             let id = reader.read_bits(id_bits)? as u32;
@@ -302,9 +315,8 @@ impl GdStore {
             }
             ids.push(id);
         }
-        let dev_stride: u64 = dev_bits.iter().map(|&b| b as u64).sum();
         let mut dev_writer = BitWriter::new();
-        for _ in 0..n_rows as u64 * dev_stride {
+        for _ in 0..dev_total {
             dev_writer.write_bit(reader.read_bit()?);
         }
         let mut base_index = HashMap::with_capacity(n_bases);
@@ -373,6 +385,24 @@ mod tests {
         let back = GdStore::from_bytes(&bytes).expect("deserialize");
         assert_eq!(back.decompress(), m);
         assert_eq!(back.n_bases(), store.n_bases());
+    }
+
+    /// Each hostile header below is a handful of bytes that claims a length
+    /// nothing backs: `d` overflowing the slice arithmetic, `n_bases` and
+    /// `n_rows` sizing terabyte allocations. All must come back `None`.
+    #[test]
+    fn from_bytes_rejects_lengths_the_payload_cannot_back() {
+        let uvarint = |v: u64| {
+            let mut out = Vec::new();
+            write_uvarint(&mut out, v);
+            out
+        };
+        let huge_d = [vec![0], uvarint(u64::MAX), vec![0]].concat();
+        let huge_bases = [vec![0, 1], uvarint(1 << 40), vec![8, 0]].concat();
+        let huge_rows = [uvarint(1 << 40), vec![1, 1, 8, 0]].concat();
+        for bytes in [huge_d, huge_bases, huge_rows] {
+            assert!(GdStore::from_bytes(&bytes).is_none(), "{bytes:?}");
+        }
     }
 
     #[test]

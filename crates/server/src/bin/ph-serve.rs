@@ -22,10 +22,10 @@
 //! query log (if any) is flushed on every append, so a `SIGKILL` loses at
 //! most the in-flight record.
 //!
-//! As a standalone process the default connection cap is 10 000 (the
-//! event loop holds idle keep-alive sockets for a slab slot each; raise it
-//! to the fd budget with `--max-conns`). Embedded `Server`s default to the
-//! legacy `workers + queue_depth` derivation instead.
+//! The connection cap defaults to [`ServerConfig`]'s 10 000 (the event loop
+//! holds idle keep-alive sockets for a slab slot each); `--max-conns` moves
+//! it. Keep `ulimit -n` above it: past the descriptor budget `accept` fails
+//! and the surplus waits in the listen backlog instead of getting a `503`.
 
 use std::process::exit;
 use std::sync::Arc;
@@ -54,12 +54,7 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:7871".into(),
-        cfg: ServerConfig {
-            // The standalone process is the 10k-connection deployment shape;
-            // the legacy workers+queue derivation only suits embedded tests.
-            max_connections: 10_000,
-            ..ServerConfig::default()
-        },
+        cfg: ServerConfig::default(),
         data_dir: None,
         demo_rows: 50_000,
         serve_seconds: None,
@@ -156,7 +151,7 @@ fn main() {
         "workers={} queue={} max_conns={} qlog={}",
         args.cfg.workers,
         args.cfg.queue_depth,
-        args.cfg.effective_max_connections(),
+        args.cfg.max_connections,
         args.cfg.query_log.as_deref().map(|p| p.display().to_string()).unwrap_or_else(|| "off".into()),
     );
     match args.serve_seconds {

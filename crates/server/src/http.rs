@@ -272,9 +272,8 @@ pub fn try_parse_request(
     Ok(Some(req))
 }
 
-/// Serializes a response with a JSON body to wire bytes — the exact bytes
-/// [`HttpConn::write_response`] emits, for loops that stage responses in a
-/// per-connection write backlog instead of writing through a stream.
+/// Serializes a response with a JSON body to wire bytes, which the event loop
+/// stages in a per-connection write backlog.
 pub fn response_bytes(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
     response_bytes_typed(status, "application/json", body, keep_alive)
 }
@@ -319,9 +318,8 @@ impl<S: Read + Write> HttpConn<S> {
     }
 
     /// Reads until the head/blank-line boundary, returning the head bytes
-    /// (excluding the blank line). `Ok(None)` on a clean close at a message
-    /// boundary (no bytes buffered).
-    fn read_head(&mut self) -> Result<Option<Vec<u8>>, HttpError> {
+    /// (excluding the blank line).
+    fn read_head(&mut self) -> Result<Vec<u8>, HttpError> {
         loop {
             if let Some(pos) = find_head_end(&self.buf) {
                 // find_head_end returns in-bounds offsets; the fallback arm is
@@ -329,7 +327,7 @@ impl<S: Read + Write> HttpConn<S> {
                 let head = self.buf.get(..pos.start).unwrap_or(&self.buf).to_vec();
                 let drain_end = pos.end.min(self.buf.len());
                 self.buf.drain(..drain_end);
-                return Ok(Some(head));
+                return Ok(head);
             }
             if self.buf.len() > MAX_HEAD_BYTES {
                 return Err(HttpError::TooLarge(format!(
@@ -338,13 +336,7 @@ impl<S: Read + Write> HttpConn<S> {
             }
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(HttpError::Incomplete)
-                    };
-                }
+                Ok(0) => return Err(HttpError::Incomplete),
                 // Read's contract bounds n by the buffer length.
                 Ok(n) => self.buf.extend_from_slice(chunk.get(..n).unwrap_or(&chunk)),
                 Err(e) => return Err(io_error(e)),
@@ -370,26 +362,9 @@ impl<S: Read + Write> HttpConn<S> {
         Ok(body)
     }
 
-    /// Reads one full request (head + `Content-Length` body). `Ok(None)` on a
-    /// clean close between requests. `max_body` bounds the accepted body.
-    pub fn read_request(&mut self, max_body: usize) -> Result<Option<Request>, HttpError> {
-        let Some(head) = self.read_head()? else {
-            return Ok(None);
-        };
-        let mut req = parse_request_head(&head)?;
-        let len = content_length(&req.headers)?;
-        if len > max_body {
-            return Err(HttpError::TooLarge(format!(
-                "body of {len} bytes exceeds the {max_body}-byte cap"
-            )));
-        }
-        req.body = self.read_body(len)?;
-        Ok(Some(req))
-    }
-
     /// Reads one full response: `(status, headers, body)`.
     pub fn read_response(&mut self, max_body: usize) -> Result<Response, HttpError> {
-        let head = self.read_head()?.ok_or(HttpError::Incomplete)?;
+        let head = self.read_head()?;
         let (status, headers) = parse_response_head(&head)?;
         let len = content_length(&headers)?;
         if len > max_body {
@@ -399,18 +374,6 @@ impl<S: Read + Write> HttpConn<S> {
         }
         let body = self.read_body(len)?;
         Ok((status, headers, body))
-    }
-
-    /// Writes a response with a JSON body (the bytes of [`response_bytes`]).
-    pub fn write_response(
-        &mut self,
-        status: u16,
-        body: &str,
-        keep_alive: bool,
-    ) -> Result<(), HttpError> {
-        let bytes = response_bytes(status, body, keep_alive);
-        self.stream.write_all(&bytes).map_err(io_error)?;
-        self.stream.flush().map_err(io_error)
     }
 
     /// Writes a request with an optional body.
@@ -520,29 +483,22 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_over_in_memory_stream() {
-        // A Cursor-backed duplex: write a request into a buffer, read it back.
+    fn client_request_parses_on_the_server_side() {
         let mut wire = Vec::new();
-        {
-            let mut conn = HttpConn::new(std::io::Cursor::new(&mut wire));
-            conn.write_request("POST", "/query", "text/plain", b"SELECT 1").unwrap();
-        }
-        let mut conn = HttpConn::new(std::io::Cursor::new(wire));
-        let req = conn.read_request(1024).unwrap().unwrap();
+        HttpConn::new(std::io::Cursor::new(&mut wire))
+            .write_request("POST", "/query", "text/plain", b"SELECT 1")
+            .unwrap();
+        let req = try_parse_request(&mut wire, 1024).unwrap().unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/query");
         assert_eq!(req.body, b"SELECT 1");
-        // Next read: clean end of stream.
-        assert_eq!(conn.read_request(1024).unwrap(), None);
+        // Nothing left over: an empty buffer is a clean message boundary.
+        assert_eq!(try_parse_request(&mut wire, 1024).unwrap(), None);
     }
 
     #[test]
-    fn response_roundtrip() {
-        let mut wire = Vec::new();
-        {
-            let mut conn = HttpConn::new(std::io::Cursor::new(&mut wire));
-            conn.write_response(404, "{\"error\":\"x\"}", true).unwrap();
-        }
+    fn server_response_parses_on_the_client_side() {
+        let wire = response_bytes(404, "{\"error\":\"x\"}", true);
         let mut conn = HttpConn::new(std::io::Cursor::new(wire));
         let (status, headers, body) = conn.read_response(1024).unwrap();
         assert_eq!(status, 404);
@@ -597,24 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn response_bytes_match_write_response() {
-        for (status, body, ka) in [(200, "{\"x\":1}", true), (503, "overload", false)] {
-            let mut wire = Vec::new();
-            HttpConn::new(std::io::Cursor::new(&mut wire))
-                .write_response(status, body, ka)
-                .unwrap();
-            assert_eq!(wire, response_bytes(status, body, ka));
-        }
-    }
-
-    #[test]
     fn oversized_body_is_rejected() {
         let mut wire = Vec::new();
-        {
-            let mut conn = HttpConn::new(std::io::Cursor::new(&mut wire));
-            conn.write_request("POST", "/query", "text/plain", &[b'x'; 100]).unwrap();
-        }
-        let mut conn = HttpConn::new(std::io::Cursor::new(wire));
-        assert!(matches!(conn.read_request(10), Err(HttpError::TooLarge(_))));
+        HttpConn::new(std::io::Cursor::new(&mut wire))
+            .write_request("POST", "/query", "text/plain", &[b'x'; 100])
+            .unwrap();
+        assert!(matches!(try_parse_request(&mut wire, 10), Err(HttpError::TooLarge(_))));
     }
 }

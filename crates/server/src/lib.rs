@@ -2,9 +2,9 @@
 //!
 //! Everything below this crate answers queries *in process*; this crate puts
 //! the system on a socket. A [`Server`] is a dependency-free HTTP/1.1 process
-//! component on `std::net`: a readiness-driven event loop (epoll/`poll(2)`
-//! via the offline `polling` shim) holding thousands of non-blocking
-//! keep-alive connections, with a batched executor pool over one shared
+//! component on `std::net`: a readiness-driven event loop (epoll via the
+//! offline `polling` shim) holding thousands of non-blocking keep-alive
+//! connections, with a batched executor pool over one shared
 //! [`Session`](ph_core::Session) — serving:
 //!
 //! | endpoint        | what it does |
@@ -23,9 +23,10 @@
 //!   the door; a parsed request that doesn't fit the bounded executor queue
 //!   is answered `503` in-stream. Either way the server sheds load fast and
 //!   explicitly instead of accumulating unbounded work. Connection *capacity*
-//!   is an fd budget, not a thread count: the event loop holds 10k+ idle
-//!   keep-alive sockets for a slab slot each, and pipelined requests on one
-//!   connection are answered strictly in request order.
+//!   is an fd budget, not a thread count ([`ServerConfig::max_connections`],
+//!   10 000 by default): the event loop holds idle keep-alive sockets for a
+//!   slab slot each, and pipelined requests on one connection are answered
+//!   strictly in request order.
 //! * **Structured failure.** Every [`PhError`](ph_types::PhError) maps to an
 //!   HTTP status ([`status_for`]) and a JSON error body with a machine-readable
 //!   `kind` — parse errors even carry the byte offset of the syntax error.
@@ -98,7 +99,7 @@ pub use json::Json;
 /// The observability substrate, re-exported for embedders and the `ph-serve`
 /// bin (runtime tracing switch, registry/ring types).
 pub use ph_obs as obs;
-pub use load::{run_closed_loop, run_load, LoadProfile, LoadReport};
+pub use load::{run_load, LoadProfile, LoadReport};
 pub use querylog::{read_query_log, read_query_log_lossy, QueryLogWriter};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use wire::{answer_from_json, answer_to_json, error_body, status_for};

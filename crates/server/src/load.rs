@@ -194,19 +194,3 @@ pub fn run_load(
         p99_us: pct(0.99),
     }
 }
-
-/// Drives `connections` closed loops against `addr` for `duration` — the
-/// classic profile: no idle population, no pipelining.
-pub fn run_closed_loop(
-    addr: &str,
-    connections: usize,
-    duration: Duration,
-    queries: &[String],
-) -> LoadReport {
-    run_load(
-        addr,
-        &LoadProfile { active: connections, held_idle: 0, pipeline_depth: 1 },
-        duration,
-        queries,
-    )
-}

@@ -7,24 +7,25 @@
 //! ```text
 //!                    ┌──────────────────────────────┐  job queue   ┌────────┐
 //!  accept ──▶ 503?──▶│          event loop          │─▶ (bounded) ─▶│ exec 0 │─┐
-//!  (conn cap)        │  epoll/poll · non-blocking   │      │503?   │   …    │ │ one snapshot
+//!  (conn cap)        │    epoll · non-blocking      │      │503?   │   …    │ │ one snapshot
 //!                    │  per-conn HTTP state machine │      ▼       │ exec N │ │ per batch
 //!                    │  pipelining · timer wheel    │◀─ completions └────────┘─┘
 //!                    └──────────────────────────────┘   + notify
 //! ```
 //!
 //! * **Readiness, not threads.** One loop thread owns every socket
-//!   (non-blocking `std::net`, registered with the `polling` shim — epoll on
-//!   Linux, `poll(2)` anywhere POSIX). Connection capacity is an fd budget
-//!   ([`ServerConfig::max_connections`]), not a thread count: tens of
-//!   thousands of mostly-idle keep-alive sockets cost a slab slot each.
+//!   (non-blocking `std::net`, registered with the `polling` shim's epoll).
+//!   Connection capacity is an fd budget ([`ServerConfig::max_connections`]),
+//!   not a thread count: tens of thousands of mostly-idle keep-alive sockets
+//!   cost a slab slot each.
 //! * **Admission control, twice.** A connection over the cap is answered
 //!   `503` at the door and closed. A parsed request that does not fit the
 //!   bounded executor queue is answered `503` in-stream. Either way overload
 //!   sheds *fast and explicit* (clients see 503 and back off) rather than
-//!   slow and silent. With [`ServerConfig::max_connections`]` == 0` the cap
-//!   derives as `workers + queue_depth` — the exact capacity of the old
-//!   thread-per-connection pool, so its overload contract is preserved.
+//!   slow and silent. When the process runs out of descriptors *below* the
+//!   cap (`accept` fails with `EMFILE`), the loop stops polling the listener
+//!   until a connection closes or the next wheel tick, so a backlog it cannot
+//!   accept never spins it; established connections keep being served.
 //! * **Pipelining.** The loop parses *every* complete request buffered on a
 //!   readable socket (incremental, resumable parsing — `try_parse_request`).
 //!   Each request takes an ordered response slot; out-of-order completions
@@ -46,10 +47,9 @@
 //!   new requests, answers everything already parsed (responses flip to
 //!   `Connection: close`), flushes the query log, and joins every thread.
 //!
-//! Answers are bit-identical to the old pool (`tests/server_e2e.rs` runs
-//! unmodified): the wire bytes come from the same `response_bytes` /
-//! `answer_to_json` path, and batching only changes *when* a snapshot is
-//! taken, never what it contains.
+//! Answers are bit-identical to in-process `Session::sql` calls
+//! (`tests/server_e2e.rs`): batching only changes *when* a snapshot is taken,
+//! never what it contains.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ph_core::{BatchSession, Session};
+use ph_core::{BatchSession, Session, TableStats};
 use ph_obs::{
     push_header, push_sample, span, Counter, Gauge, Histogram, Kind, Registry, SlowQuery,
     SlowRing, SpanRing, Stage, Trace,
@@ -102,8 +102,7 @@ pub struct ServerConfig {
     /// loop).
     pub workers: usize,
     /// Parsed requests that may wait in the executor queue before the server
-    /// answers `503` in-stream. Also feeds the legacy connection-cap
-    /// derivation (see [`ServerConfig::max_connections`]).
+    /// answers `503` in-stream.
     pub queue_depth: usize,
     /// Largest request body accepted (bigger → `413`).
     pub max_body_bytes: usize,
@@ -118,9 +117,9 @@ pub struct ServerConfig {
     /// sockets is the point of the event loop, stalling mid-request is not.
     pub idle_timeout: Duration,
     /// Concurrent-connection cap; over it, new connections get `503` at the
-    /// door. `0` derives `workers + queue_depth` — the capacity (held +
-    /// queued) of the retired thread-per-connection pool, preserving its
-    /// admission contract for existing configs and tests.
+    /// door. Each connection costs one descriptor, so under a lower
+    /// `RLIMIT_NOFILE` it is `accept` that fails first: the surplus then
+    /// waits in the listen backlog instead of getting a `503`.
     pub max_connections: usize,
     /// Where to append the query log (`None` → no log).
     pub query_log: Option<PathBuf>,
@@ -143,22 +142,11 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
-            max_connections: 0,
+            max_connections: 10_000,
             query_log: None,
             slow_query_threshold_us: 100_000,
             slow_query_cap: 64,
             span_ring_spans: 16 * 1024,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// The effective connection cap (resolving the `0` legacy derivation).
-    pub fn effective_max_connections(&self) -> usize {
-        if self.max_connections == 0 {
-            self.workers.saturating_add(self.queue_depth).max(1)
-        } else {
-            self.max_connections
         }
     }
 }
@@ -524,6 +512,19 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The one read of the connection- and queue-level counters: `/stats`,
+    /// `/metrics` and the [`Server`] handle all report from this.
+    fn connection_stats(&self) -> ServerStats {
+        let m = &self.metrics;
+        ServerStats {
+            open_connections: m.open.get().max(0) as u64,
+            accepted_connections: m.accepted.get(),
+            rejected_503: m.rejected.get(),
+            pipelined_requests: m.pipelined.get(),
+            executor_queue_hwm: self.work.hwm.load(Ordering::Relaxed),
+        }
+    }
+
     /// Drains the executing thread's finished trace into the per-stage
     /// histograms, the span flight recorder, and — for a slow query — the
     /// forensics ring. No-op when the request ran untraced.
@@ -591,7 +592,7 @@ impl Server {
         // retransmit. Resize the queue to cover the connection budget (the
         // kernel clamps to net.core.somaxconn); best-effort, since serving
         // still works at the default depth.
-        let backlog = cfg.effective_max_connections().clamp(128, 4096) as i32;
+        let backlog = cfg.max_connections.clamp(128, 4096) as i32;
         let _ = polling::set_listen_backlog(&listener, backlog);
         let local_addr = listener.local_addr()?;
         let qlog = match &cfg.query_log {
@@ -641,19 +642,12 @@ impl Server {
 
     /// Admission `503`s so far (door + executor queue).
     pub fn rejected(&self) -> u64 {
-        self.shared.metrics.rejected.get()
+        self.stats().rejected_503
     }
 
     /// Connection- and queue-level counters.
     pub fn stats(&self) -> ServerStats {
-        let m = &self.shared.metrics;
-        ServerStats {
-            open_connections: m.open.get().max(0) as u64,
-            accepted_connections: m.accepted.get(),
-            rejected_503: m.rejected.get(),
-            pipelined_requests: m.pipelined.get(),
-            executor_queue_hwm: self.shared.work.hwm.load(Ordering::Relaxed),
-        }
+        self.shared.connection_stats()
     }
 
     /// The Prometheus text exposition `GET /metrics` serves.
@@ -881,7 +875,10 @@ struct EventLoop<'a> {
     gen_counter: u64,
     wheel: TimerWheel,
     open: usize,
-    max_conns: usize,
+    /// The listener is out of the poller after a failed `accept` (descriptor
+    /// budget exhausted); a closing connection or the next wheel tick puts it
+    /// back.
+    accept_paused: bool,
     /// Set once `stop` is observed: accepting has ceased, idle connections
     /// are swept, the loop drains in-flight work then exits.
     stopping: bool,
@@ -889,7 +886,6 @@ struct EventLoop<'a> {
 
 impl<'a> EventLoop<'a> {
     fn new(shared: &'a Shared, listener: TcpListener) -> Self {
-        let max_conns = shared.cfg.effective_max_connections();
         EventLoop {
             shared,
             listener,
@@ -898,7 +894,7 @@ impl<'a> EventLoop<'a> {
             gen_counter: 0,
             wheel: TimerWheel::new(Instant::now()),
             open: 0,
-            max_conns,
+            accept_paused: false,
             stopping: false,
         }
     }
@@ -954,7 +950,11 @@ impl<'a> EventLoop<'a> {
             let now = Instant::now();
             for (key, gen) in self.wheel.drain_expired(now) {
                 shared.metrics.timer_fired.inc();
-                self.check_deadlines(key, gen, now);
+                if key == LISTENER_KEY {
+                    self.resume_accept();
+                } else {
+                    self.check_deadlines(key, gen, now);
+                }
             }
         }
     }
@@ -983,14 +983,15 @@ impl<'a> EventLoop<'a> {
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                // Transient accept failures (ECONNABORTED, EMFILE under fd
-                // exhaustion): stop this drain; the next readiness retries.
-                Err(_) => return,
+                // Any other failure (EMFILE/ENFILE once descriptors run out)
+                // leaves the backlog, and so the level-triggered listener,
+                // readable: polling it again would spin the loop.
+                Err(_) => return self.pause_accept(),
             };
             if self.shared.stop.load(Ordering::Acquire) {
                 continue;
             }
-            if self.open >= self.max_conns {
+            if self.open >= self.shared.cfg.max_connections {
                 // Admission control: shed at the door, explicitly.
                 self.shared.metrics.rejected.inc();
                 reject_at_door(stream);
@@ -1044,6 +1045,21 @@ impl<'a> EventLoop<'a> {
             self.open += 1;
             self.shared.metrics.accepted.inc();
             self.shared.metrics.open.add(1);
+        }
+    }
+
+    /// Take the listener out of the poller until [`EventLoop::resume_accept`]:
+    /// a close calls it, and so does the wheel entry armed here, one tick on.
+    fn pause_accept(&mut self) {
+        self.accept_paused = true;
+        let _ = self.shared.poller.modify(&self.listener, Event::none(LISTENER_KEY));
+        self.wheel.schedule(LISTENER_KEY, 0, Instant::now());
+    }
+
+    fn resume_accept(&mut self) {
+        if self.accept_paused {
+            self.accept_paused = false;
+            let _ = self.shared.poller.modify(&self.listener, Event::readable(LISTENER_KEY));
         }
     }
 
@@ -1449,6 +1465,7 @@ impl<'a> EventLoop<'a> {
             self.open = self.open.saturating_sub(1);
             self.shared.metrics.open.sub(1);
             self.free.push(key);
+            self.resume_accept();
         }
     }
 }
@@ -1583,7 +1600,7 @@ fn metrics_text(shared: &Shared) -> String {
         &mut out,
         "ph_executor_queue_hwm",
         &[],
-        shared.work.hwm.load(Ordering::Relaxed) as f64,
+        shared.connection_stats().executor_queue_hwm as f64,
     );
     push_header(
         &mut out,
@@ -1747,27 +1764,22 @@ fn handle_ingest(shared: &Shared, req: &Request) -> (u16, Json) {
     }
 }
 
+/// The per-table members `/tables` lists; `/stats` reports the same six and
+/// appends the codec mix and footprint.
+fn table_members(t: &TableStats) -> Vec<(&'static str, Json)> {
+    vec![
+        ("name", Json::Str(t.name.clone())),
+        ("epoch", Json::Num(t.epoch as f64)),
+        ("segments", Json::Num(t.segments as f64)),
+        ("sealed_rows", Json::Num(t.sealed_rows as f64)),
+        ("delta_rows", Json::Num(t.delta_rows as f64)),
+        ("staleness", Json::Num(t.staleness)),
+    ]
+}
+
 fn tables_json(shared: &Shared) -> Json {
-    let stats = shared.session.stats();
-    Json::Obj(vec![(
-        "tables".into(),
-        Json::Arr(
-            stats
-                .tables
-                .iter()
-                .map(|t| {
-                    obj(vec![
-                        ("name", Json::Str(t.name.clone())),
-                        ("epoch", Json::Num(t.epoch as f64)),
-                        ("segments", Json::Num(t.segments as f64)),
-                        ("sealed_rows", Json::Num(t.sealed_rows as f64)),
-                        ("delta_rows", Json::Num(t.delta_rows as f64)),
-                        ("staleness", Json::Num(t.staleness)),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
+    let tables = shared.session.stats().tables.iter().map(|t| obj(table_members(t))).collect();
+    obj(vec![("tables", Json::Arr(tables))])
 }
 
 fn stats_json(shared: &Shared) -> Json {
@@ -1796,16 +1808,10 @@ fn stats_json(shared: &Shared) -> Json {
                     .map(|(name, cols)| (name.clone(), Json::Num(*cols as f64)))
                     .collect(),
             );
-            obj(vec![
-                ("name", Json::Str(t.name.clone())),
-                ("epoch", Json::Num(t.epoch as f64)),
-                ("segments", Json::Num(t.segments as f64)),
-                ("sealed_rows", Json::Num(t.sealed_rows as f64)),
-                ("delta_rows", Json::Num(t.delta_rows as f64)),
-                ("staleness", Json::Num(t.staleness)),
-                ("codec_mix", codec_mix),
-                ("footprint", footprint),
-            ])
+            let mut members = table_members(t);
+            members.push(("codec_mix", codec_mix));
+            members.push(("footprint", footprint));
+            obj(members)
         })
         .collect();
     // Quarantined tables: present in the persisted catalog but isolated after
@@ -1819,7 +1825,7 @@ fn stats_json(shared: &Shared) -> Json {
             obj(vec![("table", Json::Str(table)), ("reason", Json::Str(reason))])
         })
         .collect();
-    let m = &shared.metrics;
+    let conns = shared.connection_stats();
     obj(vec![
         ("uptime_seconds", Json::Num(shared.started.elapsed().as_secs_f64())),
         (
@@ -1837,31 +1843,19 @@ fn stats_json(shared: &Shared) -> Json {
             obj(vec![
                 ("workers", Json::Num(shared.cfg.workers as f64)),
                 ("queue_depth", Json::Num(shared.cfg.queue_depth as f64)),
-                (
-                    "max_connections",
-                    Json::Num(shared.cfg.effective_max_connections() as f64),
-                ),
-                (
-                    "rejected_503",
-                    Json::Num(m.rejected.get() as f64),
-                ),
+                ("max_connections", Json::Num(shared.cfg.max_connections as f64)),
+                ("rejected_503", Json::Num(conns.rejected_503 as f64)),
                 (
                     "connections",
                     obj(vec![
-                        ("open", Json::Num(m.open.get() as f64)),
-                        ("accepted", Json::Num(m.accepted.get() as f64)),
-                        ("rejected", Json::Num(m.rejected.get() as f64)),
-                        (
-                            "pipelined_requests",
-                            Json::Num(m.pipelined.get() as f64),
-                        ),
-                        (
-                            "executor_queue_hwm",
-                            Json::Num(shared.work.hwm.load(Ordering::Relaxed) as f64),
-                        ),
+                        ("open", Json::Num(conns.open_connections as f64)),
+                        ("accepted", Json::Num(conns.accepted_connections as f64)),
+                        ("rejected", Json::Num(conns.rejected_503 as f64)),
+                        ("pipelined_requests", Json::Num(conns.pipelined_requests as f64)),
+                        ("executor_queue_hwm", Json::Num(conns.executor_queue_hwm as f64)),
                     ]),
                 ),
-                ("endpoints", m.to_json()),
+                ("endpoints", shared.metrics.to_json()),
             ]),
         ),
     ])
@@ -2010,19 +2004,5 @@ mod tests {
         wheel.schedule(9, 2, far);
         let fired = wheel.drain_expired(far);
         assert!(fired.contains(&(9, 2)), "wrapped entry eventually drains");
-    }
-
-    /// The legacy cap derivation: `max_connections == 0` reproduces the old
-    /// pool's capacity (held + queued), explicit values win as-is.
-    #[test]
-    fn connection_cap_derivation_matches_legacy_pool() {
-        let legacy = ServerConfig { workers: 1, queue_depth: 1, ..Default::default() };
-        assert_eq!(legacy.effective_max_connections(), 2);
-        let explicit = ServerConfig {
-            max_connections: 10_000,
-            workers: 2,
-            ..Default::default()
-        };
-        assert_eq!(explicit.effective_max_connections(), 10_000);
     }
 }

@@ -2,11 +2,13 @@
 //! exists for, over real loopback sockets — pipelining with strict response
 //! ordering and bit-identical answers, the connection-cap `503` door, a
 //! slowloris client closed at the read deadline without hurting neighbors,
-//! a 1000-strong idle keep-alive population held while traffic flows, and
-//! the zero-worker inline-execution mode.
+//! a 1000-strong idle keep-alive population held while traffic flows, the
+//! zero-worker inline-execution mode, and an exhausted descriptor budget that
+//! must park the accept path instead of spinning it.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -256,4 +258,65 @@ fn inline_mode_serves_without_executor_threads() {
     assert!(answers.iter().all(Result::is_ok));
     assert!(client.healthz().is_ok());
     server.shutdown();
+}
+
+/// CPU seconds (user + system) `pid` has consumed, from `/proc/<pid>/stat`
+/// fields 14 and 15 in `USER_HZ` = 100 ticks.
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    // The comm field may contain spaces; everything after its ')' is regular.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    ticks as f64 / 100.0
+}
+
+/// With fewer descriptors than pending connections `accept` fails `EMFILE`
+/// while the backlog keeps the level-triggered listener readable. The loop
+/// must park the listener rather than spin on it, keep serving the sockets it
+/// already holds, and accept again once descriptors free up.
+#[test]
+fn exhausted_fd_budget_parks_accept_instead_of_spinning() {
+    let mut serve = Command::new("sh")
+        .arg("-c")
+        .arg(format!(
+            "ulimit -n 40; exec {} --addr 127.0.0.1:0 --demo 2000",
+            env!("CARGO_BIN_EXE_ph-serve")
+        ))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ph-serve");
+    let mut banner = String::new();
+    BufReader::new(serve.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+    let addr = banner.trim().strip_prefix("ph-serve listening on ").expect("banner").to_string();
+    let sql = "SELECT COUNT(global_active_power) FROM Power WHERE voltage > 238;";
+
+    // Admitted before the flood, so it holds one of the scarce descriptors.
+    let mut admitted = Client::new(addr.clone());
+    admitted.query(sql).expect("query before the flood");
+    // 80 connects against a 40-descriptor process: ~30 are accepted, the rest
+    // sit in the listen backlog with nothing left to accept them into.
+    let mut flood: Vec<TcpStream> = (0..80).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    std::thread::sleep(Duration::from_millis(300));
+
+    let before = cpu_seconds(serve.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let burned = cpu_seconds(serve.id()) - before;
+    let still_served = admitted.query(sql);
+
+    // Free the descriptors; a fresh connection must then be accepted.
+    flood.clear();
+    let mut fresh = Client::new(addr);
+    let t0 = Instant::now();
+    let mut recovered = fresh.healthz().is_ok();
+    while !recovered && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(50));
+        recovered = fresh.healthz().is_ok();
+    }
+    serve.kill().unwrap();
+    serve.wait().unwrap();
+
+    assert!(burned < 0.2, "idle server burned {burned:.2} CPU-seconds in 1 s: accept is spinning");
+    still_served.expect("an admitted connection keeps being served through the exhaustion");
+    assert!(recovered, "no fresh connection accepted within 5 s of the descriptors freeing up");
 }

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use ph_types::Value;
 
 /// The seven aggregation functions PairwiseHist supports (paper §5.4, Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(X)`: non-null values of `X` in satisfying rows.
     Count,
@@ -58,7 +56,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// Binary comparison operators allowed in predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -95,7 +93,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// One predicate condition `Xj OP LITERAL`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Condition {
     /// Column the condition applies to.
     pub column: String,
@@ -112,7 +110,7 @@ impl fmt::Display for Condition {
 }
 
 /// Predicate tree with explicit AND/OR structure (AND binds tighter than OR).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// A leaf condition.
     Cond(Condition),
@@ -185,7 +183,7 @@ impl fmt::Display for Predicate {
 }
 
 /// A parsed query of the paper's template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Aggregation function `F`.
     pub agg: AggFunc,

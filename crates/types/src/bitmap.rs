@@ -1,13 +1,11 @@
 //! Word-packed validity bitmap.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length bitmap used to track which rows of a column are valid (non-null).
 ///
 /// Bit `i` set means row `i` holds a value; clear means the row is NULL. The bitmap is
 /// stored as little-endian `u64` words, so validity checks in hot scan loops cost one
 /// shift and one mask.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,

@@ -1,7 +1,5 @@
 //! Typed columns with validity bitmaps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Bitmap, Value};
 
 /// Logical type of a column.
@@ -9,7 +7,7 @@ use crate::{Bitmap, Value};
 /// `Timestamp` is physically an `i64` (epoch seconds) but is kept distinct because the
 /// paper notes DBEst++ cannot handle inequality predicates on date/time columns — the
 /// workload generator needs to know which columns are timestamps to reproduce that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit signed integers.
     Int,
@@ -35,7 +33,7 @@ impl ColumnType {
 }
 
 /// Physical storage of one column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// Integers or timestamps; invalid slots hold 0.
     Int(Vec<i64>),
@@ -56,7 +54,7 @@ impl ColumnData {
 }
 
 /// A named, typed, null-aware column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     name: String,
     ty: ColumnType,

@@ -2,12 +2,11 @@
 
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Column, TypeError, Value};
 
 /// An in-memory columnar table: the dataset `D` of the paper's problem definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     name: String,
     columns: Vec<Column>,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A single cell value as seen at the API boundary (query literals, row accessors).
 ///
 /// Inside columns, data stays in its packed native representation; `Value` is only
 /// materialised for literals, row inspection and test assertions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer (also used for timestamps, stored as epoch seconds).
     Int(i64),

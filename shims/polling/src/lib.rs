@@ -1,26 +1,19 @@
-//! Offline stand-in for the `polling` crate: portable socket readiness.
+//! Offline stand-in for the `polling` crate: socket readiness.
 //!
 //! The real ecosystem crate wraps each OS's readiness API behind one small
 //! interface. This shim reproduces exactly the surface `ph_server`'s event
-//! loop consumes, with two backends selected at runtime:
+//! loop consumes, over the one backend this workspace builds for:
+//! level-triggered **epoll** (`epoll_create1` / `epoll_ctl` / `epoll_wait`)
+//! via direct `extern "C"` declarations — the container has no `libc` crate,
+//! but the symbols come from the same glibc `std` already links against.
+//! Other targets stop at the `compile_error!` below.
 //!
-//! - **epoll** (Linux, default): level-triggered `epoll_create1` /
-//!   `epoll_ctl` / `epoll_wait` via direct `extern "C"` declarations — the
-//!   container has no `libc` crate, but the symbols come from the same
-//!   glibc `std` already links against.
-//! - **poll(2)** (portable fallback, or `PH_POLL_BACKEND=poll`): a
-//!   registration table snapshotted into a `pollfd` array per wait. Slower
-//!   (O(n) per wake) but works anywhere POSIX does; it exists so the
-//!   readiness model itself stays portable and testable.
+//! Level-triggered means a key stays ready until the caller drains the
+//! condition. Cross-thread wakeup uses a self-pipe (`UnixStream::pair`)
+//! registered at the reserved key `NOTIFY_KEY`; the pipe is drained inside
+//! `wait` and never surfaces in caller results.
 //!
-//! Both backends are level-triggered: a key stays ready until the caller
-//! drains the condition. Cross-thread wakeup uses a self-pipe
-//! (`UnixStream::pair`) registered at the reserved key `NOTIFY_KEY`; the
-//! pipe is drained inside `wait` and never surfaces in caller results.
-//!
-//! All methods take `&self`: epoll is thread-safe by contract, and the
-//! fallback serializes its registry behind a mutex that is **released
-//! before blocking** so `notify()` from another thread can always land.
+//! All methods take `&self`: epoll is thread-safe by contract.
 
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -56,12 +49,12 @@ impl Event {
 }
 
 // ---------------------------------------------------------------------------
-// FFI surface (glibc, linked via std). Kept to the minimum both backends use.
+// FFI surface (glibc, linked via std).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_os = "linux")]
 mod ffi {
-    use std::os::raw::{c_int, c_ulong, c_void};
+    use std::os::raw::{c_int, c_void};
 
     pub const EPOLL_CLOEXEC: c_int = 0x80000;
     pub const EPOLL_CTL_ADD: c_int = 1;
@@ -82,21 +75,6 @@ mod ffi {
         pub data: u64,
     }
 
-    pub type NfdsT = c_ulong;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -108,7 +86,6 @@ mod ffi {
         ) -> c_int;
         pub fn close(fd: c_int) -> c_int;
         pub fn listen(fd: c_int, backlog: c_int) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
         pub fn __errno_location() -> *mut c_void;
     }
 
@@ -122,9 +99,9 @@ mod ffi {
 }
 
 #[cfg(not(target_os = "linux"))]
-compile_error!("polling shim: only the Linux backends are implemented in this container");
+compile_error!("polling shim: only the Linux epoll backend is implemented");
 
-use ffi::{EpollEvent, PollFd};
+use ffi::EpollEvent;
 
 fn millis_timeout(timeout: Option<Duration>) -> i32 {
     match timeout {
@@ -232,134 +209,23 @@ fn interest_bits(interest: Event) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// poll(2) fallback backend
-// ---------------------------------------------------------------------------
-
-struct PollBackend {
-    /// fd -> (key, interest). Snapshotted into a pollfd array per wait; the
-    /// lock is dropped before blocking so add/modify/delete/notify from
-    /// other threads never deadlock against a sleeping waiter.
-    registry: Mutex<Vec<(RawFd, Event)>>,
-}
-
-impl PollBackend {
-    fn new() -> Self {
-        PollBackend { registry: Mutex::new(Vec::new()) }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(RawFd, Event)>> {
-        self.registry.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn add(&self, fd: RawFd, interest: Event) -> io::Result<()> {
-        let mut reg = self.lock();
-        if reg.iter().any(|(f, _)| *f == fd) {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
-        }
-        reg.push((fd, interest));
-        Ok(())
-    }
-
-    fn modify(&self, fd: RawFd, interest: Event) -> io::Result<()> {
-        let mut reg = self.lock();
-        match reg.iter_mut().find(|(f, _)| *f == fd) {
-            Some(slot) => {
-                slot.1 = interest;
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
-    }
-
-    fn delete(&self, fd: RawFd) -> io::Result<()> {
-        let mut reg = self.lock();
-        let before = reg.len();
-        reg.retain(|(f, _)| *f != fd);
-        if reg.len() == before {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        }
-        Ok(())
-    }
-
-    fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let snapshot: Vec<(RawFd, Event)> = self.lock().clone();
-        let mut fds: Vec<PollFd> = snapshot
-            .iter()
-            .map(|(fd, ev)| {
-                let mut events = 0i16;
-                if ev.readable {
-                    events |= ffi::POLLIN;
-                }
-                if ev.writable {
-                    events |= ffi::POLLOUT;
-                }
-                PollFd { fd: *fd, events, revents: 0 }
-            })
-            .collect();
-        let n = loop {
-            // SAFETY: `fds` is a live, initialized array of pollfd matching
-            // `nfds`; the kernel only writes the `revents` fields.
-            let rc = unsafe {
-                ffi::poll(fds.as_mut_ptr(), fds.len() as ffi::NfdsT, millis_timeout(timeout))
-            };
-            if rc >= 0 {
-                break rc as usize;
-            }
-            if ffi::errno() == ffi::EINTR {
-                continue;
-            }
-            return Err(io::Error::last_os_error());
-        };
-        if n == 0 {
-            return Ok(());
-        }
-        for (pfd, (_, ev)) in fds.iter().zip(snapshot.iter()) {
-            let re = pfd.revents;
-            if re == 0 {
-                continue;
-            }
-            out.push(Event {
-                key: ev.key,
-                readable: re & (ffi::POLLIN | ffi::POLLERR | ffi::POLLHUP) != 0,
-                writable: re & (ffi::POLLOUT | ffi::POLLERR | ffi::POLLHUP) != 0,
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Poller
 // ---------------------------------------------------------------------------
-
-enum Backend {
-    Epoll(EpollBackend),
-    Poll(PollBackend),
-}
 
 /// A readiness poller. All methods take `&self` and are safe to call from
 /// any thread; `wait` is intended to be called from one loop thread while
 /// other threads call `notify`/`add`/`modify`/`delete`.
 pub struct Poller {
-    backend: Backend,
+    backend: EpollBackend,
     notify_tx: Mutex<UnixStream>,
     notify_rx: Mutex<UnixStream>,
     notified: AtomicBool,
 }
 
 impl Poller {
-    /// Create a poller. Defaults to epoll on Linux; set
-    /// `PH_POLL_BACKEND=poll` to force the portable poll(2) backend.
+    /// Create a poller (an epoll instance plus its notify pipe).
     pub fn new() -> io::Result<Self> {
-        let use_poll = std::env::var("PH_POLL_BACKEND").map(|v| v == "poll").unwrap_or(false);
-        let backend = if use_poll {
-            Backend::Poll(PollBackend::new())
-        } else {
-            match EpollBackend::new() {
-                Ok(ep) => Backend::Epoll(ep),
-                Err(_) => Backend::Poll(PollBackend::new()),
-            }
-        };
+        let backend = EpollBackend::new()?;
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -370,26 +236,16 @@ impl Poller {
             notified: AtomicBool::new(false),
         };
         let rx_fd = poller.lock_rx().as_raw_fd();
-        poller.register_fd(rx_fd, Event::readable(NOTIFY_KEY))?;
+        poller.backend.ctl(ffi::EPOLL_CTL_ADD, rx_fd, Event::readable(NOTIFY_KEY))?;
         Ok(poller)
     }
 
     pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            Backend::Epoll(_) => "epoll",
-            Backend::Poll(_) => "poll",
-        }
+        "epoll"
     }
 
     fn lock_rx(&self) -> std::sync::MutexGuard<'_, UnixStream> {
         self.notify_rx.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn register_fd(&self, fd: RawFd, interest: Event) -> io::Result<()> {
-        match &self.backend {
-            Backend::Epoll(ep) => ep.ctl(ffi::EPOLL_CTL_ADD, fd, interest),
-            Backend::Poll(pb) => pb.add(fd, interest),
-        }
     }
 
     /// Register a socket under `interest.key`. The key must not be
@@ -399,7 +255,7 @@ impl Poller {
         if interest.key == NOTIFY_KEY {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "key reserved for notify"));
         }
-        self.register_fd(source.as_raw_fd(), interest)
+        self.backend.ctl(ffi::EPOLL_CTL_ADD, source.as_raw_fd(), interest)
     }
 
     /// Change the interest set (and/or key) of a registered socket.
@@ -407,19 +263,12 @@ impl Poller {
         if interest.key == NOTIFY_KEY {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "key reserved for notify"));
         }
-        match &self.backend {
-            Backend::Epoll(ep) => ep.ctl(ffi::EPOLL_CTL_MOD, source.as_raw_fd(), interest),
-            Backend::Poll(pb) => pb.modify(source.as_raw_fd(), interest),
-        }
+        self.backend.ctl(ffi::EPOLL_CTL_MOD, source.as_raw_fd(), interest)
     }
 
-    /// Remove a socket from the poller. Must be called before the fd is
-    /// closed when using the poll(2) backend (epoll auto-removes on close).
+    /// Remove a socket from the poller.
     pub fn delete(&self, source: &impl AsRawFd) -> io::Result<()> {
-        match &self.backend {
-            Backend::Epoll(ep) => ep.ctl(ffi::EPOLL_CTL_DEL, source.as_raw_fd(), Event::none(0)),
-            Backend::Poll(pb) => pb.delete(source.as_raw_fd()),
-        }
+        self.backend.ctl(ffi::EPOLL_CTL_DEL, source.as_raw_fd(), Event::none(0))
     }
 
     /// Block until at least one registered socket is ready, the timeout
@@ -429,10 +278,7 @@ impl Poller {
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
         let mut raw = Vec::with_capacity(64);
-        match &self.backend {
-            Backend::Epoll(ep) => ep.wait(&mut raw, timeout, 1024)?,
-            Backend::Poll(pb) => pb.wait(&mut raw, timeout)?,
-        }
+        self.backend.wait(&mut raw, timeout, 1024)?;
         let mut woke = false;
         for ev in raw {
             if ev.key == NOTIFY_KEY {
@@ -523,25 +369,6 @@ mod tests {
     fn epoll_readable_and_level_triggered() {
         let poller = Poller::new().unwrap();
         assert_eq!(poller.backend_name(), "epoll");
-        readable_smoke(&poller);
-    }
-
-    #[test]
-    fn pollfd_backend_readable_and_level_triggered() {
-        // Build the fallback directly rather than via env (avoids racing
-        // other tests on the process environment).
-        let (tx, rx) = UnixStream::pair().unwrap();
-        tx.set_nonblocking(true).unwrap();
-        rx.set_nonblocking(true).unwrap();
-        let poller = Poller {
-            backend: Backend::Poll(PollBackend::new()),
-            notify_tx: Mutex::new(tx),
-            notify_rx: Mutex::new(rx),
-            notified: AtomicBool::new(false),
-        };
-        let rx_fd = poller.lock_rx().as_raw_fd();
-        poller.register_fd(rx_fd, Event::readable(NOTIFY_KEY)).unwrap();
-        assert_eq!(poller.backend_name(), "poll");
         readable_smoke(&poller);
     }
 

@@ -295,6 +295,24 @@ proptest! {
     }
 }
 
+/// The one segment file `table` has in `dir`.
+fn segment_of(dir: &Path, table: &str) -> PathBuf {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            p.extension().is_some_and(|x| x == "phseg")
+                && p.file_name().unwrap().to_str().unwrap().starts_with(table)
+        })
+        .expect("one segment file per table")
+}
+
+/// End of the synopsis in a segment blob, whose layout is: magic(4) version(1)
+/// syn_len(8) synopsis kind(1) store_len(8) store crc(4).
+fn syn_end(blob: &[u8]) -> usize {
+    13 + u64::from_le_bytes(blob[5..13].try_into().unwrap()) as usize
+}
+
 /// Retired on-disk formats are outside input, rejected like any other: a
 /// pre-segmentation `PWHS` single blob, a `PSG2` segment and a `PSG3` segment
 /// claiming store kind 0 (a row-less segment) each quarantine their table under
@@ -310,18 +328,7 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
         session.register(dataset(name, BASE_ROWS, seed)).unwrap();
     }
     session.save_dir(&dir).unwrap();
-    let segment_of = |table: &str| -> PathBuf {
-        std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| {
-                p.extension().is_some_and(|x| x == "phseg")
-                    && p.file_name().unwrap().to_str().unwrap().starts_with(table)
-            })
-            .expect("one segment file per table")
-    };
-    // Current layout: magic(4) version(1) syn_len(8) synopsis kind(1) store_len(8) store crc(4).
-    let syn_end = |blob: &[u8]| 13 + u64::from_le_bytes(blob[5..13].try_into().unwrap()) as usize;
+    let segment_of = |table: &str| segment_of(&dir, table);
 
     // `PSG2` v2: the same body (has_store flag where the kind byte is, implicit
     // GreedyGD payload) under the old magic and version, without a CRC trailer.
@@ -374,5 +381,48 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
         let sql = format!("SELECT COUNT(x) FROM {table}");
         assert!(matches!(reopened.sql(&sql), Err(PhError::Quarantined(_))), "{table}");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checksum proves a segment blob arrived as written, not that its writer
+/// was honest: a `PSG3` frame with a valid CRC around a kind-1 (GreedyGD)
+/// store whose header claims 2^40 bases must quarantine its table — not abort
+/// the process on a terabyte allocation — while the healthy table beside it
+/// serves.
+#[test]
+fn hostile_gd_store_header_quarantines_instead_of_aborting() {
+    use pairwisehist::encoding::{crc32, write_uvarint};
+
+    let dir = std::env::temp_dir().join(format!("ph_hostile_gd_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::new();
+    for (name, seed) in [("healthy", 31), ("hostile", 32)] {
+        session.register(dataset(name, BASE_ROWS, seed)).unwrap();
+    }
+    session.save_dir(&dir).unwrap();
+
+    // n_rows 0, one 8-bit column, 2^40 bases, no payload.
+    let mut store = vec![0, 1];
+    write_uvarint(&mut store, 1 << 40);
+    store.extend_from_slice(&[8, 0]);
+    let path = segment_of(&dir, "hostile");
+    let current = std::fs::read(&path).unwrap();
+    let mut blob = current[..syn_end(&current)].to_vec();
+    blob.push(1);
+    blob.extend_from_slice(&(store.len() as u64).to_le_bytes());
+    blob.extend_from_slice(&store);
+    let crc = crc32(&blob);
+    blob.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, blob).unwrap();
+
+    let reopened = Session::open_dir(&dir).expect("a hostile store must not fail the open");
+    assert_eq!(reopened.tables(), vec!["healthy"]);
+    let sql = "SELECT AVG(y) FROM healthy WHERE x > 300 GROUP BY c";
+    assert_eq!(reopened.sql(sql).unwrap(), session.sql(sql).unwrap());
+    assert!(reopened.quarantined().iter().any(|(name, _)| name == "hostile"));
+    assert!(matches!(
+        reopened.sql("SELECT COUNT(x) FROM hostile"),
+        Err(PhError::Quarantined(_))
+    ));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -171,8 +171,11 @@ fn debug_slow_breaks_queries_into_stages_without_leaking_sql() {
 
     let (status, body) = http_get(&addr, "/debug/slow");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-    // The forensics surface must never carry query text or literals.
-    assert!(!body.contains("SELECT") && !body.contains("123"), "raw SQL leaked: {body}");
+    // The forensics surface must never carry query text or literals. Leaked
+    // text would sit inside a JSON string; the numbers are timings, whose
+    // digits hit any short literal by chance.
+    let strings: String = body.split('"').skip(1).step_by(2).collect();
+    assert!(!strings.contains("SELECT") && !strings.contains("123"), "raw SQL leaked: {body}");
 
     let report = Json::parse(&body).unwrap();
     let entries = report.get("slow").and_then(Json::as_arr).unwrap();

@@ -102,6 +102,7 @@ fn overload_returns_503_without_wedging_workers() {
         ServerConfig {
             workers: 1,
             queue_depth: 1,
+            max_connections: 2,
             read_timeout: Duration::from_secs(30),
             ..Default::default()
         },
@@ -109,16 +110,17 @@ fn overload_returns_503_without_wedging_workers() {
     .unwrap();
     let addr = server.local_addr();
 
-    // Saturate: stalled connections that send half a request and stop. One
-    // pins the single worker, one fills the queue; the rest are shed at the
-    // door. Connections answered 503 close immediately — distinguish them
-    // from admitted ones (which see no bytes yet) by peeking.
+    // Saturate: stalled connections that send half a request and stop. The
+    // event loop holds each one (no worker is involved until a request is
+    // complete) and they count against the connection cap of 2, so the rest
+    // are shed at the door. Connections answered 503 close immediately —
+    // distinguish them from admitted ones (which see no bytes yet) by peeking.
     let mut stalled: Vec<TcpStream> = Vec::new();
     let mut rejected_early = 0usize;
     for _ in 0..4 {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n").unwrap();
-        // An admitted connection stays open silently (the worker waits for the
+        // An admitted connection stays open silently (the loop waits for the
         // rest of the body); a shed one gets "HTTP/1.1 503 …" and EOF.
         conn.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
         let mut probe = [0u8; 12];
@@ -131,18 +133,18 @@ fn overload_returns_503_without_wedging_workers() {
                 );
                 rejected_early += 1;
             }
-            _ => stalled.push(conn), // admitted (worker-held or queued)
+            _ => stalled.push(conn), // admitted (holds one of the two slots)
         }
     }
     assert!(
         rejected_early >= 1,
-        "with 1 worker + queue depth 1, at least one of 4 stalled connections \
+        "with a connection cap of 2, at least one of 4 stalled connections \
          must be shed at the door"
     );
     assert!(server.rejected() >= rejected_early as u64);
 
-    // A well-formed request arriving now must also be shed with 503 — fast,
-    // not queued behind the stall.
+    // A well-formed request arriving now finds the cap still taken and must
+    // also be shed with 503 — fast, not queued behind the stall.
     let mut full = TcpStream::connect(addr).unwrap();
     full.write_all(
         b"POST /query HTTP/1.1\r\nContent-Length: 41\r\n\r\nSELECT COUNT(y) FROM colors WHERE x > 500"
@@ -153,8 +155,8 @@ fn overload_returns_503_without_wedging_workers() {
     assert!(head.starts_with("HTTP/1.1 503"), "expected 503 under overload, got: {head}");
     assert!(head.contains("overload"), "structured error body expected: {head}");
 
-    // Release the stall: closing the half-request connections frees the worker
-    // and drains the queue; the server must answer 200 again promptly.
+    // Release the stall: closing the half-request connections frees their
+    // slots; the server must answer 200 again promptly.
     drop(stalled);
     let mut recovered = false;
     let mut client = Client::new(addr.to_string());
