@@ -86,12 +86,17 @@
 #![deny(clippy::dbg_macro, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 pub mod client;
+mod config;
+mod event_loop;
+mod exec;
 pub mod http;
 mod ingest;
 pub mod json;
 pub mod load;
 pub mod querylog;
 pub mod server;
+mod stats;
+mod timer;
 pub mod wire;
 
 pub use client::{Client, ClientError, RetryPolicy};
