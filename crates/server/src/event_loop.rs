@@ -264,48 +264,30 @@ impl<'a> EventLoop<'a> {
         let mut fatal = false;
         {
             let Some(conn) = self.conns.get_mut(key).and_then(|s| s.as_mut()) else { return };
-            if conn.closing {
-                // Drain the socket so level-triggered readiness quiesces, but
-                // parse nothing further.
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.peer_closed = true;
-                            break;
-                        }
-                        Ok(_) => continue,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            fatal = true;
-                            break;
-                        }
+            let mut chunk = [0u8; READ_CHUNK];
+            loop {
+                match conn.stream.read(&mut chunk) {
+                    Ok(0) => {
+                        conn.peer_closed = true;
+                        break;
+                    }
+                    // A closing connection still drains the socket, so that
+                    // level-triggered readiness quiesces, but keeps nothing.
+                    Ok(_) if conn.closing => continue,
+                    // Read's contract bounds n by the buffer length.
+                    Ok(n) => conn.buf.extend_from_slice(chunk.get(..n).unwrap_or(&chunk)),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        fatal = true;
+                        break;
                     }
                 }
-            } else {
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.peer_closed = true;
-                            break;
-                        }
-                        // Read's contract bounds n by the buffer length.
-                        Ok(n) => conn.buf.extend_from_slice(chunk.get(..n).unwrap_or(&chunk)),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            fatal = true;
-                            break;
-                        }
-                    }
-                }
-                if !conn.buf.is_empty() && conn.req_t0.is_none() {
-                    // First byte of the next request this wake: the trace
-                    // origin (and the span clock's zero) for that request.
-                    conn.req_t0 = Some(Instant::now());
-                }
+            }
+            if !conn.buf.is_empty() && conn.req_t0.is_none() {
+                // First byte of the next request this wake: the trace
+                // origin (and the span clock's zero) for that request.
+                conn.req_t0 = Some(Instant::now());
             }
         }
         if fatal {

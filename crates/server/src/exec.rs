@@ -269,23 +269,19 @@ fn handle_query(batch: &mut BatchSession<'_>, req: &Request) -> (u16, Json) {
 }
 
 fn handle_ingest(shared: &Shared, req: &Request) -> (u16, Json) {
-    match dataset_from_body(&shared.session, req) {
-        Ok((table, batch)) => match shared.session.ingest(&table, &batch) {
-            Ok(report) => (
-                200,
-                obj(vec![
-                    ("table", Json::Str(table)),
-                    ("rows", Json::Num(report.rows as f64)),
-                    ("staleness", Json::Num(report.staleness)),
-                    ("rebuilt", Json::Bool(report.rebuilt)),
-                    ("sealed_segments", Json::Num(report.sealed_segments as f64)),
-                ]),
-            ),
-            Err(e) => {
-                let status = status_for(&e);
-                (status, error_body(status, kind_of(&e), &e.to_string(), None))
-            }
-        },
+    let applied = dataset_from_body(&shared.session, req)
+        .and_then(|(table, batch)| Ok((shared.session.ingest(&table, &batch)?, table)));
+    match applied {
+        Ok((report, table)) => (
+            200,
+            obj(vec![
+                ("table", Json::Str(table)),
+                ("rows", Json::Num(report.rows as f64)),
+                ("staleness", Json::Num(report.staleness)),
+                ("rebuilt", Json::Bool(report.rebuilt)),
+                ("sealed_segments", Json::Num(report.sealed_segments as f64)),
+            ]),
+        ),
         Err(e) => {
             let status = status_for(&e);
             (status, error_body(status, kind_of(&e), &e.to_string(), None))

@@ -67,7 +67,7 @@ use crate::event_loop::{EventLoop, LISTENER_KEY};
 use crate::exec::{executor_loop, query_text, Done, WorkQueue};
 use crate::http::Request;
 use crate::querylog::QueryLogWriter;
-use crate::stats::{metrics_text, Endpoint, Metrics};
+use crate::stats::{Endpoint, Metrics};
 pub use crate::stats::ServerStats;
 
 /// State shared by the loop, the executor workers and the handle.
@@ -226,11 +226,6 @@ impl Server {
     /// Connection- and queue-level counters.
     pub fn stats(&self) -> ServerStats {
         self.shared.connection_stats()
-    }
-
-    /// The Prometheus text exposition `GET /metrics` serves.
-    pub fn metrics_text(&self) -> String {
-        metrics_text(&self.shared)
     }
 
     /// Stops accepting, answers every request already parsed, flushes the

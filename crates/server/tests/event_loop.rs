@@ -296,7 +296,7 @@ fn exhausted_fd_budget_parks_accept_instead_of_spinning() {
     admitted.query(sql).expect("query before the flood");
     // 80 connects against a 40-descriptor process: ~30 are accepted, the rest
     // sit in the listen backlog with nothing left to accept them into.
-    let mut flood: Vec<TcpStream> = (0..80).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    let flood: Vec<TcpStream> = (0..80).map(|_| TcpStream::connect(&addr).unwrap()).collect();
     std::thread::sleep(Duration::from_millis(300));
 
     let before = cpu_seconds(serve.id());
@@ -305,7 +305,7 @@ fn exhausted_fd_budget_parks_accept_instead_of_spinning() {
     let still_served = admitted.query(sql);
 
     // Free the descriptors; a fresh connection must then be accepted.
-    flood.clear();
+    drop(flood);
     let mut fresh = Client::new(addr);
     let t0 = Instant::now();
     let mut recovered = fresh.healthz().is_ok();

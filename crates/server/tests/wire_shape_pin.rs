@@ -5,23 +5,21 @@
 //! is a wire break for dashboards and scrapers and fails here.
 
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use ph_core::Session;
+use ph_server::http::HttpConn;
 use ph_server::{Client, Json, Server, ServerConfig};
 use ph_types::{Column, Dataset};
 
-/// One `Connection: close` GET; returns the response body.
+/// One GET on a fresh connection; returns the response body.
 fn get(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    write!(s, "GET {path} HTTP/1.1\r\nHost: pin\r\nConnection: close\r\n\r\n").unwrap();
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).unwrap();
-    assert!(reply.starts_with("HTTP/1.1 200"), "{path}: {reply}");
-    let (_, body) = reply.split_once("\r\n\r\n").expect("head/body separator");
-    body.to_string()
+    let mut conn = HttpConn::new(TcpStream::connect(addr).unwrap());
+    conn.write_request("GET", path, "text/plain", b"").unwrap();
+    let (status, _, body) = conn.read_response(1 << 20).unwrap();
+    assert_eq!(status, 200, "{path}");
+    String::from_utf8(body).unwrap()
 }
 
 /// Collects `a.b`, `a[]`, `a[].c` … for every member reachable from `doc`.

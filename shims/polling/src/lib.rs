@@ -240,10 +240,6 @@ impl Poller {
         Ok(poller)
     }
 
-    pub fn backend_name(&self) -> &'static str {
-        "epoll"
-    }
-
     fn lock_rx(&self) -> std::sync::MutexGuard<'_, UnixStream> {
         self.notify_rx.lock().unwrap_or_else(|p| p.into_inner())
     }
@@ -345,13 +341,15 @@ mod tests {
         (a, b)
     }
 
-    fn readable_smoke(poller: &Poller) {
+    #[test]
+    fn epoll_readable_and_level_triggered() {
+        let poller = Poller::new().unwrap();
         let (mut a, b) = pair();
         b.set_nonblocking(true).unwrap();
         poller.add(&b, Event::readable(7)).unwrap();
         let mut events = Vec::new();
         poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
-        assert!(events.is_empty(), "no data yet -> no events ({})", poller.backend_name());
+        assert!(events.is_empty(), "no data yet -> no events");
         a.write_all(b"x").unwrap();
         poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
         assert_eq!(events.len(), 1);
@@ -359,17 +357,10 @@ mod tests {
         assert!(events[0].readable);
         // Level-triggered: still ready until drained.
         poller.wait(&mut events, Some(Duration::from_millis(200))).unwrap();
-        assert_eq!(events.len(), 1, "level-triggered re-report ({})", poller.backend_name());
+        assert_eq!(events.len(), 1, "level-triggered re-report");
         poller.delete(&b).unwrap();
         poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
         assert!(events.is_empty(), "deleted fd no longer reported");
-    }
-
-    #[test]
-    fn epoll_readable_and_level_triggered() {
-        let poller = Poller::new().unwrap();
-        assert_eq!(poller.backend_name(), "epoll");
-        readable_smoke(&poller);
     }
 
     #[test]
