@@ -121,6 +121,7 @@ pub(crate) fn width_for(v: u64) -> u32 {
 }
 
 /// Serialized length of a uvarint, for O(1) size accounting.
+#[inline]
 pub(crate) fn uvarint_len(v: u64) -> usize {
     let mut v = v;
     let mut n = 1;

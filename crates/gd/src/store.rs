@@ -266,8 +266,8 @@ impl GdStore {
     /// Restores a store from [`GdStore::to_bytes`] output.
     ///
     /// Returns `None` on malformed input. Total: the three lengths in the
-    /// header are capped, and the payload must hold every bit they promise
-    /// before anything is sized from them.
+    /// header are capped (so `pos + d` cannot overflow), and the payload must
+    /// hold every bit they promise before anything is sized from them.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
         let mut pos = 0;
         let mut length = || {
@@ -275,16 +275,9 @@ impl GdStore {
             (v <= MAX_CODEC_ROWS).then_some(v)
         };
         let (n_rows, d, n_bases) = (length()?, length()?, length()?);
-        // `base_parts` holds n_bases·d words, and zero-width columns make them
-        // cost no payload bits, so the product needs its own cap.
-        if n_bases.checked_mul(d)? > MAX_CODEC_ROWS {
-            return None;
-        }
-        let widths: Vec<u32> =
-            data.get(pos..pos.checked_add(d)?)?.iter().map(|&b| b as u32).collect();
+        let widths: Vec<u32> = data.get(pos..pos + d)?.iter().map(|&b| b as u32).collect();
         pos += d;
-        let dev_bits: Vec<u32> =
-            data.get(pos..pos.checked_add(d)?)?.iter().map(|&b| b as u32).collect();
+        let dev_bits: Vec<u32> = data.get(pos..pos + d)?.iter().map(|&b| b as u32).collect();
         pos += d;
         if widths.iter().zip(&dev_bits).any(|(w, b)| b > w || *w > 64) {
             return None;
@@ -293,6 +286,13 @@ impl GdStore {
         let base_bits: u64 = widths.iter().zip(&dev_bits).map(|(w, b)| (w - b) as u64).sum();
         let id_bits = bits_for(n_bases.saturating_sub(1) as u64);
         let dev_stride: u64 = dev_bits.iter().map(|&b| b as u64).sum();
+        // Zero-width columns cost no payload bits. A dedup'ing writer has at
+        // most one base per distinct bit pattern, which bounds free bases; and
+        // `base_parts` holds n_bases·d words whatever the widths, so cap that.
+        let free_bases = base_bits < 64 && n_bases as u64 > 1 << base_bits;
+        if free_bases || n_bases.checked_mul(d)? > MAX_CODEC_ROWS {
+            return None;
+        }
         let dev_total = (n_rows as u64).checked_mul(dev_stride)?;
         let payload_bits = (n_bases as u64)
             .checked_mul(base_bits)?
@@ -400,7 +400,10 @@ mod tests {
         let huge_d = [vec![0], uvarint(u64::MAX), vec![0]].concat();
         let huge_bases = [vec![0, 1], uvarint(1 << 40), vec![8, 0]].concat();
         let huge_rows = [uvarint(1 << 40), vec![1, 1, 8, 0]].concat();
-        for bytes in [huge_d, huge_bases, huge_rows] {
+        // Within every cap, but 2^28 bases of zero bits each: gigabytes of
+        // `base_parts` and `base_index` behind a 7-byte body.
+        let free_bases = [vec![0, 1], uvarint(1 << 28), vec![0, 0]].concat();
+        for bytes in [huge_d, huge_bases, huge_rows, free_bases] {
             assert!(GdStore::from_bytes(&bytes).is_none(), "{bytes:?}");
         }
     }
