@@ -9,13 +9,13 @@ use std::sync::{Arc, Mutex};
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
-use ph_gd::{EncodedMatrix, GdStore, Preprocessor};
+use ph_gd::{EncodedMatrix, GdSplit, GdStore, Preprocessor};
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
 use ph_types::Dataset;
 
 use crate::bins::DimBins;
 use crate::build1d::{build_dim_bins_1d, edges_from_seeds};
-use crate::build2d::{build_pair, PairHist};
+use crate::build2d::{bin_rows, build_pair, PairColumn, PairHist, PairScratch};
 
 /// Bin split-point rule. The paper tested both and found equal-width slightly better
 /// (§4.1); equal-depth is retained for the ablation benches.
@@ -159,8 +159,10 @@ impl PairwiseHist {
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        let sample = data.sample(cfg.ns, cfg.seed);
-        let matrix = pre.encode(&sample);
+        // The sampled rows (a whole copy of a table no larger than `Ns`) are
+        // dropped at the end of this statement rather than held through the
+        // build, whose sort and bin-index buffers are the peak of a registration.
+        let matrix = pre.encode(&data.sample(cfg.ns, cfg.seed));
         Self::build_from_matrix(&matrix, pre, data.n_rows() as u64, None, cfg)
     }
 
@@ -172,7 +174,44 @@ impl PairwiseHist {
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        let n = store.n_rows();
+        Self::build_seeded(
+            store.n_rows(),
+            |rows| store.rows(rows),
+            |c| store.base_values(c),
+            pre,
+            cfg,
+        )
+    }
+
+    /// [`build_from_gd`](Self::build_from_gd) of the store `split` would build over
+    /// `matrix`, without that store: all the synopsis takes from GreedyGD is the
+    /// split — the sample is rows of the matrix, the seeds its columns with the
+    /// deviation bits cleared. This is the build a seal runs.
+    pub(crate) fn build_from_split(
+        matrix: &EncodedMatrix,
+        split: &GdSplit,
+        pre: Arc<Preprocessor>,
+        cfg: &PairwiseHistConfig,
+    ) -> Self {
+        Self::build_seeded(
+            matrix.n_rows,
+            |rows| matrix.take_rows(rows),
+            |c| split.base_values(matrix, c),
+            pre,
+            cfg,
+        )
+    }
+
+    /// The base-seeded build over `n` rows, however they are held: `take_rows`
+    /// materializes the (ascending) sample rows, `base_values` gives a column's
+    /// sorted distinct base values.
+    fn build_seeded(
+        n: usize,
+        take_rows: impl FnOnce(&[usize]) -> EncodedMatrix,
+        base_values: impl Fn(usize) -> Vec<u64>,
+        pre: Arc<Preprocessor>,
+        cfg: &PairwiseHistConfig,
+    ) -> Self {
         let ns = cfg.ns.min(n);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
         let mut rows = if ns < n {
@@ -181,11 +220,11 @@ impl PairwiseHist {
             (0..n).collect()
         };
         rows.sort_unstable();
-        let matrix = store.rows(&rows);
+        let matrix = take_rows(&rows);
         let m_min = cfg.m_min(ns);
         let max_seeds = ns.div_ceil(m_min).max(1);
-        let seeds: Vec<Vec<u64>> = (0..store.n_columns())
-            .map(|c| downsample_seeds(store.base_values(c), max_seeds))
+        let seeds: Vec<Vec<u64>> = (0..matrix.n_columns())
+            .map(|c| downsample_seeds(base_values(c), max_seeds))
             .collect();
         Self::build_from_matrix(&matrix, pre, n as u64, Some(seeds), cfg)
     }
@@ -249,31 +288,20 @@ impl PairwiseHist {
         let tasks: Vec<(usize, usize)> =
             (1..d).flat_map(|j| (0..j).map(move |i| (i, j))).collect();
         let n_pairs = tasks.len();
-        let build_one = |&(i, j): &(usize, usize), chi2: &mut Chi2Cache| -> PairHist {
-            let (ci, cj) = (&sample.columns[i], &sample.columns[j]);
-            let mut xi = Vec::new();
-            let mut xj = Vec::new();
-            for r in 0..ns {
-                let (a, b) = (ci[r], cj[r]);
-                if Some(a) != null_codes[i] && Some(b) != null_codes[j] {
-                    xi.push(a);
-                    xj.push(b);
-                }
-            }
-            build_pair(
-                i,
-                j,
-                &xi,
-                &xj,
-                &sorted_cols[i],
-                &sorted_cols[j],
-                &hist1d[i],
-                &hist1d[j],
-                m_min,
-                cfg.split_rule,
-                chi2,
-            )
+        let bin_of: Vec<Vec<u32>> = (0..d)
+            .map(|c| bin_rows(&sample.columns[c], null_codes[c], &hist1d[c]))
+            .collect();
+        let column = |c: usize| PairColumn {
+            index: c,
+            values: &sample.columns[c],
+            bin_of: &bin_of[c],
+            sorted: &sorted_cols[c],
+            bins: &hist1d[c],
         };
+        let build_one =
+            |&(i, j): &(usize, usize), chi2: &mut Chi2Cache, scratch: &mut PairScratch| {
+                build_pair(column(i), column(j), m_min, cfg.split_rule, chi2, scratch)
+            };
         let mut pairs: Vec<Option<PairHist>> = (0..n_pairs).map(|_| None).collect();
         let workers = if cfg.parallel {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n_pairs.max(1))
@@ -281,8 +309,9 @@ impl PairwiseHist {
             1
         };
         if workers <= 1 {
+            let mut scratch = PairScratch::default();
             for (t, task) in tasks.iter().enumerate() {
-                pairs[t] = Some(build_one(task, &mut chi2));
+                pairs[t] = Some(build_one(task, &mut chi2, &mut scratch));
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -291,12 +320,13 @@ impl PairwiseHist {
                 for _ in 0..workers {
                     scope.spawn(|| {
                         let mut local_chi2 = Chi2Cache::new(cfg.alpha);
+                        let mut scratch = PairScratch::default();
                         loop {
                             let t = next.fetch_add(1, Ordering::Relaxed);
                             if t >= n_pairs {
                                 break;
                             }
-                            let built = build_one(&tasks[t], &mut local_chi2);
+                            let built = build_one(&tasks[t], &mut local_chi2, &mut scratch);
                             results.lock().expect("pair results lock")[t] = Some(built);
                         }
                     });

@@ -105,88 +105,150 @@ impl PairHist {
     }
 }
 
-/// Builds the pair histogram for columns `(i, j)`.
-///
-/// * `xi`, `xj`: paired values for rows non-null in both columns;
-/// * `sorted_i`, `sorted_j`: each column's full ascending-sorted non-null values
-///   (metadata source);
-/// * `bins_i`, `bins_j`: the finished one-dimensional histograms providing the
-///   initial edges (Algorithm 1 line 15).
-#[allow(clippy::too_many_arguments)]
-pub fn build_pair(
-    col_i: usize,
-    col_j: usize,
-    xi: &[u64],
-    xj: &[u64],
-    sorted_i: &[u64],
-    sorted_j: &[u64],
-    bins_i: &DimBins,
-    bins_j: &DimBins,
+/// One column of the sample as the pair kernel reads it. Everything here is
+/// computed once per build and shared by the `d − 1` pairs the column is in.
+#[derive(Clone, Copy)]
+pub(crate) struct PairColumn<'a> {
+    /// Column index in the table.
+    pub index: usize,
+    /// The sample column, NULL codes included, in row order.
+    pub values: &'a [u64],
+    /// `bin_of[r]`: the 1-d bin of `values[r]`, or [`NULL_BIN`] for a NULL row.
+    pub bin_of: &'a [u32],
+    /// The column's ascending-sorted non-null values (metadata source).
+    pub sorted: &'a [u64],
+    /// The finished one-dimensional histogram providing the initial edges
+    /// (Algorithm 1 line 15).
+    pub bins: &'a DimBins,
+}
+
+/// [`PairColumn::bin_of`] of a NULL row.
+pub(crate) const NULL_BIN: u32 = u32::MAX;
+
+/// The 1-d bin of every sample row of one column: the one binary search per
+/// (row, column) the whole build does — pairs derive initial cells and refined
+/// cells from these indices.
+pub(crate) fn bin_rows(values: &[u64], null_code: Option<u64>, bins: &DimBins) -> Vec<u32> {
+    values
+        .iter()
+        .map(|&v| {
+            if Some(v) == null_code {
+                return NULL_BIN;
+            }
+            // The histogram was built on this very sample: every value has a bin.
+            bins.bin_of(v).expect("sample value outside its 1-d histogram") as u32
+        })
+        .collect()
+}
+
+/// Buffers one worker reuses across the pairs it builds.
+#[derive(Default)]
+pub(crate) struct PairScratch {
+    /// Per initial cell: the write cursor into `points` (heavy cells only).
+    cursor: Vec<u32>,
+    /// The points of every heavy cell, grouped by cell (one counting sort).
+    points: Vec<(u64, u64)>,
+    /// `RefineBin2D`'s per-dimension sort buffers, shared by all recursion levels.
+    vi: Vec<u64>,
+    vj: Vec<u64>,
+}
+
+/// [`PairScratch::cursor`] of a cell with at most `M` points.
+const LIGHT: u32 = u32::MAX;
+
+/// Builds the pair histogram for columns `(i, j)` over the rows non-null in both.
+pub(crate) fn build_pair(
+    i: PairColumn<'_>,
+    j: PairColumn<'_>,
     m_min: usize,
     split_rule: SplitRule,
     chi2: &mut Chi2Cache,
+    scratch: &mut PairScratch,
 ) -> PairHist {
-    assert_eq!(xi.len(), xj.len());
+    let (bins_i, bins_j) = (i.bins, j.bins);
     let (ki0, kj0) = (bins_i.k(), bins_j.k());
+    // `(bin_i, bin_j)` of every row both columns have a value in.
+    let paired = || {
+        i.bin_of.iter().zip(j.bin_of).enumerate().filter_map(|(r, (&bi, &bj))| {
+            (bi != NULL_BIN && bj != NULL_BIN).then_some((r, bi as usize, bj as usize))
+        })
+    };
 
     // Initial 2-d bin counts over the 1-d edges (Algorithm 1 line 16).
-    let mut cell_of = Vec::with_capacity(xi.len());
     let mut counts0 = vec![0u32; ki0 * kj0];
-    for r in 0..xi.len() {
-        let (Some(bi), Some(bj)) = (bins_i.bin_of(xi[r]), bins_j.bin_of(xj[r])) else {
-            // 1-d histograms were built on the same sample: every value has a bin.
-            unreachable!("pair value outside 1-d histogram range");
-        };
-        let cell = bi * kj0 + bj;
-        counts0[cell] += 1;
-        cell_of.push(cell as u32);
+    for (_, bi, bj) in paired() {
+        counts0[bi * kj0 + bj] += 1;
     }
 
-    // Collect the points of cells exceeding M (line 17) and refine each.
-    let mut heavy: std::collections::HashMap<u32, Vec<(u64, u64)>> =
-        std::collections::HashMap::new();
-    for (cell, c) in counts0.iter().enumerate() {
-        if *c as usize > m_min {
-            heavy.insert(cell as u32, Vec::with_capacity(*c as usize));
+    // Collect the points of cells exceeding M (line 17), grouped by cell, and
+    // refine each.
+    let PairScratch { cursor, points, vi, vj } = scratch;
+    cursor.clear();
+    let mut heavy_points = 0u32;
+    cursor.extend(counts0.iter().map(|&c| {
+        if c as usize > m_min {
+            heavy_points += c;
+            heavy_points - c
+        } else {
+            LIGHT
         }
-    }
-    if !heavy.is_empty() {
-        for r in 0..xi.len() {
-            if let Some(points) = heavy.get_mut(&cell_of[r]) {
-                points.push((xi[r], xj[r]));
+    }));
+    let mut refiner = Refiner {
+        m_min,
+        split_rule,
+        chi2,
+        // Edges are half-integers; store them doubled as integers for exact set ops.
+        new_i: BTreeSet::new(),
+        new_j: BTreeSet::new(),
+        vi,
+        vj,
+    };
+    if heavy_points > 0 {
+        // Never shrunk: every slot below `heavy_points` is written before it is read.
+        if points.len() < heavy_points as usize {
+            points.resize(heavy_points as usize, (0, 0));
+        }
+        for (r, bi, bj) in paired() {
+            let at = &mut cursor[bi * kj0 + bj];
+            if *at != LIGHT {
+                points[*at as usize] = (i.values[r], j.values[r]);
+                *at += 1;
+            }
+        }
+        // Each heavy cell's cursor now sits one past its last point.
+        for (cell, (&end, &c)) in cursor.iter().zip(&counts0).enumerate() {
+            if end != LIGHT {
+                let (ti, tj) = (cell / kj0, cell % kj0);
+                refiner.refine(
+                    &mut points[(end - c) as usize..end as usize],
+                    (bins_i.edges[ti], bins_i.edges[ti + 1]),
+                    (bins_j.edges[tj], bins_j.edges[tj + 1]),
+                    0,
+                );
             }
         }
     }
-    // Edges are half-integers; store them doubled as integers for exact set ops.
-    let mut new_i: BTreeSet<i64> = BTreeSet::new();
-    let mut new_j: BTreeSet<i64> = BTreeSet::new();
-    for (cell, mut points) in heavy {
-        let (ti, tj) = ((cell as usize) / kj0, (cell as usize) % kj0);
-        refine_cell(
-            &mut points,
-            (bins_i.edges[ti], bins_i.edges[ti + 1]),
-            (bins_j.edges[tj], bins_j.edges[tj + 1]),
-            m_min,
-            split_rule,
-            chi2,
-            0,
-            &mut new_i,
-            &mut new_j,
-        );
-    }
 
     // Final refined edges = 1-d edges ∪ new cell splits (lines 20-21).
-    let edges_i = merge_edges(&bins_i.edges, &new_i);
-    let edges_j = merge_edges(&bins_j.edges, &new_j);
+    let edges_i = merge_edges(&bins_i.edges, &refiner.new_i);
+    let edges_j = merge_edges(&bins_j.edges, &refiner.new_j);
+    let first_i = first_refined(&bins_i.edges, &edges_i);
+    let first_j = first_refined(&bins_j.edges, &edges_j);
 
     // Final 2-d bin counts over the refined edges (line 22).
     let (ki, kj) = (edges_i.len() - 1, edges_j.len() - 1);
-    let mut counts = vec![0u32; ki * kj];
-    for r in 0..xi.len() {
-        let bi = bin_index(&edges_i, xi[r]);
-        let bj = bin_index(&edges_j, xj[r]);
-        counts[bi * kj + bj] += 1;
-    }
+    let counts = if (ki, kj) == (ki0, kj0) {
+        // No cell was split: the refined cells are the initial ones.
+        counts0
+    } else {
+        let mut counts = vec![0u32; ki * kj];
+        for (r, bi, bj) in paired() {
+            let ri = refined_bin(&edges_i, &first_i, bi, i.values[r]);
+            let rj = refined_bin(&edges_j, &first_j, bj, j.values[r]);
+            counts[ri * kj + rj] += 1;
+        }
+        counts
+    };
     // Per-dimension counts are the matrix marginals (rows non-null in both columns):
     // they are the `h` of Theorem 2 for pair-restricted coverage, and — unlike
     // full-column counts — are exactly derivable from the stored count matrix.
@@ -199,80 +261,107 @@ pub fn build_pair(
             col_sums[rj] += c;
         }
     }
-    let dim_i = finalize_dim(sorted_i, edges_i, bins_i, row_sums, m_min, chi2);
-    let dim_j = finalize_dim(sorted_j, edges_j, bins_j, col_sums, m_min, chi2);
+    let dim_i = finalize_dim(i.sorted, edges_i, bins_i, row_sums, m_min, chi2);
+    let dim_j = finalize_dim(j.sorted, edges_j, bins_j, col_sums, m_min, chi2);
 
-    PairHist { col_i, col_j, dim_i, dim_j, counts }
+    PairHist { col_i: i.index, col_j: j.index, dim_i, dim_j, counts }
 }
 
-/// Bin index of `v` in a half-integer edge list covering it.
+/// For each 1-d edge, its index among the refined edges (a superset of them):
+/// 1-d bin `p` is refined into bins `first[p]..first[p + 1]`.
+fn first_refined(base: &[f64], refined: &[f64]) -> Vec<u32> {
+    let mut t = 0;
+    base.iter()
+        .map(|&b| {
+            while refined[t] < b {
+                t += 1;
+            }
+            t as u32
+        })
+        .collect()
+}
+
+/// Refined bin of `v`, a value of 1-d bin `parent`: the parent's first refined
+/// bin, plus however many of the parent's own new splits lie below `v` — none to
+/// search in the common case of a parent no cell split.
 #[inline]
-fn bin_index(edges: &[f64], v: u64) -> usize {
-    let idx = edges.partition_point(|&e| e < v as f64);
-    debug_assert!(idx > 0 && idx < edges.len(), "value {v} outside refined edges");
-    idx - 1
+fn refined_bin(edges: &[f64], first: &[u32], parent: usize, v: u64) -> usize {
+    let (lo, hi) = (first[parent] as usize, first[parent + 1] as usize);
+    lo + edges[lo + 1..hi].partition_point(|&e| e < v as f64)
 }
 
-/// `RefineBin2D`: tests each dimension of the cell for uniformity, splits the least
-/// uniform one, and recurses (Fig 5).
-#[allow(clippy::too_many_arguments)]
-fn refine_cell(
-    points: &mut [(u64, u64)],
-    bounds_i: (f64, f64),
-    bounds_j: (f64, f64),
+/// `RefineBin2D` over the heavy cells of one pair: the build parameters, the
+/// split edges found so far, and the sort buffers every recursion level shares.
+struct Refiner<'a> {
     m_min: usize,
     split_rule: SplitRule,
-    chi2: &mut Chi2Cache,
-    depth: u32,
-    out_i: &mut BTreeSet<i64>,
-    out_j: &mut BTreeSet<i64>,
-) {
-    if points.len() <= m_min || depth >= MAX_DEPTH {
-        return;
-    }
-    // Per-dimension uniformity severity.
-    let mut severity = |vals: &mut Vec<u64>, bounds: (f64, f64)| -> Option<f64> {
-        vals.sort_unstable();
-        let uniq = count_unique_sorted(vals);
-        if uniq < 2 || bounds.1 - bounds.0 < 2.0 {
-            return None; // nothing to split in this dimension
-        }
-        let t = test_uniform(vals, bounds.0, bounds.1, uniq, chi2);
-        (!t.is_uniform()).then(|| t.severity())
-    };
-    let mut vi: Vec<u64> = points.iter().map(|p| p.0).collect();
-    let mut vj: Vec<u64> = points.iter().map(|p| p.1).collect();
-    let sev_i = severity(&mut vi, bounds_i);
-    let sev_j = severity(&mut vj, bounds_j);
+    chi2: &'a mut Chi2Cache,
+    new_i: BTreeSet<i64>,
+    new_j: BTreeSet<i64>,
+    vi: &'a mut Vec<u64>,
+    vj: &'a mut Vec<u64>,
+}
 
-    // Pick the least uniform rejecting dimension; stop when both accept.
-    let split_i = match (sev_i, sev_j) {
-        (None, None) => return,
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        (Some(a), Some(b)) => a >= b,
-    };
-    let (bounds, sorted_vals) = if split_i { (bounds_i, &vi) } else { (bounds_j, &vj) };
-    let z = match split_rule {
-        SplitRule::EqualWidth => snap_split(bounds.0, bounds.1),
-        SplitRule::EqualDepth => snap_split_equal_depth(sorted_vals, bounds.0, bounds.1)
-            .or_else(|| snap_split(bounds.0, bounds.1)),
-    };
-    let Some(z) = z else { return };
-    if split_i {
-        out_i.insert((z * 2.0) as i64);
-        points.sort_unstable_by_key(|p| p.0);
-        let cut = points.partition_point(|p| (p.0 as f64) < z);
-        let (left, right) = points.split_at_mut(cut);
-        refine_cell(left, (bounds_i.0, z), bounds_j, m_min, split_rule, chi2, depth + 1, out_i, out_j);
-        refine_cell(right, (z, bounds_i.1), bounds_j, m_min, split_rule, chi2, depth + 1, out_i, out_j);
-    } else {
-        out_j.insert((z * 2.0) as i64);
-        points.sort_unstable_by_key(|p| p.1);
-        let cut = points.partition_point(|p| (p.1 as f64) < z);
-        let (left, right) = points.split_at_mut(cut);
-        refine_cell(left, bounds_i, (bounds_j.0, z), m_min, split_rule, chi2, depth + 1, out_i, out_j);
-        refine_cell(right, bounds_i, (z, bounds_j.1), m_min, split_rule, chi2, depth + 1, out_i, out_j);
+impl Refiner<'_> {
+    /// Tests each dimension of the cell for uniformity, splits the least uniform
+    /// one, and recurses (Fig 5).
+    fn refine(
+        &mut self,
+        points: &mut [(u64, u64)],
+        bounds_i: (f64, f64),
+        bounds_j: (f64, f64),
+        depth: u32,
+    ) {
+        if points.len() <= self.m_min || depth >= MAX_DEPTH {
+            return;
+        }
+        // Per-dimension uniformity severity.
+        let mut severity = |vals: &mut Vec<u64>, bounds: (f64, f64)| -> Option<f64> {
+            vals.sort_unstable();
+            let uniq = count_unique_sorted(vals);
+            if uniq < 2 || bounds.1 - bounds.0 < 2.0 {
+                return None; // nothing to split in this dimension
+            }
+            let t = test_uniform(vals, bounds.0, bounds.1, uniq, self.chi2);
+            (!t.is_uniform()).then(|| t.severity())
+        };
+        self.vi.clear();
+        self.vi.extend(points.iter().map(|p| p.0));
+        self.vj.clear();
+        self.vj.extend(points.iter().map(|p| p.1));
+        let sev_i = severity(self.vi, bounds_i);
+        let sev_j = severity(self.vj, bounds_j);
+
+        // Pick the least uniform rejecting dimension; stop when both accept.
+        let split_i = match (sev_i, sev_j) {
+            (None, None) => return,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(a), Some(b)) => a >= b,
+        };
+        let (bounds, sorted_vals) =
+            if split_i { (bounds_i, &*self.vi) } else { (bounds_j, &*self.vj) };
+        let z = match self.split_rule {
+            SplitRule::EqualWidth => snap_split(bounds.0, bounds.1),
+            SplitRule::EqualDepth => snap_split_equal_depth(sorted_vals, bounds.0, bounds.1)
+                .or_else(|| snap_split(bounds.0, bounds.1)),
+        };
+        let Some(z) = z else { return };
+        if split_i {
+            self.new_i.insert((z * 2.0) as i64);
+            points.sort_unstable_by_key(|p| p.0);
+            let cut = points.partition_point(|p| (p.0 as f64) < z);
+            let (left, right) = points.split_at_mut(cut);
+            self.refine(left, (bounds_i.0, z), bounds_j, depth + 1);
+            self.refine(right, (z, bounds_i.1), bounds_j, depth + 1);
+        } else {
+            self.new_j.insert((z * 2.0) as i64);
+            points.sort_unstable_by_key(|p| p.1);
+            let cut = points.partition_point(|p| (p.1 as f64) < z);
+            let (left, right) = points.split_at_mut(cut);
+            self.refine(left, bounds_i, (bounds_j.0, z), depth + 1);
+            self.refine(right, bounds_i, (z, bounds_j.1), depth + 1);
+        }
     }
 }
 
@@ -354,7 +443,15 @@ mod tests {
         let ej = [sj[0] as f64 - 0.5, sj[sj.len() - 1] as f64 + 0.5];
         let bi = build_dim_bins_1d(&si, &ei, m_min, SplitRule::EqualWidth, &mut chi2);
         let bj = build_dim_bins_1d(&sj, &ej, m_min, SplitRule::EqualWidth, &mut chi2);
-        build_pair(0, 1, &xi, &xj, &si, &sj, &bi, &bj, m_min, SplitRule::EqualWidth, &mut chi2)
+        let (oi, oj) = (bin_rows(&xi, None, &bi), bin_rows(&xj, None, &bj));
+        build_pair(
+            PairColumn { index: 0, values: &xi, bin_of: &oi, sorted: &si, bins: &bi },
+            PairColumn { index: 1, values: &xj, bin_of: &oj, sorted: &sj, bins: &bj },
+            m_min,
+            SplitRule::EqualWidth,
+            &mut chi2,
+            &mut PairScratch::default(),
+        )
     }
 
     #[test]

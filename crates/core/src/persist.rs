@@ -39,7 +39,7 @@ use ph_gd::Preprocessor;
 use ph_types::{faultfs, PhError};
 
 use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig};
-use crate::segment::{Segment, TableState};
+use crate::segment::{compress_rows, Segment, TableState};
 use crate::session::{Session, TableCell};
 use crate::wal;
 
@@ -267,9 +267,7 @@ impl Session {
                 .collect();
             if let (Some(rows), Some(delta)) = (delta_rows.as_ref(), state.delta.as_ref()) {
                 let matrix = state.pre.encode(rows);
-                let gd = ph_gd::GdCompressor::new().compress(&matrix);
-                let store = ph_gd::choose_store(&matrix, gd);
-                blobs.push(segment_to_bytes(delta, &store));
+                blobs.push(segment_to_bytes(delta, &compress_rows(&matrix)));
             }
             let base = file_base_for(name);
             let gen = gen_of(&base) + 1;

@@ -2,20 +2,21 @@
 //!
 //! This module holds the storage layout behind `Session`'s catalog. Each table
 //! is a list of **sealed segments** — every segment owns its own [`PairwiseHist`]
-//! synopsis *and* its retained rows in a GD-compressed [`GdStore`] (random-access
-//! via `rows()`/`decompress()`, exactly the paper's Fig 2 posture: the compressed
-//! store and the synopsis built over it travel together) — plus one **active
-//! delta** synopsis absorbing `ingest` batches whose raw rows live on the
-//! writer side of the session until the delta is sealed.
+//! synopsis *and* its retained rows in a compressed [`RowStore`] (the paper's
+//! Fig 2 posture: the compressed store and the synopsis built over it travel
+//! together) — plus one **active delta** synopsis absorbing `ingest` batches
+//! whose raw rows live on the writer side of the session until the delta is
+//! sealed.
 //!
 //! The lifecycle is `delta → seal → compact`:
 //!
 //! * batches fold into the delta via the edge-free update path (O(batch));
 //! * crossing the seal threshold (or the staleness policy) freezes the delta:
-//!   its rows are GD-compressed, a fresh synopsis is refined over them
-//!   ([`PairwiseHist::build_from_gd`], seeding bin edges from the deduplicated
-//!   bases), and the result is appended as a sealed segment — O(threshold),
-//!   **independent of total table size**;
+//!   the GreedyGD split of its rows is fitted, a fresh synopsis is refined over
+//!   them with bin edges seeded from that split's bases (what
+//!   [`PairwiseHist::build_from_gd`] does over a built store), the rows go into
+//!   whichever store is smaller, and the result is appended as a sealed
+//!   segment — O(threshold), **independent of total table size**;
 //! * `Session::compact` merges accumulated small segments back into one
 //!   (decompress → re-encode under the shared transforms → rebuild once),
 //!   bounded by the rows of the segments being merged.
@@ -29,8 +30,8 @@ use std::sync::{Arc, OnceLock};
 use ph_obs::{span, Stage};
 
 use ph_gd::{
-    choose_store, EncodeScratch, EncodedMatrix, EncodedPred, GdCompressor, GdError, Preprocessor,
-    RowStore,
+    seal_store, EncodeScratch, EncodedMatrix, EncodedPred, GdCompressor, GdError, GdSplit,
+    Preprocessor, RowStore,
 };
 use ph_sql::Query;
 use ph_types::{Column, ColumnType, Dataset, PhError, Value};
@@ -203,7 +204,7 @@ impl TableState {
 /// Builds the registration segment: the synopsis is constructed exactly like the
 /// monolithic path did (sampling the raw dataset), so registering a table keeps
 /// bit-identical answers with earlier versions; the rows are additionally
-/// GD-compressed into the segment's store.
+/// compressed into the segment's store.
 pub(crate) fn registration_segment(
     data: &Dataset,
     pre: &Arc<Preprocessor>,
@@ -212,18 +213,55 @@ pub(crate) fn registration_segment(
     let mut build_cfg = cfg.clone();
     build_cfg.ns = build_cfg.ns.min(data.n_rows().max(1));
     let engine = PairwiseHist::build_with_preprocessor(data, pre.clone(), &build_cfg);
-    let matrix = pre.encode(data);
-    let gd = GdCompressor::new().compress(&matrix);
-    Segment::new(engine, choose_store(&matrix, gd))
+    Segment::new(engine, compress_rows(&pre.encode(data)))
 }
 
-/// Seals delta rows into a fresh segment: GD-compress, then refine a synopsis
-/// *from the compressed store* (Algorithm 1's base-seeded construction), stamped
-/// with the table epoch. The GD store is always built — the synopsis seeds its
-/// bin edges from the deduplicated bases, keeping estimates bit-identical no
-/// matter which row store is retained — and then the per-column codec cascade
-/// competes with it for residency ([`choose_store`]). Encode buffers come from
-/// `scratch` so repeated seals don't re-allocate (the ingest-p99 fix).
+/// The GreedyGD split of a segment's rows — the one thing both the seeded
+/// synopsis build and the store choice need from GreedyGD.
+fn fit_split(matrix: &EncodedMatrix) -> GdSplit {
+    let _fit = span(Stage::GdFit);
+    GdCompressor::new().fit(matrix)
+}
+
+/// The row store a segment retains: the smaller of the per-column cascade and
+/// the GreedyGD store, the latter built only when it can still win
+/// ([`seal_store`]).
+fn retained_store(matrix: &EncodedMatrix, split: &GdSplit) -> RowStore {
+    let _codec = span(Stage::Codec);
+    seal_store(matrix, split)
+}
+
+/// [`retained_store`] of rows whose synopsis is built some other way, so nothing
+/// has fitted a split for them yet (a registration, a snapshot of the un-sealed
+/// delta).
+pub(crate) fn compress_rows(matrix: &EncodedMatrix) -> RowStore {
+    retained_store(matrix, &fit_split(matrix))
+}
+
+/// A segment over already-encoded rows: fit the GreedyGD split, refine a
+/// synopsis seeded from it (Algorithm 1's base-seeded construction), then keep
+/// whichever row store is smaller. Only the split is computed up front — the
+/// synopsis needs nothing else from GreedyGD, so estimates are bit-identical no
+/// matter which store is retained, and a GD store that would lose to the
+/// per-column cascade is never built.
+fn sealed_segment(
+    matrix: &EncodedMatrix,
+    pre: &Arc<Preprocessor>,
+    cfg: &PairwiseHistConfig,
+    epoch: u64,
+) -> Segment {
+    let split = fit_split(matrix);
+    let mut engine = {
+        let _synopsis = span(Stage::Synopsis);
+        PairwiseHist::build_from_split(matrix, &split, pre.clone(), cfg)
+    };
+    engine.plan_epoch = epoch;
+    Segment::new(engine, retained_store(matrix, &split))
+}
+
+/// Seals delta rows into a fresh segment ([`sealed_segment`]) stamped with the
+/// table epoch. Encode buffers come from `scratch` so repeated seals don't
+/// re-allocate (the ingest-p99 fix).
 pub(crate) fn seal_segment(
     rows: &Dataset,
     pre: &Arc<Preprocessor>,
@@ -233,15 +271,9 @@ pub(crate) fn seal_segment(
 ) -> Segment {
     let _seal = span(Stage::Seal);
     let matrix = pre.encode_with(rows, scratch);
-    let gd = GdCompressor::new().compress(&matrix);
-    let mut engine = PairwiseHist::build_from_gd(&gd, pre.clone(), cfg);
-    engine.plan_epoch = epoch;
-    let store = {
-        let _codec = span(Stage::Codec);
-        choose_store(&matrix, gd)
-    };
+    let segment = sealed_segment(&matrix, pre, cfg, epoch);
     scratch.reclaim(matrix);
-    Segment::new(engine, store)
+    segment
 }
 
 /// Builds the delta synopsis over un-sealed rows, stamped with the table epoch.
@@ -276,11 +308,7 @@ pub(crate) fn merge_segments(
             col.extend_from_slice(src);
         }
     }
-    let combined = EncodedMatrix::new(cols);
-    let gd = GdCompressor::new().compress(&combined);
-    let mut engine = PairwiseHist::build_from_gd(&gd, pre.clone(), cfg);
-    engine.plan_epoch = epoch;
-    Segment::new(engine, choose_store(&combined, gd))
+    sealed_segment(&EncodedMatrix::new(cols), pre, cfg, epoch)
 }
 
 /// Decodes a segment's compressed rows back into a raw [`Dataset`] named
@@ -404,6 +432,84 @@ mod tests {
             .build()
     }
 
+    /// Tables whose seals take every road: `0` near-unique numerics (the fit ends
+    /// all-deviation, the cascade wins), `1` a dozen distinct rows repeated
+    /// (GreedyGD wins and its bases seed the bins), `2` an alphabet over noise
+    /// bits beside low-cardinality columns (the search keeps base bits), all
+    /// with a NULL-bearing column and a categorical one.
+    fn shaped(shape: usize, n: usize, seed: u64) -> Dataset {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let protos: Vec<(i64, i64, &str)> = (0..12)
+            .map(|k| (rng.gen_range(0..1 << 20), rng.gen_range(0..500), ["a", "b", "c"][k % 3]))
+            .collect();
+        let (mut x, mut y, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..n {
+            let (px, py, pc) = protos[rng.gen_range(0..protos.len())];
+            let null = rng.gen_bool(0.07);
+            match shape {
+                0 => {
+                    x.push(Some(rng.gen_range(0..1i64 << 17)));
+                    y.push((!null).then(|| rng.gen_range(0..3_000)));
+                    c.push(Some(["p", "q", "r", "s"][rng.gen_range(0..4usize)]));
+                }
+                1 => {
+                    x.push(Some(px));
+                    y.push((py % 5 != 0).then_some(py));
+                    c.push(Some(pc));
+                }
+                _ => {
+                    x.push(Some((rng.gen_range(0..4i64) << 8) | rng.gen_range(0..256)));
+                    y.push((!null).then(|| rng.gen_range(0..5)));
+                    c.push((!null).then_some(pc));
+                }
+            }
+        }
+        Dataset::builder("t")
+            .column(C::from_ints("x", x))
+            .unwrap()
+            .column(C::from_ints("y", y))
+            .unwrap()
+            .column(C::from_strings("c", c))
+            .unwrap()
+            .build()
+    }
+
+    /// The seal builds neither the GD store nor a decoded sample, and must end
+    /// where the long way round ends: the synopsis of `build_from_gd` over the
+    /// compressed rows, byte for byte, serial and parallel, sampled and not —
+    /// and the store `choose_store` keeps, kind and bytes.
+    #[test]
+    fn sealed_segment_equals_build_from_gd_and_choose_store() {
+        let store_bytes = |s: &RowStore| match s {
+            RowStore::Gd(s) => (0u8, s.to_bytes()),
+            RowStore::Columnar(s) => (1u8, s.to_bytes()),
+        };
+        let mut gd_kept = 0;
+        for shape in 0..3 {
+            let sizes = [(1u64, 2_500usize, 100_000usize), (2, 3_000, 1_200), (3, 60, 40)];
+            for (seed, n, ns) in sizes {
+                let data = shaped(shape, n, seed);
+                let pre = Arc::new(Preprocessor::fit(&data));
+                let matrix = pre.encode(&data);
+                for parallel in [false, true] {
+                    let cfg = PairwiseHistConfig { ns, parallel, ..Default::default() };
+                    let sealed = sealed_segment(&matrix, &pre, &cfg, 7);
+                    let gd = GdCompressor::new().compress(&matrix);
+                    let long_way = PairwiseHist::build_from_gd(&gd, pre.clone(), &cfg);
+                    let case =
+                        format!("shape {shape} seed {seed} n {n} ns {ns} parallel {parallel}");
+                    assert_eq!(sealed.engine.to_bytes(), long_way.to_bytes(), "{case}");
+                    assert_eq!(sealed.engine.plan_epoch(), 7);
+                    let chosen = ph_gd::choose_store(&matrix, gd);
+                    assert_eq!(store_bytes(&sealed.store), store_bytes(&chosen), "{case}");
+                    gd_kept += usize::from(matches!(*sealed.store, RowStore::Gd(_)));
+                }
+            }
+        }
+        assert!(gd_kept > 0, "no case kept the GD store, so its bases seeded nothing");
+    }
+
     /// The round trip the whole refit path leans on: compress → decode gives
     /// back exactly the original rows, every type, nulls included.
     #[test]
@@ -411,8 +517,7 @@ mod tests {
         let data = sample();
         let pre = Preprocessor::fit(&data);
         let matrix = pre.encode(&data);
-        let gd = GdCompressor::new().compress(&matrix);
-        let store = choose_store(&matrix, gd);
+        let store = compress_rows(&matrix);
         let back = decode_store("t", &pre, &store).expect("fitted codes all decode");
         assert_eq!(back.n_rows(), data.n_rows());
         for r in 0..data.n_rows() {

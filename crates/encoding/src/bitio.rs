@@ -4,8 +4,9 @@
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits staged in `cur`, counted from the MSB.
-    cur: u8,
+    /// Pending bits, right-aligned: the low `cur_bits` bits of `cur`.
+    cur: u64,
+    /// Always `< 64`; a full word is flushed to `buf` at once.
     cur_bits: u32,
     total_bits: u64,
 }
@@ -16,29 +17,62 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer that continues a stream [`finish`](Self::finish) produced:
+    /// `bytes` holds `bit_len` bits (zero-padded to a byte), and the next write
+    /// lands at bit `bit_len`.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is not exactly the `⌈bit_len / 8⌉` bytes of such a stream.
+    pub fn resume(mut bytes: Vec<u8>, bit_len: u64) -> Self {
+        assert_eq!(bytes.len() as u64, bit_len.div_ceil(8), "not a {bit_len}-bit stream");
+        let cur_bits = (bit_len % 8) as u32;
+        let cur = match cur_bits {
+            0 => 0,
+            _ => {
+                let partial = bytes.pop().expect("a partial byte implies a non-empty stream");
+                (partial >> (8 - cur_bits)) as u64
+            }
+        };
+        Self { buf: bytes, cur, cur_bits, total_bits: bit_len }
+    }
+
     /// Writes the low `n` bits of `v`, most significant first. `n` may be 0..=64.
+    #[inline]
     pub fn write_bits(&mut self, v: u64, n: u32) {
         assert!(n <= 64, "cannot write more than 64 bits at once (asked {n})");
-        if n == 0 {
-            return;
-        }
         debug_assert!(n == 64 || v < (1u64 << n), "value {v} does not fit in {n} bits");
-        for i in (0..n).rev() {
-            self.write_bit((v >> i) & 1 == 1);
+        let v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
+        let free = 64 - self.cur_bits;
+        if n < free {
+            self.cur = (self.cur << n) | v;
+            self.cur_bits += n;
+        } else {
+            // `cur` fills up: emit one whole word, keep the `rest` low bits of `v`.
+            let rest = n - free;
+            let head = if free == 64 { 0 } else { self.cur << free };
+            self.buf.extend_from_slice(&(head | (v >> rest)).to_be_bytes());
+            self.cur = v & ((1u64 << rest) - 1);
+            self.cur_bits = rest;
         }
+        self.total_bits += n as u64;
     }
 
     /// Writes a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        self.cur = (self.cur << 1) | bit as u8;
-        self.cur_bits += 1;
-        self.total_bits += 1;
-        if self.cur_bits == 8 {
-            self.buf.push(self.cur);
-            self.cur = 0;
-            self.cur_bits = 0;
+        self.write_bits(bit as u64, 1);
+    }
+
+    /// Copies the next `n_bits` bits of `from`, a word at a time; `None` (with
+    /// some of them copied) if `from` runs out first.
+    pub fn copy_bits(&mut self, from: &mut BitReader<'_>, n_bits: u64) -> Option<()> {
+        let mut left = n_bits;
+        while left > 0 {
+            let n = left.min(64) as u32;
+            self.write_bits(from.read_bits(n)?, n);
+            left -= n as u64;
         }
+        Some(())
     }
 
     /// A unary code: `q` one-bits followed by a zero bit.
@@ -57,7 +91,8 @@ impl BitWriter {
     /// Flushes (zero-padding the final partial byte) and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         if self.cur_bits > 0 {
-            self.buf.push(self.cur << (8 - self.cur_bits));
+            let word = (self.cur << (64 - self.cur_bits)).to_be_bytes();
+            self.buf.extend_from_slice(&word[..self.cur_bits.div_ceil(8) as usize]);
         }
         self.buf
     }
@@ -99,15 +134,36 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads `n` bits MSB-first into the low bits of a `u64`; `None` if fewer remain.
+    #[inline]
     pub fn read_bits(&mut self, n: u32) -> Option<u64> {
         assert!(n <= 64, "cannot read more than 64 bits at once (asked {n})");
         if self.remaining_bits() < n as u64 {
             return None;
         }
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        if n == 0 {
+            return Some(0);
         }
+        let byte = (self.pos / 8) as usize;
+        let off = (self.pos % 8) as u32;
+        self.pos += n as u64;
+        // The bits sit in at most nine bytes: one aligned word, plus the top of
+        // a ninth byte when `off + n > 64`.
+        let v = match self.data.get(byte..byte + 8) {
+            Some(word) => {
+                let w = u64::from_be_bytes(word.try_into().expect("slice of 8")) << off;
+                match (off + n).checked_sub(64) {
+                    None | Some(0) => w >> (64 - n),
+                    Some(spill) => (w >> (64 - n)) | (self.data[byte + 8] >> (8 - spill)) as u64,
+                }
+            }
+            // Within eight bytes of the end: gather what is there.
+            None => {
+                let tail = &self.data[byte..];
+                let acc = tail.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64);
+                let spare = tail.len() as u32 * 8 - off - n;
+                (acc >> spare) & (u64::MAX >> (64 - n))
+            }
+        };
         Some(v)
     }
 
@@ -193,6 +249,69 @@ mod tests {
         assert_eq!(w.bit_len(), 5);
         let bytes = w.finish();
         assert_eq!(bytes.len(), 1);
+    }
+
+    /// The word-at-a-time writer and reader against the obvious one-bit-at-a-time
+    /// definition, over every width and alignment a pseudo-random script reaches.
+    #[test]
+    fn word_paths_match_bit_by_bit_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let script: Vec<(u64, u32)> = (0..2_000)
+            .map(|_| {
+                let n = (next() % 65) as u32;
+                (if n == 64 { next() } else { next() & ((1u64 << n) - 1) }, n)
+            })
+            .collect();
+        let mut w = BitWriter::new();
+        let mut reference: Vec<bool> = Vec::new();
+        for &(v, n) in &script {
+            w.write_bits(v, n);
+            reference.extend((0..n).rev().map(|i| (v >> i) & 1 == 1));
+        }
+        assert_eq!(w.bit_len(), reference.len() as u64);
+        let bytes = w.finish();
+        let mut expect = vec![0u8; reference.len().div_ceil(8)];
+        for (p, _) in reference.iter().enumerate().filter(|(_, b)| **b) {
+            expect[p / 8] |= 0x80 >> (p % 8);
+        }
+        assert_eq!(bytes, expect);
+        let mut r = BitReader::new(&bytes);
+        for &(v, n) in &script {
+            assert_eq!(r.read_bits(n), Some(v), "width {n} at bit {}", r.bit_pos());
+        }
+        assert_eq!(r.remaining_bits(), bytes.len() as u64 * 8 - reference.len() as u64);
+    }
+
+    /// `resume` + `copy_bits` splice two packed streams exactly as writing both
+    /// in one go would, whatever the alignment of the seam.
+    #[test]
+    fn resume_and_copy_bits_continue_a_stream() {
+        for head_bits in [0u32, 1, 7, 8, 13, 64, 67] {
+            let mut whole = BitWriter::new();
+            let mut head = BitWriter::new();
+            let mut tail = BitWriter::new();
+            for i in 0..head_bits {
+                whole.write_bit(i % 3 == 0);
+                head.write_bit(i % 3 == 0);
+            }
+            for i in 0..150u64 {
+                whole.write_bits(i * 7 % 32, 5);
+                tail.write_bits(i * 7 % 32, 5);
+            }
+            let tail_bits = tail.bit_len();
+            let mut spliced = BitWriter::resume(head.finish(), head_bits as u64);
+            let tail = tail.finish();
+            assert!(spliced.copy_bits(&mut BitReader::new(&tail), tail_bits).is_some());
+            assert!(spliced.copy_bits(&mut BitReader::new(&tail[..1]), 9).is_none());
+            assert_eq!(spliced.bit_len(), whole.bit_len());
+            assert_eq!(spliced.finish(), whole.finish(), "head of {head_bits} bits");
+        }
     }
 
     #[test]

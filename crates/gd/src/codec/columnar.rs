@@ -4,7 +4,7 @@
 
 use ph_encoding::{read_uvarint, write_uvarint};
 
-use crate::{EncodedMatrix, GdStore};
+use crate::{EncodedMatrix, GdSplit, GdStore};
 
 use super::column::{choose_codec, ColumnCodec};
 use super::{uvarint_len, Codec, EncodedPred, MAX_CODEC_ROWS};
@@ -196,11 +196,36 @@ impl RowStore {
     }
 }
 
-/// Seals the smaller of the two stores over a segment's rows. The GD store is
-/// built anyway for synopsis seeding, so this only adds the columnar encode;
-/// GD stays the fallback whenever whole-row redundancy beats per-column shape.
+/// Keeps the smaller of the two stores over a segment's rows, for a caller that
+/// already holds the GD store: the columnar encode is all this adds. GD stays
+/// the fallback whenever whole-row redundancy beats per-column shape.
 pub fn choose_store(matrix: &EncodedMatrix, gd: GdStore) -> RowStore {
+    smaller(ColumnarStore::encode(matrix), gd)
+}
+
+/// The store [`choose_store`] keeps of `GdStore::build(matrix, split)`, for a
+/// caller that holds only the fitted split: the cascade is encoded first and
+/// the GD store is built only if it can still win. Its serialized size is a
+/// closed form that only grows with the number of bases, so the cheap lower
+/// bound [`GdSplit::min_bases`] settles most seals — on machine-generated
+/// tables the fit ends all-deviation (one base, rows verbatim) and the
+/// per-column codecs win outright.
+pub fn seal_store(matrix: &EncodedMatrix, split: &GdSplit) -> RowStore {
     let columnar = ColumnarStore::encode(matrix);
+    let gd_at_least = GdStore::packed_size(
+        matrix.n_rows,
+        &split.widths,
+        &split.dev_bits,
+        split.min_bases(matrix),
+    );
+    if columnar.packed_bytes() < gd_at_least {
+        return RowStore::Columnar(columnar);
+    }
+    smaller(columnar, GdStore::build(matrix, &split.widths, &split.dev_bits))
+}
+
+/// The columnar store when strictly smaller, else the GD store.
+fn smaller(columnar: ColumnarStore, gd: GdStore) -> RowStore {
     if columnar.packed_bytes() < gd.packed_bytes() {
         RowStore::Columnar(columnar)
     } else {
@@ -272,6 +297,30 @@ mod tests {
         assert!(store.packed_bytes() < gd_bytes);
         assert_eq!(store.decompress().columns, m.columns);
         assert_eq!(store.codec_names().len(), 2);
+    }
+
+    /// `seal_store` is `choose_store` minus the GD store it can prove would
+    /// lose: same kind, same bytes, on every shape — the cascade winning, GD
+    /// winning, and fits that keep base bits (where the bound has to be right).
+    #[test]
+    fn seal_store_keeps_what_choose_store_keeps() {
+        use crate::matrix::shapes::{shaped, SHAPES};
+        let bytes = |s: &RowStore| match s {
+            RowStore::Gd(s) => (0u8, s.to_bytes()),
+            RowStore::Columnar(s) => (1u8, s.to_bytes()),
+        };
+        let mut kinds = [0usize; 2];
+        for shape in 0..SHAPES {
+            for (seed, n) in [(1u64, 1usize), (2, 40), (3, 900), (4, 2_500)] {
+                let m = shaped(shape, n, seed);
+                let compressor = GdCompressor::new();
+                let sealed = seal_store(&m, &compressor.fit(&m));
+                let chosen = choose_store(&m, compressor.compress(&m));
+                assert_eq!(bytes(&sealed), bytes(&chosen), "shape {shape} seed {seed} n {n}");
+                kinds[bytes(&sealed).0 as usize] += 1;
+            }
+        }
+        assert!(kinds[0] > 0 && kinds[1] > 0, "both outcomes covered: {kinds:?}");
     }
 
     #[test]

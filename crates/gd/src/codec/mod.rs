@@ -41,7 +41,7 @@ mod runend;
 
 pub use bitpack::BitPackCodec;
 pub use column::{choose_codec, ColumnCodec};
-pub use columnar::{choose_store, ColumnarStore, RowStore};
+pub use columnar::{choose_store, seal_store, ColumnarStore, RowStore};
 pub use delta::DeltaCodec;
 pub use dict::DictCodec;
 pub use fsst::SymbolTable;

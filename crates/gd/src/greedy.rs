@@ -39,6 +39,58 @@ impl Default for GdConfig {
     }
 }
 
+/// The fitted base/deviation split of one matrix: what [`GdStore::build`] needs to
+/// pack it, and all a synopsis build needs to seed its bin edges — without the store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GdSplit {
+    /// Total bit width per column.
+    pub widths: Vec<u32>,
+    /// Deviation (low-order) bit width per column.
+    pub dev_bits: Vec<u32>,
+}
+
+impl GdSplit {
+    /// Sorted distinct base-derived values of column `col` — exactly
+    /// [`GdStore::base_values`] of the store this split would build over `data`
+    /// (a base part is `v >> dev`, whichever row first brought it).
+    pub fn base_values(&self, data: &EncodedMatrix, col: usize) -> Vec<u64> {
+        let shift = self.dev_bits[col];
+        if shift == self.widths[col] {
+            // The whole column is deviation: every row shares base part 0.
+            return vec![0; data.n_rows.min(1)];
+        }
+        let mut vals: Vec<u64> =
+            data.columns[col].iter().map(|&v| (v >> shift) << shift).collect();
+        vals.sort_unstable();
+        vals.dedup();
+        vals
+    }
+
+    /// A lower bound on the number of bases [`GdStore::build`] would deduplicate
+    /// over `data`: the distinct per-row sum hashes of the base tuples. Equal
+    /// tuples hash equally, so the count can only fall short of the truth (by a
+    /// 64-bit collision), never exceed it.
+    pub fn min_bases(&self, data: &EncodedMatrix) -> usize {
+        if self.dev_bits == self.widths {
+            // All deviation: one empty base, whatever the rows.
+            return data.n_rows.min(1);
+        }
+        let mut hashes = vec![0u64; data.n_rows];
+        for (c, col) in data.columns.iter().enumerate() {
+            let shift = self.dev_bits[c];
+            // An all-deviation column adds the same term to every row.
+            if shift < self.widths[c] {
+                for (h, &v) in hashes.iter_mut().zip(col) {
+                    *h = h.wrapping_add(mix(c, v >> shift));
+                }
+            }
+        }
+        DistinctCounter::with_capacity(data.n_rows)
+            .count(hashes.iter().copied(), usize::MAX)
+            .expect("no limit to exceed")
+    }
+}
+
 /// GreedyGD compressor: fits the bit split, then builds a [`GdStore`].
 #[derive(Debug, Clone, Default)]
 pub struct GdCompressor {
@@ -59,11 +111,19 @@ impl GdCompressor {
     /// Compresses an encoded matrix: fits deviation bit-widths on a sample, then
     /// deduplicates bases exactly over all rows.
     pub fn compress(&self, data: &EncodedMatrix) -> GdStore {
+        let split = self.fit(data);
+        GdStore::build(data, &split.widths, &split.dev_bits)
+    }
+
+    /// Fits the split alone: column widths from the data, deviation widths from
+    /// the greedy search. A seal that ends up keeping the per-column cascade
+    /// needs nothing more from GreedyGD than this.
+    pub fn fit(&self, data: &EncodedMatrix) -> GdSplit {
         let widths: Vec<u32> = (0..data.n_columns())
             .map(|c| bits_for(data.column_max(c)))
             .collect();
         let dev_bits = self.fit_dev_bits(data, &widths);
-        GdStore::build(data, &widths, &dev_bits)
+        GdSplit { widths, dev_bits }
     }
 
     /// Greedy search for per-column deviation widths.
@@ -72,12 +132,14 @@ impl GdCompressor {
         if d == 0 || data.n_rows == 0 {
             return vec![0; d];
         }
+        let sampled;
         let fit = if data.n_rows > self.config.fit_rows {
             let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
             let rows = index_sample(&mut rng, data.n_rows, self.config.fit_rows).into_vec();
-            data.take_rows(&rows)
+            sampled = data.take_rows(&rows);
+            &sampled
         } else {
-            data.clone()
+            data
         };
         let n = fit.n_rows;
 
@@ -90,7 +152,8 @@ impl GdCompressor {
                 *h = h.wrapping_add(mix(c, col[r]));
             }
         }
-        let mut n_bases = distinct(&hashes);
+        let mut seen = DistinctCounter::with_capacity(n);
+        let n_bases = seen.count(hashes.iter().copied(), usize::MAX).expect("no limit to exceed");
         let mut best_size = size_bits(n, n_bases, widths, &dev_bits);
 
         // Candidate moves add `step` deviation bits to one column at a time. Strict
@@ -99,55 +162,52 @@ impl GdCompressor {
         // evaluated; the accepted move is whichever strictly shrinks the size model
         // the most.
         const STEPS: [u32; 4] = [1, 2, 4, 8];
-        // Candidate-hash, trial-widths and distinct-set buffers are hoisted out
-        // of the loop: the seal path runs this search on every batch, and a
-        // fresh (n)-sized allocation per (column × step) per iteration was the
-        // dominant source of ingest tail latency.
-        let mut cand: Vec<u64> = Vec::with_capacity(n);
+        // One buffer, reused by every column of every round: each row's hash with
+        // the column's current term taken out, which its four step sizes share.
+        let mut without: Vec<u64> = vec![0; n];
         let mut trial = vec![0u32; d];
-        let mut seen = std::collections::HashSet::with_capacity(n);
         loop {
-            let mut best: Option<(usize, u32, u64, usize)> = None; // (col, step, size, bases)
+            let mut best: Option<(usize, u32, u64)> = None; // (col, step, size)
             for c in 0..d {
+                if dev_bits[c] + STEPS[0] > widths[c] {
+                    continue;
+                }
+                let shift = dev_bits[c];
+                let col = &fit.columns[c];
+                for ((w, h), &v) in without.iter_mut().zip(&hashes).zip(col) {
+                    *w = h.wrapping_sub(mix(c, v >> shift));
+                }
                 for step in STEPS {
-                    if dev_bits[c] + step > widths[c] {
+                    if shift + step > widths[c] {
                         continue;
                     }
-                    let shift = dev_bits[c];
-                    let col = &fit.columns[c];
-                    cand.clear();
-                    for (r, h) in hashes.iter().enumerate() {
-                        let old_part = col[r] >> shift;
-                        let new_part = col[r] >> (shift + step);
-                        cand.push(
-                            h.wrapping_sub(mix(c, old_part)).wrapping_add(mix(c, new_part)),
-                        );
-                    }
-                    let nb = distinct_with(&cand, &mut seen);
                     trial.copy_from_slice(&dev_bits);
                     trial[c] += step;
-                    let sz = size_bits(n, nb, widths, &trial);
-                    if sz < best.map_or(best_size, |(_, _, s, _)| s) {
-                        best = Some((c, step, sz, nb));
+                    // The size model never falls as bases are added, so a candidate
+                    // is out as soon as its running count reaches the first base
+                    // count that no longer beats the incumbent — and a candidate
+                    // that would have won is always counted to the end.
+                    let incumbent = best.map_or(best_size, |(_, _, s)| s);
+                    let limit = first_losing_count(n, widths, &trial, incumbent);
+                    let cand = without
+                        .iter()
+                        .zip(col)
+                        .map(|(w, &v)| w.wrapping_add(mix(c, v >> (shift + step))));
+                    if let Some(nb) = seen.count(cand, limit) {
+                        best = Some((c, step, size_bits(n, nb, widths, &trial)));
                     }
                 }
             }
-            match best {
-                Some((c, step, sz, nb)) if sz < best_size => {
-                    let shift = dev_bits[c];
-                    let col = &fit.columns[c];
-                    for (r, h) in hashes.iter_mut().enumerate() {
-                        let old_part = col[r] >> shift;
-                        let new_part = col[r] >> (shift + step);
-                        *h = h.wrapping_sub(mix(c, old_part)).wrapping_add(mix(c, new_part));
-                    }
-                    dev_bits[c] += step;
-                    best_size = sz;
-                    n_bases = nb;
-                    let _ = n_bases;
-                }
-                _ => break,
+            let Some((c, step, sz)) = best else { break };
+            let shift = dev_bits[c];
+            let col = &fit.columns[c];
+            for (r, h) in hashes.iter_mut().enumerate() {
+                let old_part = col[r] >> shift;
+                let new_part = col[r] >> (shift + step);
+                *h = h.wrapping_sub(mix(c, old_part)).wrapping_add(mix(c, new_part));
             }
+            dev_bits[c] += step;
+            best_size = sz;
         }
         // Fallback: on near-unique rows (joint entropy ~ full width) no per-column
         // move strictly helps and the search keeps everything in the base, which
@@ -174,6 +234,22 @@ fn size_bits(n: usize, n_bases: usize, widths: &[u32], dev_bits: &[u32]) -> u64 
     n_bases as u64 * base_width + n as u64 * (id_bits + dev_width)
 }
 
+/// The smallest base count in `1..=n + 1` at which `size_bits` is no longer below
+/// `incumbent` (`n + 1`: every count a sample of `n` rows can reach still wins).
+/// `size_bits` is non-decreasing in `n_bases`, so this is a bisection.
+fn first_losing_count(n: usize, widths: &[u32], dev_bits: &[u32], incumbent: u64) -> usize {
+    let (mut lo, mut hi) = (1, n + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if size_bits(n, mid, widths, dev_bits) < incumbent {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// SplitMix64-style mixer keyed by column, used for the updatable sum hash.
 #[inline]
 fn mix(col: usize, part: u64) -> u64 {
@@ -183,24 +259,193 @@ fn mix(col: usize, part: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn distinct(hashes: &[u64]) -> usize {
-    let mut set = std::collections::HashSet::with_capacity(hashes.len());
-    distinct_with(hashes, &mut set)
+/// Exact distinct count of sum hashes. The keys are already SplitMix-mixed, so
+/// their low bits index an open-addressed table directly — no second hash — and
+/// a generation stamp per slot makes clearing between candidates free.
+struct DistinctCounter {
+    keys: Vec<u64>,
+    stamps: Vec<u32>,
+    generation: u32,
 }
 
-/// [`distinct`] with a caller-owned set, so the greedy loop's inner candidate
-/// evaluation reuses one allocation across all (column × step) trials.
-fn distinct_with(hashes: &[u64], set: &mut std::collections::HashSet<u64>) -> usize {
-    set.clear();
-    for &h in hashes {
-        set.insert(h);
+impl DistinctCounter {
+    /// A table that stays at most a quarter full over `n` keys: linear probes
+    /// stay short (the fit does little else), at 12 bytes a slot.
+    fn with_capacity(n: usize) -> Self {
+        let slots = (4 * n).next_power_of_two().max(4);
+        Self { keys: vec![0; slots], stamps: vec![0; slots], generation: 0 }
     }
-    set.len()
+
+    /// Distinct keys in `hashes`, or `None` as soon as the count reaches `limit`
+    /// (`usize::MAX`: count to the end).
+    fn count(&mut self, hashes: impl Iterator<Item = u64>, limit: usize) -> Option<usize> {
+        // A counter lives for one fit — a few hundred counts, nowhere near 2^32.
+        self.generation += 1;
+        let mask = self.keys.len() - 1;
+        let mut distinct = 0usize;
+        for h in hashes {
+            let mut slot = h as usize & mask;
+            loop {
+                if self.stamps[slot] != self.generation {
+                    self.stamps[slot] = self.generation;
+                    self.keys[slot] = h;
+                    distinct += 1;
+                    if distinct >= limit {
+                        return None;
+                    }
+                    break;
+                }
+                if self.keys[slot] == h {
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        Some(distinct)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::shapes::{shaped, SHAPES};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The split search as it stood before the open-addressed counter, the hoisted
+    /// column term and the early exit: every candidate's hashes collected and
+    /// counted to the end in a `HashSet`. The fast fit must agree with it bit
+    /// width for bit width, tie-breaks and all-deviation fallback included.
+    fn reference_dev_bits(config: &GdConfig, data: &EncodedMatrix, widths: &[u32]) -> Vec<u32> {
+        let d = data.n_columns();
+        if d == 0 || data.n_rows == 0 {
+            return vec![0; d];
+        }
+        let fit = if data.n_rows > config.fit_rows {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+            let rows = index_sample(&mut rng, data.n_rows, config.fit_rows).into_vec();
+            data.take_rows(&rows)
+        } else {
+            data.clone()
+        };
+        let n = fit.n_rows;
+        let distinct = |hashes: &[u64]| hashes.iter().copied().collect::<HashSet<u64>>().len();
+        let mut dev_bits = vec![0u32; d];
+        let mut hashes: Vec<u64> = vec![0; n];
+        for c in 0..d {
+            for (r, h) in hashes.iter_mut().enumerate() {
+                *h = h.wrapping_add(mix(c, fit.columns[c][r]));
+            }
+        }
+        let mut best_size = size_bits(n, distinct(&hashes), widths, &dev_bits);
+        loop {
+            let mut best: Option<(usize, u32, u64)> = None;
+            for c in 0..d {
+                for step in [1u32, 2, 4, 8] {
+                    if dev_bits[c] + step > widths[c] {
+                        continue;
+                    }
+                    let shift = dev_bits[c];
+                    let cand: Vec<u64> = hashes
+                        .iter()
+                        .zip(&fit.columns[c])
+                        .map(|(h, &v)| {
+                            h.wrapping_sub(mix(c, v >> shift))
+                                .wrapping_add(mix(c, v >> (shift + step)))
+                        })
+                        .collect();
+                    let mut trial = dev_bits.clone();
+                    trial[c] += step;
+                    let sz = size_bits(n, distinct(&cand), widths, &trial);
+                    if sz < best.map_or(best_size, |(_, _, s)| s) {
+                        best = Some((c, step, sz));
+                    }
+                }
+            }
+            match best {
+                Some((c, step, sz)) if sz < best_size => {
+                    let shift = dev_bits[c];
+                    for (h, &v) in hashes.iter_mut().zip(&fit.columns[c]) {
+                        *h = h
+                            .wrapping_sub(mix(c, v >> shift))
+                            .wrapping_add(mix(c, v >> (shift + step)));
+                    }
+                    dev_bits[c] += step;
+                    best_size = sz;
+                }
+                _ => break,
+            }
+        }
+        if size_bits(n, 1, widths, widths) < best_size {
+            return widths.to_vec();
+        }
+        dev_bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Same split as the reference search on every shape, fitted on all rows
+        /// and on a sample; and the split alone tells what the built store would:
+        /// its seed values exactly, its base count from below.
+        #[test]
+        fn prop_fit_matches_reference_search(
+            seed in 0u64..10_000,
+            shape in 0usize..SHAPES,
+            n in 1usize..700,
+            fit_rows in 200usize..900,
+        ) {
+            let m = shaped(shape, n, seed);
+            let config = GdConfig { fit_rows, ..GdConfig::default() };
+            let split = GdCompressor::with_config(config.clone()).fit(&m);
+            prop_assert_eq!(&split.dev_bits, &reference_dev_bits(&config, &m, &split.widths));
+
+            let store = GdStore::build(&m, &split.widths, &split.dev_bits);
+            for c in 0..m.n_columns() {
+                prop_assert_eq!(split.base_values(&m, c), store.base_values(c));
+            }
+            // A 64-bit sum-hash collision is the only way to fall short.
+            prop_assert_eq!(split.min_bases(&m), store.n_bases());
+        }
+    }
+
+    /// The shapes do what their names say, so the property above covers a fit
+    /// that ends all-deviation, one that keeps every bit in the base and one
+    /// that stops part-way.
+    #[test]
+    fn shapes_cover_the_outcomes_of_the_search() {
+        let fit = |shape| GdCompressor::new().fit(&shaped(shape, 600, 7));
+        let noise = fit(0);
+        assert_eq!(noise.dev_bits, noise.widths, "near-unique rows fall back to all-deviation");
+        assert!(fit(1).dev_bits.iter().all(|&b| b == 0), "repeated rows stay whole in the base");
+        let kept = fit(2);
+        assert!(
+            kept.dev_bits.iter().any(|&b| b > 0) && kept.dev_bits != kept.widths,
+            "noise bits leave, other columns keep base bits: {kept:?}"
+        );
+    }
+
+    #[test]
+    fn early_exit_threshold_is_the_first_losing_count() {
+        let (widths, dev) = ([16u32, 16], [4u32, 4]);
+        for incumbent in [0u64, 1, 9_000, 12_345, 40_000, u64::MAX] {
+            let limit = first_losing_count(1000, &widths, &dev, incumbent);
+            assert!((1..=1001).contains(&limit));
+            assert!(limit == 1001 || size_bits(1000, limit, &widths, &dev) >= incumbent);
+            assert!(limit == 1 || size_bits(1000, limit - 1, &widths, &dev) < incumbent);
+        }
+    }
+
+    #[test]
+    fn distinct_counter_counts_exactly_and_stops_at_the_limit() {
+        let mut seen = DistinctCounter::with_capacity(8);
+        // Keys that all land on slot 0 of any table: only the full key tells them apart.
+        let keys = [0u64, 1 << 40, 2 << 40, 0, 1 << 40, 3 << 40];
+        assert_eq!(seen.count(keys.iter().copied(), usize::MAX), Some(4));
+        assert_eq!(seen.count(keys.iter().copied(), 5), Some(4));
+        assert_eq!(seen.count(keys.iter().copied(), 4), None);
+        assert_eq!(seen.count(std::iter::empty(), usize::MAX), Some(0), "generations don't leak");
+    }
 
     /// A column whose low bits are noise should get them carved into the deviation.
     #[test]

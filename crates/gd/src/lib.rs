@@ -33,10 +33,10 @@ mod preprocess;
 mod store;
 
 pub use codec::{
-    choose_codec, choose_store, BitPackCodec, Codec, ColumnCodec, ColumnarStore, DeltaCodec,
-    DictCodec, EncodedPred, RowStore, RunEndCodec, SymbolTable,
+    choose_codec, choose_store, seal_store, BitPackCodec, Codec, ColumnCodec, ColumnarStore,
+    DeltaCodec, DictCodec, EncodedPred, RowStore, RunEndCodec, SymbolTable,
 };
-pub use greedy::{GdCompressor, GdConfig};
+pub use greedy::{GdCompressor, GdConfig, GdSplit};
 pub use matrix::EncodedMatrix;
 pub use preprocess::{ColumnTransform, EncodeScratch, EncodedLiteral, GdError, Preprocessor};
 pub use store::{CompressionStats, GdStore};

@@ -54,6 +54,69 @@ impl EncodedMatrix {
     }
 }
 
+/// Matrices for the equivalence tests of the fit and the store choice.
+#[cfg(test)]
+pub(crate) mod shapes {
+    use super::EncodedMatrix;
+    use rand::{Rng, SeedableRng};
+
+    /// How many shapes [`shaped`] knows.
+    pub(crate) const SHAPES: usize = 5;
+
+    /// `n` rows of the given shape, from `seed`:
+    ///
+    /// 0. near-unique noise of assorted widths — the fit ends all-deviation and
+    ///    the per-column cascade wins;
+    /// 1. a dozen distinct rows repeated — whole-row redundancy, GreedyGD wins;
+    /// 2. a small alphabet in the high bits over 8 noise bits, next to a constant
+    ///    and a low-cardinality column — the search keeps base bits;
+    /// 3. NULL-bearing columns (the null code is `max + 1`) beside a sorted one;
+    /// 4. every column drawn from one of the kinds above.
+    pub(crate) fn shaped(shape: usize, n: usize, seed: u64) -> EncodedMatrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ (shape as u64) << 32);
+        let noise = |rng: &mut rand::rngs::StdRng, bits: u32| -> Vec<u64> {
+            (0..n).map(|_| rng.gen_range(0..1u64 << bits)).collect()
+        };
+        let alphabet = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+            (0..n).map(|_| (rng.gen_range(0..4u64) << 8) | rng.gen_range(0..256u64)).collect()
+        };
+        let nullable = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+            (0..n).map(|_| if rng.gen_bool(0.1) { 100 } else { rng.gen_range(0..100) }).collect()
+        };
+        let low_card = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+            (0..n).map(|_| rng.gen_range(0..5u64)).collect()
+        };
+        let columns = match shape {
+            0 => vec![noise(&mut rng, 11), noise(&mut rng, 17), noise(&mut rng, 5)],
+            1 => {
+                let rows: Vec<[u64; 3]> = (0..12)
+                    .map(|_| {
+                        [rng.gen_range(0..1 << 20), rng.gen_range(0..1 << 9), rng.gen_range(0..7)]
+                    })
+                    .collect();
+                let picks: Vec<usize> = (0..n).map(|_| rng.gen_range(0..rows.len())).collect();
+                (0..3).map(|c| picks.iter().map(|&p| rows[p][c]).collect()).collect()
+            }
+            2 => vec![alphabet(&mut rng), vec![9; n], low_card(&mut rng)],
+            3 => vec![
+                nullable(&mut rng),
+                (0..n as u64).map(|i| 1_000 + 3 * i).collect(),
+                nullable(&mut rng),
+            ],
+            _ => (0..rng.gen_range(1..6usize))
+                .map(|_| match rng.gen_range(0..5u32) {
+                    0 => noise(&mut rng, 13),
+                    1 => alphabet(&mut rng),
+                    2 => nullable(&mut rng),
+                    3 => low_card(&mut rng),
+                    _ => vec![3; n],
+                })
+                .collect(),
+        };
+        EncodedMatrix::new(columns)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -84,15 +84,11 @@ impl GdStore {
         assert_eq!(data.n_columns(), self.widths.len(), "schema mismatch on append");
         let d = self.widths.len();
         let mut key: Vec<u64> = vec![0; d];
-        let mut dev_writer = BitWriter::new();
-        // Re-stage existing packed deviations so the writer continues the stream.
-        // (Cheap: devs is copied once per append call, not per row.)
-        let old_bits = self.n_rows as u64 * self.dev_stride;
-        for chunk_bit in 0..old_bits {
-            let byte = (chunk_bit / 8) as usize;
-            let bit = 7 - (chunk_bit % 8) as u32;
-            dev_writer.write_bit((self.devs[byte] >> bit) & 1 == 1);
-        }
+        // Continue the packed deviation stream where the last row ended.
+        let mut dev_writer = BitWriter::resume(
+            std::mem::take(&mut self.devs),
+            self.n_rows as u64 * self.dev_stride,
+        );
         for r in 0..data.n_rows {
             for c in 0..d {
                 let v = data.get(r, c);
@@ -103,11 +99,16 @@ impl GdStore {
                 );
                 key[c] = v >> self.dev_bits[c];
             }
-            let next_id = self.base_index.len() as u32;
-            let id = *self.base_index.entry(key.clone().into_boxed_slice()).or_insert_with(|| {
-                self.base_parts.extend_from_slice(&key);
-                next_id
-            });
+            // Look up by slice: only a new base pays for an owned key.
+            let id = match self.base_index.get(key.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = self.base_index.len() as u32;
+                    self.base_parts.extend_from_slice(&key);
+                    self.base_index.insert(key.clone().into_boxed_slice(), id);
+                    id
+                }
+            };
             self.ids.push(id);
             for c in 0..d {
                 let v = data.get(r, c);
@@ -164,20 +165,31 @@ impl GdStore {
     /// Reconstructs an arbitrary set of rows into a matrix (used to decode the
     /// synopsis builder's sample).
     pub fn rows(&self, row_ids: &[usize]) -> EncodedMatrix {
-        let d = self.widths.len();
-        let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(row_ids.len()); d];
-        for &r in row_ids {
-            let row = self.row(r);
-            for c in 0..d {
-                cols[c].push(row[c]);
-            }
-        }
-        EncodedMatrix::new(cols)
+        self.decode_rows(row_ids.iter().copied())
     }
 
     /// Full decompression.
     pub fn decompress(&self) -> EncodedMatrix {
-        self.rows(&(0..self.n_rows).collect::<Vec<_>>())
+        self.decode_rows(0..self.n_rows)
+    }
+
+    /// Decodes rows straight into the column vectors: one reader, no per-row
+    /// allocation.
+    fn decode_rows(&self, row_ids: impl ExactSizeIterator<Item = usize>) -> EncodedMatrix {
+        let d = self.widths.len();
+        let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(row_ids.len()); d];
+        let mut reader = BitReader::new(&self.devs);
+        for r in row_ids {
+            assert!(r < self.n_rows, "row {r} out of range ({})", self.n_rows);
+            let base = &self.base_parts[self.ids[r] as usize * d..][..d];
+            reader.seek(r as u64 * self.dev_stride);
+            for c in 0..d {
+                let db = self.dev_bits[c];
+                let dev = reader.read_bits(db).expect("deviation stream truncated");
+                cols[c].push((base[c] << db) | dev);
+            }
+        }
+        EncodedMatrix::new(cols)
     }
 
     /// Distinct base-derived values for one column, sorted ascending.
@@ -201,15 +213,22 @@ impl GdStore {
     /// resident row-store bytes through this on every footprint query, so it
     /// must stay exactly in sync with the wire layout (pinned by a test).
     pub fn packed_bytes(&self) -> usize {
-        let d = self.widths.len();
-        let header = uvarint_len(self.n_rows as u64)
+        Self::packed_size(self.n_rows, &self.widths, &self.dev_bits, self.n_bases())
+    }
+
+    /// [`packed_bytes`](Self::packed_bytes) of the store `build` would make of
+    /// `n_rows` rows that deduplicate to `n_bases` bases — the closed form, so a
+    /// caller can cost a store it has not built. Non-decreasing in `n_bases`.
+    pub fn packed_size(n_rows: usize, widths: &[u32], dev_bits: &[u32], n_bases: usize) -> usize {
+        let d = widths.len();
+        let header = uvarint_len(n_rows as u64)
             + uvarint_len(d as u64)
-            + uvarint_len(self.n_bases() as u64)
+            + uvarint_len(n_bases as u64)
             + 2 * d;
-        let base_bits: u64 = self.n_bases() as u64
-            * self.widths.iter().zip(&self.dev_bits).map(|(w, b)| (w - b) as u64).sum::<u64>();
-        let id_bits = self.n_rows as u64 * bits_for(self.n_bases().saturating_sub(1) as u64) as u64;
-        let dev_bits = self.n_rows as u64 * self.dev_stride;
+        let base_bits: u64 =
+            n_bases as u64 * widths.iter().zip(dev_bits).map(|(w, b)| (w - b) as u64).sum::<u64>();
+        let id_bits = n_rows as u64 * bits_for(n_bases.saturating_sub(1) as u64) as u64;
+        let dev_bits = n_rows as u64 * dev_bits.iter().map(|&b| b as u64).sum::<u64>();
         header + (base_bits + id_bits + dev_bits).div_ceil(8) as usize
     }
 
@@ -252,13 +271,9 @@ impl GdStore {
         for &id in &self.ids {
             bits.write_bits(id as u64, id_bits);
         }
-        // Deviations are already packed with the same stride; replay them.
-        let dev_total = self.n_rows as u64 * self.dev_stride;
-        for p in 0..dev_total {
-            let byte = (p / 8) as usize;
-            let bit = 7 - (p % 8) as u32;
-            bits.write_bit((self.devs[byte] >> bit) & 1 == 1);
-        }
+        // Deviations are already packed with the same stride; splice them in.
+        bits.copy_bits(&mut BitReader::new(&self.devs), self.n_rows as u64 * self.dev_stride)
+            .expect("devs holds n_rows * dev_stride bits");
         out.extend_from_slice(&bits.finish());
         out
     }
@@ -316,9 +331,7 @@ impl GdStore {
             ids.push(id);
         }
         let mut dev_writer = BitWriter::new();
-        for _ in 0..dev_total {
-            dev_writer.write_bit(reader.read_bit()?);
-        }
+        dev_writer.copy_bits(&mut reader, dev_total)?;
         let mut base_index = HashMap::with_capacity(n_bases);
         for b in 0..n_bases {
             base_index.insert(
@@ -481,6 +494,26 @@ mod tests {
             // column widths while still growing ids/deviations.
             store.append(&m);
             prop_assert_eq!(store.packed_bytes(), store.to_bytes().len());
+        }
+
+        /// Appending in two calls is building once, byte for byte — wherever in
+        /// a byte the first call left the deviation stream.
+        #[test]
+        fn prop_append_twice_is_build_once(
+            seed in 0u64..500,
+            n in 2usize..150,
+            d in 1usize..4,
+            cut in 1usize..149,
+        ) {
+            let m = random_matrix(seed, n, d);
+            let cut = cut.min(n - 1);
+            let (head, tail): (Vec<usize>, Vec<usize>) = ((0..cut).collect(), (cut..n).collect());
+            let whole = GdCompressor::new().compress(&m);
+            let (widths, dev_bits) = (whole.widths.clone(), whole.dev_bits.clone());
+            let mut grown = GdStore::build(&m.take_rows(&head), &widths, &dev_bits);
+            grown.append(&m.take_rows(&tail));
+            prop_assert_eq!(grown.to_bytes(), whole.to_bytes());
+            prop_assert_eq!(grown.decompress(), m);
         }
     }
 }

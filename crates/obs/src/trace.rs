@@ -56,6 +56,10 @@ pub enum Stage {
     Codec = 16,
     /// Folding ingested rows into the active delta synopsis.
     Fold = 17,
+    /// GreedyGD split search over a sealing segment's rows.
+    GdFit = 18,
+    /// Refining a sealing segment's synopsis (1-d and pair histograms).
+    Synopsis = 19,
 }
 
 /// Every stage, for registering per-stage metric families.
@@ -78,6 +82,8 @@ pub const ALL_STAGES: &[Stage] = &[
     Stage::Seal,
     Stage::Codec,
     Stage::Fold,
+    Stage::GdFit,
+    Stage::Synopsis,
 ];
 
 impl Stage {
@@ -114,6 +120,8 @@ impl Stage {
             Stage::Seal => "seal",
             Stage::Codec => "codec",
             Stage::Fold => "fold",
+            Stage::GdFit => "gd_fit",
+            Stage::Synopsis => "synopsis",
         }
     }
 }

@@ -303,3 +303,35 @@ fn trace_report_tells_the_same_story_without_a_server() {
         assert!(s.parent < s.id, "parent {} !< id {}", s.parent, s.id);
     }
 }
+
+/// A seal explains itself the way a query does: under the `seal` span sit the
+/// GreedyGD split search, the synopsis refinement and the codec cascade, in
+/// that order, and together they account for most of it.
+#[test]
+fn seal_span_breaks_down_into_fit_synopsis_and_codec() {
+    use pairwisehist::core::obs::{trace, Stage, Trace};
+
+    let session = Session::new();
+    session.set_seal_threshold(2_000);
+    session.register(dataset(2_000)).unwrap();
+    trace::install(Trace::new());
+    let report = session.ingest("obs", &dataset(2_500)).unwrap();
+    let spans = trace::take().map(Trace::into_spans).unwrap_or_default();
+    assert!(report.sealed_segments > 0, "the batch was meant to seal: {report:?}");
+
+    let seals: Vec<_> = spans.iter().filter(|s| s.stage == Stage::Seal).collect();
+    assert_eq!(seals.len(), report.sealed_segments, "one seal span per sealed segment");
+    for seal in seals {
+        let children: Vec<_> = spans.iter().filter(|s| s.parent == seal.id).collect();
+        let stages: Vec<Stage> = children.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, [Stage::GdFit, Stage::Synopsis, Stage::Codec]);
+        let covered: u64 = children.iter().map(|s| s.dur_ns).sum();
+        assert!(covered <= seal.dur_ns, "children outlast their parent");
+        // Only the encode of the sealed rows runs outside the three children.
+        assert!(
+            covered * 2 >= seal.dur_ns,
+            "{covered} of {} ns attributed: the seal's anatomy has a hole",
+            seal.dur_ns
+        );
+    }
+}
