@@ -938,9 +938,16 @@ impl Session {
     /// Folds a batch of new rows into `table`. The batch must match the table's
     /// schema: same column names **and** logical types, in order.
     ///
-    /// The hot path is O(batch): the batch appends to the table's raw delta rows
-    /// and folds into the delta's synopsis through the edge-free update path
-    /// (`update.rs`), leaving every sealed segment untouched. When the delta
+    /// The hot path costs O(rows + dictionary entries those rows reference),
+    /// whatever the size of the fitted dictionaries, of the dictionary the batch
+    /// carries (a slice of a larger table carries that table's) and of the one
+    /// the delta has accumulated: the batch is cut down to its referenced
+    /// entries at the door, each is looked up once in the fitted index, and the
+    /// journal record, the delta rows and the fold all take that one form. It
+    /// appends to the table's raw delta rows and folds into the delta's synopsis
+    /// through the edge-free update path (`update.rs`) — whose out-of-place copy
+    /// of the delta synopsis is the one term left that is not O(batch) —
+    /// leaving every sealed segment untouched. When the delta
     /// crosses [`Session::set_seal_threshold`] rows — or its staleness crosses
     /// [`Session::set_max_staleness`] — it is **sealed**: cut into segment-sized
     /// slices, each GD-compressed and refined into a fresh synopsis, appended to
@@ -969,6 +976,7 @@ impl Session {
         let mut delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
         let cur = cell.snapshot();
         let pre = cur.pre.clone();
+        let admit = span(Stage::Admit);
         // Full schema validation up front: nothing below may fail half-applied.
         if batch.n_columns() != pre.n_columns() {
             return Err(PhError::Schema(format!(
@@ -990,26 +998,27 @@ impl Session {
                 )));
             }
         }
+        // One form of the batch from here on — dictionaries cut down to the
+        // entries its rows reference — for the journal, the delta rows and the
+        // fold alike: a replayed table is fed exactly what the live one kept,
+        // so the two stay identical through any later refit (whose frequency
+        // ties fall in dictionary order), and nothing downstream pays for
+        // entries the batch merely carries.
+        let batch = batch.with_compact_dictionaries();
+        let batch: &Dataset = &batch;
         // Two batch shapes the fitted transforms cannot encode, so no
         // incremental path can absorb them: categorical values outside the
         // dictionary, and NULLs in a column that had none at fit time (no null
         // code exists — the sentinel the encoder would emit reads back as a
-        // real value).
-        let has_novel_category = batch.columns().iter().enumerate().any(|(col, c)| {
-            c.dictionary().is_some_and(|dict| {
-                dict.iter().any(|s| {
-                    !matches!(
-                        pre.encode_literal(col, &ph_types::Value::Str(s.clone())),
-                        Ok(ph_gd::EncodedLiteral::Rank(_))
-                    )
-                })
-            })
-        });
+        // real value). The lookup that decides the first is the one the fold
+        // encodes through.
+        let ranks = pre.resolve(batch);
         let has_novel_null = batch.columns().iter().enumerate().any(|(col, c)| {
             c.valid_count() < c.len() && pre.transform(col).null_code().is_none()
         });
+        drop(admit);
 
-        if has_novel_category || has_novel_null {
+        if ranks.has_novel() || has_novel_null {
             // Full refit rebuild: decode every segment's compressed rows, add
             // the delta and the batch, refit the transforms over everything and
             // collapse to one fresh segment. O(total) — the documented cost of
@@ -1144,7 +1153,11 @@ impl Session {
             let delta = {
                 let _fold = span(Stage::Fold);
                 match &cur.delta {
-                    Some(engine) => engine.with_ingested(&pre.encode(batch)),
+                    Some(engine) => engine.with_ingested(&pre.encode_resolved(
+                        batch,
+                        &ranks,
+                        &mut ph_gd::EncodeScratch::new(),
+                    )),
                     None => build_delta(delta_data, &pre, &cur.cfg, cur.epoch),
                 }
             };

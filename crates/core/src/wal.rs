@@ -21,6 +21,12 @@
 //!                           uvarint codes
 //! ```
 //!
+//! A categorical column is written with the dictionary it has. `Session::ingest`
+//! journals a batch after cutting its dictionaries down to the entries its rows
+//! reference, so a record's size follows its rows, not the table the batch was
+//! sliced from; a log written before that (whole dictionaries) reads the same
+//! way, and is cut down at the same door on replay.
+//!
 //! The framing follows the machine-generated-data observation motivating the
 //! `PHQL1` query log: monotone-ish integer streams delta+varint-encode to a
 //! small fraction of their raw width, so journaling every row costs little.

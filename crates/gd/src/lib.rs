@@ -38,5 +38,7 @@ pub use codec::{
 };
 pub use greedy::{GdCompressor, GdConfig, GdSplit};
 pub use matrix::EncodedMatrix;
-pub use preprocess::{ColumnTransform, EncodeScratch, EncodedLiteral, GdError, Preprocessor};
+pub use preprocess::{
+    CodeRanks, ColumnTransform, EncodeScratch, EncodedLiteral, GdError, Preprocessor,
+};
 pub use store::{CompressionStats, GdStore};

@@ -12,11 +12,10 @@
 //! dictionaries, and the same transform is applied to query literals at parse time
 //! (§5.1, Fig 7) so predicates land in the domain the synopsis was built in.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use ph_encoding::{read_uvarint, write_uvarint};
-use ph_types::{Column, ColumnData, ColumnType, Dataset, Value};
+use ph_types::{Column, ColumnData, ColumnType, Dataset, DictIndex, Value};
 
 use crate::{EncodedMatrix, SymbolTable};
 
@@ -105,6 +104,10 @@ pub enum ColumnTransform {
         by_rank: Vec<String>,
         /// Code representing NULL (`by_rank.len()`), present iff the column had nulls.
         null_code: Option<u64>,
+        /// String → rank lookup over `by_rank`. Derived state: built where the
+        /// transform is (fit, `from_bytes`), never serialized, and no part of
+        /// what makes two transforms equal.
+        index: DictIndex,
     },
 }
 
@@ -212,6 +215,46 @@ impl Preprocessor {
         &self.transforms[col]
     }
 
+    /// Resolves `data`'s categorical columns against the fitted dictionaries:
+    /// one lookup per dictionary entry that a valid row references, none for
+    /// the entries the column merely carries. A referenced entry the fitted
+    /// dictionary does not hold makes the result [`CodeRanks::has_novel`];
+    /// one no row uses is not there to be encoded and is never looked at.
+    ///
+    /// # Panics
+    /// Panics if the dataset's schema does not match the fitted one.
+    pub fn resolve(&self, data: &Dataset) -> CodeRanks {
+        assert_eq!(data.n_columns(), self.transforms.len(), "schema mismatch");
+        let mut novel = false;
+        let tables = data
+            .columns()
+            .iter()
+            .zip(&self.transforms)
+            .map(|(col, tr)| {
+                let ColumnTransform::Categorical { by_rank, index, .. } = tr else {
+                    return Vec::new();
+                };
+                let dict = col.dictionary().expect("categorical column must carry a dictionary");
+                let mut table = vec![UNREFERENCED; dict.len()];
+                for i in 0..col.len() {
+                    let Some(code) = col.code(i) else { continue };
+                    let slot = &mut table[code as usize];
+                    if *slot == UNREFERENCED {
+                        *slot = match index.position(by_rank, &dict[code as usize]) {
+                            Some(rank) => rank as u64,
+                            None => {
+                                novel = true;
+                                NOVEL
+                            }
+                        };
+                    }
+                }
+                table
+            })
+            .collect();
+        CodeRanks { tables, novel }
+    }
+
     /// Encodes a whole dataset into the non-negative integer domain.
     ///
     /// # Panics
@@ -226,14 +269,26 @@ impl Preprocessor {
     /// reuse `scratch`'s allocations instead of growing fresh vectors each
     /// time. Same panics and output as `encode`.
     pub fn encode_with(&self, data: &Dataset, scratch: &mut EncodeScratch) -> EncodedMatrix {
+        self.encode_resolved(data, &self.resolve(data), scratch)
+    }
+
+    /// [`Preprocessor::encode_with`] for a caller that holds `data`'s
+    /// [`Preprocessor::resolve`] already. Same panics and output as `encode`.
+    pub fn encode_resolved(
+        &self,
+        data: &Dataset,
+        ranks: &CodeRanks,
+        scratch: &mut EncodeScratch,
+    ) -> EncodedMatrix {
         assert_eq!(data.n_columns(), self.transforms.len(), "schema mismatch");
+        assert!(!ranks.novel, "a categorical value is outside the fitted dictionary");
         let columns = data
             .columns()
             .iter()
-            .zip(&self.transforms)
-            .map(|(col, tr)| {
+            .zip(self.transforms.iter().zip(&ranks.tables))
+            .map(|(col, (tr, rank_of))| {
                 let mut out = scratch.take();
-                encode_column_into(col, tr, &mut out);
+                encode_column_into(col, tr, rank_of, &mut out);
                 out
             })
             .collect();
@@ -251,8 +306,8 @@ impl Preprocessor {
                 })?;
                 Ok(EncodedLiteral::Num(x * 10f64.powi(*scale as i32) - *min_scaled as f64))
             }
-            (ColumnTransform::Categorical { by_rank, .. }, Value::Str(s)) => {
-                match by_rank.iter().position(|v| v == s) {
+            (ColumnTransform::Categorical { by_rank, index, .. }, Value::Str(s)) => {
+                match index.position(by_rank, s) {
                     Some(rank) => Ok(EncodedLiteral::Rank(rank as u64)),
                     None => Ok(EncodedLiteral::NoMatch),
                 }
@@ -327,7 +382,7 @@ impl Preprocessor {
                     out.extend_from_slice(&max_enc.to_le_bytes());
                     out.push(null_code.is_some() as u8);
                 }
-                (_, ColumnTransform::Categorical { by_rank, null_code }) => {
+                (_, ColumnTransform::Categorical { by_rank, null_code, .. }) => {
                     out.push(3);
                     write_uvarint(&mut out, by_rank.len() as u64);
                     write_dict(&mut out, by_rank);
@@ -394,6 +449,7 @@ impl Preprocessor {
                     types.push(ColumnType::Categorical);
                     transforms.push(ColumnTransform::Categorical {
                         null_code: has_null.then_some(by_rank.len() as u64),
+                        index: DictIndex::build(&by_rank),
                         by_rank,
                     });
                 }
@@ -412,6 +468,30 @@ impl Preprocessor {
     /// dictionaries, rather than the old per-field approximation.
     pub fn metadata_bytes(&self) -> usize {
         self.to_bytes().len()
+    }
+}
+
+/// A dataset's categorical codes resolved against the fitted dictionaries, as
+/// [`Preprocessor::resolve`] returns them: per categorical column, the rank of
+/// every dictionary code a valid row references. Holds for the dataset it was
+/// resolved from and no other.
+#[derive(Debug)]
+pub struct CodeRanks {
+    /// By column, then by dictionary code; empty for a numeric column.
+    tables: Vec<Vec<u64>>,
+    novel: bool,
+}
+
+/// Table entry of a code no valid row references: never read by the encoder.
+const UNREFERENCED: u64 = u64::MAX;
+/// Table entry of a referenced code whose string the fitted dictionary lacks.
+const NOVEL: u64 = u64::MAX - 1;
+
+impl CodeRanks {
+    /// Whether some row holds a categorical value the fitted dictionaries do
+    /// not: such a dataset cannot be encoded until the transforms are refit.
+    pub fn has_novel(&self) -> bool {
+        self.novel
     }
 }
 
@@ -583,11 +663,14 @@ fn fit_categorical(col: &Column) -> ColumnTransform {
     let by_rank: Vec<String> = order.iter().map(|&c| dict[c].clone()).collect();
     ColumnTransform::Categorical {
         null_code: has_null.then_some(by_rank.len() as u64),
+        index: DictIndex::build(&by_rank),
         by_rank,
     }
 }
 
-fn encode_column_into(col: &Column, tr: &ColumnTransform, out: &mut Vec<u64>) {
+/// `rank_of` is the column's table of [`Preprocessor::resolve`]: unused by a
+/// numeric column.
+fn encode_column_into(col: &Column, tr: &ColumnTransform, rank_of: &[u64], out: &mut Vec<u64>) {
     out.reserve(col.len());
     match tr {
         ColumnTransform::Numeric { min_scaled, scale, max_enc, null_code } => {
@@ -621,17 +704,11 @@ fn encode_column_into(col: &Column, tr: &ColumnTransform, out: &mut Vec<u64>) {
                 ColumnData::Cat(..) => unreachable!("numeric transform on categorical column"),
             }
         }
-        ColumnTransform::Categorical { by_rank, null_code } => {
-            let dict = col.dictionary().expect("categorical column must carry a dictionary");
-            // code -> rank lookup table.
-            let mut rank_of: HashMap<&str, u64> = HashMap::with_capacity(by_rank.len());
-            for (rank, s) in by_rank.iter().enumerate() {
-                rank_of.insert(s.as_str(), rank as u64);
-            }
+        ColumnTransform::Categorical { by_rank, null_code, .. } => {
             let null = null_code.unwrap_or(by_rank.len() as u64);
             for i in 0..col.len() {
                 match col.code(i) {
-                    Some(c) => out.push(rank_of[dict[c as usize].as_str()]),
+                    Some(c) => out.push(rank_of[c as usize]),
                     None => out.push(null),
                 }
             }
@@ -878,6 +955,123 @@ mod tests {
         for col in &second.columns {
             assert!(ptrs.contains(&col.as_ptr()));
         }
+    }
+
+    /// The categorical encoder as it stood before the fitted index: a hash map
+    /// of the whole fitted dictionary per call. Kept as the reference.
+    fn reference_ranks(col: &Column, by_rank: &[String], null: u64) -> Vec<u64> {
+        let rank_of: std::collections::HashMap<&str, u64> =
+            by_rank.iter().enumerate().map(|(rank, s)| (s.as_str(), rank as u64)).collect();
+        let dict = col.dictionary().unwrap();
+        (0..col.len())
+            .map(|i| col.code(i).map_or(null, |c| rank_of[dict[c as usize].as_str()]))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(60))]
+
+        /// However a batch carries its dictionary — the fitted table's own, a
+        /// superset with strings no row uses, a permutation, or compacted to
+        /// what the rows reference — it encodes as the reference does, and
+        /// `encode_literal` finds what a linear scan of `by_rank` finds.
+        #[test]
+        fn prop_dictionary_shapes_encode_like_the_reference(
+            seed in 0u64..10_000,
+            n_fitted in 1usize..120,
+            n_rows in 0usize..200,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let fitted_dict: Vec<String> = (0..n_fitted).map(|i| format!("k{}", i * 7 % 13 + i)).collect();
+            let fitted_codes: Vec<Option<u32>> = (0..n_fitted as u32 * 3)
+                .map(|i| rng.gen_bool(0.9).then_some(i % n_fitted as u32))
+                .chain([None])
+                .collect();
+            let fitted = Dataset::builder("t")
+                .column(Column::from_codes("c", fitted_codes, fitted_dict.clone()))
+                .unwrap()
+                .build();
+            let pre = Preprocessor::fit(&fitted);
+            let ColumnTransform::Categorical { by_rank, null_code, .. } = pre.transform(0) else {
+                panic!("categorical column");
+            };
+            let null = null_code.expect("fitted with a NULL");
+
+            let rows: Vec<Option<&str>> = (0..n_rows)
+                .map(|_| rng.gen_bool(0.85).then(|| fitted_dict[rng.gen_range(0..n_fitted)].as_str()))
+                .collect();
+            let as_cut = Column::from_strings("c", rows.clone());
+            let recode = |dict: Vec<String>| {
+                let codes = rows
+                    .iter()
+                    .map(|r| r.map(|s| dict.iter().position(|d| d == s).unwrap() as u32))
+                    .collect();
+                Column::from_codes("c", codes, dict)
+            };
+            let mut shuffled = |mut dict: Vec<String>| {
+                for i in (1..dict.len()).rev() {
+                    dict.swap(i, rng.gen_range(0..=i));
+                }
+                dict
+            };
+            let unseen = (0..30).map(|i| format!("unseen{i}"));
+            let superset = shuffled(fitted_dict.iter().cloned().chain(unseen).collect());
+            let permuted = shuffled(fitted_dict.clone());
+            let want = reference_ranks(&as_cut, by_rank, null);
+            for col in [as_cut, recode(fitted_dict.clone()), recode(superset), recode(permuted)] {
+                let batch = Dataset::builder("t").column(col).unwrap().build();
+                let ranks = pre.resolve(&batch);
+                proptest::prop_assert!(!ranks.has_novel());
+                proptest::prop_assert_eq!(&pre.encode(&batch).columns[0], &want);
+                let resolved = pre.encode_resolved(&batch, &ranks, &mut EncodeScratch::new());
+                proptest::prop_assert_eq!(&resolved.columns[0], &want);
+                let compact = batch.with_compact_dictionaries();
+                proptest::prop_assert_eq!(&pre.encode(&compact).columns[0], &want);
+            }
+
+            for s in fitted_dict.iter().map(String::as_str).chain(["", "k", "unseen3", "zz"]) {
+                let scanned = match by_rank.iter().position(|v| v == s) {
+                    Some(rank) => EncodedLiteral::Rank(rank as u64),
+                    None => EncodedLiteral::NoMatch,
+                };
+                proptest::prop_assert_eq!(pre.encode_literal(0, &Value::Str(s.into())), Ok(scanned));
+            }
+            for lit in [Value::Int(1), Value::Float(0.5), Value::Null] {
+                proptest::prop_assert!(matches!(
+                    pre.encode_literal(0, &lit),
+                    Err(GdError::TypeMismatch { .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn novelty_is_judged_on_referenced_entries_only() {
+        let pre = Preprocessor::fit(&sample());
+        let with = |codes: Vec<Option<u32>>| {
+            let d = sample();
+            Dataset::builder("t")
+                .column(d.column(0).clone())
+                .unwrap()
+                .column(d.column(1).clone())
+                .unwrap()
+                .column(Column::from_codes(
+                    "c",
+                    codes,
+                    vec!["never seen".into(), "common".into(), "rare".into()],
+                ))
+                .unwrap()
+                .build()
+        };
+        // Carried but unused, or used only by a NULL row's dead slot: not novel.
+        let carried = with(vec![Some(1), Some(2), None, Some(1)]);
+        assert!(!pre.resolve(&carried).has_novel());
+        assert_eq!(pre.encode(&carried).columns[2], vec![0, 1, 2, 0]);
+        // Used by one row: novel, and not encodable.
+        let used = with(vec![Some(1), Some(0), Some(2), Some(1)]);
+        assert!(pre.resolve(&used).has_novel());
+        assert!(std::panic::catch_unwind(|| pre.encode(&used)).is_err());
     }
 
     #[test]

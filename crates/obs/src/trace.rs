@@ -60,6 +60,9 @@ pub enum Stage {
     GdFit = 18,
     /// Refining a sealing segment's synopsis (1-d and pair histograms).
     Synopsis = 19,
+    /// Admitting an ingest batch: schema validation, then resolving its
+    /// categorical values against the fitted dictionaries.
+    Admit = 20,
 }
 
 /// Every stage, for registering per-stage metric families.
@@ -84,6 +87,7 @@ pub const ALL_STAGES: &[Stage] = &[
     Stage::Fold,
     Stage::GdFit,
     Stage::Synopsis,
+    Stage::Admit,
 ];
 
 impl Stage {
@@ -122,6 +126,7 @@ impl Stage {
             Stage::Fold => "fold",
             Stage::GdFit => "gd_fit",
             Stage::Synopsis => "synopsis",
+            Stage::Admit => "admit",
         }
     }
 }

@@ -92,6 +92,41 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Appends bits `[start, start + len)` of `other`, a word at a time.
+    ///
+    /// # Panics
+    /// Panics if the range runs past `other.len()`.
+    pub fn extend_from_range(&mut self, other: &Bitmap, start: usize, len: usize) {
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= other.len),
+            "bitmap range {start}+{len} out of bounds ({})",
+            other.len
+        );
+        self.words.resize((self.len + len).div_ceil(64), 0);
+        let mut done = 0;
+        while done < len {
+            // Up to 64 source bits starting at `from`, low bit first; whatever
+            // lies past the range is masked off, so the tail words stay clean.
+            let from = start + done;
+            let take = (len - done).min(64);
+            let (word, shift) = (from / 64, from % 64);
+            let mut bits = other.words[word] >> shift;
+            if shift != 0 && shift + take > 64 {
+                bits |= other.words[word + 1] << (64 - shift);
+            }
+            if take < 64 {
+                bits &= (1u64 << take) - 1;
+            }
+            let (word, shift) = (self.len / 64, self.len % 64);
+            self.words[word] |= bits << shift;
+            if shift != 0 && shift + take > 64 {
+                self.words[word + 1] |= bits >> (64 - shift);
+            }
+            self.len += take;
+            done += take;
+        }
+    }
+
     /// Iterates over all bits in order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -142,6 +177,32 @@ mod tests {
         }
         assert_eq!(bm.len(), 130);
         assert_eq!(bm.count_set(), (0..130).filter(|i| i % 3 == 0).count());
+    }
+
+    #[test]
+    fn extend_from_range_matches_bit_by_bit_pushes() {
+        let src = Bitmap::from_bools(&(0..300).map(|i| i % 3 == 0 || i % 7 == 2).collect::<Vec<_>>());
+        for held in [0usize, 1, 37, 63, 64, 65, 128] {
+            for (start, len) in [(0, 0), (0, 300), (1, 64), (5, 59), (63, 2), (64, 64), (70, 200), (299, 1), (300, 0)] {
+                let mut fast = Bitmap::new_clear(0);
+                let mut slow = Bitmap::new_clear(0);
+                for i in 0..held {
+                    fast.push(i % 2 == 0);
+                    slow.push(i % 2 == 0);
+                }
+                fast.extend_from_range(&src, start, len);
+                for i in start..start + len {
+                    slow.push(src.get(i));
+                }
+                assert_eq!(fast, slow, "held {held}, range {start}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn extend_from_range_past_the_end_panics() {
+        Bitmap::new_clear(0).extend_from_range(&Bitmap::new_set(10), 5, 6);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Typed columns with validity bitmaps.
 
-use crate::{Bitmap, Value};
+use crate::{Bitmap, DictIndex, Value};
 
 /// Logical type of a column.
 ///
@@ -60,9 +60,31 @@ pub struct Column {
     ty: ColumnType,
     data: ColumnData,
     validity: Bitmap,
+    /// Heap bytes of a categorical column's dictionary — derived from it, and
+    /// kept beside it so [`Column::heap_size`] does not walk every string.
+    dict_bytes: usize,
+    /// Lookup over a categorical column's dictionary — derived from it, built
+    /// by the first [`Column::append`] that has to look a string up (empty
+    /// until then) and kept in step by every later one, so a column that grows
+    /// batch by batch pays for the entries a batch brings, not for the ones it
+    /// already holds.
+    dict_index: DictIndex,
+}
+
+/// Heap bytes of a dictionary entry: its bytes and the `String` that owns them.
+fn entry_bytes(s: &str) -> usize {
+    s.len() + 24
 }
 
 impl Column {
+    fn new(name: String, ty: ColumnType, data: ColumnData, validity: Bitmap) -> Self {
+        let dict_bytes = match &data {
+            ColumnData::Cat(_, dict) => dict.iter().map(|s| entry_bytes(s)).sum(),
+            _ => 0,
+        };
+        Self { name, ty, data, validity, dict_bytes, dict_index: DictIndex::default() }
+    }
+
     /// Builds an integer column; `None` entries become NULL.
     pub fn from_ints(name: impl Into<String>, values: Vec<Option<i64>>) -> Self {
         Self::from_ints_typed(name, values, ColumnType::Int)
@@ -85,7 +107,7 @@ impl Column {
                 None => data.push(0),
             }
         }
-        Self { name: name.into(), ty, data: ColumnData::Int(data), validity }
+        Self::new(name.into(), ty, ColumnData::Int(data), validity)
     }
 
     /// Builds a float column with the given decimal `scale`; `None` and non-finite
@@ -102,12 +124,7 @@ impl Column {
                 _ => data.push(0.0),
             }
         }
-        Self {
-            name: name.into(),
-            ty: ColumnType::Float { scale },
-            data: ColumnData::Float(data),
-            validity,
-        }
+        Self::new(name.into(), ColumnType::Float { scale }, ColumnData::Float(data), validity)
     }
 
     /// Builds a categorical column from raw strings, dictionary-encoding them in first-
@@ -130,12 +147,7 @@ impl Column {
                 None => codes.push(0),
             }
         }
-        Self {
-            name: name.into(),
-            ty: ColumnType::Categorical,
-            data: ColumnData::Cat(codes, dict),
-            validity,
-        }
+        Self::new(name.into(), ColumnType::Categorical, ColumnData::Cat(codes, dict), validity)
     }
 
     /// Builds a categorical column directly from dictionary codes.
@@ -158,12 +170,7 @@ impl Column {
                 None => data.push(0),
             }
         }
-        Self {
-            name: name.into(),
-            ty: ColumnType::Categorical,
-            data: ColumnData::Cat(data, dict),
-            validity,
-        }
+        Self::new(name.into(), ColumnType::Categorical, ColumnData::Cat(data, dict), validity)
     }
 
     /// Column name.
@@ -292,7 +299,54 @@ impl Column {
                 ColumnData::Cat(out, dict.clone())
             }
         };
-        Column { name: self.name.clone(), ty: self.ty, data, validity }
+        Column::new(self.name.clone(), self.ty, data, validity)
+    }
+
+    /// Returns the contiguous rows `[start, start + len)` as a new column: what
+    /// [`Column::take`] answers for that range, by copying it whole.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the column.
+    pub fn slice(&self, start: usize, len: usize) -> Column {
+        let range = start..start + len;
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(v[range].to_vec()),
+            ColumnData::Float(v) => ColumnData::Float(v[range].to_vec()),
+            ColumnData::Cat(codes, dict) => ColumnData::Cat(codes[range].to_vec(), dict.clone()),
+        };
+        let mut validity = Bitmap::new_clear(0);
+        validity.extend_from_range(&self.validity, start, len);
+        Column::new(self.name.clone(), self.ty, data, validity)
+    }
+
+    /// A categorical column's rows over the dictionary entries they reference
+    /// and no others, those entries in the order they had. `None` when every
+    /// entry is referenced already, and for the other column types.
+    ///
+    /// Costs `O(rows · log referenced)`, whatever the dictionary's size.
+    pub(crate) fn compacted(&self) -> Option<Column> {
+        let ColumnData::Cat(codes, dict) = &self.data else {
+            return None;
+        };
+        let mut used: Vec<u32> =
+            codes.iter().enumerate().filter(|(i, _)| self.validity.get(*i)).map(|(_, &c)| c).collect();
+        used.sort_unstable();
+        used.dedup();
+        if used.len() == dict.len() {
+            return None;
+        }
+        let compact = codes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| if self.validity.get(i) { used.partition_point(|u| u < c) as u32 } else { 0 })
+            .collect();
+        let kept = used.iter().map(|&c| dict[c as usize].clone()).collect();
+        Some(Column::new(
+            self.name.clone(),
+            self.ty,
+            ColumnData::Cat(compact, kept),
+            self.validity.clone(),
+        ))
     }
 
     /// Appends all rows of `other` to this column.
@@ -314,30 +368,28 @@ impl Column {
             (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
             (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(b),
             (ColumnData::Cat(codes, dict), ColumnData::Cat(other_codes, other_dict)) => {
-                // Remap other's codes through a dictionary union.
-                let mut index: std::collections::HashMap<String, u32> = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.clone(), i as u32))
-                    .collect();
-                let remap: Vec<u32> = other_dict
-                    .iter()
-                    .map(|s| {
-                        *index.entry(s.clone()).or_insert_with(|| {
-                            dict.push(s.clone());
-                            (dict.len() - 1) as u32
-                        })
-                    })
-                    .collect();
-                for (i, &c) in other_codes.iter().enumerate() {
-                    codes.push(if other.validity.get(i) { remap[c as usize] } else { 0 });
+                if dict.len() >= other_dict.len() && dict[..other_dict.len()] == other_dict[..] {
+                    // The incoming dictionary is the one held, or its head:
+                    // the codes already mean here what they mean there.
+                    codes.extend_from_slice(other_codes);
+                } else {
+                    // Remap other's codes through a dictionary union.
+                    let index = &mut self.dict_index;
+                    if !index.covers(dict) {
+                        *index = DictIndex::build(dict);
+                    }
+                    let held = dict.len();
+                    let remap: Vec<u32> =
+                        other_dict.iter().map(|s| index.position_or_push(dict, s)).collect();
+                    self.dict_bytes += dict[held..].iter().map(|s| entry_bytes(s)).sum::<usize>();
+                    codes.extend(other_codes.iter().enumerate().map(|(i, &c)| {
+                        if other.validity.get(i) { remap[c as usize] } else { 0 }
+                    }));
                 }
             }
             _ => unreachable!("type tags matched above"),
         }
-        for bit in other.validity.iter() {
-            self.validity.push(bit);
-        }
+        self.validity.extend_from_range(&other.validity, 0, other.len());
         Ok(())
     }
 
@@ -347,9 +399,7 @@ impl Column {
         let data = match &self.data {
             ColumnData::Int(v) => v.len() * 8,
             ColumnData::Float(v) => v.len() * 8,
-            ColumnData::Cat(codes, dict) => {
-                codes.len() * 4 + dict.iter().map(|s| s.len() + 24).sum::<usize>()
-            }
+            ColumnData::Cat(codes, _) => codes.len() * 4 + self.dict_bytes,
         };
         data + self.len().div_ceil(8)
     }

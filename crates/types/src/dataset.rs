@@ -1,5 +1,7 @@
 //! In-memory columnar tables.
 
+use std::borrow::Cow;
+
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
@@ -107,9 +109,35 @@ impl Dataset {
     /// Panics if `start > n_rows`.
     pub fn slice(&self, start: usize, len: usize) -> Dataset {
         assert!(start <= self.n_rows, "slice start {start} past {} rows", self.n_rows);
-        let end = start.saturating_add(len).min(self.n_rows);
-        let rows: Vec<usize> = (start..end).collect();
-        self.take(&rows)
+        let len = len.min(self.n_rows - start);
+        Dataset {
+            name: self.name.clone(),
+            columns: self.columns.iter().map(|c| c.slice(start, len)).collect(),
+            n_rows: len,
+        }
+    }
+
+    /// The same rows with every categorical dictionary cut down to the
+    /// entries its rows reference, in the order they had — borrowed when no
+    /// dictionary holds anything else.
+    ///
+    /// This is the form in which an ingest batch is admitted, journaled and
+    /// kept: a batch cut from a larger table by [`Dataset::slice`] or
+    /// [`Dataset::take`] carries that table's whole dictionary, and everything
+    /// downstream would otherwise pay for entries no row of it uses. Compacting
+    /// a compacted dataset changes nothing, so a batch read back from the
+    /// journal is admitted exactly as it first was.
+    pub fn with_compact_dictionaries(&self) -> Cow<'_, Dataset> {
+        let compacted: Vec<Option<Column>> = self.columns.iter().map(Column::compacted).collect();
+        if compacted.iter().all(Option::is_none) {
+            return Cow::Borrowed(self);
+        }
+        let columns = compacted
+            .into_iter()
+            .zip(&self.columns)
+            .map(|(compact, held)| compact.unwrap_or_else(|| held.clone()))
+            .collect();
+        Cow::Owned(Dataset { name: self.name.clone(), columns, n_rows: self.n_rows })
     }
 
     /// Appends all rows of `other`, which must have an identical schema (same column
@@ -257,6 +285,128 @@ mod tests {
         // Length clamps at the end; an empty tail slice is valid.
         assert_eq!(d.slice(90, 50).n_rows(), 10);
         assert_eq!(d.slice(100, 5).n_rows(), 0);
+    }
+
+    /// A table of every column type, NULLs in each, whose categorical columns
+    /// carry dictionaries larger than what their rows use (and one that uses
+    /// all of its own).
+    fn mixed(n: usize, seed: u64) -> Dataset {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let dict: Vec<String> = (0..40).map(|i| format!("v{i}")).collect();
+        let spread = rng.gen_range(1..=dict.len() as u32);
+        let mut opt = |p: f64| rng.gen_bool(p);
+        let ints = (0..n).map(|i| opt(0.8).then_some(i as i64 - 7)).collect();
+        let stamps = (0..n).map(|i| opt(0.9).then_some(1_700_000_000 + i as i64)).collect();
+        let floats = (0..n).map(|i| opt(0.7).then_some(i as f64 * 0.25)).collect();
+        let codes = (0..n).map(|i| opt(0.85).then_some((i as u32 * 7) % spread)).collect();
+        let words: Vec<Option<&str>> =
+            (0..n).map(|i| opt(0.9).then_some(["x", "y", "z"][i % 3])).collect();
+        Dataset::builder("mixed")
+            .column(Column::from_ints("i", ints))
+            .unwrap()
+            .column(Column::from_timestamps("t", stamps))
+            .unwrap()
+            .column(Column::from_floats("f", floats, 2))
+            .unwrap()
+            .column(Column::from_codes("c", codes, dict))
+            .unwrap()
+            .column(Column::from_strings("w", words))
+            .unwrap()
+            .build()
+    }
+
+    #[test]
+    fn prop_slice_equals_take_of_the_range() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for seed in 0..60 {
+            let n = rng.gen_range(0..400);
+            let d = mixed(n, seed);
+            for _ in 0..8 {
+                let start = rng.gen_range(0..=n);
+                let len = rng.gen_range(0..=n + 70);
+                let rows: Vec<usize> = (start..(start + len).min(n)).collect();
+                assert_eq!(d.slice(start, len), d.take(&rows), "n {n}, slice {start}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn prop_compact_dictionaries_keep_rows_and_drop_unreferenced_entries() {
+        for seed in 0..60 {
+            let d = mixed(seed as usize * 5, seed);
+            let compact = d.with_compact_dictionaries();
+            assert_eq!(compact.n_rows(), d.n_rows());
+            for i in 0..d.n_rows() {
+                assert_eq!(compact.row(i), d.row(i), "seed {seed}, row {i}");
+            }
+            for (col, held) in compact.columns().iter().zip(d.columns()) {
+                let Some(dict) = col.dictionary() else {
+                    assert_eq!(col, held);
+                    continue;
+                };
+                // Exactly the referenced entries, in the order they had.
+                let mut used: Vec<u32> = (0..held.len()).filter_map(|i| held.code(i)).collect();
+                used.sort_unstable();
+                used.dedup();
+                let want: Vec<&String> =
+                    used.iter().map(|&c| &held.dictionary().unwrap()[c as usize]).collect();
+                assert_eq!(dict.iter().collect::<Vec<_>>(), want, "seed {seed}");
+                assert_eq!(col.heap_size(), Column::from_codes(
+                    col.name(),
+                    (0..col.len()).map(|i| col.code(i)).collect(),
+                    dict.to_vec(),
+                ).heap_size());
+            }
+            // Nothing left to drop: the second pass borrows, and a slice of it
+            // compacts to the same thing however it is cut.
+            assert!(matches!(compact.with_compact_dictionaries(), Cow::Borrowed(_)));
+            assert_eq!(*compact.with_compact_dictionaries(), *compact);
+        }
+    }
+
+    #[test]
+    fn prop_append_unions_dictionaries_whatever_the_incoming_one_looks_like() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for seed in 0..40 {
+            // One table cut into batches; each batch arrives with the whole
+            // dictionary, a compacted one, or (every third) as cut.
+            let whole = mixed(300, seed);
+            let mut grown: Option<Dataset> = None;
+            let mut start = 0;
+            while start < whole.n_rows() {
+                let len = rng.gen_range(1..60);
+                let cut = whole.slice(start, len);
+                let batch = if rng.gen_bool(0.6) { cut.with_compact_dictionaries().into_owned() } else { cut };
+                match grown.as_mut() {
+                    Some(g) => g.append(&batch).unwrap(),
+                    None => grown = Some(batch),
+                }
+                start += len;
+            }
+            let grown = grown.unwrap();
+            assert_eq!(grown.n_rows(), whole.n_rows());
+            for i in 0..whole.n_rows() {
+                assert_eq!(grown.row(i), whole.row(i), "seed {seed}, row {i}");
+            }
+            for col in grown.columns() {
+                let Some(dict) = col.dictionary() else { continue };
+                let mut distinct = dict.to_vec();
+                distinct.sort();
+                distinct.dedup();
+                assert_eq!(distinct.len(), dict.len(), "an entry was unioned in twice");
+                // The cached dictionary bytes track every entry appended.
+                let rebuilt = Column::from_codes(
+                    col.name(),
+                    (0..col.len()).map(|i| col.code(i)).collect(),
+                    dict.to_vec(),
+                );
+                assert_eq!(col.heap_size(), rebuilt.heap_size());
+                assert_eq!(*col, rebuilt);
+            }
+        }
     }
 
     #[test]

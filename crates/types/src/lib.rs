@@ -24,6 +24,7 @@
 mod bitmap;
 mod column;
 mod dataset;
+mod dict;
 mod error;
 pub mod faultfs;
 mod value;
@@ -31,6 +32,7 @@ mod value;
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData, ColumnType};
 pub use dataset::{Dataset, DatasetBuilder};
+pub use dict::DictIndex;
 pub use error::{PhError, TypeError};
 pub use value::Value;
 

@@ -335,3 +335,27 @@ fn seal_span_breaks_down_into_fit_synopsis_and_codec() {
         );
     }
 }
+
+/// A plain journaled batch explains itself too: admission (schema check and
+/// categorical resolution), the journal append and its fsync, then the fold,
+/// in that order — so the step that once dominated a wide table's appends
+/// would show if it came back.
+#[test]
+fn plain_ingest_breaks_down_into_admit_wal_and_fold() {
+    use pairwisehist::core::obs::{trace, Stage, Trace};
+
+    let dir = std::env::temp_dir().join(format!("ph_obs_admit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let session = Session::new();
+    session.register(dataset(4_000)).unwrap();
+    session.enable_wal(&dir).unwrap();
+    session.ingest("obs", &dataset(100)).unwrap();
+    trace::install(Trace::new());
+    let report = session.ingest("obs", &dataset(100)).unwrap();
+    let spans = trace::take().map(Trace::into_spans).unwrap_or_default();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(!report.rebuilt, "the batch was meant to fold: {report:?}");
+    let stages: Vec<Stage> = spans.iter().filter(|s| s.parent == 0).map(|s| s.stage).collect();
+    assert_eq!(stages, [Stage::Admit, Stage::WalAppend, Stage::WalFsync, Stage::Fold]);
+}

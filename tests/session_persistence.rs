@@ -112,3 +112,76 @@ fn reloaded_session_answers_workload_identically() {
     }
     assert!(reloaded.cache_stats().hits >= 5);
 }
+
+/// A live table and its WAL-replayed twin stay the same table through a later
+/// refit, however oversized the dictionaries its batches were cut with.
+///
+/// The base uses entries 0..300 of a 500-entry dictionary; every batch is a
+/// slice of one table over that dictionary plus strings nobody uses, and
+/// references entries 300..500 in scrambled order — values the fitted
+/// transforms can encode but the sealed rows do not hold, so at the refit their
+/// equal frequencies tie and the tie falls in dictionary order. The live delta
+/// and the journal must therefore agree on that order, entry for entry.
+#[test]
+fn live_and_replayed_tables_agree_after_a_refit_behind_oversized_dictionaries() {
+    let fitted: Vec<String> = (0..500).map(|i| format!("cat-{i:03}")).collect();
+    let table = |n: usize, dict: &[String], code: &dyn Fn(usize) -> u32| {
+        Dataset::builder("wide")
+            .column(Column::from_ints("x", (0..n).map(|i| Some((i * 37 % 1000) as i64)).collect()))
+            .unwrap()
+            .column(Column::from_floats(
+                "y",
+                (0..n).map(|i| (i % 11 != 0).then_some((i * 13 % 500) as f64 / 4.0)).collect(),
+                2,
+            ))
+            .unwrap()
+            .column(Column::from_codes(
+                "c",
+                (0..n).map(|i| (i % 17 != 3).then_some(code(i))).collect(),
+                dict.to_vec(),
+            ))
+            .unwrap()
+            .build()
+    };
+    let base = table(6_000, &fitted, &|i| (i % 300) as u32);
+    let mut oversized = fitted.clone();
+    oversized.extend((0..700).map(|i| format!("unused-{i}")));
+    let stream = table(1_200, &oversized, &|i| 300 + (i * 89 % 200) as u32);
+    // One row of the last batch holds a value outside the fitted dictionary.
+    let mut novel_dict = oversized.clone();
+    novel_dict.push("brand new".into());
+    let novel = table(40, &novel_dict, &|i| if i == 5 { 1_200 } else { 300 + (i % 200) as u32 });
+
+    let dir = std::env::temp_dir().join(format!("ph_sess_twin_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fresh = Session::new();
+    fresh.register(base).unwrap();
+    fresh.save_dir(&dir).unwrap();
+    drop(fresh);
+
+    let live = Session::open_dir(&dir).unwrap();
+    assert!(live.wal_enabled());
+    for k in 0..12 {
+        let report = live.ingest("wide", &stream.slice(k * 100, 100)).unwrap();
+        assert!(!report.rebuilt, "batch {k} left the plain path");
+    }
+    let report = live.ingest("wide", &novel).unwrap();
+    assert!(report.rebuilt && report.sealed_segments == 0, "{report:?}");
+    // The crash: nothing saved since the base; the twin is the log replayed.
+    let twin = Session::open_dir(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let pre_bytes = |s: &Session| s.engine("wide").unwrap().engine().preprocessor().to_bytes();
+    // (`assert!`, not `assert_eq!`: a failure should not print two dictionaries.)
+    assert!(pre_bytes(&live) == pre_bytes(&twin), "the refits ranked the categories differently");
+    for sql in [
+        "SELECT COUNT(x) FROM wide;",
+        "SELECT COUNT(x) FROM wide GROUP BY c;",
+        "SELECT AVG(y) FROM wide WHERE c = 'cat-417';",
+        "SELECT SUM(x) FROM wide WHERE c = 'brand new' OR c = 'cat-301';",
+        "SELECT MAX(y) FROM wide WHERE x > 400 GROUP BY c;",
+        "SELECT COUNT(y) FROM wide WHERE c = 'unused-3';",
+    ] {
+        assert_eq!(live.sql(sql).unwrap(), twin.sql(sql).unwrap(), "{sql}");
+    }
+}
