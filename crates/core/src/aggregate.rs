@@ -153,17 +153,17 @@ fn min_max(
     reverse: bool,
 ) -> Option<Estimate> {
     let k = bins.k();
-    let scan: Box<dyn Iterator<Item = usize>> =
-        if reverse { Box::new((0..k).rev()) } else { Box::new(0..k) };
+    // First bin, in scan order, whose weight exceeds the threshold.
     let first = |v: &[f64], thresh: f64| -> Option<usize> {
-        let it: Box<dyn Iterator<Item = usize>> =
-            if reverse { Box::new((0..k).rev()) } else { Box::new(0..k) };
-        it.into_iter().find(|&t| v[t] > thresh)
+        if reverse {
+            v.iter().rposition(|&x| x > thresh)
+        } else {
+            v.iter().position(|&x| x > thresh)
+        }
     };
     // Inner/outer extremes swap between MIN and MAX.
     let near = |t: usize| if reverse { bins.vmax[t] } else { bins.vmin[t] };
     let far = |t: usize| if reverse { bins.vmin[t] } else { bins.vmax[t] };
-    drop(scan);
 
     // Estimate (Eq 30 / Eq 33 with the u = 2 special case).
     let t_est = first(&w.w, W_EPS)?;
@@ -276,39 +276,44 @@ fn median_bin_with_total(w: &[f64], total: f64) -> Option<usize> {
 
 /// VAR (§5.4.7, Eq 38–39).
 fn var(w: &Weights, bins: &DimBins) -> Estimate {
-    let moments = |wv: &[f64], total: f64, x: &[f64]| -> Option<f64> {
+    /// Second central moment of the per-bin locations `x(t)` under weights `wv`.
+    fn moments(wv: &[f64], total: f64, x: impl Fn(usize) -> f64) -> Option<f64> {
         if total <= W_EPS {
             return None;
         }
-        let m1 = wv.iter().zip(x).map(|(a, b)| a * b).sum::<f64>() / total;
-        let m2 = wv.iter().zip(x).map(|(a, b)| a * b * b).sum::<f64>() / total;
+        let m1 = wv.iter().enumerate().map(|(t, a)| a * x(t)).sum::<f64>() / total;
+        let m2 = wv.iter().enumerate().map(|(t, a)| a * x(t) * x(t)).sum::<f64>() / total;
         Some((m2 - m1 * m1).max(0.0))
-    };
-    let value = moments(&w.w, w.total(), &bins.mid).expect("caller checked non-empty");
+    }
+    let value = moments(&w.w, w.total(), |t| bins.mid[t]).expect("caller checked non-empty");
     let avg_est =
         w.w.iter().zip(&bins.mid).map(|(a, b)| a * b).sum::<f64>() / w.total();
     // ξ⁻: each bin's points as close to the mean as possible; ξ⁺: as far as possible.
-    let k = bins.k();
-    let mut xi_lo = Vec::with_capacity(k);
-    let mut xi_hi = Vec::with_capacity(k);
-    for t in 0..k {
+    let xi_lo = |t: usize| {
         let (vlo, vhi) = (bins.vmin[t] as f64, bins.vmax[t] as f64);
-        xi_lo.push(if vhi < avg_est {
+        if vhi < avg_est {
             vhi
         } else if vlo > avg_est {
             vlo
         } else {
             avg_est
-        });
-        xi_hi.push(if (avg_est - vlo).abs() > (vhi - avg_est).abs() { vlo } else { vhi });
-    }
+        }
+    };
+    let xi_hi = |t: usize| {
+        let (vlo, vhi) = (bins.vmin[t] as f64, bins.vmax[t] as f64);
+        if (avg_est - vlo).abs() > (vhi - avg_est).abs() {
+            vlo
+        } else {
+            vhi
+        }
+    };
     let mut lo = value;
     let mut hi = value;
     for (wv, total) in [(&w.lo, w.total_lo()), (&w.hi, w.total_hi())] {
-        if let Some(v) = moments(wv, total, &xi_lo) {
+        if let Some(v) = moments(wv, total, xi_lo) {
             lo = lo.min(v);
         }
-        if let Some(v) = moments(wv, total, &xi_hi) {
+        if let Some(v) = moments(wv, total, xi_hi) {
             hi = hi.max(v);
         }
     }

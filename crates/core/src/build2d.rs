@@ -54,32 +54,88 @@ impl PairHist {
         self.dim_j.bins.k()
     }
 
-    /// Computes `H⁽ⁱʲ⁾ β` (Eq 27-28): multiplies the count matrix by a coverage
-    /// vector over one dimension's refined bins and folds the result into the *other*
-    /// dimension's parent 1-d bins.
+    /// Computes `H⁽ⁱʲ⁾ β` (Eq 27-28) for a leaf's three coverage vectors at once
+    /// — estimate, lower bound, upper bound — in one pass over the count matrix:
+    /// multiplies it by each vector over one dimension's refined bins and folds
+    /// the products into the *other* dimension's parent 1-d bins.
     ///
-    /// `cover_on_j = true` means `cov` covers the `j` dimension and the result is per
-    /// parent bin of column `i`; `false` is the transpose. `parent_k` is the number
-    /// of 1-d bins of the result column.
-    pub fn fold_coverage(&self, cov: &[f64], cover_on_j: bool, parent_k: usize) -> Vec<f64> {
-        let mut out = vec![0.0; parent_k];
-        self.fold_coverage_into(cov, cover_on_j, &mut out);
-        out
+    /// `cover_on_j = true` means the vectors cover the `j` dimension and the
+    /// results are per parent bin of column `i`; `false` is the transpose. `out`
+    /// (one slice per vector, each as long as the result column has 1-d bins) is
+    /// cleared first.
+    ///
+    /// Only the `band` of covered refined bins is walked — columns of every row
+    /// when the coverage is on `j`, whole rows when it is on `i`. The caller
+    /// passes the span of bins whose *upper* coverage is non-zero; the other two
+    /// vectors lie below it, so everything outside the band would add `+0.0`,
+    /// which leaves a non-negative sum exactly as it was. Inside the band every
+    /// accumulator takes its terms in the order three separate dense passes (the
+    /// test oracle `fold_coverage`) would add them, so the results are
+    /// bit-identical to those passes; a GROUP BY point leaf touches one column
+    /// (or row) instead of the whole matrix.
+    pub(crate) fn fold_coverage3(
+        &self,
+        cov: [&[f64]; 3],
+        cover_on_j: bool,
+        band: std::ops::Range<usize>,
+        out: [&mut [f64]; 3],
+    ) {
+        let kj = self.kj();
+        let [cov_p, cov_lo, cov_hi] = cov;
+        let [out_p, out_lo, out_hi] = out;
+        out_p.fill(0.0);
+        out_lo.fill(0.0);
+        out_hi.fill(0.0);
+        if band.is_empty() {
+            return;
+        }
+        if cover_on_j {
+            assert_eq!(cov_hi.len(), kj, "coverage must match the j dimension");
+            let (cov_p, cov_lo, cov_hi) =
+                (&cov_p[band.clone()], &cov_lo[band.clone()], &cov_hi[band.clone()]);
+            for (ri, &parent) in self.dim_i.parent.iter().enumerate() {
+                let row = &self.counts[ri * kj..(ri + 1) * kj][band.clone()];
+                let (mut p, mut lo, mut hi) = (0.0, 0.0, 0.0);
+                for (((&c, &bp), &bl), &bh) in row.iter().zip(cov_p).zip(cov_lo).zip(cov_hi) {
+                    let c = c as f64;
+                    p += c * bp;
+                    lo += c * bl;
+                    hi += c * bh;
+                }
+                let parent = parent as usize;
+                out_p[parent] += p;
+                out_lo[parent] += lo;
+                out_hi[parent] += hi;
+            }
+        } else {
+            assert_eq!(cov_hi.len(), self.ki(), "coverage must match the i dimension");
+            for ri in band {
+                let (bp, bl, bh) = (cov_p[ri], cov_lo[ri], cov_hi[ri]);
+                let row = &self.counts[ri * kj..(ri + 1) * kj];
+                for (&c, &parent) in row.iter().zip(&self.dim_j.parent) {
+                    let (c, parent) = (c as f64, parent as usize);
+                    out_p[parent] += c * bp;
+                    out_lo[parent] += c * bl;
+                    out_hi[parent] += c * bh;
+                }
+            }
+        }
     }
 
-    /// [`fold_coverage`](Self::fold_coverage) into a caller-provided buffer
-    /// (cleared first), so the query hot path can reuse one scratch allocation
-    /// across every leaf it evaluates.
-    pub fn fold_coverage_into(&self, cov: &[f64], cover_on_j: bool, out: &mut [f64]) {
+    /// The fold of one coverage vector, dense and unfused: the oracle
+    /// [`fold_coverage3`](Self::fold_coverage3) is tested against, bit for bit
+    /// (a zero count or a zero coverage is skipped, as the query path once did).
+    ///
+    /// `parent_k` is the number of 1-d bins of the result column.
+    #[cfg(test)]
+    pub(crate) fn fold_coverage(&self, cov: &[f64], cover_on_j: bool, parent_k: usize) -> Vec<f64> {
         let (ki, kj) = (self.ki(), self.kj());
-        out.fill(0.0);
+        let mut out = vec![0.0; parent_k];
         if cover_on_j {
             assert_eq!(cov.len(), kj, "coverage must match the j dimension");
             for ri in 0..ki {
                 let row = &self.counts[ri * kj..(ri + 1) * kj];
                 let mut acc = 0.0;
-                // Skipping zero-coverage terms is exact (they contribute +0.0)
-                // and makes point coverage — the GROUP BY leaf shape — cheap.
                 for (c, b) in row.iter().zip(cov) {
                     if *c > 0 && *b != 0.0 {
                         acc += *c as f64 * b;
@@ -102,6 +158,7 @@ impl PairHist {
                 }
             }
         }
+        out
     }
 }
 
@@ -533,6 +590,89 @@ mod tests {
         let total_refined: u64 = per_parent.iter().sum();
         let total_1d: u64 = pair.dim_i.bins.counts.iter().sum();
         assert_eq!(total_refined, total_1d);
+    }
+
+    /// A hand-assembled pair: `counts` is `ki × kj`, and each dimension's refined
+    /// bins map onto `parent_k` 1-d bins through a monotone parent map. Only what
+    /// the folds read is meaningful; the bin metadata is filler.
+    fn pair_of(counts: Vec<u32>, parent_i: Vec<u32>, parent_j: Vec<u32>) -> PairHist {
+        let mut chi2 = Chi2Cache::new(0.001);
+        let mut dim = |parent: Vec<u32>| {
+            let k = parent.len();
+            let edges = (0..=k).map(|t| t as f64 - 0.5).collect();
+            let bins =
+                DimBins::finalize(edges, vec![0; k], vec![1; k], vec![1; k], vec![1; k], 10, &mut chi2);
+            PairDim { bins, parent }
+        };
+        PairHist { col_i: 0, col_j: 1, dim_i: dim(parent_i), dim_j: dim(parent_j), counts }
+    }
+
+    proptest::proptest! {
+        /// The fused, banded fold is three dense folds, bit for bit: both
+        /// orientations; empty, point, full, interval and scattered coverages with
+        /// `β⁻ ≤ β ≤ β⁺`; matrices with all-zero rows and columns; refined bins
+        /// that share a parent.
+        #[test]
+        fn prop_fused_fold_equals_three_dense_folds(seed in 0u64..4_000) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (ki, kj) = (rng.gen_range(1..12usize), rng.gen_range(1..12usize));
+            let parent_k = rng.gen_range(1..6usize);
+            let mut parents = |k: usize| {
+                let mut p: Vec<u32> = (0..k).map(|_| rng.gen_range(0..parent_k as u32)).collect();
+                p.sort_unstable();
+                p
+            };
+            let (parent_i, parent_j) = (parents(ki), parents(kj));
+            let (dead_row, dead_col) = (rng.gen_range(0..ki + 2), rng.gen_range(0..kj + 2));
+            let counts = (0..ki * kj)
+                .map(|cell| {
+                    let dead = cell / kj == dead_row || cell % kj == dead_col;
+                    if dead || rng.gen_bool(0.3) { 0 } else { rng.gen_range(1..5_000u32) }
+                })
+                .collect();
+            let pair = pair_of(counts, parent_i, parent_j);
+
+            for cover_on_j in [true, false] {
+                let kb = if cover_on_j { kj } else { ki };
+                let (a, b) = (rng.gen_range(0..kb), rng.gen_range(0..kb));
+                let covered = |t: usize, rng: &mut rand::rngs::StdRng| match seed % 5 {
+                    0 => false,
+                    1 => t == a,
+                    2 => true,
+                    3 => (a.min(b)..=a.max(b)).contains(&t),
+                    _ => rng.gen_bool(0.4),
+                };
+                let mut cov = [vec![0.0; kb], vec![0.0; kb], vec![0.0; kb]];
+                let mut band = kb..kb;
+                for t in 0..kb {
+                    if !covered(t, &mut rng) {
+                        continue;
+                    }
+                    // Whole bins mostly, as real predicates cover them; partial
+                    // ones bracketed by bounds that may touch 0 and 1.
+                    let beta: f64 = if rng.gen_bool(0.6) { 1.0 } else { rng.gen() };
+                    let lo = if rng.gen_bool(0.3) { 0.0 } else { beta * rng.gen::<f64>() };
+                    let hi = if rng.gen_bool(0.3) { 1.0 } else { beta + (1.0 - beta) * rng.gen::<f64>() };
+                    (cov[0][t], cov[1][t], cov[2][t]) = (beta, lo, hi);
+                    if hi != 0.0 {
+                        band = band.start.min(t)..t + 1;
+                    }
+                }
+                let mut out = [vec![7.0; parent_k], vec![7.0; parent_k], vec![7.0; parent_k]];
+                let [out_p, out_lo, out_hi] = &mut out;
+                pair.fold_coverage3(
+                    [&cov[0], &cov[1], &cov[2]],
+                    cover_on_j,
+                    band,
+                    [out_p, out_lo, out_hi],
+                );
+                for (fused, cov) in out.iter().zip(&cov) {
+                    let dense = pair.fold_coverage(cov, cover_on_j, parent_k);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(fused), bits(&dense), "cover_on_j = {}", cover_on_j);
+                }
+            }
+        }
     }
 
     #[test]

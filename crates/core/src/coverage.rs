@@ -16,8 +16,8 @@ use crate::bins::DimBins;
 /// domain of one column.
 ///
 /// Equality is structural and canonical (the interval list is always normalised:
-/// sorted, disjoint, non-adjacent), which is what the query engine's per-leaf
-/// coverage memo compares by.
+/// sorted, disjoint, non-adjacent), which is what the planner compares by when
+/// it looks for leaves a plan repeats.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeSet {
     ivs: Vec<(u64, u64)>,
@@ -134,10 +134,17 @@ impl RangeSet {
             .is_ok()
     }
 
+    /// Index of the first interval ending at or after `v` — the only one that can
+    /// contain `v`, and where any scan of `[v, …]` starts (intervals are sorted
+    /// and disjoint, so their ends ascend too).
+    fn first_ending_at_or_after(&self, v: u64) -> usize {
+        self.ivs.partition_point(|&(_, b)| b < v)
+    }
+
     /// Whether the set fully covers `[lo, hi]`.
     pub fn covers(&self, lo: u64, hi: u64) -> bool {
-        match self.ivs.iter().find(|&&(a, b)| a <= lo && lo <= b) {
-            Some(&(_, b)) => b >= hi,
+        match self.ivs.get(self.first_ending_at_or_after(lo)) {
+            Some(&(a, b)) => a <= lo && b >= hi,
             None => false,
         }
     }
@@ -201,11 +208,12 @@ impl RangeSet {
         RangeSet { ivs: out }
     }
 
-    /// Intervals clipped to `[lo, hi]`.
+    /// Intervals clipped to `[lo, hi]`: a binary search for the first overlap,
+    /// then only the overlapping run is visited.
     pub fn clip(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.ivs
+        self.ivs[self.first_ending_at_or_after(lo)..]
             .iter()
-            .filter(move |&&(a, b)| b >= lo && a <= hi)
+            .take_while(move |&&(a, _)| a <= hi)
             .map(move |&(a, b)| (a.max(lo), b.min(hi)))
     }
 
@@ -478,7 +486,40 @@ mod tests {
         assert!((hi - 0.9).abs() < 1e-12);
     }
 
+    /// The linear scans `covers` and `clip` were before they binary-searched.
+    fn covers_linear(rs: &RangeSet, lo: u64, hi: u64) -> bool {
+        match rs.intervals().iter().find(|&&(a, b)| a <= lo && lo <= b) {
+            Some(&(_, b)) => b >= hi,
+            None => false,
+        }
+    }
+
+    fn clip_linear(rs: &RangeSet, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        rs.intervals()
+            .iter()
+            .filter(|&&(a, b)| b >= lo && a <= hi)
+            .map(|&(a, b)| (a.max(lo), b.min(hi)))
+            .collect()
+    }
+
     proptest! {
+        #[test]
+        fn prop_covers_and_clip_match_the_linear_scans(
+            a in proptest::collection::vec((0u64..400, 0u64..12), 0..40),
+            probes in proptest::collection::vec((0u64..420, 0u64..60), 30),
+        ) {
+            // Many short intervals: the shape of `<>` and OR-of-equalities on a
+            // wide dictionary.
+            let set = a.iter().fold(RangeSet::empty(), |acc, &(lo, len)| {
+                acc.union(&RangeSet::interval(lo, lo + len))
+            });
+            for (lo, len) in probes {
+                let hi = lo + len;
+                prop_assert_eq!(set.covers(lo, hi), covers_linear(&set, lo, hi));
+                prop_assert_eq!(set.clip(lo, hi).collect::<Vec<_>>(), clip_linear(&set, lo, hi));
+            }
+        }
+
         #[test]
         fn prop_union_intersect_consistent(
             a in proptest::collection::vec((0u64..1000, 0u64..1000), 0..6),

@@ -12,7 +12,9 @@ use crate::build::PairwiseHist;
 use crate::coverage::RangeSet;
 use crate::plan::{compile_predicate, PlanNode};
 use crate::prepared::{AqpEngine, Prepared};
-use crate::weights::{compute_weights, weights_from_probs, Probs, WeightCtx, W_EPS};
+use crate::weights::{
+    compute_weights, weights_from_probs, with_scratch, Probs, Scratch, WeightCtx, W_EPS,
+};
 
 /// A grouped query fans its per-group work across cores once the total
 /// per-group bin work crosses this (groups × aggregation-column bins).
@@ -100,6 +102,40 @@ pub(crate) struct PhPlan {
     group: Option<(usize, usize)>,
 }
 
+impl PhPlan {
+    /// The leaves every satisfying row must match: the plan itself when it is
+    /// one leaf, the leaf children of a top-level AND, nothing under an OR.
+    pub(crate) fn conjuncts(&self) -> impl Iterator<Item = (usize, &RangeSet)> {
+        let top = match &self.plan {
+            Some(PlanNode::And(children)) => children.as_slice(),
+            Some(leaf @ PlanNode::Leaf { .. }) => std::slice::from_ref(leaf),
+            _ => &[],
+        };
+        top.iter().filter_map(|node| match node {
+            PlanNode::Leaf { col, ranges, .. } => Some((*col, ranges)),
+            _ => None,
+        })
+    }
+
+    /// What [`PairwiseHist::run_plan`] answers when a conjunct has zero coverage
+    /// on every bin, so every weight and both bounds come out `+0.0`: COUNT is 0
+    /// with zero bounds and moments, every other aggregate is undefined, and no
+    /// group clears the weight floor.
+    pub(crate) fn empty_answer(&self, agg: AggFunc) -> AqpAnswer {
+        match (self.group, agg) {
+            (Some(_), _) => AqpAnswer::Groups(BTreeMap::new()),
+            (None, AggFunc::Count) => AqpAnswer::Scalar(Some(Estimate {
+                value: 0.0,
+                lo: 0.0,
+                hi: 0.0,
+                support: 0.0,
+                mean: 0.0,
+            })),
+            (None, _) => AqpAnswer::Scalar(None),
+        }
+    }
+}
+
 impl PairwiseHist {
     /// Executes an approximate query (§5). Estimates and bounds are returned in the
     /// original value domain.
@@ -109,7 +145,7 @@ impl PairwiseHist {
     /// `Session` do the caching.
     pub fn execute(&self, q: &Query) -> Result<AqpAnswer, AqpError> {
         let plan = self.plan_query(q)?;
-        Ok(self.run_plan(q.agg, &plan))
+        Ok(with_scratch(|scratch| self.run_plan(q.agg, &plan, scratch)))
     }
 
     /// Runs a plan previously prepared through the [`AqpEngine`] interface.
@@ -118,12 +154,19 @@ impl PairwiseHist {
     /// (they embed resolved column indices and encoded-domain literals); a plan
     /// prepared before a rebuild — or by a different synopsis — is rejected.
     pub fn execute_prepared(&self, p: &Prepared) -> Result<AqpAnswer, PhError> {
+        let plan = self.checked_plan(p)?;
+        Ok(with_scratch(|scratch| self.run_plan(p.query().agg, plan, scratch)))
+    }
+
+    /// The compiled plan inside `p`, once `p` is known to be this engine's: right
+    /// engine name, this instance's epoch, a PairwiseHist payload. Every engine
+    /// of a table version shares the epoch, so a segmented execute checks once.
+    pub(crate) fn checked_plan<'p>(&self, p: &'p Prepared) -> Result<&'p PhPlan, PhError> {
         p.check_engine(ENGINE_NAME)?;
         p.check_token(self.plan_token())?;
-        let plan = p.payload::<PhPlan>().ok_or_else(|| {
+        p.payload::<PhPlan>().ok_or_else(|| {
             PhError::InvalidQuery("prepared payload is not a PairwiseHist plan".into())
-        })?;
-        Ok(self.run_plan(p.query().agg, plan))
+        })
     }
 
     /// Token identifying the synopsis instance plans are compiled against: a
@@ -178,22 +221,20 @@ impl PairwiseHist {
         Ok(PhPlan { agg_col, plan, single_col, clamp, group })
     }
 
-    /// The execute phase: pure histogram arithmetic over a compiled plan.
-    fn run_plan(&self, agg: AggFunc, p: &PhPlan) -> AqpAnswer {
+    /// The execute phase: pure histogram arithmetic over a compiled plan, in the
+    /// caller's scratch buffers.
+    pub(crate) fn run_plan(&self, agg: AggFunc, p: &PhPlan, scratch: &mut Scratch) -> AqpAnswer {
+        let mut ctx = WeightCtx::new(self, p.agg_col, scratch);
         match p.group {
             None => {
-                let w = compute_weights(self, p.plan.as_ref(), p.agg_col);
-                let e =
-                    self.finish(agg, &w, p.agg_col, p.single_col, p.clamp.as_ref());
+                let w = ctx.weights(p.plan.as_ref());
+                let e = self.finish(agg, &w, p.agg_col, p.single_col, p.clamp.as_ref());
+                ctx.recycle(w.into_probs());
                 AqpAnswer::Scalar(e)
             }
-            Some((gcol, n_groups)) => AqpAnswer::Groups(self.execute_groups(
-                agg,
-                p.plan.as_ref(),
-                p.agg_col,
-                gcol,
-                n_groups,
-            )),
+            Some((gcol, n_groups)) => {
+                AqpAnswer::Groups(self.execute_groups(agg, p, gcol, n_groups, &mut ctx))
+            }
         }
     }
 
@@ -212,18 +253,18 @@ impl PairwiseHist {
     fn execute_groups(
         &self,
         agg: AggFunc,
-        plan: Option<&PlanNode>,
-        agg_col: usize,
+        p: &PhPlan,
         gcol: usize,
         n_groups: usize,
+        ctx: &mut WeightCtx<'_>,
     ) -> BTreeMap<String, Estimate> {
-        let mut ctx = WeightCtx::new(self, agg_col);
-        let shared: Option<Probs> = plan.map(|p| ctx.eval(p));
+        let agg_col = p.agg_col;
+        let shared: Option<Probs> = p.plan.as_ref().map(|plan| ctx.eval(plan));
         // The order-statistic clamp never involves the group column: it only
         // applies to MIN/MAX/MEDIAN, whose aggregation column is numeric while
-        // the group column is categorical — so it is group-invariant and
-        // computed once.
-        let clamp = plan.and_then(|p| conjunctive_range(p, agg_col));
+        // the group column is categorical — so it is group-invariant, and the
+        // plan's own clamp serves every group.
+        let clamp = p.clamp.as_ref();
 
         // One group's estimate, through whichever context the calling thread owns.
         let one_group = |ctx: &mut WeightCtx<'_>, rank: usize| -> Option<(String, Estimate)> {
@@ -231,12 +272,15 @@ impl PairwiseHist {
             if let Some(sh) = &shared {
                 probs.and_assign(sh);
             }
-            let w = weights_from_probs(self, agg_col, &probs);
-            ctx.recycle(probs);
-            if w.total() <= W_EPS {
-                return None; // group has no estimated satisfying rows
-            }
-            let e = self.finish(agg, &w, agg_col, false, clamp.as_ref())?;
+            let w = weights_from_probs(self, agg_col, probs);
+            // A group with no estimated satisfying rows is not in the answer.
+            let e = if w.total() > W_EPS {
+                self.finish(agg, &w, agg_col, false, clamp)
+            } else {
+                None
+            };
+            ctx.recycle(w.into_probs());
+            let e = e?;
             let label = self
                 .pre
                 .transform(gcol)
@@ -253,7 +297,12 @@ impl PairwiseHist {
             1
         };
         if workers <= 1 {
-            return (0..n_groups).filter_map(|rank| one_group(&mut ctx, rank)).collect();
+            let out = (0..n_groups).filter_map(|rank| one_group(ctx, rank)).collect();
+            // Back to the pool, or the next grouped query allocates it afresh.
+            if let Some(shared) = shared {
+                ctx.recycle(shared);
+            }
+            return out;
         }
         let chunk = n_groups.div_ceil(workers);
         let mut out = BTreeMap::new();
@@ -262,9 +311,10 @@ impl PairwiseHist {
                 .map(|wi| {
                     let one_group = &one_group;
                     scope.spawn(move || {
-                        // Each worker owns its context; the shared probability
-                        // vector and clamp are read-only across threads.
-                        let mut local = WeightCtx::new(self, agg_col);
+                        // Each worker owns its scratch and context; the shared
+                        // probability vector and clamp are read-only across threads.
+                        let mut scratch = Scratch::default();
+                        let mut local = WeightCtx::new(self, agg_col, &mut scratch);
                         (wi * chunk..((wi + 1) * chunk).min(n_groups))
                             .filter_map(|rank| one_group(&mut local, rank))
                             .collect::<Vec<_>>()
@@ -426,7 +476,7 @@ impl AqpEngine for PairwiseHist {
 /// * an OR implies the union, but only if *every* branch constrains `col`.
 fn conjunctive_range(plan: &PlanNode, col: usize) -> Option<RangeSet> {
     match plan {
-        PlanNode::Leaf { col: c, ranges } => (*c == col).then(|| ranges.clone()),
+        PlanNode::Leaf { col: c, ranges, .. } => (*c == col).then(|| ranges.clone()),
         PlanNode::And(children) => children
             .iter()
             .filter_map(|ch| conjunctive_range(ch, col))
@@ -610,7 +660,7 @@ mod tests {
     ) -> BTreeMap<String, Estimate> {
         let mut out = BTreeMap::new();
         for rank in 0..n_groups {
-            let leaf = PlanNode::Leaf { col: gcol, ranges: RangeSet::point(rank as u64) };
+            let leaf = PlanNode::leaf(gcol, RangeSet::point(rank as u64));
             let grouped = match plan {
                 Some(p) => PlanNode::And(vec![p.clone(), leaf]),
                 None => leaf,

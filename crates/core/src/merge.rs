@@ -105,22 +105,43 @@ pub fn merge_estimates(agg: AggFunc, parts: &[Estimate]) -> Option<Estimate> {
     }
 }
 
-/// Total support across parts, guarded for the all-untracked case (a merge of
-/// supportless estimates degrades to equal weighting rather than 0/0).
-fn supports(parts: &[Estimate]) -> (Vec<f64>, f64) {
-    let mut s: Vec<f64> = parts.iter().map(|e| e.support.max(0.0)).collect();
-    let mut total: f64 = s.iter().sum();
-    if total <= 0.0 {
-        s = vec![1.0; parts.len()];
-        total = parts.len() as f64;
+/// The merge weight of each part: its support, or equal weights when no part
+/// tracks one (a merge of supportless estimates degrades to equal weighting
+/// rather than 0/0).
+#[derive(Clone, Copy)]
+struct Supports {
+    tracked: bool,
+    /// Sum of the weights.
+    total: f64,
+}
+
+impl Supports {
+    fn of(parts: &[Estimate]) -> Self {
+        let total: f64 = parts.iter().map(|e| e.support.max(0.0)).sum();
+        if total <= 0.0 {
+            Self { tracked: false, total: parts.len() as f64 }
+        } else {
+            Self { tracked: true, total }
+        }
     }
-    (s, total)
+
+    fn weight(&self, e: &Estimate) -> f64 {
+        if self.tracked {
+            e.support.max(0.0)
+        } else {
+            1.0
+        }
+    }
+
+    /// `Σ sᵢ·f(partᵢ) / S`.
+    fn mean_of(&self, parts: &[Estimate], f: impl Fn(&Estimate) -> f64) -> f64 {
+        parts.iter().map(|e| self.weight(e) * f(e)).sum::<f64>() / self.total
+    }
 }
 
 /// Support-weighted mean of the parts' `mean` moments.
 fn combined_mean(parts: &[Estimate]) -> f64 {
-    let (s, total) = supports(parts);
-    parts.iter().zip(&s).map(|(e, si)| si * e.mean).sum::<f64>() / total
+    Supports::of(parts).mean_of(parts, |e| e.mean)
 }
 
 fn with_moments(mut e: Estimate, support: f64, mean: f64) -> Estimate {
@@ -140,54 +161,43 @@ fn additive(parts: &[Estimate]) -> Estimate {
 
 /// The independence combination of per-part CI half-widths around `value`:
 /// `√(Σ (sᵢ·hᵢ)²) / S`.
-fn quadrature_halfwidth(parts: &[Estimate], s: &[f64], total: f64) -> f64 {
+fn quadrature_halfwidth(parts: &[Estimate], s: Supports) -> f64 {
     let sq: f64 = parts
         .iter()
-        .zip(s)
-        .map(|(e, si)| {
-            let h = si * 0.5 * (e.hi - e.lo);
+        .map(|e| {
+            let h = s.weight(e) * 0.5 * (e.hi - e.lo);
             h * h
         })
         .sum();
-    sq.sqrt() / total
+    sq.sqrt() / s.total
 }
 
 /// Support-weighted bounds widened by the quadrature term: the weighted
 /// interval preserves per-part containment (systematic errors included); the
 /// variance combination extends it where it is the wider of the two.
-fn weighted_bounds(
-    parts: &[Estimate],
-    s: &[f64],
-    total: f64,
-    value: f64,
-) -> (f64, f64) {
-    let wlo = parts.iter().zip(s).map(|(e, si)| si * e.lo).sum::<f64>() / total;
-    let whi = parts.iter().zip(s).map(|(e, si)| si * e.hi).sum::<f64>() / total;
-    let h = quadrature_halfwidth(parts, s, total);
+fn weighted_bounds(parts: &[Estimate], s: Supports, value: f64) -> (f64, f64) {
+    let wlo = s.mean_of(parts, |e| e.lo);
+    let whi = s.mean_of(parts, |e| e.hi);
+    let h = quadrature_halfwidth(parts, s);
     (wlo.min(value - h), whi.max(value + h))
 }
 
 /// AVG: support-weighted value; containment-preserving combined CI.
 fn weighted_mean(parts: &[Estimate]) -> Estimate {
-    let (s, total) = supports(parts);
-    let value = parts.iter().zip(&s).map(|(e, si)| si * e.value).sum::<f64>() / total;
-    let (lo, hi) = weighted_bounds(parts, &s, total, value);
+    let s = Supports::of(parts);
+    let value = s.mean_of(parts, |e| e.value);
+    let (lo, hi) = weighted_bounds(parts, s, value);
     let support: f64 = parts.iter().map(|e| e.support).sum();
     with_moments(Estimate::ordered(value, lo, hi), support, value)
 }
 
 /// VARIANCE: law of total variance over the disjoint partition, CI like AVG's.
 fn pooled_variance(parts: &[Estimate]) -> Estimate {
-    let (s, total) = supports(parts);
+    let s = Supports::of(parts);
     let mean = combined_mean(parts);
-    let second_moment = parts
-        .iter()
-        .zip(&s)
-        .map(|(e, si)| si * (e.value + e.mean * e.mean))
-        .sum::<f64>()
-        / total;
+    let second_moment = s.mean_of(parts, |e| e.value + e.mean * e.mean);
     let value = (second_moment - mean * mean).max(0.0);
-    let (lo, hi) = weighted_bounds(parts, &s, total, value);
+    let (lo, hi) = weighted_bounds(parts, s, value);
     let support: f64 = parts.iter().map(|e| e.support).sum();
     with_moments(Estimate::ordered(value, lo.max(0.0), hi), support, mean)
 }
@@ -207,17 +217,27 @@ fn extreme(parts: &[Estimate], pick: fn(f64, f64) -> f64) -> Estimate {
 
 /// MEDIAN: support-weighted median of part medians, union bounds.
 fn weighted_median(parts: &[Estimate]) -> Estimate {
-    let (s, total) = supports(parts);
-    let mut order: Vec<usize> = (0..parts.len()).collect();
-    order.sort_by(|&a, &b| parts[a].value.total_cmp(&parts[b].value));
+    let s = Supports::of(parts);
+    // Ascending by value, ties in part order: the order a stable sort gives.
+    let by_value = |a: &usize, b: &usize| {
+        parts[*a].value.total_cmp(&parts[*b].value).then(a.cmp(b))
+    };
+    // Walked by repeated selection rather than sorted into a vector: a table
+    // has a handful of segments, and this runs on the allocation-free path.
     let mut acc = 0.0;
-    let mut value = parts[order[parts.len() - 1]].value;
-    for &i in &order {
-        acc += s[i];
-        if acc + 1e-12 >= 0.5 * total {
-            value = parts[i].value;
+    let mut value = f64::NAN;
+    let mut taken: Option<usize> = None;
+    for _ in 0..parts.len() {
+        let i = (0..parts.len())
+            .filter(|i| taken.is_none_or(|t| by_value(&t, i).is_lt()))
+            .min_by(by_value)
+            .expect("fewer parts taken than there are");
+        value = parts[i].value;
+        acc += s.weight(&parts[i]);
+        if acc + 1e-12 >= 0.5 * s.total {
             break;
         }
+        taken = Some(i);
     }
     let lo = parts.iter().map(|e| e.lo).fold(f64::INFINITY, f64::min);
     let hi = parts.iter().map(|e| e.hi).fold(f64::NEG_INFINITY, f64::max);

@@ -33,7 +33,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock, PoisonError};
+use std::sync::{Arc, PoisonError};
 
 use ph_gd::Preprocessor;
 use ph_types::{faultfs, PhError};
@@ -417,14 +417,7 @@ impl Session {
                         return Err(fail(&name, corrupt("manifest lists no segments".into())));
                     };
                     let cfg = config_from_engine(&first.engine);
-                    let state = TableState {
-                        epoch,
-                        pre,
-                        segments,
-                        delta: None,
-                        cfg,
-                        footprint: OnceLock::new(),
-                    };
+                    let state = TableState::new(epoch, pre, segments, cfg);
                     Ok((name, state, m.wal_seq))
                 };
                 match load() {

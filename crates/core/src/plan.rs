@@ -25,6 +25,11 @@ pub(crate) enum PlanNode {
         col: usize,
         /// Matching values.
         ranges: RangeSet,
+        /// `Some(slot)` when this `(column, ranges)` occurs more than once in
+        /// the plan: every occurrence carries the same slot, so the evaluator
+        /// computes the leaf's probabilities once and finds them again by
+        /// index. Assigned by [`compile_predicate`]; `None` everywhere else.
+        memo: Option<u32>,
     },
     /// Conjunction across columns / nested groups.
     And(Vec<PlanNode>),
@@ -33,6 +38,11 @@ pub(crate) enum PlanNode {
 }
 
 impl PlanNode {
+    /// A leaf no other leaf of the plan repeats.
+    pub fn leaf(col: usize, ranges: RangeSet) -> Self {
+        PlanNode::Leaf { col, ranges, memo: None }
+    }
+
     /// Distinct columns referenced.
     pub fn columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
@@ -56,13 +66,59 @@ impl PlanNode {
     }
 }
 
-/// Compiles a predicate against the fitted pre-processing transforms and
-/// canonicalizes the result (the optimizer pass every query runs through).
+/// Compiles a predicate against the fitted pre-processing transforms,
+/// canonicalizes the result (the optimizer pass every query runs through) and
+/// gives repeated leaves their memo slots.
 pub(crate) fn compile_predicate(
     pred: &Predicate,
     pre: &Preprocessor,
 ) -> Result<PlanNode, AqpError> {
-    Ok(canonicalize(compile_predicate_raw(pred, pre)?))
+    let mut plan = canonicalize(compile_predicate_raw(pred, pre)?);
+    share_repeated_leaves(&mut plan);
+    Ok(plan)
+}
+
+/// Numbers the leaves that occur more than once (`OR(AND(a, b), AND(a, c))`
+/// evaluates `a` twice): all occurrences of one `(column, ranges)` get the same
+/// slot, slots count up from 0, and a leaf that occurs once keeps `memo: None`
+/// — so the evaluator never compares range sets, it indexes.
+fn share_repeated_leaves(plan: &mut PlanNode) {
+    fn visit<'a>(node: &'a PlanNode, seen: &mut Vec<(usize, &'a RangeSet, u32)>) {
+        match node {
+            PlanNode::Leaf { col, ranges, .. } => {
+                match seen.iter_mut().find(|(c, rs, _)| c == col && *rs == ranges) {
+                    Some((_, _, n)) => *n += 1,
+                    None => seen.push((*col, ranges, 1)),
+                }
+            }
+            PlanNode::And(children) | PlanNode::Or(children) => {
+                children.iter().for_each(|c| visit(c, seen));
+            }
+        }
+    }
+    fn assign(node: &mut PlanNode, shared: &[(usize, RangeSet)]) {
+        match node {
+            PlanNode::Leaf { col, ranges, memo } => {
+                *memo = shared
+                    .iter()
+                    .position(|(c, rs)| c == col && rs == ranges)
+                    .map(|slot| slot as u32);
+            }
+            PlanNode::And(children) | PlanNode::Or(children) => {
+                children.iter_mut().for_each(|c| assign(c, shared));
+            }
+        }
+    }
+    let mut seen = Vec::new();
+    visit(plan, &mut seen);
+    let shared: Vec<(usize, RangeSet)> = seen
+        .into_iter()
+        .filter(|&(_, _, n)| n > 1)
+        .map(|(col, ranges, _)| (col, ranges.clone()))
+        .collect();
+    if !shared.is_empty() {
+        assign(plan, &shared);
+    }
 }
 
 /// Literal transformation only: compiles the predicate tree one-to-one, without
@@ -113,7 +169,7 @@ fn compile_condition(c: &Condition, pre: &Preprocessor) -> Result<PlanNode, AqpE
     // predicates over the extension into empty selections. Categorical ranks
     // stay bounded by the dictionary, whose growth always forces a refit.
     let bound = if tr.is_numeric() { 1u64 << 52 } else { tr.max_enc() };
-    Ok(PlanNode::Leaf { col, ranges: RangeSet::from_condition(c.op, lit, bound) })
+    Ok(PlanNode::leaf(col, RangeSet::from_condition(c.op, lit, bound)))
 }
 
 /// Canonicalizes a plan tree (the paper's delayed-transformation consolidation,
@@ -156,7 +212,7 @@ fn rebuild(children: Vec<PlanNode>, intersect: bool) -> PlanNode {
     let mut rest: Vec<PlanNode> = Vec::new();
     for child in flat {
         match child {
-            PlanNode::Leaf { col, ranges } => {
+            PlanNode::Leaf { col, ranges, .. } => {
                 match leaves.iter_mut().find(|(c, _)| *c == col) {
                     Some((_, acc)) => {
                         *acc = if intersect {
@@ -176,25 +232,23 @@ fn rebuild(children: Vec<PlanNode>, intersect: bool) -> PlanNode {
     if intersect {
         // AND with a contradictory column selects nothing.
         if let Some(&(col, _)) = leaves.iter().find(|(_, rs)| rs.is_empty()) {
-            return PlanNode::Leaf { col, ranges: RangeSet::empty() };
+            return PlanNode::leaf(col, RangeSet::empty());
         }
     } else {
         // Empty OR branches contribute nothing (probability 0 with exact
         // (0, 0) bounds, so the complement-product is unchanged).
         leaves.retain(|(_, rs)| !rs.is_empty());
     }
-    let mut nodes: Vec<PlanNode> = leaves
-        .into_iter()
-        .map(|(col, ranges)| PlanNode::Leaf { col, ranges })
-        .collect();
+    let mut nodes: Vec<PlanNode> =
+        leaves.into_iter().map(|(col, ranges)| PlanNode::leaf(col, ranges)).collect();
     nodes.extend(rest);
     match nodes.len() {
         // OR of only empty branches: preserve an empty leaf so the engine still
         // sees the predicate's column.
-        0 => PlanNode::Leaf {
-            col: first_col.expect("operator node has at least one child"),
-            ranges: RangeSet::empty(),
-        },
+        0 => PlanNode::leaf(
+            first_col.expect("operator node has at least one child"),
+            RangeSet::empty(),
+        ),
         1 => nodes.pop().unwrap(),
         _ if intersect => PlanNode::And(nodes),
         _ => PlanNode::Or(nodes),
@@ -247,7 +301,7 @@ mod tests {
                 // First branch fully consolidated into a single dist leaf:
                 // dist ∈ (150, 300) -> encoded (81, 231) -> [82, 230].
                 match &children[0] {
-                    PlanNode::Leaf { col: 1, ranges } => {
+                    PlanNode::Leaf { col: 1, ranges, .. } => {
                         assert_eq!(ranges.intervals(), &[(82, 230)]);
                     }
                     other => panic!("expected consolidated dist leaf, got {other:?}"),
@@ -266,7 +320,7 @@ mod tests {
     fn or_consolidation_unions() {
         let p = plan("SELECT COUNT(delay) FROM f WHERE dist = 69 OR dist = 79");
         match p {
-            PlanNode::Leaf { col: 1, ranges } => {
+            PlanNode::Leaf { col: 1, ranges, .. } => {
                 assert!(ranges.contains(0)); // 69 - 69
                 assert!(ranges.contains(10)); // 79 - 69
                 assert!(!ranges.contains(5));
@@ -288,7 +342,7 @@ mod tests {
     fn categorical_equality_compiles() {
         let p = plan("SELECT COUNT(delay) FROM f WHERE carrier = 'AA'");
         match p {
-            PlanNode::Leaf { col: 3, ranges } => {
+            PlanNode::Leaf { col: 3, ranges, .. } => {
                 assert_eq!(ranges.intervals().len(), 1);
             }
             other => panic!("{other:?}"),
@@ -314,7 +368,7 @@ mod tests {
     }
 
     fn leaf(col: usize, lo: u64, hi: u64) -> PlanNode {
-        PlanNode::Leaf { col, ranges: RangeSet::interval(lo, hi) }
+        PlanNode::leaf(col, RangeSet::interval(lo, hi))
     }
 
     #[test]
@@ -341,7 +395,7 @@ mod tests {
             leaf(0, 4, 6),
         ]));
         match p {
-            PlanNode::Leaf { col: 0, ranges } => {
+            PlanNode::Leaf { col: 0, ranges, .. } => {
                 assert_eq!(ranges.intervals(), &[(0, 6), (10, 12)]);
             }
             other => panic!("expected single merged leaf, got {other:?}"),
@@ -353,10 +407,10 @@ mod tests {
         let p = canonicalize(PlanNode::And(vec![
             leaf(0, 10, 20),
             leaf(1, 0, 5),
-            PlanNode::Leaf { col: 0, ranges: RangeSet::interval(30, 40) },
+            PlanNode::leaf(0, RangeSet::interval(30, 40)),
         ]));
         match p {
-            PlanNode::Leaf { col: 0, ranges } => assert!(ranges.is_empty()),
+            PlanNode::Leaf { col: 0, ranges, .. } => assert!(ranges.is_empty()),
             other => panic!("expected empty leaf, got {other:?}"),
         }
     }
@@ -364,17 +418,17 @@ mod tests {
     #[test]
     fn or_drops_empty_branches() {
         let p = canonicalize(PlanNode::Or(vec![
-            PlanNode::Leaf { col: 0, ranges: RangeSet::empty() },
+            PlanNode::leaf(0, RangeSet::empty()),
             leaf(1, 5, 9),
         ]));
         assert_eq!(p, leaf(1, 5, 9));
         // All branches empty: one empty leaf survives as the predicate's anchor.
         let p = canonicalize(PlanNode::Or(vec![
-            PlanNode::Leaf { col: 2, ranges: RangeSet::empty() },
-            PlanNode::Leaf { col: 3, ranges: RangeSet::empty() },
+            PlanNode::leaf(2, RangeSet::empty()),
+            PlanNode::leaf(3, RangeSet::empty()),
         ]));
         match p {
-            PlanNode::Leaf { col: 2, ranges } => assert!(ranges.is_empty()),
+            PlanNode::Leaf { col: 2, ranges, .. } => assert!(ranges.is_empty()),
             other => panic!("expected empty anchor leaf, got {other:?}"),
         }
     }

@@ -22,8 +22,13 @@
 //!   bounded by the rows of the segments being merged.
 //!
 //! All engines of one table version share the table's preprocessor and carry the
-//! same **plan epoch**, so a single compiled plan executes against every
-//! segment; per-segment answers are combined by `crate::merge`.
+//! same **plan epoch**, so a single compiled plan — validated once per execute —
+//! runs against every segment through one per-thread scratch; per-segment
+//! answers are combined by `crate::merge`. A segment whose own value range a
+//! top-level conjunct of the plan misses is not evaluated at all: it
+//! contributes the empty answer its evaluation would have produced (machine-
+//! generated streams arrive time-ordered, so a range on the ordering column
+//! skips most segments), and the table counts both outcomes.
 
 use std::sync::{Arc, OnceLock};
 
@@ -38,9 +43,10 @@ use ph_types::{Column, ColumnType, Dataset, PhError, Value};
 
 use crate::build::{PairwiseHist, PairwiseHistConfig};
 use crate::coverage::RangeSet;
-use crate::engine::AqpAnswer;
-use crate::merge::merge_answers;
+use crate::engine::{AqpAnswer, PhPlan};
+use crate::merge::{merge_answers, merge_estimates};
 use crate::prepared::{AqpEngine, Prepared};
+use crate::weights::with_scratch;
 
 /// Exact count of retained rows whose encoded value in `col` falls in `rs`,
 /// evaluated directly on the compressed store — dictionary columns answer over
@@ -95,6 +101,18 @@ impl Segment {
     }
 }
 
+/// How many engine evaluations a table's queries asked for and how many of them
+/// the prune test answered without folding anything. One pair per table,
+/// handed from each published [`TableState`] to its successor, so the totals
+/// span seals, compactions and refits (a reopened catalog starts from zero).
+#[derive(Default)]
+pub(crate) struct FanoutCounters {
+    /// Engines (sealed segments and deltas) a query's plan was evaluated on.
+    pub(crate) consulted: ph_obs::Counter,
+    /// Engines skipped because a top-level conjunct misses their value range.
+    pub(crate) pruned: ph_obs::Counter,
+}
+
 /// One immutable version of a table: the sealed segment list, the delta
 /// synopsis, and everything shared between them. Published behind
 /// `RwLock<Arc<TableState>>`; never mutated — writers build a replacement and
@@ -117,12 +135,76 @@ pub(crate) struct TableState {
     /// synopsis happens at most once per version no matter how often a metrics
     /// scraper asks (a 1 Hz poll must not perturb serving).
     pub(crate) footprint: OnceLock<(usize, usize)>,
+    /// The table's running fan-out totals (shared across its versions).
+    pub(crate) fanout: Arc<FanoutCounters>,
+}
+
+/// Whether no sampled row of `engine` can satisfy `plan`: some conjunct's range
+/// set misses `[v⁻ of the first bin, v⁺ of the last]` of its column's 1-d
+/// histogram. Every populated bin the evaluation would read for that leaf — the
+/// 1-d bins themselves, or the column's refined bins in a pair histogram — spans
+/// values inside that interval, so the leaf's coverage is zero on all of them,
+/// the AND rule carries the zero to every weight and bound, and the answer is
+/// [`PhPlan::empty_answer`] whatever the other conjuncts say.
+fn cannot_match(engine: &PairwiseHist, plan: &PhPlan) -> bool {
+    plan.conjuncts().any(|(col, ranges)| {
+        let bins = engine.hist1d(col);
+        match (bins.vmin.first(), bins.vmax.last()) {
+            (Some(&lo), Some(&hi)) => ranges.clip(lo, hi).next().is_none(),
+            _ => false,
+        }
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: evaluate every engine, whatever [`cannot_match`] says.
+    static BYPASS_PRUNING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 impl TableState {
+    /// A version with fresh fan-out totals: a table's first (registration, or a
+    /// reopened catalog).
+    pub(crate) fn new(
+        epoch: u64,
+        pre: Arc<Preprocessor>,
+        segments: Vec<Arc<Segment>>,
+        cfg: PairwiseHistConfig,
+    ) -> Self {
+        Self {
+            epoch,
+            pre,
+            segments,
+            delta: None,
+            cfg,
+            footprint: OnceLock::new(),
+            fanout: Arc::default(),
+        }
+    }
+
+    /// The version that replaces this one: same configuration, same running
+    /// totals, everything else as given.
+    pub(crate) fn successor(
+        &self,
+        epoch: u64,
+        pre: Arc<Preprocessor>,
+        segments: Vec<Arc<Segment>>,
+        delta: Option<PairwiseHist>,
+    ) -> Self {
+        Self {
+            epoch,
+            pre,
+            segments,
+            delta,
+            cfg: self.cfg.clone(),
+            footprint: OnceLock::new(),
+            fanout: self.fanout.clone(),
+        }
+    }
+
     /// Every engine serving this version: sealed segments then the delta.
-    pub(crate) fn engines(&self) -> Vec<&PairwiseHist> {
-        self.segments.iter().map(|s| &s.engine).chain(self.delta.as_ref()).collect()
+    pub(crate) fn engines(&self) -> impl Iterator<Item = &PairwiseHist> {
+        self.segments.iter().map(|s| &s.engine).chain(self.delta.as_ref())
     }
 
     /// The representative engine plans are compiled against. All engines share
@@ -140,25 +222,58 @@ impl TableState {
         self.primary().prepare(query)
     }
 
-    /// Executes a prepared plan: fan out across all engines, merge the partial
-    /// estimates. A single-engine table answers verbatim (bit-identical to the
+    /// Executes a prepared plan: validate it once (every engine shares the
+    /// epoch), fan out across the engines that can match it through one scratch,
+    /// merge the partial estimates. An engine that [`cannot_match`] contributes
+    /// the empty answer its evaluation would have produced, without being
+    /// folded. A single-engine table answers verbatim (bit-identical to the
     /// monolithic path).
     pub(crate) fn execute_prepared(&self, p: &Prepared) -> Result<AqpAnswer, PhError> {
         let _execute = span(Stage::Execute);
-        let engines = self.engines();
-        if engines.len() == 1 {
-            let _estimate = span(Stage::Estimate);
-            return engines[0].execute_prepared(p);
+        let plan = self.primary().checked_plan(p)?;
+        debug_assert!(self.engines().all(|e| e.plan_epoch() == self.epoch));
+        let agg = p.query().agg;
+        #[cfg(test)]
+        let prune = !BYPASS_PRUNING.with(std::cell::Cell::get);
+        #[cfg(not(test))]
+        let prune = true;
+        let (mut consulted, mut pruned) = (0u64, 0u64);
+        let answer = with_scratch(|scratch| {
+            // Scalar parts collect in the scratch's own vector; grouped parts
+            // carry a map each and are collected as they are.
+            let mut scalars = std::mem::take(&mut scratch.parts);
+            scalars.clear();
+            let mut grouped: Vec<AqpAnswer> = Vec::new();
+            for engine in self.engines() {
+                let part = if prune && cannot_match(engine, plan) {
+                    // Zero-duration marker: that it appears is the signal.
+                    drop(span(Stage::Prune));
+                    pruned += 1;
+                    plan.empty_answer(agg)
+                } else {
+                    let _estimate = span(Stage::Estimate);
+                    consulted += 1;
+                    engine.run_plan(agg, plan, scratch)
+                };
+                match part {
+                    AqpAnswer::Scalar(e) => scalars.extend(e),
+                    groups => grouped.push(groups),
+                }
+            }
+            let _merge = (consulted + pruned > 1).then(|| span(Stage::Merge));
+            let answer = if grouped.is_empty() {
+                AqpAnswer::Scalar(merge_estimates(agg, &scalars))
+            } else {
+                merge_answers(agg, grouped)
+            };
+            scratch.parts = scalars;
+            answer
+        });
+        self.fanout.consulted.add(consulted);
+        if pruned > 0 {
+            self.fanout.pruned.add(pruned);
         }
-        let parts: Vec<AqpAnswer> = engines
-            .iter()
-            .map(|e| {
-                let _estimate = span(Stage::Estimate);
-                e.execute_prepared(p)
-            })
-            .collect::<Result<_, _>>()?;
-        let _merge = span(Stage::Merge);
-        Ok(merge_answers(p.query().agg, parts))
+        Ok(answer)
     }
 
     /// One-shot plan-and-execute.
@@ -185,7 +300,7 @@ impl TableState {
 
     /// Serialized synopsis bytes across every engine of this version.
     pub(crate) fn synopsis_bytes(&self) -> usize {
-        self.engines().iter().map(|e| e.synopsis_size().total).sum()
+        self.engines().map(|e| e.synopsis_size().total).sum()
     }
 
     /// Compressed row-store bytes across sealed segments.
@@ -508,6 +623,129 @@ mod tests {
             }
         }
         assert!(gd_kept > 0, "no case kept the GD store, so its bases seeded nothing");
+    }
+
+    /// A machine-generated stream: `ts` ascends row by row, `month` in steps, `x`
+    /// is noise, `y` follows `x` (with NULLs), `c` is a fixed mix and `shift`
+    /// changes its categories as time passes.
+    fn stream(n: usize, seed: u64) -> Dataset {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let ts: Vec<Option<i64>> =
+            (0..n).map(|i| Some(1_600_000_000 + 60 * i as i64 + rng.gen_range(0..60))).collect();
+        let month: Vec<Option<i64>> = (0..n).map(|i| Some(1 + (12 * i / n) as i64)).collect();
+        let x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..800))).collect();
+        let y: Vec<Option<f64>> = x
+            .iter()
+            .map(|v| (!rng.gen_bool(0.05)).then(|| v.unwrap() as f64 * 0.25 + rng.gen_range(0.0..40.0)))
+            .collect();
+        let c: Vec<Option<&str>> =
+            (0..n).map(|_| Some(["a", "b", "c", "d"][rng.gen_range(0..4usize)])).collect();
+        let shift: Vec<Option<&str>> = (0..n)
+            .map(|i| Some(["dawn", "day", "dusk"][(3 * i / n + rng.gen_range(0..2usize)).min(2)]))
+            .collect();
+        Dataset::builder("s")
+            .column(C::from_timestamps("ts", ts))
+            .unwrap()
+            .column(C::from_ints("month", month))
+            .unwrap()
+            .column(C::from_ints("x", x))
+            .unwrap()
+            .column(C::from_floats("y", y, 2))
+            .unwrap()
+            .column(C::from_strings("c", c))
+            .unwrap()
+            .column(C::from_strings("shift", shift))
+            .unwrap()
+            .build()
+    }
+
+    /// Every field of every estimate, as bits: `==` would let `-0.0` pass for `0.0`.
+    fn answer_bits(a: &AqpAnswer) -> Vec<(String, [u64; 5])> {
+        let bits = |e: &crate::Estimate| [e.value, e.lo, e.hi, e.support, e.mean].map(f64::to_bits);
+        match a {
+            AqpAnswer::Scalar(e) => e.iter().map(|e| (String::new(), bits(e))).collect(),
+            AqpAnswer::Groups(g) => g.iter().map(|(k, e)| (k.clone(), bits(e))).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        /// Skipping an engine that cannot match changes nothing but the work: on
+        /// time-sliced segments plus a delta, every plan answers bit for bit as it
+        /// does with the prune test bypassed — generated plans (seven aggregates,
+        /// 1–5 predicates, AND/OR, a third grouped) and, per aggregate, scalar and
+        /// grouped, ranges on the ordering columns that keep some engines, one
+        /// engine, or none.
+        #[test]
+        fn prop_pruned_execute_equals_full_fan_out(seed in 0u64..10_000) {
+            let n = 6_000;
+            let data = stream(n, seed);
+            let pre = Arc::new(Preprocessor::fit(&data));
+            let cfg = PairwiseHistConfig {
+                ns: if seed % 2 == 0 { 1_500 } else { 900 },
+                parallel: false,
+                ..Default::default()
+            };
+            let sealed = 3 + (seed % 2) as usize;
+            let per = n / 5;
+            let segments: Vec<Arc<Segment>> = (0..sealed)
+                .map(|k| Arc::new(sealed_segment(&pre.encode(&data.slice(k * per, per)), &pre, &cfg, 9)))
+                .collect();
+            let mut state = TableState::new(9, pre.clone(), segments, cfg.clone());
+            let tail = data.slice(sealed * per, n - sealed * per);
+            state.delta = Some(build_delta(&tail, &pre, &cfg, 9));
+
+            let mut queries: Vec<String> = ph_workload::generate(
+                &data,
+                &ph_workload::WorkloadConfig {
+                    group_by_probability: 0.3,
+                    check_rows: 2_000,
+                    ..ph_workload::WorkloadConfig::scaled(60, seed)
+                },
+            )
+            .iter()
+            .map(|q| q.to_string())
+            .collect();
+            let at = |frac: f64| 1_600_000_000 + (60.0 * n as f64 * frac) as i64;
+            for agg in ph_sql::AggFunc::ALL {
+                for group in ["", " GROUP BY c", " GROUP BY shift"] {
+                    for range in [
+                        format!("ts > {} AND y < 150", at(0.5)),
+                        format!("x > 100 AND ts < {}", at(0.15)),
+                        format!("ts > {} AND ts < {} AND c <> 'a'", at(0.45), at(0.55)),
+                        "month = 7 AND (x < 200 OR y > 90)".to_string(),
+                        "month > 12".to_string(),
+                        format!("ts > {}", at(2.0)),
+                        "x < 300 AND x > 500".to_string(),
+                    ] {
+                        queries.push(format!("SELECT {agg}(x) FROM s WHERE {range}{group}"));
+                    }
+                }
+            }
+
+            let (mut skipped, mut emptied) = (0, 0);
+            for sql in &queries {
+                let q = ph_sql::parse_query(sql).unwrap();
+                let before = state.fanout.pruned.get();
+                let pruned = state.execute_query(&q).unwrap();
+                let skips = state.fanout.pruned.get() - before;
+                BYPASS_PRUNING.with(|b| b.set(true));
+                let full = state.execute_query(&q).unwrap();
+                BYPASS_PRUNING.with(|b| b.set(false));
+                proptest::prop_assert_eq!(answer_bits(&pruned), answer_bits(&full), "{}", sql);
+                skipped += usize::from(skips > 0);
+                emptied += usize::from(skips == sealed as u64 + 1);
+            }
+            // The corpus reaches both the partial skip and the all-pruned answer.
+            proptest::prop_assert!(skipped >= 7 * 3 * 6 && emptied >= 7 * 3 * 3, "{} / {}", skipped, emptied);
+            let engines = (sealed + 1) as u64 * queries.len() as u64;
+            proptest::prop_assert_eq!(
+                state.fanout.consulted.get() + state.fanout.pruned.get(),
+                2 * engines
+            );
+        }
     }
 
     /// The round trip the whole refit path leans on: compress → decode gives

@@ -99,7 +99,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use ph_obs::{span, Stage};
 use ph_sql::parse_query;
@@ -448,6 +448,11 @@ pub struct TableStats {
     /// as `"greedy-gd"`; per-column cascade segments report the winning codec
     /// of each column (`"bitpack"`, `"delta"`, `"dict"`, `"runend"`).
     pub codec_mix: Vec<(String, u64)>,
+    /// Engine evaluations (one per segment or delta a query's plan was folded
+    /// on) since the table was registered or opened.
+    pub segments_consulted: u64,
+    /// Engines skipped without folding: a conjunct missed their value range.
+    pub segments_pruned: u64,
 }
 
 /// Point-in-time statistics of a whole session: plan-cache totals plus one
@@ -630,14 +635,7 @@ impl Session {
         let pre = Arc::new(ph_gd::Preprocessor::fit(&data));
         let segment = registration_segment(&data, &pre, cfg);
         let epoch = segment.engine.plan_epoch();
-        let state = TableState {
-            epoch,
-            pre,
-            segments: vec![Arc::new(segment)],
-            delta: None,
-            cfg: cfg.clone(),
-            footprint: OnceLock::new(),
-        };
+        let state = TableState::new(epoch, pre, vec![Arc::new(segment)], cfg.clone());
         let mut map = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         if map.contains_key(&name) {
             return taken(&name); // lost a registration race for the same name
@@ -889,6 +887,8 @@ impl Session {
             delta_rows,
             staleness: state.staleness(),
             codec_mix,
+            segments_consulted: state.fanout.consulted.get(),
+            segments_pruned: state.fanout.pruned.get(),
         })
     }
 
@@ -1136,17 +1136,7 @@ impl Session {
             sealed += 1;
             drop(scratch);
             cell.set_delta_bytes(0);
-            (
-                TableState {
-                    epoch,
-                    pre,
-                    segments,
-                    delta: None,
-                    cfg: cur.cfg.clone(),
-                    footprint: OnceLock::new(),
-                },
-                sealed,
-            )
+            (cur.successor(epoch, pre, segments, None), sealed)
         } else {
             // Pure O(batch) path: fold the encoded batch into the delta synopsis
             // (or build it fresh from the first batch), keep the epoch.
@@ -1162,17 +1152,7 @@ impl Session {
                 }
             };
             cell.set_delta_bytes(delta_data.heap_size());
-            (
-                TableState {
-                    epoch: cur.epoch,
-                    pre,
-                    segments: cur.segments.clone(),
-                    delta: Some(delta),
-                    cfg: cur.cfg.clone(),
-                    footprint: OnceLock::new(),
-                },
-                0,
-            )
+            (cur.successor(cur.epoch, pre, cur.segments.clone(), Some(delta)), 0)
         };
         let staleness = state.staleness();
         cell.swap(state);
@@ -1214,14 +1194,7 @@ impl Session {
         let pre = Arc::new(ph_gd::Preprocessor::fit(&all));
         let segment = registration_segment(&all, &pre, &cur.cfg);
         let epoch = segment.engine.plan_epoch();
-        Ok(TableState {
-            epoch,
-            pre,
-            segments: vec![Arc::new(segment)],
-            delta: None,
-            cfg: cur.cfg.clone(),
-            footprint: OnceLock::new(),
-        })
+        Ok(cur.successor(epoch, pre, vec![Arc::new(segment)], None))
     }
 
     /// Merges `table`'s small sealed segments (fewer rows than the seal
@@ -1266,14 +1239,7 @@ impl Session {
             }
         }
         let after = segments.len();
-        cell.swap(TableState {
-            epoch: cur.epoch,
-            pre: cur.pre.clone(),
-            segments,
-            delta: cur.delta.clone(),
-            cfg: cur.cfg.clone(),
-            footprint: OnceLock::new(),
-        });
+        cell.swap(cur.successor(cur.epoch, cur.pre.clone(), segments, cur.delta.clone()));
         Ok(CompactReport {
             segments_before: before,
             segments_after: after,
@@ -1782,14 +1748,7 @@ pub(crate) mod tests {
             cur.segments[0].engine.clone(),
             ph_gd::RowStore::Columnar(ph_gd::ColumnarStore::encode(&matrix)),
         );
-        cell.swap(TableState {
-            epoch: cur.epoch,
-            pre: cur.pre.clone(),
-            segments: vec![Arc::new(doctored)],
-            delta: None,
-            cfg: cur.cfg.clone(),
-            footprint: OnceLock::new(),
-        });
+        cell.swap(cur.successor(cur.epoch, cur.pre.clone(), vec![Arc::new(doctored)], None));
 
         // Edge-free rows land in the delta…
         s.ingest("t", &dataset("t", 1_000, 91)).unwrap();

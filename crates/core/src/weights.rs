@@ -13,16 +13,21 @@
 //!
 //! # Hot-path architecture
 //!
-//! Evaluation runs through a [`WeightCtx`]: AND/OR nodes fold their children into
-//! caller-provided [`Probs`] buffers drawn from a depth-bounded pool instead of
-//! allocating three fresh vectors per node per child, pair-histogram folds write
-//! into one reusable scratch buffer, and per-`(column, RangeSet)` leaf coverage is
-//! memoized for the lifetime of the context — so SUM's internal COUNT re-estimate,
-//! repeated leaves, and every group of a factored GROUP BY reuse identical coverage
-//! vectors instead of recomputing them.
+//! Evaluation allocates nothing once a thread is warm. Every buffer it needs
+//! lives in one per-thread [`Scratch`] ([`with_scratch`]) that an execute
+//! borrows once and runs every engine of its table through: a pool of [`Probs`]
+//! triples (AND/OR nodes fold their children into pooled buffers, O(depth) of
+//! them), the coverage triple of the leaf being folded, and one slot per
+//! *repeated* leaf. Which leaves repeat is a plan-time fact
+//! (`PlanNode::Leaf::memo`): a leaf that occurs once is evaluated straight into
+//! its caller's buffer, a repeated one is computed at its first occurrence and
+//! found again by slot index. A cross-column leaf is one pass over its pair
+//! histogram ([`PairHist::fold_coverage3`](crate::build2d::PairHist)), and the
+//! [`Weights`] are the evaluated probabilities scaled in place.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
+use crate::aggregate::Estimate;
 use crate::build::PairwiseHist;
 use crate::coverage::{bin_coverage, coverage_bounds, RangeSet};
 use crate::plan::PlanNode;
@@ -70,11 +75,16 @@ impl Weights {
     pub fn total_hi(&self) -> f64 {
         self.total_hi
     }
+
+    /// Gives the three vectors back as a buffer for [`WeightCtx::recycle`].
+    pub fn into_probs(self) -> Probs {
+        Probs { p: self.w, lo: self.lo, hi: self.hi }
+    }
 }
 
 /// Per-bin probability triples (estimate, lower, upper), all sized to the
 /// aggregation column's bin count.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Probs {
     pub p: Vec<f64>,
     pub lo: Vec<f64>,
@@ -82,8 +92,17 @@ pub(crate) struct Probs {
 }
 
 impl Probs {
+    #[cfg(test)]
     fn ones(k: usize) -> Self {
         Self { p: vec![1.0; k], lo: vec![1.0; k], hi: vec![1.0; k] }
+    }
+
+    /// Sets the length of all three vectors; what they hold afterwards is for
+    /// the caller to overwrite.
+    fn resize(&mut self, k: usize) {
+        self.p.resize(k, 0.0);
+        self.lo.resize(k, 0.0);
+        self.hi.resize(k, 0.0);
     }
 
     fn fill_ones(&mut self) {
@@ -93,9 +112,9 @@ impl Probs {
     }
 
     fn copy_from(&mut self, other: &Probs) {
-        self.p.copy_from_slice(&other.p);
-        self.lo.copy_from_slice(&other.lo);
-        self.hi.copy_from_slice(&other.hi);
+        self.p.clone_from(&other.p);
+        self.lo.clone_from(&other.lo);
+        self.hi.clone_from(&other.hi);
     }
 
     /// Element-wise AND combination (Eq 25): `self ∧= child`.
@@ -130,86 +149,118 @@ impl Probs {
     }
 }
 
-/// Reusable evaluation state for weight computation against one aggregation
-/// column: a depth-bounded pool of [`Probs`] scratch buffers, one pair-fold
-/// scratch vector, and the per-leaf coverage memo.
-///
-/// Build one per `execute` call and reuse it across every weighting that call
-/// needs (grouped queries evaluate the shared predicate once and every group
-/// leaf through the same context).
-pub(crate) struct WeightCtx<'ph> {
-    ph: &'ph PairwiseHist,
-    agg_col: usize,
-    /// Aggregation-column bin count; every pooled buffer has this length.
-    k: usize,
-    /// Released scratch buffers, ready for reuse (length ≈ max tree depth).
+/// Every buffer an execute needs, kept per thread and grown to the widest
+/// histogram it has met: nothing here outlives a query's answer, everything
+/// here outlives the query.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Released [`Probs`] buffers (as many as the deepest plan needed at once).
     pool: Vec<Probs>,
-    /// Memoized leaf probabilities: per column, the (ranges → probs) pairs seen
-    /// so far. A plan references few distinct range sets per column, so lookup
-    /// is a short equality scan — no key cloning or hashing on the hot path.
-    leaf_memo: HashMap<usize, Vec<(RangeSet, Probs)>>,
-    /// Scratch for per-refined-bin coverage triples (leaf on a non-agg column).
-    cov: Vec<f64>,
-    cov_lo: Vec<f64>,
-    cov_hi: Vec<f64>,
-    /// Scratch for the pair-histogram fold output (length `k`).
-    fold: Vec<f64>,
+    /// Probabilities of the repeated leaves evaluated so far, by
+    /// `PlanNode::Leaf::memo` slot; `memo_filled[slot]` (same length) says whether
+    /// `memo[slot]` belongs to the evaluation in flight.
+    memo: Vec<Probs>,
+    memo_filled: Vec<bool>,
+    /// Coverage triple over the condition column's refined bins, for the
+    /// cross-column leaf being folded.
+    cov: Probs,
+    /// Per-engine partial estimates of the scalar execute in flight (the fan-out
+    /// in `segment.rs` collects here instead of in a fresh `Vec` per query).
+    pub parts: Vec<Estimate>,
 }
 
-impl<'ph> WeightCtx<'ph> {
-    pub fn new(ph: &'ph PairwiseHist, agg_col: usize) -> Self {
-        let k = ph.hist1d(agg_col).k();
-        Self {
-            ph,
-            agg_col,
-            k,
-            pool: Vec::new(),
-            leaf_memo: HashMap::new(),
-            cov: Vec::new(),
-            cov_lo: Vec::new(),
-            cov_hi: Vec::new(),
-            fold: vec![0.0; k],
-        }
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Runs `f` with the calling thread's [`Scratch`]. A nested call (nothing makes
+/// one today) gets a fresh scratch instead of a `RefCell` panic.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut Scratch::default()),
+    })
+}
+
+/// Weight computation for one engine and aggregation column, over a borrowed
+/// [`Scratch`]. Build one per engine per `execute` and reuse it for every
+/// weighting that call needs (grouped queries evaluate the shared predicate once
+/// and every group leaf through the same context).
+pub(crate) struct WeightCtx<'a> {
+    ph: &'a PairwiseHist,
+    agg_col: usize,
+    /// Aggregation-column bin count; every buffer handed out has this length.
+    k: usize,
+    scratch: &'a mut Scratch,
+}
+
+impl<'a> WeightCtx<'a> {
+    pub fn new(ph: &'a PairwiseHist, agg_col: usize, scratch: &'a mut Scratch) -> Self {
+        // Whatever the slots hold was computed against another engine or column.
+        scratch.memo_filled.fill(false);
+        Self { ph, agg_col, k: ph.hist1d(agg_col).k(), scratch }
     }
 
     fn acquire(&mut self) -> Probs {
-        self.pool.pop().unwrap_or_else(|| Probs::ones(self.k))
+        let mut buf = self.scratch.pool.pop().unwrap_or_default();
+        buf.resize(self.k);
+        buf
     }
 
-    fn release(&mut self, buf: Probs) {
-        self.pool.push(buf);
+    /// Returns a buffer to the pool once the caller is done with it.
+    pub fn recycle(&mut self, buf: Probs) {
+        self.scratch.pool.push(buf);
     }
 
-    /// Evaluates the plan into a fresh (pooled) buffer and returns it.
+    /// Evaluates the plan into a pooled buffer and returns it.
     pub fn eval(&mut self, node: &PlanNode) -> Probs {
         let mut out = self.acquire();
         self.eval_into(node, &mut out);
         out
     }
 
-    /// Returns a buffer to the pool once the caller is done with it.
-    pub fn recycle(&mut self, buf: Probs) {
-        self.release(buf);
-    }
-
-    /// Evaluates a single leaf without memoizing it — the factored GROUP BY
-    /// path uses this for per-group leaves, which are all distinct and would
-    /// only bloat the memo.
+    /// Evaluates a single leaf into a pooled buffer — the factored GROUP BY path
+    /// uses this for its per-group leaves.
     pub fn eval_leaf(&mut self, col: usize, ranges: &RangeSet) -> Probs {
         let mut out = self.acquire();
-        if col == self.agg_col {
-            self.leaf_same_column(ranges, &mut out);
-        } else {
-            self.leaf_cross_column(col, ranges, &mut out);
-        }
+        self.leaf_into(col, ranges, &mut out);
         out
+    }
+
+    /// Bin weightings under an optional compiled predicate. The vectors come from
+    /// the pool: [`recycle`](Self::recycle) them ([`Weights::into_probs`]) when
+    /// the estimate is out.
+    pub fn weights(&mut self, plan: Option<&PlanNode>) -> Weights {
+        let probs = match plan {
+            Some(node) => self.eval(node),
+            None => {
+                let mut ones = self.acquire();
+                ones.fill_ones();
+                ones
+            }
+        };
+        weights_from_probs(self.ph, self.agg_col, probs)
     }
 
     /// `Pr(node | bin t of agg_col)` per bin, with bounds (Eq 27–28), written
     /// into `out`.
     fn eval_into(&mut self, node: &PlanNode, out: &mut Probs) {
         match node {
-            PlanNode::Leaf { col, ranges } => self.leaf_into(*col, ranges, out),
+            PlanNode::Leaf { col, ranges, memo: None } => self.leaf_into(*col, ranges, out),
+            PlanNode::Leaf { col, ranges, memo: Some(slot) } => {
+                let slot = *slot as usize;
+                if self.scratch.memo.len() <= slot {
+                    self.scratch.memo.resize_with(slot + 1, Probs::default);
+                    self.scratch.memo_filled.resize(slot + 1, false);
+                }
+                if self.scratch.memo_filled[slot] {
+                    out.copy_from(&self.scratch.memo[slot]);
+                } else {
+                    self.leaf_into(*col, ranges, out);
+                    self.scratch.memo[slot].copy_from(out);
+                    self.scratch.memo_filled[slot] = true;
+                }
+            }
             PlanNode::And(children) => {
                 out.fill_ones();
                 let mut child_buf = self.acquire();
@@ -217,7 +268,7 @@ impl<'ph> WeightCtx<'ph> {
                     self.eval_into(child, &mut child_buf);
                     out.and_assign(&child_buf);
                 }
-                self.release(child_buf);
+                self.recycle(child_buf);
             }
             PlanNode::Or(children) => {
                 // 1 − ∏(1 − p): complements multiply (Eq 26).
@@ -227,25 +278,18 @@ impl<'ph> WeightCtx<'ph> {
                     self.eval_into(child, &mut child_buf);
                     out.or_accumulate(&child_buf);
                 }
-                self.release(child_buf);
+                self.recycle(child_buf);
                 out.complement();
             }
         }
     }
 
-    /// Leaf probabilities, memoized per `(column, ranges)`.
     fn leaf_into(&mut self, col: usize, ranges: &RangeSet, out: &mut Probs) {
-        if let Some(cached) = self
-            .leaf_memo
-            .get(&col)
-            .and_then(|entries| entries.iter().find(|(rs, _)| rs == ranges))
-        {
-            out.copy_from(&cached.1);
-            return;
+        if col == self.agg_col {
+            self.leaf_same_column(ranges, out);
+        } else {
+            self.leaf_cross_column(col, ranges, out);
         }
-        let fresh = self.eval_leaf(col, ranges);
-        out.copy_from(&fresh);
-        self.leaf_memo.entry(col).or_default().push((ranges.clone(), fresh));
     }
 
     /// Direct coverage of the aggregation column's own bins (Eq 15–16, 22–23).
@@ -273,9 +317,11 @@ impl<'ph> WeightCtx<'ph> {
         let cov_dim = if cover_on_j { &pair.dim_j } else { &pair.dim_i };
         let kb = cov_dim.bins.k();
         let m_min = ph.params().m_min;
-        self.cov.resize(kb, 0.0);
-        self.cov_lo.resize(kb, 0.0);
-        self.cov_hi.resize(kb, 0.0);
+        let cov = &mut self.scratch.cov;
+        cov.resize(kb);
+        // The refined bins with any coverage at all: `β⁻ ≤ β ≤ β⁺`, so a zero
+        // upper bound means all three are zero and the fold can skip the bin.
+        let mut band = kb..kb;
         for t in 0..kb {
             let beta = bin_coverage(&cov_dim.bins, t, ranges);
             let (bl, bh) = coverage_bounds(
@@ -285,64 +331,48 @@ impl<'ph> WeightCtx<'ph> {
                 m_min,
                 |dof| ph.critical(dof),
             );
-            self.cov[t] = beta;
-            self.cov_lo[t] = bl;
-            self.cov_hi[t] = bh;
+            cov.p[t] = beta;
+            cov.lo[t] = bl;
+            cov.hi[t] = bh;
+            if bh != 0.0 {
+                band = band.start.min(t)..t + 1;
+            }
         }
+        pair.fold_coverage3(
+            [&cov.p, &cov.lo, &cov.hi],
+            cover_on_j,
+            band,
+            [&mut out.p, &mut out.lo, &mut out.hi],
+        );
         let h1d = &ph.hist1d(self.agg_col).counts;
-        for (src, dst) in
-            [(&self.cov, &mut out.p), (&self.cov_lo, &mut out.lo), (&self.cov_hi, &mut out.hi)]
-        {
-            pair.fold_coverage_into(src, cover_on_j, &mut self.fold);
-            for t in 0..self.k {
-                let h = h1d[t];
-                dst[t] =
-                    if h > 0 { (self.fold[t] / h as f64).clamp(0.0, 1.0) } else { 0.0 };
+        for dst in [&mut out.p, &mut out.lo, &mut out.hi] {
+            for (x, &h) in dst.iter_mut().zip(h1d) {
+                *x = if h > 0 { (*x / h as f64).clamp(0.0, 1.0) } else { 0.0 };
             }
         }
     }
 }
 
-/// Computes bin weightings for `agg_col` under an optional compiled predicate.
+/// Computes bin weightings for `agg_col` under an optional compiled predicate,
+/// in vectors the caller keeps.
 pub(crate) fn compute_weights(
     ph: &PairwiseHist,
     plan: Option<&PlanNode>,
     agg_col: usize,
 ) -> Weights {
-    let mut ctx = WeightCtx::new(ph, agg_col);
-    compute_weights_ctx(&mut ctx, plan)
+    with_scratch(|scratch| WeightCtx::new(ph, agg_col, scratch).weights(plan))
 }
 
-/// [`compute_weights`] through a caller-owned context (so one `execute` call can
-/// share scratch buffers and the leaf memo across several weightings).
-pub(crate) fn compute_weights_ctx(ctx: &mut WeightCtx<'_>, plan: Option<&PlanNode>) -> Weights {
-    match plan {
-        None => {
-            let k = ctx.k;
-            let ones = Probs::ones(k);
-            weights_from_probs(ctx.ph, ctx.agg_col, &ones)
-        }
-        Some(node) => {
-            let probs = ctx.eval(node);
-            let w = weights_from_probs(ctx.ph, ctx.agg_col, &probs);
-            ctx.recycle(probs);
-            w
-        }
-    }
-}
-
-/// Scales per-bin probabilities by bin counts and widens for sampling (Eq 29).
-pub(crate) fn weights_from_probs(ph: &PairwiseHist, agg_col: usize, probs: &Probs) -> Weights {
+/// Scales per-bin probabilities by bin counts, in place, and widens for sampling
+/// (Eq 29).
+pub(crate) fn weights_from_probs(ph: &PairwiseHist, agg_col: usize, probs: Probs) -> Weights {
     let bins = ph.hist1d(agg_col);
-    let k = bins.k();
-    let mut w = Vec::with_capacity(k);
-    let mut lo = Vec::with_capacity(k);
-    let mut hi = Vec::with_capacity(k);
-    for t in 0..k {
+    let Probs { p: mut w, mut lo, mut hi } = probs;
+    for t in 0..bins.k() {
         let h = bins.counts[t] as f64;
-        w.push(h * probs.p[t]);
-        lo.push(h * probs.lo[t]);
-        hi.push(h * probs.hi[t]);
+        w[t] *= h;
+        lo[t] *= h;
+        hi[t] *= h;
     }
     widen_for_sampling(ph, bins.counts.as_slice(), &w, &mut lo, &mut hi);
     Weights::new(w, lo, hi)
@@ -386,9 +416,10 @@ fn widen_for_sampling(
 }
 
 /// Reference implementation kept for the equivalence property tests: the direct
-/// Eq 25–28 recursion with per-node allocation, no memoization and no buffer
-/// reuse. The optimized [`WeightCtx`] path must match it bit-for-bit on any
-/// plan (same operations in the same order, modulo commuting one multiply).
+/// Eq 25–28 recursion with per-node allocation, one dense fold per coverage
+/// vector, no leaf slots and no buffer reuse. The optimized [`WeightCtx`] path
+/// must match it bit-for-bit on any plan (same operations in the same order,
+/// modulo commuting one multiply).
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -396,7 +427,7 @@ pub(crate) mod reference {
     pub fn prob_vector_naive(ph: &PairwiseHist, node: &PlanNode, agg_col: usize) -> Probs {
         let k = ph.hist1d(agg_col).k();
         match node {
-            PlanNode::Leaf { col, ranges } => {
+            PlanNode::Leaf { col, ranges, .. } => {
                 if *col == agg_col {
                     let bins = ph.hist1d(agg_col);
                     let mut p = Vec::with_capacity(k);
@@ -480,7 +511,7 @@ pub(crate) mod reference {
             None => Probs::ones(ph.hist1d(agg_col).k()),
             Some(node) => prob_vector_naive(ph, node, agg_col),
         };
-        weights_from_probs(ph, agg_col, &probs)
+        weights_from_probs(ph, agg_col, probs)
     }
 }
 
@@ -597,38 +628,122 @@ mod tests {
         }
     }
 
-    #[test]
-    fn optimized_kernel_matches_reference_bitwise() {
-        let (_, ph) = setup(10_000);
-        for sql in [
-            "SELECT COUNT(x) FROM t WHERE y > 300",
-            "SELECT COUNT(x) FROM t WHERE x > 50 AND y < 700",
-            "SELECT COUNT(x) FROM t WHERE x < 100 OR y > 800 AND x > 30",
-            "SELECT COUNT(x) FROM t WHERE x > 10 AND x < 400 AND y > 100 OR y < 50",
-        ] {
-            let q = parse_query(sql).unwrap();
-            let plan = compile_predicate(q.predicate.as_ref().unwrap(), ph.preprocessor())
-                .unwrap();
-            let fast = compute_weights(&ph, Some(&plan), 0);
-            let naive = reference::compute_weights_naive(&ph, Some(&plan), 0);
-            assert_eq!(fast, naive, "{sql}");
-        }
+    /// Skewed, correlated numerics (one with NULLs), a float and two
+    /// categoricals: wide enough that pair histograms refine and every leaf
+    /// orientation occurs.
+    fn multi_column(n: usize, seed: u64) -> Dataset {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a: Vec<Option<i64>> = (0..n)
+            .map(|_| {
+                let u: f64 = rng.gen();
+                Some((u * u * 3000.0) as i64)
+            })
+            .collect();
+        let b: Vec<Option<i64>> = a
+            .iter()
+            .map(|v| (!rng.gen_bool(0.04)).then(|| v.unwrap() / 3 + rng.gen_range(0..60)))
+            .collect();
+        let c: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(-50..450))).collect();
+        let f: Vec<Option<f64>> =
+            c.iter().map(|v| Some(v.unwrap() as f64 * 0.5 + rng.gen_range(0.0..25.0))).collect();
+        let kinds = ["k0", "k1", "k2", "k3", "k4"];
+        let g: Vec<Option<&str>> =
+            a.iter().map(|v| Some(kinds[(v.unwrap() as usize / 700).min(4)])).collect();
+        let h: Vec<Option<&str>> =
+            (0..n).map(|_| Some(["u", "v", "w"][rng.gen_range(0..3usize)])).collect();
+        Dataset::builder("t")
+            .column(Column::from_ints("a", a))
+            .unwrap()
+            .column(Column::from_ints("b", b))
+            .unwrap()
+            .column(Column::from_ints("c", c))
+            .unwrap()
+            .column(Column::from_floats("f", f, 1))
+            .unwrap()
+            .column(Column::from_strings("g", g))
+            .unwrap()
+            .column(Column::from_strings("h", h))
+            .unwrap()
+            .build()
     }
 
+    /// Generated, not enumerated: the paper's scaled-up workload shape (all seven
+    /// aggregates, 1–5 predicates, AND/OR mix, a third of the queries grouped)
+    /// over a six-column table. The scratch-pooled, fused-fold kernel must give the reference recursion's weights to the last bit — for
+    /// the plan itself and, on grouped queries, for `AND(plan, group leaf)` of
+    /// every group (the point-coverage band).
     #[test]
-    fn leaf_memo_reuses_identical_leaves() {
+    fn optimized_kernel_matches_reference_bitwise() {
+        let data = multi_column(12_000, 41);
+        let ph = PairwiseHist::build(
+            &data,
+            &PairwiseHistConfig { ns: 8_000, parallel: false, ..Default::default() },
+        );
+        let pre = ph.preprocessor();
+        let queries = ph_workload::generate(
+            &data,
+            &ph_workload::WorkloadConfig {
+                group_by_probability: 0.35,
+                check_rows: 3_000,
+                ..ph_workload::WorkloadConfig::scaled(160, 0x5eed)
+            },
+        );
+        assert_eq!(queries.len(), 160, "the generator ran out of attempts");
+        let (mut grouped, mut multi_leaf) = (0, 0);
+        for q in &queries {
+            let agg_col = pre.column_index(&q.column).unwrap();
+            let plan = compile_predicate(q.predicate.as_ref().unwrap(), pre).unwrap();
+            multi_leaf += usize::from(!matches!(plan, PlanNode::Leaf { .. }));
+            let fast = compute_weights(&ph, Some(&plan), agg_col);
+            let naive = reference::compute_weights_naive(&ph, Some(&plan), agg_col);
+            assert_eq!(fast, naive, "{q}");
+            let Some(group) = &q.group_by else { continue };
+            grouped += 1;
+            let gcol = pre.column_index(group).unwrap();
+            for rank in 0..pre.transform(gcol).n_categories().unwrap() {
+                let leaf = PlanNode::leaf(gcol, RangeSet::point(rank as u64));
+                let per_group = PlanNode::And(vec![plan.clone(), leaf]);
+                let fast = compute_weights(&ph, Some(&per_group), agg_col);
+                let naive = reference::compute_weights_naive(&ph, Some(&per_group), agg_col);
+                assert_eq!(fast, naive, "{q}, group {rank}");
+            }
+        }
+        // The corpus exercises what it claims to.
+        assert!(grouped >= 30 && multi_leaf >= 60, "{grouped} grouped, {multi_leaf} multi-leaf");
+    }
+
+    /// `OR(AND(x, y), AND(x', y))` with `x ≠ x'`: `y`'s leaf occurs twice and
+    /// shares slot 0, the `x` leaves occur once each and have none. The second
+    /// occurrence is a copy of the first, and a second evaluation through a new
+    /// context (as the next engine of a fan-out would make) starts from unfilled
+    /// slots rather than another engine's probabilities.
+    #[test]
+    fn repeated_leaves_are_evaluated_once_per_context() {
         let (_, ph) = setup(5000);
-        let q = parse_query("SELECT COUNT(x) FROM t WHERE y > 300").unwrap();
+        let q = parse_query(
+            "SELECT COUNT(x) FROM t WHERE x < 100 AND y > 300 OR x > 400 AND y > 300",
+        )
+        .unwrap();
         let plan = compile_predicate(q.predicate.as_ref().unwrap(), ph.preprocessor())
             .unwrap();
-        let mut ctx = WeightCtx::new(&ph, 0);
-        let a = ctx.eval(&plan);
-        let memo_entries = |ctx: &WeightCtx| -> usize {
-            ctx.leaf_memo.values().map(|v| v.len()).sum()
-        };
-        assert_eq!(memo_entries(&ctx), 1);
-        let b = ctx.eval(&plan);
-        assert_eq!(memo_entries(&ctx), 1, "second evaluation must hit the memo");
+        let mut slots = Vec::new();
+        fn memos(node: &PlanNode, out: &mut Vec<(usize, Option<u32>)>) {
+            match node {
+                PlanNode::Leaf { col, memo, .. } => out.push((*col, *memo)),
+                PlanNode::And(ch) | PlanNode::Or(ch) => ch.iter().for_each(|c| memos(c, out)),
+            }
+        }
+        memos(&plan, &mut slots);
+        slots.sort_unstable();
+        assert_eq!(slots, [(0, None), (0, None), (1, Some(0)), (1, Some(0))]);
+
+        let mut scratch = Scratch::default();
+        let a = WeightCtx::new(&ph, 0, &mut scratch).eval(&plan);
+        assert_eq!(scratch.memo_filled, [true]);
+        assert_eq!(a, reference::prob_vector_naive(&ph, &plan, 0));
+        // Poison the slot: a new context must recompute it, not trust it.
+        scratch.memo[0].fill_ones();
+        let b = WeightCtx::new(&ph, 0, &mut scratch).eval(&plan);
         assert_eq!(a, b);
     }
 }

@@ -63,6 +63,10 @@ pub enum Stage {
     /// Admitting an ingest batch: schema validation, then resolving its
     /// categorical values against the fitted dictionaries.
     Admit = 20,
+    /// Zero-duration marker: a segment (or the delta) skipped because a
+    /// top-level conjunct of the plan misses its value range. A sibling of the
+    /// `estimate` spans under `execute`.
+    Prune = 21,
 }
 
 /// Every stage, for registering per-stage metric families.
@@ -88,6 +92,7 @@ pub const ALL_STAGES: &[Stage] = &[
     Stage::GdFit,
     Stage::Synopsis,
     Stage::Admit,
+    Stage::Prune,
 ];
 
 impl Stage {
@@ -127,6 +132,7 @@ impl Stage {
             Stage::GdFit => "gd_fit",
             Stage::Synopsis => "synopsis",
             Stage::Admit => "admit",
+            Stage::Prune => "prune",
         }
     }
 }

@@ -388,11 +388,31 @@ pub(crate) fn metrics_text(shared: &Shared) -> String {
             t.delta_rows as f64,
         );
     }
+    push_header(
+        &mut out,
+        "ph_segments_consulted_total",
+        "Segment (or delta) synopses a query's plan was evaluated on.",
+        Kind::Counter,
+    );
+    for t in &stats.tables {
+        let labels = [("table", t.name.as_str())];
+        push_sample(&mut out, "ph_segments_consulted_total", &labels, t.segments_consulted as f64);
+    }
+    push_header(
+        &mut out,
+        "ph_segments_pruned_total",
+        "Segment (or delta) synopses skipped: a conjunct of the plan misses their value range.",
+        Kind::Counter,
+    );
+    for t in &stats.tables {
+        let labels = [("table", t.name.as_str())];
+        push_sample(&mut out, "ph_segments_pruned_total", &labels, t.segments_pruned as f64);
+    }
     out
 }
 
 /// The per-table members `/tables` lists; `/stats` reports the same six and
-/// appends the codec mix and footprint.
+/// appends the fan-out totals, the codec mix and the footprint.
 fn table_members(t: &TableStats) -> Vec<(&'static str, Json)> {
     vec![
         ("name", Json::Str(t.name.clone())),
@@ -436,6 +456,8 @@ pub(crate) fn stats_json(shared: &Shared) -> Json {
                     .collect(),
             );
             let mut members = table_members(t);
+            members.push(("segments_consulted", Json::Num(t.segments_consulted as f64)));
+            members.push(("segments_pruned", Json::Num(t.segments_pruned as f64)));
             members.push(("codec_mix", codec_mix));
             members.push(("footprint", footprint));
             obj(members)

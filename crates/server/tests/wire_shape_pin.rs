@@ -114,6 +114,8 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
         "tables[].name",
         "tables[].sealed_rows",
         "tables[].segments",
+        "tables[].segments_consulted",
+        "tables[].segments_pruned",
         "tables[].staleness",
         "uptime_seconds",
     ]
@@ -190,6 +192,8 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
             "ph_queries_total counter",
             "ph_query_stage_seconds histogram",
             "ph_requests_rejected_total counter",
+            "ph_segments_consulted_total counter",
+            "ph_segments_pruned_total counter",
             "ph_slow_queries_retained gauge",
             "ph_span_ring_spans gauge",
             "ph_table_bytes gauge",

@@ -304,6 +304,56 @@ fn trace_report_tells_the_same_story_without_a_server() {
     }
 }
 
+/// A fan-out says which segments it skipped: under `execute`, one child per
+/// engine in segment order — a `prune` marker for each one a range cannot
+/// reach, an `estimate` span for each one folded — then the `merge`; and the
+/// table's running totals count the same two kinds.
+#[test]
+fn execute_span_marks_pruned_segments_beside_estimated_ones() {
+    use pairwisehist::core::obs::Stage;
+
+    // Four time-sliced segments: `t` ascends across them (row 0 of each repeats
+    // the minimum, so no slice forces a refit).
+    let slice = |k: i64| {
+        let mut t: Vec<Option<i64>> = (0..2_000).map(|i| Some(5_000 + k * 2_000 + i)).collect();
+        t[0] = Some(0);
+        let v: Vec<Option<i64>> = (0..2_000).map(|i| Some((i * 37 + k) % 900)).collect();
+        Dataset::builder("obs")
+            .column(Column::from_ints("t", t))
+            .unwrap()
+            .column(Column::from_ints("v", v))
+            .unwrap()
+            .build()
+    };
+    let session = Session::new();
+    session.set_max_staleness(f64::INFINITY);
+    session.set_seal_threshold(2_000);
+    session.register(slice(0)).unwrap();
+    for k in 1..4 {
+        session.ingest("obs", &slice(k)).unwrap();
+    }
+    assert_eq!(session.table_stats("obs").unwrap().segments, 4);
+
+    // Reaches the last two slices only.
+    let sql = "SELECT SUM(v) FROM obs WHERE t > 9100 AND v < 600;";
+    let (answer, spans) = session.trace_report(sql).unwrap();
+    let execute = spans.iter().find(|s| s.stage == Stage::Execute).expect("an execute span");
+    let mut children: Vec<_> = spans.iter().filter(|s| s.parent == execute.id).collect();
+    children.sort_by_key(|s| s.id);
+    let stages: Vec<Stage> = children.iter().map(|s| s.stage).collect();
+    assert_eq!(
+        stages,
+        [Stage::Prune, Stage::Prune, Stage::Estimate, Stage::Estimate, Stage::Merge]
+    );
+
+    let stats = session.table_stats("obs").unwrap();
+    assert_eq!((stats.segments_consulted, stats.segments_pruned), (2, 2));
+    // Untraced, the same plan answers the same and counts the same way.
+    assert_eq!(session.sql(sql).unwrap(), answer);
+    let stats = session.table_stats("obs").unwrap();
+    assert_eq!((stats.segments_consulted, stats.segments_pruned), (4, 4));
+}
+
 /// A seal explains itself the way a query does: under the `seal` span sit the
 /// GreedyGD split search, the synopsis refinement and the codec cascade, in
 /// that order, and together they account for most of it.

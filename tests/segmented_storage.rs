@@ -9,7 +9,10 @@
 //!   bit-identical answers, and a reopened catalog stays ingestable — including
 //!   batches that force a refit rebuild (the old `rows: None` dead-end);
 //! * `drop_table` under a racing reader: the held snapshot keeps answering
-//!   while the catalog refuses new queries.
+//!   while the catalog refuses new queries;
+//! * **pruning is invisible**: on time-ordered segments the catalog skips the
+//!   ones a range cannot reach, and still answers what merging every segment's
+//!   own answer gives, bit for bit.
 
 use proptest::prelude::*;
 
@@ -94,6 +97,68 @@ fn segmented_count_equals_sum_of_per_segment_counts() {
             merged.value
         );
     }
+}
+
+/// A time-ordered slice of a stream: `ts` ascends across slices, the rest is
+/// the usual noise. Row 0 of every slice carries the stream-wide minimum, so no
+/// batch forces a refit.
+fn stream_slice(k: usize, n: usize) -> Dataset {
+    let base = dataset("t", n, 900 + k as u64);
+    let mut ts: Vec<Option<i64>> = (0..n).map(|i| Some(10_000 + (k * n + i) as i64)).collect();
+    ts[0] = Some(0);
+    let mut b = Dataset::builder("t").column(Column::from_timestamps("ts", ts)).unwrap();
+    for col in base.columns() {
+        b = b.column(col.clone()).unwrap();
+    }
+    b.build()
+}
+
+/// The catalog prunes; a segment asked directly does not. On four time-sliced
+/// segments, every aggregate, scalar and grouped, over ranges that reach some
+/// segments, one, or none: `Session::sql` equals the merge of the answers each
+/// segment gives when queried by itself, to the last bit — and the table's
+/// counters say segments really were skipped.
+#[test]
+fn pruned_catalog_answers_equal_the_merge_of_unpruned_segment_answers() {
+    let session = Session::with_config(config());
+    session.set_max_staleness(f64::INFINITY);
+    session.set_seal_threshold(2_500);
+    session.register(stream_slice(0, 2_500)).unwrap();
+    for k in 1..4 {
+        session.ingest("t", &stream_slice(k, 2_500)).unwrap();
+    }
+    let snap = session.engine("t").unwrap();
+    assert_eq!((snap.n_segments(), snap.delta().is_some()), (4, false));
+
+    let bits = |a: &AqpAnswer| -> Vec<(String, [u64; 5])> {
+        let of = |e: &Estimate| [e.value, e.lo, e.hi, e.support, e.mean].map(f64::to_bits);
+        match a {
+            AqpAnswer::Scalar(e) => e.iter().map(|e| (String::new(), of(e))).collect(),
+            AqpAnswer::Groups(g) => g.iter().map(|(k, e)| (k.clone(), of(e))).collect(),
+        }
+    };
+    let ranges = [
+        "ts > 15100 AND x > 300",
+        "y < 1500 AND ts < 12000",
+        "ts > 14000 AND ts < 16000 AND c <> 'b'",
+        "ts > 99999",
+    ];
+    for agg in AggFunc::ALL {
+        for group in ["", " GROUP BY c"] {
+            for range in ranges {
+                let sql = format!("SELECT {agg}(x) FROM t WHERE {range}{group}");
+                let q = parse_query(&sql).unwrap();
+                let parts = snap.segments().iter().map(|e| e.execute(&q).unwrap()).collect();
+                let merged = pairwisehist::core::merge::merge_answers(agg, parts);
+                assert_eq!(bits(&session.sql(&sql).unwrap()), bits(&merged), "{sql}");
+            }
+        }
+    }
+    let stats = session.table_stats("t").unwrap();
+    let asked = (AggFunc::ALL.len() * 2 * ranges.len() * 4) as u64;
+    assert_eq!(stats.segments_consulted + stats.segments_pruned, asked, "{stats:?}");
+    // Each range misses at least one of the four slices; the last misses all.
+    assert!(stats.segments_pruned >= asked / 4 + asked / 8, "{stats:?}");
 }
 
 proptest! {
