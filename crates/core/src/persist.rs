@@ -1,60 +1,85 @@
-//! The on-disk catalog: what [`Session::save_dir`] writes and
-//! [`Session::open_dir`] reads back — blob framing, file naming, the atomic
-//! commit protocol and the post-commit sweep. The ingest log beside it is
+//! The on-disk catalog and its commit protocol: what [`Session::save_dir`]
+//! writes, what a checkpoint commits into the WAL home, and what
+//! [`Session::open_dir`] reads back — blob framing, file naming, the
+//! write-once commit and the sweep after it. The ingest log beside it is
 //! `crate::wal`; the synopsis bytes inside a segment blob are `crate::storage`
 //! (Fig 6).
 //!
-//! A `Session` table persists as one **manifest** plus one blob **per segment**
-//! (the delta, if any, is serialized as a final sealed segment). The manifest
-//! carries what every segment shares — the table name and the fitted
-//! preprocessor — so segment blobs stay self-contained pairs of synopsis +
-//! compressed rows. Both are one frame, `magic | u8 version | body | u32 crc32
-//! of all prior bytes`, around these bodies:
+//! A `Session` table persists as one **manifest** plus one blob **per sealed
+//! segment**. The manifest carries what every segment shares — the table name,
+//! the fitted preprocessor, the build configuration and the seal policy — plus
+//! the ingest-WAL watermark and the number of each segment's blob, so segment
+//! blobs stay self-contained pairs of synopsis + compressed rows. Both are one
+//! frame, `magic | u8 version | body | u32 crc32 of all prior bytes`, around
+//! these bodies:
 //!
 //! ```text
-//! manifest "PWT2" (<base>.pwhs):   u16 name_len | name | u32 pre_len | preprocessor
-//!                                  | u32 n_segments | u64 gen | u64 wal_seq
-//! segment  "PSG3" (<base>.g<gen>.seg<i>.phseg):
-//!                                  u64 syn_len | synopsis | u8 store_kind
-//!                                  | u64 store_len | store bytes
+//! manifest "PWT2" v4 (<base>.pwhs):
+//!     u16 name_len | name | u32 pre_len | preprocessor
+//!     | u64 ns | f64 m_fraction | u64 m_absolute (u64::MAX = none) | f64 alpha
+//!     | u8 split_rule | u64 seed | u8 parallel          (the build configuration)
+//!     | u64 seal_rows | f64 max_staleness                 (the seal policy)
+//!     | u64 wal_seq | u32 n_segments | u64 blob_number × n_segments
+//! segment "PSG3" v3 (<base>.seg<blob_number>.phseg):
+//!     u64 syn_len | synopsis | u8 store_kind | u64 store_len | store bytes
 //! ```
 //!
 //! `store_kind` names the row-store representation: 1 = GreedyGD
 //! ([`ph_gd::GdStore`]), 2 = per-column codec cascade ([`ph_gd::ColumnarStore`]).
-//! `gen` is the snapshot generation (segment files are generation-numbered so a
-//! crashed save can never tear the files the committed manifest still
-//! references), `wal_seq` is the ingest-WAL watermark (replay skips WAL records
-//! with seq ≤ it), and the CRC32 trailer lets `open_dir` tell a clean blob from
-//! bit-rot and quarantine the table instead of loading garbage.
+//! `wal_seq` is the ingest-WAL watermark (replay skips WAL records with seq ≤
+//! it), and the CRC32 trailer lets `open_dir` tell a clean blob from bit-rot
+//! and quarantine the table instead of loading garbage.
+//!
+//! # A seal is a checkpoint, the log is the delta
+//!
+//! A session with a WAL home ([`Session::enable_wal`]) commits every change
+//! its log cannot replay — registration, a seal, a refit, a compaction, a
+//! seal-policy change, `save_dir` into the home — as a **checkpoint** of the
+//! table into the home. Sealed rows are durable in segment blobs and delta rows
+//! in the log, never only in a serialized delta: a checkpoint's watermark is
+//! the last journaled batch folded into a sealed segment, so `open_dir`
+//! replays exactly the delta's batches, through `ingest`, and rebuilds the
+//! delta as the live table built it. A checkpoint that finds the delta empty
+//! deletes the log. Blobs are **write-once** — a committed blob is never
+//! rewritten — so a seal's checkpoint writes only the blobs that seal created.
+//! A failed checkpoint fails no acknowledged ingest: those batches are in the
+//! log, which stays until a later checkpoint commits them.
+//!
+//! One [`commit`] serves checkpoints and exports alike: blobs first, each under
+//! a number no file of the table has used; then the manifest, whose rename is
+//! the commit point; then the sweep of the table's files it no longer names.
+//! A crash before the rename recovers the previous manifest and its log; after
+//! it, the new manifest, whose watermark skips the records it folded in.
 //!
 //! There is exactly one reader per blob kind: anything else — another magic,
 //! another version, another store kind — is rejected, never guessed at.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ph_gd::Preprocessor;
-use ph_types::{faultfs, PhError};
+use ph_obs::{span, Counter, Stage};
+use ph_types::{faultfs, Dataset, PhError};
 
-use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig};
-use crate::segment::{compress_rows, Segment, TableState};
+use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig, SplitRule};
+use crate::segment::{build_delta, compress_rows, SealPolicy, Segment, TableState};
 use crate::session::{Session, TableCell};
 use crate::wal;
 
-/// Magic of the table manifest.
+/// Magic and frame version of the table manifest.
 const TABLE_MAGIC: &[u8; 4] = b"PWT2";
-/// Magic of a segment blob.
+const TABLE_VERSION: u8 = 4;
+/// Magic and frame version of a segment blob.
 const SEGMENT_MAGIC: &[u8; 4] = b"PSG3";
-/// The one frame version this build writes and reads.
-const FRAME_VERSION: u8 = 3;
+const SEGMENT_VERSION: u8 = 3;
 
 /// Wraps a body in the catalog frame: `magic | version | body | crc32`.
-fn frame(magic: &[u8; 4], write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+fn frame(magic: &[u8; 4], version: u8, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(magic);
-    out.push(FRAME_VERSION);
+    out.push(version);
     write_body(&mut out);
     let crc = ph_encoding::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -62,11 +87,11 @@ fn frame(magic: &[u8; 4], write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 }
 
 /// The body of a frame written by [`frame`], or `None` when the header is not
-/// `magic` at the current version or the checksum fails — in which case none
-/// of the other bytes can be trusted, not even their length fields.
-fn unframe<'a>(magic: &[u8; 4], data: &'a [u8]) -> Option<&'a [u8]> {
+/// `magic` at `version` or the checksum fails — in which case none of the
+/// other bytes can be trusted, not even their length fields.
+fn unframe<'a>(magic: &[u8; 4], version: u8, data: &'a [u8]) -> Option<&'a [u8]> {
     let (framed, trailer) = data.split_at_checked(data.len().checked_sub(4)?)?;
-    let body = framed.strip_prefix(magic)?.strip_prefix(&[FRAME_VERSION])?;
+    let body = framed.strip_prefix(magic)?.strip_prefix(&[version])?;
     (ph_encoding::crc32(framed) == u32::from_le_bytes(trailer.try_into().ok()?)).then_some(body)
 }
 
@@ -74,16 +99,16 @@ fn unframe<'a>(magic: &[u8; 4], data: &'a [u8]) -> Option<&'a [u8]> {
 /// quarantine reason: a container this build does not read — a retired or
 /// foreign magic/version, or an intact frame around a body it has no reader
 /// for — is named as such; everything else is damage.
-fn reject_reason(magic: &[u8; 4], data: &[u8]) -> String {
+fn reject_reason(magic: &[u8; 4], version: u8, data: &[u8]) -> String {
     let shown = |m: &[u8]| String::from_utf8_lossy(m).into_owned();
     match (data.get(..4), data.get(4)) {
-        (Some(m), Some(&v)) if m != magic || v != FRAME_VERSION => format!(
-            "unsupported format '{}' v{v} (this build reads '{}' v{FRAME_VERSION})",
+        (Some(m), Some(&v)) if m != magic || v != version => format!(
+            "unsupported format '{}' v{v} (this build reads '{}' v{version})",
             shown(m),
             shown(magic)
         ),
-        _ if unframe(magic, data).is_some() => format!(
-            "unsupported format: intact '{}' v{FRAME_VERSION} frame around a body this \
+        _ if unframe(magic, version, data).is_some() => format!(
+            "unsupported format: intact '{}' v{version} frame around a body this \
              build does not read",
             shown(magic)
         ),
@@ -91,70 +116,142 @@ fn reject_reason(magic: &[u8; 4], data: &[u8]) -> String {
     }
 }
 
+/// Little-endian fields off a frame body, every read bounds-checked.
+struct Reader<'a> {
+    body: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let out = self.body.get(self.pos..end)?;
+        self.pos = end;
+        Some(out)
+    }
+
+    fn le<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.bytes(N)?.try_into().ok()
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.le().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A `u64` length or count that must be positive and fit a `usize`.
+    fn count(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok().filter(|&n| n > 0)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.le::<1>().map(|[b]| b)
+    }
+
+    fn finished(&self) -> bool {
+        self.pos == self.body.len()
+    }
+}
+
 /// Decoded table manifest.
 struct TableManifest {
     name: String,
     pre: Preprocessor,
-    n_segments: usize,
-    /// Snapshot generation the segment files of this manifest belong to.
-    gen: u64,
+    cfg: PairwiseHistConfig,
+    policy: SealPolicy,
     /// Ingest-WAL watermark: every WAL record with `seq <= wal_seq` is already
-    /// folded into the segments this manifest references.
+    /// folded into the segments this manifest names.
     wal_seq: u64,
+    /// Blob number of each sealed segment, oldest first.
+    blobs: Vec<u64>,
 }
 
-/// Serializes a table manifest (shared metadata of all its segment blobs).
+/// Serializes a table manifest (what every segment blob of the table shares).
 fn table_manifest_to_bytes(
     table: &str,
     pre: &Preprocessor,
-    n_segments: usize,
-    gen: u64,
+    cfg: &PairwiseHistConfig,
+    policy: SealPolicy,
     wal_seq: u64,
+    blobs: &[u64],
 ) -> Vec<u8> {
-    frame(TABLE_MAGIC, |out| {
+    frame(TABLE_MAGIC, TABLE_VERSION, |out| {
+        let mut put = |bytes: &[u8]| out.extend_from_slice(bytes);
         let name = table.as_bytes();
         debug_assert!(name.len() <= u16::MAX as usize, "register_with rejects longer names");
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
+        put(&(name.len() as u16).to_le_bytes());
+        put(name);
         let pre_bytes = pre.to_bytes();
-        out.extend_from_slice(&(pre_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&pre_bytes);
-        out.extend_from_slice(&(n_segments as u32).to_le_bytes());
-        out.extend_from_slice(&gen.to_le_bytes());
-        out.extend_from_slice(&wal_seq.to_le_bytes());
+        put(&(pre_bytes.len() as u32).to_le_bytes());
+        put(&pre_bytes);
+        put(&(cfg.ns as u64).to_le_bytes());
+        put(&cfg.m_fraction.to_bits().to_le_bytes());
+        put(&cfg.m_absolute.map_or(u64::MAX, |m| m as u64).to_le_bytes());
+        put(&cfg.alpha.to_bits().to_le_bytes());
+        put(&[match cfg.split_rule {
+            SplitRule::EqualWidth => 0,
+            SplitRule::EqualDepth => 1,
+        }]);
+        put(&cfg.seed.to_le_bytes());
+        put(&[u8::from(cfg.parallel)]);
+        put(&(policy.rows as u64).to_le_bytes());
+        put(&policy.max_staleness.to_bits().to_le_bytes());
+        put(&wal_seq.to_le_bytes());
+        put(&(blobs.len() as u32).to_le_bytes());
+        for no in blobs {
+            put(&no.to_le_bytes());
+        }
     })
 }
 
 /// Restores a [`TableManifest`]. Returns `None` on malformed or corrupted
-/// input.
+/// input, including a configuration or policy no build could run under.
 fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
-    let body = unframe(TABLE_MAGIC, data)?;
-    let mut pos = 0usize;
-    let name_len = u16::from_le_bytes(body.get(pos..pos + 2)?.try_into().ok()?) as usize;
-    pos += 2;
-    let name =
-        std::str::from_utf8(body.get(pos..pos.checked_add(name_len)?)?).ok()?.to_string();
-    pos += name_len;
-    let pre_len = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let pre = Preprocessor::from_bytes(body.get(pos..pos.checked_add(pre_len)?)?)?;
-    pos += pre_len;
-    let n_segments = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let gen = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-    pos += 8;
-    let wal_seq = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-    pos += 8;
-    if pos != body.len() || n_segments > 1 << 20 {
+    let mut r = Reader { body: unframe(TABLE_MAGIC, TABLE_VERSION, data)?, pos: 0 };
+    let name_len = u16::from_le_bytes(r.le()?) as usize;
+    let name = std::str::from_utf8(r.bytes(name_len)?).ok()?.to_string();
+    let pre_len = u32::from_le_bytes(r.le()?) as usize;
+    let pre = Preprocessor::from_bytes(r.bytes(pre_len)?)?;
+    let cfg = PairwiseHistConfig {
+        ns: r.count()?,
+        m_fraction: r.f64().filter(|f| f.is_finite() && *f >= 0.0)?,
+        m_absolute: match r.u64()? {
+            u64::MAX => None,
+            m => Some(usize::try_from(m).ok().filter(|&m| m > 0)?),
+        },
+        alpha: r.f64().filter(|a| a.is_finite())?,
+        split_rule: match r.u8()? {
+            0 => SplitRule::EqualWidth,
+            1 => SplitRule::EqualDepth,
+            _ => return None,
+        },
+        seed: r.u64()?,
+        parallel: match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        },
+    };
+    let policy = SealPolicy {
+        rows: r.count()?,
+        max_staleness: r.f64().filter(|s| *s >= 0.0)?,
+    };
+    let wal_seq = r.u64()?;
+    let n_segments = u32::from_le_bytes(r.le()?) as usize;
+    if n_segments > 1 << 20 {
         return None;
     }
-    Some(TableManifest { name, pre, n_segments, gen, wal_seq })
+    let blobs = (0..n_segments).map(|_| r.u64()).collect::<Option<Vec<u64>>>()?;
+    r.finished().then_some(TableManifest { name, pre, cfg, policy, wal_seq, blobs })
 }
 
 /// Serializes one segment: its synopsis and its compressed rows under a tagged
 /// row-store representation.
 fn segment_to_bytes(engine: &PairwiseHist, store: &ph_gd::RowStore) -> Vec<u8> {
-    frame(SEGMENT_MAGIC, |out| {
+    frame(SEGMENT_MAGIC, SEGMENT_VERSION, |out| {
         let syn = engine.to_bytes();
         out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
         out.extend_from_slice(&syn);
@@ -174,20 +271,13 @@ fn segment_from_bytes(
     data: &[u8],
     pre: Arc<Preprocessor>,
 ) -> Option<(PairwiseHist, ph_gd::RowStore)> {
-    let body = unframe(SEGMENT_MAGIC, data)?;
-    let mut pos = 0usize;
-    let syn_len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?) as usize;
-    pos += 8;
-    let end = pos.checked_add(syn_len)?;
-    let engine = PairwiseHist::from_bytes(body.get(pos..end)?, pre)?;
-    pos = end;
-    let kind = *body.get(pos)?;
-    pos += 1;
-    let store_len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?) as usize;
-    pos += 8;
-    let end = pos.checked_add(store_len)?;
-    let store_slice = body.get(pos..end)?;
-    if end != body.len() {
+    let mut r = Reader { body: unframe(SEGMENT_MAGIC, SEGMENT_VERSION, data)?, pos: 0 };
+    let syn_len = usize::try_from(r.u64()?).ok()?;
+    let engine = PairwiseHist::from_bytes(r.bytes(syn_len)?, pre)?;
+    let kind = r.u8()?;
+    let store_len = usize::try_from(r.u64()?).ok()?;
+    let store_slice = r.bytes(store_len)?;
+    if !r.finished() {
         return None; // trailing bytes: not a clean blob
     }
     let store = match kind {
@@ -198,148 +288,390 @@ fn segment_from_bytes(
     Some((engine, store))
 }
 
+/// A blob a manifest names: committed earlier under its number, or new bytes.
+enum Blob {
+    Committed(u64),
+    New(Vec<u8>),
+}
+
+/// Commits one table into `dir`, write-once: every new blob under a number no
+/// file of the table's `base` has used, then the manifest `manifest(numbers)`
+/// — its rename is the commit point — then the sweep of `base`'s files the
+/// manifest does not name (superseded blobs, `.tmp` orphans of interrupted
+/// writes; the log is not this function's). Returns the blob numbers the
+/// manifest names, in order.
+fn commit(
+    dir: &Path,
+    base: &str,
+    blobs: Vec<Blob>,
+    manifest: impl FnOnce(&[u64]) -> Vec<u8>,
+) -> Result<Vec<u64>, PhError> {
+    // `(path, is a .tmp orphan, blob number)` of every file of this table.
+    let mut owned: Vec<(PathBuf, bool, Option<u64>)> = Vec::new();
+    for path in faultfs::read_dir_paths(dir)? {
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
+        let logical = name.strip_suffix(".tmp").unwrap_or(name);
+        if owned_base_of(logical) == Some(base) {
+            let (is_tmp, no) = (logical.len() != name.len(), blob_of(logical).map(|(_, no)| no));
+            owned.push((path.clone(), is_tmp, no));
+        }
+    }
+    let mut next = owned.iter().filter_map(|f| f.2).max().unwrap_or(0);
+    let mut named = Vec::with_capacity(blobs.len());
+    for blob in blobs {
+        named.push(match blob {
+            Blob::Committed(no) => no,
+            Blob::New(bytes) => {
+                next += 1;
+                write_atomic(dir, &blob_file_name(base, next), &bytes)?;
+                next
+            }
+        });
+    }
+    write_atomic(dir, &format!("{base}.pwhs"), &manifest(&named))?;
+    for (path, is_tmp, no) in owned {
+        if is_tmp || no.is_some_and(|no| !named.contains(&no)) {
+            faultfs::remove_file(&path)?;
+        }
+    }
+    Ok(named)
+}
+
+/// What one table has committed to the session's WAL home. Locked only under
+/// the table's writer lock, so never contended.
+#[derive(Default)]
+struct Durable {
+    /// The home the table was adopted into (its first checkpoint there), with
+    /// the blob number that home's committed manifest names for each sealed
+    /// segment, by segment id. `None` until then.
+    home: Option<(PathBuf, HashMap<u64, u64>)>,
+    /// Seq of the last journaled batch whose rows are in a sealed segment: the
+    /// watermark the next checkpoint commits.
+    sealed_seq: u64,
+}
+
+/// One table's checkpoint state and counters.
+#[derive(Default)]
+pub(crate) struct Durability {
+    durable: Mutex<Durable>,
+    /// The WAL seq at or below which a restart replays nothing: the committed
+    /// manifest's watermark (or, right after an adoption, where the home's log
+    /// starts).
+    committed_seq: AtomicU64,
+    /// Checkpoints committed since the table was registered or opened.
+    pub(crate) checkpoints: Counter,
+    /// Checkpoints that failed; the log keeps what they would have committed.
+    pub(crate) failures: Counter,
+}
+
+impl Durability {
+    /// Journaled batches a restart would replay, for a table at WAL seq
+    /// `wal_seq`.
+    pub(crate) fn pending(&self, wal_seq: u64) -> u64 {
+        wal_seq.saturating_sub(self.committed_seq.load(Ordering::Relaxed))
+    }
+}
+
+/// The checkpoint itself, under the table's writer lock (see
+/// [`Session::checkpoint`]).
+fn checkpoint_into(
+    d: &mut Durable,
+    home: &Path,
+    table: &str,
+    cell: &TableCell,
+    delta_rows: Option<&Dataset>,
+) -> Result<(), PhError> {
+    let base = file_base_for(table);
+    let log = wal::wal_path(home, &base);
+    let committed = d.home.as_ref().filter(|(dir, _)| dir == home).map(|(_, blobs)| blobs);
+    let adopting = committed.is_none();
+    if adopting {
+        // No batch of this table is in the home's log yet: whatever log is
+        // there belongs to an earlier table of the same name, and must not
+        // replay into this one.
+        wal::remove_wal(&log)?;
+    }
+    let state = cell.snapshot();
+    let blobs = state
+        .segments
+        .iter()
+        .map(|s| match committed.and_then(|c| c.get(&s.id)) {
+            Some(&no) => Blob::Committed(no),
+            None => Blob::New(segment_to_bytes(&s.engine, &s.store)),
+        })
+        .collect();
+    let sealed_seq = d.sealed_seq;
+    let named = commit(home, &base, blobs, |named| {
+        table_manifest_to_bytes(table, &state.pre, &state.cfg, state.policy, sealed_seq, named)
+    })?;
+    let committed: HashMap<u64, u64> = state.segments.iter().map(|s| s.id).zip(named).collect();
+    let wal_seq = cell.wal_seq.load(Ordering::Relaxed);
+    if adopting {
+        cell.durability.committed_seq.store(wal_seq, Ordering::Relaxed);
+        if let Some(rows) = delta_rows {
+            // Rows ingested before the table had this home: journal them as one
+            // batch, and rebuild the live delta the way replaying that batch
+            // will, so the recovered table is this one.
+            wal::append_record(&log, wal_seq + 1, rows)?;
+            cell.wal_seq.store(wal_seq + 1, Ordering::Relaxed);
+            let delta = build_delta(rows, &state.pre, &state.cfg, state.epoch);
+            let (pre, segments) = (state.pre.clone(), state.segments.clone());
+            cell.swap(state.successor(state.epoch, pre, segments, Some(delta)));
+        }
+    } else {
+        cell.durability.committed_seq.store(sealed_seq, Ordering::Relaxed);
+    }
+    d.home = Some((home.to_path_buf(), committed));
+    if !adopting && state.delta.is_none() {
+        // Every journaled batch is in a committed blob: the log is done. A
+        // crash before this line leaves records the watermark skips.
+        debug_assert_eq!(sealed_seq, wal_seq, "an empty delta means everything is sealed");
+        wal::remove_wal(&log)?;
+    }
+    Ok(())
+}
+
+/// `save_dir` into a directory other than the WAL home: an export. With no log
+/// beside it, the delta is serialized as a final sealed segment and the
+/// watermark covers every journaled batch. The manifest carries the build
+/// configuration as the first segment was built — `Ns` clamped to the rows it
+/// held, `M` fixed — the configuration every reopened export has sealed with.
+fn export(
+    dir: &Path,
+    table: &str,
+    cell: &TableCell,
+    delta_rows: Option<&Dataset>,
+) -> Result<(), PhError> {
+    let state = cell.snapshot();
+    let mut blobs: Vec<Blob> = state
+        .segments
+        .iter()
+        .map(|s| Blob::New(segment_to_bytes(&s.engine, &s.store)))
+        .collect();
+    if let (Some(rows), Some(delta)) = (delta_rows, state.delta.as_ref()) {
+        let matrix = state.pre.encode(rows);
+        blobs.push(Blob::New(segment_to_bytes(delta, &compress_rows(&matrix))));
+    }
+    let built = state.primary().params();
+    let cfg = PairwiseHistConfig {
+        ns: built.ns,
+        alpha: built.alpha,
+        m_absolute: Some(built.m_min),
+        ..PairwiseHistConfig::default()
+    };
+    let wal_seq = cell.wal_seq.load(Ordering::Relaxed);
+    commit(dir, &file_base_for(table), blobs, |named| {
+        table_manifest_to_bytes(table, &state.pre, &cfg, state.policy, wal_seq, named)
+    })?;
+    Ok(())
+}
+
 impl Session {
-    /// Persists every table to `dir` (created if missing) in the versioned
-    /// multi-file layout: one manifest (`.pwhs`) plus one blob per segment
-    /// (`.phseg`), the un-sealed delta serialized as a final segment. Compressed
-    /// rows ship with each segment, so a reopened catalog remains fully
-    /// ingestable. Returns the number of tables written.
+    /// Turns on write-ahead logging with `dir` (created if missing) as the
+    /// session's **durability home**. From now on every accepted
+    /// [`Session::ingest`] batch is appended — and fsynced — to the table's log
+    /// in `dir` *before* the in-memory swap, and every change the log cannot
+    /// replay (registration, seal, refit, [`Session::compact`], a seal-policy
+    /// change) is checkpointed into `dir`: the new segments' blobs, then the
+    /// table's manifest. So a crash after any call returns loses nothing, and
+    /// [`Session::open_dir`] on the directory replays only the batches past
+    /// each table's last seal. [`Session::open_dir`] makes the opened directory
+    /// the home automatically.
     ///
-    /// The save is **crash-safe**. Every file is written to a `.tmp` sibling,
-    /// fsynced, renamed into place, and the directory fsynced; segment blobs
-    /// land before their manifest, and segment files are generation-numbered
-    /// (`<base>.g<gen>.seg<i>.phseg`) so an interrupted save can never tear the
-    /// files the previously committed manifest still references. The manifest
-    /// rename is each table's single commit point; it records the table's WAL
-    /// watermark, and a save into the WAL home directory (see
-    /// [`Session::enable_wal`]) then truncates that table's log. A crash
-    /// anywhere leaves the directory opening to either the old or the new
-    /// snapshot, never a torn mix.
+    /// Every registered table is checkpointed into `dir` now — rows ingested
+    /// before this call are journaled as one batch — and the first error is
+    /// returned. A table whose checkpoint failed stays registered, and the
+    /// next ingest into it retries the checkpoint before journaling anything.
+    pub fn enable_wal(&self, dir: impl AsRef<Path>) -> Result<(), PhError> {
+        let dir = dir.as_ref();
+        faultfs::create_dir_all(dir)?;
+        *self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.to_path_buf());
+        let mut first_error = Ok(());
+        for (name, cell) in self.cells() {
+            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let checkpointed = self.checkpoint(&name, &cell, delta_rows.as_ref());
+            first_error = first_error.and(checkpointed);
+        }
+        first_error
+    }
+
+    /// Whether ingest batches are currently journaled (see [`Session::enable_wal`]).
+    pub fn wal_enabled(&self) -> bool {
+        self.wal_home().is_some()
+    }
+
+    fn wal_home(&self) -> Option<PathBuf> {
+        self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// Every registered table, as of now.
+    fn cells(&self) -> Vec<(String, Arc<TableCell>)> {
+        let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
+        tables.iter().map(|(n, c)| (n.clone(), c.clone())).collect()
+    }
+
+    /// Journals `batch` to the table's write-ahead log; a no-op without a WAL
+    /// home.
     ///
-    /// Only after every table has committed are stale files swept: blobs of
-    /// [`Session::drop_table`]ed names, segment files of superseded
-    /// generations, and orphaned `*.tmp` files from interrupted saves (never
-    /// counted as catalog members). The sweep is scoped to file-name bases
-    /// this catalog's current or dropped tables own — a shared directory's
-    /// foreign files are left alone.
+    /// Called under the table's writer lock, after every fallible part of the
+    /// ingest and before any in-memory mutation. That placement is the whole
+    /// durability argument: once the record is fsynced the batch is certain to
+    /// apply, so an acknowledged ingest survives a crash, and a crash mid-append
+    /// leaves a torn tail that replay discards as never acknowledged.
+    pub(crate) fn wal_append(
+        &self,
+        table: &str,
+        cell: &TableCell,
+        batch: &Dataset,
+    ) -> Result<(), PhError> {
+        let Some(dir) = self.wal_home() else { return Ok(()) };
+        let seq = cell.wal_seq.load(Ordering::Relaxed) + 1;
+        wal::append_record(&wal::wal_path(&dir, &file_base_for(table)), seq, batch)?;
+        cell.wal_seq.store(seq, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Checkpoints `table` into the WAL home unless its home already holds it:
+    /// no batch is journaled for a table the home has no manifest of (one whose
+    /// registration raced [`Session::enable_wal`], or whose checkpoint there
+    /// failed). Called under the writer lock before anything else.
+    pub(crate) fn adopt(
+        &self,
+        table: &str,
+        cell: &TableCell,
+        delta_rows: Option<&Dataset>,
+    ) -> Result<(), PhError> {
+        let Some(home) = self.wal_home() else { return Ok(()) };
+        let durable = cell.durability.durable.lock().unwrap_or_else(PoisonError::into_inner);
+        if durable.home.as_ref().is_some_and(|(dir, _)| *dir == home) {
+            return Ok(());
+        }
+        drop(durable);
+        self.checkpoint(table, cell, delta_rows)
+    }
+
+    /// A seal or refit just emptied the delta into sealed segments, so every
+    /// journaled batch is in one: checkpoint them. A failure is counted and
+    /// otherwise ignored — the batches are in the log, which stays until a later
+    /// checkpoint commits them.
+    pub(crate) fn sealed(&self, table: &str, cell: &TableCell) {
+        let seq = cell.wal_seq.load(Ordering::Relaxed);
+        cell.durability.durable.lock().unwrap_or_else(PoisonError::into_inner).sealed_seq = seq;
+        let _ = self.checkpoint(table, cell, None);
+    }
+
+    /// Commits `table`'s sealed state into the WAL home — a no-op without one
+    /// — under a `checkpoint` span, counting the outcome. Call under the
+    /// table's writer lock, with its delta rows. The first checkpoint into a
+    /// home **adopts** the table there: a log an earlier table of the name left
+    /// is deleted, every segment gets a blob, and rows ingested before the home
+    /// existed are journaled as one batch.
+    pub(crate) fn checkpoint(
+        &self,
+        table: &str,
+        cell: &TableCell,
+        delta_rows: Option<&Dataset>,
+    ) -> Result<(), PhError> {
+        let Some(home) = self.wal_home() else { return Ok(()) };
+        let _checkpoint = span(Stage::Checkpoint);
+        let d = &cell.durability;
+        let mut durable = d.durable.lock().unwrap_or_else(PoisonError::into_inner);
+        let done = checkpoint_into(&mut durable, &home, table, cell, delta_rows);
+        let outcome = if done.is_ok() { &d.checkpoints } else { &d.failures };
+        outcome.inc();
+        done
+    }
+
+    /// Edits the seal policy the session registers tables with, and every
+    /// registered table's, checkpointing each table whose policy changed (the
+    /// policy decides where a replay seals, so the log cannot stand in for
+    /// it).
+    pub(crate) fn set_policy(&self, edit: impl Fn(&mut SealPolicy)) {
+        edit(&mut self.policy.lock().unwrap_or_else(PoisonError::into_inner));
+        for (name, cell) in self.cells() {
+            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let cur = cell.snapshot();
+            let mut next =
+                cur.successor(cur.epoch, cur.pre.clone(), cur.segments.clone(), cur.delta.clone());
+            edit(&mut next.policy);
+            if next.policy != cur.policy {
+                cell.swap(next);
+                let _ = self.checkpoint(&name, &cell, delta_rows.as_ref());
+            }
+        }
+    }
+
+    /// Persists every table to `dir` (created if missing): one manifest
+    /// (`.pwhs`) plus one blob per sealed segment (`.phseg`), compressed rows
+    /// included, so a reopened catalog remains fully ingestable. Returns the
+    /// number of tables written.
+    ///
+    /// Into the session's WAL home (see [`Session::enable_wal`]) this is a
+    /// checkpoint of every table: blobs already committed are not rewritten,
+    /// and the un-sealed delta stays where it is durable — in the log. Into any
+    /// other directory it is an **export**: every blob is written, the delta is
+    /// serialized as a final sealed segment, and the manifest carries the
+    /// build configuration as the table's first segment was built (`Ns`
+    /// clamped to its rows, `M` fixed) — what a reopened export seals with.
+    ///
+    /// Either way the save is **crash-safe** and write-once. Every file is
+    /// written to a `.tmp` sibling, fsynced, renamed into place, and the
+    /// directory fsynced; a table's blobs land before its manifest, each under a
+    /// number no file of the table has used, so an interrupted save never tears
+    /// a blob the committed manifest names. The manifest rename is the table's
+    /// commit point; after it, the table's files the manifest no longer names
+    /// (superseded blobs, `.tmp` orphans) are swept. A crash anywhere leaves
+    /// each table opening to either its old or its new manifest, never a torn
+    /// mix. Once every table has committed, the files of
+    /// [`Session::drop_table`]ed names are swept too — only files of this
+    /// catalog's own tables are ever touched, so a shared directory's foreign
+    /// files are left alone.
     ///
     /// Concurrent writers may swap tables while the directory is written; each
-    /// table's files are internally consistent (serialized under the table's
+    /// table's files are internally consistent (written under the table's
     /// writer lock), and the set of tables is the registration set at the start
     /// of the call.
     pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<usize, PhError> {
         let dir = dir.as_ref();
         faultfs::create_dir_all(dir)?;
-        let cells: Vec<(String, Arc<TableCell>)> = self
-            .tables
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(n, c)| (n.clone(), c.clone()))
-            .collect();
-        let truncate_wal =
-            self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner).as_deref() == Some(dir);
-        // One listing up front decides each table's next generation number:
-        // one past the highest generation any existing file of its base claims.
-        let mut existing: Vec<PathBuf> = faultfs::read_dir_paths(dir)?;
-        existing.sort();
-        let gen_of = |base: &str| -> u64 {
-            let prefix = format!("{base}.g");
-            existing
-                .iter()
-                .filter_map(|p| p.file_name()?.to_str()?.strip_prefix(&prefix))
-                .filter_map(|rest| rest.split('.').next()?.parse::<u64>().ok())
-                .max()
-                .unwrap_or(0)
-        };
-        let mut expected: HashSet<String> = HashSet::new();
+        let cells = self.cells();
+        let home = self.wal_home().as_deref() == Some(dir);
         for (name, cell) in &cells {
-            // The writer lock pins the delta-rows ↔ state invariant so the
-            // serialized delta segment matches the published delta synopsis —
-            // and freezes `wal_seq`, so the watermark written below covers
-            // exactly the batches folded into these blobs.
+            // The writer lock pins the delta rows to the published delta and
+            // freezes the WAL seq, so what is written is one version.
             let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
-            let state = cell.snapshot();
-            let mut blobs: Vec<Vec<u8>> = state
-                .segments
-                .iter()
-                .map(|s| segment_to_bytes(&s.engine, &s.store))
-                .collect();
-            if let (Some(rows), Some(delta)) = (delta_rows.as_ref(), state.delta.as_ref()) {
-                let matrix = state.pre.encode(rows);
-                blobs.push(segment_to_bytes(delta, &compress_rows(&matrix)));
-            }
-            let base = file_base_for(name);
-            let gen = gen_of(&base) + 1;
-            // Segments first: the manifest must never name a blob that is not
-            // already durable.
-            for (i, blob) in blobs.iter().enumerate() {
-                let seg_name = segment_file_name(&base, gen, i);
-                // ph-lint: allow(lock-across-io) — the writer lock freezes delta ↔ wal_seq
-                // so the manifest's watermark covers exactly the blobs written here;
-                // releasing it would let an ingest slip between blob and watermark
-                write_atomic(dir, &seg_name, blob)?;
-                expected.insert(seg_name);
-            }
-            let wal_seq = cell.wal_seq.load(Ordering::Relaxed);
-            let manifest =
-                table_manifest_to_bytes(name, &state.pre, blobs.len(), gen, wal_seq);
-            let manifest_name = format!("{base}.pwhs");
-            // Commit point for this table.
-            // ph-lint: allow(lock-across-io) — same invariant as the segment writes above
-            write_atomic(dir, &manifest_name, &manifest)?;
-            expected.insert(manifest_name);
-            if truncate_wal {
-                // Everything the log holds up to `wal_seq` is now in the
-                // committed snapshot. A crash right here replays nothing: the
-                // watermark skips every surviving record.
-                // ph-lint: allow(lock-across-io) — WAL truncation must precede any new
-                // journaled batch, which the held writer lock excludes
-                wal::remove_wal(&wal::wal_path(dir, &base))?;
+            if home {
+                self.checkpoint(name, cell, delta_rows.as_ref())?;
+            } else {
+                export(dir, name, cell, delta_rows.as_ref())?;
             }
         }
-        // Post-commit sweep — reached only with every manifest committed, so a
-        // failed save never deletes the files a reopen would still need.
-        let dropped_bases: HashSet<String> = self
+        // Reached only with every table committed. A dropped name registered
+        // again is a live table: its files stay.
+        let live: HashSet<String> = cells.iter().map(|(name, _)| file_base_for(name)).collect();
+        let dropped: HashSet<String> = self
             .dropped
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|n| file_base_for(n))
+            .filter(|base| !live.contains(base))
             .collect();
-        let mut owned_bases: HashSet<String> =
-            cells.iter().map(|(name, _)| file_base_for(name)).collect();
-        owned_bases.extend(dropped_bases.iter().cloned());
-        for path in faultfs::read_dir_paths(dir)? {
-            let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            // A `.tmp` sibling is an interrupted save's orphan: whatever its
-            // underlying name, it was never a catalog member.
-            let logical = file_name.strip_suffix(".tmp").unwrap_or(file_name);
-            let is_tmp = logical.len() != file_name.len();
-            let Some(base) = owned_base_of(logical) else { continue };
-            if !owned_bases.contains(base) {
-                continue;
-            }
-            let remove = if is_tmp {
-                true
-            } else if logical.ends_with(".phwal") {
-                // Live tables keep their (just-truncated) logs; a dropped
-                // table's log goes with its blobs.
-                dropped_bases.contains(base)
-            } else {
-                !expected.contains(logical)
-            };
-            if remove {
-                faultfs::remove_file(&path)?;
+        if !dropped.is_empty() {
+            for path in faultfs::read_dir_paths(dir)? {
+                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
+                let logical = name.strip_suffix(".tmp").unwrap_or(name);
+                if owned_base_of(logical).is_some_and(|base| dropped.contains(base)) {
+                    faultfs::remove_file(&path)?;
+                }
             }
         }
         Ok(cells.len())
     }
 
-    /// Reopens a catalog persisted with [`Session::save_dir`]: every manifest in
-    /// `dir` becomes a registered table with its full segment list, serving
+    /// Reopens a catalog persisted with [`Session::save_dir`] or checkpointed
+    /// into a WAL home: every manifest in `dir` becomes a registered table with
+    /// its full segment list, build configuration and seal policy, serving
     /// straight from the deserialized synopses. Compressed rows are restored
     /// with each segment, so ingest — including batches that force a refit
     /// rebuild — keeps working on the reopened catalog.
@@ -351,13 +683,16 @@ impl Session {
     /// [`PhError::Quarantined`], and [`Session::quarantined`] lists the
     /// casualties with reasons. Only directory-level I/O failures abort.
     ///
-    /// After the snapshot loads, each table's write-ahead log tail is replayed
+    /// After the manifests load, each table's write-ahead log is replayed
     /// through the normal ingest path: records at or below the manifest's
-    /// watermark (already folded into the snapshot) are skipped, a torn final
-    /// record — the signature of a crash mid-append — is discarded as never
-    /// acknowledged, and mid-log damage quarantines the table. The opened
-    /// directory becomes the session's WAL home (see [`Session::enable_wal`]),
-    /// so the reopened catalog is durable by default.
+    /// watermark (already in its segments) are skipped, so what replays is the
+    /// delta — O(batches since the last seal), not O(batches since the last
+    /// save). A torn final record — the signature of a crash mid-append — is
+    /// discarded as never acknowledged, and mid-log damage quarantines the
+    /// table. The opened directory becomes the session's WAL home (see
+    /// [`Session::enable_wal`]), so the reopened catalog is durable by default;
+    /// a table whose replay re-ran a seal (its checkpoint had failed) is
+    /// checkpointed on the way out.
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Session, PhError> {
         let dir = dir.as_ref();
         let session = Session::new();
@@ -366,7 +701,7 @@ impl Session {
         // quarantine-on-duplicate must pick the same file every run.
         paths.sort();
         // Tables that loaded, with their manifest's WAL watermark.
-        let mut loaded: Vec<(String, u64)> = Vec::new();
+        let mut loaded: Vec<(String, Arc<TableCell>, u64)> = Vec::new();
         {
             let mut map = session.tables.write().unwrap_or_else(PoisonError::into_inner);
             let mut quarantined = session.quarantined.lock().unwrap_or_else(PoisonError::into_inner);
@@ -385,43 +720,44 @@ impl Session {
                 let fail = |k: &str, e: PhError| (k.to_string(), e);
                 let corrupt =
                     |detail: String| PhError::Corrupt(format!("{}: {detail}", path.display()));
-                let load = || -> Result<(String, TableState, u64), (String, PhError)> {
+                type Loaded = (String, TableState, HashMap<u64, u64>, u64);
+                let load = || -> Result<Loaded, (String, PhError)> {
                     // open_dir runs before the session is shared: both maps are
                     // locked for the whole single-threaded load.
                     let bytes =
                         // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
                         faultfs::read(path).map_err(|e| fail(&file_base, e.into()))?;
                     let m = table_manifest_from_bytes(&bytes).ok_or_else(|| {
-                        let why = reject_reason(TABLE_MAGIC, &bytes);
+                        let why = reject_reason(TABLE_MAGIC, TABLE_VERSION, &bytes);
                         fail(&file_base, corrupt(format!("manifest: {why}")))
                     })?;
                     let name = m.name;
                     let pre = Arc::new(m.pre);
                     let base = file_base_for(&name);
                     let epoch = next_plan_epoch();
-                    let mut segments = Vec::with_capacity(m.n_segments);
-                    for i in 0..m.n_segments {
-                        let seg_path = dir.join(segment_file_name(&base, m.gen, i));
+                    let mut segments = Vec::with_capacity(m.blobs.len());
+                    for &no in &m.blobs {
+                        let seg_path = dir.join(blob_file_name(&base, no));
                         let seg_bytes =
                             // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
                             faultfs::read(&seg_path).map_err(|e| fail(&name, e.into()))?;
                         let (mut engine, store) = segment_from_bytes(&seg_bytes, pre.clone())
                             .ok_or_else(|| {
-                                let why = reject_reason(SEGMENT_MAGIC, &seg_bytes);
-                                fail(&name, corrupt(format!("segment {i}: {why}")))
+                                let why = reject_reason(SEGMENT_MAGIC, SEGMENT_VERSION, &seg_bytes);
+                                fail(&name, corrupt(format!("segment blob {no}: {why}")))
                             })?;
                         engine.plan_epoch = epoch;
                         segments.push(Arc::new(Segment::new(engine, store)));
                     }
-                    let Some(first) = segments.first() else {
+                    if segments.is_empty() {
                         return Err(fail(&name, corrupt("manifest lists no segments".into())));
-                    };
-                    let cfg = config_from_engine(&first.engine);
-                    let state = TableState::new(epoch, pre, segments, cfg);
-                    Ok((name, state, m.wal_seq))
+                    }
+                    let blobs = segments.iter().map(|s| s.id).zip(m.blobs).collect();
+                    let state = TableState::new(epoch, pre, segments, m.cfg, m.policy);
+                    Ok((name, state, blobs, m.wal_seq))
                 };
                 match load() {
-                    Ok((name, state, watermark)) => {
+                    Ok((name, state, blobs, watermark)) => {
                         if map.contains_key(&name) {
                             quarantined.insert(
                                 file_base,
@@ -429,8 +765,14 @@ impl Session {
                             );
                             continue;
                         }
-                        map.insert(name.clone(), Arc::new(TableCell::new(state)));
-                        loaded.push((name, watermark));
+                        let cell = Arc::new(TableCell::new(state));
+                        let d = &cell.durability;
+                        *d.durable.lock().unwrap_or_else(PoisonError::into_inner) =
+                            Durable { home: Some((dir.to_path_buf(), blobs)), sealed_seq: watermark };
+                        d.committed_seq.store(watermark, Ordering::Relaxed);
+                        cell.wal_seq.store(watermark, Ordering::Relaxed);
+                        map.insert(name.clone(), cell.clone());
+                        loaded.push((name, cell, watermark));
                     }
                     Err((key, e)) => {
                         quarantined.insert(key, e.to_string());
@@ -439,10 +781,10 @@ impl Session {
             }
         }
         // Replay each surviving table's WAL tail. `wal_dir` is still `None`
-        // here, so the replayed ingests do not re-journal themselves.
-        for (name, watermark) in loaded {
-            let wal_path = wal::wal_path(dir, &file_base_for(&name));
-            let replayed = (|| -> Result<u64, PhError> {
+        // here, so the replayed ingests neither journal nor checkpoint.
+        for (name, cell, watermark) in &loaded {
+            let wal_path = wal::wal_path(dir, &file_base_for(name));
+            let replayed = (|| -> Result<(), PhError> {
                 let replay = wal::read_wal(&wal_path)?;
                 if replay.torn_tail {
                     // Amputate the torn bytes now: a later append landing
@@ -455,40 +797,42 @@ impl Session {
                         faultfs::truncate(&wal_path, replay.valid_len as u64)?;
                     }
                 }
-                let mut max_seq = watermark;
                 for (seq, batch) in &replay.records {
-                    // At or below the watermark: already in the snapshot. A
-                    // crash between manifest commit and WAL truncation leaves
-                    // such records behind; skipping them is what makes the
-                    // commit protocol idempotent.
-                    if *seq <= watermark {
+                    // At or below the watermark: already in a committed blob.
+                    // A crash between a manifest commit and the log's deletion
+                    // leaves such records behind; skipping them is what makes
+                    // the commit idempotent.
+                    if seq <= watermark {
                         continue;
                     }
-                    session.ingest(&name, batch)?;
-                    max_seq = max_seq.max(*seq);
+                    // The batch's own seq, so a seal it triggers records the
+                    // watermark the live table's checkpoint did.
+                    cell.wal_seq.store(*seq, Ordering::Relaxed);
+                    session.ingest(name, batch)?;
                 }
-                Ok(max_seq)
+                Ok(())
             })();
-            match replayed {
-                Ok(max_seq) => {
-                    if let Some(cell) = session.tables.read().unwrap_or_else(PoisonError::into_inner).get(&name) {
-                        cell.wal_seq.store(max_seq, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => {
-                    // A log that cannot be trusted poisons the whole table:
-                    // serving the snapshot alone could silently drop
-                    // acknowledged rows.
-                    session.tables.write().unwrap_or_else(PoisonError::into_inner).remove(&name);
-                    session
-                        .quarantined
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(name, format!("WAL replay failed: {e}"));
-                }
+            if let Err(e) = replayed {
+                // A log that cannot be trusted poisons the whole table:
+                // serving the snapshot alone could silently drop
+                // acknowledged rows.
+                session.tables.write().unwrap_or_else(PoisonError::into_inner).remove(name);
+                session
+                    .quarantined
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(name.clone(), format!("WAL replay failed: {e}"));
             }
         }
         *session.wal_dir.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.to_path_buf());
+        for (name, cell) in session.cells() {
+            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let d = &cell.durability;
+            let sealed = d.durable.lock().unwrap_or_else(PoisonError::into_inner).sealed_seq;
+            if sealed > d.committed_seq.load(Ordering::Relaxed) {
+                let _ = session.checkpoint(&name, &cell, delta_rows.as_ref());
+            }
+        }
         Ok(session)
     }
 }
@@ -496,8 +840,8 @@ impl Session {
 /// Writes `bytes` to `dir/name` atomically: a `.tmp` sibling is written and
 /// fsynced, renamed over the final name, and the directory fsynced so the
 /// rename itself is durable. A crash at any point leaves either the old file,
-/// the new file, or a `.tmp` orphan (swept after the next fully committed
-/// save) — never a partially written file under the final name.
+/// the new file, or a `.tmp` orphan (swept by the table's next commit) — never
+/// a partially written file under the final name.
 fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PhError> {
     let tmp = dir.join(format!("{name}.tmp"));
     faultfs::write(&tmp, bytes)?;
@@ -507,42 +851,31 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PhError> {
     Ok(())
 }
 
-/// File name of segment `i` at generation `gen` for a table with file-name base
-/// `base`. The generation is part of the name so a new save never overwrites
-/// blobs the previously committed manifest still references.
-fn segment_file_name(base: &str, gen: u64, i: usize) -> String {
-    format!("{base}.g{gen}.seg{i}.phseg")
+/// File name of blob number `no` of the table with file-name base `base`.
+fn blob_file_name(base: &str, no: u64) -> String {
+    format!("{base}.seg{no}.phseg")
+}
+
+/// `(base, blob number)` of a segment blob's file name.
+fn blob_of(logical: &str) -> Option<(&str, u64)> {
+    let (base, no) = logical.strip_suffix(".phseg")?.rsplit_once(".seg")?;
+    if no.is_empty() || !no.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    Some((base, no.parse().ok()?))
 }
 
 /// The table file base a catalog file name belongs to, or `None` for names this
 /// layer never produces. Recognized shapes: `<base>.pwhs`, `<base>.phwal`,
-/// `<base>.g<gen>.seg<i>.phseg`. [`file_base_for`] output never contains a
-/// dot, so any parse that leaves one marks a foreign file the sweep must leave
+/// `<base>.seg<number>.phseg`. [`file_base_for`] output never contains a dot,
+/// so any parse that leaves one marks a foreign file the sweep must leave
 /// alone.
 fn owned_base_of(logical: &str) -> Option<&str> {
-    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
     let base = match logical.strip_suffix(".pwhs").or_else(|| logical.strip_suffix(".phwal")) {
         Some(base) => base,
-        None => {
-            let (head, idx) = logical.strip_suffix(".phseg")?.rsplit_once(".seg")?;
-            let (base, gen) = head.rsplit_once(".g")?;
-            if !digits(idx) || !digits(gen) {
-                return None;
-            }
-            base
-        }
+        None => blob_of(logical)?.0,
     };
     (!base.is_empty() && !base.contains('.')).then_some(base)
-}
-
-/// Reconstructs a build configuration from a deserialized engine's parameters.
-fn config_from_engine(engine: &PairwiseHist) -> PairwiseHistConfig {
-    PairwiseHistConfig {
-        ns: engine.params().ns,
-        alpha: engine.params().alpha,
-        m_absolute: Some(engine.params().m_min),
-        ..PairwiseHistConfig::default()
-    }
 }
 
 /// Longest sanitized-name prefix a file-name base carries. File names are
@@ -568,13 +901,19 @@ pub(crate) fn file_base_for(table: &str) -> String {
 mod tests {
     use super::*;
     use crate::session::tests::{dataset, session_with};
+    use std::collections::BTreeSet;
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ph_persist_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     #[test]
     fn save_and_open_dir_round_trip_answers() {
         let s = session_with("alpha", 12_000, 14);
         s.register(dataset("beta", 9_000, 15)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ph_session_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("roundtrip");
         assert_eq!(s.save_dir(&dir).unwrap(), 2);
 
         let reopened = Session::open_dir(&dir).unwrap();
@@ -598,8 +937,7 @@ mod tests {
         let long = "n".repeat(300);
         let s = session_with(&long, 2_000, 97);
         s.register(dataset("short", 2_000, 98)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ph_sess_longname_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("longname");
         assert_eq!(s.save_dir(&dir).unwrap(), 2);
         let reopened = Session::open_dir(&dir).unwrap();
         assert_eq!(reopened.tables(), s.tables());
@@ -622,8 +960,7 @@ mod tests {
     fn save_dir_leaves_foreign_catalog_files_alone() {
         let a = session_with("mine", 1_500, 95);
         let b = session_with("theirs", 1_500, 96);
-        let dir = std::env::temp_dir().join(format!("ph_shared_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("shared");
         a.save_dir(&dir).unwrap();
         b.save_dir(&dir).unwrap();
         // Session `a` drops its table and re-saves: only `mine`'s files go.
@@ -638,14 +975,13 @@ mod tests {
     fn save_dir_sweeps_dropped_tables() {
         let s = session_with("keep", 2_000, 80);
         s.register(dataset("gone", 2_000, 81)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ph_sess_sweep_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("sweep");
         assert_eq!(s.save_dir(&dir).unwrap(), 2);
         let files = |d: &std::path::Path| -> usize { std::fs::read_dir(d).unwrap().count() };
         assert_eq!(files(&dir), 4, "2 manifests + 2 segment blobs");
         s.drop_table("gone").unwrap();
         assert_eq!(s.save_dir(&dir).unwrap(), 1);
-        assert_eq!(files(&dir), 2, "dropped table's blobs swept on save");
+        assert_eq!(files(&dir), 2, "dropped table's blobs swept, the re-save's superseded ones too");
         let reopened = Session::open_dir(&dir).unwrap();
         assert_eq!(reopened.tables(), vec!["keep"]);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -682,5 +1018,98 @@ mod tests {
             bad[mid] ^= 0x40;
             assert!(segment_from_bytes(&bad, pre.clone()).is_none());
         }
+    }
+
+    /// The manifest round-trips every field of a non-default configuration and
+    /// policy, and refuses one no build could run under behind a valid CRC.
+    #[test]
+    fn manifest_roundtrips_config_and_policy() {
+        let pre = Preprocessor::fit(&dataset("t", 300, 3));
+        let cfg = PairwiseHistConfig {
+            ns: 1_234,
+            m_fraction: 0.02,
+            m_absolute: Some(17),
+            alpha: 0.01,
+            split_rule: SplitRule::EqualDepth,
+            seed: 99,
+            parallel: false,
+        };
+        let policy = SealPolicy { rows: 777, max_staleness: f64::INFINITY };
+        let bytes = table_manifest_to_bytes("t", &pre, &cfg, policy, 41, &[3, 9]);
+        let m = table_manifest_from_bytes(&bytes).expect("decodes");
+        assert_eq!((m.name.as_str(), m.wal_seq, m.blobs.as_slice()), ("t", 41, &[3u64, 9][..]));
+        assert_eq!(m.policy, policy);
+        assert_eq!(format!("{:?}", m.cfg), format!("{cfg:?}"));
+        let zero_m = PairwiseHistConfig { m_absolute: Some(0), ..cfg };
+        let bytes = table_manifest_to_bytes("t", &pre, &zero_m, policy, 41, &[3]);
+        assert!(table_manifest_from_bytes(&bytes).is_none(), "M = 0 cannot build");
+    }
+
+    /// Rows ingested before the session had a WAL home are journaled as one
+    /// batch when `enable_wal` adopts the table, and the live delta is rebuilt
+    /// the way replaying that batch rebuilds it: the crashed twin answers bit
+    /// for bit, before and after the same further batch.
+    #[test]
+    fn enable_wal_adopts_an_unjournaled_delta() {
+        let dir = scratch("adopt");
+        let live = session_with("t", 12_000, 5);
+        for k in 0..2 {
+            assert!(!live.ingest("t", &dataset("t", 1_000, 50 + k)).unwrap().rebuilt);
+        }
+        live.enable_wal(&dir).unwrap();
+        let log = wal::wal_path(&dir, &file_base_for("t"));
+        assert_eq!(wal::read_wal(&log).unwrap().records.len(), 1, "the delta, as one batch");
+        assert_eq!(live.table_stats("t").unwrap().wal_records, 1);
+        let twin = Session::open_dir(&dir).unwrap();
+        let more = dataset("t", 700, 60);
+        for round in 0..2 {
+            for sql in ["SELECT AVG(y) FROM t WHERE x > 200", "SELECT COUNT(x) FROM t GROUP BY c"] {
+                assert_eq!(live.sql(sql).unwrap(), twin.sql(sql).unwrap(), "round {round}: {sql}");
+            }
+            assert_eq!(live.ingest("t", &more).unwrap(), twin.ingest("t", &more).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The deterministic bound behind `recover_s`: with a WAL home, after each
+    /// of k = 1…6 seals the log holds only the delta's batches — none right
+    /// after the seal, one after the next plain batch — and the seal's
+    /// checkpoint wrote exactly one new `.phseg` and rewrote none.
+    #[test]
+    fn each_seal_checkpoints_one_blob_and_leaves_the_log_to_the_delta() {
+        let dir = scratch("bound");
+        let s = Session::with_config(PairwiseHistConfig { parallel: false, ..Default::default() });
+        s.set_max_staleness(f64::INFINITY);
+        s.set_seal_threshold(1_000);
+        s.enable_wal(&dir).unwrap();
+        s.register(dataset("t", 1_000, 1)).unwrap();
+        let blobs = || -> BTreeSet<String> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|n| n.ends_with(".phseg"))
+                .collect()
+        };
+        let log = wal::wal_path(&dir, &file_base_for("t"));
+        let logged = || wal::read_wal(&log).unwrap().records.len();
+        for k in 1..=6u64 {
+            assert!(!s.ingest("t", &dataset("t", 500, 10 * k)).unwrap().rebuilt);
+            assert_eq!(logged(), 1, "seal {k}: the log holds the delta's one batch");
+            let before = blobs();
+            let report = s.ingest("t", &dataset("t", 500, 10 * k + 1)).unwrap();
+            assert_eq!(report.sealed_segments, 1, "seal {k}: {report:?}");
+            let after = blobs();
+            assert!(before.is_subset(&after), "seal {k}: a committed blob went away");
+            assert_eq!(after.len() - before.len(), 1, "seal {k}: {before:?} → {after:?}");
+            assert_eq!(after.len() as u64, k + 1, "one blob per sealed segment");
+            assert_eq!(logged(), 0, "seal {k}: the sealed batches left the log");
+            let stats = s.table_stats("t").unwrap();
+            assert_eq!((stats.checkpoints, stats.checkpoint_failures, stats.wal_records), (k + 1, 0, 0));
+        }
+        let live = s.sql("SELECT AVG(y) FROM t WHERE x > 200").unwrap();
+        drop(s);
+        let reopened = Session::open_dir(&dir).unwrap();
+        assert_eq!(reopened.sql("SELECT AVG(y) FROM t WHERE x > 200").unwrap(), live);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -30,6 +30,7 @@
 //! generated streams arrive time-ordered, so a range on the ordering column
 //! skips most segments), and the table counts both outcomes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ph_obs::{span, Stage};
@@ -65,6 +66,10 @@ pub(crate) fn count_store_matching(store: &RowStore, col: usize, rs: &RangeSet) 
 
 /// One sealed, immutable segment: its synopsis plus its compressed rows.
 pub(crate) struct Segment {
+    /// Process-unique identity, kept across epoch restamps: what a checkpoint
+    /// keys a segment's committed blob by (`crate::persist`), so a blob is
+    /// written once per segment, not once per table version.
+    pub(crate) id: u64,
     /// The segment's synopsis; `plan_epoch` is stamped to the owning table
     /// version's epoch so one prepared plan serves every segment.
     pub(crate) engine: PairwiseHist,
@@ -79,8 +84,10 @@ pub(crate) struct Segment {
 
 impl Segment {
     pub(crate) fn new(engine: PairwiseHist, store: RowStore) -> Self {
+        static IDS: AtomicU64 = AtomicU64::new(1);
         let store_bytes = store.packed_bytes();
-        Self { engine, store: Arc::new(store), store_bytes }
+        let id = IDS.fetch_add(1, Ordering::Relaxed);
+        Self { id, engine, store: Arc::new(store), store_bytes }
     }
 
     /// A copy of this segment whose engine carries `epoch` (used when a seal or
@@ -92,7 +99,7 @@ impl Segment {
     pub(crate) fn restamped(&self, epoch: u64) -> Self {
         let mut engine = self.engine.clone();
         engine.plan_epoch = epoch;
-        Self { engine, store: self.store.clone(), store_bytes: self.store_bytes }
+        Self { id: self.id, engine, store: self.store.clone(), store_bytes: self.store_bytes }
     }
 
     /// Rows held by this segment.
@@ -113,6 +120,21 @@ pub(crate) struct FanoutCounters {
     pub(crate) pruned: ph_obs::Counter,
 }
 
+/// When `Session::ingest` seals a table's delta: once it holds `rows` rows, or
+/// once its share of the table's rows exceeds `max_staleness`. Part of what
+/// determines a table's answers, so it is persisted with the table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SealPolicy {
+    pub(crate) rows: usize,
+    pub(crate) max_staleness: f64,
+}
+
+impl Default for SealPolicy {
+    fn default() -> Self {
+        Self { rows: 50_000, max_staleness: 0.5 }
+    }
+}
+
 /// One immutable version of a table: the sealed segment list, the delta
 /// synopsis, and everything shared between them. Published behind
 /// `RwLock<Arc<TableState>>`; never mutated — writers build a replacement and
@@ -130,6 +152,8 @@ pub(crate) struct TableState {
     /// The *requested* build configuration, re-used for delta builds, seals and
     /// rebuilds (`ns` is clamped to available rows at each use).
     pub(crate) cfg: PairwiseHistConfig,
+    /// When ingest seals the delta.
+    pub(crate) policy: SealPolicy,
     /// Lazily computed `(synopsis_bytes, row_store_bytes)` for this immutable
     /// version — the state never mutates, so the walk over every engine's
     /// synopsis happens at most once per version no matter how often a metrics
@@ -170,6 +194,7 @@ impl TableState {
         pre: Arc<Preprocessor>,
         segments: Vec<Arc<Segment>>,
         cfg: PairwiseHistConfig,
+        policy: SealPolicy,
     ) -> Self {
         Self {
             epoch,
@@ -177,13 +202,14 @@ impl TableState {
             segments,
             delta: None,
             cfg,
+            policy,
             footprint: OnceLock::new(),
             fanout: Arc::default(),
         }
     }
 
-    /// The version that replaces this one: same configuration, same running
-    /// totals, everything else as given.
+    /// The version that replaces this one: same configuration and seal policy,
+    /// same running totals, everything else as given.
     pub(crate) fn successor(
         &self,
         epoch: u64,
@@ -197,6 +223,7 @@ impl TableState {
             segments,
             delta,
             cfg: self.cfg.clone(),
+            policy: self.policy,
             footprint: OnceLock::new(),
             fanout: self.fanout.clone(),
         }
@@ -693,7 +720,8 @@ mod tests {
             let segments: Vec<Arc<Segment>> = (0..sealed)
                 .map(|k| Arc::new(sealed_segment(&pre.encode(&data.slice(k * per, per)), &pre, &cfg, 9)))
                 .collect();
-            let mut state = TableState::new(9, pre.clone(), segments, cfg.clone());
+            let mut state =
+                TableState::new(9, pre.clone(), segments, cfg.clone(), SealPolicy::default());
             let tail = data.slice(sealed * per, n - sealed * per);
             state.delta = Some(build_delta(&tail, &pre, &cfg, 9));
 

@@ -23,8 +23,10 @@
 //!   accumulated small segments on an explicit [`Session::compact`];
 //! * persists every table to a directory (one manifest + one blob per segment,
 //!   compressed rows included) and reopens it cold with ingest *still working*:
-//!   the compressed rows round-trip, so rebuilds keep their source material
-//!   (`save_dir` / `open_dir` and the on-disk format live in `crate::persist`).
+//!   the compressed rows round-trip, so rebuilds keep their source material;
+//!   with a WAL home, every seal is a checkpoint and the log holds only the
+//!   delta (`save_dir` / `open_dir`, checkpoints and the on-disk format live in
+//!   `crate::persist`).
 //!
 //! # Threading model
 //!
@@ -97,24 +99,23 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Deref;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use ph_obs::{span, Stage};
 use ph_sql::parse_query;
-use ph_types::{faultfs, Dataset, PhError};
+use ph_types::{Dataset, PhError};
 
 use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig};
 use crate::engine::AqpAnswer;
 use crate::coverage::RangeSet;
 use crate::prepared::Prepared;
+use crate::persist::Durability;
 use crate::segment::{
     build_delta, count_store_matching, decode_store, merge_segments, registration_segment,
-    seal_segment, CompactReport, FootprintReport, Segment, TableState,
+    seal_segment, CompactReport, FootprintReport, SealPolicy, Segment, TableState,
 };
-use crate::persist::file_base_for;
-use crate::wal;
 
 /// Plan-cache capacity across all shards. Caching is keyed by full query
 /// fingerprint (structure and literals), so adversarially unique literals could
@@ -132,10 +133,6 @@ const PLAN_CACHE_SHARDS: usize = 16;
 /// planning and execution — `N` consecutive failures require `N` back-to-back
 /// seals interleaved exactly so, which no realistic writer produces.
 const STALE_RETRIES: usize = 4;
-
-/// Default delta size (rows) above which [`Session::ingest`] seals the delta
-/// into a new segment. See [`Session::set_seal_threshold`].
-const DEFAULT_SEAL_ROWS: usize = 50_000;
 
 /// Process-unique session ids for the plan identity check (never 0: 0 means
 /// "unbound" on a [`Prepared`]).
@@ -163,9 +160,10 @@ pub(crate) struct TableCell {
     delta_bytes: AtomicUsize,
     /// Sequence number of the last ingest batch journaled to (or replayed
     /// from) this table's WAL; 0 = none. Written only under the writer lock
-    /// (or during single-threaded `open_dir` replay); `save_dir` reads it as
-    /// the manifest's replay watermark.
+    /// (or during single-threaded `open_dir` replay).
     pub(crate) wal_seq: AtomicU64,
+    /// What the table has committed to the WAL home (`crate::persist`).
+    pub(crate) durability: Durability,
     /// Reusable encode buffers for the seal path. Sealing encodes every delta
     /// slice into a fresh `EncodedMatrix`; recycling the column buffers across
     /// seals removes the allocation spike that dominated ingest tail latency
@@ -181,6 +179,7 @@ impl TableCell {
             delta_rows: Mutex::new(None),
             delta_bytes: AtomicUsize::new(0),
             wal_seq: AtomicU64::new(0),
+            durability: Durability::default(),
             seal_scratch: Mutex::new(ph_gd::EncodeScratch::new()),
         }
     }
@@ -191,7 +190,7 @@ impl TableCell {
     }
 
     /// Publishes a replacement state.
-    fn swap(&self, next: TableState) {
+    pub(crate) fn swap(&self, next: TableState) {
         *self.state.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
     }
 
@@ -453,6 +452,15 @@ pub struct TableStats {
     pub segments_consulted: u64,
     /// Engines skipped without folding: a conjunct missed their value range.
     pub segments_pruned: u64,
+    /// Journaled batches a restart would replay: the log past the watermark
+    /// of the table's last committed checkpoint (0 without a WAL home).
+    pub wal_records: u64,
+    /// Checkpoints committed into the WAL home since the table was registered
+    /// or opened.
+    pub checkpoints: u64,
+    /// Checkpoints that failed. Nothing acknowledged is lost — the log keeps
+    /// those batches, and the next seal, refit or compaction retries.
+    pub checkpoint_failures: u64,
 }
 
 /// Point-in-time statistics of a whole session: plan-cache totals plus one
@@ -493,13 +501,13 @@ pub struct Session {
     pub(crate) tables: RwLock<BTreeMap<String, Arc<TableCell>>>,
     cache: PlanCache,
     default_cfg: PairwiseHistConfig,
-    /// Seal the delta once its staleness exceeds this (see
-    /// [`Session::set_max_staleness`]). Stored as `f64` bits so configuration
-    /// is `&self` like the rest.
-    max_staleness: AtomicU64,
-    /// Seal the delta once it holds this many rows (see
-    /// [`Session::set_seal_threshold`]).
-    seal_threshold: AtomicUsize,
+    /// The seal policy new tables register with (see
+    /// [`Session::set_seal_threshold`], [`Session::set_max_staleness`]).
+    pub(crate) policy: Mutex<SealPolicy>,
+    /// Held from a registration's name check to its publication, across the
+    /// checkpoint between them: two registrations of one name must not both
+    /// commit files.
+    registering: Mutex<()>,
     /// Names passed to [`Session::drop_table`]: the next [`Session::save_dir`]
     /// deletes their persisted blobs. Only files belonging to this catalog's
     /// current or dropped tables are ever touched — a shared directory's
@@ -507,8 +515,8 @@ pub struct Session {
     pub(crate) dropped: Mutex<HashSet<String>>,
     /// Durability home (see [`Session::enable_wal`]): when set, every accepted
     /// ingest batch is journaled and fsynced to the table's log in `<dir>` before
-    /// the in-memory swap, and a [`Session::save_dir`] into this directory
-    /// truncates the logs it has folded in.
+    /// the in-memory swap, and every change the log cannot replay is
+    /// checkpointed there.
     pub(crate) wal_dir: Mutex<Option<PathBuf>>,
     /// Tables whose persisted state failed checksum/decode verification at
     /// [`Session::open_dir`]: key (table name, or the file-name base when the
@@ -536,32 +544,12 @@ impl Session {
             tables: RwLock::new(BTreeMap::new()),
             cache: PlanCache::new(),
             default_cfg: cfg,
-            max_staleness: AtomicU64::new(0.5f64.to_bits()),
-            seal_threshold: AtomicUsize::new(DEFAULT_SEAL_ROWS),
+            policy: Mutex::new(SealPolicy::default()),
+            registering: Mutex::new(()),
             dropped: Mutex::new(HashSet::new()),
             wal_dir: Mutex::new(None),
             quarantined: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Turns on write-ahead logging: from now on every accepted [`Session::ingest`]
-    /// batch is appended — and fsynced — to the table's log in `dir` *before*
-    /// the in-memory swap, so a crash after `ingest` returns loses nothing;
-    /// [`Session::open_dir`] on the directory replays the tail past the last
-    /// snapshot. A [`Session::save_dir`] into the same directory folds the
-    /// logged batches into segment files and truncates the logs.
-    /// [`Session::open_dir`] enables journaling on the opened directory
-    /// automatically.
-    pub fn enable_wal(&self, dir: impl AsRef<Path>) -> Result<(), PhError> {
-        let dir = dir.as_ref();
-        faultfs::create_dir_all(dir)?;
-        *self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.to_path_buf());
-        Ok(())
-    }
-
-    /// Whether ingest batches are currently journaled (see [`Session::enable_wal`]).
-    pub fn wal_enabled(&self) -> bool {
-        self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner).is_some()
     }
 
     /// Tables isolated at [`Session::open_dir`] because their persisted state
@@ -578,33 +566,35 @@ impl Session {
             .collect()
     }
 
-    /// Sets the staleness threshold above which [`Session::ingest`] seals the
+    /// Sets the staleness threshold above which [`Session::ingest`] seals a
     /// table's delta into a segment (default 0.5 — seal once at most half the
-    /// serving sample is un-refined delta). Sealing re-refines the delta's
-    /// synopsis, so it mints a fresh plan epoch.
+    /// serving sample is un-refined delta), for every registered table and
+    /// every table registered later. Sealing re-refines the delta's synopsis,
+    /// so it mints a fresh plan epoch. The threshold is part of each table's
+    /// persisted state: [`Session::open_dir`] restores it, and under a WAL
+    /// home the change is checkpointed.
     pub fn set_max_staleness(&self, threshold: f64) {
-        self.max_staleness.store(threshold.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    fn max_staleness(&self) -> f64 {
-        f64::from_bits(self.max_staleness.load(Ordering::Relaxed))
+        self.set_policy(|p| p.max_staleness = threshold.max(0.0));
     }
 
     /// Sets the delta size (rows) above which [`Session::ingest`] seals, cutting
-    /// the delta into segment-sized slices (default 50 000). Smaller thresholds
-    /// seal more often (cheaper per seal, more segments to merge at query time);
-    /// larger ones batch more work per seal.
+    /// the delta into segment-sized slices (default 50 000), for every
+    /// registered table and every table registered later. Smaller thresholds
+    /// seal more often (cheaper per seal, more segments to merge at query
+    /// time); larger ones batch more work per seal. Persisted and restored
+    /// like [`Session::set_max_staleness`].
     pub fn set_seal_threshold(&self, rows: usize) {
-        self.seal_threshold.store(rows.max(1), Ordering::Relaxed);
-    }
-
-    fn seal_threshold(&self) -> usize {
-        self.seal_threshold.load(Ordering::Relaxed)
+        self.set_policy(|p| p.rows = rows.max(1));
     }
 
     /// Registers a dataset under its own name, building the table's first sealed
     /// segment with the session's default configuration: a synopsis over the
     /// rows plus the rows themselves, GD-compressed, as rebuild material.
+    ///
+    /// Under a WAL home (see [`Session::enable_wal`]) the table is checkpointed
+    /// into it before it is published, so a registration that returns `Ok`
+    /// survives a crash; one whose checkpoint fails returns the error and
+    /// registers nothing.
     pub fn register(&self, data: Dataset) -> Result<(), PhError> {
         let cfg = self.default_cfg.clone();
         self.register_with(data, &cfg)
@@ -635,15 +625,18 @@ impl Session {
         let pre = Arc::new(ph_gd::Preprocessor::fit(&data));
         let segment = registration_segment(&data, &pre, cfg);
         let epoch = segment.engine.plan_epoch();
-        let state = TableState::new(epoch, pre, vec![Arc::new(segment)], cfg.clone());
-        let mut map = self.tables.write().unwrap_or_else(PoisonError::into_inner);
-        if map.contains_key(&name) {
+        let policy = *self.policy.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = TableState::new(epoch, pre, vec![Arc::new(segment)], cfg.clone(), policy);
+        let cell = Arc::new(TableCell::new(state));
+        let _registering = self.registering.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.tables.read().unwrap_or_else(PoisonError::into_inner).contains_key(&name) {
             return taken(&name); // lost a registration race for the same name
         }
+        self.checkpoint(&name, &cell, None)?;
         // Fresh data under a quarantined name supersedes the damaged files
-        // (the next save_dir overwrites them).
+        // (its first checkpoint, or the next save_dir, overwrites them).
         self.quarantined.lock().unwrap_or_else(PoisonError::into_inner).remove(&name);
-        map.insert(name, Arc::new(TableCell::new(state)));
+        self.tables.write().unwrap_or_else(PoisonError::into_inner).insert(name, cell);
         Ok(())
     }
 
@@ -654,7 +647,9 @@ impl Session {
 
     /// Removes `table` from the catalog and invalidates its cached plans. Its
     /// persisted blobs are deleted on the next [`Session::save_dir`] (the name
-    /// is remembered so the save can sweep exactly that table's files).
+    /// is remembered so the save can sweep exactly that table's files). A drop
+    /// is not itself durable, deliberately: until that save, a crash and
+    /// [`Session::open_dir`] bring the table back from its last checkpoint.
     ///
     /// Readers holding a [`TableSnapshot`] keep answering from their version —
     /// the `Arc` keeps it alive — while new [`Session::sql`] calls fail with
@@ -869,7 +864,8 @@ impl Session {
     /// Serving statistics for one table: plan epoch, segment count, sealed vs
     /// delta rows, staleness. Non-blocking (reads the published snapshot).
     pub fn table_stats(&self, table: &str) -> Result<TableStats, PhError> {
-        let state = self.cell(table)?.snapshot();
+        let cell = self.cell(table)?;
+        let state = cell.snapshot();
         let sealed_rows: u64 = state.segments.iter().map(|s| s.engine.params().n_total).sum();
         let delta_rows = state.delta.as_ref().map_or(0, |d| d.params().n_total);
         let mut mix: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -889,6 +885,9 @@ impl Session {
             codec_mix,
             segments_consulted: state.fanout.consulted.get(),
             segments_pruned: state.fanout.pruned.get(),
+            wal_records: cell.durability.pending(cell.wal_seq.load(Ordering::Relaxed)),
+            checkpoints: cell.durability.checkpoints.get(),
+            checkpoint_failures: cell.durability.failures.get(),
         })
     }
 
@@ -969,11 +968,21 @@ impl Session {
     /// Seals and rebuilds mint a fresh plan epoch and invalidate the table's
     /// cached plans; held handles fail with [`PhError::StalePlan`] rather than
     /// answering wrongly.
+    ///
+    /// Under a WAL home (see [`Session::enable_wal`]) the batch is journaled
+    /// and fsynced before it is published, so an `Ok` survives a crash, and a
+    /// seal or refit is checkpointed before `ingest` returns: the new
+    /// segments' blobs and the table's manifest are committed, and the log,
+    /// which then holds no un-sealed batch, is deleted. A failed checkpoint
+    /// does not fail the ingest — the batch is already in the log, which stays
+    /// until a later checkpoint commits it (see
+    /// [`TableStats::checkpoint_failures`]).
     pub fn ingest(&self, table: &str, batch: &Dataset) -> Result<IngestReport, PhError> {
         let cell = self.cell(table)?;
         // The delta-rows lock is the writer lock: one writer per table at a
         // time; readers are never blocked by it.
         let mut delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+        self.adopt(table, &cell, delta_rows.as_ref())?;
         let cur = cell.snapshot();
         let pre = cur.pre.clone();
         let admit = span(Stage::Admit);
@@ -1037,6 +1046,7 @@ impl Session {
             // After the swap, so a re-prepare triggered by the invalidation can
             // only ever see the new epoch.
             self.cache.invalidate_table(table);
+            self.sealed(table, &cell);
             return Ok(IngestReport {
                 rows: batch.n_rows(),
                 staleness,
@@ -1070,9 +1080,9 @@ impl Session {
         // table registered far larger than its sample size doesn't overstate
         // the delta and seal early).
         let seg_rows: u64 = cur.segments.iter().map(|s| s.engine.params().n_total).sum();
-        let threshold = self.seal_threshold();
+        let threshold = cur.policy.rows;
         let prospective = delta_n as f64 / (seg_rows as f64 + delta_n as f64).max(1.0);
-        let seal = delta_n >= threshold || prospective > self.max_staleness();
+        let seal = delta_n >= threshold || prospective > cur.policy.max_staleness;
 
         let (state, sealed_segments) = if seal {
             // Sealing would *freeze* the delta's encoding into a compressed
@@ -1094,6 +1104,7 @@ impl Session {
                     let staleness = state.staleness();
                     cell.swap(state);
                     self.cache.invalidate_table(table);
+                    self.sealed(table, &cell);
                     return Ok(IngestReport {
                         rows: batch.n_rows(),
                         staleness,
@@ -1158,6 +1169,7 @@ impl Session {
         cell.swap(state);
         if seal {
             self.cache.invalidate_table(table);
+            self.sealed(table, &cell);
         }
         Ok(IngestReport {
             rows: batch.n_rows(),
@@ -1205,12 +1217,16 @@ impl Session {
     /// kept and held plans stay valid.
     ///
     /// Serializes with ingest on the per-table writer lock; readers are never
-    /// blocked.
+    /// blocked. Under a WAL home the merged segment is checkpointed — its one
+    /// new blob, then the manifest — before `compact` returns, so a crash does
+    /// not undo it; if that checkpoint fails (see
+    /// [`TableStats::checkpoint_failures`]), a crash before the table's next
+    /// checkpoint recovers it uncompacted.
     pub fn compact(&self, table: &str) -> Result<CompactReport, PhError> {
         let cell = self.cell(table)?;
-        let _writer = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+        let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
         let cur = cell.snapshot();
-        let threshold = self.seal_threshold();
+        let threshold = cur.policy.rows;
         let is_small = |s: &Arc<Segment>| s.n_rows() < threshold;
         let small: Vec<Arc<Segment>> =
             cur.segments.iter().filter(|s| is_small(s)).cloned().collect();
@@ -1240,29 +1256,12 @@ impl Session {
         }
         let after = segments.len();
         cell.swap(cur.successor(cur.epoch, cur.pre.clone(), segments, cur.delta.clone()));
+        let _ = self.checkpoint(table, &cell, delta_rows.as_ref());
         Ok(CompactReport {
             segments_before: before,
             segments_after: after,
             rows_compacted,
         })
-    }
-
-    /// Journals `batch` to the table's write-ahead log; a no-op unless
-    /// [`Session::enable_wal`] (or [`Session::open_dir`]) armed one.
-    ///
-    /// Called under the table's writer lock, after every fallible part of the
-    /// ingest and before any in-memory mutation. That placement is the whole
-    /// durability argument: once the record is fsynced the batch is certain to
-    /// apply, so an acknowledged ingest survives a crash, and a crash mid-append
-    /// leaves a torn tail that replay discards as never acknowledged.
-    fn wal_append(&self, table: &str, cell: &TableCell, batch: &Dataset) -> Result<(), PhError> {
-        let Some(dir) = self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner).clone() else {
-            return Ok(());
-        };
-        let seq = cell.wal_seq.load(Ordering::Relaxed) + 1;
-        wal::append_record(&wal::wal_path(&dir, &file_base_for(table)), seq, batch)?;
-        cell.wal_seq.store(seq, Ordering::Relaxed);
-        Ok(())
     }
 }
 

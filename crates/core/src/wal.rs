@@ -2,9 +2,10 @@
 //!
 //! Each accepted ingest batch is appended — and fsynced — to the table's WAL
 //! *before* the in-memory epoch swap, so a `kill -9` after `ingest` returns
-//! loses nothing: `Session::open_dir` replays the tail past the last
-//! snapshot's watermark. A committed `save_dir` folds everything into the
-//! segment files and deletes the log.
+//! loses nothing: `Session::open_dir` replays the records past the committed
+//! checkpoint's watermark. The log holds the table's un-sealed delta and
+//! nothing else: a checkpoint that leaves the delta empty (a seal, a refit)
+//! deletes it, and the next append starts it over (see `crate::persist`).
 //!
 //! ## Format
 //!
@@ -57,8 +58,11 @@ pub(crate) fn wal_path(dir: &Path, base: &str) -> PathBuf {
 }
 
 /// Appends one batch under sequence number `seq` and fsyncs. Creates the file
-/// (with magic) on first use. The caller must hold the table's writer lock —
-/// the log is single-writer by construction.
+/// (with magic) on first use, and then fsyncs its directory too: a checkpoint
+/// deletes the log, so every restart of it is a new directory entry that a
+/// crash could otherwise lose along with the acknowledged batches inside. The
+/// caller must hold the table's writer lock — the log is single-writer by
+/// construction.
 pub(crate) fn append_record(path: &Path, seq: u64, batch: &Dataset) -> Result<(), PhError> {
     let mut payload = Vec::new();
     write_uvarint(&mut payload, seq);
@@ -80,10 +84,13 @@ pub(crate) fn append_record(path: &Path, seq: u64, batch: &Dataset) -> Result<()
     }
     let _fsync = span(Stage::WalFsync);
     faultfs::fsync_file(path)?;
+    if let (true, Some(dir)) = (empty, path.parent()) {
+        faultfs::fsync_dir(dir)?;
+    }
     Ok(())
 }
 
-/// Deletes the log (after a committed snapshot). Missing file is fine.
+/// Deletes the log (after a committed checkpoint). Missing file is fine.
 pub(crate) fn remove_wal(path: &Path) -> Result<(), PhError> {
     match faultfs::remove_file(path) {
         Ok(()) => Ok(()),
@@ -396,6 +403,28 @@ mod tests {
             assert_eq!(*seq, i as u64 + 1);
             assert_eq!(*b, batch(50, *seq));
         }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// The append that creates the log makes its directory entry durable; a
+    /// later append does not pay for it again. Pinned as operation counts (the
+    /// length probe, the append, the file fsync, then the directory fsync) and
+    /// by killing the fourth operation of the first append.
+    #[test]
+    fn creating_append_fsyncs_the_directory() {
+        use ph_types::faultfs::{arm, disarm, FaultKind, FaultPlan};
+        let count = |path: &Path, seq: u64| {
+            arm(FaultPlan { trigger_at_op: usize::MAX, kind: FaultKind::ShortWrite });
+            append_record(path, seq, &batch(10, seq)).unwrap();
+            disarm()
+        };
+        let path = tmp_wal("dirsync");
+        assert_eq!(count(&path, 1), 4, "probe, append, fsync file, fsync directory");
+        assert_eq!(count(&path, 2), 3, "probe, append, fsync file");
+        remove_wal(&path).unwrap();
+        arm(FaultPlan { trigger_at_op: 3, kind: FaultKind::ShortWrite });
+        assert!(append_record(&path, 3, &batch(10, 3)).is_err(), "op 3 is the directory fsync");
+        disarm();
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -67,6 +67,11 @@ pub enum Stage {
     /// top-level conjunct of the plan misses its value range. A sibling of the
     /// `estimate` spans under `execute`.
     Prune = 21,
+    /// Committing a table's sealed state into the WAL home: the blobs a seal,
+    /// refit or compaction created, then the manifest, then the log's
+    /// deletion when the delta is empty. A sibling of the `seal` spans it
+    /// commits.
+    Checkpoint = 22,
 }
 
 /// Every stage, for registering per-stage metric families.
@@ -93,6 +98,7 @@ pub const ALL_STAGES: &[Stage] = &[
     Stage::Synopsis,
     Stage::Admit,
     Stage::Prune,
+    Stage::Checkpoint,
 ];
 
 impl Stage {
@@ -133,6 +139,7 @@ impl Stage {
             Stage::Synopsis => "synopsis",
             Stage::Admit => "admit",
             Stage::Prune => "prune",
+            Stage::Checkpoint => "checkpoint",
         }
     }
 }

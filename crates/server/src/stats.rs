@@ -408,11 +408,32 @@ pub(crate) fn metrics_text(shared: &Shared) -> String {
         let labels = [("table", t.name.as_str())];
         push_sample(&mut out, "ph_segments_pruned_total", &labels, t.segments_pruned as f64);
     }
+    push_header(
+        &mut out,
+        "ph_wal_records",
+        "Journaled batches a restart would replay: the log past the last checkpoint.",
+        Kind::Gauge,
+    );
+    for t in &stats.tables {
+        let labels = [("table", t.name.as_str())];
+        push_sample(&mut out, "ph_wal_records", &labels, t.wal_records as f64);
+    }
+    push_header(
+        &mut out,
+        "ph_checkpoints_total",
+        "Checkpoints committed into the WAL home (seal, refit, compaction, registration).",
+        Kind::Counter,
+    );
+    for t in &stats.tables {
+        let labels = [("table", t.name.as_str())];
+        push_sample(&mut out, "ph_checkpoints_total", &labels, t.checkpoints as f64);
+    }
     out
 }
 
 /// The per-table members `/tables` lists; `/stats` reports the same six and
-/// appends the fan-out totals, the codec mix and the footprint.
+/// appends the fan-out totals, the checkpoint state, the codec mix and the
+/// footprint.
 fn table_members(t: &TableStats) -> Vec<(&'static str, Json)> {
     vec![
         ("name", Json::Str(t.name.clone())),
@@ -458,6 +479,9 @@ pub(crate) fn stats_json(shared: &Shared) -> Json {
             let mut members = table_members(t);
             members.push(("segments_consulted", Json::Num(t.segments_consulted as f64)));
             members.push(("segments_pruned", Json::Num(t.segments_pruned as f64)));
+            members.push(("wal_records", Json::Num(t.wal_records as f64)));
+            members.push(("checkpoints", Json::Num(t.checkpoints as f64)));
+            members.push(("checkpoint_failures", Json::Num(t.checkpoint_failures as f64)));
             members.push(("codec_mix", codec_mix));
             members.push(("footprint", footprint));
             obj(members)

@@ -103,6 +103,8 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
         "server.rejected_503",
         "server.workers",
         "tables",
+        "tables[].checkpoint_failures",
+        "tables[].checkpoints",
         "tables[].codec_mix",
         "tables[].delta_rows",
         "tables[].epoch",
@@ -117,6 +119,7 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
         "tables[].segments_consulted",
         "tables[].segments_pruned",
         "tables[].staleness",
+        "tables[].wal_records",
         "uptime_seconds",
     ]
     .iter()
@@ -176,6 +179,7 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
     assert_eq!(
         families,
         [
+            "ph_checkpoints_total counter",
             "ph_connections_accepted_total counter",
             "ph_connections_open gauge",
             "ph_exec_batch_size histogram",
@@ -200,6 +204,7 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
             "ph_table_rows gauge",
             "ph_timer_wheel_fired_total counter",
             "ph_uptime_seconds gauge",
+            "ph_wal_records gauge",
         ],
         "GET /metrics families"
     );

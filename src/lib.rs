@@ -84,18 +84,21 @@
 //!
 //! ## Crash safety: WAL, atomic snapshots, quarantine
 //!
-//! Persistence is crash-safe end to end. Snapshots are **atomic**: every file
-//! is written to a temp name, fsynced and renamed, segment blobs commit before
-//! their table's manifest, and everything on disk carries a CRC32 trailer —
-//! a crash mid-save leaves the previous snapshot intact, never a half-state.
-//! A session with a **WAL home** — armed explicitly with
+//! Persistence is crash-safe end to end. Commits are **atomic** and
+//! write-once: every file is written to a temp name, fsynced and renamed,
+//! segment blobs commit before their table's manifest, a committed blob is
+//! never rewritten, and everything on disk carries a CRC32 trailer — a crash
+//! mid-save leaves the previous manifest intact, never a half-state. A session
+//! with a **WAL home** — armed explicitly with
 //! [`Session::enable_wal`](ph_core::Session::enable_wal), or implicitly by
 //! `open_dir`, which makes the opened directory the home (query it with
 //! [`Session::wal_enabled`](ph_core::Session::wal_enabled)) — journals every
-//! accepted ingest batch *before* publishing it, so a `kill -9` right after
-//! `ingest` returns loses nothing: the next `open_dir` replays the journal
-//! tail past the snapshot and answers exactly as an uncrashed process would.
-//! `save_dir` folds the journal into the snapshot and truncates it.
+//! accepted ingest batch *before* publishing it, and **checkpoints** every
+//! change the journal cannot replay (registration, seal, refit, compaction)
+//! into the home before the call returns: a seal's new segment blobs, then the
+//! table's manifest, then the journal is deleted. So a `kill -9` loses nothing,
+//! and the next `open_dir` replays only the batches since each table's last
+//! seal, answering exactly as an uncrashed process would.
 //!
 //! Verification failures at open time (bit-rot, a doctored file) don't take
 //! the catalog down: the damaged table is **quarantined** — excluded from

@@ -295,16 +295,21 @@ proptest! {
     }
 }
 
-/// The one segment file `table` has in `dir`.
-fn segment_of(dir: &Path, table: &str) -> PathBuf {
+/// The one file with extension `ext` that `table` has in `dir`.
+fn file_of(dir: &Path, table: &str, ext: &str) -> PathBuf {
     std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .find(|p| {
-            p.extension().is_some_and(|x| x == "phseg")
+            p.extension().is_some_and(|x| x == ext)
                 && p.file_name().unwrap().to_str().unwrap().starts_with(table)
         })
-        .expect("one segment file per table")
+        .expect("one such file per table")
+}
+
+/// The one segment file `table` has in `dir`.
+fn segment_of(dir: &Path, table: &str) -> PathBuf {
+    file_of(dir, table, "phseg")
 }
 
 /// End of the synopsis in a segment blob, whose layout is: magic(4) version(1)
@@ -314,9 +319,11 @@ fn syn_end(blob: &[u8]) -> usize {
 }
 
 /// Retired on-disk formats are outside input, rejected like any other: a
-/// pre-segmentation `PWHS` single blob, a `PSG2` segment and a `PSG3` segment
-/// claiming store kind 0 (a row-less segment) each quarantine their table under
-/// a reason naming the format, while the healthy table beside them serves.
+/// pre-segmentation `PWHS` single blob, a `PSG2` segment, a `PSG3` segment
+/// claiming store kind 0 (a row-less segment) and a `PWT2` v3 manifest (no
+/// build configuration, seal policy or blob numbers) each quarantine their
+/// table under a reason naming the format, while the healthy table beside them
+/// serves.
 #[test]
 fn retired_formats_quarantine_without_taking_down_the_catalog() {
     use pairwisehist::encoding::crc32;
@@ -324,7 +331,7 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
     let dir = std::env::temp_dir().join(format!("ph_retired_formats_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let session = Session::new();
-    for (name, seed) in [("healthy", 21), ("oldseg", 22), ("rowless", 23)] {
+    for (name, seed) in [("healthy", 21), ("oldseg", 22), ("rowless", 23), ("oldmanifest", 25)] {
         session.register(dataset(name, BASE_ROWS, seed)).unwrap();
     }
     session.save_dir(&dir).unwrap();
@@ -360,13 +367,26 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
     pwhs.extend_from_slice(&syn);
     std::fs::write(dir.join("single-0000.pwhs"), pwhs).unwrap();
 
+    // `PWT2` v3: an intact frame at the version before the build configuration
+    // moved into the manifest.
+    let manifest = file_of(&dir, "oldmanifest", "pwhs");
+    let current = std::fs::read(&manifest).unwrap();
+    let mut v3 = current[..current.len() - 4].to_vec();
+    v3[4] = 3;
+    let crc = crc32(&v3);
+    v3.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(&manifest, v3).unwrap();
+    let v3_key = manifest.file_stem().unwrap().to_str().unwrap().to_string();
+
     let reopened = Session::open_dir(&dir).expect("retired formats must not fail the open");
     assert_eq!(reopened.tables(), vec!["healthy"], "only the current-format table loads");
     let sql = "SELECT AVG(y) FROM healthy WHERE x > 300 GROUP BY c";
     assert_eq!(reopened.sql(sql).unwrap(), session.sql(sql).unwrap());
 
     let quarantined = reopened.quarantined();
-    for (key, format) in [("oldseg", "PSG2"), ("rowless", "PSG3"), ("single-0000", "PWHS")] {
+    for (key, format) in
+        [("oldseg", "PSG2"), ("rowless", "PSG3"), ("single-0000", "PWHS"), (v3_key.as_str(), "PWT2")]
+    {
         let reason = &quarantined
             .iter()
             .find(|(name, _)| name == key)

@@ -1,18 +1,24 @@
 //! The crash matrix: kill the durability state machine at **every**
 //! filesystem operation and prove recovery.
 //!
-//! A scripted workload (WAL-journaled ingests around a mid-stream `save_dir`,
-//! including a rebuild-forcing batch) first runs under a pure counting plan to
-//! enumerate its filesystem operations. Then, for every operation index `k`
-//! and every crash-flavoured fault, the workload re-runs on a fresh copy of
-//! the baseline catalog with the fault armed at `k`, the "process" dies, and
-//! the directory is reopened. Recovery must satisfy:
+//! A scripted workload with the WAL on — journaled ingests that cross two seals
+//! (at a lowered threshold the baseline's manifest persists), a `save_dir`
+//! into the home, a `compact`, a refit-forcing batch and a plain tail, so every
+//! kind of checkpoint, its blob writes, manifest commit, sweep and log
+//! deletion included — first runs under a pure counting plan to enumerate its
+//! filesystem operations. Then, for every operation index `k` and every
+//! crash-flavoured fault, the workload re-runs on a fresh copy of the baseline
+//! catalog with the fault armed at `k`, the "process" dies, and the directory
+//! is reopened. Recovery must satisfy:
 //!
 //! * **acked rows survive** — every batch whose `ingest` returned `Ok` before
 //!   the crash is present in the reopened catalog (a fully journaled but
 //!   unacknowledged batch may also replay: acked ⊆ recovered);
 //! * **bit-identical estimates** — the reopened catalog answers a query
-//!   battery exactly like an uncrashed twin that absorbed the same batches;
+//!   battery exactly like an uncrashed twin that absorbed the same batches,
+//!   with or without the compaction (the one change a failed checkpoint can
+//!   leave uncommitted: a crash before the next checkpoint recovers the table
+//!   uncompacted);
 //! * **no quarantine** — a crash is not corruption; every table serves.
 //!
 //! A separate bit-rot matrix arms [`FaultKind::ReadCorruption`] at every read
@@ -26,10 +32,16 @@
 use pairwisehist::prelude::*;
 use pairwisehist::types::faultfs::{self, FaultKind, FaultPlan};
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 const BASE_ROWS: usize = 1_200;
 const BATCH_ROWS: usize = 150;
+/// Batches in the script.
+const BATCHES: usize = 6;
+/// The baseline's seal threshold: batches 1–2 and 3–4 each fill the delta past
+/// it, so each pair seals (a full slice plus a small remainder).
+const SEAL_ROWS: usize = 300;
 
 /// Correlated base table: `x` uniform, `y = 2x + noise` with ~3 % nulls, and a
 /// three-value category. The first rows pin the numeric extremes so every
@@ -66,7 +78,7 @@ fn batch_rows(i: u64) -> usize {
     BATCH_ROWS + (1 << (i - 1))
 }
 
-/// Workload batch `i` (1-based). Batch 3 carries an unseen category, forcing
+/// Workload batch `i` (1-based). Batch 5 carries an unseen category, forcing
 /// the refit-rebuild ingest path; the others ride the edge-free path.
 fn batch(i: u64) -> Dataset {
     let mut rng = rand::rngs::StdRng::seed_from_u64(100 + i);
@@ -76,7 +88,7 @@ fn batch(i: u64) -> Dataset {
         .iter()
         .map(|v| rng.gen_bool(0.97).then(|| v.unwrap() * 2 + rng.gen_range(0..80)))
         .collect();
-    let cat = if i == 3 { "NEW" } else { "a" };
+    let cat = if i == 5 { "NEW" } else { "a" };
     let c: Vec<Option<&str>> = (0..n).map(|_| Some(cat)).collect();
     Dataset::builder("t")
         .column(Column::from_ints("x", x))
@@ -97,16 +109,23 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// The scripted workload. Returns the per-batch acknowledgement flags
-/// (`ingest` returned `Ok`).
-fn run_workload(session: &Session, dir: &Path) -> [bool; 4] {
-    let mut acked = [false; 4];
-    for i in 1..=4u64 {
-        if i == 3 {
-            // Mid-stream snapshot: commits what landed so far, truncates the WAL.
+/// The scripted workload, on a session opened on the baseline (its WAL home
+/// is `dir`): batches 1–6, a save into the home after batch 1 (a checkpoint
+/// with a non-empty delta) and, when `compact`, a compaction after batch 4.
+/// Returns the per-batch acknowledgement flags (`ingest` returned `Ok`);
+/// `only` skips the batches it marks `false` (the twins' subset).
+fn run_workload(session: &Session, dir: &Path, only: [bool; BATCHES], compact: bool) -> [bool; BATCHES] {
+    let mut acked = [false; BATCHES];
+    for i in 1..=BATCHES as u64 {
+        if only[i as usize - 1] {
+            acked[i as usize - 1] = session.ingest("t", &batch(i)).is_ok();
+        }
+        if i == 1 {
             let _ = session.save_dir(dir);
         }
-        acked[i as usize - 1] = session.ingest("t", &batch(i)).is_ok();
+        if i == 4 && compact {
+            let _ = session.compact("t");
+        }
     }
     acked
 }
@@ -114,13 +133,13 @@ fn run_workload(session: &Session, dir: &Path) -> [bool; 4] {
 /// Decodes the recovered batch subset from the table's extra rows (see
 /// [`batch_rows`]). Panics if the count is not a valid subset sum — i.e. a
 /// torn, partially applied batch is visible.
-fn recovered_subset(rows: usize, tag: &str) -> [bool; 4] {
+fn recovered_subset(rows: usize, tag: &str) -> [bool; BATCHES] {
     assert!(rows >= BASE_ROWS, "{tag}: base rows lost");
     let extra = rows - BASE_ROWS;
     let count = extra / BATCH_ROWS;
     let mask = extra % BATCH_ROWS;
     assert!(
-        count <= 4 && mask < 16 && mask.count_ones() as usize == count,
+        count <= BATCHES && mask < 1 << BATCHES && mask.count_ones() as usize == count,
         "{tag}: {rows} rows is not base + a whole-batch subset"
     );
     std::array::from_fn(|i| mask & (1 << i) != 0)
@@ -159,14 +178,41 @@ fn smoke_stride() -> usize {
     }
 }
 
-/// Baseline catalog on disk: the base table saved once, no WAL yet.
+/// Baseline catalog on disk: the base table saved once, no WAL yet, at the
+/// lowered seal threshold (size-based sealing only), which its manifest keeps.
 fn make_baseline(tag: &str) -> PathBuf {
     let dir = scratch(tag);
     let _ = std::fs::remove_dir_all(&dir);
     let s = Session::new();
+    s.set_max_staleness(f64::INFINITY);
+    s.set_seal_threshold(SEAL_ROWS);
     s.register(base_table("t")).unwrap();
     s.save_dir(&dir).unwrap();
     dir
+}
+
+/// Battery answers of an uncrashed run of the script over `subset`, with or
+/// without the compaction — memoized, since thousands of crash points share
+/// a handful of lineages.
+fn twin_answers(
+    baseline: &Path,
+    memo: &mut HashMap<([bool; BATCHES], bool), Vec<pairwisehist::core::AqpAnswer>>,
+    subset: [bool; BATCHES],
+    compact: bool,
+) -> Vec<pairwisehist::core::AqpAnswer> {
+    memo.entry((subset, compact))
+        .or_insert_with(|| {
+            let dir = scratch(&format!("twin_{subset:?}_{compact}").replace([' ', ',', '[', ']'], ""));
+            copy_dir(baseline, &dir);
+            let twin = Session::open_dir(&dir).unwrap();
+            let acked = run_workload(&twin, &dir, subset, compact);
+            assert_eq!(acked, subset, "the twin acknowledges every batch it is given");
+            let answers = battery_answers(&twin);
+            drop(twin);
+            std::fs::remove_dir_all(&dir).unwrap();
+            answers
+        })
+        .clone()
 }
 
 #[test]
@@ -178,11 +224,15 @@ fn crash_matrix_recovers_acked_rows_bit_identically() {
     copy_dir(&baseline, &work);
     let session = Session::open_dir(&work).unwrap();
     faultfs::arm(FaultPlan { trigger_at_op: usize::MAX, kind: FaultKind::ShortWrite });
-    let acked_clean = run_workload(&session, &work);
+    let acked_clean = run_workload(&session, &work, [true; BATCHES], true);
     let total_ops = faultfs::disarm();
+    let stats = session.table_stats("t").unwrap();
     drop(session);
-    assert_eq!(acked_clean, [true; 4], "fault-free workload acks everything");
-    assert!(total_ops > 10, "workload must exercise the durability surface, saw {total_ops}");
+    assert_eq!(acked_clean, [true; BATCHES], "fault-free workload acks everything");
+    // Seal, seal, save, compaction, refit: five checkpoints, none failed.
+    assert_eq!((stats.checkpoints, stats.checkpoint_failures), (5, 0), "{stats:?}");
+    assert!(total_ops > 60, "workload must exercise the durability surface, saw {total_ops}");
+    let mut memo = HashMap::new();
 
     let kinds =
         [FaultKind::ShortWrite, FaultKind::Enospc, FaultKind::TornRename];
@@ -194,7 +244,7 @@ fn crash_matrix_recovers_acked_rows_bit_identically() {
 
             let session = Session::open_dir(&run_dir).unwrap();
             faultfs::arm(FaultPlan { trigger_at_op: k, kind });
-            let acked = run_workload(&session, &run_dir);
+            let acked = run_workload(&session, &run_dir, [true; BATCHES], true);
             faultfs::disarm();
             drop(session); // the "process" is dead; only the disk survives
 
@@ -207,7 +257,7 @@ fn crash_matrix_recovers_acked_rows_bit_identically() {
             );
             let rows = total_rows(&recovered, "t");
             let subset = recovered_subset(rows, &tag);
-            for i in 0..4 {
+            for i in 0..BATCHES {
                 assert!(
                     subset[i] || !acked[i],
                     "{tag}: batch {} was acknowledged but did not survive \
@@ -216,55 +266,19 @@ fn crash_matrix_recovers_acked_rows_bit_identically() {
                 );
             }
 
-            // The mid-stream save is atomic, so recovery must land in exactly
-            // one of two uncrashed lineages: the save never happened, or it
-            // fully committed. Build both twins fault-free and require the
-            // recovered estimates to match one of them bit for bit.
+            // Every checkpoint commits atomically and the log replays the rest,
+            // so recovery must land on an uncrashed lineage of the surviving
+            // batches, bit for bit: compacted, or — when the compaction's
+            // checkpoint is what the fault hit — not.
             let recovered_answers = battery_answers(&recovered);
-
-            // Twin A — the save never committed: plain ingest of the
-            // surviving batches over the baseline.
-            let a_dir = scratch(&format!("{tag}_twin_a"));
-            copy_dir(&baseline, &a_dir);
-            let twin_a = Session::open_dir(&a_dir).unwrap();
-            for i in 1..=4u64 {
-                if subset[i as usize - 1] {
-                    twin_a.ingest("t", &batch(i)).unwrap();
-                }
-            }
-            let answers_a = battery_answers(&twin_a);
-            drop(twin_a);
-            std::fs::remove_dir_all(&a_dir).unwrap();
-
-            // Twin B — the save committed: pre-save batches, a save + reopen
-            // (the recovered catalog serves the save's serialized state, so
-            // the twin must round-trip too), then the post-save batches.
-            let b_dir = scratch(&format!("{tag}_twin_b"));
-            copy_dir(&baseline, &b_dir);
-            let twin_b = Session::open_dir(&b_dir).unwrap();
-            for i in 1..=2u64 {
-                if subset[i as usize - 1] {
-                    twin_b.ingest("t", &batch(i)).unwrap();
-                }
-            }
-            twin_b.save_dir(&b_dir).unwrap();
-            drop(twin_b);
-            let twin_b = Session::open_dir(&b_dir).unwrap();
-            for i in 3..=4u64 {
-                if subset[i as usize - 1] {
-                    twin_b.ingest("t", &batch(i)).unwrap();
-                }
-            }
-            let answers_b = battery_answers(&twin_b);
-            drop(twin_b);
-            std::fs::remove_dir_all(&b_dir).unwrap();
-
+            let compacted = twin_answers(&baseline, &mut memo, subset, true);
+            let uncompacted = twin_answers(&baseline, &mut memo, subset, false);
             assert!(
-                recovered_answers == answers_a || recovered_answers == answers_b,
+                recovered_answers == compacted || recovered_answers == uncompacted,
                 "{tag}: recovered estimates match neither uncrashed lineage\n\
-                 recovered: {recovered_answers:?}\n\
-                 no-save:   {answers_a:?}\n\
-                 committed: {answers_b:?}"
+                 recovered:   {recovered_answers:?}\n\
+                 compacted:   {compacted:?}\n\
+                 uncompacted: {uncompacted:?}"
             );
             drop(recovered);
             std::fs::remove_dir_all(&run_dir).unwrap();

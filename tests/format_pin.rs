@@ -6,7 +6,8 @@
 //! Power table (two sealed segments + a delta) it pins the length and CRC32
 //! of the manifest, of each segment blob and of the preprocessor. A deliberate
 //! format change bumps the blob's version byte and re-pins these constants in
-//! the same commit.
+//! the same commit (last: the `PWT2` v4 manifest, which added the build
+//! configuration, the seal policy and per-segment blob numbers).
 
 use pairwisehist::encoding::crc32;
 use pairwisehist::prelude::*;
@@ -14,7 +15,7 @@ use pairwisehist::prelude::*;
 /// `(length, crc32)` of what precedes a catalog file's own CRC trailer. (The
 /// CRC32 of a whole trailed file is the same residue for every file, so it
 /// would pin nothing.)
-const MANIFEST: (usize, u32) = (0x16f, 0xc22e_cbf1);
+const MANIFEST: (usize, u32) = (0x1b9, 0x8997_ab36);
 /// Segment 0, segment 1, then the delta serialized as a final segment.
 const SEGMENTS: [(usize, u32); 3] =
     [(0x1_6f91, 0x8f60_9f9d), (0x1_1de5, 0xea16_32c0), (0x96f2, 0xab5d_341c)];

@@ -409,3 +409,40 @@ fn plain_ingest_breaks_down_into_admit_wal_and_fold() {
     let stages: Vec<Stage> = spans.iter().filter(|s| s.parent == 0).map(|s| s.stage).collect();
     assert_eq!(stages, [Stage::Admit, Stage::WalAppend, Stage::WalFsync, Stage::Fold]);
 }
+
+/// Under a WAL home a seal is a checkpoint, and the trace says so: after the
+/// journal append and the `seal` spans comes one `checkpoint` span, their
+/// sibling, last; a `compact` commits its merged segment under one too. The
+/// table's counters agree, and nothing is left for a restart to replay.
+#[test]
+fn seal_and_compact_under_a_wal_end_in_a_checkpoint_span() {
+    use pairwisehist::core::obs::{trace, Stage, Trace};
+
+    let dir = std::env::temp_dir().join(format!("ph_obs_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::new();
+    session.set_seal_threshold(2_000);
+    session.enable_wal(&dir).unwrap();
+    session.register(dataset(2_000)).unwrap();
+    let roots = |work: &dyn Fn()| -> Vec<Stage> {
+        trace::install(Trace::new());
+        work();
+        let spans = trace::take().map(Trace::into_spans).unwrap_or_default();
+        spans.iter().filter(|s| s.parent == 0).map(|s| s.stage).collect()
+    };
+
+    let sealing = roots(&|| assert_eq!(session.ingest("obs", &dataset(2_500)).unwrap().sealed_segments, 2));
+    assert_eq!(
+        sealing,
+        [Stage::Admit, Stage::WalAppend, Stage::WalFsync, Stage::Seal, Stage::Seal, Stage::Checkpoint]
+    );
+    session.set_seal_threshold(5_000); // every segment is small now
+    let compacting = roots(&|| assert_eq!(session.compact("obs").unwrap().segments_after, 1));
+    assert_eq!(compacting.iter().filter(|s| **s == Stage::Checkpoint).count(), 1);
+    assert_eq!(compacting.last(), Some(&Stage::Checkpoint), "{compacting:?}");
+
+    // Registration, the seal, the policy change and the compaction.
+    let stats = session.table_stats("obs").unwrap();
+    assert_eq!((stats.checkpoints, stats.checkpoint_failures, stats.wal_records), (4, 0, 0));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -185,3 +185,136 @@ fn live_and_replayed_tables_agree_after_a_refit_behind_oversized_dictionaries() 
         assert_eq!(live.sql(sql).unwrap(), twin.sql(sql).unwrap(), "{sql}");
     }
 }
+
+/// `n` rows of `x` (uniform), `y` (≈ 2x with NULLs) and a three-way `c`; row 0
+/// holds both minima, so no batch of these forces a refit by dipping below
+/// what the table was fitted on.
+fn anchored(n: usize, seed: u64) -> Dataset {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..1000))).collect();
+    let mut y: Vec<Option<i64>> =
+        x.iter().map(|v| rng.gen_bool(0.96).then(|| v.unwrap() * 2 + rng.gen_range(0..60))).collect();
+    (x[0], y[0]) = (Some(0), Some(0));
+    let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][(i * 7 + seed as usize) % 3])).collect();
+    Dataset::builder("t")
+        .column(Column::from_ints("x", x))
+        .unwrap()
+        .column(Column::from_ints("y", y))
+        .unwrap()
+        .column(Column::from_strings("c", c))
+        .unwrap()
+        .build()
+}
+
+const BATTERY: [&str; 6] = [
+    "SELECT COUNT(x) FROM t;",
+    "SELECT AVG(y) FROM t WHERE x > 300;",
+    "SELECT SUM(x) FROM t WHERE y < 900 AND c = 'b';",
+    "SELECT VAR(y) FROM t WHERE x < 700;",
+    "SELECT MEDIAN(x) FROM t WHERE y > 400;",
+    "SELECT COUNT(y) FROM t WHERE x > 100 GROUP BY c;",
+];
+
+/// The crashed twin answers every battery query exactly as the live table,
+/// holds the same segments, and — fed the same further batches — stays so.
+fn assert_twins(live: &Session, twin: &Session, more: &[Dataset], tag: &str) {
+    let same = |tag: &str| {
+        let (l, t) = (live.table_stats("t").unwrap(), twin.table_stats("t").unwrap());
+        assert_eq!((l.segments, l.sealed_rows, l.delta_rows), (t.segments, t.sealed_rows, t.delta_rows), "{tag}");
+        for sql in BATTERY {
+            assert_eq!(live.sql(sql).unwrap(), twin.sql(sql).unwrap(), "{tag}: {sql}");
+        }
+    };
+    same(tag);
+    for (k, batch) in more.iter().enumerate() {
+        let (l, t) = (live.ingest("t", batch).unwrap(), twin.ingest("t", batch).unwrap());
+        assert_eq!(l, t, "{tag}: further batch {k}");
+    }
+    same(&format!("{tag}, after the same further batches"));
+}
+
+fn home(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ph_sess_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// ROADMAP 4(c): the seal policy is persisted with the table. A table reopened
+/// from disk, streamed at a non-default threshold and staleness and crashed
+/// comes back sealing exactly where the live table sealed — the recovery
+/// replays only the batches since its last seal, under the same policy.
+#[test]
+fn recovered_twin_seals_like_the_live_table_at_a_non_default_policy() {
+    let dir = home("policy");
+    let fresh = Session::new();
+    fresh.register(anchored(12_000, 1)).unwrap();
+    fresh.save_dir(&dir).unwrap();
+    drop(fresh);
+
+    let live = Session::open_dir(&dir).unwrap();
+    live.set_seal_threshold(7_000);
+    live.set_max_staleness(0.35);
+    let sealed: usize =
+        (0..12).map(|k| live.ingest("t", &anchored(2_500, 10 + k)).unwrap().sealed_segments).sum();
+    assert!(sealed >= 3, "the stream must seal at the lowered threshold: {sealed}");
+    assert_eq!(live.ingest("t", &anchored(1_000, 99)).unwrap().sealed_segments, 0);
+    let stats = live.table_stats("t").unwrap();
+    assert!(stats.delta_rows > 0, "a tail stays in the delta: {stats:?}");
+    assert_eq!(stats.wal_records, 1, "only the delta's batch is left to replay: {stats:?}");
+
+    let twin = Session::open_dir(&dir).unwrap(); // the crash: nothing saved since
+    let more: Vec<Dataset> = (0..4).map(|k| anchored(3_000, 40 + k)).collect();
+    assert_twins(&live, &twin, &more, "policy twin");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A table registered in a session with a WAL home — at a build configuration
+/// of its own — survives a crash together with its acknowledged batches, and
+/// its recovery seals with that configuration.
+#[test]
+fn registration_under_a_wal_survives_a_crash_with_its_batches() {
+    let dir = home("register");
+    let cfg = PairwiseHistConfig { ns: 3_000, m_fraction: 0.02, parallel: false, ..Default::default() };
+    let live = Session::with_config(cfg);
+    live.set_seal_threshold(5_000);
+    live.enable_wal(&dir).unwrap();
+    live.register(anchored(8_000, 2)).unwrap();
+    for k in 0..5 {
+        live.ingest("t", &anchored(2_200, 20 + k)).unwrap();
+    }
+    assert!(live.table_stats("t").unwrap().segments > 1, "the batches sealed");
+
+    let twin = Session::open_dir(&dir).unwrap();
+    assert_eq!(twin.tables(), vec!["t"], "the registration is durable");
+    let more: Vec<Dataset> = (0..3).map(|k| anchored(4_000, 50 + k)).collect();
+    assert_twins(&live, &twin, &more, "registered twin");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `compact` is a checkpoint: a crash after it recovers the compacted table
+/// bit for bit, not the fragments the log would have re-sealed.
+#[test]
+fn compaction_survives_a_crash_bit_identically() {
+    let dir = home("compact");
+    let fresh = Session::new();
+    fresh.register(anchored(6_000, 3)).unwrap();
+    fresh.save_dir(&dir).unwrap();
+    drop(fresh);
+
+    let live = Session::open_dir(&dir).unwrap();
+    // Each batch outweighs the table so far, so each seals on its own.
+    for (k, n) in [7_000, 14_000].into_iter().enumerate() {
+        assert_eq!(live.ingest("t", &anchored(n, 30 + k as u64)).unwrap().sealed_segments, 1);
+    }
+    let report = live.compact("t").unwrap();
+    assert_eq!((report.segments_before, report.segments_after), (3, 1), "{report:?}");
+    live.ingest("t", &anchored(2_000, 33)).unwrap();
+    assert_eq!(live.table_stats("t").unwrap().checkpoint_failures, 0);
+
+    let twin = Session::open_dir(&dir).unwrap();
+    assert_eq!(twin.table_stats("t").unwrap().segments, 1, "the compaction was undone");
+    let more: Vec<Dataset> = (0..2).map(|k| anchored(9_000, 60 + k)).collect();
+    assert_twins(&live, &twin, &more, "compacted twin");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
