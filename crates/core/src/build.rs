@@ -425,15 +425,6 @@ impl PairwiseHist {
     pub fn build_stats(&self) -> BuildStats {
         self.build_stats
     }
-
-    /// Enables or disables multi-core query execution (grouped queries fan out
-    /// across threads when the per-group work is large enough). Results are
-    /// identical either way. Builds inherit [`PairwiseHistConfig::parallel`];
-    /// synopses restored with [`PairwiseHist::from_bytes`] default to enabled,
-    /// so thread-restricted hosts should switch this off after loading.
-    pub fn set_parallel_exec(&mut self, on: bool) {
-        self.parallel_exec = on;
-    }
 }
 
 /// Uniformly downsamples seed values to at most `max_seeds` entries (Algorithm 1

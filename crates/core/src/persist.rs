@@ -57,7 +57,7 @@
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, PoisonError};
 
 use ph_gd::Preprocessor;
 use ph_obs::{span, Counter, Stage};
@@ -65,7 +65,7 @@ use ph_types::{faultfs, Dataset, PhError};
 
 use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig, SplitRule};
 use crate::segment::{build_delta, compress_rows, SealPolicy, Segment, TableState};
-use crate::session::{Session, TableCell};
+use crate::session::{Session, TableCell, Writer};
 use crate::wal;
 
 /// Magic and frame version of the table manifest.
@@ -337,10 +337,10 @@ fn commit(
     Ok(named)
 }
 
-/// What one table has committed to the session's WAL home. Locked only under
-/// the table's writer lock, so never contended.
+/// What one table has committed to the session's WAL home. Part of the
+/// table's [`Writer`], so only reachable under its writer lock.
 #[derive(Default)]
-struct Durable {
+pub(crate) struct Durable {
     /// The home the table was adopted into (its first checkpoint there), with
     /// the blob number that home's committed manifest names for each sealed
     /// segment, by segment id. `None` until then.
@@ -350,10 +350,10 @@ struct Durable {
     sealed_seq: u64,
 }
 
-/// One table's checkpoint state and counters.
+/// What readers poll of one table's checkpoints, lock-free: the committed
+/// watermark and the outcome counters.
 #[derive(Default)]
 pub(crate) struct Durability {
-    durable: Mutex<Durable>,
     /// The WAL seq at or below which a restart replays nothing: the committed
     /// manifest's watermark (or, right after an adoption, where the home's log
     /// starts).
@@ -375,14 +375,14 @@ impl Durability {
 /// The checkpoint itself, under the table's writer lock (see
 /// [`Session::checkpoint`]).
 fn checkpoint_into(
-    d: &mut Durable,
+    w: &mut Writer,
     home: &Path,
     table: &str,
     cell: &TableCell,
-    delta_rows: Option<&Dataset>,
 ) -> Result<(), PhError> {
     let base = file_base_for(table);
     let log = wal::wal_path(home, &base);
+    let d = &mut w.durable;
     let committed = d.home.as_ref().filter(|(dir, _)| dir == home).map(|(_, blobs)| blobs);
     let adopting = committed.is_none();
     if adopting {
@@ -408,7 +408,7 @@ fn checkpoint_into(
     let wal_seq = cell.wal_seq.load(Ordering::Relaxed);
     if adopting {
         cell.durability.committed_seq.store(wal_seq, Ordering::Relaxed);
-        if let Some(rows) = delta_rows {
+        if let Some(rows) = &w.delta_rows {
             // Rows ingested before the table had this home: journal them as one
             // batch, and rebuild the live delta the way replaying that batch
             // will, so the recovered table is this one.
@@ -488,9 +488,8 @@ impl Session {
         *self.wal_dir.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.to_path_buf());
         let mut first_error = Ok(());
         for (name, cell) in self.cells() {
-            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
-            let checkpointed = self.checkpoint(&name, &cell, delta_rows.as_ref());
-            first_error = first_error.and(checkpointed);
+            let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            first_error = first_error.and(self.checkpoint(&name, &cell, &mut w));
         }
         first_error
     }
@@ -535,48 +534,39 @@ impl Session {
     /// no batch is journaled for a table the home has no manifest of (one whose
     /// registration raced [`Session::enable_wal`], or whose checkpoint there
     /// failed). Called under the writer lock before anything else.
-    pub(crate) fn adopt(
-        &self,
-        table: &str,
-        cell: &TableCell,
-        delta_rows: Option<&Dataset>,
-    ) -> Result<(), PhError> {
+    pub(crate) fn adopt(&self, table: &str, cell: &TableCell, w: &mut Writer) -> Result<(), PhError> {
         let Some(home) = self.wal_home() else { return Ok(()) };
-        let durable = cell.durability.durable.lock().unwrap_or_else(PoisonError::into_inner);
-        if durable.home.as_ref().is_some_and(|(dir, _)| *dir == home) {
+        if w.durable.home.as_ref().is_some_and(|(dir, _)| *dir == home) {
             return Ok(());
         }
-        drop(durable);
-        self.checkpoint(table, cell, delta_rows)
+        self.checkpoint(table, cell, w)
     }
 
     /// A seal or refit just emptied the delta into sealed segments, so every
     /// journaled batch is in one: checkpoint them. A failure is counted and
     /// otherwise ignored — the batches are in the log, which stays until a later
     /// checkpoint commits them.
-    pub(crate) fn sealed(&self, table: &str, cell: &TableCell) {
-        let seq = cell.wal_seq.load(Ordering::Relaxed);
-        cell.durability.durable.lock().unwrap_or_else(PoisonError::into_inner).sealed_seq = seq;
-        let _ = self.checkpoint(table, cell, None);
+    pub(crate) fn sealed(&self, table: &str, cell: &TableCell, w: &mut Writer) {
+        w.durable.sealed_seq = cell.wal_seq.load(Ordering::Relaxed);
+        let _ = self.checkpoint(table, cell, w);
     }
 
     /// Commits `table`'s sealed state into the WAL home — a no-op without one
-    /// — under a `checkpoint` span, counting the outcome. Call under the
-    /// table's writer lock, with its delta rows. The first checkpoint into a
-    /// home **adopts** the table there: a log an earlier table of the name left
-    /// is deleted, every segment gets a blob, and rows ingested before the home
-    /// existed are journaled as one batch.
+    /// — under a `checkpoint` span, counting the outcome. The writer guard is
+    /// the proof the caller holds the table's writer lock. The first
+    /// checkpoint into a home **adopts** the table there: a log an earlier
+    /// table of the name left is deleted, every segment gets a blob, and rows
+    /// ingested before the home existed are journaled as one batch.
     pub(crate) fn checkpoint(
         &self,
         table: &str,
         cell: &TableCell,
-        delta_rows: Option<&Dataset>,
+        w: &mut Writer,
     ) -> Result<(), PhError> {
         let Some(home) = self.wal_home() else { return Ok(()) };
         let _checkpoint = span(Stage::Checkpoint);
+        let done = checkpoint_into(w, &home, table, cell);
         let d = &cell.durability;
-        let mut durable = d.durable.lock().unwrap_or_else(PoisonError::into_inner);
-        let done = checkpoint_into(&mut durable, &home, table, cell, delta_rows);
         let outcome = if done.is_ok() { &d.checkpoints } else { &d.failures };
         outcome.inc();
         done
@@ -589,14 +579,14 @@ impl Session {
     pub(crate) fn set_policy(&self, edit: impl Fn(&mut SealPolicy)) {
         edit(&mut self.policy.lock().unwrap_or_else(PoisonError::into_inner));
         for (name, cell) in self.cells() {
-            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let cur = cell.snapshot();
             let mut next =
                 cur.successor(cur.epoch, cur.pre.clone(), cur.segments.clone(), cur.delta.clone());
             edit(&mut next.policy);
             if next.policy != cur.policy {
                 cell.swap(next);
-                let _ = self.checkpoint(&name, &cell, delta_rows.as_ref());
+                let _ = self.checkpoint(&name, &cell, &mut w);
             }
         }
     }
@@ -639,11 +629,11 @@ impl Session {
         for (name, cell) in &cells {
             // The writer lock pins the delta rows to the published delta and
             // freezes the WAL seq, so what is written is one version.
-            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
             if home {
-                self.checkpoint(name, cell, delta_rows.as_ref())?;
+                self.checkpoint(name, cell, &mut w)?;
             } else {
-                export(dir, name, cell, delta_rows.as_ref())?;
+                export(dir, name, cell, w.delta_rows.as_ref())?;
             }
         }
         // Reached only with every table committed. A dropped name registered
@@ -766,10 +756,9 @@ impl Session {
                             continue;
                         }
                         let cell = Arc::new(TableCell::new(state));
-                        let d = &cell.durability;
-                        *d.durable.lock().unwrap_or_else(PoisonError::into_inner) =
+                        cell.writer.lock().unwrap_or_else(PoisonError::into_inner).durable =
                             Durable { home: Some((dir.to_path_buf(), blobs)), sealed_seq: watermark };
-                        d.committed_seq.store(watermark, Ordering::Relaxed);
+                        cell.durability.committed_seq.store(watermark, Ordering::Relaxed);
                         cell.wal_seq.store(watermark, Ordering::Relaxed);
                         map.insert(name.clone(), cell.clone());
                         loaded.push((name, cell, watermark));
@@ -826,11 +815,9 @@ impl Session {
         }
         *session.wal_dir.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.to_path_buf());
         for (name, cell) in session.cells() {
-            let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
-            let d = &cell.durability;
-            let sealed = d.durable.lock().unwrap_or_else(PoisonError::into_inner).sealed_seq;
-            if sealed > d.committed_seq.load(Ordering::Relaxed) {
-                let _ = session.checkpoint(&name, &cell, delta_rows.as_ref());
+            let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            if w.durable.sealed_seq > cell.durability.committed_seq.load(Ordering::Relaxed) {
+                let _ = session.checkpoint(&name, &cell, &mut w);
             }
         }
         Ok(session)

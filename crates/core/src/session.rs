@@ -37,17 +37,21 @@
 //! [`Session::register`] concurrently. Three mechanisms make that safe without
 //! serializing the read path:
 //!
-//! 1. **Epoch-swapped table state.** Each table's segment list (plus delta
-//!    synopsis, shared preprocessor and build config) lives in an immutable
-//!    `TableState` behind `RwLock<Arc<TableState>>`. Readers take the read lock
-//!    just long enough to clone the `Arc` — nanoseconds — then run the whole
-//!    query against their private snapshot with no lock held. `ingest` builds
-//!    the replacement state *off to the side* (holding only a per-table writer
-//!    mutex that excludes other writers, never readers) and swaps the `Arc` in
-//!    one write-lock store. A reader mid-query keeps its snapshot alive through
-//!    the `Arc`; every answer is consistent with *some* point in the ingest
-//!    timeline, never a half-applied batch. Unchanged sealed-segment `Arc`s are
-//!    shared between versions, so an ingest publishes O(1) new state.
+//! 1. **Epoch-swapped table state, one writer lock.** Each table's segment
+//!    list (plus delta synopsis, shared preprocessor and build config) lives in
+//!    an immutable `TableState` behind `RwLock<Arc<TableState>>`. Readers take
+//!    the read lock just long enough to clone the `Arc` — nanoseconds — then
+//!    run the whole query against their private snapshot with no lock held.
+//!    Writers serialize on the table's one writer lock, `Mutex<Writer>`, which
+//!    owns everything only a writer touches — the raw delta rows, the
+//!    checkpoint record and the seal's encode buffers — build the replacement
+//!    state *off to the side* and swap the `Arc` in one write-lock store. What
+//!    readers poll (delta bytes, WAL and checkpoint watermarks, counters) is
+//!    atomic, so no reader ever waits behind a seal. A reader mid-query keeps
+//!    its snapshot alive through the `Arc`; every answer is consistent with
+//!    *some* point in the ingest timeline, never a half-applied batch.
+//!    Unchanged sealed-segment `Arc`s are shared between versions, so an
+//!    ingest publishes O(1) new state.
 //! 2. **A sharded plan cache.** The fingerprint → plan and text → plan maps are
 //!    split across [`PLAN_CACHE_SHARDS`] `RwLock`ed shards, so concurrent cache
 //!    hits on different templates don't contend on one global lock, and a hit is
@@ -56,9 +60,11 @@
 //!    the version's **plan epoch**, so one prepared plan serves all segments. A
 //!    seal or rebuild mints a fresh epoch (sealing re-refines the delta's
 //!    synopsis; rebuilding refits the preprocessor), so a `Prepared` handle held
-//!    across one fails with [`PhError::StalePlan`] instead of answering wrongly;
-//!    [`Session::sql`] transparently re-prepares on that error (bounded retries
-//!    — see `STALE_RETRIES`), while [`Session::execute`] surfaces it so callers
+//!    across one fails with [`PhError::StalePlan`] instead of answering wrongly.
+//!    One private query path serves [`Session::sql`], [`BatchSession::sql`] and
+//!    [`Session::prepare`], and it alone retries on that error: it drops the
+//!    table's cached plans, re-pins the table and replans (bounded — see
+//!    `STALE_RETRIES`). [`Session::execute`] surfaces the error so callers
 //!    holding long-lived handles can re-prepare themselves. Edge-free delta
 //!    ingest keeps the epoch — plans stay valid across those swaps.
 //!
@@ -97,6 +103,7 @@
 //! });
 //! ```
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -111,7 +118,7 @@ use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig};
 use crate::engine::AqpAnswer;
 use crate::coverage::RangeSet;
 use crate::prepared::Prepared;
-use crate::persist::Durability;
+use crate::persist::{Durability, Durable};
 use crate::segment::{
     build_delta, count_store_matching, decode_store, merge_segments, registration_segment,
     seal_segment, CompactReport, FootprintReport, SealPolicy, Segment, TableState,
@@ -127,11 +134,11 @@ const PLAN_CACHE_CAP: usize = 4096;
 /// locks with high probability; 16 is plenty for the core counts this serves.
 const PLAN_CACHE_SHARDS: usize = 16;
 
-/// How many times [`Session::sql`] re-prepares after a [`PhError::StalePlan`]
-/// before giving up. Each retry replans against the *latest* table state, so a
-/// retry only fails if a seal or rebuild lands in the microseconds between
-/// planning and execution — `N` consecutive failures require `N` back-to-back
-/// seals interleaved exactly so, which no realistic writer produces.
+/// How many times the query path (`Session::run`) replans after a
+/// [`PhError::StalePlan`] before giving up. A retry re-pins the table and
+/// plans against the version it pinned, so it only goes stale again if a
+/// racing planner re-caches a plan from another epoch in between — `N`
+/// consecutive failures need `N` such races back to back.
 const STALE_RETRIES: usize = 4;
 
 /// Process-unique session ids for the plan identity check (never 0: 0 means
@@ -141,46 +148,51 @@ fn next_session_id() -> u64 {
     IDS.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Everything only a writer of one table touches, reachable only through the
+/// table's writer lock ([`TableCell::writer`]).
+#[derive(Default)]
+pub(crate) struct Writer {
+    /// Raw rows ingested since the last seal, appended in place (O(batch) per
+    /// ingest); `None` when the delta is empty. Invariant: `Some` here ⟺ the
+    /// published state has a delta synopsis.
+    pub(crate) delta_rows: Option<Dataset>,
+    /// What the table has committed to the WAL home (`crate::persist`).
+    pub(crate) durable: Durable,
+    /// Reusable encode buffers for the seal path: recycling the column buffers
+    /// across seals removes the allocation spike that dominated ingest tail
+    /// latency (p99 ≫ p50 on seal batches).
+    seal_scratch: ph_gd::EncodeScratch,
+}
+
 /// The epoch cell of one table: the current state, swapped atomically under
-/// `state`'s write lock, plus the raw un-sealed delta rows. The rows mutex
-/// doubles as the writer lock — it serializes ingests/compactions (two writers
-/// must never build replacements from the same base; the second would silently
-/// drop the first's rows), and it guards the only writer-side mutable data, so
-/// delta rows are appended in place (O(batch) per ingest) instead of cloned per
-/// batch. Readers never touch it: snapshots expose only the engines.
+/// `state`'s write lock, plus the one writer lock. The writer lock serializes
+/// ingests, compactions, policy changes, saves and checkpoints — two writers
+/// must never build replacements from the same base; the second would
+/// silently drop the first's rows. Readers never take it: snapshots expose
+/// only the engines, and what `/stats` and footprint polls read is atomic.
 pub(crate) struct TableCell {
     state: RwLock<Arc<TableState>>,
-    /// Raw rows ingested since the last seal; `None` when the delta is empty.
-    /// Invariant under the writer lock: `Some` here ⟺ the published state has
-    /// a delta synopsis.
-    pub(crate) delta_rows: Mutex<Option<Dataset>>,
-    /// Heap bytes of `delta_rows`, maintained by writers after each mutation,
-    /// so footprint queries never touch the writer lock (a metrics poll must
-    /// not stall behind an in-flight seal, rebuild or save).
+    pub(crate) writer: Mutex<Writer>,
+    /// Heap bytes of the delta rows, maintained by writers after each
+    /// mutation, so footprint queries never touch the writer lock (a metrics
+    /// poll must not stall behind an in-flight seal, rebuild or save).
     delta_bytes: AtomicUsize,
     /// Sequence number of the last ingest batch journaled to (or replayed
     /// from) this table's WAL; 0 = none. Written only under the writer lock
     /// (or during single-threaded `open_dir` replay).
     pub(crate) wal_seq: AtomicU64,
-    /// What the table has committed to the WAL home (`crate::persist`).
+    /// The table's committed WAL watermark and checkpoint counters.
     pub(crate) durability: Durability,
-    /// Reusable encode buffers for the seal path. Sealing encodes every delta
-    /// slice into a fresh `EncodedMatrix`; recycling the column buffers across
-    /// seals removes the allocation spike that dominated ingest tail latency
-    /// (p99 ≫ p50 on seal batches). Only the seal branch locks it, under the
-    /// writer lock, so there is never contention.
-    seal_scratch: Mutex<ph_gd::EncodeScratch>,
 }
 
 impl TableCell {
     pub(crate) fn new(state: TableState) -> Self {
         Self {
             state: RwLock::new(Arc::new(state)),
-            delta_rows: Mutex::new(None),
+            writer: Mutex::default(),
             delta_bytes: AtomicUsize::new(0),
             wal_seq: AtomicU64::new(0),
             durability: Durability::default(),
-            seal_scratch: Mutex::new(ph_gd::EncodeScratch::new()),
         }
     }
 
@@ -192,11 +204,6 @@ impl TableCell {
     /// Publishes a replacement state.
     pub(crate) fn swap(&self, next: TableState) {
         *self.state.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
-    }
-
-    /// Records the delta rows' resident bytes (writer-side, after mutation).
-    fn set_delta_bytes(&self, bytes: usize) {
-        self.delta_bytes.store(bytes, Ordering::Relaxed);
     }
 }
 
@@ -267,58 +274,28 @@ impl TableSnapshot {
 /// overhead when the whole batch answers from the same version anyway.
 ///
 /// Answers are bit-identical to [`Session::sql`] against the version pinned
-/// when the table was first touched by this batch. A concurrent seal or
-/// rebuild surfaces internally as [`PhError::StalePlan`] exactly like the
-/// unbatched path; the batch transparently re-pins the table and replans, with
-/// the same bounded-retry contract, falling back to [`Session::sql`] under a
-/// writer storm. Dropping the batch releases its pinned snapshots.
+/// when the table was first touched by this batch: both run the session's one
+/// query path, this one with the batch's pins. A cached plan from another
+/// epoch than the pin surfaces as [`PhError::StalePlan`] exactly as it does
+/// there, and the path re-pins the table and replans under the same
+/// bounded-retry contract. Dropping the batch releases its pinned snapshots.
 pub struct BatchSession<'a> {
     session: &'a Session,
-    /// Tables this batch has touched, each pinned at first touch. Batches are
-    /// small and almost always single-table, so a linear scan beats a map.
-    snaps: Vec<(String, Arc<TableState>)>,
+    pins: Pins,
 }
 
 impl BatchSession<'_> {
     /// Parses, plans (through the session's shared plan cache) and executes
     /// one query against this batch's pinned snapshot of its table.
     pub fn sql(&mut self, sql: &str) -> Result<AqpAnswer, PhError> {
-        let mut prepared = self.session.prepare(sql)?;
-        for _ in 0..=STALE_RETRIES {
-            let state = self.snap(&prepared.query().table)?;
-            match state.execute_prepared(&prepared) {
-                Err(PhError::StalePlan(_)) => {
-                    // The pinned snapshot (and possibly the plan) lost a race
-                    // with a seal or rebuild: unpin, purge the table's cached
-                    // plans, and replan against the live state.
-                    let table = prepared.query().table.clone();
-                    self.evict(&table);
-                    self.session.cache.invalidate_table(&table);
-                    prepared = self.session.prepare_internal(sql)?;
-                }
-                other => return other,
-            }
-        }
-        // Writer storm: every re-pin raced a fresh seal. Fall back to the
-        // unbatched path, which pins a fresh snapshot per attempt.
-        self.session.sql(sql)
-    }
-
-    /// The pinned snapshot for `table`, pinning the current version on first
-    /// touch.
-    fn snap(&mut self, table: &str) -> Result<Arc<TableState>, PhError> {
-        if let Some((_, state)) = self.snaps.iter().find(|(name, _)| name == table) {
-            return Ok(state.clone());
-        }
-        let state = self.session.cell(table)?.snapshot();
-        self.snaps.push((table.to_string(), state.clone()));
-        Ok(state)
-    }
-
-    fn evict(&mut self, table: &str) {
-        self.snaps.retain(|(name, _)| name != table);
+        self.session.run(sql, Some(&mut self.pins), |state, plan| state.execute_prepared(plan))
     }
 }
+
+/// The table versions a [`BatchSession`] has pinned, one per table, each at
+/// first touch. Batches are small and almost always single-table, so a linear
+/// scan beats a map.
+type Pins = Vec<(String, Arc<TableState>)>;
 
 impl Deref for TableSnapshot {
     type Target = PairwiseHist;
@@ -632,7 +609,7 @@ impl Session {
         if self.tables.read().unwrap_or_else(PoisonError::into_inner).contains_key(&name) {
             return taken(&name); // lost a registration race for the same name
         }
-        self.checkpoint(&name, &cell, None)?;
+        self.checkpoint(&name, &cell, &mut cell.writer.lock().unwrap_or_else(PoisonError::into_inner))?;
         // Fresh data under a quarantined name supersedes the damaged files
         // (its first checkpoint, or the next save_dir, overwrites them).
         self.quarantined.lock().unwrap_or_else(PoisonError::into_inner).remove(&name);
@@ -729,39 +706,91 @@ impl Session {
     /// Byte-identical SQL skips parsing entirely; a re-formatted spelling of a
     /// cached template still skips planning (fingerprints are canonical). A
     /// cached plan invalidated by a concurrent seal or rebuild
-    /// ([`PhError::StalePlan`]) is re-prepared transparently, with bounded
-    /// retries: the error can only surface if a fresh seal lands between
-    /// *every* replan and its execution, `STALE_RETRIES` + 1 times back to back.
+    /// ([`PhError::StalePlan`]) is replanned transparently, with bounded
+    /// retries (see `Session::run`).
     pub fn sql(&self, sql: &str) -> Result<AqpAnswer, PhError> {
-        // Text-level fast path. No pre-validation here: `execute` runs the
-        // epoch check anyway, and the `StalePlan` arm below purges the cache —
-        // pre-validating would only double the table lookups on the hot path.
-        if let Some(p) = self.cache.get_by_text(sql) {
-            // Zero-duration marker: which of hit/miss appears in a trace is
-            // the signal; the real time lives in the parse/plan spans.
-            drop(span(Stage::PlanCacheHit));
-            match self.execute(&p) {
-                Err(PhError::StalePlan(_)) => self.cache.invalidate_table(&p.query().table),
-                other => {
-                    self.cache.hits.inc();
-                    return other;
+        self.run(sql, None, |state, plan| state.execute_prepared(plan))
+    }
+
+    /// The one query path, behind [`Session::sql`] (`pins` = `None`: a fresh
+    /// pin per lookup), [`BatchSession::sql`] (the batch's pins) and
+    /// [`Session::prepare`]. A byte-identical spelling resolves through the
+    /// text index; anything else is parsed, then found by fingerprint or
+    /// planned against the pinned version. `finish` then runs on that version.
+    ///
+    /// Staleness is decided here and only here: a cached plan from another
+    /// epoch than the pinned version fails `finish` with
+    /// [`PhError::StalePlan`], and the path drops the table's cached plans and
+    /// its pin, re-pins and replans — at most [`STALE_RETRIES`] times.
+    /// Nothing is pre-validated, so a hit costs one text probe and one pin.
+    fn run<T>(
+        &self,
+        sql: &str,
+        mut pins: Option<&mut Pins>,
+        finish: impl Fn(&TableState, &Arc<Prepared>) -> Result<T, PhError>,
+    ) -> Result<T, PhError> {
+        let mut retries = 0;
+        loop {
+            let (state, plan, hit) = match self.cache.get_by_text(sql) {
+                Some(plan) => (self.pin(&plan.query().table, pins.as_deref_mut())?, plan, true),
+                None => {
+                    let query = {
+                        let _parse = span(Stage::Parse);
+                        parse_query(sql)?
+                    };
+                    let state = self.pin(&query.table, pins.as_deref_mut())?;
+                    let (plan, hit) = match self.cache.get_by_fp(query.fingerprint()) {
+                        Some(plan) => (plan, true),
+                        None => {
+                            let _miss = span(Stage::PlanCacheMiss);
+                            let _plan = span(Stage::Plan);
+                            (Arc::new(state.prepare(&query)?.with_session(self.id)), false)
+                        }
+                    };
+                    if !hit {
+                        self.cache.misses.inc();
+                    }
+                    self.cache.insert(sql, &plan);
+                    (state, plan, hit)
+                }
+            };
+            if hit {
+                // Zero-duration marker: which of hit/miss appears in a trace is
+                // the signal; the real time lives in the parse/plan spans.
+                drop(span(Stage::PlanCacheHit));
+            }
+            match finish(&state, &plan) {
+                Err(PhError::StalePlan(_)) if retries < STALE_RETRIES => {
+                    // A seal or rebuild came between the plan and the pin:
+                    // every cached plan of the table is from a dead epoch (or
+                    // soon will be), and so may the pin be.
+                    let table = &plan.query().table;
+                    self.cache.invalidate_table(table);
+                    if let Some(pins) = pins.as_deref_mut() {
+                        pins.retain(|(name, _)| name != table);
+                    }
+                    retries += 1;
+                }
+                done => {
+                    if hit {
+                        self.cache.hits.inc();
+                    }
+                    return done;
                 }
             }
         }
-        let mut last = self.prepare_internal(sql)?;
-        for _ in 0..STALE_RETRIES {
-            match self.execute(&last) {
-                Err(PhError::StalePlan(_)) => {
-                    // The plan lost a race with a seal or rebuild: purge the
-                    // table's cached plans (they are all from the dead epoch)
-                    // and replan against the state that replaced it.
-                    self.cache.invalidate_table(&last.query().table);
-                    last = self.prepare_internal(sql)?;
-                }
-                other => return other,
-            }
+    }
+
+    /// The version of `table` a query reads: the batch's pin, pinning the live
+    /// version at first touch; the live version when there is no batch.
+    fn pin(&self, table: &str, pins: Option<&mut Pins>) -> Result<Arc<TableState>, PhError> {
+        let Some(pins) = pins else { return Ok(self.cell(table)?.snapshot()) };
+        if let Some((_, state)) = pins.iter().find(|(name, _)| name == table) {
+            return Ok(state.clone());
         }
-        self.execute(&last)
+        let state = self.cell(table)?.snapshot();
+        pins.push((table.to_string(), state.clone()));
+        Ok(state)
     }
 
     /// Runs one query with tracing enabled and returns the answer plus the
@@ -789,14 +818,7 @@ impl Session {
     /// that drain N parsed queries at once pay one read-lock + `Arc` bump per
     /// table instead of N.
     pub fn batch(&self) -> BatchSession<'_> {
-        BatchSession { session: self, snaps: Vec::new() }
-    }
-
-    /// Convenience: runs a slice of queries through one [`Session::batch`],
-    /// returning per-query results in order.
-    pub fn sql_batch(&self, sqls: &[&str]) -> Vec<Result<AqpAnswer, PhError>> {
-        let mut batch = self.batch();
-        sqls.iter().map(|sql| batch.sql(sql)).collect()
+        BatchSession { session: self, pins: Vec::new() }
     }
 
     /// Parses and plans one query, returning the cached plan handle. Repeated calls
@@ -804,30 +826,16 @@ impl Session {
     /// [`Session::execute`] for parse-once/execute-many loops. A handle held
     /// across a seal or rebuild of its table fails [`Session::execute`] with
     /// [`PhError::StalePlan`]; re-`prepare` to get a live one.
+    ///
+    /// The handle is valid for the live version when it is returned: a stale
+    /// survivor in the cache (a plan a racing planner re-inserted after a
+    /// seal's invalidation sweep) is purged and replanned, so a caller
+    /// following the re-`prepare` recipe never loops on a dead handle.
     pub fn prepare(&self, sql: &str) -> Result<Arc<Prepared>, PhError> {
-        if let Some(p) = self.cached_by_text(sql) {
-            self.cache.hits.inc();
-            drop(span(Stage::PlanCacheHit));
-            return Ok(p);
-        }
-        self.prepare_internal(sql)
-    }
-
-    /// Text-index lookup, epoch-validated against the serving state: a stale
-    /// survivor (a plan a racing `prepare` re-inserted after a seal's
-    /// invalidation sweep) is purged here and treated as a miss — otherwise the
-    /// cache would keep handing out a plan whose every execution fails with
-    /// [`PhError::StalePlan`], and a caller following the documented
-    /// re-`prepare` recipe would loop on the same dead handle.
-    fn cached_by_text(&self, sql: &str) -> Option<Arc<Prepared>> {
-        let p = self.cache.get_by_text(sql)?;
-        let cell = self.tables.read().unwrap_or_else(PoisonError::into_inner).get(&p.query().table).cloned()?;
-        if p.token() == cell.snapshot().epoch {
-            Some(p)
-        } else {
-            self.cache.invalidate_table(&p.query().table);
-            None
-        }
+        self.run(sql, None, |state, plan| {
+            state.primary().checked_plan(plan)?;
+            Ok(plan.clone())
+        })
     }
 
     /// Executes a plan from [`Session::prepare`], routing by its `FROM` table:
@@ -906,34 +914,6 @@ impl Session {
         }
     }
 
-    /// Slow path: parse, then fingerprint-level lookup, then plan + insert.
-    fn prepare_internal(&self, sql: &str) -> Result<Arc<Prepared>, PhError> {
-        let query = {
-            let _parse = span(Stage::Parse);
-            parse_query(sql)?
-        };
-        let state = self.cell(&query.table)?.snapshot();
-        let fp = query.fingerprint();
-        if let Some(p) = self.cache.get_by_fp(fp) {
-            // New spelling of a known template — but only trust it if it still
-            // matches the serving epoch; a stale survivor is replaced below.
-            if p.token() == state.epoch {
-                self.cache.hits.inc();
-                drop(span(Stage::PlanCacheHit));
-                self.cache.insert(sql, &p);
-                return Ok(p);
-            }
-        }
-        let prepared = {
-            let _miss = span(Stage::PlanCacheMiss);
-            let _plan = span(Stage::Plan);
-            Arc::new(state.prepare(&query)?.with_session(self.id))
-        };
-        self.cache.misses.inc();
-        self.cache.insert(sql, &prepared);
-        Ok(prepared)
-    }
-
     /// Folds a batch of new rows into `table`. The batch must match the table's
     /// schema: same column names **and** logical types, in order.
     ///
@@ -977,12 +957,14 @@ impl Session {
     /// does not fail the ingest — the batch is already in the log, which stays
     /// until a later checkpoint commits it (see
     /// [`TableStats::checkpoint_failures`]).
+    ///
+    /// A schema-valid batch with no rows changes nothing: it is answered with
+    /// `rows: 0` and neither journaled nor published.
     pub fn ingest(&self, table: &str, batch: &Dataset) -> Result<IngestReport, PhError> {
         let cell = self.cell(table)?;
-        // The delta-rows lock is the writer lock: one writer per table at a
-        // time; readers are never blocked by it.
-        let mut delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
-        self.adopt(table, &cell, delta_rows.as_ref())?;
+        // One writer per table at a time; readers are never blocked by it.
+        let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        self.adopt(table, &cell, &mut w)?;
         let cur = cell.snapshot();
         let pre = cur.pre.clone();
         let admit = span(Stage::Admit);
@@ -1007,6 +989,17 @@ impl Session {
                 )));
             }
         }
+        if batch.n_rows() == 0 {
+            // Folding no rows would still publish a delta synopsis — an empty
+            // one, which the next batch would fold into instead of getting a
+            // refined delta of its own.
+            return Ok(IngestReport {
+                rows: 0,
+                staleness: cur.staleness(),
+                rebuilt: false,
+                sealed_segments: 0,
+            });
+        }
         // One form of the batch from here on — dictionaries cut down to the
         // entries its rows reference — for the journal, the delta rows and the
         // fold alike: a replayed table is fed exactly what the live one kept,
@@ -1027,7 +1020,7 @@ impl Session {
         });
         drop(admit);
 
-        if ranks.has_novel() || has_novel_null {
+        let (next, outcome) = if ranks.has_novel() || has_novel_null {
             // Full refit rebuild: decode every segment's compressed rows, add
             // the delta and the batch, refit the transforms over everything and
             // collapse to one fresh segment. O(total) — the documented cost of
@@ -1035,178 +1028,91 @@ impl Session {
             // only consumed *after* the rebuild succeeds: a failure (a store
             // holding a code with no preimage) must leave the table — and the
             // delta-rows ↔ delta-synopsis invariant — exactly as it was.
-            let state = self.rebuild_with_batch(table, &cur, delta_rows.as_ref(), batch)?;
+            let next = rebuild_with_batch(table, &cur, w.delta_rows.as_ref(), Some(batch))?;
             // Journal only once the batch is certain to apply: a journaled
             // batch that could never re-apply would poison replay.
             self.wal_append(table, &cell, batch)?;
-            *delta_rows = None;
-            cell.set_delta_bytes(0);
-            let staleness = state.staleness();
-            cell.swap(state);
-            // After the swap, so a re-prepare triggered by the invalidation can
-            // only ever see the new epoch.
-            self.cache.invalidate_table(table);
-            self.sealed(table, &cell);
-            return Ok(IngestReport {
-                rows: batch.n_rows(),
-                staleness,
-                rebuilt: true,
-                sealed_segments: 0,
-            });
-        }
-
-        // Durability point: the batch is accepted — journal it (append +
-        // fsync) *before* any in-memory mutation, so once `ingest` returns the
-        // rows are recoverable. On a journaling failure (e.g. disk full) the
-        // table is untouched and the error propagates; a torn record from a
-        // crash mid-append is discarded by replay as an unacknowledged tail.
-        // Nothing after this point can fail: the batch schema was fully
-        // validated above, so the delta append and synopsis fold are total.
-        self.wal_append(table, &cell, batch)?;
-
-        // Edge-free hot path: grow the raw delta rows in place (we hold their
-        // lock — the writer lock) and decide sealing on the grown delta. `cur`
-        // keeps serving until the single swap at the end.
-        match delta_rows.as_mut() {
-            Some(d) => d.append(batch)?,
-            None => *delta_rows = Some(batch.clone()),
-        }
-        // ph-lint: allow(no-panic-serving) — the match directly above guarantees Some
-        let delta_data = delta_rows.as_ref().expect("delta appended above");
-        let delta_n = delta_data.n_rows();
-
-        // Prospective staleness if we only edge-ingest: the grown delta's share
-        // of the table's rows (row-based like `TableState::staleness`, so a
-        // table registered far larger than its sample size doesn't overstate
-        // the delta and seal early).
-        let seg_rows: u64 = cur.segments.iter().map(|s| s.engine.params().n_total).sum();
-        let threshold = cur.policy.rows;
-        let prospective = delta_n as f64 / (seg_rows as f64 + delta_n as f64).max(1.0);
-        let seal = delta_n >= threshold || prospective > cur.policy.max_staleness;
-
-        let (state, sealed_segments) = if seal {
-            // Sealing would *freeze* the delta's encoding into a compressed
-            // store — including the lossy saturation of numeric values below
-            // the fitted minimum (`encode` clamps them to 0). Raw delta rows
-            // still hold the true values, so when such values are present we
-            // refit instead: decode everything, fit transforms that cover the
-            // extended range, rebuild once. (The monolithic design healed the
-            // same case through its staleness rebuild; baking saturated codes
-            // into a store would have made it permanent.) A table whose
-            // stores do not decode can't refit; its batch is already
-            // journaled, so it seals as encoded rather than failing.
-            if below_fitted_min(&pre, delta_data) {
-                if let Ok(state) =
-                    self.rebuild_with_batch(table, &cur, delta_rows.as_ref(), &batch.take(&[]))
-                {
-                    *delta_rows = None;
-                    cell.set_delta_bytes(0);
-                    let staleness = state.staleness();
-                    cell.swap(state);
-                    self.cache.invalidate_table(table);
-                    self.sealed(table, &cell);
-                    return Ok(IngestReport {
-                        rows: batch.n_rows(),
-                        staleness,
-                        rebuilt: true,
-                        sealed_segments: 0,
-                    });
-                }
-            }
-            // Seal the whole delta: full threshold-sized slices become segments,
-            // the remainder a final (smaller) one. A fresh epoch is minted —
-            // sealing re-refines the delta's synopsis — and retained segments
-            // are restamped so the version keeps one epoch for all engines.
-            let epoch = next_plan_epoch();
-            let mut segments: Vec<Arc<Segment>> =
-                cur.segments.iter().map(|s| Arc::new(s.restamped(epoch))).collect();
-            // ph-lint: allow(no-panic-serving) — seal is only entered when delta_n > 0, so the delta exists
-            let rows = delta_rows.take().expect("delta present when sealing");
-            let mut scratch =
-                cell.seal_scratch.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut sealed = 0usize;
-            let mut start = 0usize;
-            while rows.n_rows() - start > threshold {
-                segments.push(Arc::new(seal_segment(
-                    &rows.slice(start, threshold),
-                    &pre,
-                    &cur.cfg,
-                    epoch,
-                    &mut scratch,
-                )));
-                sealed += 1;
-                start += threshold;
-            }
-            segments.push(Arc::new(seal_segment(
-                &rows.slice(start, rows.n_rows() - start),
-                &pre,
-                &cur.cfg,
-                epoch,
-                &mut scratch,
-            )));
-            sealed += 1;
-            drop(scratch);
-            cell.set_delta_bytes(0);
-            (cur.successor(epoch, pre, segments, None), sealed)
+            w.delta_rows = None;
+            (next, Outcome::Refit)
         } else {
-            // Pure O(batch) path: fold the encoded batch into the delta synopsis
-            // (or build it fresh from the first batch), keep the epoch.
-            let delta = {
-                let _fold = span(Stage::Fold);
-                match &cur.delta {
-                    Some(engine) => engine.with_ingested(&pre.encode_resolved(
-                        batch,
-                        &ranks,
-                        &mut ph_gd::EncodeScratch::new(),
-                    )),
-                    None => build_delta(delta_data, &pre, &cur.cfg, cur.epoch),
+            // Durability point: the batch is accepted — journal it (append +
+            // fsync) *before* any in-memory mutation, so once `ingest` returns
+            // the rows are recoverable. On a journaling failure (e.g. disk
+            // full) the table is untouched and the error propagates; a torn
+            // record from a crash mid-append is discarded by replay as an
+            // unacknowledged tail. Nothing after this point can fail: the batch
+            // schema was fully validated above, so the delta append and
+            // synopsis fold are total.
+            self.wal_append(table, &cell, batch)?;
+            // Edge-free hot path: grow the raw delta rows in place and decide
+            // sealing on the grown delta. `cur` keeps serving until the swap.
+            match w.delta_rows.as_mut() {
+                Some(d) => d.append(batch)?,
+                None => w.delta_rows = Some(batch.clone()),
+            }
+            // Prospective staleness if we only edge-ingest: the grown delta's
+            // share of the table's rows (row-based like
+            // `TableState::staleness`, so a table registered far larger than
+            // its sample size doesn't overstate the delta and seal early).
+            let delta_n = w.delta_rows.as_ref().map_or(0, Dataset::n_rows);
+            let seg_rows: u64 = cur.segments.iter().map(|s| s.engine.params().n_total).sum();
+            let prospective = delta_n as f64 / (seg_rows as f64 + delta_n as f64).max(1.0);
+            let seal = delta_n >= cur.policy.rows || prospective > cur.policy.max_staleness;
+            match if seal { w.delta_rows.take() } else { None } {
+                // Sealing would *freeze* the delta's encoding into a compressed
+                // store — including the lossy saturation of numeric values
+                // below the fitted minimum (`encode` clamps them to 0). Raw
+                // delta rows still hold the true values, so when such values
+                // are present we refit instead: decode everything, fit
+                // transforms that cover the extended range, rebuild once. A
+                // table whose stores do not decode can't refit; its batch is
+                // already journaled, so it seals as encoded rather than failing.
+                Some(rows) => match below_fitted_min(&pre, &rows)
+                    .then(|| rebuild_with_batch(table, &cur, Some(&rows), None))
+                {
+                    Some(Ok(next)) => (next, Outcome::Refit),
+                    _ => seal_delta(&cur, &rows, &mut w.seal_scratch),
+                },
+                // Pure O(batch) path: fold the encoded batch into the delta
+                // synopsis (or build it from the first batch), keep the epoch.
+                None => {
+                    let delta = {
+                        let _fold = span(Stage::Fold);
+                        match &cur.delta {
+                            Some(engine) => engine.with_ingested(&pre.encode_resolved(
+                                batch,
+                                &ranks,
+                                &mut ph_gd::EncodeScratch::new(),
+                            )),
+                            None => build_delta(batch, &pre, &cur.cfg, cur.epoch),
+                        }
+                    };
+                    (cur.successor(cur.epoch, pre, cur.segments.clone(), Some(delta)), Outcome::Fold)
                 }
-            };
-            cell.set_delta_bytes(delta_data.heap_size());
-            (cur.successor(cur.epoch, pre, cur.segments.clone(), Some(delta)), 0)
+            }
         };
-        let staleness = state.staleness();
-        cell.swap(state);
-        if seal {
+
+        // The one publish step. A seal or refit changed the epoch: drop the
+        // table's cached plans — after the swap, so a replan triggered by the
+        // invalidation can only ever see the new epoch — and checkpoint.
+        let delta_bytes = w.delta_rows.as_ref().map_or(0, Dataset::heap_size);
+        cell.delta_bytes.store(delta_bytes, Ordering::Relaxed);
+        let staleness = next.staleness();
+        cell.swap(next);
+        let rebuilt = !matches!(outcome, Outcome::Fold);
+        if rebuilt {
             self.cache.invalidate_table(table);
-            self.sealed(table, &cell);
+            self.sealed(table, &cell, &mut w);
         }
         Ok(IngestReport {
             rows: batch.n_rows(),
             staleness,
-            rebuilt: seal,
-            sealed_segments,
+            rebuilt,
+            sealed_segments: match outcome {
+                Outcome::Seal(n) => n,
+                Outcome::Fold | Outcome::Refit => 0,
+            },
         })
-    }
-
-    /// The refit rebuild: all rows (decoded segment stores + delta + batch) under
-    /// freshly fitted transforms, as one segment. Pure with respect to the
-    /// caller's state — the delta rows are borrowed, not consumed, so a failure
-    /// leaves the table untouched.
-    fn rebuild_with_batch(
-        &self,
-        table: &str,
-        cur: &TableState,
-        delta: Option<&Dataset>,
-        batch: &Dataset,
-    ) -> Result<TableState, PhError> {
-        let mut all: Option<Dataset> = None;
-        for seg in &cur.segments {
-            let decoded = decode_store(table, &cur.pre, &seg.store)?;
-            match all.as_mut() {
-                Some(d) => d.append(&decoded)?,
-                None => all = Some(decoded),
-            }
-        }
-        let mut all = all.unwrap_or_else(|| batch.take(&[]));
-        if let Some(d) = delta {
-            all.append(d)?;
-        }
-        all.append(batch)?;
-        let pre = Arc::new(ph_gd::Preprocessor::fit(&all));
-        let segment = registration_segment(&all, &pre, &cur.cfg);
-        let epoch = segment.engine.plan_epoch();
-        Ok(cur.successor(epoch, pre, vec![Arc::new(segment)], None))
     }
 
     /// Merges `table`'s small sealed segments (fewer rows than the seal
@@ -1224,7 +1130,7 @@ impl Session {
     /// checkpoint recovers it uncompacted.
     pub fn compact(&self, table: &str) -> Result<CompactReport, PhError> {
         let cell = self.cell(table)?;
-        let delta_rows = cell.delta_rows.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let cur = cell.snapshot();
         let threshold = cur.policy.rows;
         let is_small = |s: &Arc<Segment>| s.n_rows() < threshold;
@@ -1256,13 +1162,72 @@ impl Session {
         }
         let after = segments.len();
         cell.swap(cur.successor(cur.epoch, cur.pre.clone(), segments, cur.delta.clone()));
-        let _ = self.checkpoint(table, &cell, delta_rows.as_ref());
+        let _ = self.checkpoint(table, &cell, &mut w);
         Ok(CompactReport {
             segments_before: before,
             segments_after: after,
             rows_compacted,
         })
     }
+}
+
+/// What one ingest did to its table, for the publish step.
+enum Outcome {
+    /// The batch folded into the delta synopsis; the epoch is kept.
+    Fold,
+    /// The delta sealed into this many segments.
+    Seal(usize),
+    /// Every row refit under fresh transforms, into one segment.
+    Refit,
+}
+
+/// The refit rebuild: all rows — decoded segment stores, then `delta`, then
+/// `batch` — under freshly fitted transforms, as one segment. Pure with
+/// respect to the caller's state: the rows are borrowed, not consumed, so a
+/// failure leaves the table untouched.
+fn rebuild_with_batch(
+    table: &str,
+    cur: &TableState,
+    delta: Option<&Dataset>,
+    batch: Option<&Dataset>,
+) -> Result<TableState, PhError> {
+    let decoded =
+        cur.segments.iter().map(|s| decode_store(table, &cur.pre, &s.store).map(Cow::Owned));
+    let kept = [delta, batch].into_iter().flatten().map(|d| Ok(Cow::Borrowed(d)));
+    let mut all: Option<Dataset> = None;
+    for part in decoded.chain(kept) {
+        let part = part?;
+        match all.as_mut() {
+            Some(d) => d.append(&part)?,
+            None => all = Some(part.into_owned()),
+        }
+    }
+    let all = all.ok_or_else(|| PhError::Corrupt(format!("table '{table}' has no rows")))?;
+    let pre = Arc::new(ph_gd::Preprocessor::fit(&all));
+    let segment = registration_segment(&all, &pre, &cur.cfg);
+    let epoch = segment.engine.plan_epoch();
+    Ok(cur.successor(epoch, pre, vec![Arc::new(segment)], None))
+}
+
+/// Seals the whole delta: threshold-sized slices become segments, the last
+/// one possibly smaller. A fresh epoch is minted — sealing re-refines the
+/// delta's synopsis — and retained segments are restamped so the version keeps
+/// one epoch for all engines.
+fn seal_delta(
+    cur: &TableState,
+    rows: &Dataset,
+    scratch: &mut ph_gd::EncodeScratch,
+) -> (TableState, Outcome) {
+    let epoch = next_plan_epoch();
+    let mut segments: Vec<Arc<Segment>> =
+        cur.segments.iter().map(|s| Arc::new(s.restamped(epoch))).collect();
+    let threshold = cur.policy.rows;
+    for start in (0..rows.n_rows()).step_by(threshold) {
+        let slice = rows.slice(start, threshold);
+        segments.push(Arc::new(seal_segment(&slice, &cur.pre, &cur.cfg, epoch, scratch)));
+    }
+    let sealed = segments.len() - cur.segments.len();
+    (cur.successor(epoch, cur.pre.clone(), segments, None), Outcome::Seal(sealed))
 }
 
 /// Whether `data` holds a numeric value below the fitted minimum of its
@@ -1357,25 +1322,49 @@ pub(crate) mod tests {
         assert!(matches!(s.register(dataset("t", 100, 4)), Err(PhError::Schema(_))));
     }
 
+    /// The one query path, three ways in: `sql`, `batch().sql` and `prepare` +
+    /// `execute` walk one sequence — a text hit, a re-spelled fingerprint hit,
+    /// a new-literal miss, then a text hit on a plan from before a seal (what a
+    /// planner racing the seal's invalidation sweep leaves behind), which goes
+    /// stale, re-pins and replans — with equal answers and equal counters.
     #[test]
-    fn plan_cache_hits_on_repeats_and_reformats() {
-        let s = session_with("t", 8_000, 5);
-        let sql = "SELECT AVG(y) FROM t WHERE x > 300 AND x < 700";
-        let first = s.sql(sql).unwrap();
-        assert_eq!(s.cache_stats(), CacheStats { hits: 0, misses: 1, entries: 1 });
-        // Byte-identical text: hit without parsing.
-        let second = s.sql(sql).unwrap();
-        assert_eq!(first, second, "cached plan must answer identically");
-        assert_eq!(s.cache_stats().hits, 1);
-        // Re-formatted spelling of the same template: parses, then hits by
-        // fingerprint without re-planning.
-        let third = s.sql("select avg(y) from t where x > 300 and x < 700 ;").unwrap();
-        assert_eq!(first, third);
-        assert_eq!(s.cache_stats().hits, 2);
-        assert_eq!(s.cache_stats().entries, 1);
-        // Different literal = different template.
-        s.sql("SELECT AVG(y) FROM t WHERE x > 301 AND x < 700").unwrap();
-        assert_eq!(s.cache_stats().misses, 2);
+    fn sql_batch_and_prepare_walk_one_query_path() {
+        const Q: &str = "SELECT AVG(y) FROM t WHERE x > 300 AND x < 700";
+        let steps = [
+            Q,
+            "select avg(y) from t where x > 300 and x < 700 ;",
+            "SELECT AVG(y) FROM t WHERE x > 301 AND x < 700",
+        ];
+        fn answer(path: usize, s: &Session, batch: &mut BatchSession<'_>, sql: &str) -> AqpAnswer {
+            match path {
+                0 => s.sql(sql),
+                1 => batch.sql(sql),
+                _ => s.prepare(sql).and_then(|p| s.execute(&p)),
+            }
+            .unwrap()
+        }
+        let walks: Vec<(Vec<AqpAnswer>, CacheStats)> = (0..3)
+            .map(|path| {
+                let s = session_with("t", 8_000, 5);
+                s.set_max_staleness(0.3);
+                s.sql(Q).unwrap();
+                let mut batch = s.batch();
+                let mut answers: Vec<AqpAnswer> =
+                    steps.iter().map(|sql| answer(path, &s, &mut batch, sql)).collect();
+                assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses: 2, entries: 2 });
+                let old = s.cache.get_by_text(Q).unwrap();
+                assert!(s.ingest("t", &dataset("t", 8_000, 6)).unwrap().rebuilt);
+                assert!(matches!(s.execute(&old), Err(PhError::StalePlan(_))));
+                s.cache.insert(Q, &old);
+                let mut batch = s.batch();
+                answers.push(answer(path, &s, &mut batch, Q));
+                assert_ne!(s.cache.get_by_text(Q).unwrap().token(), old.token(), "path {path}");
+                (answers, s.cache_stats())
+            })
+            .collect();
+        assert_eq!(walks[0].0[0], walks[0].0[1], "one template, one answer");
+        assert_eq!(walks[0].1, CacheStats { hits: 2, misses: 3, entries: 1 });
+        assert!(walks.iter().all(|walk| *walk == walks[0]), "{walks:?}");
     }
 
     #[test]
@@ -1465,6 +1454,60 @@ pub(crate) mod tests {
         // Every row is still served.
         let est = s.sql("SELECT COUNT(x) FROM t").unwrap().scalar().unwrap();
         assert!((est.value - 11_000.0).abs() / 11_000.0 < 0.03, "{}", est.value);
+    }
+
+    /// The one publish step, by batch shape: a plain fold keeps the epoch, the
+    /// table's cached plans and the home's checkpoints as they were; a
+    /// threshold seal, a refit for a value below the fitted minimum and a
+    /// refit for a novel category each mint an epoch, drop the plans and
+    /// commit a checkpoint. Either way the table's stats say what the report
+    /// says.
+    #[test]
+    fn every_batch_shape_publishes_through_one_step() {
+        let rows = |n: usize, x0: i64, c0: &str| {
+            let x = (0..n as i64).map(|i| Some(if i == 0 { x0 } else { i % 1_000 })).collect();
+            let y = (0..n as i64).map(|i| Some(i % 2_000)).collect();
+            let c = (0..n).map(|i| Some(if i == 0 { c0 } else { ["a", "b", "c"][i % 3] }));
+            Dataset::builder("t")
+                .column(Column::from_ints("x", x))
+                .unwrap()
+                .column(Column::from_ints("y", y))
+                .unwrap()
+                .column(Column::from_strings("c", c.collect()))
+                .unwrap()
+                .build()
+        };
+        let shapes = [
+            ("fold", rows(500, 0, "a"), false),
+            ("threshold seal", rows(3_000, 0, "a"), true),
+            ("below-minimum refit", rows(3_000, -5, "a"), true),
+            ("novel-category refit", rows(500, 0, "NEW"), true),
+        ];
+        for (k, (shape, batch, rebuilt)) in shapes.iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("ph_publish_{}_{k}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let s = Session::with_config(PairwiseHistConfig { parallel: false, ..Default::default() });
+            s.set_max_staleness(f64::INFINITY);
+            s.set_seal_threshold(3_000);
+            s.enable_wal(&dir).unwrap();
+            s.register(dataset("t", 6_000, 70)).unwrap();
+            s.sql("SELECT COUNT(x) FROM t WHERE y > 100").unwrap();
+            let before = s.table_stats("t").unwrap();
+            let report = s.ingest("t", batch).unwrap();
+            let after = s.table_stats("t").unwrap();
+            let changed = [
+                report.rebuilt,
+                after.epoch != before.epoch,
+                s.cache_stats().entries == 0,
+                after.checkpoints > before.checkpoints,
+            ];
+            assert_eq!(changed, [*rebuilt; 4], "{shape}: {report:?}");
+            assert_eq!(report.sealed_segments > 0, *shape == "threshold seal", "{shape}");
+            assert_eq!(after.staleness, report.staleness, "{shape}");
+            let delta = if report.rebuilt { 0 } else { before.delta_rows + report.rows as u64 };
+            assert_eq!(after.delta_rows, delta, "{shape}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1632,28 +1675,6 @@ pub(crate) mod tests {
         assert!(max.value <= 99.0, "null sentinel must not leak into MAX: {}", max.value);
     }
 
-    #[test]
-    fn stale_prepared_plans_rejected_after_seal() {
-        let s = session_with("t", 5_000, 32);
-        s.set_max_staleness(0.3);
-        let sql = "SELECT COUNT(x) FROM t WHERE x > 400";
-        let plan = s.prepare(sql).unwrap();
-        assert!(s.execute(&plan).is_ok());
-        // Trigger a seal: the delta's synopsis is re-refined, held handles go
-        // stale.
-        let r = s.ingest("t", &dataset("t", 5_000, 33)).unwrap();
-        assert!(r.rebuilt);
-        assert!(
-            matches!(s.execute(&plan), Err(PhError::StalePlan(_))),
-            "stale plan must be rejected, not silently mis-answered"
-        );
-        // `sql` with the same text re-prepares transparently.
-        assert!(s.sql(sql).is_ok());
-        // Re-preparing the same text works and answers over the grown table.
-        let fresh = s.prepare(sql).unwrap();
-        assert!(s.execute(&fresh).is_ok());
-    }
-
     /// Regression (satellite fix): a `Prepared` from a *different session* whose
     /// table shares the name must be rejected by session identity — with an error
     /// that names the real mistake — not merely by the engine's epoch token.
@@ -1673,41 +1694,6 @@ pub(crate) mod tests {
         let q = ph_sql::parse_query("SELECT COUNT(x) FROM t").unwrap();
         let raw = s2.engine("t").unwrap().prepare(&q).unwrap();
         assert!(s2.execute(&raw).is_ok());
-    }
-
-    #[test]
-    fn concurrent_readers_and_writer_smoke() {
-        // The full stress test lives in tests/concurrent_session.rs; this is the
-        // in-crate smoke: shared &Session, two readers racing one ingesting
-        // writer, nothing panics and answers stay plausible.
-        let s = session_with("t", 6_000, 50);
-        s.set_max_staleness(0.25); // force seals mid-run
-        std::thread::scope(|scope| {
-            let session = &s;
-            scope.spawn(move || {
-                for k in 0..4 {
-                    session.ingest("t", &dataset("t", 2_000, 60 + k)).unwrap();
-                }
-            });
-            for _ in 0..2 {
-                scope.spawn(move || {
-                    for _ in 0..200 {
-                        let est = session
-                            .sql("SELECT COUNT(x) FROM t")
-                            .expect("sql must retry through seals")
-                            .scalar()
-                            .unwrap();
-                        assert!(
-                            est.value >= 5_000.0 && est.value <= 15_000.0,
-                            "count estimate out of the ingest timeline: {}",
-                            est.value
-                        );
-                    }
-                });
-            }
-        });
-        let final_est = s.sql("SELECT COUNT(x) FROM t").unwrap().scalar().unwrap();
-        assert!((final_est.value - 14_000.0).abs() / 14_000.0 < 0.05, "{}", final_est.value);
     }
 
     #[test]

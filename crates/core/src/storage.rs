@@ -154,8 +154,8 @@ impl PairwiseHist {
     /// so it is supplied here.
     ///
     /// Parallel query execution is an execution-environment property, not synopsis
-    /// data, so it is not serialized; restored synopses default to enabled — use
-    /// [`PairwiseHist::set_parallel_exec`] to opt out on thread-restricted hosts.
+    /// data, so it is not serialized: a restored synopsis fans large grouped
+    /// queries out across threads, with answers identical to serial execution.
     ///
     /// Returns `None` on malformed input.
     pub fn from_bytes(data: &[u8], pre: Arc<Preprocessor>) -> Option<Self> {

@@ -183,6 +183,36 @@ fn ingest_lands_rows_via_json_and_csv() {
     server.shutdown();
 }
 
+/// `"rows": []` is a valid batch with nothing in it: 200 with `rows: 0`, and
+/// the table's log and delta stay exactly as they were.
+#[test]
+fn empty_ingest_journals_and_publishes_nothing() {
+    let dir = std::env::temp_dir().join(format!("ph_server_empty_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Arc::new(Session::new());
+    session.register(demo_dataset("demo", 2_000)).unwrap();
+    session.enable_wal(&dir).unwrap();
+    let (server, mut client) = serve(session, ServerConfig::default());
+    let row = Json::Obj(vec![
+        ("x".into(), Json::Num(5.0)),
+        ("y".into(), Json::Num(1.5)),
+        ("c".into(), Json::Str("a".into())),
+    ]);
+    client.ingest_rows("demo", vec![row]).unwrap();
+    let log_and_delta = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        let table = &stats.get("tables").and_then(Json::as_arr).unwrap()[0];
+        ["wal_records", "delta_rows"].map(|k| table.get(k).and_then(Json::as_f64).unwrap())
+    };
+    let before = log_and_delta(&mut client);
+    assert_eq!(before, [1.0, 1.0], "one journaled row in the delta");
+    let report = client.ingest_rows("demo", Vec::new()).expect("an empty batch is valid");
+    assert_eq!(report.get("rows").and_then(Json::as_f64), Some(0.0));
+    assert_eq!(log_and_delta(&mut client), before);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn endpoints_and_methods_are_routed() {
     let session = Arc::new(Session::new());

@@ -7,7 +7,8 @@
 //! same batches serially (builds and edge-free ingests are fully deterministic
 //! given the same data and config). So:
 //!
-//! * no call may panic or error (readers retry transparently through rebuilds);
+//! * no call may panic or error (readers retry transparently through rebuilds,
+//!   whether they answer through `Session::sql` or a `Session::batch()`);
 //! * every answer a reader observes must equal, bit for bit, the answer some
 //!   point-in-time state of the ingest timeline gives — i.e. pre- or
 //!   post-some-batch consistent, never a half-applied blend;
@@ -123,17 +124,27 @@ fn readers_stay_consistent_while_writer_ingests() {
             done.store(true, Ordering::Release);
         });
 
-        for reader in 0..3usize {
+        for reader in 0..4usize {
             scope.spawn(move || {
                 let mut iterations = 0usize;
+                // Reader 3 answers through a batch, as a serving executor
+                // does, renewed every third query: its pins straddle swaps.
+                let mut batch = session.batch();
                 // Keep reading until the writer finishes, then one full sweep
                 // more so every reader also sees the final state.
                 loop {
                     let finished = done.load(Ordering::Acquire);
                     for (qi, sql) in WORKLOAD.iter().enumerate() {
-                        let answer = session
-                            .sql(sql)
-                            .unwrap_or_else(|e| panic!("reader {reader} query {qi}: {e}"));
+                        let answer = if reader == 3 {
+                            if qi % 3 == 0 {
+                                batch = session.batch();
+                            }
+                            batch.sql(sql)
+                        } else {
+                            session.sql(sql)
+                        };
+                        let answer =
+                            answer.unwrap_or_else(|e| panic!("reader {reader} query {qi}: {e}"));
                         assert!(
                             timeline.iter().any(|step| step[qi] == answer),
                             "reader {reader} got an answer outside the ingest timeline \

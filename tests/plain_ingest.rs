@@ -6,6 +6,7 @@
 //!   that is not there);
 //! * the journal record of a batch is the same bytes whatever dictionary the
 //!   batch was cut with;
+//! * a batch with no rows changes nothing;
 //! * a scaling guard, judged in release builds only: appends to a table with a
 //!   20 000-entry fitted dictionary stay in the low milliseconds.
 
@@ -112,6 +113,43 @@ fn wal_record_does_not_depend_on_the_carried_dictionary() {
     assert_eq!(lean_log, wide_log, "same rows, same record");
     // Fifty short strings and a hundred small numbers, not 20 000 strings.
     assert!(lean_log.len() < 1_200, "{} bytes", lean_log.len());
+}
+
+/// A schema-valid batch with no rows is a no-op: nothing is journaled or
+/// published, and the next real batch gets a delta of its own rather than
+/// being folded into an empty one — the table answers bit for bit as a twin
+/// that never saw the empty batch.
+#[test]
+fn an_empty_batch_changes_nothing() {
+    let rows = |n: usize, salt: i64| {
+        let x = (0..n as i64).map(|i| Some((i * 7_919 + salt) % 1_000)).collect();
+        let y = (0..n as i64).map(|i| Some((i * 104_729 + salt) % 500)).collect();
+        Dataset::builder("t")
+            .column(Column::from_ints("x", x))
+            .unwrap()
+            .column(Column::from_ints("y", y))
+            .unwrap()
+            .build()
+    };
+    let dir = scratch("empty");
+    let (touched, twin) = (Session::new(), Session::new());
+    for session in [&touched, &twin] {
+        session.register(rows(5_000, 0)).unwrap();
+    }
+    touched.enable_wal(&dir).unwrap();
+    let report = touched.ingest("t", &rows(0, 0)).unwrap();
+    assert_eq!((report.rows, report.rebuilt, report.sealed_segments), (0, false, 0));
+    let stats = touched.table_stats("t").unwrap();
+    assert_eq!((stats.wal_records, stats.delta_rows), (0, 0), "{stats:?}");
+    assert!(touched.engine("t").unwrap().delta().is_none(), "an empty delta was published");
+    for session in [&touched, &twin] {
+        session.ingest("t", &rows(100, 3)).unwrap();
+    }
+    for agg in ["COUNT", "SUM", "AVG"] {
+        let sql = format!("SELECT {agg}(x) FROM t WHERE y > 100;");
+        assert_eq!(touched.sql(&sql).unwrap(), twin.sql(&sql).unwrap(), "{sql}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Timing guard: CI runs it with `cargo test --release` (see `build-test-lint`).

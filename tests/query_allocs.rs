@@ -1,5 +1,6 @@
 //! Allocation guard for the hot query path: a plan-cache-hit `Session::sql`
-//! of a scalar plan runs in the calling thread's scratch buffers and allocates
+//! of a scalar plan — or a `BatchSession::sql` once the batch has pinned its
+//! table — runs in the calling thread's scratch buffers and allocates
 //! nothing, whatever the aggregate, the predicate shape or the number of
 //! segments the plan fans out over.
 //!
@@ -125,7 +126,8 @@ fn scalar_pool() -> Vec<String> {
     pool
 }
 
-/// Worst case over the pool of the allocations one warm `Session::sql` makes.
+/// Worst case over the pool of the allocations one warm query makes, through
+/// `Session::sql` and through a `BatchSession` that has pinned the table.
 fn worst_hit(session: &Session, pool: &[String]) -> (u64, String) {
     // Twice: the first run plans and caches, the second grows this thread's
     // scratch to the widest histogram the pool touches.
@@ -134,13 +136,17 @@ fn worst_hit(session: &Session, pool: &[String]) -> (u64, String) {
             session.sql(sql).unwrap();
         }
     }
+    let mut batch = session.batch();
+    batch.sql(&pool[0]).unwrap(); // pins the table: the batch allocates only here
     let misses = session.cache_stats().misses;
     let worst = pool
         .iter()
-        .map(|sql| {
-            let (answer, n) = allocations_of(|| session.sql(sql));
-            assert!(matches!(answer, Ok(AqpAnswer::Scalar(_))), "{sql}: {answer:?}");
-            (n, sql.clone())
+        .flat_map(|sql| {
+            let (direct, n) = allocations_of(|| session.sql(sql));
+            let (batched, m) = allocations_of(|| batch.sql(sql));
+            assert!(matches!(direct, Ok(AqpAnswer::Scalar(_))), "{sql}: {direct:?}");
+            assert_eq!(direct, batched, "{sql}");
+            [(n, format!("Session::sql {sql}")), (m, format!("BatchSession::sql {sql}"))]
         })
         .max()
         .unwrap();
