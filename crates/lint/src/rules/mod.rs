@@ -150,7 +150,8 @@ pub const RULES: &[(&str, &str)] = &[
     (
         no_panic::NAME,
         "unwrap/expect/panic!/unreachable!/todo!/unimplemented!/slice-indexing in serving-path \
-         code (ph_server lib + ph_core session/wal/storage) — a worker must degrade, not die",
+         code (ph_server lib + ph_core session/*, persist, wal, storage) — a worker must \
+         degrade, not die",
     ),
     (
         lock_across_io::NAME,

@@ -90,6 +90,26 @@ fn no_panic_scope_is_serving_path_only() {
     assert!(d.iter().any(|d| d.rule == "no-panic-serving"), "{d:?}");
 }
 
+/// The session module is split across files; every one of them — the three
+/// the split made and any added since — is serving path, held to R2.
+#[test]
+fn no_panic_covers_every_file_of_the_session_module() {
+    let ws = WsCtx::default();
+    let src = read_fixture("no_panic_bad.rs");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src/session");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["ingest.rs", "mod.rs", "query.rs"], "update this list with the module");
+    for file in files {
+        let rel = format!("crates/core/src/session/{file}");
+        let d = lint_source(&rel, &src, &ws);
+        assert!(d.iter().any(|d| d.rule == "no-panic-serving"), "{rel} is out of scope: {d:?}");
+    }
+}
+
 #[test]
 fn lock_across_io_fires_on_bad_and_not_on_good() {
     let ws = WsCtx::default();
