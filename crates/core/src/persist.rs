@@ -534,7 +534,12 @@ impl Session {
     /// no batch is journaled for a table the home has no manifest of (one whose
     /// registration raced [`Session::enable_wal`], or whose checkpoint there
     /// failed). Called under the writer lock before anything else.
-    pub(crate) fn adopt(&self, table: &str, cell: &TableCell, w: &mut Writer) -> Result<(), PhError> {
+    pub(crate) fn adopt(
+        &self,
+        table: &str,
+        cell: &TableCell,
+        w: &mut Writer,
+    ) -> Result<(), PhError> {
         let Some(home) = self.wal_home() else { return Ok(()) };
         if w.durable.home.as_ref().is_some_and(|(dir, _)| *dir == home) {
             return Ok(());

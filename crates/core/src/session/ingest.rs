@@ -27,8 +27,9 @@ pub struct IngestReport {
     pub staleness: f64,
     /// Whether this batch changed the table's plan epoch — a seal (the delta
     /// froze into a segment) or a full refit rebuild (the batch carried values
-    /// the fitted transforms could not encode). Held [`Prepared`](crate::Prepared) handles fail
-    /// with [`PhError::StalePlan`] afterwards.
+    /// the fitted transforms could not encode). Held
+    /// [`Prepared`](crate::Prepared) handles fail with [`PhError::StalePlan`]
+    /// afterwards.
     pub rebuilt: bool,
     /// Sealed segments created by this batch (0 on the pure edge-free path).
     pub sealed_segments: usize,
@@ -229,7 +230,8 @@ impl Session {
                             None => build_delta(batch, &pre, &cur.cfg, cur.epoch),
                         }
                     };
-                    (cur.successor(cur.epoch, pre, cur.segments.clone(), Some(delta)), Outcome::Fold)
+                    let next = cur.successor(cur.epoch, pre, cur.segments.clone(), Some(delta));
+                    (next, Outcome::Fold)
                 }
             }
         };
@@ -268,8 +270,8 @@ impl Session {
     /// blocked. Under a WAL home the merged segment is checkpointed — its one
     /// new blob, then the manifest — before `compact` returns, so a crash does
     /// not undo it; if that checkpoint fails (see
-    /// [`TableStats::checkpoint_failures`](super::TableStats::checkpoint_failures)), a crash before the table's next
-    /// checkpoint recovers it uncompacted.
+    /// [`TableStats::checkpoint_failures`](super::TableStats::checkpoint_failures)),
+    /// a crash before the table's next checkpoint recovers it uncompacted.
     pub fn compact(&self, table: &str) -> Result<CompactReport, PhError> {
         let cell = self.cell(table)?;
         let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
@@ -480,7 +482,8 @@ mod tests {
         for (k, (shape, batch, rebuilt)) in shapes.iter().enumerate() {
             let dir = std::env::temp_dir().join(format!("ph_publish_{}_{k}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let s = Session::with_config(PairwiseHistConfig { parallel: false, ..Default::default() });
+            let cfg = PairwiseHistConfig { parallel: false, ..Default::default() };
+            let s = Session::with_config(cfg);
             s.set_max_staleness(f64::INFINITY);
             s.set_seal_threshold(3_000);
             s.enable_wal(&dir).unwrap();

@@ -429,7 +429,9 @@ impl Session {
         if self.tables.read().unwrap_or_else(PoisonError::into_inner).contains_key(&name) {
             return taken(&name); // lost a registration race for the same name
         }
-        self.checkpoint(&name, &cell, &mut cell.writer.lock().unwrap_or_else(PoisonError::into_inner))?;
+        let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        self.checkpoint(&name, &cell, &mut w)?;
+        drop(w);
         // Fresh data under a quarantined name supersedes the damaged files
         // (its first checkpoint, or the next save_dir, overwrites them).
         self.quarantined.lock().unwrap_or_else(PoisonError::into_inner).remove(&name);

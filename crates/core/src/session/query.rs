@@ -204,12 +204,11 @@ impl Session {
                         None => {
                             let _miss = span(Stage::PlanCacheMiss);
                             let _plan = span(Stage::Plan);
-                            (Arc::new(state.prepare(&query)?.with_session(self.id)), false)
+                            let plan = Arc::new(state.prepare(&query)?.with_session(self.id));
+                            self.cache.misses.inc();
+                            (plan, false)
                         }
                     };
-                    if !hit {
-                        self.cache.misses.inc();
-                    }
                     self.cache.insert(sql, &plan);
                     (state, plan, hit)
                 }

@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn cfg_test_code_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n fn t() { std::fs::remove_dir_all(d); }\n}\n";
-        assert!(run("crates/core/src/session.rs", src).is_empty());
+        assert!(run("crates/core/src/session/mod.rs", src).is_empty());
     }
 
     #[test]

@@ -272,7 +272,7 @@ mod tests {
     use crate::scope::FileCtx;
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        let ctx = FileCtx::new("crates/core/src/session.rs", src);
+        let ctx = FileCtx::new("crates/core/src/session/ingest.rs", src);
         let mut out = Vec::new();
         check(&ctx, &mut out);
         out
