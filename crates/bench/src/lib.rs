@@ -1,21 +1,17 @@
-//! Shared harness for the evaluation binaries (one per paper table/figure).
+//! The evaluation harness: the paper's figures and tables as one emitter,
+//! [`paper`], over the helpers below that run an engine over a workload and
+//! score it against exact answers.
 //!
-//! The experiment index in DESIGN.md §5 maps each binary to its table or figure:
+//! ```text
+//! cargo run --release -p ph-bench --bin paper -- [--only EXPERIMENT] [--rows N] [--seed S]
+//! ```
 //!
-//! | binary   | reproduces |
-//! |----------|------------|
-//! | `fig8`   | Fig 8: median error + synopsis size across the 11 datasets |
-//! | `fig9`   | Fig 9: parameter sensitivity (`M`, `α`, `Ns`) |
-//! | `table5` | Table 5: median error by aggregation function |
-//! | `fig10`  | Fig 10: error CDFs + real-vs-IDEBench comparison |
-//! | `table6` | Table 6: bounds correct-rate and width |
-//! | `fig11`  | Fig 11: synopsis size, total storage, latency, construction time |
-//! | `summary`| Fig 1 / Table 1: all-round comparison |
-//! | `ablation` | DESIGN.md ablations: split rule, GD seeding, sparse counts |
-//!
-//! Absolute numbers depend on hardware and default scale factors (the paper used a
-//! billion-row testbed); the harness is built so the *relative* shapes — who wins,
-//! by what factor, where the crossovers are — reproduce.
+//! prints one JSON row per measurement; DESIGN.md §6 maps each experiment to
+//! its figure or table. Absolute numbers depend on hardware and scale (the
+//! paper used a billion-row testbed); the harness is built so the *relative*
+//! shapes — who wins, by what factor, where the crossovers are — reproduce.
+
+pub mod paper;
 
 use std::time::Instant;
 
@@ -226,143 +222,16 @@ pub fn kde_templates(queries: &[Query]) -> Vec<(String, String)> {
     out
 }
 
-/// Builds the full paper pipeline for a dataset: pre-processing, GreedyGD
-/// compression, and the synopsis seeded from GD bases (Fig 2). Returns the pieces
-/// plus the wall-clock seconds spent on GD compression and on synopsis construction.
-pub fn build_pipeline(
-    data: &Dataset,
-    cfg: &ph_core::PairwiseHistConfig,
-) -> PipelineBuild {
-    let t0 = Instant::now();
-    let pre = std::sync::Arc::new(ph_gd::Preprocessor::fit(data));
-    let encoded = pre.encode(data);
-    let store = ph_gd::GdCompressor::new().compress(&encoded);
-    let gd_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let ph = PairwiseHist::build_from_gd(&store, pre.clone(), cfg);
-    let ph_secs = t1.elapsed().as_secs_f64();
-    PipelineBuild { pre, store, ph, gd_secs, ph_secs }
-}
-
-/// Output of [`build_pipeline`].
-pub struct PipelineBuild {
-    /// Fitted pre-processing transforms.
-    pub pre: std::sync::Arc<ph_gd::Preprocessor>,
-    /// GreedyGD-compressed store.
-    pub store: ph_gd::GdStore,
-    /// The synopsis.
-    pub ph: PairwiseHist,
-    /// Seconds spent fitting + compressing.
-    pub gd_secs: f64,
-    /// Seconds spent building the synopsis.
-    pub ph_secs: f64,
-}
-
-/// The scaled-up dataset of §6: the named analogue at `seed_rows`, scaled to
-/// `target_rows` with the IDEBench-style generator.
+/// The scaled-up dataset of §6: the named analogue at `seed_rows` rows, grown
+/// to `target_rows` with the IDEBench-style generator. A target below
+/// `seed_rows` is the analogue generated at the target size.
 pub fn scaled_dataset(name: &str, seed_rows: usize, target_rows: usize, seed: u64) -> Dataset {
-    let base = ph_datagen::generate(name, seed_rows, seed).expect("known dataset");
+    let base =
+        ph_datagen::generate(name, seed_rows.min(target_rows), seed).expect("known dataset");
     if target_rows <= seed_rows {
         return base;
     }
     ph_datagen::scale_up(&base, target_rows, seed ^ 0x1de_beec4)
-}
-
-/// Tiny fixed-width table printer for experiment output.
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Starts a table with column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Self { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
-    }
-
-    /// Adds one row (must match the header arity).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Renders with per-column width fitting.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let joined: Vec<String> = cells
-                .iter()
-                .zip(&widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect();
-            println!("  {}", joined.join("  "));
-        };
-        line(&self.header);
-        println!("  {}", widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>().join("  "));
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
-
-/// Formats seconds human-readably (the Fig 11(d) axis style).
-pub fn fmt_duration(secs: f64) -> String {
-    if secs < 1.0 {
-        format!("{:.0} ms", secs * 1e3)
-    } else if secs < 120.0 {
-        format!("{secs:.1} s")
-    } else if secs < 7200.0 {
-        format!("{:.1} min", secs / 60.0)
-    } else {
-        format!("{:.1} h", secs / 3600.0)
-    }
-}
-
-/// Formats bytes with the units the paper uses.
-pub fn fmt_bytes(bytes: usize) -> String {
-    let b = bytes as f64;
-    if b < 1024.0 {
-        format!("{bytes} B")
-    } else if b < 1024.0 * 1024.0 {
-        format!("{:.1} KB", b / 1024.0)
-    } else if b < 1024.0 * 1024.0 * 1024.0 {
-        format!("{:.2} MB", b / (1024.0 * 1024.0))
-    } else {
-        format!("{:.2} GB", b / (1024.0 * 1024.0 * 1024.0))
-    }
-}
-
-/// Simple `--key value` argument reader shared by the binaries.
-pub struct Args {
-    args: Vec<String>,
-}
-
-impl Args {
-    /// Captures the process arguments.
-    pub fn capture() -> Self {
-        Self { args: std::env::args().skip(1).collect() }
-    }
-
-    /// Reads `--name v` as a parsed value, falling back to `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let flag = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Whether a bare `--name` flag is present.
-    pub fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == &format!("--{name}"))
-    }
 }
 
 #[cfg(test)]
@@ -407,6 +276,13 @@ mod tests {
         let b = bounds_stats(&outcomes, &truths);
         assert_eq!(b.n, 2);
         assert!((b.correct_rate - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn scaled_dataset_has_exactly_the_target_rows() {
+        for target in [500, 2_000, 5_000] {
+            assert_eq!(scaled_dataset("Power", 2_000, target, 1).n_rows(), target);
+        }
     }
 
     #[test]

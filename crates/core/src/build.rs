@@ -94,15 +94,6 @@ impl BuildParams {
     }
 }
 
-/// Construction statistics for the benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BuildStats {
-    /// Wall time of 1-d histogram construction.
-    pub secs_1d: f64,
-    /// Wall time of 2-d histogram construction.
-    pub secs_2d: f64,
-}
-
 /// The PairwiseHist synopsis: per-column histograms, per-pair histograms, and the
 /// pre-processing transforms needed to run queries.
 #[derive(Debug, Clone)]
@@ -117,8 +108,6 @@ pub struct PairwiseHist {
     pub(crate) crit: Vec<f64>,
     /// `z` for the two-sided 98-percentile sampling widening (Eq 29).
     pub(crate) z98: f64,
-    /// Wall-clock build phases (not serialized).
-    pub(crate) build_stats: BuildStats,
     /// Sample size at the last full build (staleness accounting for updates).
     pub(crate) ns_at_build: usize,
     /// Whether query execution may fan work out across cores (inherited from
@@ -244,7 +233,6 @@ impl PairwiseHist {
         let params = BuildParams { n_total, ns, m_min, alpha: cfg.alpha };
 
         // --- 1-d histograms (Algorithm 1 lines 2-12) ---
-        let t0 = std::time::Instant::now();
         let null_codes: Vec<Option<u64>> =
             (0..d).map(|c| pre.transform(c).null_code()).collect();
         let sorted_cols: Vec<Vec<u64>> = (0..d)
@@ -281,10 +269,8 @@ impl PairwiseHist {
                 build_dim_bins_1d(sorted, &edges, m_min, cfg.split_rule, &mut chi2)
             })
             .collect();
-        let secs_1d = t0.elapsed().as_secs_f64();
 
         // --- 2-d histograms (lines 13-26), parallel across pairs ---
-        let t1 = std::time::Instant::now();
         let tasks: Vec<(usize, usize)> =
             (1..d).flat_map(|j| (0..j).map(move |i| (i, j))).collect();
         let n_pairs = tasks.len();
@@ -335,7 +321,6 @@ impl PairwiseHist {
         }
         let pairs: Vec<PairHist> =
             pairs.into_iter().map(|p| p.expect("pair built")).collect();
-        let secs_2d = t1.elapsed().as_secs_f64();
 
         // Precompute chi-squared criticals up to the largest sub-bin count any bin
         // can request at query time.
@@ -362,7 +347,6 @@ impl PairwiseHist {
             pre,
             crit,
             z98: normal_quantile(0.99),
-            build_stats: BuildStats { secs_1d, secs_2d },
             parallel_exec: cfg.parallel,
             plan_epoch: next_plan_epoch(),
         }
@@ -419,11 +403,6 @@ impl PairwiseHist {
     /// Total number of 2-d cells across pairs.
     pub fn total_2d_cells(&self) -> usize {
         self.pairs.iter().map(|p| p.counts.len()).sum()
-    }
-
-    /// Wall-clock construction phases.
-    pub fn build_stats(&self) -> BuildStats {
-        self.build_stats
     }
 }
 

@@ -64,7 +64,7 @@ mod weights;
 
 pub use aggregate::Estimate;
 pub use bins::DimBins;
-pub use build::{BuildStats, PairwiseHist, PairwiseHistConfig, SplitRule};
+pub use build::{PairwiseHist, PairwiseHistConfig, SplitRule};
 pub use build2d::PairHist;
 pub use coverage::RangeSet;
 pub use engine::{AqpAnswer, AqpError};

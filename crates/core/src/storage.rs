@@ -25,7 +25,7 @@ use ph_gd::Preprocessor;
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
 
 use crate::bins::DimBins;
-use crate::build::{BuildParams, BuildStats, PairwiseHist};
+use crate::build::{BuildParams, PairwiseHist};
 use crate::build2d::{parent_map, PairHist};
 
 const MAGIC: &[u8; 4] = b"PWH1";
@@ -365,7 +365,6 @@ impl PairwiseHist {
             pre,
             crit,
             z98: normal_quantile(0.99),
-            build_stats: BuildStats { secs_1d: 0.0, secs_2d: 0.0 },
             parallel_exec: true,
             plan_epoch: crate::build::next_plan_epoch(),
         })
