@@ -57,6 +57,14 @@ impl BatchSession<'_> {
     pub fn sql(&mut self, sql: &str) -> Result<AqpAnswer, PhError> {
         self.session.run(sql, Some(&mut self.pins), |state, plan| state.execute_prepared(plan))
     }
+
+    /// Whether this exact spelling of `sql` has a plan in the session's text
+    /// index: one read-only probe that pins nothing and counts nothing. A plan
+    /// evicted or invalidated between the probe and [`BatchSession::sql`] is
+    /// planned again there.
+    pub fn is_cached(&self, sql: &str) -> bool {
+        self.session.cache.has_text(sql)
+    }
 }
 
 /// The table versions a [`BatchSession`] has pinned, one per table, each at
@@ -105,6 +113,10 @@ impl PlanCache {
 
     fn get_by_text(&self, sql: &str) -> Option<Arc<Prepared>> {
         self.shard_for_text(sql).read().unwrap_or_else(PoisonError::into_inner).by_text.get(sql).cloned()
+    }
+
+    fn has_text(&self, sql: &str) -> bool {
+        self.shard_for_text(sql).read().unwrap_or_else(PoisonError::into_inner).by_text.contains_key(sql)
     }
 
     fn get_by_fp(&self, fp: u64) -> Option<Arc<Prepared>> {
@@ -378,6 +390,24 @@ mod tests {
         assert_eq!(walks[0].0[0], walks[0].0[1], "one template, one answer");
         assert_eq!(walks[0].1, CacheStats { hits: 2, misses: 3, entries: 1 });
         assert!(walks.iter().all(|walk| *walk == walks[0]), "{walks:?}");
+    }
+
+    /// The probe a server routes by: true exactly for a spelling the text
+    /// index holds, false again once a rebuild drops the table's plans, and it
+    /// moves no counter.
+    #[test]
+    fn is_cached_probes_the_text_index_without_counting() {
+        const Q: &str = "SELECT COUNT(y) FROM t WHERE x > 300";
+        let s = session_with("t", 8_000, 5);
+        s.set_max_staleness(0.3);
+        let batch = s.batch();
+        assert!(!batch.is_cached(Q));
+        s.sql(Q).unwrap();
+        assert!(batch.is_cached(Q));
+        assert!(!batch.is_cached("select count(y) from t where x > 300"), "never spelled so");
+        assert_eq!(s.cache_stats(), CacheStats { hits: 0, misses: 1, entries: 1 });
+        assert!(s.ingest("t", &dataset("t", 8_000, 6)).unwrap().rebuilt);
+        assert!(!batch.is_cached(Q), "a rebuild drops the table's plans");
     }
 
     #[test]

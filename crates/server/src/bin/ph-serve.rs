@@ -163,12 +163,13 @@ fn main() {
             let stats = server.stats();
             server.shutdown();
             println!(
-                "ph-serve done: accepted={} open_at_stop={} rejected_503={} pipelined={} queue_hwm={}",
+                "ph-serve done: accepted={} open_at_stop={} rejected_503={} pipelined={} queue_hwm={} queries_on_loop={}",
                 stats.accepted_connections,
                 stats.open_connections,
                 stats.rejected_503,
                 stats.pipelined_requests,
                 stats.executor_queue_hwm,
+                stats.queries_on_loop,
             );
         }
         // Serve until the process is killed.

@@ -1,8 +1,9 @@
 //! The readiness loop: one thread owning the listener and every connection,
 //! each a [`Conn`] state machine in a generation-stamped slab — accept and the
 //! connection cap, incremental parsing with ordered pipeline slots, write-out,
-//! the three deadlines, and the endpoints the loop answers itself. See the
-//! architecture notes in [`crate::server`].
+//! the three deadlines, the endpoints the loop answers itself, and the
+//! per-wake dispatch that runs a lone cached query here and hands everything
+//! else to the workers. See the architecture notes in [`crate::server`].
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -10,11 +11,10 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use ph_core::BatchSession;
 use ph_obs::{Stage, Trace};
 use polling::Event;
 
-use crate::exec::{execute_traced, root_stage, Done, Job};
+use crate::exec::{execute_traced, Call, Done, Job};
 use crate::http::{response_bytes, response_bytes_typed, try_parse_request, HttpError, Request};
 use crate::json::{obj, Json};
 use crate::server::Shared;
@@ -79,6 +79,9 @@ pub(crate) struct EventLoop<'a> {
     /// Set once `stop` is observed: accepting has ceased, idle connections
     /// are swept, the loop drains in-flight work then exits.
     stopping: bool,
+    /// `/query` and `/ingest` requests parsed this wake, in parse order,
+    /// waiting for [`EventLoop::dispatch`] at the wake's end.
+    ready: Vec<Job>,
 }
 
 impl<'a> EventLoop<'a> {
@@ -93,12 +96,12 @@ impl<'a> EventLoop<'a> {
             open: 0,
             accept_paused: false,
             stopping: false,
+            ready: Vec::new(),
         }
     }
 
     pub(crate) fn run(mut self) {
         let shared = self.shared;
-        let inline = shared.cfg.workers == 0;
         let mut events: Vec<Event> = Vec::new();
         loop {
             if !self.stopping && shared.stop.load(Ordering::Acquire) {
@@ -126,8 +129,6 @@ impl<'a> EventLoop<'a> {
             for done in finished {
                 self.apply_done(done);
             }
-            // One pinned snapshot per poll drain in inline mode.
-            let mut batch = if inline { Some(shared.session.batch()) } else { None };
             for i in 0..events.len() {
                 let Some(ev) = events.get(i).copied() else { break };
                 if ev.key == LISTENER_KEY {
@@ -140,10 +141,10 @@ impl<'a> EventLoop<'a> {
                     self.write_out(ev.key);
                 }
                 if ev.readable {
-                    self.conn_readable(ev.key, &mut batch);
+                    self.conn_readable(ev.key);
                 }
             }
-            drop(batch);
+            self.dispatch();
             let now = Instant::now();
             for (key, gen) in self.wheel.drain_expired(now) {
                 shared.metrics.timer_fired.inc();
@@ -260,7 +261,7 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    fn conn_readable(&mut self, key: usize, batch: &mut Option<BatchSession<'_>>) {
+    fn conn_readable(&mut self, key: usize) {
         let mut fatal = false;
         {
             let Some(conn) = self.conns.get_mut(key).and_then(|s| s.as_mut()) else { return };
@@ -293,16 +294,16 @@ impl<'a> EventLoop<'a> {
         if fatal {
             return self.close(key);
         }
-        self.parse_requests(key, batch);
+        self.parse_requests(key);
         self.after_read(key);
     }
 
     /// Drain every complete pipelined request buffered on `key`.
-    fn parse_requests(&mut self, key: usize, batch: &mut Option<BatchSession<'_>>) {
+    fn parse_requests(&mut self, key: usize) {
         let max_body = self.shared.cfg.max_body_bytes;
         loop {
             enum Parsed {
-                Req { seq: u64, keep: bool, req: Request, trace: Option<Trace> },
+                Req { seq: u64, keep: bool, req: Request, origin: Option<Instant> },
                 Fatal { seq: u64, status: u16, kind: &'static str, message: String },
                 Silent,
                 Idle,
@@ -319,16 +320,8 @@ impl<'a> EventLoop<'a> {
                     Ok(Some(req)) => {
                         // The first request parsed this wake is anchored at
                         // its observed first byte; pipelined successors start
-                        // now. Only executor-bound endpoints are traced.
-                        let t0 = conn.req_t0.take();
-                        let trace = if ph_obs::tracing_on() && root_stage(&req).is_some() {
-                            let origin = t0.unwrap_or_else(Instant::now);
-                            let mut t = Trace::with_origin(origin);
-                            t.record_between(Stage::HttpRead, origin, Instant::now());
-                            Some(t)
-                        } else {
-                            None
-                        };
+                        // when they are routed.
+                        let origin = conn.req_t0.take();
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
                         conn.inflight.push_back(None);
@@ -344,7 +337,7 @@ impl<'a> EventLoop<'a> {
                             conn.buf.clear();
                         }
                         conn.idle_deadline = Instant::now() + self.shared.cfg.idle_timeout;
-                        Parsed::Req { seq, keep, req, trace }
+                        Parsed::Req { seq, keep, req, origin }
                     }
                     Ok(None) => Parsed::Idle,
                     Err(HttpError::Malformed(m)) => {
@@ -367,9 +360,7 @@ impl<'a> EventLoop<'a> {
                 }
             };
             match parsed {
-                Parsed::Req { seq, keep, req, trace } => {
-                    self.route(key, seq, keep, req, trace, batch);
-                }
+                Parsed::Req { seq, keep, req, origin } => self.route(key, seq, keep, req, origin),
                 Parsed::Fatal { seq, status, kind, message } => {
                     let body = error_body(status, kind, &message, None);
                     self.fill(key, seq, response_bytes(status, &body.to_string(), false), false);
@@ -381,17 +372,11 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// Dispatch one parsed request: loop-served endpoints answer inline;
-    /// query/ingest go to the executor (or run on the inline batch).
-    fn route(
-        &mut self,
-        key: usize,
-        seq: u64,
-        keep: bool,
-        req: Request,
-        mut trace: Option<Trace>,
-        batch: &mut Option<BatchSession<'_>>,
-    ) {
+    /// Route one parsed request: loop-served endpoints answer at once;
+    /// `/query` and `/ingest` join the wake's ready list (see
+    /// [`EventLoop::dispatch`]), traced from `origin`, the request's first
+    /// byte, when that was observed.
+    fn route(&mut self, key: usize, seq: u64, keep: bool, req: Request, origin: Option<Instant>) {
         let shared = self.shared;
         let gen = match self.conns.get(key).and_then(|s| s.as_ref()) {
             Some(conn) => conn.gen,
@@ -414,37 +399,80 @@ impl<'a> EventLoop<'a> {
             self.fill(key, seq, response_bytes(status, &body.to_string(), keep), keep);
             return;
         }
-        if let Some(b) = batch.as_mut() {
-            // Inline mode: no queue, so admission is a zero-width marker and
-            // the trace installs on the loop thread itself.
-            if let Some(mut t) = trace.take() {
-                let now = Instant::now();
-                t.record_between(Stage::Admission, t0, now);
-                ph_obs::trace::install(t);
-            }
-            let (_, _, bytes) = execute_traced(shared, b, &req, keep);
-            self.fill(key, seq, bytes, keep);
-            return;
-        }
-        if let Some(t) = trace.as_mut() {
-            t.record_between(Stage::Admission, t0, Instant::now());
-        }
-        let job = Job { key, gen, seq, keep_alive: keep, req, trace, queued_at: Instant::now() };
-        if shared.work.try_push(job).is_err() {
-            // Admission control, stage two: the executor queue is full.
-            shared.metrics.rejected.inc();
-            let body = error_body(
-                503,
-                "overload",
-                "server at capacity (executor queue full); retry with backoff",
-                None,
-            );
-            self.fill(key, seq, response_bytes(503, &body.to_string(), keep), keep);
-        }
+        let trace = ph_obs::tracing_on().then(|| {
+            let origin = origin.unwrap_or(t0);
+            let mut t = Trace::with_origin(origin);
+            t.record_between(Stage::HttpRead, origin, t0);
+            t
+        });
+        let call = Call::of(req);
+        self.ready.push(Job { key, gen, seq, keep_alive: keep, call, trace, queued_at: t0 });
     }
 
-    /// A finished executor response; dropped if the connection died or the
-    /// slot was reused (generation mismatch).
+    /// Runs or hands off the requests of this wake's ready list. The loop
+    /// runs one itself when it is the wake's only one, its connection has no
+    /// earlier request unanswered, and it is a query whose exact SQL text has
+    /// a cached plan — or, with `workers: 0`, always. Everything else goes to
+    /// the workers in one queue push. The architecture notes in
+    /// [`crate::server`] say why each condition is there.
+    fn dispatch(&mut self) {
+        if self.ready.is_empty() {
+            return;
+        }
+        let shared = self.shared;
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut batch = shared.session.batch();
+        let on_loop = shared.cfg.workers == 0
+            || match ready.as_slice() {
+                [Job { key, gen, call: Call::Query(Some(sql)), .. }] => {
+                    let alone = self
+                        .conns
+                        .get(*key)
+                        .and_then(|s| s.as_ref())
+                        .is_some_and(|c| c.gen == *gen && c.inflight.len() == 1);
+                    alone && batch.is_cached(sql)
+                }
+                _ => false,
+            };
+        // Admission ends here: at the wake's end, where each request learns
+        // where it runs.
+        let now = Instant::now();
+        for job in &mut ready {
+            if let Some(t) = job.trace.as_mut() {
+                t.record_between(Stage::Admission, job.queued_at, now);
+            }
+            job.queued_at = now;
+        }
+        if on_loop {
+            for mut job in ready.drain(..) {
+                if let Some(t) = job.trace.take() {
+                    ph_obs::trace::install(t);
+                }
+                if matches!(job.call, Call::Query(_)) {
+                    shared.metrics.queries_on_loop.inc();
+                }
+                let bytes = execute_traced(shared, &mut batch, &job.call, job.keep_alive);
+                self.apply_done(job.done(bytes));
+            }
+        } else {
+            for job in shared.work.push_all(ready.drain(..)) {
+                // Admission control, stage two: the executor queue is full.
+                shared.metrics.rejected.inc();
+                let body = error_body(
+                    503,
+                    "overload",
+                    "server at capacity (executor queue full); retry with backoff",
+                    None,
+                );
+                let bytes = response_bytes(503, &body.to_string(), job.keep_alive);
+                self.apply_done(job.done(bytes));
+            }
+        }
+        self.ready = ready;
+    }
+
+    /// A finished response; dropped if the connection died or the slot was
+    /// reused (generation mismatch) since its request was parsed.
     fn apply_done(&mut self, done: Done) {
         let live = self
             .conns
@@ -620,8 +648,7 @@ impl<'a> EventLoop<'a> {
         };
         match verdict {
             Verdict::Dead => {}
-            // Timeouts close silently, exactly like the blocking pool's
-            // socket-timeout path: a stalled peer gets no farewell body.
+            // Timeouts close silently: a stalled peer gets no farewell body.
             Verdict::Expired => self.close(key),
             Verdict::Reschedule(next) => self.wheel.schedule(key, gen, next),
         }

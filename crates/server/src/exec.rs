@@ -1,8 +1,18 @@
-//! The executor side: the bounded [`WorkQueue`] between the event loop and
-//! the worker threads, the batch-draining [`executor_loop`], and the two
-//! stateful endpoints (`POST /query`, `POST /ingest`) with their tracing,
-//! metrics and query-log bookkeeping. Inline mode (`workers: 0`) runs the same
-//! [`execute_traced`] on the loop thread.
+//! The executor side: the two stateful endpoints as [`Call`]s, the bounded
+//! [`WorkQueue`] between the event loop and the worker threads, the
+//! batch-draining [`executor_loop`], and [`execute_traced`], which runs a
+//! call with its tracing, metrics and query-log bookkeeping on whichever
+//! thread the loop chose.
+//!
+//! A call is decoded once, on the loop: `POST /query` travels as its SQL
+//! text, which the loop needs anyway to probe the plan cache. The loop runs a
+//! query itself when it is the only executor-bound request of its poll wake,
+//! its connection has no earlier request unanswered, and its exact SQL text
+//! has a cached plan. Everything else — misses, ingests, pipelined bursts,
+//! wakes with several ready requests — is pushed here, all of one wake under
+//! one lock hold so a worker drains it as one batch in request order.
+//! `workers: 0` runs every call on the loop. The architecture notes in
+//! [`crate::server`] say why each condition is there.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,18 +34,48 @@ use crate::wire::{answer_to_json, error_body, status_for};
 /// one snapshot.
 const EXEC_BATCH: usize = 64;
 
-/// One parsed request handed to the executor.
+/// What an executor-bound request asks for, decoded once on the loop.
+pub(crate) enum Call {
+    /// `POST /query` with its SQL: a JSON body's `"sql"` member, or the raw
+    /// body as UTF-8. `None` when the body is neither (answered `400`).
+    Query(Option<String>),
+    /// `POST /ingest`; its body is decoded where it runs.
+    Ingest(Request),
+}
+
+impl Call {
+    /// The call of a request the loop does not answer itself, which is a
+    /// `POST` to `/query` or `/ingest`.
+    pub(crate) fn of(req: Request) -> Call {
+        if req.path == "/query" {
+            Call::Query(query_text(req.body))
+        } else {
+            Call::Ingest(req)
+        }
+    }
+}
+
+/// One parsed executor-bound request, on its way to the thread that runs it.
 pub(crate) struct Job {
     pub(crate) key: usize,
     pub(crate) gen: u64,
     pub(crate) seq: u64,
     pub(crate) keep_alive: bool,
-    pub(crate) req: Request,
+    pub(crate) call: Call,
     /// The request's trace (origin at its first byte, HTTP-read and admission
-    /// spans already recorded); `None` when tracing is off.
+    /// spans already recorded once it leaves the loop); `None` when tracing
+    /// is off.
     pub(crate) trace: Option<Trace>,
-    /// When the job entered the executor queue — the queue-wait span's start.
+    /// Start of the job's current wait: its admission on the loop until the
+    /// wake dispatches it, then its stay in the executor queue.
     pub(crate) queued_at: Instant,
+}
+
+impl Job {
+    /// This job's finished response, `bytes`.
+    pub(crate) fn done(&self, bytes: Vec<u8>) -> Done {
+        Done { key: self.key, gen: self.gen, seq: self.seq, bytes, keep_alive: self.keep_alive }
+    }
 }
 
 /// One finished response headed back to the loop.
@@ -71,33 +111,39 @@ impl WorkQueue {
         }
     }
 
-    /// Admits `job` if there is room; hands it back (for the in-stream 503)
-    /// otherwise.
+    /// Admits `jobs` in order under one lock hold, as many as there is room
+    /// for, and hands back the rest (for their in-stream 503s). One hold
+    /// keeps the requests of one loop wake together: the next worker to pop
+    /// drains them as one batch, in request order.
     ///
     /// Poison policy: the mutex is only held for these few lines, so a
     /// poisoned lock means a thread panicked mid-queue-op. That is treated as
     /// shutdown — the loop sheds requests (503) instead of propagating the
     /// panic and taking the whole server down with it.
-    // The Err variant carries the whole Job back on purpose: the caller still
-    // owns the parsed request and must fill its pipeline slot with the 503.
-    // Boxing it would put an allocation on the admission path to move 152
-    // bytes that the success path moves anyway.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
-        let Ok(mut inner) = self.inner.lock() else { return Err(job) };
-        if inner.closed || inner.q.len() >= self.cap {
-            return Err(job);
+    pub(crate) fn push_all(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<Job> {
+        let jobs = jobs.into_iter();
+        let Ok(mut inner) = self.inner.lock() else { return jobs.collect() };
+        let mut shed = Vec::new();
+        let mut admitted = 0;
+        for job in jobs {
+            if inner.closed || inner.q.len() >= self.cap {
+                shed.push(job);
+            } else {
+                inner.q.push_back(job);
+                admitted += 1;
+            }
         }
-        inner.q.push_back(job);
         self.hwm.fetch_max(inner.q.len() as u64, Ordering::Relaxed);
         drop(inner);
-        self.ready.notify_one();
-        Ok(())
+        for _ in 0..admitted {
+            self.ready.notify_one();
+        }
+        shed
     }
 
     /// Blocks for the next batch (up to `max` jobs in one lock hold); `None`
     /// once closed and drained — or if the lock is poisoned (see
-    /// [`WorkQueue::try_push`]): surviving workers drain out exactly as on a
+    /// [`WorkQueue::push_all`]): surviving workers drain out exactly as on a
     /// normal shutdown.
     fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
         let mut inner = self.inner.lock().ok()?;
@@ -133,14 +179,8 @@ pub(crate) fn executor_loop(shared: &Shared) {
                 trace.record_between(Stage::QueueWait, job.queued_at, Instant::now());
                 ph_obs::trace::install(trace);
             }
-            let (_, _, bytes) = execute_traced(shared, &mut batch, &job.req, job.keep_alive);
-            done.push(Done {
-                key: job.key,
-                gen: job.gen,
-                seq: job.seq,
-                bytes,
-                keep_alive: job.keep_alive,
-            });
+            let bytes = execute_traced(shared, &mut batch, &job.call, job.keep_alive);
+            done.push(job.done(bytes));
         }
         {
             let mut pending = shared.done.lock().unwrap_or_else(|p| p.into_inner());
@@ -150,30 +190,26 @@ pub(crate) fn executor_loop(shared: &Shared) {
     }
 }
 
-/// The request root stage for tracing, by path: queries and ingests get a
-/// whole-request root span; everything else runs untraced.
-pub(crate) fn root_stage(req: &Request) -> Option<Stage> {
-    match req.path.as_str() {
-        "/query" => Some(Stage::Query),
-        "/ingest" => Some(Stage::Ingest),
-        _ => None,
-    }
-}
-
-/// Runs one executor-bound request under its installed trace (if any): a root
-/// span wraps execution and serialization, endpoint metrics and the query log
-/// record the outcome, and the finished trace drains into the stage
-/// histograms and forensics rings.
+/// Runs one call under its installed trace (if any) and returns the response
+/// bytes: a root span wraps execution and serialization, endpoint metrics and
+/// the query log record the outcome, and the finished trace drains into the
+/// stage histograms and forensics rings.
 pub(crate) fn execute_traced(
     shared: &Shared,
     batch: &mut BatchSession<'_>,
-    req: &Request,
+    call: &Call,
     keep_alive: bool,
-) -> (Endpoint, u16, Vec<u8>) {
+) -> Vec<u8> {
     let t0 = Instant::now();
     let traced = ph_obs::trace::is_active();
-    let root = root_stage(req).map(span);
-    let (endpoint, status, body) = execute_request(shared, batch, req);
+    let (endpoint, sql, root) = match call {
+        Call::Query(sql) => (Endpoint::Query, sql.as_deref(), span(Stage::Query)),
+        Call::Ingest(_) => (Endpoint::Ingest, None, span(Stage::Ingest)),
+    };
+    let (status, body) = match call {
+        Call::Query(_) => handle_query(batch, sql),
+        Call::Ingest(req) => handle_ingest(shared, req),
+    };
     let bytes = {
         let _serialize = span(Stage::Serialize);
         response_bytes(status, &body.to_string(), keep_alive)
@@ -185,55 +221,31 @@ pub(crate) fn execute_traced(
         Endpoint::Query => {
             shared.metrics.queries.inc();
             if let Some(qlog) = &shared.qlog {
-                qlog.append(status, micros, &query_text(req).unwrap_or_default());
+                qlog.append(status, micros, sql.unwrap_or_default());
             }
         }
         Endpoint::Ingest if status == 200 => shared.metrics.ingest_batches.inc(),
         _ => {}
     }
     if traced {
-        shared.finish_trace(endpoint, status, micros, req);
+        shared.finish_trace(endpoint, status, micros, sql);
     }
-    (endpoint, status, bytes)
+    bytes
 }
 
-/// The SQL text of a `/query` request: a JSON body's `"sql"` member, or the
+/// The SQL text of a `/query` body: a JSON object's `"sql"` member, or the
 /// raw body as UTF-8.
-pub(crate) fn query_text(req: &Request) -> Option<String> {
-    let text = std::str::from_utf8(&req.body).ok()?;
+fn query_text(body: Vec<u8>) -> Option<String> {
+    let text = String::from_utf8(body).ok()?;
     if text.trim_start().starts_with('{') {
-        let doc = Json::parse(text).ok()?;
+        let doc = Json::parse(&text).ok()?;
         return doc.get("sql")?.as_str().map(str::to_string);
     }
-    Some(text.to_string())
+    Some(text)
 }
 
-/// Executor-side routing: the two stateful endpoints. Everything else was
-/// answered inline and never reaches here.
-fn execute_request(
-    shared: &Shared,
-    batch: &mut BatchSession<'_>,
-    req: &Request,
-) -> (Endpoint, u16, Json) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/query") => {
-            let (status, body) = handle_query(batch, req);
-            (Endpoint::Query, status, body)
-        }
-        ("POST", "/ingest") => {
-            let (status, body) = handle_ingest(shared, req);
-            (Endpoint::Ingest, status, body)
-        }
-        _ => {
-            let body =
-                error_body(404, "no_such_endpoint", &format!("{:?}", req.path), None);
-            (Endpoint::Other, 404, body)
-        }
-    }
-}
-
-fn handle_query(batch: &mut BatchSession<'_>, req: &Request) -> (u16, Json) {
-    let Some(sql) = query_text(req) else {
+fn handle_query(batch: &mut BatchSession<'_>, sql: Option<&str>) -> (u16, Json) {
+    let Some(sql) = sql else {
         return (
             400,
             error_body(
@@ -245,7 +257,7 @@ fn handle_query(batch: &mut BatchSession<'_>, req: &Request) -> (u16, Json) {
         );
     };
     let t0 = Instant::now();
-    match batch.sql(&sql) {
+    match batch.sql(sql) {
         Ok(answer) => {
             let mut body = answer_to_json(&answer);
             if let Json::Obj(members) = &mut body {
@@ -260,7 +272,7 @@ fn handle_query(batch: &mut BatchSession<'_>, req: &Request) -> (u16, Json) {
             let status = status_for(&e);
             // Recover the byte offset a parse error loses crossing `PhError`.
             let position = match &e {
-                PhError::Parse(_) => ph_sql::error_offset(&sql),
+                PhError::Parse(_) => ph_sql::error_offset(sql),
                 _ => None,
             };
             (status, error_body(status, kind_of(&e), &e.to_string(), position))
@@ -317,15 +329,35 @@ mod tests {
             gen: 1,
             seq,
             keep_alive: true,
-            req: Request {
-                method: "POST".into(),
-                path: "/query".into(),
-                params: Vec::new(),
-                headers: Vec::new(),
-                body: Vec::new(),
-            },
+            call: Call::Query(None),
             trace: None,
             queued_at: Instant::now(),
+        }
+    }
+
+    fn query_sql(body: &[u8]) -> Option<String> {
+        let req = Request {
+            method: "POST".into(),
+            path: "/query".into(),
+            params: Vec::new(),
+            headers: Vec::new(),
+            body: body.to_vec(),
+        };
+        match Call::of(req) {
+            Call::Query(sql) => sql,
+            Call::Ingest(_) => panic!("a /query request is a query call"),
+        }
+    }
+
+    /// A `/query` body decodes to its SQL once: a JSON object's `"sql"`
+    /// member or the raw text, and nothing for a body that is neither.
+    #[test]
+    fn query_bodies_decode_to_their_sql() {
+        let sql = "SELECT COUNT(x) FROM t";
+        assert_eq!(query_sql(sql.as_bytes()).as_deref(), Some(sql));
+        assert_eq!(query_sql(br#" {"sql": "SELECT COUNT(x) FROM t"}"#).as_deref(), Some(sql));
+        for bad in [&br#"{"query": "SELECT 1"}"#[..], br#"{"sql": 1}"#, b"{not json", b"\xFF\xFE"] {
+            assert_eq!(query_sql(bad), None, "{bad:?}");
         }
     }
 
@@ -348,7 +380,7 @@ mod tests {
     fn poisoned_work_queue_degrades_to_shutdown() {
         let queue = Arc::new(WorkQueue::new(4));
         poison(&queue);
-        assert!(queue.try_push(job(0)).is_err(), "push sheds instead of panicking");
+        assert_eq!(queue.push_all([job(0)]).len(), 1, "push sheds instead of panicking");
         assert!(queue.pop_batch(8).is_none(), "pop drains out instead of panicking");
         queue.close(); // must not panic, and must still mark the queue closed
         assert!(queue.inner.lock().unwrap_or_else(|p| p.into_inner()).closed);
@@ -360,9 +392,9 @@ mod tests {
     #[test]
     fn work_queue_batches_caps_and_closes() {
         let queue = Arc::new(WorkQueue::new(2));
-        assert!(queue.try_push(job(0)).is_ok());
-        assert!(queue.try_push(job(1)).is_ok());
-        assert!(queue.try_push(job(2)).is_err(), "cap of 2 sheds the third");
+        assert!(queue.push_all([job(0)]).is_empty());
+        let shed = queue.push_all([job(1), job(2)]);
+        assert_eq!(shed.iter().map(|j| j.seq).collect::<Vec<_>>(), vec![2], "cap of 2 sheds the third");
         assert_eq!(queue.hwm.load(Ordering::Relaxed), 2);
         let batch = queue.pop_batch(8).unwrap();
         assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), vec![0, 1]);

@@ -73,10 +73,10 @@ pub struct Request {
 }
 
 impl Request {
-    /// First header with this (case-insensitive) name.
+    /// First header with this (case-insensitive) name. Allocates nothing:
+    /// the loop asks for `connection` on every request it parses.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+        self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
 
     /// First query-string parameter with this name.

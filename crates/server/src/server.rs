@@ -1,6 +1,7 @@
 //! The serving process: a readiness-driven event loop holding thousands of
-//! keep-alive connections, feeding a small batched executor pool that shares
-//! one `Session` snapshot per drained batch.
+//! keep-alive connections. It answers a lone plan-cache hit itself and feeds
+//! everything else to a small batched executor pool that shares one `Session`
+//! snapshot per drained batch.
 //!
 //! # Architecture
 //!
@@ -10,7 +11,8 @@
 //!  (conn cap)        │    epoll · non-blocking      │      │503?   │   …    │ │ one snapshot
 //!                    │  per-conn HTTP state machine │      ▼       │ exec N │ │ per batch
 //!                    │  pipelining · timer wheel    │◀─ completions └────────┘─┘
-//!                    └──────────────────────────────┘   + notify
+//!                    │  runs a lone cached query    │   + notify
+//!                    └──────────────────────────────┘
 //! ```
 //!
 //! * **Readiness, not threads.** One loop thread owns every socket
@@ -30,12 +32,35 @@
 //!   readable socket (incremental, resumable parsing — `try_parse_request`).
 //!   Each request takes an ordered response slot; out-of-order completions
 //!   wait in their slot so responses always leave in request order.
-//! * **Batched execution.** Executor workers drain jobs in batches and run
-//!   each batch through [`ph_core::Session::batch`]: one table-state snapshot
-//!   (one read-lock hit + `Arc` bump) serves the whole batch instead of one
-//!   per request. `workers == 0` selects **inline mode**: the loop executes
-//!   queries itself, one shared snapshot per poll drain and zero cross-thread
-//!   handoffs — the fastest shape on a single-core box.
+//! * **Where a request runs.** The loop collects the `/query` and `/ingest`
+//!   requests it parses in one poll wake, then routes them by one rule that
+//!   uses only what it can observe. It runs a query itself, on the wake's
+//!   [`ph_core::BatchSession`] through the same path a worker uses, when
+//!   three things hold:
+//!   - *it is the wake's only executor-bound request*: with more than one,
+//!     workers can run them side by side while the loop goes back to its
+//!     sockets;
+//!   - *its connection has no earlier request unanswered*: that request may
+//!     be an `/ingest` still at a worker, which the loop must not overtake,
+//!     and the answer would wait behind it in its pipeline slot anyway;
+//!   - *its exact SQL text has a cached plan* (`BatchSession::is_cached`):
+//!     a miss parses and plans, which is work the loop must not stall every
+//!     other socket for. A plan evicted between the probe and the run just
+//!     replans.
+//!
+//!   Dashboards repeat a few query templates, so this is the common served
+//!   query, and handing it off (queue → worker → completion list → poller
+//!   notify → loop) costs as much as running it. `ph_queries_on_loop_total`
+//!   counts these; their traces have no `queue_wait` stage.
+//! * **Batched execution.** Everything else — misses, ingests, pipelined
+//!   bursts, wakes with several ready requests — goes to the executor
+//!   workers, all of one wake in one queue push, so the next worker to pop
+//!   drains them as one batch in request order. A worker runs each batch
+//!   through [`ph_core::Session::batch`]: one table-state snapshot (one
+//!   read-lock hit + `Arc` bump) serves the whole batch instead of one per
+//!   request. `workers == 0` selects **inline mode**: the loop runs every
+//!   request itself, one shared snapshot per poll wake and zero cross-thread
+//!   handoffs, but a slow ingest then stalls every socket.
 //! * **Deadlines by timer wheel.** A hashed wheel (lazy re-validation, so a
 //!   moved deadline never needs cancellation) enforces three clocks per
 //!   connection: a *read* deadline armed at the first byte of a partial
@@ -64,8 +89,7 @@ use polling::{Event, Poller};
 
 pub use crate::config::ServerConfig;
 use crate::event_loop::{EventLoop, LISTENER_KEY};
-use crate::exec::{executor_loop, query_text, Done, WorkQueue};
-use crate::http::Request;
+use crate::exec::{executor_loop, Done, WorkQueue};
 use crate::querylog::QueryLogWriter;
 use crate::stats::{Endpoint, Metrics};
 pub use crate::stats::ServerStats;
@@ -90,8 +114,8 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The one read of the connection- and queue-level counters: `/stats`,
-    /// `/metrics` and the [`Server`] handle all report from this.
+    /// The one read of the connection-, queue- and routing-level counters:
+    /// `/stats`, `/metrics` and the [`Server`] handle all report from this.
     pub(crate) fn connection_stats(&self) -> ServerStats {
         let m = &self.metrics;
         ServerStats {
@@ -100,13 +124,14 @@ impl Shared {
             rejected_503: m.rejected.get(),
             pipelined_requests: m.pipelined.get(),
             executor_queue_hwm: self.work.hwm.load(Ordering::Relaxed),
+            queries_on_loop: m.queries_on_loop.get(),
         }
     }
 
     /// Drains the executing thread's finished trace into the per-stage
     /// histograms, the span flight recorder, and — for a slow query — the
     /// forensics ring. No-op when the request ran untraced.
-    pub(crate) fn finish_trace(&self, endpoint: Endpoint, status: u16, total_us: u64, req: &Request) {
+    pub(crate) fn finish_trace(&self, endpoint: Endpoint, status: u16, total_us: u64, sql: Option<&str>) {
         let Some(trace) = ph_obs::trace::take() else { return };
         let spans = trace.into_spans();
         for s in &spans {
@@ -129,8 +154,8 @@ impl Shared {
             // Slow path only: re-deriving the canonical fingerprint re-parses
             // the SQL, which is fine at forensics frequency. The raw text is
             // never retained — unparseable queries fall back to a text hash.
-            let fingerprint = query_text(req)
-                .map(|sql| match ph_sql::parse_query(&sql) {
+            let fingerprint = sql
+                .map(|sql| match ph_sql::parse_query(sql) {
                     Ok(q) => q.fingerprint(),
                     Err(_) => ph_types::fnv1a(sql.as_bytes()),
                 })

@@ -124,6 +124,8 @@ pub(crate) struct Metrics {
     pub(crate) pipelined: Arc<Counter>,
     /// `/query` requests executed (any status).
     pub(crate) queries: Arc<Counter>,
+    /// The part of `queries` the event loop ran itself instead of a worker.
+    pub(crate) queries_on_loop: Arc<Counter>,
     /// `/ingest` batches applied successfully.
     pub(crate) ingest_batches: Arc<Counter>,
     /// Per-stage time from finished traces, indexed by [`Stage::code`].
@@ -172,6 +174,11 @@ impl Metrics {
                 &[],
             ),
             queries: registry.counter("ph_queries_total", "Queries executed (any status).", &[]),
+            queries_on_loop: registry.counter(
+                "ph_queries_on_loop_total",
+                "Queries the event loop ran itself (a lone plan-cache hit, or any query with workers: 0).",
+                &[],
+            ),
             ingest_batches: registry.counter(
                 "ph_ingest_batches_total",
                 "Ingest batches applied successfully.",
@@ -238,7 +245,7 @@ impl Metrics {
     }
 }
 
-/// Connection- and queue-level serving counters, as reported under
+/// Connection-, queue- and routing-level serving counters, as reported under
 /// `server.connections` in `GET /stats` and by [`Server::stats`](crate::Server::stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
@@ -252,6 +259,9 @@ pub struct ServerStats {
     pub pipelined_requests: u64,
     /// High-water mark of the executor queue depth.
     pub executor_queue_hwm: u64,
+    /// Queries the event loop ran itself rather than handing them to an
+    /// executor worker.
+    pub queries_on_loop: u64,
 }
 
 /// The `GET /debug/slow` body: ring configuration plus the retained slow
@@ -526,6 +536,7 @@ pub(crate) fn stats_json(shared: &Shared) -> Json {
                         ("rejected", Json::Num(conns.rejected_503 as f64)),
                         ("pipelined_requests", Json::Num(conns.pipelined_requests as f64)),
                         ("executor_queue_hwm", Json::Num(conns.executor_queue_hwm as f64)),
+                        ("queries_on_loop", Json::Num(conns.queries_on_loop as f64)),
                     ]),
                 ),
                 ("endpoints", shared.metrics.to_json()),
@@ -563,6 +574,7 @@ mod tests {
         let text = m.registry.render();
         for family in [
             "ph_queries_total",
+            "ph_queries_on_loop_total",
             "ph_query_stage_seconds",
             "ph_ingest_batches_total",
             "ph_connections_open",

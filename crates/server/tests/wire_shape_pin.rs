@@ -96,6 +96,7 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
         "server.connections.executor_queue_hwm",
         "server.connections.open",
         "server.connections.pipelined_requests",
+        "server.connections.queries_on_loop",
         "server.connections.rejected",
         "server.endpoints",
         "server.max_connections",
@@ -193,6 +194,7 @@ fn read_only_endpoints_keep_their_keys_and_metric_families() {
             "ph_pipelined_requests_total counter",
             "ph_plan_cache_hits_total counter",
             "ph_plan_cache_misses_total counter",
+            "ph_queries_on_loop_total counter",
             "ph_queries_total counter",
             "ph_query_stage_seconds histogram",
             "ph_requests_rejected_total counter",

@@ -2,7 +2,7 @@
 //!
 //! 1. **Fidelity under concurrency** — ≥4 client threads against a live
 //!    server get answers bit-identical to direct `Session::sql` on the same
-//!    catalog.
+//!    catalog, whether the event loop or a worker ran them.
 //! 2. **Admission control** — overload returns `503` at the door and the
 //!    workers come back clean afterwards (no wedge).
 //! 3. **Workload memory** — the query log replays to exactly the estimates
@@ -76,6 +76,69 @@ fn concurrent_clients_match_direct_session_bit_identically() {
             });
         }
     });
+    server.shutdown();
+}
+
+/// Every estimate of an answer as `(group, value, lo, hi)` bit patterns.
+fn bits(answer: &AqpAnswer) -> Vec<(String, u64, u64, u64)> {
+    let row =
+        |g: &str, e: &Estimate| (g.to_string(), e.value.to_bits(), e.lo.to_bits(), e.hi.to_bits());
+    match answer {
+        AqpAnswer::Scalar(e) => e.iter().map(|e| row("", e)).collect(),
+        AqpAnswer::Groups(groups) => groups.iter().map(|(g, e)| row(g, e)).collect(),
+    }
+}
+
+/// The value of one unlabelled sample in a Prometheus exposition.
+fn sample(metrics: &str, name: &str) -> f64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} sample in {metrics}"))
+}
+
+/// Four clients on four workers, each cycling plan-cache hits, misses (a
+/// literal no one has sent) and GROUP BYs, so the loop answers some queries
+/// and the workers the rest, often in the same instant. Every answer equals
+/// `Session::sql`'s to the bit, and with no ingest in play every query is
+/// counted once: on the loop or in a worker's batch.
+#[test]
+fn loop_and_worker_answers_agree_under_concurrency() {
+    let session = Arc::new(Session::new());
+    session.register(catalog_dataset(12_000)).unwrap();
+    let server = Server::bind(
+        session.clone(),
+        "127.0.0.1:0",
+        ServerConfig { workers: 4, ..Default::default() },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let addr = &addr;
+            let session = &session;
+            scope.spawn(move || {
+                let mut client = Client::new(addr.clone());
+                for round in 0..30 {
+                    let sql = match round % 3 {
+                        0 => QUERIES[(t + round) % QUERIES.len()].to_string(),
+                        1 => format!("SELECT SUM(y) FROM colors WHERE x > {};", 1 + t * 100 + round),
+                        _ => format!("SELECT AVG(y) FROM colors WHERE x < {} GROUP BY g;", 500 + round % 4),
+                    };
+                    let served = client.query(&sql).expect(&sql);
+                    let direct = session.sql(&sql).expect(&sql);
+                    assert_eq!(bits(&served), bits(&direct), "thread {t} round {round}: {sql}");
+                }
+            });
+        }
+    });
+    let stats = server.stats();
+    assert!(stats.queries_on_loop > 0, "hits repeat, so some ran on the loop: {stats:?}");
+    let metrics = Client::new(addr).metrics().unwrap();
+    let queries = sample(&metrics, "ph_queries_total");
+    let on_workers = sample(&metrics, "ph_exec_batch_size_sum");
+    assert_eq!(queries, 4.0 * 30.0);
+    assert_eq!(stats.queries_on_loop as f64 + on_workers, queries, "{metrics}");
     server.shutdown();
 }
 
