@@ -7,13 +7,11 @@ use std::time::Duration;
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Executor worker threads draining the query queue in snapshot-sharing
-    /// batches. Whatever the count, the event loop runs a query itself when
-    /// it is the only `/query` or `/ingest` of its poll wake, its connection
-    /// has no earlier request unanswered and its SQL text has a cached plan:
-    /// the hand-off would cost as much as the query. `0` = inline mode: the
-    /// loop runs every request itself (no hand-offs, but a slow ingest then
-    /// stalls every socket).
+    /// Executor worker threads draining the query queue one connection's run
+    /// at a time; the event loop still answers a lone plan-cache hit itself
+    /// (see the architecture notes in [`crate::server`]). `0` = inline mode:
+    /// the loop runs every request itself (no hand-offs, but a slow ingest
+    /// then stalls every socket).
     pub workers: usize,
     /// Parsed requests that may wait in the executor queue before the server
     /// answers `503` in-stream.

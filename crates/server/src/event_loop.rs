@@ -409,12 +409,8 @@ impl<'a> EventLoop<'a> {
         self.ready.push(Job { key, gen, seq, keep_alive: keep, call, trace, queued_at: t0 });
     }
 
-    /// Runs or hands off the requests of this wake's ready list. The loop
-    /// runs one itself when it is the wake's only one, its connection has no
-    /// earlier request unanswered, and it is a query whose exact SQL text has
-    /// a cached plan — or, with `workers: 0`, always. Everything else goes to
-    /// the workers in one queue push. The architecture notes in
-    /// [`crate::server`] say why each condition is there.
+    /// Runs this wake's ready list here or hands it to the workers, by the
+    /// rule in the architecture notes of [`crate::server`].
     fn dispatch(&mut self) {
         if self.ready.is_empty() {
             return;
@@ -455,7 +451,7 @@ impl<'a> EventLoop<'a> {
                 self.apply_done(job.done(bytes));
             }
         } else {
-            for job in shared.work.push_all(ready.drain(..)) {
+            for job in shared.work.push_wake(std::mem::take(&mut ready)) {
                 // Admission control, stage two: the executor queue is full.
                 shared.metrics.rejected.inc();
                 let body = error_body(

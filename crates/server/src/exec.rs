@@ -1,18 +1,11 @@
 //! The executor side: the two stateful endpoints as [`Call`]s, the bounded
 //! [`WorkQueue`] between the event loop and the worker threads, the
-//! batch-draining [`executor_loop`], and [`execute_traced`], which runs a
+//! run-draining [`executor_loop`], and [`execute_traced`], which runs a
 //! call with its tracing, metrics and query-log bookkeeping on whichever
-//! thread the loop chose.
-//!
-//! A call is decoded once, on the loop: `POST /query` travels as its SQL
-//! text, which the loop needs anyway to probe the plan cache. The loop runs a
-//! query itself when it is the only executor-bound request of its poll wake,
-//! its connection has no earlier request unanswered, and its exact SQL text
-//! has a cached plan. Everything else — misses, ingests, pipelined bursts,
-//! wakes with several ready requests — is pushed here, all of one wake under
-//! one lock hold so a worker drains it as one batch in request order.
-//! `workers: 0` runs every call on the loop. The architecture notes in
-//! [`crate::server`] say why each condition is there.
+//! thread the loop chose (the rule is in the architecture notes of
+//! [`crate::server`]). A call is decoded once, on the loop: `POST /query`
+//! travels as its SQL text, which the loop needs anyway to probe the plan
+//! cache.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,10 +22,6 @@ use crate::json::{obj, Json};
 use crate::server::Shared;
 use crate::stats::Endpoint;
 use crate::wire::{answer_to_json, error_body, status_for};
-
-/// Most jobs one executor worker drains per wakeup — the batch that shares
-/// one snapshot.
-const EXEC_BATCH: usize = 64;
 
 /// What an executor-bound request asks for, decoded once on the loop.
 pub(crate) enum Call {
@@ -97,60 +86,67 @@ pub(crate) struct WorkQueue {
 }
 
 struct WorkInner {
-    q: VecDeque<Job>,
+    /// Runs of consecutive jobs from one connection, in request order. A
+    /// worker pops one run at a time, so a connection's run is never split
+    /// and different connections' runs go to different workers.
+    q: VecDeque<Vec<Job>>,
+    /// Jobs across all runs — what the cap and the high-water mark count.
+    jobs: usize,
     closed: bool,
 }
 
 impl WorkQueue {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
-            inner: Mutex::new(WorkInner { q: VecDeque::new(), closed: false }),
+            inner: Mutex::new(WorkInner { q: VecDeque::new(), jobs: 0, closed: false }),
             ready: Condvar::new(),
             cap: cap.max(1),
             hwm: AtomicU64::new(0),
         }
     }
 
-    /// Admits `jobs` in order under one lock hold, as many as there is room
-    /// for, and hands back the rest (for their in-stream 503s). One hold
-    /// keeps the requests of one loop wake together: the next worker to pop
-    /// drains them as one batch, in request order.
+    /// Admits one loop wake's jobs, in parse order, as many as there is room
+    /// for, and hands back the rest (for their in-stream 503s). A job joins
+    /// the last queued run when both come from one connection, and starts a
+    /// new run otherwise.
     ///
     /// Poison policy: the mutex is only held for these few lines, so a
     /// poisoned lock means a thread panicked mid-queue-op. That is treated as
     /// shutdown — the loop sheds requests (503) instead of propagating the
     /// panic and taking the whole server down with it.
-    pub(crate) fn push_all(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<Job> {
-        let jobs = jobs.into_iter();
-        let Ok(mut inner) = self.inner.lock() else { return jobs.collect() };
-        let mut shed = Vec::new();
-        let mut admitted = 0;
+    pub(crate) fn push_wake(&self, mut jobs: Vec<Job>) -> Vec<Job> {
+        let Ok(mut inner) = self.inner.lock() else { return jobs };
+        let room = if inner.closed { 0 } else { self.cap.saturating_sub(inner.jobs) };
+        let shed = jobs.split_off(room.min(jobs.len()));
+        inner.jobs += jobs.len();
+        let mut runs = 0;
         for job in jobs {
-            if inner.closed || inner.q.len() >= self.cap {
-                shed.push(job);
-            } else {
-                inner.q.push_back(job);
-                admitted += 1;
+            match inner.q.back_mut() {
+                Some(run) if run.last().is_some_and(|last| last.key == job.key) => run.push(job),
+                _ => {
+                    inner.q.push_back(vec![job]);
+                    runs += 1;
+                }
             }
         }
-        self.hwm.fetch_max(inner.q.len() as u64, Ordering::Relaxed);
+        self.hwm.fetch_max(inner.jobs as u64, Ordering::Relaxed);
         drop(inner);
-        for _ in 0..admitted {
+        for _ in 0..runs {
             self.ready.notify_one();
         }
         shed
     }
 
-    /// Blocks for the next batch (up to `max` jobs in one lock hold); `None`
-    /// once closed and drained — or if the lock is poisoned (see
-    /// [`WorkQueue::push_all`]): surviving workers drain out exactly as on a
+    /// Blocks for the next run of one connection's jobs; `None` once closed
+    /// and drained — or if the lock is poisoned (see
+    /// [`WorkQueue::push_wake`]): surviving workers drain out exactly as on a
     /// normal shutdown.
-    fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
+    fn pop_run(&self) -> Option<Vec<Job>> {
         let mut inner = self.inner.lock().ok()?;
         loop {
-            if !inner.q.is_empty() {
-                let n = inner.q.len().min(max.max(1));
-                return Some(inner.q.drain(..n).collect());
+            if let Some(run) = inner.q.pop_front() {
+                inner.jobs = inner.jobs.saturating_sub(run.len());
+                return Some(run);
             }
             if inner.closed {
                 return None;
@@ -168,9 +164,9 @@ impl WorkQueue {
 }
 
 pub(crate) fn executor_loop(shared: &Shared) {
-    while let Some(jobs) = shared.work.pop_batch(EXEC_BATCH) {
-        // One snapshot pin per table for the whole batch — the point of
-        // draining in batches.
+    while let Some(jobs) = shared.work.pop_run() {
+        // One snapshot pin per table for the whole run — what a pipelined
+        // burst saves.
         shared.metrics.exec_batch.observe(jobs.len() as u64);
         let mut batch = shared.session.batch();
         let mut done = Vec::with_capacity(jobs.len());
@@ -193,10 +189,11 @@ pub(crate) fn executor_loop(shared: &Shared) {
 /// Runs one call under its installed trace (if any) and returns the response
 /// bytes: a root span wraps execution and serialization, endpoint metrics and
 /// the query log record the outcome, and the finished trace drains into the
-/// stage histograms and forensics rings.
-pub(crate) fn execute_traced(
-    shared: &Shared,
-    batch: &mut BatchSession<'_>,
+/// stage histograms and forensics rings. An ingest renews `batch`, so the
+/// calls after it in the batch read what it published.
+pub(crate) fn execute_traced<'s>(
+    shared: &'s Shared,
+    batch: &mut BatchSession<'s>,
     call: &Call,
     keep_alive: bool,
 ) -> Vec<u8> {
@@ -208,7 +205,11 @@ pub(crate) fn execute_traced(
     };
     let (status, body) = match call {
         Call::Query(_) => handle_query(batch, sql),
-        Call::Ingest(req) => handle_ingest(shared, req),
+        Call::Ingest(req) => {
+            let answer = handle_ingest(shared, req);
+            *batch = shared.session.batch();
+            answer
+        }
     };
     let bytes = {
         let _serialize = span(Stage::Serialize);
@@ -323,9 +324,9 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    fn job(seq: u64) -> Job {
+    fn job(key: usize, seq: u64) -> Job {
         Job {
-            key: 0,
+            key,
             gen: 1,
             seq,
             keep_alive: true,
@@ -380,28 +381,57 @@ mod tests {
     fn poisoned_work_queue_degrades_to_shutdown() {
         let queue = Arc::new(WorkQueue::new(4));
         poison(&queue);
-        assert_eq!(queue.push_all([job(0)]).len(), 1, "push sheds instead of panicking");
-        assert!(queue.pop_batch(8).is_none(), "pop drains out instead of panicking");
+        assert_eq!(queue.push_wake(vec![job(0, 0)]).len(), 1, "push sheds instead of panicking");
+        assert!(queue.pop_run().is_none(), "pop drains out instead of panicking");
         queue.close(); // must not panic, and must still mark the queue closed
         assert!(queue.inner.lock().unwrap_or_else(|p| p.into_inner()).closed);
     }
 
-    /// Without poison the queue behaves as a bounded batch queue: jobs come
-    /// back in order and in one batch, the cap sheds, close wakes a parked
-    /// consumer, and the high-water mark records the deepest backlog.
+    /// Without poison the queue behaves as a bounded queue of runs: one
+    /// connection's jobs come back in order and together, the cap sheds,
+    /// close wakes a parked consumer, and the high-water mark records the
+    /// deepest backlog.
     #[test]
     fn work_queue_batches_caps_and_closes() {
         let queue = Arc::new(WorkQueue::new(2));
-        assert!(queue.push_all([job(0)]).is_empty());
-        let shed = queue.push_all([job(1), job(2)]);
-        assert_eq!(shed.iter().map(|j| j.seq).collect::<Vec<_>>(), vec![2], "cap of 2 sheds the third");
+        assert!(queue.push_wake(vec![job(0, 0)]).is_empty());
+        let shed = queue.push_wake(vec![job(0, 1), job(0, 2)]);
+        assert_eq!(seqs(&shed), vec![2], "cap of 2 sheds the third");
         assert_eq!(queue.hwm.load(Ordering::Relaxed), 2);
-        let batch = queue.pop_batch(8).unwrap();
-        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(seqs(&queue.pop_run().unwrap()), vec![0, 1], "a still-queued run takes its connection's next job");
         let q = Arc::clone(&queue);
-        let waiter = std::thread::spawn(move || q.pop_batch(8));
+        let waiter = std::thread::spawn(move || q.pop_run());
         std::thread::sleep(Duration::from_millis(20));
         queue.close();
         assert!(waiter.join().unwrap().is_none(), "parked pop wakes with None on close");
+    }
+
+    fn seqs(jobs: &[Job]) -> Vec<u64> {
+        jobs.iter().map(|j| j.seq).collect()
+    }
+
+    /// One connection's jobs of a wake reach one worker together and in
+    /// order, however full the queue already is, while other connections'
+    /// jobs are separate runs for other workers. The queue is pre-filled with
+    /// 63 runs, so a 64-job batch limit would have cut the last wake's
+    /// two-job run in half; a run longer than that still comes back whole.
+    #[test]
+    fn a_connections_run_is_never_split() {
+        let queue = WorkQueue::new(1_000);
+        for key in 0..63 {
+            assert!(queue.push_wake(vec![job(key, 0)]).is_empty());
+        }
+        let wake = vec![job(100, 0), job(100, 1), job(101, 0), job(102, 0), job(102, 1)];
+        assert!(queue.push_wake(wake).is_empty());
+        assert!(queue.push_wake((0..70).map(|seq| job(103, seq)).collect()).is_empty());
+        for key in 0..63 {
+            assert_eq!(queue.pop_run().unwrap()[0].key, key);
+        }
+        for (key, run) in [(100, vec![0, 1]), (101, vec![0]), (102, vec![0, 1]), (103, (0..70).collect())] {
+            let popped = queue.pop_run().unwrap();
+            assert!(popped.iter().all(|j| j.key == key));
+            assert_eq!(seqs(&popped), run);
+        }
+        assert_eq!(queue.inner.lock().unwrap().jobs, 0);
     }
 }

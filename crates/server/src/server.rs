@@ -1,7 +1,7 @@
 //! The serving process: a readiness-driven event loop holding thousands of
 //! keep-alive connections. It answers a lone plan-cache hit itself and feeds
-//! everything else to a small batched executor pool that shares one `Session`
-//! snapshot per drained batch.
+//! everything else to a small executor pool, one connection's pipelined run
+//! of requests at a time, each run sharing one `Session` snapshot.
 //!
 //! # Architecture
 //!
@@ -9,7 +9,7 @@
 //!                    ┌──────────────────────────────┐  job queue   ┌────────┐
 //!  accept ──▶ 503?──▶│          event loop          │─▶ (bounded) ─▶│ exec 0 │─┐
 //!  (conn cap)        │    epoll · non-blocking      │      │503?   │   …    │ │ one snapshot
-//!                    │  per-conn HTTP state machine │      ▼       │ exec N │ │ per batch
+//!                    │  per-conn HTTP state machine │      ▼       │ exec N │ │ per run
 //!                    │  pipelining · timer wheel    │◀─ completions └────────┘─┘
 //!                    │  runs a lone cached query    │   + notify
 //!                    └──────────────────────────────┘
@@ -32,35 +32,41 @@
 //!   readable socket (incremental, resumable parsing — `try_parse_request`).
 //!   Each request takes an ordered response slot; out-of-order completions
 //!   wait in their slot so responses always leave in request order.
-//! * **Where a request runs.** The loop collects the `/query` and `/ingest`
-//!   requests it parses in one poll wake, then routes them by one rule that
-//!   uses only what it can observe. It runs a query itself, on the wake's
-//!   [`ph_core::BatchSession`] through the same path a worker uses, when
-//!   three things hold:
-//!   - *it is the wake's only executor-bound request*: with more than one,
-//!     workers can run them side by side while the loop goes back to its
-//!     sockets;
+//! * **Where a request runs.** This is the one statement of the rule; the
+//!   code that applies it is `EventLoop::dispatch`. The loop collects the
+//!   `/query` and `/ingest` requests it parses in one poll wake, then routes
+//!   them using only what it can observe. It runs a query itself, on the
+//!   wake's [`ph_core::BatchSession`] through the same path a worker uses,
+//!   when three things hold:
+//!   - *it is the wake's only executor-bound request*: while the loop runs a
+//!     query, every other socket waits, so this bounds that stall to one
+//!     query per wake. Under concurrent load most wakes carry several
+//!     requests, and then execution leaves the loop entirely;
 //!   - *its connection has no earlier request unanswered*: that request may
 //!     be an `/ingest` still at a worker, which the loop must not overtake,
 //!     and the answer would wait behind it in its pipeline slot anyway;
 //!   - *its exact SQL text has a cached plan* (`BatchSession::is_cached`):
-//!     a miss parses and plans, which is work the loop must not stall every
-//!     other socket for. A plan evicted between the probe and the run just
-//!     replans.
+//!     a miss parses and plans, a longer stall. A plan evicted between the
+//!     probe and the run just replans.
 //!
-//!   Dashboards repeat a few query templates, so this is the common served
-//!   query, and handing it off (queue → worker → completion list → poller
-//!   notify → loop) costs as much as running it. `ph_queries_on_loop_total`
-//!   counts these; their traces have no `queue_wait` stage.
-//! * **Batched execution.** Everything else — misses, ingests, pipelined
-//!   bursts, wakes with several ready requests — goes to the executor
-//!   workers, all of one wake in one queue push, so the next worker to pop
-//!   drains them as one batch in request order. A worker runs each batch
-//!   through [`ph_core::Session::batch`]: one table-state snapshot (one
-//!   read-lock hit + `Arc` bump) serves the whole batch instead of one per
-//!   request. `workers == 0` selects **inline mode**: the loop runs every
-//!   request itself, one shared snapshot per poll wake and zero cross-thread
-//!   handoffs, but a slow ingest then stalls every socket.
+//!   A client that waits for each answer before it asks again, alone on the
+//!   server, meets all three on every repeated query, and for it handing
+//!   the query off (queue → worker → completion list → poller notify → loop)
+//!   costs as much as running it. `ph_queries_on_loop_total` counts the
+//!   queries the loop ran; their traces have no `queue_wait` stage.
+//! * **Batched execution.** Everything else goes to the executor workers.
+//!   The requests one connection sent in one wake form one queue entry (a
+//!   *run*), and a worker pops one run at a time, so different connections
+//!   run side by side on different workers. A worker runs a run in request
+//!   order through [`ph_core::Session::batch`]: one table-state snapshot
+//!   (one read-lock hit + `Arc` bump) serves a pipelined burst instead of
+//!   one per request, and an `/ingest` renews it, so a query pipelined
+//!   behind an ingest reads the ingested rows. Requests of one connection
+//!   parsed in *different* wakes keep no order between them once the
+//!   earlier run has left the queue. `workers == 0` selects **inline
+//!   mode**: the loop runs every request itself, one shared snapshot per
+//!   poll wake and zero cross-thread handoffs, but a slow ingest then stalls
+//!   every socket.
 //! * **Deadlines by timer wheel.** A hashed wheel (lazy re-validation, so a
 //!   moved deadline never needs cancellation) enforces three clocks per
 //!   connection: a *read* deadline armed at the first byte of a partial

@@ -130,7 +130,7 @@ pub(crate) struct Metrics {
     pub(crate) ingest_batches: Arc<Counter>,
     /// Per-stage time from finished traces, indexed by [`Stage::code`].
     stages: Vec<Arc<Histogram>>,
-    /// Jobs drained per executor wakeup — the snapshot-sharing batch size.
+    /// Jobs drained per executor wakeup — one connection's snapshot-sharing run.
     pub(crate) exec_batch: Arc<Histogram>,
     /// Time the event loop spent blocked in the poller per iteration.
     pub(crate) poll_wait: Arc<Histogram>,
@@ -176,7 +176,7 @@ impl Metrics {
             queries: registry.counter("ph_queries_total", "Queries executed (any status).", &[]),
             queries_on_loop: registry.counter(
                 "ph_queries_on_loop_total",
-                "Queries the event loop ran itself (a lone plan-cache hit, or any query with workers: 0).",
+                "Queries the event loop ran itself instead of handing them to a worker.",
                 &[],
             ),
             ingest_batches: registry.counter(
@@ -187,7 +187,7 @@ impl Metrics {
             stages,
             exec_batch: registry.histogram(
                 "ph_exec_batch_size",
-                "Jobs drained per executor wakeup (one session snapshot per batch).",
+                "Jobs drained per executor wakeup (one connection's run, one session snapshot).",
                 1.0,
                 &[],
             ),

@@ -351,9 +351,10 @@ fn a_pipelined_burst_of_cached_queries_goes_to_the_workers() {
     server.shutdown();
 }
 
-/// An `/ingest` pipelined ahead of a cached `COUNT` on one connection is
-/// applied before the count runs: the two share a wake, so both go to the
-/// workers in one push and one worker runs them in order.
+/// `COUNT`, `/ingest`, `COUNT` pipelined on one connection run in that
+/// order against what each should see: the three share a wake, so they are
+/// one queue entry that one worker runs in order, and the ingest renews the
+/// batch's snapshot, which the first count had already pinned.
 #[test]
 fn a_pipelined_ingest_then_count_counts_the_ingested_rows() {
     let cfg = ServerConfig { workers: 4, ..Default::default() };
@@ -364,15 +365,17 @@ fn a_pipelined_ingest_then_count_counts_the_ingested_rows() {
     let responses = pipeline_in_one_write(
         server.local_addr(),
         &[
+            ("POST", "/query", "text/plain", sql.as_bytes()),
             ("POST", "/ingest?table=demo", "text/csv", csv.as_bytes()),
             ("POST", "/query", "text/plain", sql.as_bytes()),
         ],
     );
-    assert_eq!(responses[0].0, 200, "{}", responses[0].1);
-    assert_eq!(responses[0].1.get("rows").and_then(Json::as_f64), Some(200.0));
+    assert_eq!(responses[1].0, 200, "{}", responses[1].1);
+    assert_eq!(responses[1].1.get("rows").and_then(Json::as_f64), Some(200.0));
     let after = session.sql(sql).unwrap();
     assert_ne!(after, before, "200 rows with x = 700 move the count");
-    assert_eq!(answer(&responses[1]), after, "the count ran after the ingest");
+    assert_eq!(answer(&responses[0]), before, "the first count ran before the ingest");
+    assert_eq!(answer(&responses[2]), after, "the second count ran after the ingest");
     assert_eq!(server.stats().queries_on_loop, 0);
     server.shutdown();
 }
