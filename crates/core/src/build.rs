@@ -29,13 +29,17 @@ pub enum SplitRule {
 }
 
 /// Construction parameters (paper Table 2: `Ns`, `M`, `α`).
+///
+/// How many threads a build uses is not among them: construction is highly
+/// parallelisable (§4.1), so the pair stage always runs on every core the host
+/// offers, one thread per column pair at most, and the synopsis is the same
+/// for any thread count.
 #[derive(Debug, Clone)]
 pub struct PairwiseHistConfig {
     /// Sample size `Ns` used to construct the synopsis.
     pub ns: usize,
-    /// `M` as a fraction of `Ns` (the paper's experiments use 1%).
-    pub m_fraction: f64,
-    /// Absolute `M` override; takes precedence over [`m_fraction`](Self::m_fraction).
+    /// `M`, the fewest points a bin needs to be split. `None` is the paper's
+    /// choice: 1 % of the realised sample, at least 2.
     pub m_absolute: Option<usize>,
     /// Hypothesis-test significance level `α`.
     pub alpha: f64,
@@ -43,21 +47,16 @@ pub struct PairwiseHistConfig {
     pub split_rule: SplitRule,
     /// Sampling seed (construction is fully deterministic given the seed).
     pub seed: u64,
-    /// Build column pairs on all available cores (§4.1: construction is highly
-    /// parallelisable).
-    pub parallel: bool,
 }
 
 impl Default for PairwiseHistConfig {
     fn default() -> Self {
         Self {
             ns: 100_000,
-            m_fraction: 0.01,
             m_absolute: None,
             alpha: 0.001,
             split_rule: SplitRule::EqualWidth,
             seed: 0x7061_6972,
-            parallel: true,
         }
     }
 }
@@ -66,7 +65,7 @@ impl PairwiseHistConfig {
     /// The effective `M` for a realised sample of `ns_used` rows.
     pub fn m_min(&self, ns_used: usize) -> usize {
         self.m_absolute
-            .unwrap_or_else(|| ((ns_used as f64 * self.m_fraction).round() as usize).max(2))
+            .unwrap_or_else(|| ((ns_used as f64 * 0.01).round() as usize).max(2))
     }
 }
 
@@ -110,9 +109,6 @@ pub struct PairwiseHist {
     pub(crate) z98: f64,
     /// Sample size at the last full build (staleness accounting for updates).
     pub(crate) ns_at_build: usize,
-    /// Whether query execution may fan work out across cores (inherited from
-    /// [`PairwiseHistConfig::parallel`]; results are identical either way).
-    pub(crate) parallel_exec: bool,
     /// Process-unique construction epoch: prepared plans embed it, and execution
     /// rejects plans from a different epoch (clones share the epoch — their plans
     /// are interchangeable; a rebuild never does).
@@ -125,6 +121,18 @@ pub struct PairwiseHist {
 pub(crate) fn next_plan_epoch() -> u64 {
     static EPOCH: AtomicUsize = AtomicUsize::new(1);
     EPOCH.fetch_add(1, Ordering::Relaxed) as u64
+}
+
+/// The one parallelism rule of construction and GROUP BY: a thread per core
+/// the host offers, but no more threads than `units` of work.
+pub(crate) fn workers_for(units: usize) -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get()).min(units).max(1)
+}
+
+/// Threads for the pair stage of a build under `pre`: one unit per column pair.
+fn pair_workers(pre: &Preprocessor) -> usize {
+    let d = pre.n_columns();
+    workers_for(d * d.saturating_sub(1) / 2)
 }
 
 /// Triangular index of pair `(i, j)` with `i < j`.
@@ -152,7 +160,8 @@ impl PairwiseHist {
         // dropped at the end of this statement rather than held through the
         // build, whose sort and bin-index buffers are the peak of a registration.
         let matrix = pre.encode(&data.sample(cfg.ns, cfg.seed));
-        Self::build_from_matrix(&matrix, pre, data.n_rows() as u64, None, cfg)
+        let workers = pair_workers(&pre);
+        Self::build_from_matrix(&matrix, pre, data.n_rows() as u64, None, cfg, workers)
     }
 
     /// Builds on top of GreedyGD-compressed data (the framework of Fig 2): the sample
@@ -215,16 +224,19 @@ impl PairwiseHist {
         let seeds: Vec<Vec<u64>> = (0..matrix.n_columns())
             .map(|c| downsample_seeds(base_values(c), max_seeds))
             .collect();
-        Self::build_from_matrix(&matrix, pre, n as u64, Some(seeds), cfg)
+        let workers = pair_workers(&pre);
+        Self::build_from_matrix(&matrix, pre, n as u64, Some(seeds), cfg, workers)
     }
 
-    /// Core construction from an encoded sample matrix.
+    /// Core construction from an encoded sample matrix, building the column
+    /// pairs on `workers` threads (the synopsis is the same for any count).
     fn build_from_matrix(
         sample: &EncodedMatrix,
         pre: Arc<Preprocessor>,
         n_total: u64,
         seeds: Option<Vec<Vec<u64>>>,
         cfg: &PairwiseHistConfig,
+        workers: usize,
     ) -> Self {
         let d = sample.n_columns();
         assert_eq!(d, pre.n_columns(), "preprocessor/schema mismatch");
@@ -289,11 +301,6 @@ impl PairwiseHist {
                 build_pair(column(i), column(j), m_min, cfg.split_rule, chi2, scratch)
             };
         let mut pairs: Vec<Option<PairHist>> = (0..n_pairs).map(|_| None).collect();
-        let workers = if cfg.parallel {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n_pairs.max(1))
-        } else {
-            1
-        };
         if workers <= 1 {
             let mut scratch = PairScratch::default();
             for (t, task) in tasks.iter().enumerate() {
@@ -347,7 +354,6 @@ impl PairwiseHist {
             pre,
             crit,
             z98: normal_quantile(0.99),
-            parallel_exec: cfg.parallel,
             plan_epoch: next_plan_epoch(),
         }
     }
@@ -467,7 +473,7 @@ mod tests {
     #[test]
     fn clones_share_the_plan_epoch_and_rebuilds_do_not() {
         let data = dataset(2_000, 9);
-        let cfg = PairwiseHistConfig { ns: 2_000, parallel: false, ..Default::default() };
+        let cfg = PairwiseHistConfig { ns: 2_000, ..Default::default() };
         let a = PairwiseHist::build(&data, &cfg);
         assert_eq!(a.plan_epoch(), a.clone().plan_epoch(), "clones serve each other's plans");
         let b = PairwiseHist::build(&data, &cfg);
@@ -479,7 +485,7 @@ mod tests {
         let data = dataset(5000, 1);
         let ph = PairwiseHist::build(
             &data,
-            &PairwiseHistConfig { ns: 5000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 5000, ..Default::default() },
         );
         assert_eq!(ph.n_columns(), 3);
         assert_eq!(ph.pairs.len(), 3); // C(3,2)
@@ -487,16 +493,26 @@ mod tests {
         assert_eq!(ph.pair(1, 0).col_j, 1, "order-insensitive lookup");
     }
 
+    /// The threaded pair stage builds, bit for bit, what one thread builds,
+    /// whatever the host: the worker counts are explicit, so the threads run
+    /// even on one core.
     #[test]
     fn parallel_and_serial_builds_agree() {
         let data = dataset(4000, 2);
-        let mut cfg = PairwiseHistConfig { ns: 4000, ..Default::default() };
-        cfg.parallel = false;
-        let serial = PairwiseHist::build(&data, &cfg);
-        cfg.parallel = true;
-        let parallel = PairwiseHist::build(&data, &cfg);
-        assert_eq!(serial.hist1d, parallel.hist1d);
-        assert_eq!(serial.pairs, parallel.pairs);
+        let cfg = PairwiseHistConfig { ns: 4000, ..Default::default() };
+        let pre = Arc::new(Preprocessor::fit(&data));
+        let matrix = pre.encode(&data);
+        let build = |workers| {
+            PairwiseHist::build_from_matrix(&matrix, pre.clone(), 4000, None, &cfg, workers)
+        };
+        let serial = build(1);
+        for workers in [2, 3] {
+            let threaded = build(workers);
+            assert_eq!(serial.hist1d, threaded.hist1d, "{workers} workers");
+            assert_eq!(serial.pairs, threaded.pairs, "{workers} workers");
+            assert_eq!(serial.to_bytes(), threaded.to_bytes(), "{workers} workers");
+        }
+        assert_eq!(serial.to_bytes(), PairwiseHist::build(&data, &cfg).to_bytes());
     }
 
     #[test]
@@ -515,7 +531,7 @@ mod tests {
         let data = dataset(6000, 4);
         let ph = PairwiseHist::build(
             &data,
-            &PairwiseHistConfig { ns: 6000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 6000, ..Default::default() },
         );
         // Column y has ~5% nulls; 1-d counts must equal non-null sample rows.
         let y_nonnull = data.column(1).valid_count() as u64;

@@ -8,7 +8,7 @@ use ph_sql::{AggFunc, Query};
 use ph_types::PhError;
 
 use crate::aggregate::{estimate, Estimate};
-use crate::build::PairwiseHist;
+use crate::build::{workers_for, PairwiseHist};
 use crate::coverage::RangeSet;
 use crate::plan::{compile_predicate, PlanNode};
 use crate::prepared::{AqpEngine, Prepared};
@@ -233,7 +233,10 @@ impl PairwiseHist {
                 AqpAnswer::Scalar(e)
             }
             Some((gcol, n_groups)) => {
-                AqpAnswer::Groups(self.execute_groups(agg, p, gcol, n_groups, &mut ctx))
+                let work = n_groups * self.hist1d(p.agg_col).k();
+                let workers =
+                    if work >= PARALLEL_GROUP_WORK { workers_for(n_groups) } else { 1 };
+                AqpAnswer::Groups(self.execute_groups(agg, p, gcol, n_groups, workers, &mut ctx))
             }
         }
     }
@@ -244,8 +247,8 @@ impl PairwiseHist {
     /// each group then contributes only its own leaf — a point coverage on the
     /// group column, combined with the shared vector by the element-wise AND
     /// rule (Eq 25). That turns the seed's O(groups × plan) recursion into
-    /// O(plan + groups), and the per-group loop itself fans out across cores
-    /// when `groups × bins` is large enough to pay for the threads.
+    /// O(plan + groups), and the per-group loop itself fans out across
+    /// `workers` threads, each owning a contiguous run of groups.
     ///
     /// Every group's weighting is *identical* (bit-for-bit) to recomputing
     /// `AND(plan, group-leaf)` from scratch: the AND rule is a plain product,
@@ -256,6 +259,7 @@ impl PairwiseHist {
         p: &PhPlan,
         gcol: usize,
         n_groups: usize,
+        workers: usize,
         ctx: &mut WeightCtx<'_>,
     ) -> BTreeMap<String, Estimate> {
         let agg_col = p.agg_col;
@@ -290,12 +294,6 @@ impl PairwiseHist {
             Some((label, e))
         };
 
-        let k = self.hist1d(agg_col).k();
-        let workers = if self.parallel_exec && n_groups * k >= PARALLEL_GROUP_WORK {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n_groups)
-        } else {
-            1
-        };
         if workers <= 1 {
             let out = (0..n_groups).filter_map(|rank| one_group(ctx, rank)).collect();
             // Back to the pool, or the next grouped query allocates it afresh.
@@ -560,11 +558,7 @@ mod tests {
     fn build(data: &Dataset) -> PairwiseHist {
         PairwiseHist::build(
             data,
-            &PairwiseHistConfig {
-                ns: data.n_rows(),
-                parallel: false,
-                ..Default::default()
-            },
+            &PairwiseHistConfig { ns: data.n_rows(), ..Default::default() },
         )
     }
 
@@ -714,10 +708,10 @@ mod tests {
         }
     }
 
+    /// The fanned-out GROUP BY answers, bit for bit, what one thread answers.
+    /// The worker counts are explicit, so the threads run even on one core.
     #[test]
     fn parallel_and_serial_group_by_agree() {
-        // Enough groups that groups × bins crosses the parallel threshold: the
-        // fanned-out path must produce answers identical to the serial one.
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
         let n = 40_000;
         let x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..2000))).collect();
@@ -733,18 +727,27 @@ mod tests {
             .column(Column::from_strings("g", g))
             .unwrap()
             .build();
-        let serial = build(&data); // parallel: false
-        let parallel = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: data.n_rows(), parallel: true, ..Default::default() },
-        );
-        assert_eq!(serial.hist1d, parallel.hist1d, "builds must agree first");
+        let ph = build(&data);
         let q = parse_query("SELECT COUNT(x) FROM t WHERE y > 300 GROUP BY g").unwrap();
-        let a = serial.execute(&q).unwrap();
-        let b = parallel.execute(&q).unwrap();
-        assert_eq!(a, b);
-        let groups = a.groups().expect("grouped answer");
-        assert!(groups.len() > 250, "most groups populated, got {}", groups.len());
+        let p = ph.plan_query(&q).unwrap();
+        let (gcol, n_groups) = p.group.unwrap();
+        let groups = |workers| {
+            with_scratch(|scratch| {
+                let mut ctx = WeightCtx::new(&ph, p.agg_col, scratch);
+                ph.execute_groups(q.agg, &p, gcol, n_groups, workers, &mut ctx)
+            })
+        };
+        let bits = |g: &BTreeMap<String, Estimate>| -> Vec<(String, [u64; 5])> {
+            g.iter()
+                .map(|(k, e)| (k.clone(), [e.value, e.lo, e.hi, e.support, e.mean].map(f64::to_bits)))
+                .collect()
+        };
+        let serial = groups(1);
+        assert!(serial.len() > 250, "most groups populated, got {}", serial.len());
+        for workers in [2, 3] {
+            assert_eq!(bits(&groups(workers)), bits(&serial), "{workers} workers");
+        }
+        assert_eq!(ph.execute(&q).unwrap(), AqpAnswer::Groups(serial), "the gated path");
     }
 
     /// Random-query corpus: the canonicalized optimized pipeline agrees with the
@@ -936,7 +939,7 @@ mod tests {
         let data = flights_like(40_000, 17);
         let ph = PairwiseHist::build(
             &data,
-            &PairwiseHistConfig { ns: 8_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 8_000, ..Default::default() },
         );
         let q = parse_query("SELECT COUNT(delay) FROM flights WHERE dist > 1000").unwrap();
         let a = ph.execute(&q).unwrap().scalar().unwrap();
@@ -965,7 +968,7 @@ mod tests {
         let ph = PairwiseHist::build_from_gd(
             &store,
             pre,
-            &PairwiseHistConfig { ns: 10_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 10_000, ..Default::default() },
         );
         let q = parse_query("SELECT AVG(dist) FROM flights WHERE air_time > 100").unwrap();
         let a = ph.execute(&q).unwrap().scalar().unwrap();

@@ -14,10 +14,10 @@
 //! these bodies:
 //!
 //! ```text
-//! manifest "PWT2" v4 (<base>.pwhs):
+//! manifest "PWT2" v5 (<base>.pwhs):
 //!     u16 name_len | name | u32 pre_len | preprocessor
-//!     | u64 ns | f64 m_fraction | u64 m_absolute (u64::MAX = none) | f64 alpha
-//!     | u8 split_rule | u64 seed | u8 parallel          (the build configuration)
+//!     | u64 ns | u64 m_absolute (u64::MAX = none) | f64 alpha
+//!     | u8 split_rule | u64 seed                        (the build configuration)
 //!     | u64 seal_rows | f64 max_staleness                 (the seal policy)
 //!     | u64 wal_seq | u32 n_segments | u64 blob_number × n_segments
 //! segment "PSG3" v3 (<base>.seg<blob_number>.phseg):
@@ -70,7 +70,7 @@ use crate::wal;
 
 /// Magic and frame version of the table manifest.
 const TABLE_MAGIC: &[u8; 4] = b"PWT2";
-const TABLE_VERSION: u8 = 4;
+const TABLE_VERSION: u8 = 5;
 /// Magic and frame version of a segment blob.
 const SEGMENT_MAGIC: &[u8; 4] = b"PSG3";
 const SEGMENT_VERSION: u8 = 3;
@@ -181,14 +181,13 @@ fn table_manifest_to_bytes(
     frame(TABLE_MAGIC, TABLE_VERSION, |out| {
         let mut put = |bytes: &[u8]| out.extend_from_slice(bytes);
         let name = table.as_bytes();
-        debug_assert!(name.len() <= u16::MAX as usize, "register_with rejects longer names");
+        debug_assert!(name.len() <= u16::MAX as usize, "register rejects longer names");
         put(&(name.len() as u16).to_le_bytes());
         put(name);
         let pre_bytes = pre.to_bytes();
         put(&(pre_bytes.len() as u32).to_le_bytes());
         put(&pre_bytes);
         put(&(cfg.ns as u64).to_le_bytes());
-        put(&cfg.m_fraction.to_bits().to_le_bytes());
         put(&cfg.m_absolute.map_or(u64::MAX, |m| m as u64).to_le_bytes());
         put(&cfg.alpha.to_bits().to_le_bytes());
         put(&[match cfg.split_rule {
@@ -196,7 +195,6 @@ fn table_manifest_to_bytes(
             SplitRule::EqualDepth => 1,
         }]);
         put(&cfg.seed.to_le_bytes());
-        put(&[u8::from(cfg.parallel)]);
         put(&(policy.rows as u64).to_le_bytes());
         put(&policy.max_staleness.to_bits().to_le_bytes());
         put(&wal_seq.to_le_bytes());
@@ -217,7 +215,6 @@ fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
     let pre = Preprocessor::from_bytes(r.bytes(pre_len)?)?;
     let cfg = PairwiseHistConfig {
         ns: r.count()?,
-        m_fraction: r.f64().filter(|f| f.is_finite() && *f >= 0.0)?,
         m_absolute: match r.u64()? {
             u64::MAX => None,
             m => Some(usize::try_from(m).ok().filter(|&m| m > 0)?),
@@ -229,11 +226,6 @@ fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
             _ => return None,
         },
         seed: r.u64()?,
-        parallel: match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        },
     };
     let policy = SealPolicy {
         rows: r.count()?,
@@ -435,7 +427,8 @@ fn checkpoint_into(
 /// beside it, the delta is serialized as a final sealed segment and the
 /// watermark covers every journaled batch. The manifest carries the build
 /// configuration as the first segment was built — `Ns` clamped to the rows it
-/// held, `M` fixed — the configuration every reopened export has sealed with.
+/// held, `M` fixed, the table's own `α`, split rule and seed — the
+/// configuration every reopened export has sealed with.
 fn export(
     dir: &Path,
     table: &str,
@@ -457,7 +450,7 @@ fn export(
         ns: built.ns,
         alpha: built.alpha,
         m_absolute: Some(built.m_min),
-        ..PairwiseHistConfig::default()
+        ..state.cfg.clone()
     };
     let wal_seq = cell.wal_seq.load(Ordering::Relaxed);
     commit(dir, &file_base_for(table), blobs, |named| {
@@ -986,7 +979,7 @@ mod tests {
         let data = dataset("t", 4_000, 7);
         let ph = PairwiseHist::build(
             &data,
-            &PairwiseHistConfig { ns: 4_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 4_000, ..Default::default() },
         );
         let pre = ph.preprocessor().clone();
         let matrix = pre.encode(&data);
@@ -1019,12 +1012,10 @@ mod tests {
         let pre = Preprocessor::fit(&dataset("t", 300, 3));
         let cfg = PairwiseHistConfig {
             ns: 1_234,
-            m_fraction: 0.02,
             m_absolute: Some(17),
             alpha: 0.01,
             split_rule: SplitRule::EqualDepth,
             seed: 99,
-            parallel: false,
         };
         let policy = SealPolicy { rows: 777, max_staleness: f64::INFINITY };
         let bytes = table_manifest_to_bytes("t", &pre, &cfg, policy, 41, &[3, 9]);
@@ -1035,6 +1026,26 @@ mod tests {
         let zero_m = PairwiseHistConfig { m_absolute: Some(0), ..cfg };
         let bytes = table_manifest_to_bytes("t", &pre, &zero_m, policy, 41, &[3]);
         assert!(table_manifest_from_bytes(&bytes).is_none(), "M = 0 cannot build");
+    }
+
+    /// An export keeps the table's own seed and split rule; only `Ns` and `M`
+    /// are clamped to what the first segment was built with.
+    #[test]
+    fn export_manifest_keeps_the_tables_seed_and_split_rule() {
+        let cfg = PairwiseHistConfig {
+            seed: 99,
+            split_rule: SplitRule::EqualDepth,
+            ..Default::default()
+        };
+        let s = Session::with_config(cfg);
+        s.register(dataset("t", 2_000, 4)).unwrap();
+        let dir = scratch("export_cfg");
+        s.save_dir(&dir).unwrap();
+        let bytes = std::fs::read(dir.join(format!("{}.pwhs", file_base_for("t")))).unwrap();
+        let m = table_manifest_from_bytes(&bytes).expect("decodes");
+        assert_eq!((m.cfg.seed, m.cfg.split_rule), (99, SplitRule::EqualDepth));
+        assert_eq!((m.cfg.ns, m.cfg.m_absolute), (2_000, Some(20)), "Ns and M clamped");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Rows ingested before the session had a WAL home are journaled as one
@@ -1070,7 +1081,7 @@ mod tests {
     #[test]
     fn each_seal_checkpoints_one_blob_and_leaves_the_log_to_the_delta() {
         let dir = scratch("bound");
-        let s = Session::with_config(PairwiseHistConfig { parallel: false, ..Default::default() });
+        let s = Session::new();
         s.set_max_staleness(f64::INFINITY);
         s.set_seal_threshold(1_000);
         s.enable_wal(&dir).unwrap();

@@ -619,8 +619,8 @@ mod tests {
 
     /// The seal builds neither the GD store nor a decoded sample, and must end
     /// where the long way round ends: the synopsis of `build_from_gd` over the
-    /// compressed rows, byte for byte, serial and parallel, sampled and not —
-    /// and the store `choose_store` keeps, kind and bytes.
+    /// compressed rows, byte for byte, sampled and not — and the store
+    /// `choose_store` keeps, kind and bytes.
     #[test]
     fn sealed_segment_equals_build_from_gd_and_choose_store() {
         let store_bytes = |s: &RowStore| match s {
@@ -634,19 +634,16 @@ mod tests {
                 let data = shaped(shape, n, seed);
                 let pre = Arc::new(Preprocessor::fit(&data));
                 let matrix = pre.encode(&data);
-                for parallel in [false, true] {
-                    let cfg = PairwiseHistConfig { ns, parallel, ..Default::default() };
-                    let sealed = sealed_segment(&matrix, &pre, &cfg, 7);
-                    let gd = GdCompressor::new().compress(&matrix);
-                    let long_way = PairwiseHist::build_from_gd(&gd, pre.clone(), &cfg);
-                    let case =
-                        format!("shape {shape} seed {seed} n {n} ns {ns} parallel {parallel}");
-                    assert_eq!(sealed.engine.to_bytes(), long_way.to_bytes(), "{case}");
-                    assert_eq!(sealed.engine.plan_epoch(), 7);
-                    let chosen = ph_gd::choose_store(&matrix, gd);
-                    assert_eq!(store_bytes(&sealed.store), store_bytes(&chosen), "{case}");
-                    gd_kept += usize::from(matches!(*sealed.store, RowStore::Gd(_)));
-                }
+                let cfg = PairwiseHistConfig { ns, ..Default::default() };
+                let sealed = sealed_segment(&matrix, &pre, &cfg, 7);
+                let gd = GdCompressor::new().compress(&matrix);
+                let long_way = PairwiseHist::build_from_gd(&gd, pre.clone(), &cfg);
+                let case = format!("shape {shape} seed {seed} n {n} ns {ns}");
+                assert_eq!(sealed.engine.to_bytes(), long_way.to_bytes(), "{case}");
+                assert_eq!(sealed.engine.plan_epoch(), 7);
+                let chosen = ph_gd::choose_store(&matrix, gd);
+                assert_eq!(store_bytes(&sealed.store), store_bytes(&chosen), "{case}");
+                gd_kept += usize::from(matches!(*sealed.store, RowStore::Gd(_)));
             }
         }
         assert!(gd_kept > 0, "no case kept the GD store, so its bases seeded nothing");
@@ -712,7 +709,6 @@ mod tests {
             let pre = Arc::new(Preprocessor::fit(&data));
             let cfg = PairwiseHistConfig {
                 ns: if seed % 2 == 0 { 1_500 } else { 900 },
-                parallel: false,
                 ..Default::default()
             };
             let sealed = 3 + (seed % 2) as usize;

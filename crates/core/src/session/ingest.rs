@@ -392,7 +392,6 @@ fn below_fitted_min(pre: &ph_gd::Preprocessor, data: &Dataset) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::PairwiseHistConfig;
     use crate::session::tests::{dataset, session_with};
     use ph_types::Column;
     use rand::{Rng, SeedableRng};
@@ -482,8 +481,7 @@ mod tests {
         for (k, (shape, batch, rebuilt)) in shapes.iter().enumerate() {
             let dir = std::env::temp_dir().join(format!("ph_publish_{}_{k}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let cfg = PairwiseHistConfig { parallel: false, ..Default::default() };
-            let s = Session::with_config(cfg);
+            let s = Session::new();
             s.set_max_staleness(f64::INFINITY);
             s.set_seal_threshold(3_000);
             s.enable_wal(&dir).unwrap();
@@ -630,10 +628,7 @@ mod tests {
             .column(Column::from_ints("y", y))
             .unwrap()
             .build();
-        let s = Session::with_config(PairwiseHistConfig {
-            parallel: false,
-            ..Default::default()
-        });
+        let s = Session::new();
         s.register(base).unwrap();
         s.set_max_staleness(10.0); // only the novel nulls may trigger the rebuild
 

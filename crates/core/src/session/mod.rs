@@ -385,20 +385,15 @@ impl Session {
     }
 
     /// Registers a dataset under its own name, building the table's first sealed
-    /// segment with the session's default configuration: a synopsis over the
-    /// rows plus the rows themselves, GD-compressed, as rebuild material.
+    /// segment with the session's build configuration (see
+    /// [`Session::with_config`]): a synopsis over the rows plus the rows
+    /// themselves, GD-compressed, as rebuild material.
     ///
     /// Under a WAL home (see [`Session::enable_wal`]) the table is checkpointed
     /// into it before it is published, so a registration that returns `Ok`
     /// survives a crash; one whose checkpoint fails returns the error and
     /// registers nothing.
     pub fn register(&self, data: Dataset) -> Result<(), PhError> {
-        let cfg = self.default_cfg.clone();
-        self.register_with(data, &cfg)
-    }
-
-    /// Registers a dataset with an explicit build configuration.
-    pub fn register_with(&self, data: Dataset, cfg: &PairwiseHistConfig) -> Result<(), PhError> {
         let name = data.name().to_string();
         // The manifest frames the name with a u16 length.
         if name.len() > u16::MAX as usize {
@@ -420,6 +415,7 @@ impl Session {
         // runs before the map lock is taken — registration must not stall the
         // catalog.
         let pre = Arc::new(ph_gd::Preprocessor::fit(&data));
+        let cfg = &self.default_cfg;
         let segment = registration_segment(&data, &pre, cfg);
         let epoch = segment.engine.plan_epoch();
         let policy = *self.policy.lock().unwrap_or_else(PoisonError::into_inner);
@@ -608,10 +604,7 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn session_with(name: &str, n: usize, seed: u64) -> Session {
-        let s = Session::with_config(PairwiseHistConfig {
-            parallel: false,
-            ..Default::default()
-        });
+        let s = Session::new();
         s.register(dataset(name, n, seed)).unwrap();
         s
     }

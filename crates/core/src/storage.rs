@@ -365,7 +365,6 @@ impl PairwiseHist {
             pre,
             crit,
             z98: normal_quantile(0.99),
-            parallel_exec: true,
             plan_epoch: crate::build::next_plan_epoch(),
         })
     }
@@ -607,7 +606,7 @@ mod tests {
     fn build(n: usize, seed: u64) -> PairwiseHist {
         PairwiseHist::build(
             &dataset(n, seed),
-            &PairwiseHistConfig { ns: n, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: n, ..Default::default() },
         )
     }
 

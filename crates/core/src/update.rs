@@ -196,7 +196,7 @@ mod tests {
         let base = dataset(20_000, 0, 1);
         let mut ph = PairwiseHist::build(
             &base,
-            &PairwiseHistConfig { ns: 20_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 20_000, ..Default::default() },
         );
         let more = dataset(10_000, 0, 2);
         ph.ingest(&ph.preprocessor().clone().encode(&more));
@@ -219,7 +219,7 @@ mod tests {
         let base = dataset(10_000, 0, 3);
         let mut ph = PairwiseHist::build(
             &base,
-            &PairwiseHistConfig { ns: 10_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 10_000, ..Default::default() },
         );
         // New data shifted far beyond the built range. Note: the preprocessor was
         // fitted on the base range, so shift within the same fitted transform.
@@ -235,7 +235,7 @@ mod tests {
         let base = dataset(10_000, 0, 5);
         let mut ph = PairwiseHist::build(
             &base,
-            &PairwiseHistConfig { ns: 10_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 10_000, ..Default::default() },
         );
         assert_eq!(ph.staleness(), 0.0);
         let more = dataset(10_000, 0, 6);
@@ -248,7 +248,7 @@ mod tests {
         let base = dataset(40_000, 0, 7);
         let mut ph = PairwiseHist::build(
             &base,
-            &PairwiseHistConfig { ns: 10_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 10_000, ..Default::default() },
         );
         let more = dataset(20_000, 0, 8);
         ph.ingest(&ph.preprocessor().clone().encode(&more));
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn out_of_place_ingest_matches_in_place_and_preserves_original() {
         let base = dataset(10_000, 0, 10);
-        let cfg = PairwiseHistConfig { ns: 10_000, parallel: false, ..Default::default() };
+        let cfg = PairwiseHistConfig { ns: 10_000, ..Default::default() };
         let original = PairwiseHist::build(&base, &cfg);
         let more = dataset(5_000, 0, 11);
         let encoded = original.preprocessor().clone().encode(&more);
@@ -289,7 +289,7 @@ mod tests {
         let base = dataset(5_000, 0, 9);
         let mut ph = PairwiseHist::build(
             &base,
-            &PairwiseHistConfig { ns: 5_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 5_000, ..Default::default() },
         );
         let before = ph.params().clone();
         ph.ingest(&EncodedMatrix::new(vec![Vec::new(), Vec::new()]));

@@ -537,7 +537,7 @@ mod tests {
             .build();
         let ph = PairwiseHist::build(
             &data,
-            &PairwiseHistConfig { ns: n, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: n, ..Default::default() },
         );
         (data, ph)
     }
@@ -677,7 +677,7 @@ mod tests {
         let data = multi_column(12_000, 41);
         let ph = PairwiseHist::build(
             &data,
-            &PairwiseHistConfig { ns: 8_000, parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: 8_000, ..Default::default() },
         );
         let pre = ph.preprocessor();
         let queries = ph_workload::generate(

@@ -60,8 +60,8 @@ fn build(data: &Dataset) -> PairwiseHist {
         data,
         &PairwiseHistConfig {
             ns: data.n_rows(),
-            m_fraction: 0.05,
-            parallel: false,
+            // M at 5 % of the sample rather than the paper's 1 %.
+            m_absolute: Some(((data.n_rows() as f64 * 0.05).round() as usize).max(2)),
             ..Default::default()
         },
     )

@@ -15,7 +15,8 @@
 //! Candidate evaluation counts distinct bases with a per-row *updatable sum hash*
 //! (`Σ_c mix(c, part_c)` wrapping), so trying "one more deviation bit on column c"
 //! costs one add/sub per row instead of rehashing the whole tuple. The split is fitted
-//! on a row sample (`fit_rows`) and then applied exactly to all rows.
+//! on a seeded sample of at most `FIT_ROWS` rows and then applied exactly to all
+//! rows.
 
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
@@ -24,20 +25,10 @@ use ph_encoding::bits_for;
 
 use crate::{EncodedMatrix, GdStore};
 
-/// Tuning knobs for the greedy split search.
-#[derive(Debug, Clone)]
-pub struct GdConfig {
-    /// Rows used to fit the split (sampled uniformly if the data is larger).
-    pub fit_rows: usize,
-    /// RNG seed for the fit sample.
-    pub seed: u64,
-}
-
-impl Default for GdConfig {
-    fn default() -> Self {
-        Self { fit_rows: 32_768, seed: 0x9d8_1ab3 }
-    }
-}
+/// Rows the split is fitted on, sampled uniformly when the data has more.
+const FIT_ROWS: usize = 32_768;
+/// RNG seed of the fit sample.
+const FIT_SEED: u64 = 0x9d8_1ab3;
 
 /// The fitted base/deviation split of one matrix: what [`GdStore::build`] needs to
 /// pack it, and all a synopsis build needs to seed its bin edges — without the store.
@@ -92,20 +83,13 @@ impl GdSplit {
 }
 
 /// GreedyGD compressor: fits the bit split, then builds a [`GdStore`].
-#[derive(Debug, Clone, Default)]
-pub struct GdCompressor {
-    config: GdConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GdCompressor;
 
 impl GdCompressor {
-    /// Compressor with default configuration.
+    /// The compressor.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Compressor with explicit configuration.
-    pub fn with_config(config: GdConfig) -> Self {
-        Self { config }
+        Self
     }
 
     /// Compresses an encoded matrix: fits deviation bit-widths on a sample, then
@@ -119,23 +103,28 @@ impl GdCompressor {
     /// the greedy search. A seal that ends up keeping the per-column cascade
     /// needs nothing more from GreedyGD than this.
     pub fn fit(&self, data: &EncodedMatrix) -> GdSplit {
+        Self::fit_sampled(data, FIT_ROWS)
+    }
+
+    /// [`fit`](Self::fit) on a sample of at most `fit_rows` rows.
+    fn fit_sampled(data: &EncodedMatrix, fit_rows: usize) -> GdSplit {
         let widths: Vec<u32> = (0..data.n_columns())
             .map(|c| bits_for(data.column_max(c)))
             .collect();
-        let dev_bits = self.fit_dev_bits(data, &widths);
+        let dev_bits = Self::fit_dev_bits(data, &widths, fit_rows);
         GdSplit { widths, dev_bits }
     }
 
     /// Greedy search for per-column deviation widths.
-    fn fit_dev_bits(&self, data: &EncodedMatrix, widths: &[u32]) -> Vec<u32> {
+    fn fit_dev_bits(data: &EncodedMatrix, widths: &[u32], fit_rows: usize) -> Vec<u32> {
         let d = data.n_columns();
         if d == 0 || data.n_rows == 0 {
             return vec![0; d];
         }
         let sampled;
-        let fit = if data.n_rows > self.config.fit_rows {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-            let rows = index_sample(&mut rng, data.n_rows, self.config.fit_rows).into_vec();
+        let fit = if data.n_rows > fit_rows {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(FIT_SEED);
+            let rows = index_sample(&mut rng, data.n_rows, fit_rows).into_vec();
             sampled = data.take_rows(&rows);
             &sampled
         } else {
@@ -316,14 +305,14 @@ mod tests {
     /// column term and the early exit: every candidate's hashes collected and
     /// counted to the end in a `HashSet`. The fast fit must agree with it bit
     /// width for bit width, tie-breaks and all-deviation fallback included.
-    fn reference_dev_bits(config: &GdConfig, data: &EncodedMatrix, widths: &[u32]) -> Vec<u32> {
+    fn reference_dev_bits(fit_rows: usize, data: &EncodedMatrix, widths: &[u32]) -> Vec<u32> {
         let d = data.n_columns();
         if d == 0 || data.n_rows == 0 {
             return vec![0; d];
         }
-        let fit = if data.n_rows > config.fit_rows {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-            let rows = index_sample(&mut rng, data.n_rows, config.fit_rows).into_vec();
+        let fit = if data.n_rows > fit_rows {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(FIT_SEED);
+            let rows = index_sample(&mut rng, data.n_rows, fit_rows).into_vec();
             data.take_rows(&rows)
         } else {
             data.clone()
@@ -396,9 +385,8 @@ mod tests {
             fit_rows in 200usize..900,
         ) {
             let m = shaped(shape, n, seed);
-            let config = GdConfig { fit_rows, ..GdConfig::default() };
-            let split = GdCompressor::with_config(config.clone()).fit(&m);
-            prop_assert_eq!(&split.dev_bits, &reference_dev_bits(&config, &m, &split.widths));
+            let split = GdCompressor::fit_sampled(&m, fit_rows);
+            prop_assert_eq!(&split.dev_bits, &reference_dev_bits(fit_rows, &m, &split.widths));
 
             let store = GdStore::build(&m, &split.widths, &split.dev_bits);
             for c in 0..m.n_columns() {

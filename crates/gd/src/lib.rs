@@ -36,7 +36,7 @@ pub use codec::{
     choose_codec, choose_store, seal_store, BitPackCodec, Codec, ColumnCodec, ColumnarStore,
     DeltaCodec, DictCodec, EncodedPred, RowStore, RunEndCodec, SymbolTable,
 };
-pub use greedy::{GdCompressor, GdConfig, GdSplit};
+pub use greedy::{GdCompressor, GdSplit};
 pub use matrix::EncodedMatrix;
 pub use preprocess::{
     CodeRanks, ColumnTransform, EncodeScratch, EncodedLiteral, GdError, Preprocessor,

@@ -17,10 +17,9 @@
 //! ```
 //!
 //! Runs until killed — or, with `--serve-seconds S`, shuts down gracefully
-//! after `S` seconds (draining in-flight responses and flushing the query
-//! log), which is what the CI smoke jobs use for a clean bounded run. The
-//! query log (if any) is flushed on every append, so a `SIGKILL` loses at
-//! most the in-flight record.
+//! after `S` seconds (draining in-flight responses), which is what the CI
+//! smoke jobs use for a clean bounded run. The query log (if any) is written
+//! on every append, so a `SIGKILL` loses at most the in-flight record.
 //!
 //! The connection cap defaults to [`ServerConfig`]'s 10 000 (the event loop
 //! holds idle keep-alive sockets for a slab slot each); `--max-conns` moves
@@ -156,8 +155,8 @@ fn main() {
     );
     match args.serve_seconds {
         // Bounded run (CI smoke): serve, then shut down gracefully — drain
-        // in-flight responses, flush the qlog, join every thread — and print
-        // the serving counters so the harness can assert on them.
+        // in-flight responses, join every thread — and print the serving
+        // counters so the harness can assert on them.
         Some(secs) => {
             std::thread::sleep(std::time::Duration::from_secs_f64(secs.max(0.0)));
             let stats = server.stats();

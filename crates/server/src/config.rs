@@ -4,7 +4,9 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Tuning knobs of one server instance.
+/// Tuning knobs of one server instance: only what a deployment sets. The
+/// span flight recorder behind `/debug/slow` has one size everywhere (16 Ki
+/// spans) and is not configured here.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Executor worker threads draining the query queue one connection's run
@@ -40,9 +42,6 @@ pub struct ServerConfig {
     pub slow_query_threshold_us: u64,
     /// How many slow queries `GET /debug/slow` retains (oldest evicted).
     pub slow_query_cap: usize,
-    /// Span capacity of the flight-recorder ring behind `/debug/slow` and
-    /// `ph_query_stage_seconds` (varint/delta encoded; 64k spans < 1 MB).
-    pub span_ring_spans: usize,
 }
 
 impl Default for ServerConfig {
@@ -58,7 +57,6 @@ impl Default for ServerConfig {
             query_log: None,
             slow_query_threshold_us: 100_000,
             slow_query_cap: 64,
-            span_ring_spans: 16 * 1024,
         }
     }
 }

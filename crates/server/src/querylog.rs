@@ -59,10 +59,6 @@ impl QueryLogWriter {
         // order to match encode order, so the append must stay under the mutex
         let _ = faultfs::append(&inner.path, &buf);
     }
-
-    /// Present for API compatibility: appends are unbuffered, so there is
-    /// nothing to flush.
-    pub fn flush(&self) {}
 }
 
 /// Reads a whole query log back into records. Fails with
@@ -106,7 +102,6 @@ mod tests {
         let log = QueryLogWriter::create(&path).unwrap();
         log.append(200, 412, "SELECT COUNT(x) FROM t;");
         log.append(400, 9, "SELEC oops");
-        log.flush();
         let records = read_query_log(&path).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].status, 200);

@@ -76,7 +76,8 @@
 //!   sockets between requests.
 //! * **Graceful shutdown.** [`Server::shutdown`] stops accepting, parses no
 //!   new requests, answers everything already parsed (responses flip to
-//!   `Connection: close`), flushes the query log, and joins every thread.
+//!   `Connection: close`), and joins every thread. The query log needs no
+//!   flush: every record is one unbuffered append.
 //!
 //! Answers are bit-identical to in-process `Session::sql` calls
 //! (`tests/server_e2e.rs`): batching only changes *when* a snapshot is taken,
@@ -99,6 +100,10 @@ use crate::exec::{executor_loop, Done, WorkQueue};
 use crate::querylog::QueryLogWriter;
 use crate::stats::{Endpoint, Metrics};
 pub use crate::stats::ServerStats;
+
+/// Span capacity of the flight-recorder ring behind `/debug/slow` and
+/// `ph_query_stage_seconds` (varint/delta encoded; 64k spans < 1 MB).
+const SPAN_RING_CAPACITY: usize = 16 * 1024;
 
 /// State shared by the loop, the executor workers and the handle.
 pub(crate) struct Shared {
@@ -177,7 +182,7 @@ impl Shared {
 
 /// A running server. Dropping the handle **without** calling
 /// [`Server::shutdown`] detaches the threads (the process exit reaps them);
-/// call `shutdown` for a deterministic, log-flushed stop.
+/// call `shutdown` for a deterministic stop.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -220,7 +225,7 @@ impl Server {
             done: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             started: Instant::now(),
-            span_ring: SpanRing::new(cfg.span_ring_spans),
+            span_ring: SpanRing::new(SPAN_RING_CAPACITY),
             slow: SlowRing::new(cfg.slow_query_cap, cfg.slow_query_threshold_us),
             trace_seq: AtomicU64::new(0),
             cfg,
@@ -259,8 +264,8 @@ impl Server {
         self.shared.connection_stats()
     }
 
-    /// Stops accepting, answers every request already parsed, flushes the
-    /// query log and joins every thread.
+    /// Stops accepting, answers every request already parsed and joins every
+    /// thread.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::Release);
         let _ = self.shared.poller.notify();
@@ -270,9 +275,6 @@ impl Server {
         self.shared.work.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
-        }
-        if let Some(qlog) = &self.shared.qlog {
-            qlog.flush();
         }
     }
 }

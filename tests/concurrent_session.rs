@@ -65,10 +65,7 @@ const BATCH_ROWS: usize = 2_000;
 const MAX_STALENESS: f64 = 0.25;
 
 fn config() -> PairwiseHistConfig {
-    // Serial execution inside the engine: the test's determinism argument then
-    // needs no appeal to the (separately tested) parallel-equals-serial
-    // property, and reader threads supply all the concurrency we want anyway.
-    PairwiseHistConfig { ns: BASE_ROWS, parallel: false, ..Default::default() }
+    PairwiseHistConfig { ns: BASE_ROWS, ..Default::default() }
 }
 
 fn batches() -> Vec<Dataset> {

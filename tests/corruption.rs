@@ -320,8 +320,9 @@ fn syn_end(blob: &[u8]) -> usize {
 
 /// Retired on-disk formats are outside input, rejected like any other: a
 /// pre-segmentation `PWHS` single blob, a `PSG2` segment, a `PSG3` segment
-/// claiming store kind 0 (a row-less segment) and a `PWT2` v3 manifest (no
-/// build configuration, seal policy or blob numbers) each quarantine their
+/// claiming store kind 0 (a row-less segment), a `PWT2` v3 manifest (no
+/// build configuration, seal policy or blob numbers) and a `PWT2` v4 manifest
+/// (with an `M` fraction and a serial/parallel flag) each quarantine their
 /// table under a reason naming the format, while the healthy table beside them
 /// serves.
 #[test]
@@ -331,7 +332,8 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
     let dir = std::env::temp_dir().join(format!("ph_retired_formats_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let session = Session::new();
-    for (name, seed) in [("healthy", 21), ("oldseg", 22), ("rowless", 23), ("oldmanifest", 25)] {
+    let tables = [("healthy", 21), ("oldseg", 22), ("rowless", 23), ("oldmanifest", 25), ("v4", 26)];
+    for (name, seed) in tables {
         session.register(dataset(name, BASE_ROWS, seed)).unwrap();
     }
     session.save_dir(&dir).unwrap();
@@ -378,15 +380,39 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
     std::fs::write(&manifest, v3).unwrap();
     let v3_key = manifest.file_stem().unwrap().to_str().unwrap().to_string();
 
+    // `PWT2` v4: the v5 body with its two retired fields back in place — an
+    // `f64` M fraction after `ns`, a `u8` parallel flag after the seed.
+    let manifest = file_of(&dir, "v4", "pwhs");
+    let current = std::fs::read(&manifest).unwrap();
+    let name_end = 7 + u16::from_le_bytes(current[5..7].try_into().unwrap()) as usize;
+    let pre_len = u32::from_le_bytes(current[name_end..name_end + 4].try_into().unwrap());
+    let ns_end = name_end + 4 + pre_len as usize + 8;
+    let seed_end = ns_end + 8 + 8 + 1 + 8; // m_absolute, alpha, split rule, seed
+    let mut v4 = current[..ns_end].to_vec();
+    v4[4] = 4;
+    v4.extend_from_slice(&0.01f64.to_bits().to_le_bytes());
+    v4.extend_from_slice(&current[ns_end..seed_end]);
+    v4.push(1);
+    v4.extend_from_slice(&current[seed_end..current.len() - 4]);
+    let crc = crc32(&v4);
+    v4.extend_from_slice(&crc.to_le_bytes());
+    assert_eq!(v4.len(), current.len() + 9, "v4 carried nine more bytes");
+    std::fs::write(&manifest, v4).unwrap();
+    let v4_key = manifest.file_stem().unwrap().to_str().unwrap().to_string();
+
     let reopened = Session::open_dir(&dir).expect("retired formats must not fail the open");
     assert_eq!(reopened.tables(), vec!["healthy"], "only the current-format table loads");
     let sql = "SELECT AVG(y) FROM healthy WHERE x > 300 GROUP BY c";
     assert_eq!(reopened.sql(sql).unwrap(), session.sql(sql).unwrap());
 
     let quarantined = reopened.quarantined();
-    for (key, format) in
-        [("oldseg", "PSG2"), ("rowless", "PSG3"), ("single-0000", "PWHS"), (v3_key.as_str(), "PWT2")]
-    {
+    for (key, format) in [
+        ("oldseg", "PSG2"),
+        ("rowless", "PSG3"),
+        ("single-0000", "PWHS"),
+        (v3_key.as_str(), "PWT2"),
+        (v4_key.as_str(), "PWT2' v4"),
+    ] {
         let reason = &quarantined
             .iter()
             .find(|(name, _)| name == key)

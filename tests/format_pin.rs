@@ -6,8 +6,8 @@
 //! Power table (two sealed segments + a delta) it pins the length and CRC32
 //! of the manifest, of each segment blob and of the preprocessor. A deliberate
 //! format change bumps the blob's version byte and re-pins these constants in
-//! the same commit (last: the `PWT2` v4 manifest, which added the build
-//! configuration, the seal policy and per-segment blob numbers).
+//! the same commit (last: the `PWT2` v5 manifest, which dropped the build
+//! configuration's `M` fraction and its serial/parallel flag).
 
 use pairwisehist::encoding::crc32;
 use pairwisehist::prelude::*;
@@ -15,7 +15,7 @@ use pairwisehist::prelude::*;
 /// `(length, crc32)` of what precedes a catalog file's own CRC trailer. (The
 /// CRC32 of a whole trailed file is the same residue for every file, so it
 /// would pin nothing.)
-const MANIFEST: (usize, u32) = (0x1b9, 0x8997_ab36);
+const MANIFEST: (usize, u32) = (0x1b0, 0x7cac_0912);
 /// Segment 0, segment 1, then the delta serialized as a final segment.
 const SEGMENTS: [(usize, u32); 3] =
     [(0x1_6f91, 0x8f60_9f9d), (0x1_1de5, 0xea16_32c0), (0x96f2, 0xab5d_341c)];
@@ -24,8 +24,7 @@ const PREPROCESSOR: (usize, u32) = (331, 0x4948_a266);
 #[test]
 fn persisted_bytes_of_a_seeded_table_are_pinned() {
     let data = pairwisehist::datagen::generate("Power", 20_000, 7).expect("dataset");
-    let session =
-        Session::with_config(PairwiseHistConfig { parallel: false, ..Default::default() });
+    let session = Session::new();
     session.set_max_staleness(f64::INFINITY); // size-based sealing only
     session.set_seal_threshold(8_000);
     // The registration fit must cover every numeric column's minimum, or a

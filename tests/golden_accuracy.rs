@@ -95,7 +95,7 @@ fn five_engines_answer_fixed_workload_and_pairwisehist_errors_stay_snapshotted()
     let exact = ExactEngine::new(data.clone());
     let ph = PairwiseHist::build(
         &data,
-        &PairwiseHistConfig { ns: N_ROWS, parallel: false, ..Default::default() },
+        &PairwiseHistConfig { ns: N_ROWS, ..Default::default() },
     );
     let sampling = SamplingAqp::build(&data, &SamplingConfig { sample_n: 10_000, seed: 1 });
     let spn = SpnAqp::build(&data, &SpnConfig { sample_n: 10_000, ..Default::default() });
@@ -171,10 +171,7 @@ fn segmented_table_errors_stay_snapshotted_on_fixed_workload() {
     let queries = workload_queries(&data);
     let exact = ExactEngine::new(data.clone());
 
-    let session = Session::with_config(PairwiseHistConfig {
-        parallel: false,
-        ..Default::default()
-    });
+    let session = Session::new();
     session.set_max_staleness(f64::INFINITY); // size-based sealing only
     let batch_rows = N_ROWS / N_BATCHES;
     session.set_seal_threshold(batch_rows); // every ingested batch seals

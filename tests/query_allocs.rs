@@ -86,7 +86,7 @@ fn slice(k: usize, n: usize) -> Dataset {
 
 /// A table of exactly `segments` sealed segments of 2 000 rows and no delta.
 fn table(segments: usize) -> Session {
-    let session = Session::with_config(PairwiseHistConfig { parallel: false, ..Default::default() });
+    let session = Session::new();
     session.set_max_staleness(f64::INFINITY);
     session.set_seal_threshold(2_000);
     session.register(slice(0, 2_000)).unwrap();

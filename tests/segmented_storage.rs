@@ -49,14 +49,10 @@ fn dataset(name: &str, n: usize, seed: u64) -> Dataset {
         .build()
 }
 
-fn config() -> PairwiseHistConfig {
-    PairwiseHistConfig { parallel: false, ..Default::default() }
-}
-
 /// Builds a session whose table is split into multiple segments by ingesting
 /// `batches` batches of `batch_rows` rows on top of a `base_rows` registration.
 fn segmented_session(base_rows: usize, batches: usize, batch_rows: usize, seed: u64) -> Session {
-    let session = Session::with_config(config());
+    let session = Session::new();
     session.set_max_staleness(f64::INFINITY); // size-based sealing only
     session.set_seal_threshold(batch_rows.max(1)); // every batch seals
     session.register(dataset("t", base_rows, seed)).unwrap();
@@ -120,7 +116,7 @@ fn stream_slice(k: usize, n: usize) -> Dataset {
 /// counters say segments really were skipped.
 #[test]
 fn pruned_catalog_answers_equal_the_merge_of_unpruned_segment_answers() {
-    let session = Session::with_config(config());
+    let session = Session::new();
     session.set_max_staleness(f64::INFINITY);
     session.set_seal_threshold(2_500);
     session.register(stream_slice(0, 2_500)).unwrap();
@@ -174,7 +170,7 @@ proptest! {
         batch_rows in 500usize..2_000,
         threshold in 500usize..3_000,
     ) {
-        let session = Session::with_config(config());
+        let session = Session::new();
         session.set_max_staleness(f64::INFINITY);
         session.set_seal_threshold(threshold);
         session.register(dataset("t", base, seed)).unwrap();
@@ -214,7 +210,7 @@ fn segmented_accuracy_tracks_monolithic() {
         all.append(&dataset("t", batch_rows, seed + 100 + k as u64)).unwrap();
     }
     let exact = ExactEngine::new(all.clone());
-    let mono = Session::with_config(config());
+    let mono = Session::new();
     mono.register(all).unwrap();
 
     for (sql, tol_ratio) in [
@@ -316,7 +312,7 @@ fn multi_segment_persistence_round_trips_and_stays_ingestable() {
 /// snapshot answers throughout, new queries fail cleanly after the drop.
 #[test]
 fn drop_table_races_cleanly_with_readers() {
-    let session = Session::with_config(config());
+    let session = Session::new();
     session.register(dataset("t", 4_000, 21)).unwrap();
     let snapshot = session.engine("t").unwrap();
     let q = parse_query("SELECT COUNT(x) FROM t").unwrap();

@@ -55,7 +55,7 @@ proptest! {
     fn synopsis_bytes_roundtrip_bit_identically(data in dataset_strategy()) {
         let ph = PairwiseHist::build(
             &data,
-            &PairwiseHistConfig { ns: data.n_rows(), parallel: false, ..Default::default() },
+            &PairwiseHistConfig { ns: data.n_rows(), ..Default::default() },
         );
         let bytes = ph.to_bytes();
         let restored = PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone())
@@ -275,7 +275,7 @@ fn recovered_twin_seals_like_the_live_table_at_a_non_default_policy() {
 #[test]
 fn registration_under_a_wal_survives_a_crash_with_its_batches() {
     let dir = home("register");
-    let cfg = PairwiseHistConfig { ns: 3_000, m_fraction: 0.02, parallel: false, ..Default::default() };
+    let cfg = PairwiseHistConfig { ns: 3_000, m_absolute: Some(60), ..Default::default() };
     let live = Session::with_config(cfg);
     live.set_seal_threshold(5_000);
     live.enable_wal(&dir).unwrap();
