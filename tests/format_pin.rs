@@ -8,9 +8,17 @@
 //! format change bumps the blob's version byte and re-pins these constants in
 //! the same commit (last: the `PWT2` v5 manifest, which dropped the build
 //! configuration's `M` fraction and its serial/parallel flag).
+//!
+//! The Power table's segments all keep the per-column cascade, so two more
+//! pins reach what it does not: each of the four column codecs on fixed
+//! columns, and a GreedyGD row store on rows where GD beats the cascade.
 
 use pairwisehist::encoding::crc32;
+use pairwisehist::gd::{
+    seal_store, BitPackCodec, Codec, DeltaCodec, DictCodec, EncodedMatrix, RowStore, RunEndCodec,
+};
 use pairwisehist::prelude::*;
+use rand::{Rng, SeedableRng};
 
 /// `(length, crc32)` of what precedes a catalog file's own CRC trailer. (The
 /// CRC32 of a whole trailed file is the same residue for every file, so it
@@ -72,4 +80,62 @@ fn persisted_bytes_of_a_seeded_table_are_pinned() {
     assert_eq!(manifest, [MANIFEST], "manifest bytes drifted");
     assert_eq!(segments, SEGMENTS, "segment blob bytes drifted (seg0, seg1, delta)");
     assert_eq!((pre.len(), crc32(&pre)), PREPROCESSOR, "preprocessor bytes drifted");
+}
+
+fn pin(bytes: &[u8]) -> (usize, u32) {
+    (bytes.len(), crc32(bytes))
+}
+
+/// `to_bytes` of each codec (bitpack, delta, dict, run-end) on each of
+/// [`pinned_columns`].
+const CODECS: [[(usize, u32); 4]; 4] = [
+    [(4, 0x58ab_6c66), (59, 0x398e_20da), (1408, 0xd849_4ec6), (3, 0xff41_d912)],
+    [(8, 0x90ed_fa0d), (52, 0x5693_a408), (366, 0xff16_8184), (4, 0x2144_df1c)],
+    [(5, 0x2df8_e5a5), (27, 0xdad9_5748), (1584, 0x5e7d_bec7), (3, 0xff41_d912)],
+    [(8, 0x5359_b7d2), (64, 0xd4e1_e88a), (2286, 0xa718_8c4a), (5, 0xc622_f71d)],
+];
+/// `to_bytes` of the GreedyGD store sealed over [`dozen_rows_repeated`].
+const GD_STORE: (usize, u32) = (1308, 0xe9f2_7201);
+
+/// A constant column (every width 0), a width-64 extreme, three delta blocks
+/// of a jittered fixed step, and the empty column.
+fn pinned_columns() -> [Vec<u64>; 4] {
+    [
+        vec![42; 1_000],
+        vec![5, u64::MAX, 5, 1 << 52, 77, 0, u64::MAX],
+        (0..700u64).map(|i| 1_600_000_000 + 60 * i + i * i % 7).collect(),
+        Vec::new(),
+    ]
+}
+
+/// `n` rows drawn from a dozen distinct rows: whole-row redundancy, the shape
+/// on which GreedyGD beats the per-column cascade (shape 1 of the store
+/// choice's equivalence tests, same draws).
+fn dozen_rows_repeated(n: usize, seed: u64) -> EncodedMatrix {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 1 << 32);
+    let rows: Vec<[u64; 3]> = (0..12)
+        .map(|_| [rng.gen_range(0..1 << 20), rng.gen_range(0..1 << 9), rng.gen_range(0..7)])
+        .collect();
+    let picks: Vec<usize> = (0..n).map(|_| rng.gen_range(0..rows.len())).collect();
+    EncodedMatrix::new((0..3).map(|c| picks.iter().map(|&p| rows[p][c]).collect()).collect())
+}
+
+#[test]
+fn codec_and_gd_store_bytes_are_pinned() {
+    let columns = pinned_columns();
+    let codecs = [
+        columns.each_ref().map(|c| pin(&BitPackCodec::encode(c).to_bytes())),
+        columns.each_ref().map(|c| pin(&DeltaCodec::encode(c).to_bytes())),
+        columns.each_ref().map(|c| pin(&DictCodec::encode(c).to_bytes())),
+        columns.each_ref().map(|c| pin(&RunEndCodec::encode(c).to_bytes())),
+    ];
+    assert_eq!(codecs, CODECS, "codec bytes drifted (bitpack, delta, dict, run-end)");
+
+    let m = dozen_rows_repeated(2_500, 4);
+    let RowStore::Gd(store) = seal_store(&m, &GdCompressor::new().fit(&m)) else {
+        panic!("GreedyGD must win on repeated rows");
+    };
+    let bytes = store.to_bytes();
+    assert_eq!(GdStore::from_bytes(&bytes).map(|s| s.decompress()), Some(m));
+    assert_eq!(pin(&bytes), GD_STORE, "GreedyGD store bytes drifted");
 }
