@@ -409,7 +409,7 @@ impl Bench {
 
     /// The GD-compressed store plus the transforms needed to decode it.
     fn gd_bytes(&self) -> usize {
-        self.store.stats().compressed_bytes as usize + self.pre.metadata_bytes()
+        self.store.packed_bytes() + self.pre.metadata_bytes()
     }
 
     /// The one path every engine of every experiment takes: build it (timed),

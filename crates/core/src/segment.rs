@@ -535,7 +535,8 @@ pub(crate) fn decode_matrix(
 pub struct FootprintReport {
     /// Serialized synopsis bytes across sealed segments and the delta.
     pub synopsis_bytes: usize,
-    /// GD-compressed retained-row bytes across sealed segments.
+    /// Retained-row bytes across sealed segments, each segment's rows in the
+    /// smaller of the codec cascade and GreedyGD.
     pub row_store_bytes: usize,
     /// Raw (uncompressed, in-memory) bytes of un-sealed delta rows.
     pub delta_bytes: usize,

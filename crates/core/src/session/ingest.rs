@@ -72,7 +72,7 @@ impl Session {
     /// leaving every sealed segment untouched. When the delta
     /// crosses [`Session::set_seal_threshold`] rows — or its staleness crosses
     /// [`Session::set_max_staleness`] — it is **sealed**: cut into segment-sized
-    /// slices, each GD-compressed and refined into a fresh synopsis, appended to
+    /// slices, each compressed and refined into a fresh synopsis, appended to
     /// the segment list. Sealing costs O(threshold) regardless of how large the
     /// table has grown; there is no full-table rebuild on this path.
     ///

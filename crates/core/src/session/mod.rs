@@ -6,8 +6,9 @@
 //! register datasets once, then speak SQL. Behind the door it
 //!
 //! * stores each table as a list of immutable **sealed segments** — every
-//!   segment holding its own PairwiseHist synopsis *plus* its retained rows
-//!   GD-compressed in a `ph_gd::GdStore` — and one **active delta** synopsis
+//!   segment holding its own PairwiseHist synopsis *plus* its retained rows in
+//!   a `ph_gd::RowStore`, the smaller of the per-column codec cascade and
+//!   GreedyGD — and one **active delta** synopsis
 //!   absorbing `ingest` batches (see `crate::segment` for the layout);
 //! * routes each query by its `FROM` table, fans the compiled plan out across
 //!   the table's segment synopses and **merges** the partial estimates
@@ -387,7 +388,8 @@ impl Session {
     /// Registers a dataset under its own name, building the table's first sealed
     /// segment with the session's build configuration (see
     /// [`Session::with_config`]): a synopsis over the rows plus the rows
-    /// themselves, GD-compressed, as rebuild material.
+    /// themselves, compressed (the smaller of the codec cascade and GreedyGD),
+    /// as rebuild material.
     ///
     /// Under a WAL home (see [`Session::enable_wal`]) the table is checkpointed
     /// into it before it is published, so a registration that returns `Ok`

@@ -18,8 +18,8 @@
 use std::sync::Arc;
 
 use ph_encoding::{
-    bits_for, golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m, BitReader,
-    BitWriter,
+    bits_for, golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m, BitPlane,
+    BitReader, BitWriter,
 };
 use ph_gd::Preprocessor;
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
@@ -126,13 +126,9 @@ impl PairwiseHist {
         // --- Bin counts: 1-d vectors, then 2-d matrices (dense or sparse) ---
         for c in 0..d {
             let counts = &self.hist1d(c).counts;
-            let lh = bits_for(counts.iter().copied().max().unwrap_or(0)) as u8;
-            out.push(lh);
-            let mut bits = BitWriter::new();
-            for &h in counts {
-                bits.write_bits(h, lh as u32);
-            }
-            out.extend_from_slice(&bits.finish());
+            let lh = bits_for(counts.iter().copied().max().unwrap_or(0));
+            out.push(lh as u8);
+            out.extend_from_slice(BitPlane::pack(counts.iter().copied(), lh).as_bytes());
         }
         for pair in &self.pairs {
             write_pair_counts(&mut out, pair);
@@ -288,12 +284,8 @@ impl PairwiseHist {
             }
             let k = raw1d.get(c)?.edges.len() - 1;
             let mut reader = BitReader::new(data.get(pos..)?);
-            let mut counts = Vec::with_capacity(k);
-            for _ in 0..k {
-                counts.push(reader.read_bits(lh)?);
-            }
-            pos += (reader.bit_pos().div_ceil(8)) as usize;
-            counts1d.push(counts);
+            counts1d.push(reader.read_plane(k, lh)?.collect::<Vec<_>>());
+            pos += reader.bit_pos().div_ceil(8) as usize;
         }
         let mut pair_counts = Vec::with_capacity(n_pairs);
         for (di, dj) in &raw_dims {
@@ -471,9 +463,7 @@ fn write_pair_counts(out: &mut Vec<u8>, pair: &PairHist) {
             prev = idx as i64;
         }
     } else {
-        for &c in &pair.counts {
-            bits.write_bits(c as u64, lh);
-        }
+        bits.write_plane(pair.counts.iter().map(|&c| c as u64), lh);
     }
     out.extend_from_slice(&bits.finish());
 }
@@ -493,8 +483,8 @@ fn read_pair_counts(
     let sparse = *data.get(*pos)? != 0;
     *pos += 1;
     let cells = ki.checked_mul(kj)?;
-    let mut counts = vec![0u32; cells];
     if sparse {
+        let mut counts = vec![0u32; cells];
         let theta = ph_encoding::read_uvarint(data, pos)?;
         if theta as usize > cells {
             return None;
@@ -512,14 +502,13 @@ fn read_pair_counts(
             prev = idx as i64;
         }
         *pos += reader.bit_pos().div_ceil(8) as usize;
+        Some(counts)
     } else {
         let mut reader = BitReader::new(data.get(*pos..)?);
-        for c in counts.iter_mut() {
-            *c = reader.read_bits(lh)? as u32;
-        }
+        let counts = reader.read_plane(cells, lh)?.map(|c| c as u32).collect();
         *pos += reader.bit_pos().div_ceil(8) as usize;
+        Some(counts)
     }
-    Some(counts)
 }
 
 /// Byte width for edges/values of one column: enough for the doubled top edge.

@@ -1,4 +1,72 @@
-//! MSB-first bit reader and writer.
+//! MSB-first bit reader and writer, and [`BitPlane`]: the one packer of every
+//! fixed-width integer array (column codecs, GD base IDs, synopsis counts).
+
+/// `len` unsigned integers of `width` bits each, packed MSB-first back to back
+/// (the layout [`BitWriter::write_bits`] produces) and zero-padded to a byte:
+/// `⌈len·width / 8⌉` bytes, none at width 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitPlane {
+    width: u32,
+    len: usize,
+    bytes: Vec<u8>,
+}
+
+impl BitPlane {
+    /// Packs `values`, each of which must fit in `width` (≤ 64) bits.
+    pub fn pack(values: impl ExactSizeIterator<Item = u64>, width: u32) -> Self {
+        let len = values.len();
+        let mut w = BitWriter::new();
+        w.write_plane(values, width);
+        Self { width, len, bytes: w.finish() }
+    }
+
+    /// The plane of `len` values at `width` bits whose [`as_bytes`](Self::as_bytes)
+    /// are `bytes`; `None` unless `width ≤ 64` and `bytes` is exactly
+    /// `⌈len·width / 8⌉` long.
+    pub fn from_bytes(bytes: &[u8], len: usize, width: u32) -> Option<Self> {
+        let bits = (len as u64).checked_mul(width as u64)?;
+        (width <= 64 && bytes.len() as u64 == bits.div_ceil(8))
+            .then(|| Self { width, len, bytes: bytes.to_vec() })
+    }
+
+    /// Values held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the plane holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bits per value.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// The values, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        plane_values(BitReader::new(&self.bytes), self.len, self.width)
+    }
+
+    /// The packed bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// `len` values of `width` bits from `bits`, whose caller checked that they
+/// are all there (so the `unwrap_or` never fires): the one unpacker behind
+/// [`BitPlane::iter`] and [`BitReader::read_plane`]. A mapped range rather than
+/// an `Iterator` impl of its own, because std trusts a range's length: a
+/// `collect` into a `Vec` ran about twice as fast this way.
+fn plane_values(
+    mut bits: BitReader<'_>,
+    len: usize,
+    width: u32,
+) -> impl ExactSizeIterator<Item = u64> + '_ {
+    (0..len).map(move |_| bits.read_bits(width).unwrap_or(0))
+}
 
 /// Appends bits MSB-first into a growable byte buffer.
 #[derive(Debug, Default)]
@@ -55,6 +123,15 @@ impl BitWriter {
             self.cur_bits = rest;
         }
         self.total_bits += n as u64;
+    }
+
+    /// Writes each of `values` at `width` bits: a [`BitPlane`] laid into the
+    /// stream at its current position.
+    #[inline]
+    pub fn write_plane(&mut self, values: impl IntoIterator<Item = u64>, width: u32) {
+        for v in values {
+            self.write_bits(v, width);
+        }
     }
 
     /// Writes a single bit.
@@ -167,6 +244,23 @@ impl<'a> BitReader<'a> {
         Some(v)
     }
 
+    /// The next `len` values of `width` bits (the inverse of
+    /// [`BitWriter::write_plane`]); the reader moves past them. `None`, and the
+    /// reader stays put, if `width > 64` or fewer than `len·width` bits remain.
+    pub fn read_plane(
+        &mut self,
+        len: usize,
+        width: u32,
+    ) -> Option<impl ExactSizeIterator<Item = u64> + 'a> {
+        let bits = (len as u64).checked_mul(width as u64)?;
+        if width > 64 || bits > self.remaining_bits() {
+            return None;
+        }
+        let plane = plane_values(self.clone(), len, width);
+        self.pos += bits;
+        Some(plane)
+    }
+
     /// Reads a unary code (count of leading one-bits before the terminating zero).
     pub fn read_unary(&mut self) -> Option<u64> {
         let mut q = 0u64;
@@ -176,11 +270,6 @@ impl<'a> BitReader<'a> {
                 false => return Some(q),
             }
         }
-    }
-
-    /// Skips to the next byte boundary.
-    pub fn align_byte(&mut self) {
-        self.pos = self.pos.div_ceil(8) * 8;
     }
 
     /// Seeks to an absolute bit position (may be past the end; subsequent reads then
@@ -314,16 +403,53 @@ mod tests {
         }
     }
 
+    /// A plane is `write_bits` of each value at one width, at every width; its
+    /// bytes come back only at their exact length.
     #[test]
-    fn align_byte_skips() {
+    fn plane_is_fixed_width_write_bits_and_checks_its_length() {
+        for width in 0..=64u32 {
+            let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+            let values: Vec<u64> =
+                (0..37u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask).collect();
+            let plane = BitPlane::pack(values.iter().copied(), width);
+            let mut w = BitWriter::new();
+            for &v in &values {
+                w.write_bits(v, width);
+            }
+            assert_eq!(plane.as_bytes(), w.finish(), "width {width}");
+            assert_eq!(plane.iter().collect::<Vec<_>>(), values, "width {width}");
+            assert_eq!((plane.len(), plane.width()), (37, width));
+            let bytes = plane.as_bytes();
+            assert_eq!(BitPlane::from_bytes(bytes, 37, width), Some(plane.clone()));
+            assert!(BitPlane::from_bytes(&[bytes, &[0]].concat(), 37, width).is_none());
+            if let Some((_, short)) = bytes.split_last() {
+                assert!(BitPlane::from_bytes(short, 37, width).is_none());
+            }
+        }
+        assert!(BitPlane::from_bytes(&[], 0, 65).is_none());
+        assert!(BitPlane::from_bytes(&[], usize::MAX, 64).is_none());
+        let empty = BitPlane::pack(std::iter::empty(), 9);
+        assert!(empty.is_empty() && empty.as_bytes().is_empty());
+    }
+
+    /// Planes after a header and after each other read back as written, and a
+    /// plane the stream cannot back leaves the reader where it was.
+    #[test]
+    fn planes_share_a_stream() {
         let mut w = BitWriter::new();
-        w.write_bits(0b1, 1);
-        w.write_bits(0, 7);
-        w.write_bits(0xAB, 8);
+        w.write_bits(0b101, 3);
+        w.write_plane((0..10u64).map(|i| i * 3), 5);
+        w.write_plane([7u64, 0, 7], 3);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        r.read_bit();
-        r.align_byte();
-        assert_eq!(r.read_bits(8), Some(0xAB));
+        assert_eq!(r.read_bits(3), Some(0b101));
+        let first: Vec<u64> = r.read_plane(10, 5).unwrap().collect();
+        assert_eq!(first, (0..10u64).map(|i| i * 3).collect::<Vec<_>>());
+        let at = r.bit_pos();
+        assert!(r.read_plane(100, 3).is_none());
+        assert!(r.read_plane(1, 65).is_none());
+        assert_eq!(r.bit_pos(), at);
+        assert_eq!(r.read_plane(3, 3).unwrap().collect::<Vec<_>>(), [7, 0, 7]);
+        assert_eq!(r.read_plane(1_000_000, 0).map(|p| p.len()), Some(1_000_000));
     }
 }

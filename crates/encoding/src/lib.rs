@@ -7,6 +7,8 @@
 //!   Golomb-codes the index gaps of sparse count matrices — Golomb coding is optimal
 //!   for the geometrically distributed gaps the paper expects.
 //!
+//! Every fixed-width integer array among them (GD base IDs, dense counts, the
+//! column codecs' residuals, codes, runs and deltas) is one [`BitPlane`].
 //! All streams are MSB-first within each byte, so encoded sizes match the paper's
 //! `⌈bits / 8⌉` accounting exactly.
 
@@ -22,7 +24,7 @@ mod golomb;
 mod qlog;
 mod varint;
 
-pub use bitio::{BitReader, BitWriter};
+pub use bitio::{BitPlane, BitReader, BitWriter};
 pub use crc32::{crc32, Crc32};
 pub use golomb::{golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m};
 pub use qlog::{

@@ -1,20 +1,18 @@
 //! Frame-of-reference bit packing: subtract the column minimum, store residuals
 //! at the fixed width of the largest residual. Constant columns cost 0 bits/row.
 
-use ph_encoding::{read_uvarint, write_uvarint, BitReader, BitWriter};
+use ph_encoding::{read_uvarint, write_uvarint, BitPlane};
 
-use super::{uvarint_len, width_for, Codec, EncodedPred, MAX_CODEC_ROWS};
+use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
 
 /// Minimum-subtracted fixed-width column store.
 ///
-/// Wire layout: `uvarint n_rows | uvarint min | u8 width | packed residuals`
-/// (`n_rows * width` bits, zero-padded to a byte boundary).
+/// Wire layout: `uvarint n_rows | uvarint min | u8 width | residual plane`
+/// (`n_rows` values at `width` bits).
 #[derive(Debug, Clone)]
 pub struct BitPackCodec {
-    n_rows: usize,
     min: u64,
-    width: u32,
-    packed: Vec<u8>,
+    residuals: BitPlane,
 }
 
 impl BitPackCodec {
@@ -23,14 +21,8 @@ impl BitPackCodec {
     pub fn encode(values: &[u64]) -> Self {
         let min = values.iter().copied().min().unwrap_or(0);
         let max = values.iter().copied().max().unwrap_or(0);
-        let width = width_for(max - min);
-        let mut w = BitWriter::new();
-        if width > 0 {
-            for &v in values {
-                w.write_bits(v - min, width);
-            }
-        }
-        Self { n_rows: values.len(), min, width, packed: w.finish() }
+        let residuals = BitPlane::pack(values.iter().map(|&v| v - min), width_for(max - min));
+        Self { min, residuals }
     }
 
     /// Exact serialized size for a column with the given stats — lets
@@ -39,54 +31,43 @@ impl BitPackCodec {
         let width = width_for(max - min) as usize;
         uvarint_len(n_rows as u64) + uvarint_len(min) + 1 + (n_rows * width).div_ceil(8)
     }
-}
 
-impl Codec for BitPackCodec {
-    fn n_rows(&self) -> usize {
-        self.n_rows
+    /// Rows held.
+    pub fn n_rows(&self) -> usize {
+        self.residuals.len()
     }
 
-    fn get(&self, row: usize) -> Option<u64> {
-        if row >= self.n_rows {
-            return None;
-        }
-        if self.width == 0 {
-            return Some(self.min);
-        }
-        let mut r = BitReader::new(&self.packed);
-        r.seek(row as u64 * self.width as u64);
-        let residual = r.read_bits(self.width)?;
-        Some(self.min.wrapping_add(residual))
+    /// Every row's value.
+    fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.residuals.iter().map(|r| self.min.wrapping_add(r))
     }
 
-    fn decode(&self) -> Vec<u64> {
-        if self.width == 0 {
-            return vec![self.min; self.n_rows];
-        }
-        let mut out = Vec::with_capacity(self.n_rows);
-        let mut r = BitReader::new(&self.packed);
-        for _ in 0..self.n_rows {
-            // from_bytes validated payload length, encode wrote every row.
-            let residual = r.read_bits(self.width).unwrap_or(0);
-            out.push(self.min.wrapping_add(residual));
-        }
-        out
+    /// Full decode back to the encoded-domain column.
+    pub fn decode(&self) -> Vec<u64> {
+        self.values().collect()
     }
 
-    fn packed_bytes(&self) -> usize {
-        uvarint_len(self.n_rows as u64) + uvarint_len(self.min) + 1 + self.packed.len()
+    /// Serialized size, `== to_bytes().len()`.
+    pub fn packed_bytes(&self) -> usize {
+        uvarint_len(self.n_rows() as u64)
+            + uvarint_len(self.min)
+            + 1
+            + self.residuals.as_bytes().len()
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// Serializes to the wire layout.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
-        write_uvarint(&mut out, self.n_rows as u64);
+        write_uvarint(&mut out, self.n_rows() as u64);
         write_uvarint(&mut out, self.min);
-        out.push(self.width as u8);
-        out.extend_from_slice(&self.packed);
+        out.push(self.residuals.width() as u8);
+        out.extend_from_slice(self.residuals.as_bytes());
         out
     }
 
-    fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
+    /// input.
+    pub fn from_bytes(data: &[u8]) -> Option<Self> {
         let mut pos = 0;
         let n_rows = read_uvarint(data, &mut pos)? as usize;
         if n_rows > MAX_CODEC_ROWS {
@@ -94,30 +75,13 @@ impl Codec for BitPackCodec {
         }
         let min = read_uvarint(data, &mut pos)?;
         let width = *data.get(pos)? as u32;
-        pos += 1;
-        if width > 64 {
-            return None;
-        }
-        let payload = data.get(pos..)?;
-        if payload.len() != (n_rows * width as usize).div_ceil(8) {
-            return None;
-        }
-        Some(Self { n_rows, min, width, packed: payload.to_vec() })
+        let residuals = BitPlane::from_bytes(data.get(pos + 1..)?, n_rows, width)?;
+        Some(Self { min, residuals })
     }
 
-    fn count_matching(&self, pred: &EncodedPred) -> u64 {
-        if self.width == 0 {
-            return if pred.matches(self.min) { self.n_rows as u64 } else { 0 };
-        }
-        let mut r = BitReader::new(&self.packed);
-        let mut count = 0u64;
-        for _ in 0..self.n_rows {
-            let residual = r.read_bits(self.width).unwrap_or(0);
-            if pred.matches(self.min.wrapping_add(residual)) {
-                count += 1;
-            }
-        }
-        count
+    /// Rows matching `pred`.
+    pub fn count_matching(&self, pred: &EncodedPred) -> u64 {
+        self.values().filter(|&v| pred.matches(v)).count() as u64
     }
 }
 
@@ -132,8 +96,7 @@ mod tests {
         // uvarint(1000)=2 + uvarint(42)=1 + width byte: no per-row cost.
         assert_eq!(c.packed_bytes(), 4);
         assert_eq!(c.decode(), vec![42; 1000]);
-        assert_eq!(c.get(999), Some(42));
-        assert_eq!(c.get(1000), None);
+        assert_eq!(c.count_matching(&EncodedPred::Eq(42)), 1000);
     }
 
     #[test]
@@ -142,9 +105,6 @@ mod tests {
         let c = BitPackCodec::encode(&vals);
         let restored = BitPackCodec::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(restored.decode(), vals);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(restored.get(i), Some(v));
-        }
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
         assert_eq!(
             BitPackCodec::size_for(vals.len(), 5, u64::MAX),

@@ -4,7 +4,7 @@ use super::bitpack::BitPackCodec;
 use super::delta::{DeltaCodec, DELTA_BLOCK};
 use super::dict::DictCodec;
 use super::runend::RunEndCodec;
-use super::{Codec, EncodedPred};
+use super::EncodedPred;
 
 /// Distinct values tracked before a column is declared high-cardinality and
 /// the dictionary codec drops out of the race.
@@ -54,10 +54,9 @@ impl ColumnCodec {
             _ => None,
         }
     }
-}
 
-impl Codec for ColumnCodec {
-    fn n_rows(&self) -> usize {
+    /// Rows held.
+    pub fn n_rows(&self) -> usize {
         match self {
             ColumnCodec::BitPack(c) => c.n_rows(),
             ColumnCodec::Delta(c) => c.n_rows(),
@@ -66,16 +65,9 @@ impl Codec for ColumnCodec {
         }
     }
 
-    fn get(&self, row: usize) -> Option<u64> {
-        match self {
-            ColumnCodec::BitPack(c) => c.get(row),
-            ColumnCodec::Delta(c) => c.get(row),
-            ColumnCodec::Dict(c) => c.get(row),
-            ColumnCodec::RunEnd(c) => c.get(row),
-        }
-    }
-
-    fn decode(&self) -> Vec<u64> {
+    /// Full decode back to the encoded-domain column. Total: every codec in
+    /// memory was encoded here or validated by its `from_bytes`.
+    pub fn decode(&self) -> Vec<u64> {
         match self {
             ColumnCodec::BitPack(c) => c.decode(),
             ColumnCodec::Delta(c) => c.decode(),
@@ -84,7 +76,9 @@ impl Codec for ColumnCodec {
         }
     }
 
-    fn packed_bytes(&self) -> usize {
+    /// Serialized size in bytes, computed arithmetically in O(1) — equal to
+    /// `to_bytes().len()` (pinned by proptest).
+    pub fn packed_bytes(&self) -> usize {
         match self {
             ColumnCodec::BitPack(c) => c.packed_bytes(),
             ColumnCodec::Delta(c) => c.packed_bytes(),
@@ -93,7 +87,9 @@ impl Codec for ColumnCodec {
         }
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// The payload [`from_tag_bytes`](Self::from_tag_bytes) restores under
+    /// [`tag`](Self::tag).
+    pub fn to_bytes(&self) -> Vec<u8> {
         match self {
             ColumnCodec::BitPack(c) => c.to_bytes(),
             ColumnCodec::Delta(c) => c.to_bytes(),
@@ -102,12 +98,8 @@ impl Codec for ColumnCodec {
         }
     }
 
-    /// Not meaningful without a tag; use [`ColumnCodec::from_tag_bytes`].
-    fn from_bytes(_data: &[u8]) -> Option<Self> {
-        None
-    }
-
-    fn count_matching(&self, pred: &EncodedPred) -> u64 {
+    /// Rows matching `pred`, evaluated on the encoded representation.
+    pub fn count_matching(&self, pred: &EncodedPred) -> u64 {
         match self {
             ColumnCodec::BitPack(c) => c.count_matching(pred),
             ColumnCodec::Delta(c) => c.count_matching(pred),

@@ -7,7 +7,7 @@ use ph_encoding::{read_uvarint, write_uvarint};
 use crate::{EncodedMatrix, GdSplit, GdStore};
 
 use super::column::{choose_codec, ColumnCodec};
-use super::{uvarint_len, Codec, EncodedPred, MAX_CODEC_ROWS};
+use super::{uvarint_len, EncodedPred, MAX_CODEC_ROWS};
 
 /// A sealed segment's rows, one codec per column.
 ///
@@ -37,16 +37,6 @@ impl ColumnarStore {
     /// Columns held.
     pub fn n_columns(&self) -> usize {
         self.columns.len()
-    }
-
-    /// The codec sealed over column `c`.
-    pub fn column(&self, c: usize) -> Option<&ColumnCodec> {
-        self.columns.get(c)
-    }
-
-    /// Random access to one cell.
-    pub fn get(&self, row: usize, col: usize) -> Option<u64> {
-        self.columns.get(col)?.get(row)
     }
 
     /// Full decode back to the encoded-domain matrix. Total on any store that
@@ -247,23 +237,17 @@ mod tests {
     #[test]
     fn store_roundtrips_mixed_columns() {
         let m = matrix(vec![
-            (0..2_000u64).map(|i| 1_700_000_000 + i * 30).collect(), // delta
-            (0..2_000u64).map(|i| i % 7).collect(),                  // dict
-            vec![42; 2_000],                                         // runend
-            (0..2_000u64).map(|i| i.wrapping_mul(0x9E37_79B9) >> 12).collect(), // bitpack
+            (0..2_000u64).map(|i| 1_700_000_000 + i * 30).collect(),
+            (0..2_000u64).map(|i| ((i * 2_654_435_761) % 8) << 40).collect(),
+            (0..2_000u64).map(|i| (i / 500) % 2).collect(),
+            vec![42; 2_000],
         ]);
         let s = ColumnarStore::encode(&m);
         assert_eq!(s.decompress().columns, m.columns);
         assert_eq!(s.packed_bytes(), s.to_bytes().len());
         let restored = ColumnarStore::from_bytes(&s.to_bytes()).unwrap();
         assert_eq!(restored.decompress().columns, m.columns);
-        assert_eq!(restored.codec_names(), s.codec_names());
-        for (c, col) in m.columns.iter().enumerate() {
-            for &row in &[0usize, 1, 999, 1_999] {
-                assert_eq!(restored.get(row, c), Some(col[row]));
-            }
-            assert_eq!(restored.get(2_000, c), None);
-        }
+        assert_eq!(restored.codec_names(), ["delta", "dict", "runend", "bitpack"]);
     }
 
     #[test]
@@ -332,8 +316,8 @@ mod tests {
         assert_eq!(gd.codec_names(), vec!["greedy-gd"]);
     }
 
-    // -- property tests: every codec round-trips bit-identically, random access
-    //    agrees with full decode, sizes are exact, predicates match a scan. --
+    // -- property tests: every codec round-trips bit-identically, sizes are
+    //    exact, predicates match a scan. --
 
     /// Generates one of four column shapes per case: low cardinality, runs,
     /// near-arithmetic sequences, or arbitrary u64s (incl. extremes).
@@ -385,10 +369,7 @@ mod tests {
                     prop_assert!(restored.is_some());
                     let restored = restored.unwrap();
                     prop_assert_eq!(restored.decode(), vals.clone());
-                    for (i, &v) in vals.iter().enumerate() {
-                        prop_assert_eq!(restored.get(i), Some(v));
-                    }
-                    prop_assert_eq!(restored.get(vals.len()), None);
+                    prop_assert_eq!(restored.n_rows(), vals.len());
                 }};
             }
             check!(BitPackCodec);

@@ -4,12 +4,12 @@
 //! constant step, so consecutive differences span a tiny range even when the
 //! absolute values need 40+ bits. Deltas are zigzag-mapped to unsigned, then
 //! frame-of-reference packed; every [`DELTA_BLOCK`]'th row stores the absolute
-//! value instead so `get` costs one block, not the whole column. A fixed-step
-//! column needs 0 bits per non-anchor row.
+//! value instead, so a block decodes on its own. A fixed-step column needs 0
+//! bits per non-anchor row.
 
 use ph_encoding::{read_uvarint, write_uvarint, BitReader, BitWriter};
 
-use super::{uvarint_len, width_for, Codec, EncodedPred, MAX_CODEC_ROWS};
+use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
 
 /// Rows per block: one absolute anchor, then `DELTA_BLOCK - 1` deltas.
 pub(crate) const DELTA_BLOCK: usize = 256;
@@ -27,10 +27,9 @@ fn unzigzag(z: u64) -> i64 {
 /// Blocked zigzag-delta column store.
 ///
 /// Wire layout: `uvarint n_rows | u8 anchor_width | u8 delta_width |
-/// uvarint min_zz | packed` where each block is an absolute anchor at
-/// `anchor_width` bits followed by `min_zz`-subtracted zigzag deltas at
-/// `delta_width` bits. All blocks except the last are full, so block `b`
-/// starts at bit `b * (anchor_width + (DELTA_BLOCK-1) * delta_width)`.
+/// uvarint min_zz | packed` where each block is a plane of one absolute anchor
+/// at `anchor_width` bits followed by a plane of its `min_zz`-subtracted
+/// zigzag deltas at `delta_width` bits. All blocks except the last are full.
 #[derive(Debug, Clone)]
 pub struct DeltaCodec {
     n_rows: usize,
@@ -46,13 +45,10 @@ impl DeltaCodec {
     pub fn encode(values: &[u64]) -> Self {
         let (anchor_width, delta_width, min_zz) = Self::widths(values);
         let mut w = BitWriter::new();
-        for (r, &v) in values.iter().enumerate() {
-            if r % DELTA_BLOCK == 0 {
-                w.write_bits(v, anchor_width);
-            } else if delta_width > 0 {
-                let zz = zigzag(v.wrapping_sub(values[r - 1]) as i64);
-                w.write_bits(zz - min_zz, delta_width);
-            }
+        for block in values.chunks(DELTA_BLOCK) {
+            w.write_plane(block.first().copied(), anchor_width);
+            let deltas = block.windows(2).map(|p| zigzag(p[1].wrapping_sub(p[0]) as i64));
+            w.write_plane(deltas.map(|zz| zz - min_zz), delta_width);
         }
         Self { n_rows: values.len(), anchor_width, delta_width, min_zz, packed: w.finish() }
     }
@@ -87,62 +83,45 @@ impl DeltaCodec {
         uvarint_len(n_rows as u64) + 2 + uvarint_len(min_zz) + bits.div_ceil(8)
     }
 
-    #[inline]
-    fn block_bits(&self) -> usize {
-        self.anchor_width as usize + (DELTA_BLOCK - 1) * self.delta_width as usize
-    }
-
-    /// Decodes block `b` into `out` (cleared first), up to `n_rows`.
-    fn decode_block(&self, b: usize, out: &mut Vec<u64>) {
-        out.clear();
-        let start = b * DELTA_BLOCK;
-        let len = DELTA_BLOCK.min(self.n_rows - start);
+    /// Every row's value, block by block: a running sum of the anchor and
+    /// then the deltas.
+    fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        let (n_rows, min_zz) = (self.n_rows, self.min_zz);
         let mut r = BitReader::new(&self.packed);
-        r.seek((b * self.block_bits()) as u64);
-        let mut v = r.read_bits(self.anchor_width).unwrap_or(0);
-        out.push(v);
-        for _ in 1..len {
-            let zz = if self.delta_width == 0 {
-                self.min_zz
-            } else {
-                self.min_zz
-                    .wrapping_add(r.read_bits(self.delta_width).unwrap_or(0))
-            };
-            v = v.wrapping_add(unzigzag(zz) as u64);
-            out.push(v);
-        }
+        (0..n_rows).step_by(DELTA_BLOCK).flat_map(move |start| {
+            // `encode` wrote, or `from_bytes` checked, every block's bits.
+            let anchor = r.read_plane(1, self.anchor_width).into_iter().flatten();
+            let n_deltas = DELTA_BLOCK.min(n_rows - start) - 1;
+            let deltas = r.read_plane(n_deltas, self.delta_width).into_iter().flatten();
+            let steps = deltas.map(move |d| unzigzag(min_zz.wrapping_add(d)) as u64);
+            anchor.chain(steps).scan(0u64, |v, step| {
+                *v = v.wrapping_add(step);
+                Some(*v)
+            })
+        })
     }
-}
 
-impl Codec for DeltaCodec {
-    fn n_rows(&self) -> usize {
+    /// Rows held.
+    pub fn n_rows(&self) -> usize {
         self.n_rows
     }
 
-    fn get(&self, row: usize) -> Option<u64> {
-        if row >= self.n_rows {
-            return None;
-        }
-        let mut block = Vec::with_capacity(DELTA_BLOCK);
-        self.decode_block(row / DELTA_BLOCK, &mut block);
-        block.get(row % DELTA_BLOCK).copied()
-    }
-
-    fn decode(&self) -> Vec<u64> {
+    /// Full decode back to the encoded-domain column.
+    pub fn decode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.n_rows);
-        let mut block = Vec::with_capacity(DELTA_BLOCK);
-        for b in 0..self.n_rows.div_ceil(DELTA_BLOCK) {
-            self.decode_block(b, &mut block);
-            out.extend_from_slice(&block);
-        }
+        // `for_each` folds block by block; `extend` would step the flattened
+        // iterator one row at a time.
+        self.values().for_each(|v| out.push(v));
         out
     }
 
-    fn packed_bytes(&self) -> usize {
+    /// Serialized size, `== to_bytes().len()`.
+    pub fn packed_bytes(&self) -> usize {
         uvarint_len(self.n_rows as u64) + 2 + uvarint_len(self.min_zz) + self.packed.len()
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// Serializes to the wire layout.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
         write_uvarint(&mut out, self.n_rows as u64);
         out.push(self.anchor_width as u8);
@@ -152,7 +131,9 @@ impl Codec for DeltaCodec {
         out
     }
 
-    fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
+    /// input.
+    pub fn from_bytes(data: &[u8]) -> Option<Self> {
         let mut pos = 0;
         let n_rows = read_uvarint(data, &mut pos)? as usize;
         if n_rows > MAX_CODEC_ROWS {
@@ -175,14 +156,9 @@ impl Codec for DeltaCodec {
         Some(Self { n_rows, anchor_width, delta_width, min_zz, packed: payload.to_vec() })
     }
 
-    fn count_matching(&self, pred: &EncodedPred) -> u64 {
-        let mut count = 0u64;
-        let mut block = Vec::with_capacity(DELTA_BLOCK);
-        for b in 0..self.n_rows.div_ceil(DELTA_BLOCK) {
-            self.decode_block(b, &mut block);
-            count += block.iter().filter(|&&v| pred.matches(v)).count() as u64;
-        }
-        count
+    /// Rows matching `pred`, decoded on the fly.
+    pub fn count_matching(&self, pred: &EncodedPred) -> u64 {
+        self.values().filter(|&v| pred.matches(v)).count() as u64
     }
 }
 
@@ -206,7 +182,6 @@ mod tests {
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
         let restored = DeltaCodec::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(restored.decode(), vals);
-        assert_eq!(restored.get(777), Some(vals[777]));
     }
 
     #[test]
@@ -215,19 +190,16 @@ mod tests {
         let c = DeltaCodec::encode(&vals);
         let restored = DeltaCodec::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(restored.decode(), vals);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(restored.get(i), Some(v));
-        }
     }
 
     #[test]
-    fn multi_block_get_crosses_anchors() {
+    fn multi_block_decode_crosses_anchors() {
         let vals: Vec<u64> = (0..700u64).map(|i| i * i % 9973).collect();
         let c = DeltaCodec::encode(&vals);
-        for &row in &[0usize, 1, 255, 256, 257, 511, 512, 699] {
-            assert_eq!(c.get(row), Some(vals[row]), "row {row}");
-        }
-        assert_eq!(c.get(700), None);
+        assert_eq!(DeltaCodec::from_bytes(&c.to_bytes()).unwrap().decode(), vals);
+        let pred = EncodedPred::Range { lo: Some(100), hi: Some(5_000) };
+        let want = vals.iter().filter(|&&v| pred.matches(v)).count() as u64;
+        assert_eq!(c.count_matching(&pred), want);
         let (_, _, min_zz) = DeltaCodec::widths(&vals);
         let max = *vals.iter().max().unwrap();
         let max_zz = (1..vals.len())

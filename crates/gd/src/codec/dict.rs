@@ -5,21 +5,20 @@
 //! codes, range predicates become a contiguous code interval — both evaluate
 //! on the packed codes without materializing a single value.
 
-use ph_encoding::{read_uvarint, write_uvarint, BitReader, BitWriter};
+use ph_encoding::{read_uvarint, write_uvarint, BitPlane};
 
-use super::{uvarint_len, width_for, Codec, EncodedPred, MAX_CODEC_ROWS};
+use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
 
 /// Sorted-dictionary column store.
 ///
-/// Wire layout: `uvarint n_rows | uvarint k | dict | u8 code_width | packed
-/// codes`, where `dict` is `uvarint dict[0]` followed by `k-1` uvarint gaps
-/// (`dict[i] - dict[i-1]`, each ≥ 1 — strictly ascending by construction).
+/// Wire layout: `uvarint n_rows | uvarint k | dict | u8 code_width | code
+/// plane`, where `dict` is `uvarint dict[0]` followed by `k-1` uvarint gaps
+/// (`dict[i] - dict[i-1]`, each ≥ 1 — strictly ascending by construction) and
+/// the plane holds `n_rows` codes at `code_width` bits.
 #[derive(Debug, Clone)]
 pub struct DictCodec {
-    n_rows: usize,
     dict: Vec<u64>,
-    code_width: u32,
-    codes: Vec<u8>,
+    codes: BitPlane,
     dict_bytes: usize,
 }
 
@@ -39,17 +38,11 @@ impl DictCodec {
         let mut dict: Vec<u64> = values.to_vec();
         dict.sort_unstable();
         dict.dedup();
-        let code_width = width_for(dict.len().saturating_sub(1) as u64);
-        let mut w = BitWriter::new();
-        if code_width > 0 {
-            for &v in values {
-                // Present by construction: dict is the distinct set of values.
-                let code = dict.binary_search(&v).unwrap_or(0) as u64;
-                w.write_bits(code, code_width);
-            }
-        }
+        // Present by construction: dict is the distinct set of values.
+        let codes = values.iter().map(|v| dict.binary_search(v).unwrap_or(0) as u64);
+        let codes = BitPlane::pack(codes, width_for(dict.len().saturating_sub(1) as u64));
         let dict_bytes = dict_payload_len(&dict);
-        Self { n_rows: values.len(), dict, code_width, codes: w.finish(), dict_bytes }
+        Self { dict, codes, dict_bytes }
     }
 
     /// Exact serialized size given the sorted distinct set of the column.
@@ -61,11 +54,6 @@ impl DictCodec {
             + dict_payload_len(sorted_distinct)
             + 1
             + (n_rows * cw).div_ceil(8)
-    }
-
-    /// Number of distinct values.
-    pub fn n_distinct(&self) -> usize {
-        self.dict.len()
     }
 
     /// The code interval `[lo, hi)` whose dictionary values satisfy `pred`,
@@ -89,51 +77,31 @@ impl DictCodec {
             }
         }
     }
-}
 
-impl Codec for DictCodec {
-    fn n_rows(&self) -> usize {
-        self.n_rows
+    /// Rows held.
+    pub fn n_rows(&self) -> usize {
+        self.codes.len()
     }
 
-    fn get(&self, row: usize) -> Option<u64> {
-        if row >= self.n_rows {
-            return None;
-        }
-        if self.code_width == 0 {
-            return self.dict.first().copied();
-        }
-        let mut r = BitReader::new(&self.codes);
-        r.seek(row as u64 * self.code_width as u64);
-        let code = r.read_bits(self.code_width)? as usize;
-        // from_bytes validated every packed code < k.
-        self.dict.get(code).copied()
+    /// Full decode back to the encoded-domain column.
+    pub fn decode(&self) -> Vec<u64> {
+        // from_bytes validated every code < k.
+        self.codes.iter().map(|c| self.dict.get(c as usize).copied().unwrap_or(0)).collect()
     }
 
-    fn decode(&self) -> Vec<u64> {
-        if self.code_width == 0 {
-            return vec![self.dict.first().copied().unwrap_or(0); self.n_rows];
-        }
-        let mut out = Vec::with_capacity(self.n_rows);
-        let mut r = BitReader::new(&self.codes);
-        for _ in 0..self.n_rows {
-            let code = r.read_bits(self.code_width).unwrap_or(0) as usize;
-            out.push(self.dict.get(code).copied().unwrap_or(0));
-        }
-        out
-    }
-
-    fn packed_bytes(&self) -> usize {
-        uvarint_len(self.n_rows as u64)
+    /// Serialized size, `== to_bytes().len()`.
+    pub fn packed_bytes(&self) -> usize {
+        uvarint_len(self.n_rows() as u64)
             + uvarint_len(self.dict.len() as u64)
             + self.dict_bytes
             + 1
-            + self.codes.len()
+            + self.codes.as_bytes().len()
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// Serializes to the wire layout.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
-        write_uvarint(&mut out, self.n_rows as u64);
+        write_uvarint(&mut out, self.n_rows() as u64);
         write_uvarint(&mut out, self.dict.len() as u64);
         if let Some(&first) = self.dict.first() {
             write_uvarint(&mut out, first);
@@ -141,19 +109,23 @@ impl Codec for DictCodec {
                 write_uvarint(&mut out, w[1] - w[0]);
             }
         }
-        out.push(self.code_width as u8);
-        out.extend_from_slice(&self.codes);
+        out.push(self.codes.width() as u8);
+        out.extend_from_slice(self.codes.as_bytes());
         out
     }
 
-    fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
+    /// input.
+    pub fn from_bytes(data: &[u8]) -> Option<Self> {
         let mut pos = 0;
         let n_rows = read_uvarint(data, &mut pos)? as usize;
         if n_rows > MAX_CODEC_ROWS {
             return None;
         }
         let k = read_uvarint(data, &mut pos)? as usize;
-        if k > MAX_CODEC_ROWS {
+        // Every entry takes at least a byte, so the body bounds `k` before
+        // anything is sized from it.
+        if k > data.len() - pos {
             return None;
         }
         let mut dict = Vec::with_capacity(k);
@@ -170,49 +142,25 @@ impl Codec for DictCodec {
             }
         }
         let code_width = *data.get(pos)? as u32;
-        pos += 1;
         if code_width != width_for(k.saturating_sub(1) as u64) {
             return None;
         }
-        if k == 0 && n_rows > 0 {
+        let codes = BitPlane::from_bytes(data.get(pos + 1..)?, n_rows, code_width)?;
+        // Every code names an entry, so decode stays total.
+        if codes.iter().any(|c| c >= k as u64) {
             return None;
-        }
-        let payload = data.get(pos..)?;
-        if payload.len() != (n_rows * code_width as usize).div_ceil(8) {
-            return None;
-        }
-        // Validate every code up-front so get/decode stay total.
-        if code_width > 0 {
-            let mut r = BitReader::new(payload);
-            for _ in 0..n_rows {
-                let code = r.read_bits(code_width)? as usize;
-                if code >= k {
-                    return None;
-                }
-            }
         }
         let dict_bytes = dict_payload_len(&dict);
-        Some(Self { n_rows, dict, code_width, codes: payload.to_vec(), dict_bytes })
+        Some(Self { dict, codes, dict_bytes })
     }
 
-    fn count_matching(&self, pred: &EncodedPred) -> u64 {
+    /// Rows matching `pred`, counted on the codes.
+    pub fn count_matching(&self, pred: &EncodedPred) -> u64 {
         let (lo, hi) = self.code_interval(pred);
         if lo >= hi {
-            return 0;
+            return 0; // no dictionary value matches: no row can
         }
-        if self.code_width == 0 {
-            // Single dict entry and it matched: every row does.
-            return self.n_rows as u64;
-        }
-        let mut r = BitReader::new(&self.codes);
-        let mut count = 0u64;
-        for _ in 0..self.n_rows {
-            let code = r.read_bits(self.code_width).unwrap_or(0);
-            if code >= lo && code < hi {
-                count += 1;
-            }
-        }
-        count
+        self.codes.iter().filter(|c| (lo..hi).contains(c)).count() as u64
     }
 }
 
@@ -224,14 +172,11 @@ mod tests {
     fn roundtrip_low_cardinality() {
         let vals: Vec<u64> = (0..600).map(|i| [3u64, 900, 7, 3, 100][i % 5]).collect();
         let c = DictCodec::encode(&vals);
-        assert_eq!(c.n_distinct(), 4);
+        assert_eq!(c.dict, [3, 7, 100, 900]);
         assert_eq!(c.decode(), vals);
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
         let restored = DictCodec::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(restored.decode(), vals);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(restored.get(i), Some(v));
-        }
         let mut distinct = vals.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -241,9 +186,8 @@ mod tests {
     #[test]
     fn single_value_column_has_no_code_bits() {
         let c = DictCodec::encode(&[9; 512]);
-        assert_eq!(c.code_width, 0);
+        assert_eq!(c.codes.width(), 0);
         assert_eq!(c.decode(), vec![9; 512]);
-        assert_eq!(c.get(511), Some(9));
         assert_eq!(c.count_matching(&EncodedPred::Eq(9)), 512);
         assert_eq!(c.count_matching(&EncodedPred::Eq(8)), 0);
         let restored = DictCodec::from_bytes(&c.to_bytes()).unwrap();
@@ -279,5 +223,20 @@ mod tests {
         zero_gap.push(1); // code_width
         zero_gap.push(0x00);
         assert!(DictCodec::from_bytes(&zero_gap).is_none());
+        // A code past the dictionary must be rejected too.
+        let mut bad_code = c.to_bytes();
+        *bad_code.last_mut().unwrap() |= 0xC0; // row 4's code 0 -> 3, with k = 3
+        assert!(DictCodec::from_bytes(&bad_code).is_none());
+    }
+
+    /// A claimed dictionary size the body cannot back fails before anything is
+    /// sized from it.
+    #[test]
+    fn from_bytes_bounds_k_by_the_body() {
+        let mut body = Vec::new();
+        write_uvarint(&mut body, 0); // n_rows
+        write_uvarint(&mut body, MAX_CODEC_ROWS as u64); // k
+        assert_eq!(body.len(), 6);
+        assert!(DictCodec::from_bytes(&body).is_none());
     }
 }

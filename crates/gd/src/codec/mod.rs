@@ -8,13 +8,14 @@
 //! specialist encoder that beats the row-wise split on that column alone
 //! ("High-Ratio Compression for Machine-Generated Data", PAPERS.md).
 //!
-//! This module provides those specialists behind one [`Codec`] contract:
+//! This module provides those specialists, dispatched through [`ColumnCodec`].
+//! Each is a transform in front of one packer: every fixed-width array it
+//! stores is a [`BitPlane`](ph_encoding::BitPlane).
 //!
 //! * [`BitPackCodec`] — frame-of-reference: minimum subtracted, residuals at a
 //!   fixed bit width (degenerates to **0 bits/row** on constant columns);
 //! * [`DeltaCodec`] — zigzag deltas with their own frame of reference, plus
-//!   periodic absolute anchors for random access (0 bits/row on fixed-step
-//!   timestamps);
+//!   an absolute anchor every block (0 bits/row on fixed-step timestamps);
 //! * [`DictCodec`] — sorted distinct-value dictionary + bit-packed codes; code
 //!   order equals value order, so equality *and* range predicates evaluate on
 //!   the codes without materializing values;
@@ -23,13 +24,14 @@
 //!
 //! [`choose_codec`] picks per column from one pass of cheap statistics
 //! (value range, run structure, bounded distinct count, delta spread) by exact
-//! serialized-size accounting; [`choose_store`] then keeps the columnar store
-//! only when its total beats the GreedyGD fallback, so the cascade can never
-//! regress a table GD already wins (e.g. whole-row duplication).
+//! serialized-size accounting; [`seal_store`] then keeps the smaller of the
+//! cascade and GreedyGD, so the cascade can never regress a table GD already
+//! wins (e.g. whole-row duplication).
 //!
-//! Every codec's `from_bytes` validates enough that `decode`/`get` are total
-//! afterwards — corrupted payloads fail at load with `None`, never at read with
-//! a panic — matching the serving-path posture of ph-lint rule R2.
+//! Every codec's `from_bytes` validates enough that `decode` and
+//! `count_matching` are total afterwards — corrupted payloads fail at load with
+//! `None`, never at read with a panic — matching the serving-path posture of
+//! ph-lint rule R2.
 
 mod bitpack;
 mod column;
@@ -79,37 +81,6 @@ impl EncodedPred {
             }
         }
     }
-}
-
-/// The per-column codec contract: encode from a column slice of an
-/// [`EncodedMatrix`](crate::EncodedMatrix), total decode, O(1) serialized-size
-/// accounting, random row access, and predicate evaluation on the encoded
-/// representation.
-pub trait Codec: Sized {
-    /// Rows held.
-    fn n_rows(&self) -> usize;
-
-    /// Random access to one row's value; `None` past the end. Never panics,
-    /// even on stores restored from hostile bytes (`from_bytes` validates).
-    fn get(&self, row: usize) -> Option<u64>;
-
-    /// Full decode back to the encoded-domain column. Total: every in-memory
-    /// store (encoded or validated at `from_bytes`) decodes without panicking.
-    fn decode(&self) -> Vec<u64>;
-
-    /// Serialized size in bytes, computed arithmetically in O(1) — must equal
-    /// `to_bytes().len()` exactly (pinned by proptest).
-    fn packed_bytes(&self) -> usize;
-
-    /// Serializes to the wire layout.
-    fn to_bytes(&self) -> Vec<u8>;
-
-    /// Restores from [`Codec::to_bytes`] output; `None` on malformed input.
-    /// Validation here is what makes `decode`/`get` total afterwards.
-    fn from_bytes(data: &[u8]) -> Option<Self>;
-
-    /// Rows matching `pred`, evaluated without materializing the column.
-    fn count_matching(&self, pred: &EncodedPred) -> u64;
 }
 
 /// Bit width needed for `v`, allowing **zero** for `v == 0` — unlike

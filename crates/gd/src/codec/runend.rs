@@ -6,14 +6,14 @@
 
 use ph_encoding::{read_uvarint, write_uvarint, BitReader, BitWriter};
 
-use super::{uvarint_len, width_for, Codec, EncodedPred, MAX_CODEC_ROWS};
+use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
 
 /// Run-end column store.
 ///
 /// Wire layout: `uvarint n_rows | uvarint n_runs | uvarint min | u8 val_width |
-/// u8 end_width | packed` — run values (`min`-subtracted, `val_width` bits)
-/// then exclusive run ends (`end_width` bits, strictly increasing, last one
-/// equal to `n_rows`).
+/// u8 end_width | values plane | ends plane` — run values (`min`-subtracted,
+/// `val_width` bits) then exclusive run ends (`end_width` bits, strictly
+/// increasing, last one equal to `n_rows`), the two planes back to back.
 #[derive(Debug, Clone)]
 pub struct RunEndCodec {
     n_rows: usize,
@@ -59,31 +59,18 @@ impl RunEndCodec {
             + bits.div_ceil(8)
     }
 
-    /// Number of runs.
-    pub fn n_runs(&self) -> usize {
-        self.values.len()
-    }
-
     #[inline]
     fn end_width(&self) -> u32 {
         width_for(self.n_rows as u64)
     }
-}
 
-impl Codec for RunEndCodec {
-    fn n_rows(&self) -> usize {
+    /// Rows held.
+    pub fn n_rows(&self) -> usize {
         self.n_rows
     }
 
-    fn get(&self, row: usize) -> Option<u64> {
-        if row >= self.n_rows {
-            return None;
-        }
-        let run = self.ends.partition_point(|&e| e <= row as u64);
-        self.values.get(run).copied()
-    }
-
-    fn decode(&self) -> Vec<u64> {
+    /// Full decode back to the encoded-domain column.
+    pub fn decode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.n_rows);
         let mut prev = 0u64;
         for (&v, &e) in self.values.iter().zip(&self.ends) {
@@ -93,7 +80,8 @@ impl Codec for RunEndCodec {
         out
     }
 
-    fn packed_bytes(&self) -> usize {
+    /// Serialized size, `== to_bytes().len()`.
+    pub fn packed_bytes(&self) -> usize {
         let bits = self.values.len() * (self.val_width + self.end_width()) as usize;
         uvarint_len(self.n_rows as u64)
             + uvarint_len(self.values.len() as u64)
@@ -102,7 +90,8 @@ impl Codec for RunEndCodec {
             + bits.div_ceil(8)
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// Serializes to the wire layout.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
         write_uvarint(&mut out, self.n_rows as u64);
         write_uvarint(&mut out, self.values.len() as u64);
@@ -110,62 +99,48 @@ impl Codec for RunEndCodec {
         out.push(self.val_width as u8);
         out.push(self.end_width() as u8);
         let mut w = BitWriter::new();
-        for &v in &self.values {
-            w.write_bits(v - self.min, self.val_width);
-        }
-        for &e in &self.ends {
-            w.write_bits(e, self.end_width());
-        }
+        w.write_plane(self.values.iter().map(|&v| v - self.min), self.val_width);
+        w.write_plane(self.ends.iter().copied(), self.end_width());
         out.extend_from_slice(&w.finish());
         out
     }
 
-    fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
+    /// input.
+    pub fn from_bytes(data: &[u8]) -> Option<Self> {
         let mut pos = 0;
         let n_rows = read_uvarint(data, &mut pos)? as usize;
         if n_rows > MAX_CODEC_ROWS {
             return None;
         }
         let n_runs = read_uvarint(data, &mut pos)? as usize;
-        if n_runs > n_rows || (n_rows > 0 && n_runs == 0) {
+        if n_runs > n_rows {
             return None;
         }
         let min = read_uvarint(data, &mut pos)?;
         let val_width = *data.get(pos)? as u32;
         let end_width = *data.get(pos + 1)? as u32;
-        pos += 2;
-        if val_width > 64 || end_width != width_for(n_rows as u64) {
+        if end_width != width_for(n_rows as u64) {
             return None;
         }
-        let payload = data.get(pos..)?;
-        let bits = n_runs * (val_width + end_width) as usize;
-        if payload.len() != bits.div_ceil(8) {
+        let mut r = BitReader::new(data.get(pos + 2..)?);
+        let values = r.read_plane(n_runs, val_width)?;
+        let values: Vec<u64> = values.map(|v| min.checked_add(v)).collect::<Option<_>>()?;
+        let ends: Vec<u64> = r.read_plane(n_runs, end_width)?.collect();
+        // Both planes and nothing after them but the last byte's padding.
+        if r.remaining_bits() >= 8 {
             return None;
         }
-        let mut r = BitReader::new(payload);
-        let mut values = Vec::with_capacity(n_runs);
-        for _ in 0..n_runs {
-            let residual = r.read_bits(val_width)?;
-            values.push(min.checked_add(residual)?);
-        }
-        let mut ends = Vec::with_capacity(n_runs);
-        let mut prev = 0u64;
-        for _ in 0..n_runs {
-            let e = r.read_bits(end_width)?;
-            if e <= prev {
-                // Strictly increasing, so the first end is ≥ 1 (prev starts 0).
-                return None;
-            }
-            prev = e;
-            ends.push(e);
-        }
-        if ends.last().copied().unwrap_or(0) != n_rows as u64 {
+        // Strictly increasing from ≥ 1, the last one closing the column.
+        let increasing = ends.first() != Some(&0) && ends.windows(2).all(|w| w[0] < w[1]);
+        if !increasing || ends.last().copied().unwrap_or(0) != n_rows as u64 {
             return None;
         }
         Some(Self { n_rows, values, ends, min, val_width })
     }
 
-    fn count_matching(&self, pred: &EncodedPred) -> u64 {
+    /// Rows matching `pred`, one test per run.
+    pub fn count_matching(&self, pred: &EncodedPred) -> u64 {
         let mut count = 0u64;
         let mut prev = 0u64;
         for (&v, &e) in self.values.iter().zip(&self.ends) {
@@ -181,22 +156,18 @@ impl Codec for RunEndCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ph_encoding::BitPlane;
 
     #[test]
     fn collapses_runs_and_roundtrips() {
         let vals: Vec<u64> =
             [5u64; 300].iter().chain([9u64; 200].iter()).chain([5u64; 100].iter()).copied().collect();
         let c = RunEndCodec::encode(&vals);
-        assert_eq!(c.n_runs(), 3);
+        assert_eq!(c.ends, [300, 500, 600]);
         assert_eq!(c.decode(), vals);
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
         let restored = RunEndCodec::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(restored.decode(), vals);
-        assert_eq!(restored.get(0), Some(5));
-        assert_eq!(restored.get(299), Some(5));
-        assert_eq!(restored.get(300), Some(9));
-        assert_eq!(restored.get(599), Some(5));
-        assert_eq!(restored.get(600), None);
         assert_eq!(RunEndCodec::size_for(600, 3, 5, 9), c.to_bytes().len());
     }
 
@@ -229,16 +200,16 @@ mod tests {
         for cut in 0..good.len() {
             assert!(RunEndCodec::from_bytes(&good[..cut]).is_none(), "cut {cut}");
         }
-        // Hand-build ends that do not reach n_rows.
-        let mut bad = Vec::new();
-        write_uvarint(&mut bad, 4); // n_rows
-        write_uvarint(&mut bad, 1); // n_runs
-        write_uvarint(&mut bad, 7); // min
-        bad.push(0); // val_width
-        bad.push(3); // end_width = width_for(4)
-        let mut w = BitWriter::new();
-        w.write_bits(2, 3); // end = 2 ≠ n_rows
-        bad.extend_from_slice(&w.finish());
-        assert!(RunEndCodec::from_bytes(&bad).is_none());
+        // Hand-built ends over 4 rows: only strictly increasing ones from
+        // ≥ 1 that end at n_rows are accepted.
+        for (ends, ok) in [(vec![2u64, 4], true), (vec![2], false), (vec![4, 4], false), (vec![0, 4], false)] {
+            let mut bytes = Vec::new();
+            write_uvarint(&mut bytes, 4); // n_rows
+            write_uvarint(&mut bytes, ends.len() as u64); // n_runs
+            write_uvarint(&mut bytes, 7); // min
+            bytes.extend([0, 3]); // val_width, end_width = width_for(4)
+            bytes.extend_from_slice(BitPlane::pack(ends.iter().copied(), 3).as_bytes());
+            assert_eq!(RunEndCodec::from_bytes(&bytes).is_some(), ok, "ends {ends:?}");
+        }
     }
 }

@@ -33,12 +33,12 @@ mod preprocess;
 mod store;
 
 pub use codec::{
-    choose_codec, choose_store, seal_store, BitPackCodec, Codec, ColumnCodec, ColumnarStore,
-    DeltaCodec, DictCodec, EncodedPred, RowStore, RunEndCodec, SymbolTable,
+    choose_codec, choose_store, seal_store, BitPackCodec, ColumnCodec, ColumnarStore, DeltaCodec,
+    DictCodec, EncodedPred, RowStore, RunEndCodec, SymbolTable,
 };
 pub use greedy::{GdCompressor, GdSplit};
 pub use matrix::EncodedMatrix;
 pub use preprocess::{
     CodeRanks, ColumnTransform, EncodeScratch, EncodedLiteral, GdError, Preprocessor,
 };
-pub use store::{CompressionStats, GdStore};
+pub use store::GdStore;

@@ -15,7 +15,7 @@ use crate::EncodedMatrix;
 /// In memory, bases and IDs stay unpacked for fast random access, while deviations —
 /// the bulk of per-row storage — are kept bit-packed. [`GdStore::to_bytes`] emits the
 /// fully bit-packed on-disk format whose length is what the storage experiments
-/// report; [`GdStore::stats`] returns the same accounting without serializing.
+/// report; [`GdStore::packed_bytes`] is that length without serializing.
 #[derive(Debug, Clone)]
 pub struct GdStore {
     /// Total bit width per column (deviation + base part).
@@ -33,21 +33,6 @@ pub struct GdStore {
     /// Σ dev_bits.
     dev_stride: u64,
     n_rows: usize,
-}
-
-/// Compression accounting for one [`GdStore`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressionStats {
-    /// Rows stored.
-    pub n_rows: usize,
-    /// Distinct bases after deduplication.
-    pub n_bases: usize,
-    /// Bit-packed size of the raw matrix (each column at its full width).
-    pub raw_bytes: u64,
-    /// Serialized compressed size (bases + IDs + deviations + header).
-    pub compressed_bytes: u64,
-    /// `raw_bytes / compressed_bytes`.
-    pub ratio: f64,
 }
 
 impl GdStore {
@@ -232,23 +217,8 @@ impl GdStore {
         header + (base_bits + id_bits + dev_bits).div_ceil(8) as usize
     }
 
-    /// Compression accounting under the bit-packed on-disk layout.
-    pub fn stats(&self) -> CompressionStats {
-        let raw_bits: u64 =
-            self.n_rows as u64 * self.widths.iter().map(|&w| w as u64).sum::<u64>();
-        let compressed = self.to_bytes().len() as u64;
-        let raw_bytes = raw_bits.div_ceil(8);
-        CompressionStats {
-            n_rows: self.n_rows,
-            n_bases: self.n_bases(),
-            raw_bytes,
-            compressed_bytes: compressed,
-            ratio: if compressed > 0 { raw_bytes as f64 / compressed as f64 } else { 1.0 },
-        }
-    }
-
-    /// Serializes to the fully bit-packed format: header, packed bases, packed base
-    /// IDs, packed deviations.
+    /// Serializes to the fully bit-packed format: header, packed bases, the base-ID
+    /// plane, packed deviations.
     pub fn to_bytes(&self) -> Vec<u8> {
         let d = self.widths.len();
         let mut out = Vec::new();
@@ -268,9 +238,7 @@ impl GdStore {
             }
         }
         let id_bits = bits_for(self.n_bases().saturating_sub(1) as u64);
-        for &id in &self.ids {
-            bits.write_bits(id as u64, id_bits);
-        }
+        bits.write_plane(self.ids.iter().map(|&id| id as u64), id_bits);
         // Deviations are already packed with the same stride; splice them in.
         bits.copy_bits(&mut BitReader::new(&self.devs), self.n_rows as u64 * self.dev_stride)
             .expect("devs holds n_rows * dev_stride bits");
@@ -322,13 +290,9 @@ impl GdStore {
                 base_parts.push(reader.read_bits(widths[c] - dev_bits[c])?);
             }
         }
-        let mut ids = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let id = reader.read_bits(id_bits)? as u32;
-            if id as usize >= n_bases.max(1) {
-                return None;
-            }
-            ids.push(id);
+        let ids: Vec<u32> = reader.read_plane(n_rows, id_bits)?.map(|id| id as u32).collect();
+        if ids.iter().any(|&id| id as usize >= n_bases.max(1)) {
+            return None;
         }
         let mut dev_writer = BitWriter::new();
         dev_writer.copy_bits(&mut reader, dev_total)?;
@@ -440,8 +404,10 @@ mod tests {
         let col2: Vec<u64> = (0..n).map(|i| ((i % 2) as u64) * 513).collect();
         let m = EncodedMatrix::new(vec![col, col2]);
         let store = GdCompressor::new().compress(&m);
-        let stats = store.stats();
-        assert!(stats.ratio > 2.0, "ratio = {}", stats.ratio);
+        // Each row at its full column widths: 15 + 10 bits.
+        let raw_bytes = (n * 25usize).div_ceil(8);
+        let ratio = raw_bytes as f64 / store.packed_bytes() as f64;
+        assert!(ratio > 2.0, "ratio = {ratio}");
     }
 
     #[test]

@@ -19,10 +19,13 @@ fn main() {
     let pre = Arc::new(Preprocessor::fit(&data));
     let encoded = pre.encode(&data);
     let store = GdCompressor::new().compress(&encoded);
-    let stats = store.stats();
+    let gd_bytes = store.packed_bytes();
     println!(
-        "GreedyGD: {} bases for {} rows; {} -> {} bytes ({:.1}x, raw in-memory {} bytes)",
-        stats.n_bases, stats.n_rows, stats.raw_bytes, stats.compressed_bytes, stats.ratio,
+        "GreedyGD: {} bases for {} rows; {} bytes ({:.1}x smaller than the {} raw in-memory bytes)",
+        store.n_bases(),
+        store.n_rows(),
+        gd_bytes,
+        raw_bytes as f64 / gd_bytes as f64,
         raw_bytes,
     );
 

@@ -146,12 +146,7 @@ fn sealed_segments_count_exactly_across_stores() {
             .filter(|&i| d.column(2).value(i) == Value::Str("beta".into()))
             .count() as u64
     };
-    // Delta may be empty or not depending on thresholds; count only what sealed.
-    let stats = session.table_stats("t").unwrap();
-    if stats.delta_rows == 0 {
-        assert_eq!(got, Some(count_in(&base) + count_in(&extra)));
-    } else {
-        // All sealed rows are a prefix of base+extra in ingestion order.
-        assert!(got.is_some());
-    }
+    // 1 500 rows at a 500-row threshold seal whole: nothing is left in the delta.
+    assert_eq!(session.table_stats("t").unwrap().delta_rows, 0);
+    assert_eq!(got, Some(count_in(&base) + count_in(&extra)));
 }

@@ -26,9 +26,9 @@ fn full_pipeline_accuracy_on_power() {
     // case for deduplication.)
     assert_eq!(store.decompress(), encoded);
     assert!(
-        store.stats().compressed_bytes < data.heap_size() as u64 / 2,
+        store.packed_bytes() < data.heap_size() / 2,
         "GD store ({} B) should halve raw storage ({} B)",
-        store.stats().compressed_bytes,
+        store.packed_bytes(),
         data.heap_size()
     );
 

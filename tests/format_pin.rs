@@ -15,7 +15,7 @@
 
 use pairwisehist::encoding::crc32;
 use pairwisehist::gd::{
-    seal_store, BitPackCodec, Codec, DeltaCodec, DictCodec, EncodedMatrix, RowStore, RunEndCodec,
+    seal_store, BitPackCodec, DeltaCodec, DictCodec, EncodedMatrix, RowStore, RunEndCodec,
 };
 use pairwisehist::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -112,7 +112,7 @@ fn pinned_columns() -> [Vec<u64>; 4] {
 /// on which GreedyGD beats the per-column cascade (shape 1 of the store
 /// choice's equivalence tests, same draws).
 fn dozen_rows_repeated(n: usize, seed: u64) -> EncodedMatrix {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 1 << 32);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ (1 << 32));
     let rows: Vec<[u64; 3]> = (0..12)
         .map(|_| [rng.gen_range(0..1 << 20), rng.gen_range(0..1 << 9), rng.gen_range(0..7)])
         .collect();

@@ -7,11 +7,15 @@
 //! The count comes from a counting `#[global_allocator]` that tallies per
 //! thread, so what other tests of this binary (or the harness) allocate
 //! meanwhile cannot reach it: the number is a property of the code path, not
-//! of the run. CI judges it in release, the build that ships.
+//! of the run. CI judges it in release, the build that ships. The same
+//! allocator also records the largest single request, which guards decoding:
+//! a few hostile bytes must not reserve gigabytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pairwisehist::encoding::write_uvarint;
+use pairwisehist::gd::DictCodec;
 use pairwisehist::prelude::*;
 
 struct CountingAlloc;
@@ -20,11 +24,14 @@ thread_local! {
     /// Allocations (fresh or growing) made by this thread. Const-initialised
     /// and without a destructor, so touching it never allocates itself.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest size this thread asked for in one allocation, in bytes.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(size: usize) {
     // `try_with`: a thread tearing down its locals may still free and allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
 }
 
 // SAFETY: a pure pass-through to `System` (see the methods); it adds no state
@@ -33,17 +40,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards to `System` with the caller's arguments untouched, under
     // the same contract; the counter bump before it cannot allocate.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
     // SAFETY: as `alloc`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
     // SAFETY: as `alloc`; `ptr` came from this allocator, which is `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
     // SAFETY: `ptr` came from this allocator, which is `System` underneath.
@@ -59,6 +66,12 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+fn largest_allocation_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
 }
 
 /// A time-ordered slice: `ts` ascends across slices, `x` and `y` are seeded
@@ -170,4 +183,18 @@ fn cached_scalar_queries_allocate_nothing_whatever_the_segment_count() {
             assert!(stats.segments_pruned > 0, "the ts range pruned nothing: {stats:?}");
         }
     }
+}
+
+/// A dictionary body claiming 2^28 entries in six bytes is refused before
+/// anything is sized from the claim: every entry takes at least a byte, so
+/// decoding reserves no more than a small multiple of what it was given.
+#[test]
+fn decoding_a_dictionary_reserves_only_what_its_body_backs() {
+    let mut body = Vec::new();
+    write_uvarint(&mut body, 0); // n_rows
+    write_uvarint(&mut body, 1 << 28); // k
+    assert_eq!(body.len(), 6);
+    let (restored, largest) = largest_allocation_of(|| DictCodec::from_bytes(&body));
+    assert!(restored.is_none());
+    assert!(largest <= 16 * body.len(), "{largest} bytes reserved for a 6-byte body");
 }
