@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
-use ph_gd::{EncodedMatrix, GdSplit, GdStore, Preprocessor};
+use ph_gd::{EncodedMatrix, GdStore, Preprocessor};
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
 use ph_types::Dataset;
 
@@ -164,6 +164,19 @@ impl PairwiseHist {
         Self::build_from_matrix(&matrix, pre, data.n_rows() as u64, None, cfg, workers)
     }
 
+    /// [`build_with_preprocessor`](Self::build_with_preprocessor) over rows
+    /// already encoded under `pre`: the same sample, the same min/max initial
+    /// edges, the same synopsis. This is the build a seal and a compaction run.
+    pub(crate) fn build_from_encoded(
+        rows: &EncodedMatrix,
+        pre: Arc<Preprocessor>,
+        cfg: &PairwiseHistConfig,
+    ) -> Self {
+        let sample = rows.take_rows(&sample_rows(rows.n_rows, cfg));
+        let workers = pair_workers(&pre);
+        Self::build_from_matrix(&sample, pre, rows.n_rows as u64, None, cfg, workers)
+    }
+
     /// Builds on top of GreedyGD-compressed data (the framework of Fig 2): the sample
     /// is decoded via random access and the deduplicated bases seed the initial bin
     /// edges (Algorithm 1 line 4), downsampled to at most `⌈Ns / M⌉` values.
@@ -172,60 +185,14 @@ impl PairwiseHist {
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        Self::build_seeded(
-            store.n_rows(),
-            |rows| store.rows(rows),
-            |c| store.base_values(c),
-            pre,
-            cfg,
-        )
-    }
-
-    /// [`build_from_gd`](Self::build_from_gd) of the store `split` would build over
-    /// `matrix`, without that store: all the synopsis takes from GreedyGD is the
-    /// split — the sample is rows of the matrix, the seeds its columns with the
-    /// deviation bits cleared. This is the build a seal runs.
-    pub(crate) fn build_from_split(
-        matrix: &EncodedMatrix,
-        split: &GdSplit,
-        pre: Arc<Preprocessor>,
-        cfg: &PairwiseHistConfig,
-    ) -> Self {
-        Self::build_seeded(
-            matrix.n_rows,
-            |rows| matrix.take_rows(rows),
-            |c| split.base_values(matrix, c),
-            pre,
-            cfg,
-        )
-    }
-
-    /// The base-seeded build over `n` rows, however they are held: `take_rows`
-    /// materializes the (ascending) sample rows, `base_values` gives a column's
-    /// sorted distinct base values.
-    fn build_seeded(
-        n: usize,
-        take_rows: impl FnOnce(&[usize]) -> EncodedMatrix,
-        base_values: impl Fn(usize) -> Vec<u64>,
-        pre: Arc<Preprocessor>,
-        cfg: &PairwiseHistConfig,
-    ) -> Self {
-        let ns = cfg.ns.min(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        let mut rows = if ns < n {
-            index_sample(&mut rng, n, ns).into_vec()
-        } else {
-            (0..n).collect()
-        };
-        rows.sort_unstable();
-        let matrix = take_rows(&rows);
-        let m_min = cfg.m_min(ns);
-        let max_seeds = ns.div_ceil(m_min).max(1);
+        let matrix = store.rows(&sample_rows(store.n_rows(), cfg));
+        let ns = matrix.n_rows;
+        let max_seeds = ns.div_ceil(cfg.m_min(ns)).max(1);
         let seeds: Vec<Vec<u64>> = (0..matrix.n_columns())
-            .map(|c| downsample_seeds(base_values(c), max_seeds))
+            .map(|c| downsample_seeds(store.base_values(c), max_seeds))
             .collect();
         let workers = pair_workers(&pre);
-        Self::build_from_matrix(&matrix, pre, n as u64, Some(seeds), cfg, workers)
+        Self::build_from_matrix(&matrix, pre, store.n_rows() as u64, Some(seeds), cfg, workers)
     }
 
     /// Core construction from an encoded sample matrix, building the column
@@ -410,6 +377,19 @@ impl PairwiseHist {
     pub fn total_2d_cells(&self) -> usize {
         self.pairs.iter().map(|p| p.counts.len()).sum()
     }
+}
+
+/// The ascending rows a build over `n` rows samples: all of them when `Ns`
+/// covers them, else `Ns` drawn under the configured seed — the rows
+/// [`Dataset::sample`] keeps.
+fn sample_rows(n: usize, cfg: &PairwiseHistConfig) -> Vec<usize> {
+    if cfg.ns >= n {
+        return (0..n).collect();
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+    let mut rows = index_sample(&mut rng, n, cfg.ns).into_vec();
+    rows.sort_unstable();
+    rows
 }
 
 /// Uniformly downsamples seed values to at most `max_seeds` entries (Algorithm 1

@@ -24,8 +24,9 @@
 //!     u64 syn_len | synopsis | u8 store_kind | u64 store_len | store bytes
 //! ```
 //!
-//! `store_kind` names the row-store representation: 1 = GreedyGD
-//! ([`ph_gd::GdStore`]), 2 = per-column codec cascade ([`ph_gd::ColumnarStore`]).
+//! `store_kind` names the row-store representation. The one this build writes
+//! and reads is 2, the per-column codec cascade ([`ph_gd::ColumnarStore`]);
+//! any other kind (1 was a GreedyGD store) is rejected by name.
 //! `wal_seq` is the ingest-WAL watermark (replay skips WAL records with seq ≤
 //! it), and the CRC32 trailer lets `open_dir` tell a clean blob from bit-rot
 //! and quarantine the table instead of loading garbage.
@@ -59,12 +60,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
-use ph_gd::Preprocessor;
+use ph_gd::{ColumnarStore, Preprocessor};
 use ph_obs::{span, Counter, Stage};
 use ph_types::{faultfs, Dataset, PhError};
 
 use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig, SplitRule};
-use crate::segment::{build_delta, compress_rows, SealPolicy, Segment, TableState};
+use crate::segment::{build_delta, SealPolicy, Segment, TableState};
 use crate::session::{Session, TableCell, Writer};
 use crate::wal;
 
@@ -74,6 +75,8 @@ const TABLE_VERSION: u8 = 5;
 /// Magic and frame version of a segment blob.
 const SEGMENT_MAGIC: &[u8; 4] = b"PSG3";
 const SEGMENT_VERSION: u8 = 3;
+/// The `store_kind` of a segment blob: the per-column codec cascade.
+const COLUMNAR_STORE: u8 = 2;
 
 /// Wraps a body in the catalog frame: `magic | version | body | crc32`.
 fn frame(magic: &[u8; 4], version: u8, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
@@ -240,44 +243,50 @@ fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
     r.finished().then_some(TableManifest { name, pre, cfg, policy, wal_seq, blobs })
 }
 
-/// Serializes one segment: its synopsis and its compressed rows under a tagged
-/// row-store representation.
-fn segment_to_bytes(engine: &PairwiseHist, store: &ph_gd::RowStore) -> Vec<u8> {
+/// Serializes one segment: its synopsis and its compressed rows.
+fn segment_to_bytes(engine: &PairwiseHist, store: &ColumnarStore) -> Vec<u8> {
     frame(SEGMENT_MAGIC, SEGMENT_VERSION, |out| {
         let syn = engine.to_bytes();
         out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
         out.extend_from_slice(&syn);
-        let (kind, store_bytes): (u8, Vec<u8>) = match store {
-            ph_gd::RowStore::Gd(s) => (1, s.to_bytes()),
-            ph_gd::RowStore::Columnar(s) => (2, s.to_bytes()),
-        };
-        out.push(kind);
+        let store_bytes = store.to_bytes();
+        out.push(COLUMNAR_STORE);
         out.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
         out.extend_from_slice(&store_bytes);
     })
 }
 
-/// Restores a segment blob against the table's shared preprocessor. Returns
-/// `None` on malformed or corrupted input.
+/// Restores a segment blob against the table's shared preprocessor, or says
+/// why not for the quarantine reason: a row-store kind other than the cascade
+/// is named, everything else is [`reject_reason`]'s.
 fn segment_from_bytes(
     data: &[u8],
     pre: Arc<Preprocessor>,
-) -> Option<(PairwiseHist, ph_gd::RowStore)> {
-    let mut r = Reader { body: unframe(SEGMENT_MAGIC, SEGMENT_VERSION, data)?, pos: 0 };
-    let syn_len = usize::try_from(r.u64()?).ok()?;
-    let engine = PairwiseHist::from_bytes(r.bytes(syn_len)?, pre)?;
-    let kind = r.u8()?;
-    let store_len = usize::try_from(r.u64()?).ok()?;
-    let store_slice = r.bytes(store_len)?;
-    if !r.finished() {
-        return None; // trailing bytes: not a clean blob
+) -> Result<(PairwiseHist, ColumnarStore), String> {
+    let rejected = || reject_reason(SEGMENT_MAGIC, SEGMENT_VERSION, data);
+    let body = unframe(SEGMENT_MAGIC, SEGMENT_VERSION, data).ok_or_else(rejected)?;
+    let mut r = Reader { body, pos: 0 };
+    let parts = (|| {
+        let syn_len = usize::try_from(r.u64()?).ok()?;
+        let syn = r.bytes(syn_len)?;
+        let kind = r.u8()?;
+        let store_len = usize::try_from(r.u64()?).ok()?;
+        let store = r.bytes(store_len)?;
+        // Trailing bytes: not a clean blob.
+        r.finished().then_some((syn, kind, store))
+    })();
+    let (syn, kind, store) = parts.ok_or_else(rejected)?;
+    if kind != COLUMNAR_STORE {
+        return Err(format!(
+            "unsupported format: '{}' v{SEGMENT_VERSION} row-store kind {kind} (this build \
+             reads kind {COLUMNAR_STORE})",
+            String::from_utf8_lossy(SEGMENT_MAGIC)
+        ));
     }
-    let store = match kind {
-        1 => ph_gd::RowStore::Gd(ph_gd::GdStore::from_bytes(store_slice)?),
-        2 => ph_gd::RowStore::Columnar(ph_gd::ColumnarStore::from_bytes(store_slice)?),
-        _ => return None,
-    };
-    Some((engine, store))
+    match (PairwiseHist::from_bytes(syn, pre), ColumnarStore::from_bytes(store)) {
+        (Some(engine), Some(store)) => Ok((engine, store)),
+        _ => Err(rejected()),
+    }
 }
 
 /// A blob a manifest names: committed earlier under its number, or new bytes.
@@ -442,8 +451,8 @@ fn export(
         .map(|s| Blob::New(segment_to_bytes(&s.engine, &s.store)))
         .collect();
     if let (Some(rows), Some(delta)) = (delta_rows, state.delta.as_ref()) {
-        let matrix = state.pre.encode(rows);
-        blobs.push(Blob::New(segment_to_bytes(delta, &compress_rows(&matrix))));
+        let store = ColumnarStore::encode(&state.pre.encode(rows));
+        blobs.push(Blob::New(segment_to_bytes(delta, &store)));
     }
     let built = state.primary().params();
     let cfg = PairwiseHistConfig {
@@ -730,8 +739,7 @@ impl Session {
                             // ph-lint: allow(lock-across-io) — single-threaded startup load, no contention
                             faultfs::read(&seg_path).map_err(|e| fail(&name, e.into()))?;
                         let (mut engine, store) = segment_from_bytes(&seg_bytes, pre.clone())
-                            .ok_or_else(|| {
-                                let why = reject_reason(SEGMENT_MAGIC, SEGMENT_VERSION, &seg_bytes);
+                            .map_err(|why| {
                                 fail(&name, corrupt(format!("segment blob {no}: {why}")))
                             })?;
                         engine.plan_epoch = epoch;
@@ -972,37 +980,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Every row-store representation survives the segment-blob round trip
-    /// with its kind tag intact, and the CRC trailer catches a flipped bit.
+    /// A segment blob round-trips its synopsis and its cascade store, and the
+    /// CRC trailer catches a flipped bit. An intact blob around any other
+    /// row-store kind — kind 1, a GreedyGD store, included — quarantines its
+    /// table under a reason naming the kind, while the table beside it serves.
     #[test]
-    fn segment_blob_roundtrips_every_store_kind() {
+    fn segment_blob_roundtrips_and_other_store_kinds_quarantine_by_name() {
         let data = dataset("t", 4_000, 7);
-        let ph = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: 4_000, ..Default::default() },
-        );
+        let ph = PairwiseHist::build(&data, &PairwiseHistConfig::default());
         let pre = ph.preprocessor().clone();
         let matrix = pre.encode(&data);
-        let gd = ph_gd::GdCompressor::new().compress(&matrix);
-        let columnar = ph_gd::ColumnarStore::encode(&matrix);
-        for store in [ph_gd::RowStore::Gd(gd), ph_gd::RowStore::Columnar(columnar)] {
-            let bytes = segment_to_bytes(&ph, &store);
-            assert_eq!(&bytes[..4], SEGMENT_MAGIC);
-            let (engine, back) =
-                segment_from_bytes(&bytes, pre.clone()).expect("clean blob decodes");
-            assert_eq!(engine.params, ph.params);
-            assert_eq!(
-                std::mem::discriminant(&store),
-                std::mem::discriminant(&back),
-                "store kind survives"
-            );
-            assert_eq!(store.decompress().columns, back.decompress().columns);
-            // Any flipped payload bit must fail the CRC, not decode garbage.
-            let mut bad = bytes.clone();
-            let mid = bad.len() / 2;
-            bad[mid] ^= 0x40;
-            assert!(segment_from_bytes(&bad, pre.clone()).is_none());
-        }
+        let store = ColumnarStore::encode(&matrix);
+        let bytes = segment_to_bytes(&ph, &store);
+        assert_eq!(&bytes[..4], SEGMENT_MAGIC);
+        let (engine, back) = segment_from_bytes(&bytes, pre.clone()).expect("clean blob decodes");
+        assert_eq!(engine.params, ph.params);
+        assert_eq!(store.to_bytes(), back.to_bytes());
+        // Any flipped payload bit must fail the CRC, not decode garbage.
+        let mut bad = bytes.clone();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0x40;
+        assert!(segment_from_bytes(&bad, pre.clone()).is_err());
+
+        let gd_blob = frame(SEGMENT_MAGIC, SEGMENT_VERSION, |out| {
+            let syn = ph.to_bytes();
+            let gd = ph_gd::GdCompressor::new().compress(&matrix).to_bytes();
+            out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
+            out.extend_from_slice(&syn);
+            out.push(1);
+            out.extend_from_slice(&(gd.len() as u64).to_le_bytes());
+            out.extend_from_slice(&gd);
+        });
+        let s = Session::new();
+        s.register(data).unwrap();
+        s.register(dataset("u", 2_000, 8)).unwrap();
+        let dir = scratch("store_kind");
+        s.save_dir(&dir).unwrap();
+        let base = file_base_for("t");
+        let blob = faultfs::read_dir_paths(&dir)
+            .unwrap()
+            .into_iter()
+            .find(|p| p.to_str().is_some_and(|n| n.contains(&base) && n.ends_with(".phseg")))
+            .expect("the table's one segment blob");
+        std::fs::write(&blob, gd_blob).unwrap();
+        let reopened = Session::open_dir(&dir).unwrap();
+        assert_eq!(reopened.tables(), vec!["u"]);
+        let quarantined = reopened.quarantined();
+        let reason = &quarantined.iter().find(|(n, _)| n == "t").expect("t quarantined").1;
+        assert!(
+            reason.contains("unsupported format") && reason.contains("row-store kind 1"),
+            "{reason}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The manifest round-trips every field of a non-default configuration and

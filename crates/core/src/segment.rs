@@ -2,21 +2,20 @@
 //!
 //! This module holds the storage layout behind `Session`'s catalog. Each table
 //! is a list of **sealed segments** — every segment owns its own [`PairwiseHist`]
-//! synopsis *and* its retained rows in a compressed [`RowStore`] (the paper's
-//! Fig 2 posture: the compressed store and the synopsis built over it travel
-//! together) — plus one **active delta** synopsis absorbing `ingest` batches
-//! whose raw rows live on the writer side of the session until the delta is
-//! sealed.
+//! synopsis *and* its retained rows in the per-column codec cascade
+//! ([`ColumnarStore`]; the paper's Fig 2 posture: the compressed store and the
+//! synopsis built over it travel together) — plus one **active delta** synopsis
+//! absorbing `ingest` batches whose raw rows live on the writer side of the
+//! session until the delta is sealed.
 //!
 //! The lifecycle is `delta → seal → compact`:
 //!
 //! * batches fold into the delta via the edge-free update path (O(batch));
 //! * crossing the seal threshold (or the staleness policy) freezes the delta:
-//!   the GreedyGD split of its rows is fitted, a fresh synopsis is refined over
-//!   them with bin edges seeded from that split's bases (what
-//!   [`PairwiseHist::build_from_gd`] does over a built store), the rows go into
-//!   whichever store is smaller, and the result is appended as a sealed
-//!   segment — O(threshold), **independent of total table size**;
+//!   a fresh synopsis is refined over its rows by the sample-and-refine build
+//!   registration runs, the rows are encoded column by column, and the result
+//!   is appended as a sealed segment — O(threshold), **independent of total
+//!   table size**;
 //! * `Session::compact` merges accumulated small segments back into one
 //!   (decompress → re-encode under the shared transforms → rebuild once),
 //!   bounded by the rows of the segments being merged.
@@ -35,10 +34,7 @@ use std::sync::{Arc, OnceLock};
 
 use ph_obs::{span, Stage};
 
-use ph_gd::{
-    seal_store, EncodeScratch, EncodedMatrix, EncodedPred, GdCompressor, GdError, GdSplit,
-    Preprocessor, RowStore,
-};
+use ph_gd::{ColumnarStore, EncodeScratch, EncodedMatrix, EncodedPred, GdError, Preprocessor};
 use ph_sql::Query;
 use ph_types::{Column, ColumnType, Dataset, PhError, Value};
 
@@ -55,7 +51,11 @@ use crate::weights::with_scratch;
 /// never materializing the column. The predicate contract: bit-identical to
 /// decoding the column and scanning it against the same range set (the
 /// equivalence suite pins this). `None` when `col` is out of range.
-pub(crate) fn count_store_matching(store: &RowStore, col: usize, rs: &RangeSet) -> Option<u64> {
+pub(crate) fn count_store_matching(
+    store: &ColumnarStore,
+    col: usize,
+    rs: &RangeSet,
+) -> Option<u64> {
     let mut total = 0u64;
     for &(lo, hi) in rs.intervals() {
         let n = store.count_matching(col, &EncodedPred::Range { lo: Some(lo), hi: Some(hi) })?;
@@ -73,17 +73,16 @@ pub(crate) struct Segment {
     /// The segment's synopsis; `plan_epoch` is stamped to the owning table
     /// version's epoch so one prepared plan serves every segment.
     pub(crate) engine: PairwiseHist,
-    /// The segment's retained rows — GreedyGD or per-column codecs, whichever
-    /// won the size model at seal time — shared by `Arc` so epoch restamps and
-    /// state swaps never copy row data.
-    pub(crate) store: Arc<RowStore>,
+    /// The segment's retained rows, one codec per column, shared by `Arc` so
+    /// epoch restamps and state swaps never copy row data.
+    pub(crate) store: Arc<ColumnarStore>,
     /// Serialized size of `store` (O(columns) accounting, see
-    /// [`RowStore::packed_bytes`]).
+    /// [`ColumnarStore::packed_bytes`]).
     pub(crate) store_bytes: usize,
 }
 
 impl Segment {
-    pub(crate) fn new(engine: PairwiseHist, store: RowStore) -> Self {
+    pub(crate) fn new(engine: PairwiseHist, store: ColumnarStore) -> Self {
         static IDS: AtomicU64 = AtomicU64::new(1);
         let store_bytes = store.packed_bytes();
         let id = IDS.fetch_add(1, Ordering::Relaxed);
@@ -352,53 +351,30 @@ pub(crate) fn registration_segment(
     pre: &Arc<Preprocessor>,
     cfg: &PairwiseHistConfig,
 ) -> Segment {
-    let mut build_cfg = cfg.clone();
-    build_cfg.ns = build_cfg.ns.min(data.n_rows().max(1));
-    let engine = PairwiseHist::build_with_preprocessor(data, pre.clone(), &build_cfg);
-    Segment::new(engine, compress_rows(&pre.encode(data)))
+    let engine = PairwiseHist::build_with_preprocessor(data, pre.clone(), cfg);
+    Segment::new(engine, encode_store(&pre.encode(data)))
 }
 
-/// The GreedyGD split of a segment's rows — the one thing both the seeded
-/// synopsis build and the store choice need from GreedyGD.
-fn fit_split(matrix: &EncodedMatrix) -> GdSplit {
-    let _fit = span(Stage::GdFit);
-    GdCompressor::new().fit(matrix)
-}
-
-/// The row store a segment retains: the smaller of the per-column cascade and
-/// the GreedyGD store, the latter built only when it can still win
-/// ([`seal_store`]).
-fn retained_store(matrix: &EncodedMatrix, split: &GdSplit) -> RowStore {
+/// The row store a segment retains: every column through the codec cascade.
+fn encode_store(matrix: &EncodedMatrix) -> ColumnarStore {
     let _codec = span(Stage::Codec);
-    seal_store(matrix, split)
+    ColumnarStore::encode(matrix)
 }
 
-/// [`retained_store`] of rows whose synopsis is built some other way, so nothing
-/// has fitted a split for them yet (a registration, a snapshot of the un-sealed
-/// delta).
-pub(crate) fn compress_rows(matrix: &EncodedMatrix) -> RowStore {
-    retained_store(matrix, &fit_split(matrix))
-}
-
-/// A segment over already-encoded rows: fit the GreedyGD split, refine a
-/// synopsis seeded from it (Algorithm 1's base-seeded construction), then keep
-/// whichever row store is smaller. Only the split is computed up front — the
-/// synopsis needs nothing else from GreedyGD, so estimates are bit-identical no
-/// matter which store is retained, and a GD store that would lose to the
-/// per-column cascade is never built.
+/// A segment over already-encoded rows: the synopsis registration would build
+/// over the same rows (same sample, min/max initial edges), then the store.
 fn sealed_segment(
     matrix: &EncodedMatrix,
     pre: &Arc<Preprocessor>,
     cfg: &PairwiseHistConfig,
     epoch: u64,
 ) -> Segment {
-    let split = fit_split(matrix);
     let mut engine = {
         let _synopsis = span(Stage::Synopsis);
-        PairwiseHist::build_from_split(matrix, &split, pre.clone(), cfg)
+        PairwiseHist::build_from_encoded(matrix, pre.clone(), cfg)
     };
     engine.plan_epoch = epoch;
-    Segment::new(engine, retained_store(matrix, &split))
+    Segment::new(engine, encode_store(matrix))
 }
 
 /// Seals delta rows into a fresh segment ([`sealed_segment`]) stamped with the
@@ -425,9 +401,7 @@ pub(crate) fn build_delta(
     cfg: &PairwiseHistConfig,
     epoch: u64,
 ) -> PairwiseHist {
-    let mut build_cfg = cfg.clone();
-    build_cfg.ns = build_cfg.ns.min(rows.n_rows().max(1));
-    let mut engine = PairwiseHist::build_with_preprocessor(rows, pre.clone(), &build_cfg);
+    let mut engine = PairwiseHist::build_with_preprocessor(rows, pre.clone(), cfg);
     engine.plan_epoch = epoch;
     engine
 }
@@ -464,7 +438,7 @@ pub(crate) fn merge_segments(
 pub(crate) fn decode_store(
     name: &str,
     pre: &Preprocessor,
-    store: &RowStore,
+    store: &ColumnarStore,
 ) -> Result<Dataset, PhError> {
     decode_matrix(name, pre, &store.decompress())
 }
@@ -536,7 +510,7 @@ pub struct FootprintReport {
     /// Serialized synopsis bytes across sealed segments and the delta.
     pub synopsis_bytes: usize,
     /// Retained-row bytes across sealed segments, each segment's rows in the
-    /// smaller of the codec cascade and GreedyGD.
+    /// per-column codec cascade.
     pub row_store_bytes: usize,
     /// Raw (uncompressed, in-memory) bytes of un-sealed delta rows.
     pub delta_bytes: usize,
@@ -575,79 +549,35 @@ mod tests {
             .build()
     }
 
-    /// Tables whose seals take every road: `0` near-unique numerics (the fit ends
-    /// all-deviation, the cascade wins), `1` a dozen distinct rows repeated
-    /// (GreedyGD wins and its bases seed the bins), `2` an alphabet over noise
-    /// bits beside low-cardinality columns (the search keeps base bits), all
-    /// with a NULL-bearing column and a categorical one.
-    fn shaped(shape: usize, n: usize, seed: u64) -> Dataset {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let protos: Vec<(i64, i64, &str)> = (0..12)
-            .map(|k| (rng.gen_range(0..1 << 20), rng.gen_range(0..500), ["a", "b", "c"][k % 3]))
-            .collect();
-        let (mut x, mut y, mut c) = (Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..n {
-            let (px, py, pc) = protos[rng.gen_range(0..protos.len())];
-            let null = rng.gen_bool(0.07);
-            match shape {
-                0 => {
-                    x.push(Some(rng.gen_range(0..1i64 << 17)));
-                    y.push((!null).then(|| rng.gen_range(0..3_000)));
-                    c.push(Some(["p", "q", "r", "s"][rng.gen_range(0..4usize)]));
-                }
-                1 => {
-                    x.push(Some(px));
-                    y.push((py % 5 != 0).then_some(py));
-                    c.push(Some(pc));
-                }
-                _ => {
-                    x.push(Some((rng.gen_range(0..4i64) << 8) | rng.gen_range(0..256)));
-                    y.push((!null).then(|| rng.gen_range(0..5)));
-                    c.push((!null).then_some(pc));
-                }
-            }
-        }
-        Dataset::builder("t")
-            .column(C::from_ints("x", x))
-            .unwrap()
-            .column(C::from_ints("y", y))
-            .unwrap()
-            .column(C::from_strings("c", c))
-            .unwrap()
-            .build()
-    }
-
-    /// The seal builds neither the GD store nor a decoded sample, and must end
-    /// where the long way round ends: the synopsis of `build_from_gd` over the
-    /// compressed rows, byte for byte, sampled and not — and the store
-    /// `choose_store` keeps, kind and bytes.
+    /// A seal runs no GreedyGD. Where the fit would end all-deviation (one base,
+    /// so every column one seed value and min/max initial edges, as on Power
+    /// and Flights) its synopsis is the paper's long way round — the synopsis
+    /// `build_from_gd` refines over the GreedyGD store of the same rows — byte
+    /// for byte, sampled and not; and it is the synopsis registration builds
+    /// over those rows. Its store is the cascade's.
     #[test]
-    fn sealed_segment_equals_build_from_gd_and_choose_store() {
-        let store_bytes = |s: &RowStore| match s {
-            RowStore::Gd(s) => (0u8, s.to_bytes()),
-            RowStore::Columnar(s) => (1u8, s.to_bytes()),
-        };
-        let mut gd_kept = 0;
-        for shape in 0..3 {
-            let sizes = [(1u64, 2_500usize, 100_000usize), (2, 3_000, 1_200), (3, 60, 40)];
-            for (seed, n, ns) in sizes {
-                let data = shaped(shape, n, seed);
-                let pre = Arc::new(Preprocessor::fit(&data));
-                let matrix = pre.encode(&data);
+    fn sealed_segment_is_build_from_gd_where_the_fit_ends_all_deviation() {
+        for (name, n, seal) in [("Power", 6_000, 2_500), ("Flights", 3_000, 1_200)] {
+            let data = ph_datagen::generate(name, n, 3).expect("known dataset");
+            let pre = Arc::new(Preprocessor::fit(&data));
+            let rows = data.slice(n - seal, seal);
+            let matrix = pre.encode(&rows);
+            let gd = ph_gd::GdCompressor::new().compress(&matrix);
+            assert_eq!(gd.n_bases(), 1, "{name}: the fit kept base bits");
+            for ns in [100_000, 900, 40] {
                 let cfg = PairwiseHistConfig { ns, ..Default::default() };
                 let sealed = sealed_segment(&matrix, &pre, &cfg, 7);
-                let gd = GdCompressor::new().compress(&matrix);
                 let long_way = PairwiseHist::build_from_gd(&gd, pre.clone(), &cfg);
-                let case = format!("shape {shape} seed {seed} n {n} ns {ns}");
-                assert_eq!(sealed.engine.to_bytes(), long_way.to_bytes(), "{case}");
+                let registered = registration_segment(&rows, &pre, &cfg);
+                let bytes = sealed.engine.to_bytes();
+                assert_eq!(bytes, long_way.to_bytes(), "{name} ns {ns}");
+                assert_eq!(bytes, registered.engine.to_bytes(), "{name} ns {ns}");
                 assert_eq!(sealed.engine.plan_epoch(), 7);
-                let chosen = ph_gd::choose_store(&matrix, gd);
-                assert_eq!(store_bytes(&sealed.store), store_bytes(&chosen), "{case}");
-                gd_kept += usize::from(matches!(*sealed.store, RowStore::Gd(_)));
+                let cascade = ColumnarStore::encode(&matrix).to_bytes();
+                assert_eq!(sealed.store.to_bytes(), cascade, "{name} ns {ns}");
+                assert_eq!(registered.store.to_bytes(), cascade, "{name} ns {ns}");
             }
         }
-        assert!(gd_kept > 0, "no case kept the GD store, so its bases seeded nothing");
     }
 
     /// A machine-generated stream: `ts` ascends row by row, `month` in steps, `x`
@@ -780,7 +710,7 @@ mod tests {
         let data = sample();
         let pre = Preprocessor::fit(&data);
         let matrix = pre.encode(&data);
-        let store = compress_rows(&matrix);
+        let store = ColumnarStore::encode(&matrix);
         let back = decode_store("t", &pre, &store).expect("fitted codes all decode");
         assert_eq!(back.n_rows(), data.n_rows());
         for r in 0..data.n_rows() {

@@ -659,10 +659,8 @@ mod tests {
         let cur = cell.snapshot();
         let mut matrix = cur.segments[0].store.decompress();
         matrix.columns[2][0] = 99;
-        let doctored = Segment::new(
-            cur.segments[0].engine.clone(),
-            ph_gd::RowStore::Columnar(ph_gd::ColumnarStore::encode(&matrix)),
-        );
+        let doctored =
+            Segment::new(cur.segments[0].engine.clone(), ph_gd::ColumnarStore::encode(&matrix));
         cell.swap(cur.successor(cur.epoch, cur.pre.clone(), vec![Arc::new(doctored)], None));
 
         // Edge-free rows land in the delta…

@@ -7,9 +7,9 @@
 //!
 //! * stores each table as a list of immutable **sealed segments** — every
 //!   segment holding its own PairwiseHist synopsis *plus* its retained rows in
-//!   a `ph_gd::RowStore`, the smaller of the per-column codec cascade and
-//!   GreedyGD — and one **active delta** synopsis
-//!   absorbing `ingest` batches (see `crate::segment` for the layout);
+//!   the per-column codec cascade (`ph_gd::ColumnarStore`) — and one **active
+//!   delta** synopsis absorbing `ingest` batches (see `crate::segment` for the
+//!   layout);
 //! * routes each query by its `FROM` table, fans the compiled plan out across
 //!   the table's segment synopses and **merges** the partial estimates
 //!   (`crate::merge`: COUNT/SUM additive, AVG/VARIANCE by weighted moment
@@ -279,9 +279,8 @@ pub struct TableStats {
     /// Fraction of the serving sample held by the un-sealed delta.
     pub staleness: f64,
     /// Row-store codec mix across the sealed segments: `(codec name, columns
-    /// held under it)`, sorted by name. GreedyGD segments report every column
-    /// as `"greedy-gd"`; per-column cascade segments report the winning codec
-    /// of each column (`"bitpack"`, `"delta"`, `"dict"`, `"runend"`).
+    /// held under it)`, sorted by name — the winning codec of each segment's
+    /// columns (`"bitpack"`, `"delta"`, `"dict"`, `"runend"`).
     pub codec_mix: Vec<(String, u64)>,
     /// Engine evaluations (one per segment or delta a query's plan was folded
     /// on) since the table was registered or opened.
@@ -388,8 +387,8 @@ impl Session {
     /// Registers a dataset under its own name, building the table's first sealed
     /// segment with the session's build configuration (see
     /// [`Session::with_config`]): a synopsis over the rows plus the rows
-    /// themselves, compressed (the smaller of the codec cascade and GreedyGD),
-    /// as rebuild material.
+    /// themselves, compressed column by column through the codec cascade, as
+    /// rebuild material.
     ///
     /// Under a WAL home (see [`Session::enable_wal`]) the table is checkpointed
     /// into it before it is published, so a registration that returns `Ok`

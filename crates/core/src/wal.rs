@@ -201,13 +201,20 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
 
 fn read_str(data: &[u8], pos: &mut usize) -> Option<String> {
     let len = read_uvarint(data, pos)? as usize;
-    if len > 1 << 20 {
+    if !backed(data, *pos, len, 1) {
         return None;
     }
-    let end = pos.checked_add(len)?;
+    let end = *pos + len;
     let s = std::str::from_utf8(data.get(*pos..end)?).ok()?.to_string();
     *pos = end;
     Some(s)
+}
+
+/// Whether the bytes after `pos` can hold `n` items of at least `each` bytes:
+/// what a length read from a record must pass before anything is sized from
+/// it.
+fn backed(data: &[u8], pos: usize, n: usize, each: usize) -> bool {
+    n.checked_mul(each).is_some_and(|need| need <= data.len().saturating_sub(pos))
 }
 
 /// Serializes a batch with lossless, replay-exact value encoding.
@@ -287,8 +294,13 @@ pub(crate) fn decode_batch(data: &[u8], pos: &mut usize) -> Option<Dataset> {
         let bits = data.get(*pos..bits_end)?;
         *pos = bits_end;
         let valid = |i: usize| bits.get(i / 8).is_some_and(|&b| b & (1 << (i % 8)) != 0);
+        // Every value below takes at least a byte (eight for a float), so the
+        // bytes left bound each reservation.
         let col = match tag {
             TAG_INT | TAG_TIMESTAMP => {
+                if !backed(data, *pos, n_rows, 1) {
+                    return None;
+                }
                 let mut values = Vec::with_capacity(n_rows);
                 let mut prev = 0i64;
                 for i in 0..n_rows {
@@ -303,6 +315,9 @@ pub(crate) fn decode_batch(data: &[u8], pos: &mut usize) -> Option<Dataset> {
                 }
             }
             TAG_FLOAT => {
+                if !backed(data, *pos, n_rows, 8) {
+                    return None;
+                }
                 let mut values = Vec::with_capacity(n_rows);
                 for i in 0..n_rows {
                     let end = pos.checked_add(8)?;
@@ -316,12 +331,15 @@ pub(crate) fn decode_batch(data: &[u8], pos: &mut usize) -> Option<Dataset> {
             }
             TAG_CAT => {
                 let dict_len = read_uvarint(data, pos)? as usize;
-                if dict_len > 1 << 24 {
+                if !backed(data, *pos, dict_len, 1) {
                     return None;
                 }
                 let mut dict = Vec::with_capacity(dict_len);
                 for _ in 0..dict_len {
                     dict.push(read_str(data, pos)?);
+                }
+                if !backed(data, *pos, n_rows, 1) {
+                    return None;
                 }
                 let mut codes = Vec::with_capacity(n_rows);
                 for i in 0..n_rows {

@@ -1,15 +1,15 @@
 //! The columnar row store: one adaptively-chosen codec per column, plus the
-//! [`RowStore`] enum that lets a sealed segment hold either this or the
-//! GreedyGD store — whichever the size model says is smaller.
+//! [`RowStore`] enum that holds either this or the GreedyGD store — whichever
+//! is smaller, for the storage experiments that compare the two.
 
 use ph_encoding::{read_uvarint, write_uvarint};
 
-use crate::{EncodedMatrix, GdSplit, GdStore};
+use crate::{EncodedMatrix, GdStore};
 
 use super::column::{choose_codec, ColumnCodec};
 use super::{uvarint_len, EncodedPred, MAX_CODEC_ROWS};
 
-/// A sealed segment's rows, one codec per column.
+/// A segment's rows, one codec per column.
 ///
 /// Wire layout: `uvarint n_rows | uvarint n_cols | per column: u8 tag |
 /// uvarint payload_len | payload`. The CRC trailer lives one level up in the
@@ -118,33 +118,16 @@ impl ColumnarStore {
     }
 }
 
-/// A sealed segment's retained rows under whichever scheme won at seal time.
+/// Rows under whichever of the two schemes is smaller ([`choose_store`]).
 #[derive(Debug, Clone)]
 pub enum RowStore {
-    /// GreedyGD base/deviation store (the paper's scheme; also what every
-    /// pre-PSG3 blob deserializes to).
+    /// GreedyGD base/deviation store (the paper's scheme).
     Gd(GdStore),
     /// Per-column adaptive codecs.
     Columnar(ColumnarStore),
 }
 
 impl RowStore {
-    /// Rows held.
-    pub fn n_rows(&self) -> usize {
-        match self {
-            RowStore::Gd(s) => s.n_rows(),
-            RowStore::Columnar(s) => s.n_rows(),
-        }
-    }
-
-    /// Columns held.
-    pub fn n_columns(&self) -> usize {
-        match self {
-            RowStore::Gd(s) => s.n_columns(),
-            RowStore::Columnar(s) => s.n_columns(),
-        }
-    }
-
     /// Serialized size in bytes, O(columns).
     pub fn packed_bytes(&self) -> usize {
         match self {
@@ -158,14 +141,6 @@ impl RowStore {
         match self {
             RowStore::Gd(s) => s.decompress(),
             RowStore::Columnar(s) => s.decompress(),
-        }
-    }
-
-    /// Codec name per column (`"greedy-gd"` for every column of a GD store).
-    pub fn codec_names(&self) -> Vec<&'static str> {
-        match self {
-            RowStore::Gd(s) => vec!["greedy-gd"; s.n_columns()],
-            RowStore::Columnar(s) => s.codec_names(),
         }
     }
 
@@ -186,36 +161,11 @@ impl RowStore {
     }
 }
 
-/// Keeps the smaller of the two stores over a segment's rows, for a caller that
+/// Keeps the smaller of the two stores over the same rows, for a caller that
 /// already holds the GD store: the columnar encode is all this adds. GD stays
-/// the fallback whenever whole-row redundancy beats per-column shape.
+/// the choice whenever whole-row redundancy beats per-column shape.
 pub fn choose_store(matrix: &EncodedMatrix, gd: GdStore) -> RowStore {
-    smaller(ColumnarStore::encode(matrix), gd)
-}
-
-/// The store [`choose_store`] keeps of `GdStore::build(matrix, split)`, for a
-/// caller that holds only the fitted split: the cascade is encoded first and
-/// the GD store is built only if it can still win. Its serialized size is a
-/// closed form that only grows with the number of bases, so the cheap lower
-/// bound [`GdSplit::min_bases`] settles most seals — on machine-generated
-/// tables the fit ends all-deviation (one base, rows verbatim) and the
-/// per-column codecs win outright.
-pub fn seal_store(matrix: &EncodedMatrix, split: &GdSplit) -> RowStore {
     let columnar = ColumnarStore::encode(matrix);
-    let gd_at_least = GdStore::packed_size(
-        matrix.n_rows,
-        &split.widths,
-        &split.dev_bits,
-        split.min_bases(matrix),
-    );
-    if columnar.packed_bytes() < gd_at_least {
-        return RowStore::Columnar(columnar);
-    }
-    smaller(columnar, GdStore::build(matrix, &split.widths, &split.dev_bits))
-}
-
-/// The columnar store when strictly smaller, else the GD store.
-fn smaller(columnar: ColumnarStore, gd: GdStore) -> RowStore {
     if columnar.packed_bytes() < gd.packed_bytes() {
         RowStore::Columnar(columnar)
     } else {
@@ -280,31 +230,19 @@ mod tests {
         assert!(matches!(store, RowStore::Columnar(_)));
         assert!(store.packed_bytes() < gd_bytes);
         assert_eq!(store.decompress().columns, m.columns);
-        assert_eq!(store.codec_names().len(), 2);
     }
 
-    /// `seal_store` is `choose_store` minus the GD store it can prove would
-    /// lose: same kind, same bytes, on every shape — the cascade winning, GD
-    /// winning, and fits that keep base bits (where the bound has to be right).
+    /// GreedyGD wins on whole-row redundancy (shape 1), and `choose_store`
+    /// keeps it.
     #[test]
-    fn seal_store_keeps_what_choose_store_keeps() {
-        use crate::matrix::shapes::{shaped, SHAPES};
-        let bytes = |s: &RowStore| match s {
-            RowStore::Gd(s) => (0u8, s.to_bytes()),
-            RowStore::Columnar(s) => (1u8, s.to_bytes()),
+    fn choose_store_keeps_gd_on_repeated_rows() {
+        let m = crate::matrix::shapes::shaped(1, 2_500, 4);
+        let gd = GdCompressor::new().compress(&m);
+        let gd_bytes = gd.to_bytes();
+        let RowStore::Gd(kept) = choose_store(&m, gd) else {
+            panic!("GreedyGD must win on repeated rows");
         };
-        let mut kinds = [0usize; 2];
-        for shape in 0..SHAPES {
-            for (seed, n) in [(1u64, 1usize), (2, 40), (3, 900), (4, 2_500)] {
-                let m = shaped(shape, n, seed);
-                let compressor = GdCompressor::new();
-                let sealed = seal_store(&m, &compressor.fit(&m));
-                let chosen = choose_store(&m, compressor.compress(&m));
-                assert_eq!(bytes(&sealed), bytes(&chosen), "shape {shape} seed {seed} n {n}");
-                kinds[bytes(&sealed).0 as usize] += 1;
-            }
-        }
-        assert!(kinds[0] > 0 && kinds[1] > 0, "both outcomes covered: {kinds:?}");
+        assert_eq!(kept.to_bytes(), gd_bytes);
     }
 
     #[test]
@@ -313,7 +251,6 @@ mod tests {
         let gd = RowStore::Gd(GdCompressor::new().compress(&m));
         assert_eq!(gd.count_matching(0, &EncodedPred::Eq(3)), Some(40));
         assert_eq!(gd.count_matching(1, &EncodedPred::Eq(3)), None);
-        assert_eq!(gd.codec_names(), vec!["greedy-gd"]);
     }
 
     // -- property tests: every codec round-trips bit-identically, sizes are

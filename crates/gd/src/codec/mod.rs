@@ -24,9 +24,11 @@
 //!
 //! [`choose_codec`] picks per column from one pass of cheap statistics
 //! (value range, run structure, bounded distinct count, delta spread) by exact
-//! serialized-size accounting; [`seal_store`] then keeps the smaller of the
-//! cascade and GreedyGD, so the cascade can never regress a table GD already
-//! wins (e.g. whole-row duplication).
+//! serialized-size accounting. [`ColumnarStore`] applies it to every column of
+//! a matrix and is the one row store a sealed segment keeps: on every bundled
+//! dataset it is smaller than GreedyGD's (DESIGN §2). [`choose_store`] keeps
+//! the smaller of the two for the storage experiments that compare them; GD
+//! wins on whole-row duplication.
 //!
 //! Every codec's `from_bytes` validates enough that `decode` and
 //! `count_matching` are total afterwards — corrupted payloads fail at load with
@@ -43,7 +45,7 @@ mod runend;
 
 pub use bitpack::BitPackCodec;
 pub use column::{choose_codec, ColumnCodec};
-pub use columnar::{choose_store, seal_store, ColumnarStore, RowStore};
+pub use columnar::{choose_store, ColumnarStore, RowStore};
 pub use delta::DeltaCodec;
 pub use dict::DictCodec;
 pub use fsst::SymbolTable;

@@ -31,55 +31,13 @@ const FIT_ROWS: usize = 32_768;
 const FIT_SEED: u64 = 0x9d8_1ab3;
 
 /// The fitted base/deviation split of one matrix: what [`GdStore::build`] needs to
-/// pack it, and all a synopsis build needs to seed its bin edges — without the store.
+/// pack it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GdSplit {
+pub(crate) struct GdSplit {
     /// Total bit width per column.
-    pub widths: Vec<u32>,
+    pub(crate) widths: Vec<u32>,
     /// Deviation (low-order) bit width per column.
-    pub dev_bits: Vec<u32>,
-}
-
-impl GdSplit {
-    /// Sorted distinct base-derived values of column `col` — exactly
-    /// [`GdStore::base_values`] of the store this split would build over `data`
-    /// (a base part is `v >> dev`, whichever row first brought it).
-    pub fn base_values(&self, data: &EncodedMatrix, col: usize) -> Vec<u64> {
-        let shift = self.dev_bits[col];
-        if shift == self.widths[col] {
-            // The whole column is deviation: every row shares base part 0.
-            return vec![0; data.n_rows.min(1)];
-        }
-        let mut vals: Vec<u64> =
-            data.columns[col].iter().map(|&v| (v >> shift) << shift).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        vals
-    }
-
-    /// A lower bound on the number of bases [`GdStore::build`] would deduplicate
-    /// over `data`: the distinct per-row sum hashes of the base tuples. Equal
-    /// tuples hash equally, so the count can only fall short of the truth (by a
-    /// 64-bit collision), never exceed it.
-    pub fn min_bases(&self, data: &EncodedMatrix) -> usize {
-        if self.dev_bits == self.widths {
-            // All deviation: one empty base, whatever the rows.
-            return data.n_rows.min(1);
-        }
-        let mut hashes = vec![0u64; data.n_rows];
-        for (c, col) in data.columns.iter().enumerate() {
-            let shift = self.dev_bits[c];
-            // An all-deviation column adds the same term to every row.
-            if shift < self.widths[c] {
-                for (h, &v) in hashes.iter_mut().zip(col) {
-                    *h = h.wrapping_add(mix(c, v >> shift));
-                }
-            }
-        }
-        DistinctCounter::with_capacity(data.n_rows)
-            .count(hashes.iter().copied(), usize::MAX)
-            .expect("no limit to exceed")
-    }
+    pub(crate) dev_bits: Vec<u32>,
 }
 
 /// GreedyGD compressor: fits the bit split, then builds a [`GdStore`].
@@ -100,9 +58,8 @@ impl GdCompressor {
     }
 
     /// Fits the split alone: column widths from the data, deviation widths from
-    /// the greedy search. A seal that ends up keeping the per-column cascade
-    /// needs nothing more from GreedyGD than this.
-    pub fn fit(&self, data: &EncodedMatrix) -> GdSplit {
+    /// the greedy search.
+    pub(crate) fn fit(&self, data: &EncodedMatrix) -> GdSplit {
         Self::fit_sampled(data, FIT_ROWS)
     }
 
@@ -375,8 +332,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// Same split as the reference search on every shape, fitted on all rows
-        /// and on a sample; and the split alone tells what the built store would:
-        /// its seed values exactly, its base count from below.
+        /// and on a sample.
         #[test]
         fn prop_fit_matches_reference_search(
             seed in 0u64..10_000,
@@ -387,13 +343,6 @@ mod tests {
             let m = shaped(shape, n, seed);
             let split = GdCompressor::fit_sampled(&m, fit_rows);
             prop_assert_eq!(&split.dev_bits, &reference_dev_bits(fit_rows, &m, &split.widths));
-
-            let store = GdStore::build(&m, &split.widths, &split.dev_bits);
-            for c in 0..m.n_columns() {
-                prop_assert_eq!(split.base_values(&m, c), store.base_values(c));
-            }
-            // A 64-bit sum-hash collision is the only way to fall short.
-            prop_assert_eq!(split.min_bases(&m), store.n_bases());
         }
     }
 

@@ -33,10 +33,10 @@ mod preprocess;
 mod store;
 
 pub use codec::{
-    choose_codec, choose_store, seal_store, BitPackCodec, ColumnCodec, ColumnarStore, DeltaCodec,
-    DictCodec, EncodedPred, RowStore, RunEndCodec, SymbolTable,
+    choose_codec, choose_store, BitPackCodec, ColumnCodec, ColumnarStore, DeltaCodec, DictCodec,
+    EncodedPred, RowStore, RunEndCodec, SymbolTable,
 };
-pub use greedy::{GdCompressor, GdSplit};
+pub use greedy::GdCompressor;
 pub use matrix::EncodedMatrix;
 pub use preprocess::{
     CodeRanks, ColumnTransform, EncodeScratch, EncodedLiteral, GdError, Preprocessor,

@@ -54,7 +54,7 @@ impl EncodedMatrix {
     }
 }
 
-/// Matrices for the equivalence tests of the fit and the store choice.
+/// Matrices for the equivalence test of the fit.
 #[cfg(test)]
 pub(crate) mod shapes {
     use super::EncodedMatrix;

@@ -198,23 +198,14 @@ impl GdStore {
     /// resident row-store bytes through this on every footprint query, so it
     /// must stay exactly in sync with the wire layout (pinned by a test).
     pub fn packed_bytes(&self) -> usize {
-        Self::packed_size(self.n_rows, &self.widths, &self.dev_bits, self.n_bases())
-    }
-
-    /// [`packed_bytes`](Self::packed_bytes) of the store `build` would make of
-    /// `n_rows` rows that deduplicate to `n_bases` bases — the closed form, so a
-    /// caller can cost a store it has not built. Non-decreasing in `n_bases`.
-    pub fn packed_size(n_rows: usize, widths: &[u32], dev_bits: &[u32], n_bases: usize) -> usize {
-        let d = widths.len();
-        let header = uvarint_len(n_rows as u64)
-            + uvarint_len(d as u64)
-            + uvarint_len(n_bases as u64)
-            + 2 * d;
-        let base_bits: u64 =
-            n_bases as u64 * widths.iter().zip(dev_bits).map(|(w, b)| (w - b) as u64).sum::<u64>();
-        let id_bits = n_rows as u64 * bits_for(n_bases.saturating_sub(1) as u64) as u64;
-        let dev_bits = n_rows as u64 * dev_bits.iter().map(|&b| b as u64).sum::<u64>();
-        header + (base_bits + id_bits + dev_bits).div_ceil(8) as usize
+        let (n_rows, n_bases, d) = (self.n_rows as u64, self.n_bases(), self.widths.len());
+        let header =
+            uvarint_len(n_rows) + uvarint_len(d as u64) + uvarint_len(n_bases as u64) + 2 * d;
+        let base_width: u64 =
+            self.widths.iter().zip(&self.dev_bits).map(|(w, b)| (w - b) as u64).sum();
+        let id_bits = bits_for(n_bases.saturating_sub(1) as u64) as u64;
+        let payload = n_bases as u64 * base_width + n_rows * (id_bits + self.dev_stride);
+        header + payload.div_ceil(8) as usize
     }
 
     /// Serializes to the fully bit-packed format: header, packed bases, the base-ID

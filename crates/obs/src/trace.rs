@@ -52,12 +52,12 @@ pub enum Stage {
     WalFsync = 14,
     /// Sealing a delta slice into an immutable segment.
     Seal = 15,
-    /// Codec cascade: choosing + encoding the sealed row store.
+    /// Codec cascade: encoding the sealed row store.
     Codec = 16,
     /// Folding ingested rows into the active delta synopsis.
     Fold = 17,
-    /// GreedyGD split search over a sealing segment's rows.
-    GdFit = 18,
+    // 18 was the seal's GreedyGD fit: a retired code is never reused, so an
+    // older ring never decodes as another stage.
     /// Refining a sealing segment's synopsis (1-d and pair histograms).
     Synopsis = 19,
     /// Admitting an ingest batch: schema validation, then resolving its
@@ -94,7 +94,6 @@ pub const ALL_STAGES: &[Stage] = &[
     Stage::Seal,
     Stage::Codec,
     Stage::Fold,
-    Stage::GdFit,
     Stage::Synopsis,
     Stage::Admit,
     Stage::Prune,
@@ -135,7 +134,6 @@ impl Stage {
             Stage::Seal => "seal",
             Stage::Codec => "codec",
             Stage::Fold => "fold",
-            Stage::GdFit => "gd_fit",
             Stage::Synopsis => "synopsis",
             Stage::Admit => "admit",
             Stage::Prune => "prune",

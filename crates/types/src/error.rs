@@ -89,7 +89,8 @@ pub enum PhError {
     Schema(String),
     /// Persistence I/O failure.
     Io(String),
-    /// Persisted bytes exist but do not decode.
+    /// Persisted bytes — a manifest, a segment blob, a log record — exist but
+    /// do not decode.
     Corrupt(String),
     /// The table exists in the catalog but its persisted state failed
     /// checksum/decode verification at open time; it is isolated while the
@@ -111,7 +112,7 @@ impl fmt::Display for PhError {
             PhError::Unsupported(m) => write!(f, "unsupported query: {m}"),
             PhError::Schema(m) => write!(f, "schema error: {m}"),
             PhError::Io(m) => write!(f, "i/o error: {m}"),
-            PhError::Corrupt(m) => write!(f, "corrupt synopsis data: {m}"),
+            PhError::Corrupt(m) => write!(f, "corrupt data: {m}"),
             PhError::Quarantined(m) => write!(f, "table quarantined: {m}"),
         }
     }

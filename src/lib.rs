@@ -60,8 +60,8 @@
 //!
 //! Behind the catalog, every table lives in **segmented storage**: a list of
 //! immutable sealed segments — each holding its own synopsis *plus* its rows
-//! in a [`RowStore`](ph_gd::RowStore), the smaller of the per-column codec
-//! cascade and GreedyGD — and one active delta that
+//! in the per-column codec cascade ([`ColumnarStore`](ph_gd::ColumnarStore))
+//! — and one active delta that
 //! absorbs [`Session::ingest`](ph_core::Session::ingest) batches in O(batch).
 //! When the delta crosses the seal threshold (or the staleness policy), it is
 //! *sealed* into a new segment — O(threshold), independent of how large the

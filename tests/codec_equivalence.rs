@@ -21,8 +21,8 @@ fn scan_count(store: &RowStore, col: usize, lo: u64, hi: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both store representations — GreedyGD fallback and the columnar
-    /// cascade — agree bit-identically with decode-then-scan on random
+    /// Both store representations — GreedyGD and the columnar cascade —
+    /// agree bit-identically with decode-then-scan on random
     /// range and equality predicates over mixed-shape columns.
     #[test]
     fn prop_encoded_predicates_match_decoded_scan(
@@ -120,8 +120,8 @@ fn session_count_sealed_matching_is_exact() {
     assert_eq!(snap.count_sealed_matching(9, &RangeSet::full(10)), None);
 }
 
-/// Sealed-segment stores (the ingest path, where the cascade competes with
-/// GreedyGD per slice) keep the same exactness across multiple segments.
+/// Sealed-segment stores (the ingest path, one cascade store per slice) keep
+/// the same exactness across multiple segments.
 #[test]
 fn sealed_segments_count_exactly_across_stores() {
     let base = mixed_dataset(2_000);

@@ -434,7 +434,7 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
 /// was honest: a `PSG3` frame with a valid CRC around a kind-1 (GreedyGD)
 /// store whose header claims 2^40 bases must quarantine its table — not abort
 /// the process on a terabyte allocation — while the healthy table beside it
-/// serves.
+/// serves. (Kind 1 is no longer read at all, so the reason names the kind.)
 #[test]
 fn hostile_gd_store_header_quarantines_instead_of_aborting() {
     use pairwisehist::encoding::{crc32, write_uvarint};
@@ -465,7 +465,10 @@ fn hostile_gd_store_header_quarantines_instead_of_aborting() {
     assert_eq!(reopened.tables(), vec!["healthy"]);
     let sql = "SELECT AVG(y) FROM healthy WHERE x > 300 GROUP BY c";
     assert_eq!(reopened.sql(sql).unwrap(), session.sql(sql).unwrap());
-    assert!(reopened.quarantined().iter().any(|(name, _)| name == "hostile"));
+    assert!(reopened
+        .quarantined()
+        .iter()
+        .any(|(name, why)| name == "hostile" && why.contains("row-store kind 1")));
     assert!(matches!(
         reopened.sql("SELECT COUNT(x) FROM hostile"),
         Err(PhError::Quarantined(_))

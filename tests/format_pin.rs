@@ -9,13 +9,14 @@
 //! the same commit (last: the `PWT2` v5 manifest, which dropped the build
 //! configuration's `M` fraction and its serial/parallel flag).
 //!
-//! The Power table's segments all keep the per-column cascade, so two more
-//! pins reach what it does not: each of the four column codecs on fixed
-//! columns, and a GreedyGD row store on rows where GD beats the cascade.
+//! Segments keep the per-column cascade, so two more pins reach what the
+//! Power table does not: each of the four column codecs on fixed columns, and
+//! the GreedyGD store the storage experiments measure, on rows where GD beats
+//! the cascade.
 
 use pairwisehist::encoding::crc32;
 use pairwisehist::gd::{
-    seal_store, BitPackCodec, DeltaCodec, DictCodec, EncodedMatrix, RowStore, RunEndCodec,
+    BitPackCodec, ColumnarStore, DeltaCodec, DictCodec, EncodedMatrix, RunEndCodec,
 };
 use pairwisehist::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -94,7 +95,7 @@ const CODECS: [[(usize, u32); 4]; 4] = [
     [(5, 0x2df8_e5a5), (27, 0xdad9_5748), (1584, 0x5e7d_bec7), (3, 0xff41_d912)],
     [(8, 0x5359_b7d2), (64, 0xd4e1_e88a), (2286, 0xa718_8c4a), (5, 0xc622_f71d)],
 ];
-/// `to_bytes` of the GreedyGD store sealed over [`dozen_rows_repeated`].
+/// `to_bytes` of the GreedyGD store over [`dozen_rows_repeated`].
 const GD_STORE: (usize, u32) = (1308, 0xe9f2_7201);
 
 /// A constant column (every width 0), a width-64 extreme, three delta blocks
@@ -109,8 +110,8 @@ fn pinned_columns() -> [Vec<u64>; 4] {
 }
 
 /// `n` rows drawn from a dozen distinct rows: whole-row redundancy, the shape
-/// on which GreedyGD beats the per-column cascade (shape 1 of the store
-/// choice's equivalence tests, same draws).
+/// on which GreedyGD beats the per-column cascade (shape 1 of `ph_gd`'s test
+/// matrices, same draws).
 fn dozen_rows_repeated(n: usize, seed: u64) -> EncodedMatrix {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ (1 << 32));
     let rows: Vec<[u64; 3]> = (0..12)
@@ -132,10 +133,8 @@ fn codec_and_gd_store_bytes_are_pinned() {
     assert_eq!(codecs, CODECS, "codec bytes drifted (bitpack, delta, dict, run-end)");
 
     let m = dozen_rows_repeated(2_500, 4);
-    let RowStore::Gd(store) = seal_store(&m, &GdCompressor::new().fit(&m)) else {
-        panic!("GreedyGD must win on repeated rows");
-    };
-    let bytes = store.to_bytes();
+    let bytes = GdCompressor::new().compress(&m).to_bytes();
+    assert!(bytes.len() < ColumnarStore::encode(&m).packed_bytes(), "GD beats the cascade here");
     assert_eq!(GdStore::from_bytes(&bytes).map(|s| s.decompress()), Some(m));
     assert_eq!(pin(&bytes), GD_STORE, "GreedyGD store bytes drifted");
 }

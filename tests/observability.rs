@@ -355,10 +355,10 @@ fn execute_span_marks_pruned_segments_beside_estimated_ones() {
 }
 
 /// A seal explains itself the way a query does: under the `seal` span sit the
-/// GreedyGD split search, the synopsis refinement and the codec cascade, in
-/// that order, and together they account for most of it.
+/// synopsis refinement and the codec cascade, in that order, and together
+/// they account for most of it.
 #[test]
-fn seal_span_breaks_down_into_fit_synopsis_and_codec() {
+fn seal_span_breaks_down_into_synopsis_and_codec() {
     use pairwisehist::core::obs::{trace, Stage, Trace};
 
     let session = Session::new();
@@ -374,10 +374,10 @@ fn seal_span_breaks_down_into_fit_synopsis_and_codec() {
     for seal in seals {
         let children: Vec<_> = spans.iter().filter(|s| s.parent == seal.id).collect();
         let stages: Vec<Stage> = children.iter().map(|s| s.stage).collect();
-        assert_eq!(stages, [Stage::GdFit, Stage::Synopsis, Stage::Codec]);
+        assert_eq!(stages, [Stage::Synopsis, Stage::Codec]);
         let covered: u64 = children.iter().map(|s| s.dur_ns).sum();
         assert!(covered <= seal.dur_ns, "children outlast their parent");
-        // Only the encode of the sealed rows runs outside the three children.
+        // Only the encode of the sealed rows runs outside the two children.
         assert!(
             covered * 2 >= seal.dur_ns,
             "{covered} of {} ns attributed: the seal's anatomy has a hole",

@@ -86,6 +86,28 @@ fn storage_claims() {
     );
 }
 
+/// Deviation (DESIGN §2): a served segment keeps its rows in the per-column
+/// codec cascade, not in GreedyGD, because the cascade's store is the smaller
+/// on every dataset. Each dataset's `GD` rows carry both sizes; a dataset on
+/// which GreedyGD wins fails this test by name. `ablation` is the cheapest
+/// experiment to run on all eleven analogues (three PairwiseHist builds, no
+/// baseline), and 2 000 rows keep it to seconds; CI checks the same relation
+/// on every dataset its 20 000-row `paper` run emits.
+#[test]
+fn cascade_store_is_smaller_than_greedy_gd_on_every_dataset() {
+    let names: Vec<&str> = datagen::all_specs().iter().map(|s| s.name).collect();
+    let rows = run("ablation", &names, 2_000);
+    let gd_wins: Vec<String> = names
+        .iter()
+        .filter_map(|&name| {
+            let (cascade, gd) =
+                (value(&rows, name, "GD", "cascade_bytes"), value(&rows, name, "GD", "gd_bytes"));
+            (cascade >= gd).then(|| format!("{name}: cascade {cascade} B, GD {gd} B"))
+        })
+        .collect();
+    assert!(gd_wins.is_empty(), "GreedyGD is the smaller store on {gd_wins:?}");
+}
+
 /// Claim (§2, §6): the baselines really do decline the query shapes the paper says
 /// they decline, while PairwiseHist answers everything in the template.
 #[test]

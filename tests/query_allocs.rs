@@ -198,3 +198,49 @@ fn decoding_a_dictionary_reserves_only_what_its_body_backs() {
     assert!(restored.is_none());
     assert!(largest <= 16 * body.len(), "{largest} bytes reserved for a 6-byte body");
 }
+
+/// The same bound on the ingest log: a checksum-valid record of a batch with
+/// no rows and one categorical column whose dictionary claims 2^24 entries —
+/// twenty-odd bytes that once reserved ≈ 400 MB of `String`s — quarantines
+/// its table at `Session::open_dir`, and nothing the open reserves comes near
+/// the claim.
+#[test]
+fn replaying_a_log_reserves_only_what_its_records_back() {
+    use pairwisehist::encoding::crc32;
+
+    let dir = std::env::temp_dir().join(format!("ph_alloc_wal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::new();
+    session.register(slice(0, 300)).unwrap();
+    session.save_dir(&dir).unwrap();
+    let manifest = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "pwhs"))
+        .unwrap();
+
+    let mut payload = Vec::new();
+    write_uvarint(&mut payload, 1); // seq
+    write_uvarint(&mut payload, 1); // batch name
+    payload.push(b't');
+    write_uvarint(&mut payload, 0); // n_rows
+    write_uvarint(&mut payload, 1); // n_cols
+    write_uvarint(&mut payload, 1); // column name
+    payload.push(b'c');
+    payload.push(3); // categorical; no rows, so no validity bytes
+    write_uvarint(&mut payload, 1 << 24); // dict_len
+    let mut log = b"PHWL1".to_vec();
+    write_uvarint(&mut log, payload.len() as u64);
+    log.extend_from_slice(&crc32(&payload).to_le_bytes());
+    log.extend_from_slice(&payload);
+    std::fs::write(manifest.with_extension("phwal"), &log).unwrap();
+
+    let (reopened, largest) = largest_allocation_of(|| Session::open_dir(&dir).unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
+    let quarantined = reopened.quarantined();
+    assert!(
+        quarantined.iter().any(|(t, why)| t == "t" && why.contains("does not decode")),
+        "{quarantined:?}"
+    );
+    assert!(largest < 4 << 20, "{largest} bytes reserved opening a 300-row table");
+}

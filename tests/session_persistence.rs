@@ -318,3 +318,42 @@ fn compaction_survives_a_crash_bit_identically() {
     assert_twins(&live, &twin, &more, "compacted twin");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Regression: the log's reader refused strings over 1 MiB while the
+/// preprocessor and segment blobs take any length, so an acknowledged batch
+/// holding a 2 MiB categorical value quarantined its table at the next open
+/// ("passes checksum but does not decode"). A string is now bounded by the
+/// bytes left in its record, as everywhere else.
+#[test]
+fn a_batch_with_a_two_mib_categorical_value_replays() {
+    let long = "v".repeat(2 << 20);
+    let rows = |n: usize| {
+        Dataset::builder("t")
+            .column(Column::from_ints("x", (0..n as i64).map(Some).collect()))
+            .unwrap()
+            .column(Column::from_strings(
+                "c",
+                (0..n).map(|i| Some(if i % 3 == 0 { long.as_str() } else { "short" })).collect(),
+            ))
+            .unwrap()
+            .build()
+    };
+    let dir = home("long_value");
+    let fresh = Session::new();
+    fresh.register(rows(300)).unwrap();
+    fresh.save_dir(&dir).unwrap();
+    drop(fresh);
+
+    let live = Session::open_dir(&dir).unwrap();
+    assert!(live.wal_enabled());
+    assert!(!live.ingest("t", &rows(10)).unwrap().rebuilt, "a plain batch");
+    let sql = "SELECT COUNT(x) FROM t GROUP BY c;";
+    let answer = live.sql(sql).unwrap();
+    drop(live);
+
+    let twin = Session::open_dir(&dir).unwrap();
+    assert_eq!(twin.quarantined(), Vec::new());
+    assert_eq!(twin.table_stats("t").unwrap().delta_rows, 10);
+    assert_eq!(twin.sql(sql).unwrap(), answer);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
