@@ -6,12 +6,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rand::seq::index::sample as index_sample;
-use rand::SeedableRng;
-
 use ph_gd::{EncodedMatrix, GdStore, Preprocessor};
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
-use ph_types::Dataset;
+use ph_types::{sample_rows, Dataset};
 
 use crate::bins::DimBins;
 use crate::build1d::{build_dim_bins_1d, edges_from_seeds};
@@ -172,7 +169,7 @@ impl PairwiseHist {
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        let sample = rows.take_rows(&sample_rows(rows.n_rows, cfg));
+        let sample = rows.take_rows(&sample_rows(rows.n_rows, cfg.ns, cfg.seed));
         let workers = pair_workers(&pre);
         Self::build_from_matrix(&sample, pre, rows.n_rows as u64, None, cfg, workers)
     }
@@ -185,7 +182,7 @@ impl PairwiseHist {
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        let matrix = store.rows(&sample_rows(store.n_rows(), cfg));
+        let matrix = store.rows(&sample_rows(store.n_rows(), cfg.ns, cfg.seed));
         let ns = matrix.n_rows;
         let max_seeds = ns.div_ceil(cfg.m_min(ns)).max(1);
         let seeds: Vec<Vec<u64>> = (0..matrix.n_columns())
@@ -379,19 +376,6 @@ impl PairwiseHist {
     }
 }
 
-/// The ascending rows a build over `n` rows samples: all of them when `Ns`
-/// covers them, else `Ns` drawn under the configured seed — the rows
-/// [`Dataset::sample`] keeps.
-fn sample_rows(n: usize, cfg: &PairwiseHistConfig) -> Vec<usize> {
-    if cfg.ns >= n {
-        return (0..n).collect();
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let mut rows = index_sample(&mut rng, n, cfg.ns).into_vec();
-    rows.sort_unstable();
-    rows
-}
-
 /// Uniformly downsamples seed values to at most `max_seeds` entries (Algorithm 1
 /// line 4's `⌈Ns/M⌉` cap).
 fn downsample_seeds(mut seeds: Vec<u64>, max_seeds: usize) -> Vec<u64> {
@@ -410,7 +394,7 @@ fn downsample_seeds(mut seeds: Vec<u64>, max_seeds: usize) -> Vec<u64> {
 mod tests {
     use super::*;
     use ph_types::Column;
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
 
     fn dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

@@ -323,6 +323,7 @@ mod tests {
             assert!(!s.name().is_empty());
         }
         assert_eq!(Stage::from_code(200), None);
+        assert_eq!(Stage::from_code(18), None, "a retired code decodes as nothing");
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub(crate) struct Metrics {
     pub(crate) queries_on_loop: Arc<Counter>,
     /// `/ingest` batches applied successfully.
     pub(crate) ingest_batches: Arc<Counter>,
-    /// Per-stage time from finished traces, indexed by [`Stage::code`].
+    /// Per-stage time from finished traces, in `ALL_STAGES` order.
     stages: Vec<Arc<Histogram>>,
     /// Jobs drained per executor wakeup — one connection's snapshot-sharing run.
     pub(crate) exec_batch: Arc<Histogram>,
@@ -219,7 +219,9 @@ impl Metrics {
 
     /// The per-stage histogram for `stage`, if registered.
     pub(crate) fn stage(&self, stage: Stage) -> Option<&Histogram> {
-        self.stages.get(stage.code() as usize).map(Arc::as_ref)
+        // By list position, not by code: a retired code leaves a gap.
+        let at = ph_obs::trace::ALL_STAGES.iter().position(|&s| s == stage)?;
+        self.stages.get(at).map(Arc::as_ref)
     }
 
     fn to_json(&self) -> Json {
@@ -590,6 +592,23 @@ mod tests {
                 "missing stage label {}",
                 s.name()
             );
+        }
+    }
+
+    /// Each stage finds the histogram that carries its own label, also past
+    /// a gap in the stage codes: stage *i* of `ALL_STAGES`, observed *i* + 1
+    /// times, renders a count of *i* + 1 under its name.
+    #[test]
+    fn every_stage_records_under_its_own_label() {
+        let m = Metrics::new();
+        for (i, &s) in ph_obs::trace::ALL_STAGES.iter().enumerate() {
+            let h = m.stage(s).expect("every stage is registered");
+            (0..=i).for_each(|_| h.observe(1));
+        }
+        let text = m.registry.render();
+        for (i, s) in ph_obs::trace::ALL_STAGES.iter().enumerate() {
+            let line = format!("ph_query_stage_seconds_count{{stage=\"{}\"}} {}\n", s.name(), i + 1);
+            assert!(text.contains(&line), "{} did not record under its own label", s.name());
         }
     }
 }

@@ -213,6 +213,42 @@ fn empty_ingest_journals_and_publishes_nothing() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A served ingest that seals under a WAL home lands each of its spans in its
+/// own `ph_query_stage_seconds` child: one `seal` and one `synopsis` per
+/// sealed segment, one `checkpoint`, and one `admit` for the one batch.
+#[test]
+fn traced_seal_counts_under_its_own_stage_labels() {
+    let dir = std::env::temp_dir().join(format!("ph_server_stages_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Arc::new(Session::new());
+    session.set_seal_threshold(2_000);
+    session.enable_wal(&dir).unwrap();
+    session.register(demo_dataset("demo", 2_000)).unwrap();
+    let (server, mut client) = serve(session, ServerConfig::default());
+    let mut csv = String::from("x,y,c\n");
+    for i in 0..2_500 {
+        csv.push_str(&format!("{},{}.5,{}\n", (i * 7) % 1000, i % 50, ["a", "b", "c", "d"][i % 4]));
+    }
+    let report = client.ingest_csv("demo", &csv).unwrap();
+    let sealed = report.get("sealed_segments").and_then(Json::as_f64).unwrap();
+    assert!(sealed >= 1.0, "the batch was meant to seal: {report:?}");
+
+    let text = client.metrics().unwrap();
+    let count = |stage: &str| -> f64 {
+        let prefix = format!("ph_query_stage_seconds_count{{stage=\"{stage}\"}} ");
+        let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+        line.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no count for stage {stage}"))
+    };
+    assert_eq!(count("admit"), 1.0);
+    assert_eq!(count("seal"), sealed);
+    assert_eq!(count("synopsis"), sealed);
+    assert_eq!(count("codec"), sealed);
+    assert_eq!(count("checkpoint"), 1.0);
+    assert_eq!(count("prune"), 0.0);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn endpoints_and_methods_are_routed() {
     let session = Arc::new(Session::new());

@@ -7,6 +7,21 @@ use rand::SeedableRng;
 
 use crate::{Column, TypeError, Value};
 
+/// The ascending rows [`Dataset::sample`] keeps out of `n_rows`: all of them
+/// when `n` covers them, else `n` drawn uniformly without replacement,
+/// deterministic in `seed`. Rows held in another form (an encoded matrix)
+/// are sampled through this too, so every build over the same rows samples
+/// the same ones.
+pub fn sample_rows(n_rows: usize, n: usize, seed: u64) -> Vec<usize> {
+    if n >= n_rows {
+        return (0..n_rows).collect();
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rows = index_sample(&mut rng, n_rows, n).into_vec();
+    rows.sort_unstable();
+    rows
+}
+
 /// An in-memory columnar table: the dataset `D` of the paper's problem definition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
@@ -83,10 +98,7 @@ impl Dataset {
         if n >= self.n_rows {
             return self.clone();
         }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rows: Vec<usize> = index_sample(&mut rng, self.n_rows, n).into_vec();
-        rows.sort_unstable();
-        self.take(&rows)
+        self.take(&sample_rows(self.n_rows, n, seed))
     }
 
     /// Returns a new dataset with only the given rows, in the given order.

@@ -31,7 +31,7 @@ mod value;
 
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData, ColumnType};
-pub use dataset::{Dataset, DatasetBuilder};
+pub use dataset::{sample_rows, Dataset, DatasetBuilder};
 pub use dict::DictIndex;
 pub use error::{PhError, TypeError};
 pub use value::Value;

@@ -91,8 +91,7 @@ fn storage_claims() {
 /// on every dataset. Each dataset's `GD` rows carry both sizes; a dataset on
 /// which GreedyGD wins fails this test by name. `ablation` is the cheapest
 /// experiment to run on all eleven analogues (three PairwiseHist builds, no
-/// baseline), and 2 000 rows keep it to seconds; CI checks the same relation
-/// on every dataset its 20 000-row `paper` run emits.
+/// baseline), and 2 000 rows keep it to seconds.
 #[test]
 fn cascade_store_is_smaller_than_greedy_gd_on_every_dataset() {
     let names: Vec<&str> = datagen::all_specs().iter().map(|s| s.name).collect();
