@@ -9,10 +9,11 @@
 //! the same commit (last: the `PWT2` v5 manifest, which dropped the build
 //! configuration's `M` fraction and its serial/parallel flag).
 //!
-//! Segments keep the per-column cascade, so two more pins reach what the
-//! Power table does not: each of the four column codecs on fixed columns, and
-//! the GreedyGD store the storage experiments measure, on rows where GD beats
-//! the cascade.
+//! Segments keep the per-column cascade, so three more pins reach what the
+//! Power table does not: each of the four column codecs on fixed columns, the
+//! GreedyGD store the storage experiments measure, on rows where GD beats the
+//! cascade, and a registered Flights table, whose pair build takes paths a
+//! Power build seldom does.
 
 use pairwisehist::encoding::crc32;
 use pairwisehist::gd::{
@@ -85,6 +86,38 @@ fn persisted_bytes_of_a_seeded_table_are_pinned() {
 
 fn pin(bytes: &[u8]) -> (usize, u32) {
     (bytes.len(), crc32(bytes))
+}
+
+/// The synopsis and the segment blob of a registered Flights table: wide and
+/// categorical-heavy, so its pair build meets what Power's seldom does — 1-d
+/// bins holding one value and heavy cells over narrow value ranges.
+const FLIGHTS_SYNOPSIS: (usize, u32) = (0x2_4b07, 0x7a8b_73b4);
+const FLIGHTS_SEGMENT: (usize, u32) = (0xa_a3b9, 0x0f9b_71ea);
+
+#[test]
+fn registered_flights_synopsis_and_segment_are_pinned() {
+    let data = pairwisehist::datagen::generate("Flights", 20_000, 7).expect("dataset");
+    let session = Session::new();
+    session.register(data).unwrap();
+    let snap = session.engine("Flights").unwrap();
+    assert_eq!(snap.n_segments(), 1, "registration builds one segment");
+    let synopsis = snap.segments()[0].to_bytes();
+
+    let dir = std::env::temp_dir().join(format!("ph_format_pin_flights_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    session.save_dir(&dir).unwrap();
+    let segments: Vec<Vec<u8>> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "phseg"))
+        .map(|p| std::fs::read(p).unwrap())
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(pin(&synopsis), FLIGHTS_SYNOPSIS, "Flights synopsis bytes drifted");
+    let [segment] = &segments[..] else { panic!("one segment blob, got {}", segments.len()) };
+    let body = &segment[..segment.len() - 4];
+    assert_eq!(pin(body), FLIGHTS_SEGMENT, "Flights segment blob bytes drifted");
 }
 
 /// `to_bytes` of each codec (bitpack, delta, dict, run-end) on each of
