@@ -30,7 +30,10 @@ pub enum SplitRule {
 /// How many threads a build uses is not among them: construction is highly
 /// parallelisable (§4.1), so the pair stage always runs on every core the host
 /// offers, one thread per column pair at most, and the synopsis is the same
-/// for any thread count.
+/// for any thread count. The rest of a build — the encode, the 1-d histograms
+/// and each row's 1-d bin — runs on the calling thread, as does the codec
+/// cascade of a segment's store: on worker threads their per-column buffers
+/// raised peak memory more than they saved time.
 #[derive(Debug, Clone)]
 pub struct PairwiseHistConfig {
     /// Sample size `Ns` used to construct the synopsis.
@@ -153,25 +156,29 @@ impl PairwiseHist {
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        // The sampled rows (a whole copy of a table no larger than `Ns`) are
-        // dropped at the end of this statement rather than held through the
-        // build, whose sort and bin-index buffers are the peak of a registration.
+        if cfg.ns >= data.n_rows() {
+            return Self::build_from_encoded(&pre.encode(data), pre, cfg); // no copy to sample
+        }
+        // The sampled rows are dropped once encoded, not held through the build.
         let matrix = pre.encode(&data.sample(cfg.ns, cfg.seed));
         let workers = pair_workers(&pre);
         Self::build_from_matrix(&matrix, pre, data.n_rows() as u64, None, cfg, workers)
     }
 
     /// [`build_with_preprocessor`](Self::build_with_preprocessor) over rows
-    /// already encoded under `pre`: the same sample, the same min/max initial
-    /// edges, the same synopsis. This is the build a seal and a compaction run.
+    /// already encoded under `pre` (borrowed when the sample is every row): the
+    /// same sample, edges and synopsis. Registration, refits, seals and
+    /// compactions build this way.
     pub(crate) fn build_from_encoded(
         rows: &EncodedMatrix,
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        let sample = rows.take_rows(&sample_rows(rows.n_rows, cfg.ns, cfg.seed));
+        let sample = (cfg.ns < rows.n_rows)
+            .then(|| rows.take_rows(&sample_rows(rows.n_rows, cfg.ns, cfg.seed)));
         let workers = pair_workers(&pre);
-        Self::build_from_matrix(&sample, pre, rows.n_rows as u64, None, cfg, workers)
+        let sample = sample.as_ref().unwrap_or(rows);
+        Self::build_from_matrix(sample, pre, rows.n_rows as u64, None, cfg, workers)
     }
 
     /// Builds on top of GreedyGD-compressed data (the framework of Fig 2): the sample
@@ -459,24 +466,29 @@ mod tests {
 
     /// The threaded pair stage builds, bit for bit, what one thread builds,
     /// whatever the host: the worker counts are explicit, so the threads run
-    /// even on one core.
+    /// even on one core. The Flights slice has 32 columns, so 496 pairs share
+    /// each worker's scratch.
     #[test]
     fn parallel_and_serial_builds_agree() {
-        let data = dataset(4000, 2);
-        let cfg = PairwiseHistConfig { ns: 4000, ..Default::default() };
-        let pre = Arc::new(Preprocessor::fit(&data));
-        let matrix = pre.encode(&data);
-        let build = |workers| {
-            PairwiseHist::build_from_matrix(&matrix, pre.clone(), 4000, None, &cfg, workers)
-        };
-        let serial = build(1);
-        for workers in [2, 3] {
-            let threaded = build(workers);
-            assert_eq!(serial.hist1d, threaded.hist1d, "{workers} workers");
-            assert_eq!(serial.pairs, threaded.pairs, "{workers} workers");
-            assert_eq!(serial.to_bytes(), threaded.to_bytes(), "{workers} workers");
+        let flights = ph_datagen::generate("Flights", 3_000, 5).expect("known dataset");
+        assert_eq!(flights.n_columns(), 32);
+        for data in [dataset(4000, 2), flights] {
+            let n = data.n_rows();
+            let cfg = PairwiseHistConfig { ns: n, ..Default::default() };
+            let pre = Arc::new(Preprocessor::fit(&data));
+            let matrix = pre.encode(&data);
+            let build = |workers| {
+                PairwiseHist::build_from_matrix(&matrix, pre.clone(), n as u64, None, &cfg, workers)
+            };
+            let serial = build(1);
+            for workers in [2, 3] {
+                let threaded = build(workers);
+                assert_eq!(serial.hist1d, threaded.hist1d, "{workers} workers");
+                assert_eq!(serial.pairs, threaded.pairs, "{workers} workers");
+                assert_eq!(serial.to_bytes(), threaded.to_bytes(), "{workers} workers");
+            }
+            assert_eq!(serial.to_bytes(), PairwiseHist::build(&data, &cfg).to_bytes());
         }
-        assert_eq!(serial.to_bytes(), PairwiseHist::build(&data, &cfg).to_bytes());
     }
 
     #[test]

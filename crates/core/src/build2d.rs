@@ -205,9 +205,11 @@ pub(crate) struct PairScratch {
     cursor: Vec<u32>,
     /// The points of every heavy cell, grouped by cell (one counting sort).
     points: Vec<(u64, u64)>,
-    /// `RefineBin2D`'s per-dimension sort buffers, shared by all recursion levels.
-    vi: Vec<u64>,
-    vj: Vec<u64>,
+    /// One heavy cell's points sorted by each dimension: the keys, then the
+    /// other coordinate of each point (see [`Sorted`]).
+    by: [[Vec<u64>; 2]; 2],
+    /// Counting-sort tallies over one parent bin's value range.
+    tally: Vec<u32>,
 }
 
 /// [`PairScratch::cursor`] of a cell with at most `M` points.
@@ -239,7 +241,7 @@ pub(crate) fn build_pair(
 
     // Collect the points of cells exceeding M (line 17), grouped by cell, and
     // refine each.
-    let PairScratch { cursor, points, vi, vj } = scratch;
+    let PairScratch { cursor, points, by, tally } = scratch;
     cursor.clear();
     let mut heavy_points = 0u32;
     cursor.extend(counts0.iter().map(|&c| {
@@ -250,16 +252,7 @@ pub(crate) fn build_pair(
             LIGHT
         }
     }));
-    let mut refiner = Refiner {
-        m_min,
-        split_rule,
-        chi2,
-        // Edges are half-integers; store them doubled as integers for exact set ops.
-        new_i: BTreeSet::new(),
-        new_j: BTreeSet::new(),
-        vi,
-        vj,
-    };
+    let mut refiner = Refiner { m_min, split_rule, chi2, new: Default::default() };
     if heavy_points > 0 {
         // Never shrunk: every slot below `heavy_points` is written before it is read.
         if points.len() < heavy_points as usize {
@@ -275,20 +268,15 @@ pub(crate) fn build_pair(
         // Each heavy cell's cursor now sits one past its last point.
         for (cell, (&end, &c)) in cursor.iter().zip(&counts0).enumerate() {
             if end != LIGHT {
-                let (ti, tj) = (cell / kj0, cell % kj0);
-                refiner.refine(
-                    &mut points[(end - c) as usize..end as usize],
-                    (bins_i.edges[ti], bins_i.edges[ti + 1]),
-                    (bins_j.edges[tj], bins_j.edges[tj + 1]),
-                    0,
-                );
+                let parents = [(bins_i, cell / kj0), (bins_j, cell % kj0)];
+                refiner.refine_cell(&mut points[(end - c) as usize..end as usize], parents, by, tally);
             }
         }
     }
 
     // Final refined edges = 1-d edges ∪ new cell splits (lines 20-21).
-    let edges_i = merge_edges(&bins_i.edges, &refiner.new_i);
-    let edges_j = merge_edges(&bins_j.edges, &refiner.new_j);
+    let edges_i = merge_edges(&bins_i.edges, &refiner.new[0]);
+    let edges_j = merge_edges(&bins_j.edges, &refiner.new[1]);
     let first_i = first_refined(&bins_i.edges, &edges_i);
     let first_j = first_refined(&bins_j.edges, &edges_j);
 
@@ -318,8 +306,8 @@ pub(crate) fn build_pair(
             col_sums[rj] += c;
         }
     }
-    let dim_i = finalize_dim(i.sorted, edges_i, bins_i, row_sums, m_min, chi2);
-    let dim_j = finalize_dim(j.sorted, edges_j, bins_j, col_sums, m_min, chi2);
+    let dim_i = finalize_dim(i.sorted, edges_i, &first_i, bins_i, row_sums, m_min, chi2);
+    let dim_j = finalize_dim(j.sorted, edges_j, &first_j, bins_j, col_sums, m_min, chi2);
 
     PairHist { col_i: i.index, col_j: j.index, dim_i, dim_j, counts }
 }
@@ -347,78 +335,179 @@ fn refined_bin(edges: &[f64], first: &[u32], parent: usize, v: u64) -> usize {
     lo + edges[lo + 1..hi].partition_point(|&e| e < v as f64)
 }
 
-/// `RefineBin2D` over the heavy cells of one pair: the build parameters, the
-/// split edges found so far, and the sort buffers every recursion level shares.
+/// A heavy cell's points sorted by one dimension: `keys` ascending, `other[t]`
+/// the other coordinate of the point `keys[t]` belongs to (empty when the
+/// other dimension never splits, so no split reorders this one).
+struct Sorted<'a> {
+    keys: &'a mut [u64],
+    other: &'a mut [u64],
+}
+
+impl<'a> Sorted<'a> {
+    /// Sorts `points` by coordinate `d` into `buf`, by counting over the
+    /// parent bin's values `lo..=hi` when they are no more than about twice
+    /// the points, by `sort_unstable` otherwise. `points` is left reordered.
+    fn of(
+        points: &mut [(u64, u64)],
+        d: usize,
+        (lo, hi): (u64, u64),
+        with_other: bool,
+        buf: &'a mut [Vec<u64>; 2],
+        tally: &mut Vec<u32>,
+    ) -> Self {
+        let n = points.len();
+        let coords = |p: &(u64, u64)| if d == 0 { *p } else { (p.1, p.0) };
+        let [keys, other] = buf;
+        for v in [&mut *keys, &mut *other].into_iter().filter(|v| v.len() < n) {
+            v.resize(n, 0); // never shrunk: every slot below `n` is written before it is read
+        }
+        let (keys, other) = (&mut keys[..n], &mut other[..if with_other { n } else { 0 }]);
+        if hi - lo < 2 * n as u64 {
+            tally.clear();
+            tally.resize((hi - lo) as usize + 1, 0);
+            for p in points.iter() {
+                tally[(coords(p).0 - lo) as usize] += 1;
+            }
+            if with_other {
+                let mut at = 0;
+                for c in tally.iter_mut() {
+                    (*c, at) = (at, at + *c);
+                }
+                for p in points.iter() {
+                    let (k, o) = coords(p);
+                    let at = &mut tally[(k - lo) as usize];
+                    (keys[*at as usize], other[*at as usize]) = (k, o);
+                    *at += 1;
+                }
+            } else {
+                let mut at = 0;
+                for (v, &c) in (lo..).zip(tally.iter()) {
+                    keys[at..at + c as usize].fill(v);
+                    at += c as usize;
+                }
+            }
+        } else if with_other {
+            points.sort_unstable_by_key(|p| coords(p).0);
+            for ((k, o), p) in keys.iter_mut().zip(other.iter_mut()).zip(points.iter()) {
+                (*k, *o) = coords(p);
+            }
+        } else {
+            for (k, p) in keys.iter_mut().zip(points.iter()) {
+                *k = coords(p).0;
+            }
+            keys.sort_unstable();
+        }
+        Sorted { keys, other }
+    }
+
+    /// Stably partitions the points by `other < z`, of which there are `cut`,
+    /// through `buf` (as long as the points): they move to the front, the
+    /// rest behind them, and each side keeps its keys ascending.
+    fn partition(&mut self, z: f64, cut: usize, buf: &mut [(u64, u64)]) {
+        let (mut left, mut right) = (0, cut);
+        for (&k, &o) in self.keys.iter().zip(self.other.iter()) {
+            let at = if (o as f64) < z { &mut left } else { &mut right };
+            buf[*at] = (k, o);
+            *at += 1;
+        }
+        debug_assert_eq!(left, cut);
+        for ((k, o), &p) in self.keys.iter_mut().zip(self.other.iter_mut()).zip(buf.iter()) {
+            (*k, *o) = p;
+        }
+    }
+
+    fn split_at(self, cut: usize) -> (Sorted<'a>, Sorted<'a>) {
+        let (kl, kr) = self.keys.split_at_mut(cut);
+        let (ol, or) = self.other.split_at_mut(cut.min(self.other.len()));
+        (Sorted { keys: kl, other: ol }, Sorted { keys: kr, other: or })
+    }
+}
+
+/// `RefineBin2D` over the heavy cells of one pair: the build parameters and
+/// the split edges found so far along each dimension (doubled, so the
+/// half-integer edges are exact integers).
 struct Refiner<'a> {
     m_min: usize,
     split_rule: SplitRule,
     chi2: &'a mut Chi2Cache,
-    new_i: BTreeSet<i64>,
-    new_j: BTreeSet<i64>,
-    vi: &'a mut Vec<u64>,
-    vj: &'a mut Vec<u64>,
+    new: [BTreeSet<i64>; 2],
 }
 
 impl Refiner<'_> {
-    /// Tests each dimension of the cell for uniformity, splits the least uniform
-    /// one, and recurses (Fig 5).
-    fn refine(
+    /// Refines one heavy cell, given the parent 1-d bins it lies in: each
+    /// dimension is sorted once, and not at all if its parent bin holds one
+    /// value, since every point shares it and it can never split.
+    fn refine_cell(
         &mut self,
         points: &mut [(u64, u64)],
-        bounds_i: (f64, f64),
-        bounds_j: (f64, f64),
+        parents: [(&DimBins, usize); 2],
+        by: &mut [[Vec<u64>; 2]; 2],
+        tally: &mut Vec<u32>,
+    ) {
+        let range = parents.map(|(bins, t)| (bins.vmin[t], bins.vmax[t]));
+        let splits = range.map(|(lo, hi)| lo != hi);
+        if splits == [false, false] {
+            return;
+        }
+        let [by_i, by_j] = by;
+        let [view_i, view_j] = [(0, by_i), (1, by_j)].map(|(d, buf)| {
+            splits[d].then(|| Sorted::of(points, d, range[d], splits == [true; 2], buf, tally))
+        });
+        let bounds = parents.map(|(bins, t)| (bins.edges[t], bins.edges[t + 1]));
+        self.refine([view_i, view_j], points, bounds, 0);
+    }
+
+    /// Tests each dimension of the cell for uniformity, splits the least uniform
+    /// one, and recurses (Fig 5). `views` holds the cell's points sorted by each
+    /// dimension that can split, `buf` is as long as the cell and free.
+    fn refine(
+        &mut self,
+        mut views: [Option<Sorted<'_>>; 2],
+        buf: &mut [(u64, u64)],
+        bounds: [(f64, f64); 2],
         depth: u32,
     ) {
-        if points.len() <= self.m_min || depth >= MAX_DEPTH {
+        if buf.len() <= self.m_min || depth >= MAX_DEPTH {
             return;
         }
         // Per-dimension uniformity severity.
-        let mut severity = |vals: &mut Vec<u64>, bounds: (f64, f64)| -> Option<f64> {
-            vals.sort_unstable();
+        let mut severity = |d: usize| -> Option<f64> {
+            let vals = &*views[d].as_ref()?.keys;
             let uniq = count_unique_sorted(vals);
-            if uniq < 2 || bounds.1 - bounds.0 < 2.0 {
+            if uniq < 2 || bounds[d].1 - bounds[d].0 < 2.0 {
                 return None; // nothing to split in this dimension
             }
-            let t = test_uniform(vals, bounds.0, bounds.1, uniq, self.chi2);
+            let t = test_uniform(vals, bounds[d].0, bounds[d].1, uniq, self.chi2);
             (!t.is_uniform()).then(|| t.severity())
         };
-        self.vi.clear();
-        self.vi.extend(points.iter().map(|p| p.0));
-        self.vj.clear();
-        self.vj.extend(points.iter().map(|p| p.1));
-        let sev_i = severity(self.vi, bounds_i);
-        let sev_j = severity(self.vj, bounds_j);
-
         // Pick the least uniform rejecting dimension; stop when both accept.
-        let split_i = match (sev_i, sev_j) {
+        let d = match (severity(0), severity(1)) {
             (None, None) => return,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(a), Some(b)) => a >= b,
+            (Some(_), None) => 0,
+            (None, Some(_)) => 1,
+            (Some(a), Some(b)) => if a >= b { 0 } else { 1 },
         };
-        let (bounds, sorted_vals) =
-            if split_i { (bounds_i, &*self.vi) } else { (bounds_j, &*self.vj) };
+        let Some(view) = views[d].as_ref() else { return };
+        let (lo, hi) = bounds[d];
         let z = match self.split_rule {
-            SplitRule::EqualWidth => snap_split(bounds.0, bounds.1),
-            SplitRule::EqualDepth => snap_split_equal_depth(sorted_vals, bounds.0, bounds.1)
-                .or_else(|| snap_split(bounds.0, bounds.1)),
+            SplitRule::EqualWidth => snap_split(lo, hi),
+            SplitRule::EqualDepth => {
+                snap_split_equal_depth(view.keys, lo, hi).or_else(|| snap_split(lo, hi))
+            }
         };
         let Some(z) = z else { return };
-        if split_i {
-            self.new_i.insert((z * 2.0) as i64);
-            points.sort_unstable_by_key(|p| p.0);
-            let cut = points.partition_point(|p| (p.0 as f64) < z);
-            let (left, right) = points.split_at_mut(cut);
-            self.refine(left, (bounds_i.0, z), bounds_j, depth + 1);
-            self.refine(right, (z, bounds_i.1), bounds_j, depth + 1);
-        } else {
-            self.new_j.insert((z * 2.0) as i64);
-            points.sort_unstable_by_key(|p| p.1);
-            let cut = points.partition_point(|p| (p.1 as f64) < z);
-            let (left, right) = points.split_at_mut(cut);
-            self.refine(left, bounds_i, (bounds_j.0, z), depth + 1);
-            self.refine(right, bounds_i, (z, bounds_j.1), depth + 1);
+        self.new[d].insert((z * 2.0) as i64);
+        let cut = view.keys.partition_point(|&v| (v as f64) < z);
+        if let Some(other) = views[1 - d].as_mut() {
+            other.partition(z, cut, buf);
         }
+        let [(left_i, right_i), (left_j, right_j)] =
+            views.map(|v| v.map(|v| v.split_at(cut)).unzip());
+        let (buf_left, buf_right) = buf.split_at_mut(cut);
+        let (mut bounds_left, mut bounds_right) = (bounds, bounds);
+        (bounds_left[d].1, bounds_right[d].0) = (z, z);
+        self.refine([left_i, left_j], buf_left, bounds_left, depth + 1);
+        self.refine([right_i, right_j], buf_right, bounds_right, depth + 1);
     }
 }
 
@@ -434,10 +523,15 @@ fn merge_edges(base: &[f64], extra: &BTreeSet<i64>) -> Vec<f64> {
 /// Builds a [`PairDim`]: full-column value metadata (`v±`, `u`) over the refined
 /// edges — so unsplit bins coincide with the 1-d histogram's, the property the Fig 6
 /// storage layout exploits — combined with matrix-marginal counts, plus the parent
-/// map back to the 1-d histogram.
-pub(crate) fn finalize_dim(
+/// map back to the 1-d histogram. `first` is [`first_refined`] of the edges.
+///
+/// A refined bin whose parent no cell split *is* that parent over the same
+/// sorted column, so its metadata is copied from the 1-d histogram; only the
+/// values of split parents are scanned.
+fn finalize_dim(
     sorted: &[u64],
     edges: Vec<f64>,
+    first: &[u32],
     parent_bins: &DimBins,
     counts: Vec<u64>,
     m_min: usize,
@@ -448,45 +542,272 @@ pub(crate) fn finalize_dim(
     let mut vmin = Vec::with_capacity(k);
     let mut vmax = Vec::with_capacity(k);
     let mut uniq = Vec::with_capacity(k);
+    let mut parent = Vec::with_capacity(k);
     let mut start = 0usize;
-    for t in 0..k {
-        let (e_lo, e_hi) = (edges[t], edges[t + 1]);
-        let end = start + sorted[start..].partition_point(|&v| (v as f64) < e_hi);
-        let slice = &sorted[start..end];
-        if slice.is_empty() {
-            vmin.push(e_lo.ceil().max(0.0) as u64);
-            vmax.push(e_hi.floor().max(0.0) as u64);
-            uniq.push(0);
+    for p in 0..parent_bins.k() {
+        let refined = first[p] as usize..first[p + 1] as usize;
+        let end = start + parent_bins.counts[p] as usize;
+        parent.resize(refined.end, p as u32);
+        if refined.len() == 1 {
+            vmin.push(parent_bins.vmin[p]);
+            vmax.push(parent_bins.vmax[p]);
+            uniq.push(parent_bins.uniq[p]);
         } else {
-            vmin.push(slice[0]);
-            vmax.push(slice[slice.len() - 1]);
-            uniq.push(count_unique_sorted(slice) as u32);
+            for t in refined {
+                let (e_lo, e_hi) = (edges[t], edges[t + 1]);
+                let stop = start + sorted[start..end].partition_point(|&v| (v as f64) < e_hi);
+                let slice = &sorted[start..stop];
+                if slice.is_empty() {
+                    vmin.push(e_lo.ceil().max(0.0) as u64);
+                    vmax.push(e_hi.floor().max(0.0) as u64);
+                    uniq.push(0);
+                } else {
+                    vmin.push(slice[0]);
+                    vmax.push(slice[slice.len() - 1]);
+                    uniq.push(count_unique_sorted(slice) as u32);
+                }
+                start = stop;
+            }
         }
         start = end;
     }
-    let parent = parent_map(&edges, parent_bins);
-    PairDim {
-        bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2),
-        parent,
-    }
+    PairDim { bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2), parent }
 }
 
-/// Maps each refined bin to the 1-d bin containing it (refined edges are a superset
-/// of the 1-d edges, so every refined interval nests in exactly one parent).
-pub(crate) fn parent_map(edges: &[f64], parent_bins: &DimBins) -> Vec<u32> {
-    (0..edges.len() - 1)
-        .map(|t| {
-            let mid = 0.5 * (edges[t] + edges[t + 1]);
-            let p = parent_bins.edges.partition_point(|&e| e < mid).saturating_sub(1);
-            p.min(parent_bins.k() - 1) as u32
-        })
-        .collect()
+/// The pair build as it refined before each heavy cell was sorted once: every
+/// recursion level copies and sorts both dimensions' values and re-sorts the
+/// points, and every refined bin's metadata comes from a scan of the whole
+/// column. It is the oracle [`build_pair`] is tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`build_pair`](super::build_pair) as it was.
+    pub(crate) fn build_pair(
+        i: PairColumn<'_>,
+        j: PairColumn<'_>,
+        m_min: usize,
+        split_rule: SplitRule,
+        chi2: &mut Chi2Cache,
+    ) -> PairHist {
+        let (bins_i, bins_j) = (i.bins, j.bins);
+        let (ki0, kj0) = (bins_i.k(), bins_j.k());
+        // `(bin_i, bin_j)` of every row both columns have a value in.
+        let paired = || {
+            i.bin_of.iter().zip(j.bin_of).enumerate().filter_map(|(r, (&bi, &bj))| {
+                (bi != NULL_BIN && bj != NULL_BIN).then_some((r, bi as usize, bj as usize))
+            })
+        };
+
+        // Initial 2-d bin counts over the 1-d edges (Algorithm 1 line 16).
+        let mut counts0 = vec![0u32; ki0 * kj0];
+        for (_, bi, bj) in paired() {
+            counts0[bi * kj0 + bj] += 1;
+        }
+
+        // Collect the points of cells exceeding M (line 17), grouped by cell, and
+        // refine each.
+        let (mut cursor, mut points) = (Vec::new(), Vec::new());
+        let (mut vi, mut vj) = (Vec::new(), Vec::new());
+        let mut heavy_points = 0u32;
+        cursor.extend(counts0.iter().map(|&c| {
+            if c as usize > m_min {
+                heavy_points += c;
+                heavy_points - c
+            } else {
+                LIGHT
+            }
+        }));
+        let mut refiner = Refiner {
+            m_min,
+            split_rule,
+            chi2,
+            // Edges are half-integers; store them doubled as integers for exact set ops.
+            new_i: BTreeSet::new(),
+            new_j: BTreeSet::new(),
+            vi: &mut vi,
+            vj: &mut vj,
+        };
+        if heavy_points > 0 {
+            // Never shrunk: every slot below `heavy_points` is written before it is read.
+            if points.len() < heavy_points as usize {
+                points.resize(heavy_points as usize, (0, 0));
+            }
+            for (r, bi, bj) in paired() {
+                let at = &mut cursor[bi * kj0 + bj];
+                if *at != LIGHT {
+                    points[*at as usize] = (i.values[r], j.values[r]);
+                    *at += 1;
+                }
+            }
+            // Each heavy cell's cursor now sits one past its last point.
+            for (cell, (&end, &c)) in cursor.iter().zip(&counts0).enumerate() {
+                if end != LIGHT {
+                    let (ti, tj) = (cell / kj0, cell % kj0);
+                    refiner.refine(
+                        &mut points[(end - c) as usize..end as usize],
+                        (bins_i.edges[ti], bins_i.edges[ti + 1]),
+                        (bins_j.edges[tj], bins_j.edges[tj + 1]),
+                        0,
+                    );
+                }
+            }
+        }
+
+        // Final refined edges = 1-d edges ∪ new cell splits (lines 20-21).
+        let edges_i = merge_edges(&bins_i.edges, &refiner.new_i);
+        let edges_j = merge_edges(&bins_j.edges, &refiner.new_j);
+        let first_i = first_refined(&bins_i.edges, &edges_i);
+        let first_j = first_refined(&bins_j.edges, &edges_j);
+
+        // Final 2-d bin counts over the refined edges (line 22).
+        let (ki, kj) = (edges_i.len() - 1, edges_j.len() - 1);
+        let counts = if (ki, kj) == (ki0, kj0) {
+            // No cell was split: the refined cells are the initial ones.
+            counts0
+        } else {
+            let mut counts = vec![0u32; ki * kj];
+            for (r, bi, bj) in paired() {
+                let ri = refined_bin(&edges_i, &first_i, bi, i.values[r]);
+                let rj = refined_bin(&edges_j, &first_j, bj, j.values[r]);
+                counts[ri * kj + rj] += 1;
+            }
+            counts
+        };
+        // Per-dimension counts are the matrix marginals (rows non-null in both columns):
+        // they are the `h` of Theorem 2 for pair-restricted coverage, and — unlike
+        // full-column counts — are exactly derivable from the stored count matrix.
+        let mut row_sums = vec![0u64; ki];
+        let mut col_sums = vec![0u64; kj];
+        for ri in 0..ki {
+            for rj in 0..kj {
+                let c = counts[ri * kj + rj] as u64;
+                row_sums[ri] += c;
+                col_sums[rj] += c;
+            }
+        }
+        let dim_i = finalize_dim(i.sorted, edges_i, bins_i, row_sums, m_min, chi2);
+        let dim_j = finalize_dim(j.sorted, edges_j, bins_j, col_sums, m_min, chi2);
+
+        PairHist { col_i: i.index, col_j: j.index, dim_i, dim_j, counts }
+    }
+
+    /// `RefineBin2D` over the heavy cells of one pair: the build parameters, the
+    /// split edges found so far, and the sort buffers every recursion level shares.
+    struct Refiner<'a> {
+        m_min: usize,
+        split_rule: SplitRule,
+        chi2: &'a mut Chi2Cache,
+        new_i: BTreeSet<i64>,
+        new_j: BTreeSet<i64>,
+        vi: &'a mut Vec<u64>,
+        vj: &'a mut Vec<u64>,
+    }
+
+    impl Refiner<'_> {
+        /// Tests each dimension of the cell for uniformity, splits the least uniform
+        /// one, and recurses (Fig 5).
+        fn refine(
+            &mut self,
+            points: &mut [(u64, u64)],
+            bounds_i: (f64, f64),
+            bounds_j: (f64, f64),
+            depth: u32,
+        ) {
+            if points.len() <= self.m_min || depth >= MAX_DEPTH {
+                return;
+            }
+            // Per-dimension uniformity severity.
+            let mut severity = |vals: &mut Vec<u64>, bounds: (f64, f64)| -> Option<f64> {
+                vals.sort_unstable();
+                let uniq = count_unique_sorted(vals);
+                if uniq < 2 || bounds.1 - bounds.0 < 2.0 {
+                    return None; // nothing to split in this dimension
+                }
+                let t = test_uniform(vals, bounds.0, bounds.1, uniq, self.chi2);
+                (!t.is_uniform()).then(|| t.severity())
+            };
+            self.vi.clear();
+            self.vi.extend(points.iter().map(|p| p.0));
+            self.vj.clear();
+            self.vj.extend(points.iter().map(|p| p.1));
+            let sev_i = severity(self.vi, bounds_i);
+            let sev_j = severity(self.vj, bounds_j);
+
+            // Pick the least uniform rejecting dimension; stop when both accept.
+            let split_i = match (sev_i, sev_j) {
+                (None, None) => return,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some(a), Some(b)) => a >= b,
+            };
+            let (bounds, sorted_vals) =
+                if split_i { (bounds_i, &*self.vi) } else { (bounds_j, &*self.vj) };
+            let z = match self.split_rule {
+                SplitRule::EqualWidth => snap_split(bounds.0, bounds.1),
+                SplitRule::EqualDepth => snap_split_equal_depth(sorted_vals, bounds.0, bounds.1)
+                    .or_else(|| snap_split(bounds.0, bounds.1)),
+            };
+            let Some(z) = z else { return };
+            if split_i {
+                self.new_i.insert((z * 2.0) as i64);
+                points.sort_unstable_by_key(|p| p.0);
+                let cut = points.partition_point(|p| (p.0 as f64) < z);
+                let (left, right) = points.split_at_mut(cut);
+                self.refine(left, (bounds_i.0, z), bounds_j, depth + 1);
+                self.refine(right, (z, bounds_i.1), bounds_j, depth + 1);
+            } else {
+                self.new_j.insert((z * 2.0) as i64);
+                points.sort_unstable_by_key(|p| p.1);
+                let cut = points.partition_point(|p| (p.1 as f64) < z);
+                let (left, right) = points.split_at_mut(cut);
+                self.refine(left, bounds_i, (bounds_j.0, z), depth + 1);
+                self.refine(right, bounds_i, (z, bounds_j.1), depth + 1);
+            }
+        }
+    }
+
+    fn finalize_dim(
+        sorted: &[u64],
+        edges: Vec<f64>,
+        parent_bins: &DimBins,
+        counts: Vec<u64>,
+        m_min: usize,
+        chi2: &mut Chi2Cache,
+    ) -> PairDim {
+        let k = edges.len() - 1;
+        assert_eq!(counts.len(), k);
+        let mut vmin = Vec::with_capacity(k);
+        let mut vmax = Vec::with_capacity(k);
+        let mut uniq = Vec::with_capacity(k);
+        let mut start = 0usize;
+        for t in 0..k {
+            let (e_lo, e_hi) = (edges[t], edges[t + 1]);
+            let end = start + sorted[start..].partition_point(|&v| (v as f64) < e_hi);
+            let slice = &sorted[start..end];
+            if slice.is_empty() {
+                vmin.push(e_lo.ceil().max(0.0) as u64);
+                vmax.push(e_hi.floor().max(0.0) as u64);
+                uniq.push(0);
+            } else {
+                vmin.push(slice[0]);
+                vmax.push(slice[slice.len() - 1]);
+                uniq.push(count_unique_sorted(slice) as u32);
+            }
+            start = end;
+        }
+        let parent = crate::storage::parent_map(&edges, &parent_bins.edges);
+        PairDim {
+            bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2),
+            parent,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build1d::build_dim_bins_1d;
+    use crate::build1d::{build_dim_bins_1d, edges_from_seeds};
     use rand::{Rng, SeedableRng};
 
     /// Builds 1-d bins + the pair for two correlated columns.
@@ -590,6 +911,117 @@ mod tests {
         let total_refined: u64 = per_parent.iter().sum();
         let total_1d: u64 = pair.dim_i.bins.counts.iter().sum();
         assert_eq!(total_refined, total_1d);
+    }
+
+    /// A NULL's code in the generated columns (outside every value range).
+    const NULL: u64 = 1 << 40;
+
+    /// One generated column as the pair kernel reads it, with its 1-d
+    /// histogram built the way `build_from_matrix` builds it.
+    struct GenColumn {
+        values: Vec<u64>,
+        sorted: Vec<u64>,
+        bins: DimBins,
+        bin_of: Vec<u32>,
+    }
+
+    impl GenColumn {
+        /// `n` rows of one of seven shapes: one value; a few far-apart
+        /// values; a dense narrow range; a sparse wide range; both mixed; a
+        /// noisy function of `other`; all NULL. Then some rows are NULLed, and
+        /// the initial edges are min/max or cut between sampled seed values.
+        fn generate(
+            rng: &mut rand::rngs::StdRng,
+            n: usize,
+            other: &[u64],
+            m_min: usize,
+            split_rule: SplitRule,
+            chi2: &mut Chi2Cache,
+        ) -> Self {
+            const FAR: [u64; 5] = [3, 5_000, 5_001, 80_000, 200_000];
+            let shape = rng.gen_range(0..7u32);
+            let null_frac = [0.0, 0.0, 0.1, 0.6][rng.gen_range(0..4usize)];
+            let values: Vec<u64> = (0..n)
+                .map(|r| {
+                    let v = match shape {
+                        0 => 7,
+                        1 => FAR[rng.gen_range(0..FAR.len())],
+                        2 => rng.gen_range(0..60),
+                        3 => rng.gen_range(0..1_000_000),
+                        4 if rng.gen_bool(0.5) => rng.gen_range(0..100),
+                        4 => rng.gen_range(0..100_000),
+                        5 if other.get(r).is_some_and(|&o| o != NULL) => {
+                            other[r] / 3 + rng.gen_range(0..5)
+                        }
+                        5 => rng.gen_range(0..3_000),
+                        _ => NULL,
+                    };
+                    if rng.gen_bool(null_frac) {
+                        NULL
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let mut sorted: Vec<u64> = values.iter().copied().filter(|&v| v != NULL).collect();
+            sorted.sort_unstable();
+            let bins = match (sorted.first(), sorted.last()) {
+                (Some(&lo), Some(&hi)) => {
+                    let mut seeds: Vec<u64> = (0..rng.gen_range(0..n / m_min + 2))
+                        .map(|_| sorted[rng.gen_range(0..sorted.len())])
+                        .collect();
+                    seeds.sort_unstable();
+                    seeds.dedup();
+                    let edges = if rng.gen_bool(0.5) && seeds.len() > 1 {
+                        edges_from_seeds(&seeds, lo, hi)
+                    } else {
+                        vec![lo as f64 - 0.5, hi as f64 + 0.5]
+                    };
+                    build_dim_bins_1d(&sorted, &edges, m_min, split_rule, chi2)
+                }
+                _ => DimBins::finalize(vec![-0.5, 0.5], vec![0], vec![0], vec![0], vec![0], m_min, chi2),
+            };
+            let bin_of = bin_rows(&values, Some(NULL), &bins);
+            GenColumn { values, sorted, bins, bin_of }
+        }
+
+        fn column(&self, index: usize) -> PairColumn<'_> {
+            PairColumn {
+                index,
+                values: &self.values,
+                bin_of: &self.bin_of,
+                sorted: &self.sorted,
+                bins: &self.bins,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Sorting each heavy cell once, partitioning its sorted views and
+        /// copying unsplit parents' metadata build the pair the sort-per-level
+        /// refiner and full-scan finalize build, field for field: over one-value
+        /// parent bins on either or both sides, cells counted and cells sorted,
+        /// NULLs in either column, both split rules, seeded and min/max initial
+        /// edges, in both column orders, through one reused scratch.
+        #[test]
+        fn prop_build_pair_equals_reference(seed in 0u64..1_000_000) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(20..2_500usize);
+            let m_min = rng.gen_range(2..40usize);
+            let split_rule =
+                if rng.gen_bool(0.3) { SplitRule::EqualDepth } else { SplitRule::EqualWidth };
+            let mut chi2 = Chi2Cache::new(0.001);
+            let a = GenColumn::generate(&mut rng, n, &[], m_min, split_rule, &mut chi2);
+            let b = GenColumn::generate(&mut rng, n, &a.values, m_min, split_rule, &mut chi2);
+            let mut scratch = PairScratch::default();
+            for (i, j) in [(a.column(0), b.column(1)), (b.column(0), a.column(1))] {
+                let built = build_pair(i, j, m_min, split_rule, &mut chi2, &mut scratch);
+                let expected = reference::build_pair(i, j, m_min, split_rule, &mut chi2);
+                proptest::prop_assert_eq!(built, expected, "seed {}", seed);
+            }
+        }
     }
 
     /// A hand-assembled pair: `counts` is `ki × kj`, and each dimension's refined

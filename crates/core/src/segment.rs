@@ -342,17 +342,17 @@ impl TableState {
     }
 }
 
-/// Builds the registration segment: the synopsis is constructed exactly like the
-/// monolithic path did (sampling the raw dataset), so registering a table keeps
-/// bit-identical answers with earlier versions; the rows are additionally
-/// compressed into the segment's store.
+/// Builds the registration (or refit) segment: the table is encoded once, the
+/// synopsis is built over those rows — the sample and synopsis the raw-dataset
+/// build takes, so answers stay bit-identical — and the rows become its store.
 pub(crate) fn registration_segment(
     data: &Dataset,
     pre: &Arc<Preprocessor>,
     cfg: &PairwiseHistConfig,
 ) -> Segment {
-    let engine = PairwiseHist::build_with_preprocessor(data, pre.clone(), cfg);
-    Segment::new(engine, encode_store(&pre.encode(data)))
+    let matrix = pre.encode(data);
+    let engine = PairwiseHist::build_from_encoded(&matrix, pre.clone(), cfg);
+    Segment::new(engine, encode_store(&matrix))
 }
 
 /// The row store a segment retains: every column through the codec cascade.

@@ -26,7 +26,7 @@ use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
 
 use crate::bins::DimBins;
 use crate::build::{BuildParams, PairwiseHist};
-use crate::build2d::{parent_map, PairHist};
+use crate::build2d::PairHist;
 
 const MAGIC: &[u8; 4] = b"PWH1";
 
@@ -254,7 +254,7 @@ impl PairwiseHist {
                         return None; // extras must be new, distinct edges
                     }
                     // Which refined bins carry stored metadata: those in split parents.
-                    let parent = parent_map_raw(&edges, parent_edges);
+                    let parent = parent_map(&edges, parent_edges);
                     let n_split = split_bins(&parent).count();
                     let mut meta = Vec::with_capacity(n_split);
                     for _ in 0..n_split {
@@ -372,7 +372,7 @@ fn rebuild_dim(
     m_min: usize,
     chi2: &mut Chi2Cache,
 ) -> Option<crate::build2d::PairDim> {
-    let parent = parent_map(&edges, parent_bins);
+    let parent = parent_map(&edges, &parent_bins.edges);
     let k = edges.len() - 1;
     let mut vmin = Vec::with_capacity(k);
     let mut vmax = Vec::with_capacity(k);
@@ -412,8 +412,9 @@ fn split_bins(parent: &[u32]) -> impl Iterator<Item = usize> + '_ {
         .map(|(t, _)| t)
 }
 
-/// Parent map against raw parent edges (used before `DimBins` exist).
-fn parent_map_raw(edges: &[f64], parent_edges: &[f64]) -> Vec<u32> {
+/// Maps each refined bin to the 1-d bin containing it (refined edges are a superset
+/// of the 1-d edges, so every refined interval nests in exactly one parent).
+pub(crate) fn parent_map(edges: &[f64], parent_edges: &[f64]) -> Vec<u32> {
     (0..edges.len() - 1)
         .map(|t| {
             // ph-lint: allow(no-panic-serving) — t ranges over 0..len-1, so t and t+1 are in bounds
