@@ -15,6 +15,7 @@ pub mod error_convention;
 pub mod lock_across_io;
 pub mod metric_help;
 pub mod no_panic;
+pub mod one_parallelism_rule;
 pub mod safety_comment;
 pub mod wire_float;
 
@@ -178,6 +179,11 @@ pub const RULES: &[(&str, &str)] = &[
          non-empty help text — /metrics renders it as the family's # HELP line",
     ),
     (
+        one_parallelism_rule::NAME,
+        "std::thread::available_parallelism anywhere in ph_core but build::workers_for — every \
+         engine thread count is the host's cores capped by the units of work, one rule",
+    ),
+    (
         BAD_ALLOW,
         "a ph-lint allow directive must name known rules and carry a non-empty justification",
     ),
@@ -198,6 +204,7 @@ pub fn check_file(ctx: &FileCtx, ws: &WsCtx) -> Vec<Diagnostic> {
     wire_float::check(ctx, &mut raw);
     safety_comment::check(ctx, &mut raw);
     metric_help::check(ctx, &mut raw);
+    one_parallelism_rule::check(ctx, &mut raw);
     let mut out: Vec<Diagnostic> =
         raw.into_iter().filter(|d| !ctx.is_allowed(d.rule, d.line)).collect();
 

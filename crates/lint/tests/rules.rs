@@ -111,6 +111,29 @@ fn no_panic_covers_every_file_of_the_session_module() {
 }
 
 #[test]
+fn one_parallelism_rule_fires_on_bad_and_not_on_good() {
+    let ws = WsCtx::default();
+    let bad = lint_fixture("one_parallelism_rule_bad.rs", "crates/core/src/build.rs", &ws);
+    assert_eq!(rules_fired(&bad), ["one-parallelism-rule"], "{bad:?}");
+    assert_eq!(bad.iter().map(|d| d.line).collect::<Vec<_>>(), [6, 13], "{bad:?}");
+
+    let good = lint_fixture("one_parallelism_rule_good.rs", "crates/core/src/build.rs", &ws);
+    assert!(good.is_empty(), "{good:?}");
+}
+
+/// `workers_for` is the home only in `build.rs`; outside `ph_core` the rule
+/// does not look.
+#[test]
+fn one_parallelism_rule_home_is_build_rs_in_ph_core() {
+    let ws = WsCtx::default();
+    let src = read_fixture("one_parallelism_rule_good.rs");
+    let d = lint_source("crates/core/src/session/query.rs", &src, &ws);
+    assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), [5], "{d:?}");
+    let d = lint_source("crates/server/src/executor.rs", &read_fixture("one_parallelism_rule_bad.rs"), &ws);
+    assert!(d.iter().all(|d| d.rule != "one-parallelism-rule"), "{d:?}");
+}
+
+#[test]
 fn lock_across_io_fires_on_bad_and_not_on_good() {
     let ws = WsCtx::default();
     let bad = lint_fixture("lock_across_io_bad.rs", "crates/core/src/flush.rs", &ws);
