@@ -21,7 +21,7 @@ pub const NAME: &str = "one-parallelism-rule";
 /// The one file and function that may read the core count.
 const HOME: (&str, &str) = ("crates/core/src/build.rs", "workers_for");
 
-/// Flags reads of the core count outside [`HOME`].
+/// Flags reads of the core count outside `build::workers_for`.
 pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     if !ctx.rel.starts_with("crates/core/src/") {
         return;
