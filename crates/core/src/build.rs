@@ -61,6 +61,12 @@ impl Default for PairwiseHistConfig {
     }
 }
 
+/// Whether `α` is a significance level the χ² tests can run at: inside
+/// `(0, 1)` and far enough from 0 that `1 − α` is not 1.
+pub(crate) fn usable_alpha(alpha: f64) -> bool {
+    alpha < 1.0 && 1.0 - alpha < 1.0
+}
+
 impl PairwiseHistConfig {
     /// The effective `M` for a realised sample of `ns_used` rows.
     pub fn m_min(&self, ns_used: usize) -> usize {

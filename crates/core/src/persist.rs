@@ -54,17 +54,25 @@
 //!
 //! There is exactly one reader per blob kind: anything else — another magic,
 //! another version, another store kind — is rejected, never guessed at.
+//!
+//! Every durable format — these two frames ([`ph_encoding::frame`] /
+//! [`ph_encoding::unframe`]), the preprocessor, synopsis and row store inside
+//! them, the ingest log and the query log — decodes through one bounded
+//! cursor, [`ph_encoding::Bytes`], and every reservation a decoder makes is
+//! sized from [`ph_encoding::Bytes::count`]: no reservation exceeds what its
+//! bytes can back (the `bounded-reserve` lint rule).
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
+use ph_encoding::{frame, unframe};
 use ph_gd::{ColumnarStore, Preprocessor};
 use ph_obs::{span, Counter, Stage};
 use ph_types::{faultfs, Dataset, PhError};
 
-use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig, SplitRule};
+use crate::build::{next_plan_epoch, usable_alpha, PairwiseHist, PairwiseHistConfig, SplitRule};
 use crate::segment::{build_delta, SealPolicy, Segment, TableState};
 use crate::session::{Session, TableCell, Writer};
 use crate::wal;
@@ -77,26 +85,6 @@ const SEGMENT_MAGIC: &[u8; 4] = b"PSG3";
 const SEGMENT_VERSION: u8 = 3;
 /// The `store_kind` of a segment blob: the per-column codec cascade.
 const COLUMNAR_STORE: u8 = 2;
-
-/// Wraps a body in the catalog frame: `magic | version | body | crc32`.
-fn frame(magic: &[u8; 4], version: u8, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(magic);
-    out.push(version);
-    write_body(&mut out);
-    let crc = ph_encoding::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// The body of a frame written by [`frame`], or `None` when the header is not
-/// `magic` at `version` or the checksum fails — in which case none of the
-/// other bytes can be trusted, not even their length fields.
-fn unframe<'a>(magic: &[u8; 4], version: u8, data: &'a [u8]) -> Option<&'a [u8]> {
-    let (framed, trailer) = data.split_at_checked(data.len().checked_sub(4)?)?;
-    let body = framed.strip_prefix(magic)?.strip_prefix(&[version])?;
-    (ph_encoding::crc32(framed) == u32::from_le_bytes(trailer.try_into().ok()?)).then_some(body)
-}
 
 /// Why a blob that [`unframe`]s or decodes to `None` was turned away, for the
 /// quarantine reason: a container this build does not read — a retired or
@@ -116,46 +104,6 @@ fn reject_reason(magic: &[u8; 4], version: u8, data: &[u8]) -> String {
             shown(magic)
         ),
         _ => "does not decode (checksum mismatch or truncation)".to_string(),
-    }
-}
-
-/// Little-endian fields off a frame body, every read bounds-checked.
-struct Reader<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let out = self.body.get(self.pos..end)?;
-        self.pos = end;
-        Some(out)
-    }
-
-    fn le<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.bytes(N)?.try_into().ok()
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.le().map(u64::from_le_bytes)
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    /// A `u64` length or count that must be positive and fit a `usize`.
-    fn count(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok().filter(|&n| n > 0)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.le::<1>().map(|[b]| b)
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.body.len()
     }
 }
 
@@ -211,18 +159,20 @@ fn table_manifest_to_bytes(
 /// Restores a [`TableManifest`]. Returns `None` on malformed or corrupted
 /// input, including a configuration or policy no build could run under.
 fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
-    let mut r = Reader { body: unframe(TABLE_MAGIC, TABLE_VERSION, data)?, pos: 0 };
-    let name_len = u16::from_le_bytes(r.le()?) as usize;
-    let name = std::str::from_utf8(r.bytes(name_len)?).ok()?.to_string();
-    let pre_len = u32::from_le_bytes(r.le()?) as usize;
-    let pre = Preprocessor::from_bytes(r.bytes(pre_len)?)?;
+    let mut r = unframe(TABLE_MAGIC, TABLE_VERSION, data)?;
+    // A `u64` setting that must be positive and fit a `usize`.
+    let positive = |v: u64| usize::try_from(v).ok().filter(|&n| n > 0);
+    let name_len = r.u16()?;
+    let name = r.str(name_len.into())?.to_string();
+    let pre_len = r.u32()? as usize;
+    let pre = Preprocessor::from_bytes(r.take(pre_len)?)?;
     let cfg = PairwiseHistConfig {
-        ns: r.count()?,
+        ns: positive(r.u64()?)?,
         m_absolute: match r.u64()? {
             u64::MAX => None,
-            m => Some(usize::try_from(m).ok().filter(|&m| m > 0)?),
+            m => Some(positive(m)?),
         },
-        alpha: r.f64().filter(|a| a.is_finite())?,
+        alpha: r.f64().filter(|&a| usable_alpha(a))?,
         split_rule: match r.u8()? {
             0 => SplitRule::EqualWidth,
             1 => SplitRule::EqualDepth,
@@ -231,16 +181,18 @@ fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
         seed: r.u64()?,
     };
     let policy = SealPolicy {
-        rows: r.count()?,
+        rows: positive(r.u64()?)?,
         max_staleness: r.f64().filter(|s| *s >= 0.0)?,
     };
     let wal_seq = r.u64()?;
-    let n_segments = u32::from_le_bytes(r.le()?) as usize;
-    if n_segments > 1 << 20 {
-        return None;
+    let n_segments = r.u32()?;
+    let n_segments = r.count(n_segments.into(), 8)?;
+    let mut blobs = Vec::with_capacity(n_segments);
+    for _ in 0..n_segments {
+        blobs.push(r.u64()?);
     }
-    let blobs = (0..n_segments).map(|_| r.u64()).collect::<Option<Vec<u64>>>()?;
-    r.finished().then_some(TableManifest { name, pre, cfg, policy, wal_seq, blobs })
+    r.finish()?;
+    Some(TableManifest { name, pre, cfg, policy, wal_seq, blobs })
 }
 
 /// Serializes one segment: its synopsis and its compressed rows.
@@ -264,16 +216,15 @@ fn segment_from_bytes(
     pre: Arc<Preprocessor>,
 ) -> Result<(PairwiseHist, ColumnarStore), String> {
     let rejected = || reject_reason(SEGMENT_MAGIC, SEGMENT_VERSION, data);
-    let body = unframe(SEGMENT_MAGIC, SEGMENT_VERSION, data).ok_or_else(rejected)?;
-    let mut r = Reader { body, pos: 0 };
+    let mut r = unframe(SEGMENT_MAGIC, SEGMENT_VERSION, data).ok_or_else(rejected)?;
     let parts = (|| {
         let syn_len = usize::try_from(r.u64()?).ok()?;
-        let syn = r.bytes(syn_len)?;
+        let syn = r.take(syn_len)?;
         let kind = r.u8()?;
         let store_len = usize::try_from(r.u64()?).ok()?;
-        let store = r.bytes(store_len)?;
+        let store = r.take(store_len)?;
         // Trailing bytes: not a clean blob.
-        r.finished().then_some((syn, kind, store))
+        r.finish().map(|()| (syn, kind, store))
     })();
     let (syn, kind, store) = parts.ok_or_else(rejected)?;
     if kind != COLUMNAR_STORE {

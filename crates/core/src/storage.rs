@@ -19,13 +19,13 @@ use std::sync::Arc;
 
 use ph_encoding::{
     bits_for, golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m, BitPlane,
-    BitReader, BitWriter,
+    BitReader, BitWriter, Bytes,
 };
 use ph_gd::Preprocessor;
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
 
 use crate::bins::DimBins;
-use crate::build::{BuildParams, PairwiseHist};
+use crate::build::{usable_alpha, BuildParams, PairwiseHist};
 use crate::build2d::PairHist;
 
 const MAGIC: &[u8; 4] = b"PWH1";
@@ -155,32 +155,18 @@ impl PairwiseHist {
     ///
     /// Returns `None` on malformed input.
     pub fn from_bytes(data: &[u8], pre: Arc<Preprocessor>) -> Option<Self> {
-        let mut pos = 0usize;
-        if data.get(..4)? != MAGIC {
+        let mut r = Bytes::new(data);
+        if r.take(4)? != MAGIC {
             return None;
         }
-        pos += 4;
-        let n_total = u64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        let ns = u64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?) as usize;
-        pos += 8;
-        let m_min = u32::from_le_bytes(data.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let alpha = f64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return None;
-        }
-        let d = u16::from_le_bytes(data.get(pos..pos + 2)?.try_into().ok()?) as usize;
-        pos += 2;
-        if d != pre.n_columns() {
-            return None;
-        }
-        let mut m = Vec::with_capacity(d);
-        for _ in 0..d {
-            m.push(*data.get(pos)? as usize);
-            pos += 1;
-        }
+        let n_total = r.u64()?;
+        let ns = r.u64()? as usize;
+        let m_min = r.u32()? as usize;
+        let alpha = r.f64().filter(|&a| usable_alpha(a))?;
+        let d = r.u16()?;
+        // One byte of edge width per column.
+        let d = r.count(d.into(), 1).filter(|&d| d == pre.n_columns())?;
+        let m: Vec<usize> = r.take(d)?.iter().map(|&w| w as usize).collect();
         if m.iter().any(|&w| w == 0 || w > 8) {
             return None;
         }
@@ -195,32 +181,19 @@ impl PairwiseHist {
             uniq: Vec<u32>,
         }
         let mut raw1d = Vec::with_capacity(d);
-        for c in 0..d {
-            let k = read_u32(data, &mut pos)? as usize;
-            if k == 0 || k > 1 << 24 {
-                return None;
-            }
-            let mc = *m.get(c)?;
-            let mut edges = Vec::with_capacity(k + 1);
-            for _ in 0..=k {
-                edges.push(decode_edge(read_le(data, &mut pos, mc)?));
-            }
+        for &mc in &m {
+            // A bin is an edge, its extremes and its distinct count.
+            let k = r.u32()?;
+            let k = r.count(k.into(), 3 * mc + 4).filter(|&k| k > 0)?;
+            let edges: Vec<f64> =
+                (0..=k).map(|_| r.uint(mc).map(decode_edge)).collect::<Option<_>>()?;
             // ph-lint: allow(no-panic-serving) — windows(2) yields exactly 2 elements
             if edges.windows(2).any(|w| w[0] >= w[1]) {
                 return None;
             }
-            let mut vmin = Vec::with_capacity(k);
-            for _ in 0..k {
-                vmin.push(read_le(data, &mut pos, mc)?);
-            }
-            let mut vmax = Vec::with_capacity(k);
-            for _ in 0..k {
-                vmax.push(read_le(data, &mut pos, mc)?);
-            }
-            let mut uniq = Vec::with_capacity(k);
-            for _ in 0..k {
-                uniq.push(read_u32(data, &mut pos)?);
-            }
+            let vmin: Vec<u64> = (0..k).map(|_| r.uint(mc)).collect::<Option<_>>()?;
+            let vmax: Vec<u64> = (0..k).map(|_| r.uint(mc)).collect::<Option<_>>()?;
+            let uniq: Vec<u32> = (0..k).map(|_| r.u32()).collect::<Option<_>>()?;
             if vmin.iter().zip(&vmax).any(|(lo, hi)| lo > hi) {
                 return None; // corrupt metadata: extremes out of order
             }
@@ -232,21 +205,20 @@ impl PairwiseHist {
             edges: Vec<f64>,
             meta: Vec<(u64, u64, u32)>, // split-parent bin metadata
         }
-        let n_pairs = d * (d - 1) / 2;
+        // A pair stores at least each dimension's `u32` count of extra edges.
+        let n_pairs = r.count((d * d.saturating_sub(1) / 2) as u64, 8)?;
         let mut raw_dims: Vec<(RawDim, RawDim)> = Vec::with_capacity(n_pairs);
         for j in 1..d {
             for i in 0..j {
                 let mut dims = Vec::with_capacity(2);
                 for &col in &[i, j] {
-                    let n_extra = read_u32(data, &mut pos)? as usize;
-                    if n_extra > 1 << 24 {
-                        return None;
-                    }
-                    let parent_edges = &raw1d.get(col)?.edges;
                     let mc = *m.get(col)?;
+                    let n_extra = r.u32()?;
+                    let n_extra = r.count(n_extra.into(), mc)?;
+                    let parent_edges = &raw1d.get(col)?.edges;
                     let mut edges = parent_edges.clone();
                     for _ in 0..n_extra {
-                        edges.push(decode_edge(read_le(data, &mut pos, mc)?));
+                        edges.push(decode_edge(r.uint(mc)?));
                     }
                     edges.sort_by(|a, b| a.total_cmp(b));
                     edges.dedup();
@@ -254,13 +226,14 @@ impl PairwiseHist {
                         return None; // extras must be new, distinct edges
                     }
                     // Which refined bins carry stored metadata: those in split parents.
+                    // Each holds its extremes and its distinct count.
                     let parent = parent_map(&edges, parent_edges);
-                    let n_split = split_bins(&parent).count();
+                    let n_split = r.count(split_bins(&parent).count() as u64, 2 * mc + 4)?;
                     let mut meta = Vec::with_capacity(n_split);
                     for _ in 0..n_split {
-                        let vmin = read_le(data, &mut pos, mc)?;
-                        let vmax = read_le(data, &mut pos, mc)?;
-                        let uniq = read_u32(data, &mut pos)?;
+                        let vmin = r.uint(mc)?;
+                        let vmax = r.uint(mc)?;
+                        let uniq = r.u32()?;
                         if vmin > vmax {
                             return None; // corrupt metadata: extremes out of order
                         }
@@ -276,34 +249,29 @@ impl PairwiseHist {
 
         // --- Counts ---
         let mut counts1d = Vec::with_capacity(d);
-        for c in 0..d {
-            let lh = *data.get(pos)? as u32;
-            pos += 1;
-            if lh == 0 || lh > 64 {
-                return None;
-            }
-            let k = raw1d.get(c)?.edges.len() - 1;
-            let mut reader = BitReader::new(data.get(pos..)?);
-            counts1d.push(reader.read_plane(k, lh)?.collect::<Vec<_>>());
-            pos += reader.bit_pos().div_ceil(8) as usize;
+        for raw in &raw1d {
+            let lh = r.u8().map(u32::from).filter(|lh| (1..=64).contains(lh))?;
+            let [counts] = r.planes([(raw.edges.len() - 1, lh)])?;
+            counts1d.push(counts.collect::<Vec<_>>());
         }
         let mut pair_counts = Vec::with_capacity(n_pairs);
         for (di, dj) in &raw_dims {
             let ki = di.edges.len() - 1;
             let kj = dj.edges.len() - 1;
-            pair_counts.push(read_pair_counts(data, &mut pos, ki, kj)?);
+            pair_counts.push(read_pair_counts(&mut r, ki, kj)?);
         }
+        r.finish()?; // trailing bytes: not a synopsis this encoder wrote
 
         // --- Reassemble ---
         let hist1d: Vec<DimBins> = raw1d
             .iter()
             .zip(&counts1d)
-            .map(|(r, counts)| {
+            .map(|(raw, counts)| {
                 DimBins::finalize(
-                    r.edges.clone(),
-                    r.vmin.clone(),
-                    r.vmax.clone(),
-                    r.uniq.clone(),
+                    raw.edges.clone(),
+                    raw.vmin.clone(),
+                    raw.vmax.clone(),
+                    raw.uniq.clone(),
                     counts.clone(),
                     m_min,
                     &mut chi2,
@@ -318,15 +286,7 @@ impl PairwiseHist {
                 let ((rdi, rdj), counts) = pair_iter.next()?;
                 let ki = rdi.edges.len() - 1;
                 let kj = rdj.edges.len() - 1;
-                let mut row_sums = vec![0u64; ki];
-                let mut col_sums = vec![0u64; kj];
-                for ri in 0..ki {
-                    for rj in 0..kj {
-                        let cnt = *counts.get(ri * kj + rj)? as u64;
-                        *row_sums.get_mut(ri)? += cnt;
-                        *col_sums.get_mut(rj)? += cnt;
-                    }
-                }
+                let (row_sums, col_sums) = margins(&counts, ki, kj)?;
                 let dim_i =
                     rebuild_dim(rdi.edges, rdi.meta, hist1d.get(i)?, row_sums, m_min, &mut chi2)?;
                 let dim_j =
@@ -360,6 +320,20 @@ impl PairwiseHist {
             plan_epoch: crate::build::next_plan_epoch(),
         })
     }
+}
+
+/// Row and column sums of a row-major `ki × kj` count matrix.
+fn margins(counts: &[u32], ki: usize, kj: usize) -> Option<(Vec<u64>, Vec<u64>)> {
+    let mut row_sums = vec![0u64; ki];
+    let mut col_sums = vec![0u64; kj];
+    for ri in 0..ki {
+        for rj in 0..kj {
+            let cnt = *counts.get(ri * kj + rj)? as u64;
+            *row_sums.get_mut(ri)? += cnt;
+            *col_sums.get_mut(rj)? += cnt;
+        }
+    }
+    Some((row_sums, col_sums))
 }
 
 /// Rebuilds a pair dimension from stored extras: metadata for split-parent bins comes
@@ -470,46 +444,31 @@ fn write_pair_counts(out: &mut Vec<u8>, pair: &PairHist) {
 }
 
 /// Reads one pair's count matrix (inverse of [`write_pair_counts`]).
-fn read_pair_counts(
-    data: &[u8],
-    pos: &mut usize,
-    ki: usize,
-    kj: usize,
-) -> Option<Vec<u32>> {
-    let lh = *data.get(*pos)? as u32;
-    *pos += 1;
-    if lh == 0 || lh > 32 {
-        return None;
-    }
-    let sparse = *data.get(*pos)? != 0;
-    *pos += 1;
+fn read_pair_counts(r: &mut Bytes<'_>, ki: usize, kj: usize) -> Option<Vec<u32>> {
+    let lh = r.u8().map(u32::from).filter(|lh| (1..=32).contains(lh))?;
+    let sparse = r.u8()? != 0;
     let cells = ki.checked_mul(kj)?;
-    if sparse {
-        let mut counts = vec![0u32; cells];
-        let theta = ph_encoding::read_uvarint(data, pos)?;
-        if theta as usize > cells {
+    if !sparse {
+        let [counts] = r.planes([(cells, lh)])?;
+        return Some(counts.map(|c| c as u32).collect());
+    }
+    let theta = r.uvarint().filter(|&t| t <= cells as u64)?;
+    let gm = optimal_golomb_m((theta as f64 / cells.max(1) as f64).clamp(1e-9, 1.0));
+    // ph-lint: allow(bounded-reserve) — `ki·kj` cells from edges already decoded, each backed by a byte of this body, not a length field; the matrix is dense in memory by design
+    let mut counts = vec![0u32; cells];
+    let mut reader = BitReader::new(r.clone().rest());
+    let mut prev: i64 = -1;
+    for _ in 0..theta {
+        let gap = golomb_decode(&mut reader, gm)?;
+        let idx = (prev + 1 + gap as i64) as usize;
+        if idx >= cells {
             return None;
         }
-        let gm = optimal_golomb_m((theta as f64 / cells.max(1) as f64).clamp(1e-9, 1.0));
-        let mut reader = BitReader::new(data.get(*pos..)?);
-        let mut prev: i64 = -1;
-        for _ in 0..theta {
-            let gap = golomb_decode(&mut reader, gm)?;
-            let idx = (prev + 1 + gap as i64) as usize;
-            if idx >= cells {
-                return None;
-            }
-            *counts.get_mut(idx)? = reader.read_bits(lh)? as u32;
-            prev = idx as i64;
-        }
-        *pos += reader.bit_pos().div_ceil(8) as usize;
-        Some(counts)
-    } else {
-        let mut reader = BitReader::new(data.get(*pos..)?);
-        let counts = reader.read_plane(cells, lh)?.map(|c| c as u32).collect();
-        *pos += reader.bit_pos().div_ceil(8) as usize;
-        Some(counts)
+        *counts.get_mut(idx)? = reader.read_bits(lh)? as u32;
+        prev = idx as i64;
     }
+    r.take(reader.bit_pos().div_ceil(8) as usize)?;
+    Some(counts)
 }
 
 /// Byte width for edges/values of one column: enough for the doubled top edge.
@@ -537,22 +496,8 @@ fn write_le(out: &mut Vec<u8>, v: u64, width: usize) {
     out.extend_from_slice(bytes.get(..width).unwrap_or(&bytes));
 }
 
-fn read_le(data: &[u8], pos: &mut usize, width: usize) -> Option<u64> {
-    let slice = data.get(*pos..pos.checked_add(width)?)?;
-    *pos += width;
-    let mut buf = [0u8; 8];
-    buf.get_mut(..width)?.copy_from_slice(slice);
-    Some(u64::from_le_bytes(buf))
-}
-
 fn write_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u32(data: &[u8], pos: &mut usize) -> Option<u32> {
-    let slice = data.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(slice.try_into().ok()?))
 }
 
 #[cfg(test)]
@@ -659,6 +604,20 @@ mod tests {
         let mut bytes = ph.to_bytes();
         bytes[0] = b'X';
         assert!(PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone()).is_none());
+    }
+
+    /// A synopsis ends at its last count matrix, and a subnormal `α` (inside
+    /// `(0, 1)`, yet `1 − α == 1`) is not one the χ² tests can run at.
+    #[test]
+    fn trailing_bytes_and_an_unusable_alpha_are_rejected() {
+        let ph = build(2_000, 5);
+        let pre = ph.preprocessor().clone();
+        let bytes = ph.to_bytes();
+        assert!(PairwiseHist::from_bytes(&[&bytes[..], &[0]].concat(), pre.clone()).is_none());
+        let mut tiny_alpha = bytes.clone();
+        tiny_alpha[24..32].copy_from_slice(&1u64.to_le_bytes());
+        assert!(PairwiseHist::from_bytes(&tiny_alpha, pre.clone()).is_none());
+        assert!(PairwiseHist::from_bytes(&bytes, pre).is_some());
     }
 
     #[test]

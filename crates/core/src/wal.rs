@@ -46,7 +46,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ph_encoding::{crc32, read_uvarint, write_uvarint};
+use ph_encoding::{crc32, write_uvarint, Bytes};
 use ph_obs::{span, Stage};
 use ph_types::{faultfs, Column, ColumnData, ColumnType, Dataset, PhError};
 
@@ -130,53 +130,51 @@ pub(crate) fn read_wal(path: &Path) -> Result<WalReplay, PhError> {
             valid_len: 0,
         });
     }
-    if !data.starts_with(WAL_MAGIC) {
+    let mut r = Bytes::new(&data);
+    if r.take(WAL_MAGIC.len()) != Some(WAL_MAGIC) {
         return Err(PhError::Corrupt(format!("{}: bad WAL magic", path.display())));
     }
-    let mut pos = WAL_MAGIC.len();
     let mut records = Vec::new();
     let mut torn_tail = false;
-    while pos < data.len() {
-        let mut cursor = pos;
-        let header_ok = (|| {
-            let len = read_uvarint(&data, &mut cursor)? as usize;
-            let crc_end = cursor.checked_add(4)?;
-            let payload_end = crc_end.checked_add(len)?;
-            let stored = u32::from_le_bytes(data.get(cursor..crc_end)?.try_into().ok()?);
-            let payload = data.get(crc_end..payload_end)?;
-            Some((stored, payload, payload_end))
+    let mut valid_len = r.position();
+    while !r.is_empty() {
+        let header = (|| {
+            let len = usize::try_from(r.uvarint()?).ok()?;
+            let stored = r.u32()?;
+            Some((stored, r.take(len)?))
         })();
-        let Some((stored, payload, payload_end)) = header_ok else {
+        let Some((stored, payload)) = header else {
             // Header or payload runs past end-of-file: torn final append.
             torn_tail = true;
             break;
         };
         if crc32(payload) != stored {
-            if payload_end == data.len() {
+            if r.is_empty() {
                 // Checksum failure on the very last record: a torn append
                 // whose length field happened to survive. Discard it.
                 torn_tail = true;
                 break;
             }
             return Err(PhError::Corrupt(format!(
-                "{}: WAL record at byte {pos} fails checksum with data after it",
+                "{}: WAL record at byte {valid_len} fails checksum with data after it",
                 path.display()
             )));
         }
-        let mut p = 0usize;
-        let parsed = read_uvarint(payload, &mut p)
-            .and_then(|seq| decode_batch(payload, &mut p).map(|b| (seq, b)))
-            .filter(|_| p == payload.len());
+        let mut p = Bytes::new(payload);
+        let parsed = p
+            .uvarint()
+            .and_then(|seq| decode_batch(&mut p).map(|b| (seq, b)))
+            .filter(|_| p.is_empty());
         let Some(record) = parsed else {
             return Err(PhError::Corrupt(format!(
-                "{}: WAL record at byte {pos} passes checksum but does not decode",
+                "{}: WAL record at byte {valid_len} passes checksum but does not decode",
                 path.display()
             )));
         };
         records.push(record);
-        pos = payload_end;
+        valid_len = r.position();
     }
-    Ok(WalReplay { records, torn_tail, valid_len: pos })
+    Ok(WalReplay { records, torn_tail, valid_len })
 }
 
 // --- Batch codec ----------------------------------------------------------------
@@ -197,24 +195,6 @@ fn unzigzag(v: u64) -> i64 {
 fn write_str(out: &mut Vec<u8>, s: &str) {
     write_uvarint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(data: &[u8], pos: &mut usize) -> Option<String> {
-    let len = read_uvarint(data, pos)? as usize;
-    if !backed(data, *pos, len, 1) {
-        return None;
-    }
-    let end = *pos + len;
-    let s = std::str::from_utf8(data.get(*pos..end)?).ok()?.to_string();
-    *pos = end;
-    Some(s)
-}
-
-/// Whether the bytes after `pos` can hold `n` items of at least `each` bytes:
-/// what a length read from a record must pass before anything is sized from
-/// it.
-fn backed(data: &[u8], pos: usize, n: usize, each: usize) -> bool {
-    n.checked_mul(each).is_some_and(|need| need <= data.len().saturating_sub(pos))
 }
 
 /// Serializes a batch with lossless, replay-exact value encoding.
@@ -269,42 +249,27 @@ pub(crate) fn encode_batch(out: &mut Vec<u8>, batch: &Dataset) {
     }
 }
 
-/// Decodes a batch; total — returns `None` on any malformed input.
-pub(crate) fn decode_batch(data: &[u8], pos: &mut usize) -> Option<Dataset> {
-    let name = read_str(data, pos)?;
-    let n_rows = read_uvarint(data, pos)? as usize;
-    let n_cols = read_uvarint(data, pos)? as usize;
-    if n_rows > 1 << 32 || n_cols > 1 << 16 {
-        return None;
-    }
-    let mut builder = Dataset::builder(name);
-    for _ in 0..n_cols {
-        let col_name = read_str(data, pos)?;
-        let tag = *data.get(*pos)?;
-        *pos += 1;
-        let scale = if tag == TAG_FLOAT {
-            let s = *data.get(*pos)?;
-            *pos += 1;
-            s
-        } else {
-            0
-        };
-        let bits_len = n_rows.div_ceil(8);
-        let bits_end = pos.checked_add(bits_len)?;
-        let bits = data.get(*pos..bits_end)?;
-        *pos = bits_end;
+/// Decodes a batch; total — returns `None` on any malformed input. Every
+/// value takes at least a byte (eight for a float), so the bytes left bound
+/// each column's reservation.
+pub(crate) fn decode_batch(r: &mut Bytes<'_>) -> Option<Dataset> {
+    let mut builder = Dataset::builder(r.uvarint_str()?);
+    let n_rows = r.uvarint()?;
+    // A column is at least its name's length and its type tag.
+    let n_cols = r.uvarint()?;
+    for _ in 0..r.count(n_cols, 2)? {
+        let col_name = r.uvarint_str()?.to_string();
+        let tag = r.u8()?;
+        let scale = if tag == TAG_FLOAT { r.u8()? } else { 0 };
+        let bits = r.take(usize::try_from(n_rows.div_ceil(8)).ok()?)?;
         let valid = |i: usize| bits.get(i / 8).is_some_and(|&b| b & (1 << (i % 8)) != 0);
-        // Every value below takes at least a byte (eight for a float), so the
-        // bytes left bound each reservation.
         let col = match tag {
             TAG_INT | TAG_TIMESTAMP => {
-                if !backed(data, *pos, n_rows, 1) {
-                    return None;
-                }
-                let mut values = Vec::with_capacity(n_rows);
+                let n = r.count(n_rows, 1)?;
+                let mut values = Vec::with_capacity(n);
                 let mut prev = 0i64;
-                for i in 0..n_rows {
-                    let v = prev.wrapping_add(unzigzag(read_uvarint(data, pos)?));
+                for i in 0..n {
+                    let v = prev.wrapping_add(unzigzag(r.uvarint()?));
                     prev = v;
                     values.push(valid(i).then_some(v));
                 }
@@ -315,36 +280,25 @@ pub(crate) fn decode_batch(data: &[u8], pos: &mut usize) -> Option<Dataset> {
                 }
             }
             TAG_FLOAT => {
-                if !backed(data, *pos, n_rows, 8) {
-                    return None;
-                }
-                let mut values = Vec::with_capacity(n_rows);
-                for i in 0..n_rows {
-                    let end = pos.checked_add(8)?;
-                    let v = f64::from_bits(u64::from_le_bytes(
-                        data.get(*pos..end)?.try_into().ok()?,
-                    ));
-                    *pos = end;
-                    values.push(valid(i).then_some(v));
+                let n = r.count(n_rows, 8)?;
+                let mut values = Vec::with_capacity(n);
+                for i in 0..n {
+                    values.push(valid(i).then_some(r.f64()?));
                 }
                 Column::from_floats(col_name, values, scale)
             }
             TAG_CAT => {
-                let dict_len = read_uvarint(data, pos)? as usize;
-                if !backed(data, *pos, dict_len, 1) {
-                    return None;
-                }
+                let dict_len = r.uvarint()?;
+                let dict_len = r.count(dict_len, 1)?;
                 let mut dict = Vec::with_capacity(dict_len);
                 for _ in 0..dict_len {
-                    dict.push(read_str(data, pos)?);
+                    dict.push(r.uvarint_str()?.to_string());
                 }
-                if !backed(data, *pos, n_rows, 1) {
-                    return None;
-                }
-                let mut codes = Vec::with_capacity(n_rows);
-                for i in 0..n_rows {
-                    let c = read_uvarint(data, pos)?;
-                    if valid(i) && c as usize >= dict_len {
+                let n = r.count(n_rows, 1)?;
+                let mut codes = Vec::with_capacity(n);
+                for i in 0..n {
+                    let c = r.uvarint()?;
+                    if valid(i) && c >= dict_len as u64 {
                         return None;
                     }
                     codes.push(valid(i).then_some(c as u32));
@@ -401,9 +355,9 @@ mod tests {
             let b = batch(n, n as u64);
             let mut buf = Vec::new();
             encode_batch(&mut buf, &b);
-            let mut pos = 0;
-            let back = decode_batch(&buf, &mut pos).expect("decode");
-            assert_eq!(pos, buf.len());
+            let mut r = Bytes::new(&buf);
+            let back = decode_batch(&mut r).expect("decode");
+            assert!(r.is_empty());
             assert_eq!(back, b, "n = {n}");
         }
     }

@@ -60,7 +60,7 @@ impl BitPlane {
 /// [`BitPlane::iter`] and [`BitReader::read_plane`]. A mapped range rather than
 /// an `Iterator` impl of its own, because std trusts a range's length: a
 /// `collect` into a `Vec` ran about twice as fast this way.
-fn plane_values(
+pub(crate) fn plane_values(
     mut bits: BitReader<'_>,
     len: usize,
     width: u32,

@@ -8,7 +8,9 @@
 //!   for the geometrically distributed gaps the paper expects.
 //!
 //! Every fixed-width integer array among them (GD base IDs, dense counts, the
-//! column codecs' residuals, codes, runs and deltas) is one [`BitPlane`].
+//! column codecs' residuals, codes, runs and deltas) is one [`BitPlane`], and
+//! every durable format decodes through one bounded cursor, [`Bytes`], whose
+//! [`Bytes::count`] is the only size a decoder reserves from.
 //! All streams are MSB-first within each byte, so encoded sizes match the paper's
 //! `⌈bits / 8⌉` accounting exactly.
 
@@ -19,17 +21,17 @@
 #![deny(clippy::dbg_macro, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 mod bitio;
+mod bytes;
 mod crc32;
 mod golomb;
 mod qlog;
 mod varint;
 
 pub use bitio::{BitPlane, BitReader, BitWriter};
+pub use bytes::{frame, unframe, Bytes};
 pub use crc32::{crc32, Crc32};
 pub use golomb::{golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m};
-pub use qlog::{
-    read_qlog_body, read_qlog_prefix, read_qlog_record, write_qlog_record, QlogRecord, QLOG_MAGIC,
-};
+pub use qlog::{read_qlog_body, read_qlog_prefix, write_qlog_record, QlogRecord, QLOG_MAGIC};
 pub use varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
 
 /// Number of bits needed to represent `v` (0 needs 1 bit).

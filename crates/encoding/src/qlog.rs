@@ -23,7 +23,8 @@
 //! Decoding is total: truncated or corrupt input yields `None`, never a panic
 //! — the reader must survive a log cut mid-record by a crash.
 
-use crate::varint::{read_uvarint, write_uvarint};
+use crate::bytes::Bytes;
+use crate::varint::write_uvarint;
 
 /// File magic of a query log: format name + version.
 pub const QLOG_MAGIC: &[u8; 5] = b"PHQL1";
@@ -55,45 +56,21 @@ pub fn write_qlog_record(out: &mut Vec<u8>, prev_ts: u64, rec: &QlogRecord) -> u
     ts
 }
 
-/// Reads one record from `data` at `*pos`, advancing `*pos` past it. Returns
-/// `None` on truncated or corrupt input (`*pos` is then unspecified); callers
-/// distinguish "clean end of log" by checking `*pos == data.len()` *before*
-/// calling.
-pub fn read_qlog_record(data: &[u8], pos: &mut usize, prev_ts: u64) -> Option<QlogRecord> {
-    let delta = read_uvarint(data, pos)?;
-    let status = read_uvarint(data, pos)?;
-    if status > u64::from(u16::MAX) {
-        return None;
-    }
-    let latency_micros = read_uvarint(data, pos)?;
-    let len = read_uvarint(data, pos)?;
-    let len = usize::try_from(len).ok()?;
-    let end = pos.checked_add(len)?;
-    if end > data.len() {
-        return None;
-    }
-    let sql = std::str::from_utf8(&data[*pos..end]).ok()?.to_owned();
-    *pos = end;
-    Some(QlogRecord {
-        ts_micros: prev_ts.checked_add(delta)?,
-        status: status as u16,
-        latency_micros,
-        sql,
-    })
+/// Reads one record, `None` on truncated or corrupt input (the cursor is then
+/// somewhere inside it).
+fn read_qlog_record(r: &mut Bytes<'_>, prev_ts: u64) -> Option<QlogRecord> {
+    let delta = r.uvarint()?;
+    let status = u16::try_from(r.uvarint()?).ok()?;
+    let latency_micros = r.uvarint()?;
+    let sql = r.uvarint_str()?.to_owned();
+    Some(QlogRecord { ts_micros: prev_ts.checked_add(delta)?, status, latency_micros, sql })
 }
 
 /// Decodes a whole log body (the bytes *after* [`QLOG_MAGIC`]) into records.
 /// `None` if any record is truncated or corrupt.
 pub fn read_qlog_body(data: &[u8]) -> Option<Vec<QlogRecord>> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    let mut prev_ts = 0u64;
-    while pos < data.len() {
-        let rec = read_qlog_record(data, &mut pos, prev_ts)?;
-        prev_ts = rec.ts_micros;
-        out.push(rec);
-    }
-    Some(out)
+    let (records, clean) = read_qlog_prefix(data);
+    (clean == data.len()).then_some(records)
 }
 
 /// Decodes the longest clean prefix of a log body. Returns the records that
@@ -105,11 +82,11 @@ pub fn read_qlog_body(data: &[u8]) -> Option<Vec<QlogRecord>> {
 /// at the first record that does not.
 pub fn read_qlog_prefix(data: &[u8]) -> (Vec<QlogRecord>, usize) {
     let mut out = Vec::new();
-    let mut pos = 0usize;
+    let mut r = Bytes::new(data);
     let mut prev_ts = 0u64;
-    while pos < data.len() {
-        let mark = pos;
-        match read_qlog_record(data, &mut pos, prev_ts) {
+    while !r.is_empty() {
+        let mark = r.position();
+        match read_qlog_record(&mut r, prev_ts) {
             Some(rec) => {
                 prev_ts = rec.ts_micros;
                 out.push(rec);
@@ -117,7 +94,7 @@ pub fn read_qlog_prefix(data: &[u8]) -> (Vec<QlogRecord>, usize) {
             None => return (out, mark),
         }
     }
-    (out, pos)
+    (out, r.position())
 }
 
 #[cfg(test)]

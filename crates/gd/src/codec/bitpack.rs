@@ -1,9 +1,9 @@
 //! Frame-of-reference bit packing: subtract the column minimum, store residuals
 //! at the fixed width of the largest residual. Constant columns cost 0 bits/row.
 
-use ph_encoding::{read_uvarint, write_uvarint, BitPlane};
+use ph_encoding::{write_uvarint, BitPlane, Bytes};
 
-use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
+use super::{codec_rows, uvarint_len, width_for, EncodedPred};
 
 /// Minimum-subtracted fixed-width column store.
 ///
@@ -68,14 +68,12 @@ impl BitPackCodec {
     /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
     /// input.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let mut pos = 0;
-        let n_rows = read_uvarint(data, &mut pos)? as usize;
-        if n_rows > MAX_CODEC_ROWS {
-            return None;
-        }
-        let min = read_uvarint(data, &mut pos)?;
-        let width = *data.get(pos)? as u32;
-        let residuals = BitPlane::from_bytes(data.get(pos + 1..)?, n_rows, width)?;
+        let mut r = Bytes::new(data);
+        let n_rows = codec_rows(r.uvarint()?)?;
+        let min = r.uvarint()?;
+        let width = r.u8()? as u32;
+        let residuals = r.plane(n_rows, width)?;
+        r.finish()?;
         Some(Self { min, residuals })
     }
 

@@ -2,12 +2,12 @@
 //! [`RowStore`] enum that holds either this or the GreedyGD store — whichever
 //! is smaller, for the storage experiments that compare the two.
 
-use ph_encoding::{read_uvarint, write_uvarint};
+use ph_encoding::{write_uvarint, Bytes};
 
 use crate::{EncodedMatrix, GdStore};
 
 use super::column::{choose_codec, ColumnCodec};
-use super::{uvarint_len, EncodedPred, MAX_CODEC_ROWS};
+use super::{codec_rows, uvarint_len, EncodedPred};
 
 /// A segment's rows, one codec per column.
 ///
@@ -79,31 +79,22 @@ impl ColumnarStore {
     /// Restores a store; `None` on any malformed column, row-count mismatch,
     /// or trailing bytes. Decode paths are total afterwards.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let mut pos = 0;
-        let n_rows = read_uvarint(data, &mut pos)? as usize;
-        if n_rows > MAX_CODEC_ROWS {
-            return None;
-        }
-        let n_cols = read_uvarint(data, &mut pos)? as usize;
-        if n_cols > 1 << 16 {
-            return None;
-        }
+        let mut r = Bytes::new(data);
+        let n_rows = codec_rows(r.uvarint()?)?;
+        // A column is at least its tag and a one-byte payload length.
+        let n_cols = r.uvarint()?;
+        let n_cols = r.count(n_cols, 2)?;
         let mut columns = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            let tag = *data.get(pos)?;
-            pos += 1;
-            let len = read_uvarint(data, &mut pos)? as usize;
-            let payload = data.get(pos..pos.checked_add(len)?)?;
-            pos += len;
-            let codec = ColumnCodec::from_tag_bytes(tag, payload)?;
+            let tag = r.u8()?;
+            let len = usize::try_from(r.uvarint()?).ok()?;
+            let codec = ColumnCodec::from_tag_bytes(tag, r.take(len)?)?;
             if codec.n_rows() != n_rows {
                 return None;
             }
             columns.push(codec);
         }
-        if pos != data.len() {
-            return None;
-        }
+        r.finish()?;
         Some(Self { n_rows, columns })
     }
 

@@ -7,9 +7,9 @@
 //! value instead, so a block decodes on its own. A fixed-step column needs 0
 //! bits per non-anchor row.
 
-use ph_encoding::{read_uvarint, write_uvarint, BitReader, BitWriter};
+use ph_encoding::{write_uvarint, BitReader, BitWriter, Bytes};
 
-use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
+use super::{codec_rows, uvarint_len, width_for, EncodedPred};
 
 /// Rows per block: one absolute anchor, then `DELTA_BLOCK - 1` deltas.
 pub(crate) const DELTA_BLOCK: usize = 256;
@@ -134,26 +134,19 @@ impl DeltaCodec {
     /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
     /// input.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let mut pos = 0;
-        let n_rows = read_uvarint(data, &mut pos)? as usize;
-        if n_rows > MAX_CODEC_ROWS {
-            return None;
-        }
-        let anchor_width = *data.get(pos)? as u32;
-        let delta_width = *data.get(pos + 1)? as u32;
-        pos += 2;
+        let mut r = Bytes::new(data);
+        let n_rows = codec_rows(r.uvarint()?)?;
+        let [anchor_width, delta_width] = r.array()?.map(u32::from);
         if anchor_width > 64 || delta_width > 64 {
             return None;
         }
-        let min_zz = read_uvarint(data, &mut pos)?;
-        let payload = data.get(pos..)?;
+        let min_zz = r.uvarint()?;
         let n_anchors = n_rows.div_ceil(DELTA_BLOCK);
         let bits =
             n_anchors * anchor_width as usize + (n_rows - n_anchors) * delta_width as usize;
-        if payload.len() != bits.div_ceil(8) {
-            return None;
-        }
-        Some(Self { n_rows, anchor_width, delta_width, min_zz, packed: payload.to_vec() })
+        let packed = r.take(bits.div_ceil(8))?.to_vec();
+        r.finish()?;
+        Some(Self { n_rows, anchor_width, delta_width, min_zz, packed })
     }
 
     /// Rows matching `pred`, decoded on the fly.

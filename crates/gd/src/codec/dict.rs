@@ -5,9 +5,9 @@
 //! codes, range predicates become a contiguous code interval — both evaluate
 //! on the packed codes without materializing a single value.
 
-use ph_encoding::{read_uvarint, write_uvarint, BitPlane};
+use ph_encoding::{write_uvarint, BitPlane, Bytes};
 
-use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
+use super::{codec_rows, uvarint_len, width_for, EncodedPred};
 
 /// Sorted-dictionary column store.
 ///
@@ -117,35 +117,27 @@ impl DictCodec {
     /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
     /// input.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let mut pos = 0;
-        let n_rows = read_uvarint(data, &mut pos)? as usize;
-        if n_rows > MAX_CODEC_ROWS {
-            return None;
-        }
-        let k = read_uvarint(data, &mut pos)? as usize;
-        // Every entry takes at least a byte, so the body bounds `k` before
-        // anything is sized from it.
-        if k > data.len() - pos {
-            return None;
-        }
+        let mut r = Bytes::new(data);
+        let n_rows = codec_rows(r.uvarint()?)?;
+        // Every entry takes at least a byte.
+        let k = r.uvarint()?;
+        let k = r.count(k, 1)?;
         let mut dict = Vec::with_capacity(k);
         if k > 0 {
-            let mut v = read_uvarint(data, &mut pos)?;
+            let mut v = r.uvarint()?;
             dict.push(v);
             for _ in 1..k {
-                let gap = read_uvarint(data, &mut pos)?;
-                if gap == 0 {
-                    return None; // must be strictly ascending
-                }
-                v = v.checked_add(gap)?;
+                // Gaps of 0 would not be strictly ascending.
+                v = v.checked_add(r.uvarint().filter(|&gap| gap > 0)?)?;
                 dict.push(v);
             }
         }
-        let code_width = *data.get(pos)? as u32;
+        let code_width = r.u8()? as u32;
         if code_width != width_for(k.saturating_sub(1) as u64) {
             return None;
         }
-        let codes = BitPlane::from_bytes(data.get(pos + 1..)?, n_rows, code_width)?;
+        let codes = r.plane(n_rows, code_width)?;
+        r.finish()?;
         // Every code names an entry, so decode stays total.
         if codes.iter().any(|c| c >= k as u64) {
             return None;
@@ -167,6 +159,7 @@ impl DictCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MAX_CODEC_ROWS;
 
     #[test]
     fn roundtrip_low_cardinality() {

@@ -17,6 +17,8 @@
 
 use std::collections::HashMap;
 
+use ph_encoding::Bytes;
+
 /// Escape prefix for bytes with no symbol: `0xFF literal_byte`.
 const ESCAPE: u8 = 0xFF;
 /// Maximum number of symbols — code 254 stays unused, 255 is the escape.
@@ -169,24 +171,16 @@ impl SymbolTable {
     /// Restores a table; `None` on malformed input (zero-length or over-long
     /// symbols, truncation, trailing bytes).
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let n = *data.first()? as usize;
-        if n > MAX_SYMBOLS {
-            return None;
-        }
-        let mut pos = 1;
+        let mut r = Bytes::new(data);
+        // A symbol is its length byte and at least one byte of its own.
+        let n = r.u8()?;
+        let n = r.count(n.into(), 2).filter(|&n| n <= MAX_SYMBOLS)?;
         let mut symbols = Vec::with_capacity(n);
         for _ in 0..n {
-            let len = *data.get(pos)? as usize;
-            pos += 1;
-            if len == 0 || len > MAX_SYMBOL_LEN {
-                return None;
-            }
-            symbols.push(data.get(pos..pos + len)?.to_vec());
-            pos += len;
+            let len = r.u8().map(usize::from).filter(|len| (1..=MAX_SYMBOL_LEN).contains(len))?;
+            symbols.push(r.take(len)?.to_vec());
         }
-        if pos != data.len() {
-            return None;
-        }
+        r.finish()?;
         Some(Self { symbols })
     }
 

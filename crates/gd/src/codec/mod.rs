@@ -51,9 +51,15 @@ pub use dict::DictCodec;
 pub use fsst::SymbolTable;
 pub use runend::RunEndCodec;
 
-/// Upper bound on `n_rows` accepted from serialized input: a corrupted length
-/// field must never translate into a multi-gigabyte allocation.
+/// Upper bound on `n_rows` accepted from serialized input. A width-0 plane
+/// holds any number of rows in no bytes, so the body cannot bound a column's
+/// length; this does, for what `decode` later sizes from it.
 pub(crate) const MAX_CODEC_ROWS: usize = 1 << 28;
+
+/// A row count read from a codec body, if it is at most [`MAX_CODEC_ROWS`].
+pub(crate) fn codec_rows(n: u64) -> Option<usize> {
+    usize::try_from(n).ok().filter(|&n| n <= MAX_CODEC_ROWS)
+}
 
 /// A predicate over one column in the *encoded* (non-negative integer) domain,
 /// with **inclusive** bounds. Literals are mapped into this domain by

@@ -4,9 +4,9 @@
 //! predicate is evaluated once per *run* — matching runs contribute their whole
 //! length with one addition, so selective scans skip millions of rows.
 
-use ph_encoding::{read_uvarint, write_uvarint, BitReader, BitWriter};
+use ph_encoding::{write_uvarint, BitWriter, Bytes};
 
-use super::{uvarint_len, width_for, EncodedPred, MAX_CODEC_ROWS};
+use super::{codec_rows, uvarint_len, width_for, EncodedPred};
 
 /// Run-end column store.
 ///
@@ -108,29 +108,19 @@ impl RunEndCodec {
     /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
     /// input.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let mut pos = 0;
-        let n_rows = read_uvarint(data, &mut pos)? as usize;
-        if n_rows > MAX_CODEC_ROWS {
-            return None;
-        }
-        let n_runs = read_uvarint(data, &mut pos)? as usize;
-        if n_runs > n_rows {
-            return None;
-        }
-        let min = read_uvarint(data, &mut pos)?;
-        let val_width = *data.get(pos)? as u32;
-        let end_width = *data.get(pos + 1)? as u32;
+        let mut r = Bytes::new(data);
+        let n_rows = codec_rows(r.uvarint()?)?;
+        let n_runs = usize::try_from(r.uvarint()?).ok().filter(|&n| n <= n_rows)?;
+        let min = r.uvarint()?;
+        let [val_width, end_width] = r.array()?.map(u32::from);
         if end_width != width_for(n_rows as u64) {
             return None;
         }
-        let mut r = BitReader::new(data.get(pos + 2..)?);
-        let values = r.read_plane(n_runs, val_width)?;
-        let values: Vec<u64> = values.map(|v| min.checked_add(v)).collect::<Option<_>>()?;
-        let ends: Vec<u64> = r.read_plane(n_runs, end_width)?.collect();
         // Both planes and nothing after them but the last byte's padding.
-        if r.remaining_bits() >= 8 {
-            return None;
-        }
+        let [values, ends] = r.planes([(n_runs, val_width), (n_runs, end_width)])?;
+        r.finish()?;
+        let values: Vec<u64> = values.map(|v| min.checked_add(v)).collect::<Option<_>>()?;
+        let ends: Vec<u64> = ends.collect();
         // Strictly increasing from ≥ 1, the last one closing the column.
         let increasing = ends.first() != Some(&0) && ends.windows(2).all(|w| w[0] < w[1]);
         if !increasing || ends.last().copied().unwrap_or(0) != n_rows as u64 {

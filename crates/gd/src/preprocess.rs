@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use ph_encoding::{read_uvarint, write_uvarint};
+use ph_encoding::{write_uvarint, Bytes};
 use ph_types::{Column, ColumnData, ColumnType, Dataset, DictIndex, Value};
 
 use crate::{EncodedMatrix, SymbolTable};
@@ -396,36 +396,25 @@ impl Preprocessor {
     /// Restores a [`Preprocessor`] from [`Preprocessor::to_bytes`] output.
     /// Returns `None` on malformed input.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        if data.get(..4)? != b"PRE2" {
+        let mut r = Bytes::new(data);
+        if r.take(4)? != b"PRE2" {
             return None;
         }
-        let mut pos = 4usize;
-        let d = read_uvarint(data, &mut pos)? as usize;
-        if d > 1 << 16 {
-            return None;
-        }
+        // A column is at least its name's length, its tag, a dictionary's
+        // length and mode, and its null flag.
+        let d = r.uvarint()?;
+        let d = r.count(d, 5)?;
         let mut names = Vec::with_capacity(d);
         let mut types = Vec::with_capacity(d);
         let mut transforms = Vec::with_capacity(d);
         for _ in 0..d {
-            names.push(read_str(data, &mut pos)?);
-            let tag = *data.get(pos)?;
-            pos += 1;
-            match tag {
-                0..=2 => {
-                    let scale = *data.get(pos)?;
-                    pos += 1;
-                    let min_scaled =
-                        i64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    let max_enc =
-                        u64::from_le_bytes(data.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    if max_enc >= MAX_ENC {
-                        return None;
-                    }
-                    let has_null = *data.get(pos)? != 0;
-                    pos += 1;
+            names.push(r.uvarint_str()?.to_string());
+            match r.u8()? {
+                tag @ 0..=2 => {
+                    let scale = r.u8()?;
+                    let min_scaled = r.u64()? as i64;
+                    let max_enc = r.u64().filter(|&m| m < MAX_ENC)?;
+                    let has_null = r.u8()? != 0;
                     types.push(match tag {
                         0 => ColumnType::Int,
                         1 => ColumnType::Float { scale },
@@ -439,13 +428,8 @@ impl Preprocessor {
                     });
                 }
                 3 => {
-                    let n = read_uvarint(data, &mut pos)? as usize;
-                    if n > 1 << 24 {
-                        return None;
-                    }
-                    let by_rank = read_dict(data, &mut pos, n)?;
-                    let has_null = *data.get(pos)? != 0;
-                    pos += 1;
+                    let by_rank = read_dict(&mut r)?;
+                    let has_null = r.u8()? != 0;
                     types.push(ColumnType::Categorical);
                     transforms.push(ColumnTransform::Categorical {
                         null_code: has_null.then_some(by_rank.len() as u64),
@@ -456,9 +440,7 @@ impl Preprocessor {
                 _ => return None,
             }
         }
-        if pos != data.len() {
-            return None; // trailing bytes: not ours
-        }
+        r.finish()?; // trailing bytes: not ours
         Some(Self { transforms, names, types })
     }
 
@@ -532,16 +514,6 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn read_str(data: &[u8], pos: &mut usize) -> Option<String> {
-    let len = read_uvarint(data, pos)? as usize;
-    if len > data.len().saturating_sub(*pos) {
-        return None;
-    }
-    let s = std::str::from_utf8(data.get(*pos..*pos + len)?).ok()?;
-    *pos += len;
-    Some(s.to_string())
-}
-
 /// PRE2 categorical dictionary block: `u8 mode` then either plain
 /// uvarint-framed strings (mode 0) or an FSST symbol table followed by
 /// uvarint-framed compressed strings (mode 1). FSST wins whenever the shared
@@ -574,38 +546,30 @@ fn write_dict(out: &mut Vec<u8>, by_rank: &[String]) {
     }
 }
 
-fn read_dict(data: &[u8], pos: &mut usize, n: usize) -> Option<Vec<String>> {
-    let mode = *data.get(*pos)?;
-    *pos += 1;
+/// A `uvarint n | dict block` ([`write_dict`]): `n` entries, each at least
+/// the byte of its length.
+fn read_dict(r: &mut Bytes<'_>) -> Option<Vec<String>> {
+    let n = r.uvarint()?;
+    let mode = r.u8()?;
+    let n = r.count(n, 1)?;
+    let mut by_rank = Vec::with_capacity(n);
     match mode {
         0 => {
-            let mut by_rank = Vec::with_capacity(n);
             for _ in 0..n {
-                by_rank.push(read_str(data, pos)?);
+                by_rank.push(r.uvarint_str()?.to_string());
             }
-            Some(by_rank)
         }
         1 => {
-            let table_len = read_uvarint(data, pos)? as usize;
-            if table_len > data.len().saturating_sub(*pos) {
-                return None;
-            }
-            let table = SymbolTable::from_bytes(data.get(*pos..*pos + table_len)?)?;
-            *pos += table_len;
-            let mut by_rank = Vec::with_capacity(n);
+            let table_len = usize::try_from(r.uvarint()?).ok()?;
+            let table = SymbolTable::from_bytes(r.take(table_len)?)?;
             for _ in 0..n {
-                let len = read_uvarint(data, pos)? as usize;
-                if len > data.len().saturating_sub(*pos) {
-                    return None;
-                }
-                let raw = table.decompress(data.get(*pos..*pos + len)?)?;
-                *pos += len;
-                by_rank.push(String::from_utf8(raw).ok()?);
+                let len = usize::try_from(r.uvarint()?).ok()?;
+                by_rank.push(String::from_utf8(table.decompress(r.take(len)?)?).ok()?);
             }
-            Some(by_rank)
         }
-        _ => None,
+        _ => return None,
     }
+    Some(by_rank)
 }
 
 fn fit_column(col: &Column) -> ColumnTransform {

@@ -162,6 +162,7 @@ impl GdStore {
     /// allocation.
     fn decode_rows(&self, row_ids: impl ExactSizeIterator<Item = usize>) -> EncodedMatrix {
         let d = self.widths.len();
+        // ph-lint: allow(bounded-reserve) — decodes a store already in memory, sized by the rows asked for, not by bytes off the wire
         let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(row_ids.len()); d];
         let mut reader = BitReader::new(&self.devs);
         for r in row_ids {
@@ -275,6 +276,7 @@ impl GdStore {
         if reader.remaining_bits() < payload_bits {
             return None;
         }
+        // ph-lint: allow(bounded-reserve) — `n_bases·d` is capped at MAX_CODEC_ROWS above, and the payload was checked to hold every base's bits
         let mut base_parts = Vec::with_capacity(n_bases * d);
         for _ in 0..n_bases {
             for c in 0..d {
@@ -287,6 +289,7 @@ impl GdStore {
         }
         let mut dev_writer = BitWriter::new();
         dev_writer.copy_bits(&mut reader, dev_total)?;
+        // ph-lint: allow(bounded-reserve) — `n_bases` is capped at MAX_CODEC_ROWS above, and the payload was checked to hold every base's bits
         let mut base_index = HashMap::with_capacity(n_bases);
         for b in 0..n_bases {
             base_index.insert(

@@ -10,11 +10,14 @@
 //! `// ph-lint: allow(rule) — why` (see [`crate::scope`]); the justification
 //! requirement turns each escape into documentation of the invariant's edge.
 
+pub mod bounded_reserve;
 pub mod durable_io;
 pub mod error_convention;
+pub mod file_size_cap;
 pub mod lock_across_io;
 pub mod metric_help;
 pub mod no_panic;
+pub mod one_bit_plane;
 pub mod one_parallelism_rule;
 pub mod safety_comment;
 pub mod wire_float;
@@ -184,6 +187,22 @@ pub const RULES: &[(&str, &str)] = &[
          engine thread count is the host's cores capped by the units of work, one rule",
     ),
     (
+        bounded_reserve::NAME,
+        "in a decoder of ph_core, ph_gd or ph_encoding (from_bytes, from_tag_bytes, decode_*, \
+         read_*), with_capacity/reserve/vec![_; n] must take its size from Bytes::count — no \
+         reservation exceeds what its bytes can back",
+    ),
+    (
+        one_bit_plane::NAME,
+        "write_bits/read_bits in crates/gd/src/codec — every fixed-width array a column codec \
+         stores is a BitPlane, one packer",
+    ),
+    (
+        file_size_cap::NAME,
+        "a source file under crates/*/src over 1,200 lines — split the module, do not raise \
+         the cap",
+    ),
+    (
         BAD_ALLOW,
         "a ph-lint allow directive must name known rules and carry a non-empty justification",
     ),
@@ -205,6 +224,9 @@ pub fn check_file(ctx: &FileCtx, ws: &WsCtx) -> Vec<Diagnostic> {
     safety_comment::check(ctx, &mut raw);
     metric_help::check(ctx, &mut raw);
     one_parallelism_rule::check(ctx, &mut raw);
+    bounded_reserve::check(ctx, &mut raw);
+    one_bit_plane::check(ctx, &mut raw);
+    file_size_cap::check(ctx, &mut raw);
     let mut out: Vec<Diagnostic> =
         raw.into_iter().filter(|d| !ctx.is_allowed(d.rule, d.line)).collect();
 

@@ -110,11 +110,13 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 }
 
 /// `return [..]`, `in [..]`, `break [..]` … — an identifier-looking keyword
-/// before `[` starts an array literal, not an index.
+/// before `[` starts an array literal (or, after `let`, a slice pattern), not
+/// an index.
 fn is_keyword_before_bracket(word: &str) -> bool {
     matches!(
         word,
         "return" | "in" | "break" | "else" | "match" | "if" | "while" | "mut" | "dyn" | "as"
+            | "let"
             | "impl" | "where" | "const" | "static" | "type" | "box" | "move" | "yield"
     )
 }

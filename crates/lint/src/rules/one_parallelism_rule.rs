@@ -26,41 +26,19 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     if !ctx.rel.starts_with("crates/core/src/") {
         return;
     }
-    // Innermost enclosing fns: (name, brace depth just inside its body).
-    let mut fns: Vec<(&str, usize)> = Vec::new();
-    let mut pending: Option<&str> = None;
-    let (mut depth, mut nest) = (0usize, 0usize);
-    for i in 0..ctx.tokens.len() {
-        if ctx.ident(i) == Some("fn") {
-            pending = ctx.ident(i + 1);
-        } else if ctx.punct(i, '(') || ctx.punct(i, '[') {
-            nest += 1;
-        } else if ctx.punct(i, ')') || ctx.punct(i, ']') {
-            nest = nest.saturating_sub(1);
-        } else if ctx.punct(i, ';') && nest == 0 {
-            pending = None; // a declaration without a body
-        } else if ctx.punct(i, '{') {
-            depth += 1;
-            if let Some(name) = pending.take() {
-                fns.push((name, depth));
-            }
-        } else if ctx.punct(i, '}') {
-            if fns.last().is_some_and(|&(_, d)| d == depth) {
-                fns.pop();
-            }
-            depth = depth.saturating_sub(1);
-        } else if ctx.ident(i) == Some("available_parallelism") {
-            let inside = fns.last().map(|&(name, _)| name);
-            if (ctx.rel.as_str(), inside) != (HOME.0, Some(HOME.1)) {
-                out.push(Diagnostic {
-                    file: ctx.rel.clone(),
-                    line: ctx.tokens[i].line,
-                    rule: NAME,
-                    message: "the core count is read outside `build::workers_for` — take the \
-                              thread count from `workers_for(units)` instead"
-                        .into(),
-                });
-            }
+    let fns = ctx.enclosing_fns();
+    for (i, t) in ctx.tokens.iter().enumerate() {
+        if t.is_ident("available_parallelism")
+            && (ctx.rel.as_str(), fns[i]) != (HOME.0, Some(HOME.1))
+        {
+            out.push(Diagnostic {
+                file: ctx.rel.clone(),
+                line: t.line,
+                rule: NAME,
+                message: "the core count is read outside `build::workers_for` — take the \
+                          thread count from `workers_for(units)` instead"
+                    .into(),
+            });
         }
     }
 }

@@ -56,6 +56,8 @@ pub struct FileCtx {
     pub comments: Vec<Comment>,
     /// Parsed allow directives.
     pub allows: Vec<Allow>,
+    /// Newlines in the source: its length as `wc -l` counts it.
+    pub lines: u32,
 }
 
 impl FileCtx {
@@ -64,7 +66,8 @@ impl FileCtx {
         let Lexed { tokens, comments } = lex(src);
         let in_test = mark_test_regions(&tokens);
         let allows = parse_allows(&comments, &tokens);
-        FileCtx { rel: rel.to_string(), tokens, in_test, comments, allows }
+        let lines = src.bytes().filter(|&b| b == b'\n').count() as u32;
+        FileCtx { rel: rel.to_string(), tokens, in_test, comments, allows, lines }
     }
 
     /// Is the diagnostic `(rule, line)` suppressed by an allow?
@@ -107,6 +110,56 @@ impl FileCtx {
     /// Is token `i` the punctuation `c`?
     pub fn punct(&self, i: usize, c: char) -> bool {
         self.tokens.get(i).is_some_and(|t| t.is_punct(c))
+    }
+
+    /// For each token, the name of the innermost `fn` whose body encloses it
+    /// (closures belong to the `fn` they are written in).
+    pub fn enclosing_fns(&self) -> Vec<Option<&str>> {
+        let mut out = Vec::with_capacity(self.tokens.len());
+        // Open fns: (name, brace depth just inside its body).
+        let mut fns: Vec<(&str, usize)> = Vec::new();
+        let mut pending: Option<&str> = None;
+        let (mut depth, mut nest) = (0usize, 0usize);
+        for i in 0..self.tokens.len() {
+            if self.ident(i) == Some("fn") {
+                pending = self.ident(i + 1);
+            } else if self.punct(i, '(') || self.punct(i, '[') {
+                nest += 1;
+            } else if self.punct(i, ')') || self.punct(i, ']') {
+                nest = nest.saturating_sub(1);
+            } else if self.punct(i, ';') && nest == 0 {
+                pending = None; // a declaration without a body
+            } else if self.punct(i, '{') {
+                depth += 1;
+                if let Some(name) = pending.take() {
+                    fns.push((name, depth));
+                }
+            } else if self.punct(i, '}') {
+                if fns.last().is_some_and(|&(_, d)| d == depth) {
+                    fns.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
+            out.push(fns.last().map(|&(name, _)| name));
+        }
+        out
+    }
+
+    /// Index of the token that closes the bracket opened at `open` (`(`, `[`
+    /// or `{`), or the end of the file.
+    pub fn closing(&self, open: usize) -> usize {
+        let mut depth = 0usize;
+        for i in open..self.tokens.len() {
+            if self.punct(i, '(') || self.punct(i, '[') || self.punct(i, '{') {
+                depth += 1;
+            } else if self.punct(i, ')') || self.punct(i, ']') || self.punct(i, '}') {
+                depth -= 1;
+                if depth == 0 {
+                    return i;
+                }
+            }
+        }
+        self.tokens.len()
     }
 }
 

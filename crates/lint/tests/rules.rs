@@ -129,8 +129,71 @@ fn one_parallelism_rule_home_is_build_rs_in_ph_core() {
     let src = read_fixture("one_parallelism_rule_good.rs");
     let d = lint_source("crates/core/src/session/query.rs", &src, &ws);
     assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), [5], "{d:?}");
-    let d = lint_source("crates/server/src/executor.rs", &read_fixture("one_parallelism_rule_bad.rs"), &ws);
+    let d = lint_source(
+        "crates/server/src/executor.rs",
+        &read_fixture("one_parallelism_rule_bad.rs"),
+        &ws,
+    );
     assert!(d.iter().all(|d| d.rule != "one-parallelism-rule"), "{d:?}");
+}
+
+#[test]
+fn bounded_reserve_fires_on_bad_and_not_on_good() {
+    let ws = WsCtx::default();
+    let bad = lint_fixture("bounded_reserve_bad.rs", "crates/gd/src/codec/dict.rs", &ws);
+    assert_eq!(rules_fired(&bad), ["bounded-reserve"], "{bad:?}");
+    assert_eq!(bad.iter().map(|d| d.line).collect::<Vec<_>>(), [5, 7, 8, 15, 18], "{bad:?}");
+
+    let good = lint_fixture("bounded_reserve_good.rs", "crates/gd/src/codec/dict.rs", &ws);
+    assert!(good.is_empty(), "{good:?}");
+}
+
+/// The decoders of ph_core, ph_gd and ph_encoding are in scope; other crates
+/// are not.
+#[test]
+fn bounded_reserve_covers_the_three_decoding_crates() {
+    let ws = WsCtx::default();
+    let src = read_fixture("bounded_reserve_bad.rs");
+    for rel in ["crates/core/src/wal.rs", "crates/encoding/src/qlog.rs", "crates/gd/src/store.rs"] {
+        let d = lint_source(rel, &src, &ws);
+        assert!(d.iter().any(|d| d.rule == "bounded-reserve"), "{rel} is out of scope: {d:?}");
+    }
+    for rel in ["crates/server/src/http.rs", "crates/obs/src/ring.rs", "phbench/src/spans.rs"] {
+        let d = lint_source(rel, &src, &ws);
+        assert!(d.iter().all(|d| d.rule != "bounded-reserve"), "{rel}: {d:?}");
+    }
+}
+
+#[test]
+fn one_bit_plane_fires_on_bad_and_not_on_good() {
+    let ws = WsCtx::default();
+    let bad = lint_fixture("one_bit_plane_bad.rs", "crates/gd/src/codec/bitpack.rs", &ws);
+    assert_eq!(rules_fired(&bad), ["one-bit-plane"], "{bad:?}");
+    assert_eq!(bad.iter().map(|d| d.line).collect::<Vec<_>>(), [5, 12], "{bad:?}");
+
+    let good = lint_fixture("one_bit_plane_good.rs", "crates/gd/src/codec/bitpack.rs", &ws);
+    assert!(good.is_empty(), "{good:?}");
+    // The bit reader and writer themselves live outside the codec layer.
+    let d = lint_source("crates/encoding/src/bitio.rs", &read_fixture("one_bit_plane_bad.rs"), &ws);
+    assert!(d.iter().all(|d| d.rule != "one-bit-plane"), "{d:?}");
+}
+
+#[test]
+fn file_size_cap_fires_on_bad_and_not_on_good() {
+    let ws = WsCtx::default();
+    let bad = lint_fixture("file_size_cap_bad.rs", "crates/core/src/engine.rs", &ws);
+    assert_eq!(rules_fired(&bad), ["file-size-cap"], "{bad:?}");
+    assert_eq!(bad.iter().map(|d| d.line).collect::<Vec<_>>(), [1201], "{bad:?}");
+
+    let good = lint_fixture("file_size_cap_good.rs", "crates/core/src/engine.rs", &ws);
+    assert!(good.is_empty(), "{good:?}");
+    // Exactly at the cap is within it, and only crate sources are capped.
+    let src = read_fixture("file_size_cap_bad.rs");
+    let at_cap = &src[..src.len() - 1];
+    assert!(lint_source("crates/core/src/engine.rs", at_cap, &ws).is_empty());
+    for rel in ["tests/corruption.rs", "crates/lint/tests/rules.rs", "phbench/src/main.rs"] {
+        assert!(lint_source(rel, &src, &ws).is_empty(), "{rel}");
+    }
 }
 
 #[test]
@@ -224,8 +287,7 @@ fn no_panic_covers_the_obs_crate() {
 fn metric_help_fires_on_bad_and_not_on_good() {
     let ws = WsCtx::default();
     let bad = lint_fixture("metric_help_bad.rs", "crates/server/src/server.rs", &ws);
-    let fired: Vec<u32> =
-        bad.iter().filter(|d| d.rule == "metric-help").map(|d| d.line).collect();
+    let fired: Vec<u32> = bad.iter().filter(|d| d.rule == "metric-help").map(|d| d.line).collect();
     assert_eq!(fired, [3, 4, 5, 6], "{bad:?}");
 
     let good = lint_fixture("metric_help_good.rs", "crates/server/src/server.rs", &ws);

@@ -14,8 +14,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
 use pairwisehist::encoding::write_uvarint;
-use pairwisehist::gd::DictCodec;
+use pairwisehist::gd::{DictCodec, RunEndCodec};
 use pairwisehist::prelude::*;
 
 struct CountingAlloc;
@@ -72,6 +77,14 @@ fn largest_allocation_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     LARGEST.with(|m| m.set(0));
     let out = f();
     (out, LARGEST.with(Cell::get))
+}
+
+fn uvarints(values: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &v in values {
+        write_uvarint(&mut out, v);
+    }
+    out
 }
 
 /// A time-ordered slice: `ts` ascends across slices, `x` and `y` are seeded
@@ -185,18 +198,46 @@ fn cached_scalar_queries_allocate_nothing_whatever_the_segment_count() {
     }
 }
 
-/// A dictionary body claiming 2^28 entries in six bytes is refused before
-/// anything is sized from the claim: every entry takes at least a byte, so
-/// decoding reserves no more than a small multiple of what it was given.
+/// Hostile bodies of four formats, each a few bytes that claim a huge count:
+/// every one is refused before anything is sized from the claim, so decoding
+/// reserves no more than a small multiple of what it was given.
+/// - `DictCodec`: a dictionary of 2^28 entries in six bytes.
+/// - `RunEndCodec`: 2^28 runs of a width-0 value plane, whose ends plane is
+///   missing (once collected 2 GiB of zeros before finding that out).
+/// - `PRE2`: one categorical column whose plain dictionary claims 2^24
+///   entries (once reserved 384 MiB of `String`s).
+/// - `PWH1`: one column of 2^24 bins (once reserved 128 MiB of edges).
 #[test]
-fn decoding_a_dictionary_reserves_only_what_its_body_backs() {
-    let mut body = Vec::new();
-    write_uvarint(&mut body, 0); // n_rows
-    write_uvarint(&mut body, 1 << 28); // k
-    assert_eq!(body.len(), 6);
-    let (restored, largest) = largest_allocation_of(|| DictCodec::from_bytes(&body));
-    assert!(restored.is_none());
-    assert!(largest <= 16 * body.len(), "{largest} bytes reserved for a 6-byte body");
+fn decoding_a_hostile_body_reserves_only_what_it_backs() {
+    let dict = [&uvarints(&[0, 1 << 28])[..]].concat();
+    let run_end = [&uvarints(&[1 << 28, 1 << 28, 0])[..], &[0, 29]].concat();
+    let pre2 = [&b"PRE2"[..], &uvarints(&[1, 1]), b"a", &[3], &uvarints(&[1 << 24]), &[0]].concat();
+    let pwh1 = [
+        &b"PWH1"[..],
+        &0u64.to_le_bytes(),         // n_total
+        &0u64.to_le_bytes(),         // ns
+        &1u32.to_le_bytes(),         // m_min
+        &0.05f64.to_le_bytes(),      // alpha
+        &1u16.to_le_bytes(),         // columns
+        &[1],                        // edge widths
+        &(1u32 << 24).to_le_bytes(), // bins of column 0
+    ]
+    .concat();
+    let one_int = Dataset::builder("t")
+        .column(Column::from_ints("x", vec![Some(1), Some(2)]))
+        .unwrap()
+        .build();
+    let pre = Arc::new(Preprocessor::fit(&one_int));
+    let refuses = |format: &str, body: &[u8], len: usize, refused: &dyn Fn(&[u8]) -> bool| {
+        assert_eq!(body.len(), len, "{format}");
+        let (refused, largest) = largest_allocation_of(|| refused(body));
+        assert!(refused, "{format}: a hostile body decoded");
+        assert!(largest <= 16 * len, "{format}: {largest} bytes reserved for a {len}-byte body");
+    };
+    refuses("DictCodec", &dict, 6, &|b| DictCodec::from_bytes(b).is_none());
+    refuses("RunEndCodec", &run_end, 13, &|b| RunEndCodec::from_bytes(b).is_none());
+    refuses("PRE2", &pre2, 13, &|b| Preprocessor::from_bytes(b).is_none());
+    refuses("PWH1", &pwh1, 39, &|b| PairwiseHist::from_bytes(b, pre.clone()).is_none());
 }
 
 /// The same bound on the ingest log: a checksum-valid record of a batch with
@@ -243,4 +284,376 @@ fn replaying_a_log_reserves_only_what_its_records_back() {
         "{quarantined:?}"
     );
     assert!(largest < 4 << 20, "{largest} bytes reserved opening a 300-row table");
+}
+
+// --- Generated allocation property -------------------------------------------
+//
+// Every durable decoder, fed any input of length L, makes no single allocation
+// larger than `64·L + 64 KiB`. Inputs are random bytes, random bytes after a
+// valid header, and valid blobs with bytes flipped, set, cut off, or with a
+// large length spliced in at any offset (as a uvarint or a 2-, 4- or 8-byte
+// little-endian field). Those splices are swept over every offset of every
+// valid blob, so each length field of each format is tried with each size.
+//
+// One allocation is exempt: a sparse pair's count matrix is dense in memory,
+// `ki·kj` cells sized from edges already decoded rather than from a length
+// field, so a synopsis that decodes may hold `4·ki·kj` bytes its body does not.
+
+/// The largest single allocation decoding `len` bytes may make.
+fn backed_by(len: usize) -> usize {
+    64 * len + (64 << 10)
+}
+
+/// Decodes a body; returns the bytes of the largest exempt allocation its
+/// result holds.
+type Decode = Box<dyn Fn(&[u8]) -> usize>;
+
+/// A public decoder and a valid body of its format.
+struct Target {
+    name: &'static str,
+    valid: Vec<u8>,
+    decode: Decode,
+}
+
+/// Decodes `input` with `target` and holds the largest allocation to the bound.
+fn check(target: &Target, input: &[u8], how: &dyn Fn() -> String) {
+    let (exempt, largest) = largest_allocation_of(|| (target.decode)(input));
+    let bound = backed_by(input.len()).max(exempt);
+    assert!(
+        largest <= bound,
+        "{}: {} allocated one block of {largest} bytes decoding {} bytes (bound {bound})",
+        target.name,
+        how(),
+        input.len()
+    );
+}
+
+/// One edit of a body.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    Flip(usize, u8),
+    Set(usize, u8),
+    Cut(usize),
+    /// A uvarint replacing the one at the offset.
+    Uvarint(usize, u64),
+    /// A little-endian field of the given width replacing the bytes there.
+    Le(usize, usize, u64),
+}
+
+fn apply(body: &[u8], edit: Edit) -> Option<Vec<u8>> {
+    let mut out = body.to_vec();
+    match edit {
+        Edit::Flip(at, mask) => *out.get_mut(at)? ^= mask,
+        Edit::Set(at, byte) => *out.get_mut(at)? = byte,
+        Edit::Cut(at) => out.truncate(at),
+        Edit::Uvarint(at, v) => {
+            let old = body.get(at..)?.iter().take(10).position(|b| b & 0x80 == 0)? + 1;
+            out.splice(at..at + old, uvarints(&[v]));
+        }
+        Edit::Le(at, width, v) => {
+            out.get_mut(at..at + width)?.copy_from_slice(&v.to_le_bytes()[..width]);
+        }
+    }
+    Some(out)
+}
+
+/// The large lengths spliced in at every offset.
+const CLAIMS: [u64; 4] = [0xFFFF, 1 << 20, 1 << 24, 1 << 28];
+
+/// Every splice of a claim at `at`.
+fn splices(at: usize) -> impl Iterator<Item = Edit> {
+    CLAIMS.into_iter().flat_map(move |v| {
+        [Edit::Uvarint(at, v), Edit::Le(at, 2, v), Edit::Le(at, 4, v), Edit::Le(at, 8, v)]
+    })
+}
+
+/// A random edit of a `len`-byte body, from three random words.
+fn random_edit(len: usize, [a, b, c]: [u64; 3]) -> Edit {
+    let at = (a % len.max(1) as u64) as usize;
+    let claim = 1u64 << (b % 40);
+    match c % 6 {
+        0 => Edit::Flip(at, (b as u8).max(1)),
+        1 => Edit::Set(at, b as u8),
+        2 => Edit::Cut(at),
+        3 => Edit::Uvarint(at, claim),
+        _ => Edit::Le(at, [2, 4, 8][(b % 3) as usize], claim),
+    }
+}
+
+/// Two integer columns with few distinct values: a synopsis of a few hundred
+/// bytes with one pair.
+fn two_columns() -> Dataset {
+    let x: Vec<Option<i64>> = (0..400).map(|i| Some((i * 7919) % 50)).collect();
+    let y: Vec<Option<i64>> = x.iter().map(|v| v.map(|v| 2 * v + v % 7)).collect();
+    Dataset::builder("p")
+        .column(Column::from_ints("x", x))
+        .unwrap()
+        .column(Column::from_ints("y", y))
+        .unwrap()
+        .build()
+}
+
+/// `slice`'s columns plus URL-like strings, whose dictionary FSST compresses.
+fn with_urls() -> Dataset {
+    let urls: Vec<String> =
+        (0..60).map(|i| format!("https://example.com/a/b/{}", i % 40)).collect();
+    let mut b = Dataset::builder("t");
+    for col in slice(0, 60).columns() {
+        b = b.column(col.clone()).unwrap();
+    }
+    b.column(Column::from_strings("u", urls.iter().map(|s| Some(s.as_str())).collect()))
+        .unwrap()
+        .build()
+}
+
+fn targets() -> Vec<Target> {
+    use pairwisehist::encoding::{read_qlog_body, write_qlog_record, QlogRecord};
+    use pairwisehist::gd::{BitPackCodec, ColumnCodec, ColumnarStore, DeltaCodec, SymbolTable};
+
+    let ph = PairwiseHist::build(&two_columns(), &PairwiseHistConfig::default());
+    let pre = ph.preprocessor().clone();
+    let urls = with_urls();
+    let fitted = Preprocessor::fit(&urls);
+    let column: Vec<u64> = (0..600u64).map(|i| 1_000 + i * 3 + i % 4).collect();
+    let constant = vec![0u64; 700];
+    // A constant column of 2^28 rows: one run, a width-0 value plane.
+    let tall =
+        [&uvarints(&[1 << 28, 1, 0])[..], &[0, 29], &((1u32 << 28) << 3).to_be_bytes()].concat();
+    assert!(RunEndCodec::from_bytes(&tall).is_some_and(|c| c.n_rows() == 1 << 28));
+    let codecs = [
+        ColumnCodec::BitPack(BitPackCodec::encode(&column)),
+        ColumnCodec::Delta(DeltaCodec::encode(&column)),
+        ColumnCodec::Dict(DictCodec::encode(&constant[..9].iter().map(|_| 7).collect::<Vec<_>>())),
+        ColumnCodec::Dict(DictCodec::encode(&column.iter().map(|v| v % 5).collect::<Vec<_>>())),
+        ColumnCodec::RunEnd(RunEndCodec::encode(
+            &column.iter().map(|v| v / 100).collect::<Vec<_>>(),
+        )),
+        ColumnCodec::RunEnd(RunEndCodec::encode(&constant)),
+    ];
+    let mut qlog = Vec::new();
+    let mut prev = 0;
+    for (i, sql) in
+        ["SELECT COUNT(x) FROM t;", "", "SELECT AVG(y) FROM t WHERE x > 3;"].iter().enumerate()
+    {
+        let rec = QlogRecord {
+            ts_micros: 1_000 + i as u64,
+            status: 200,
+            latency_micros: 9,
+            sql: sql.to_string(),
+        };
+        prev = write_qlog_record(&mut qlog, prev, &rec);
+    }
+
+    let mut targets = vec![
+        Target {
+            name: "PWH1 synopsis",
+            valid: ph.to_bytes(),
+            decode: Box::new(move |b| {
+                let Some(ph) = PairwiseHist::from_bytes(b, pre.clone()) else { return 0 };
+                let d = ph.n_columns();
+                let cells = (0..d).flat_map(|j| (0..j).map(move |i| (i, j)));
+                cells.map(|(i, j)| 4 * ph.pair(i, j).counts.len()).max().unwrap_or(0)
+            }),
+        },
+        Target {
+            name: "PRE2 preprocessor",
+            valid: fitted.to_bytes(),
+            decode: Box::new(|b| Preprocessor::from_bytes(b).map_or(0, |_| 0)),
+        },
+        Target {
+            name: "columnar store",
+            valid: ColumnarStore::encode(&fitted.encode(&urls)).to_bytes(),
+            decode: Box::new(|b| ColumnarStore::from_bytes(b).map_or(0, |_| 0)),
+        },
+        Target {
+            name: "FSST symbol table",
+            valid: SymbolTable::build(urls.columns()[4].dictionary().unwrap()).to_bytes(),
+            decode: Box::new(|b| SymbolTable::from_bytes(b).map_or(0, |_| 0)),
+        },
+        Target {
+            name: "PHQL1 body",
+            valid: qlog,
+            decode: Box::new(|b| read_qlog_body(b).map_or(0, |_| 0)),
+        },
+        Target {
+            name: "run-end codec (2^28 rows)",
+            valid: tall,
+            decode: Box::new(|b| ColumnCodec::from_tag_bytes(3, b).map_or(0, |_| 0)),
+        },
+    ];
+    for codec in codecs {
+        let tag = codec.tag();
+        targets.push(Target {
+            name: codec.name(),
+            valid: codec.to_bytes(),
+            decode: Box::new(move |b| ColumnCodec::from_tag_bytes(tag, b).map_or(0, |_| 0)),
+        });
+    }
+    targets
+}
+
+/// Every claim at every offset of every valid blob.
+#[test]
+fn spliced_lengths_reserve_only_what_their_bodies_back() {
+    for target in targets() {
+        assert_ne!((target.decode)(&target.valid), usize::MAX, "{}", target.name);
+        check(&target, &target.valid, &|| "the valid blob".into());
+        for at in 0..target.valid.len() {
+            for edit in splices(at) {
+                if let Some(input) = apply(&target.valid, edit) {
+                    check(&target, &input, &|| format!("{edit:?}"));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes, random bytes after a valid header, and valid blobs with a
+    /// few random edits.
+    #[test]
+    fn random_and_edited_bodies_reserve_only_what_they_back(
+        pick in any::<u64>(),
+        mode in 0u8..3,
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        edits in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        thread_local! {
+            static TARGETS: Vec<Target> = targets();
+        }
+        TARGETS.with(|targets| {
+            let target = &targets[(pick % targets.len() as u64) as usize];
+            let input = match mode {
+                0 => noise.clone(),
+                1 => {
+                    let head = (pick as usize >> 8) % (target.valid.len() + 1);
+                    [&target.valid[..head], &noise[..]].concat()
+                }
+                _ => edits.iter().fold(target.valid.clone(), |body, &(a, b, c)| {
+                    apply(&body, random_edit(body.len(), [a, b, c])).unwrap_or(body)
+                }),
+            };
+            check(target, &input, &|| format!("mode {mode}, edits {edits:?}"));
+        });
+    }
+}
+
+/// A catalog in its WAL home: table `t` sealed from `base`, then `batch`
+/// journaled into its log without sealing. Built once per template.
+fn catalog(tag: &str, base: Dataset, batch: Dataset) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ph_alloc_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::new();
+    session.set_max_staleness(f64::INFINITY);
+    session.set_seal_threshold(1 << 20);
+    session.enable_wal(&dir).unwrap();
+    session.register(base).unwrap();
+    session.ingest("t", &batch).unwrap();
+    dir
+}
+
+/// The file of `dir` with extension `ext`.
+fn file_of(dir: &Path, ext: &str) -> PathBuf {
+    let mut files = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    files.find(|p| p.extension().is_some_and(|e| e == ext)).unwrap()
+}
+
+/// `bytes` of a catalog file with `edit` applied to what its checksum covers,
+/// and the checksum recomputed: the body before a manifest's or a blob's CRC
+/// trailer, or the payload of a log's one record, reframed.
+fn reframed(path: &Path, bytes: &[u8], edit: Edit) -> Option<Vec<u8>> {
+    use pairwisehist::encoding::crc32;
+    if path.extension().is_some_and(|e| e == "phwal") {
+        let (magic, record) = bytes.split_at(5);
+        let header = record.iter().position(|b| b & 0x80 == 0)? + 1 + 4;
+        let payload = apply(&record[header..], edit)?;
+        let mut out = [magic, &uvarints(&[payload.len() as u64])].concat();
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        Some(out)
+    } else {
+        let mut body = apply(&bytes[..bytes.len() - 4], edit)?;
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        Some(body)
+    }
+}
+
+/// Opens a copy of `template` whose `ext` file has `edit` applied (reframed),
+/// and holds the open's largest allocation to the bound on the directory's
+/// bytes. `None` when the edit does not apply to the file.
+fn open_edited(template: &Path, ext: &str, edit: Option<Edit>) -> Option<()> {
+    let dir = template.with_extension("case");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut total = 0;
+    for entry in std::fs::read_dir(template).unwrap() {
+        let path = entry.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        if let (Some(edit), true) = (edit, path.extension().is_some_and(|e| e == ext)) {
+            bytes = reframed(&path, &bytes, edit)?;
+        }
+        total += bytes.len();
+        std::fs::write(dir.join(path.file_name().unwrap()), &bytes).unwrap();
+    }
+    let (_, largest) = largest_allocation_of(|| Session::open_dir(&dir).unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
+    let bound = backed_by(total);
+    assert!(
+        largest <= bound,
+        "open_dir with {edit:?} in the .{ext} file: one block of {largest} bytes for a \
+         {total}-byte catalog (bound {bound})"
+    );
+    Some(())
+}
+
+/// The same bound through `Session::open_dir`, whose manifest, segment blobs
+/// and log each pass their checksum once edited: every claim at every offset
+/// of a two-row log record, cuts every 256 bytes into a 32 768-row record
+/// (whose int column is then backed by its validity bytes alone), and random
+/// edits of each file of the small catalog.
+#[test]
+fn opening_an_edited_catalog_reserves_only_what_its_bytes_back() {
+    let small = catalog("small", slice(0, 300), slice(1, 2));
+    let one_int = |n: usize| {
+        let x = (0..n).map(|i| Some((i % 1_000) as i64)).collect();
+        Dataset::builder("t").column(Column::from_ints("x", x)).unwrap().build()
+    };
+    let wide = catalog("wide", one_int(300), one_int(32_768));
+    for template in [&small, &wide] {
+        for ext in ["pwhs", "phseg", "phwal"] {
+            open_edited(template, ext, None).unwrap();
+        }
+    }
+
+    let log = std::fs::read(file_of(&small, "phwal")).unwrap();
+    for at in 0..log.len() {
+        for claim in CLAIMS {
+            open_edited(&small, "phwal", Some(Edit::Uvarint(at, claim)));
+        }
+    }
+    let log = std::fs::read(file_of(&wide, "phwal")).unwrap();
+    for at in (0..log.len()).step_by(256) {
+        open_edited(&wide, "phwal", Some(Edit::Cut(at)));
+    }
+
+    // splitmix64: a seeded stream of edits.
+    let mut state = 0xA110_CA7E_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for ext in ["pwhs", "phseg", "phwal"] {
+        let len = std::fs::read(file_of(&small, ext)).unwrap().len();
+        for _ in 0..16 {
+            let words = [next(), next(), next()];
+            open_edited(&small, ext, Some(random_edit(len, words)));
+        }
+    }
+    std::fs::remove_dir_all(&small).unwrap();
+    std::fs::remove_dir_all(&wide).unwrap();
 }
