@@ -48,10 +48,7 @@ impl KdeConfig {
     /// Default parameters with an explicit template list.
     pub fn for_templates(templates: &[(&str, &str)]) -> Self {
         Self {
-            templates: templates
-                .iter()
-                .map(|&(a, p)| (a.to_string(), p.to_string()))
-                .collect(),
+            templates: templates.iter().map(|&(a, p)| (a.to_string(), p.to_string())).collect(),
             ..Default::default()
         }
     }
@@ -92,12 +89,8 @@ impl KdeAqp {
     pub fn build(data: &Dataset, cfg: &KdeConfig) -> Self {
         let sample = data.sample(cfg.sample_n, cfg.seed);
         let templates: Vec<(String, String)> = if cfg.templates.is_empty() {
-            let numeric: Vec<&str> = data
-                .columns()
-                .iter()
-                .filter(|c| c.ty().is_numeric())
-                .map(|c| c.name())
-                .collect();
+            let numeric: Vec<&str> =
+                data.columns().iter().filter(|c| c.ty().is_numeric()).map(|c| c.name()).collect();
             numeric
                 .iter()
                 .flat_map(|&a| numeric.iter().map(move |&p| (a.to_string(), p.to_string())))
@@ -112,8 +105,7 @@ impl KdeAqp {
             else {
                 continue;
             };
-            if !sample.column(agg).ty().is_numeric() || !sample.column(pred).ty().is_numeric()
-            {
+            if !sample.column(agg).ty().is_numeric() || !sample.column(pred).ty().is_numeric() {
                 continue;
             }
             if models.contains_key(&(agg, pred)) {
@@ -212,16 +204,15 @@ fn train(sample: &Dataset, agg: usize, pred: usize, cfg: &KdeConfig) -> Option<T
     }
     let n = xs.len() as f64;
     let valid_frac = n / sample.n_rows() as f64;
-    let (lo, hi) = xs
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| (a.min(v), b.max(v)));
+    let (lo, hi) =
+        xs.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| (a.min(v), b.max(v)));
     let hi = hi.max(lo + 1e-9);
 
     // Silverman bandwidth.
     let mean = xs.iter().sum::<f64>() / n;
-    let sd = (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt().max(
-        (hi - lo) / 1000.0,
-    );
+    let sd = (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n)
+        .sqrt()
+        .max((hi - lo) / 1000.0);
     let h = 1.06 * sd * n.powf(-0.2);
 
     // Gaussian KDE evaluated at grid cell centres (the deliberate O(n·grid) training
@@ -261,9 +252,8 @@ fn train(sample: &Dataset, agg: usize, pred: usize, cfg: &KdeConfig) -> Option<T
     }
     let global_mean = ys.iter().sum::<f64>() / n;
     let global_meansq = ys.iter().map(|y| y * y).sum::<f64>() / n;
-    let reg_mean: Vec<f64> = (0..rb)
-        .map(|b| if counts[b] > 0.0 { sums[b] / counts[b] } else { global_mean })
-        .collect();
+    let reg_mean: Vec<f64> =
+        (0..rb).map(|b| if counts[b] > 0.0 { sums[b] / counts[b] } else { global_mean }).collect();
     let reg_meansq: Vec<f64> = (0..rb)
         .map(|b| if counts[b] > 0.0 { sumsq[b] / counts[b] } else { global_meansq })
         .collect();

@@ -164,16 +164,16 @@ impl AqpBaseline for SamplingAqp {
                 if matched.is_empty() {
                     return Err(Unsupported::Shape("empty selection".into()));
                 }
-                let est = matched
-                    .iter()
-                    .copied()
-                    .fold(if query.agg == AggFunc::Min { f64::INFINITY } else { f64::NEG_INFINITY }, |a, b| {
+                let est = matched.iter().copied().fold(
+                    if query.agg == AggFunc::Min { f64::INFINITY } else { f64::NEG_INFINITY },
+                    |a, b| {
                         if query.agg == AggFunc::Min {
                             a.min(b)
                         } else {
                             a.max(b)
                         }
-                    });
+                    },
+                );
                 Estimate::unbounded(est)
             }
             AggFunc::Median => {
@@ -214,10 +214,7 @@ mod tests {
     fn data(n: usize) -> Dataset {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         Dataset::builder("t")
-            .column(Column::from_ints(
-                "x",
-                (0..n).map(|_| Some(rng.gen_range(0..1000))).collect(),
-            ))
+            .column(Column::from_ints("x", (0..n).map(|_| Some(rng.gen_range(0..1000))).collect()))
             .unwrap()
             .build()
     }

@@ -130,26 +130,21 @@ impl SpnAqp {
                     .collect()
             })
             .collect();
-        let categorical: Vec<bool> = (0..d)
-            .map(|c| sample.column(c).ty() == ColumnType::Categorical)
-            .collect();
-        let n_codes: Vec<usize> = (0..d)
-            .map(|c| sample.column(c).dictionary().map_or(0, |d| d.len()))
-            .collect();
+        let categorical: Vec<bool> =
+            (0..d).map(|c| sample.column(c).ty() == ColumnType::Categorical).collect();
+        let n_codes: Vec<usize> =
+            (0..d).map(|c| sample.column(c).dictionary().map_or(0, |d| d.len())).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD);
         let rows: Vec<u32> = (0..sample.n_rows() as u32).collect();
         let cols: Vec<usize> = (0..d).collect();
-        let learner = Learner { matrix: &matrix, categorical: &categorical, n_codes: &n_codes, cfg };
+        let learner =
+            Learner { matrix: &matrix, categorical: &categorical, n_codes: &n_codes, cfg };
         let root = learner.learn(&cols, &rows, 0, &mut rng);
         Self {
             root,
             names: sample.columns().iter().map(|c| c.name().to_string()).collect(),
             types: sample.columns().iter().map(|c| c.ty()).collect(),
-            dicts: sample
-                .columns()
-                .iter()
-                .map(|c| c.dictionary().map(|d| d.to_vec()))
-                .collect(),
+            dicts: sample.columns().iter().map(|c| c.dictionary().map(|d| d.to_vec())).collect(),
             n_total: data.n_rows(),
             n_sample: sample.n_rows(),
             z: normal_quantile(0.99),
@@ -186,10 +181,7 @@ impl SpnAqp {
             .position(|n| n == &query.column)
             .ok_or_else(|| Unsupported::Invalid(format!("unknown column {}", query.column)))?;
         if self.types[agg_col] == ColumnType::Categorical && query.agg != AggFunc::Count {
-            return Err(Unsupported::Invalid(format!(
-                "{} on categorical column",
-                query.agg
-            )));
+            return Err(Unsupported::Invalid(format!("{} on categorical column", query.agg)));
         }
         let mut cons = vec![Constraint::unconstrained(); self.names.len()];
         if let Some(p) = &query.predicate {
@@ -204,11 +196,7 @@ impl SpnAqp {
     }
 
     /// Extracts per-column conjunctive constraints; errors on OR (like DeepDB).
-    fn constraints(
-        &self,
-        pred: &Predicate,
-        out: &mut Vec<Constraint>,
-    ) -> Result<(), Unsupported> {
+    fn constraints(&self, pred: &Predicate, out: &mut Vec<Constraint>) -> Result<(), Unsupported> {
         match pred {
             Predicate::Or(_) => Err(Unsupported::OrPredicate),
             Predicate::And(children) => {
@@ -218,11 +206,10 @@ impl SpnAqp {
                 Ok(())
             }
             Predicate::Cond(c) => {
-                let col = self
-                    .names
-                    .iter()
-                    .position(|n| n == &c.column)
-                    .ok_or_else(|| Unsupported::Invalid(format!("unknown column {}", c.column)))?;
+                let col =
+                    self.names.iter().position(|n| n == &c.column).ok_or_else(|| {
+                        Unsupported::Invalid(format!("unknown column {}", c.column))
+                    })?;
                 let cons = &mut out[col];
                 if self.types[col] == ColumnType::Categorical {
                     let dict = self.dicts[col].as_ref().expect("categorical dictionary");
@@ -482,11 +469,8 @@ impl Learner<'_> {
 
     fn leaf(&self, col: usize, rows: &[u32]) -> Leaf {
         let data = &self.matrix[col];
-        let vals: Vec<f64> = rows
-            .iter()
-            .map(|&r| data[r as usize])
-            .filter(|v| !v.is_nan())
-            .collect();
+        let vals: Vec<f64> =
+            rows.iter().map(|&r| data[r as usize]).filter(|v| !v.is_nan()).collect();
         let null_frac = 1.0 - vals.len() as f64 / rows.len().max(1) as f64;
         if self.categorical[col] {
             let k = self.n_codes[col].max(1);
@@ -502,9 +486,8 @@ impl Learner<'_> {
             }
             return Leaf { col, null_frac, probs, lo: 0.0, hi: k as f64, categorical: true };
         }
-        let (lo, hi) = vals
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| (a.min(v), b.max(v)));
+        let (lo, hi) =
+            vals.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| (a.min(v), b.max(v)));
         let (lo, hi) = if vals.is_empty() { (0.0, 1.0) } else { (lo, hi.max(lo + 1e-9)) };
         let k = self.cfg.leaf_bins;
         let mut probs = vec![0.0; k];
@@ -671,10 +654,8 @@ impl Learner<'_> {
                 c1[ci] = sum1[ci] / n1;
             }
         }
-        let a: Vec<u32> =
-            rows.iter().zip(&assign).filter(|(_, &s)| !s).map(|(&r, _)| r).collect();
-        let b: Vec<u32> =
-            rows.iter().zip(&assign).filter(|(_, &s)| s).map(|(&r, _)| r).collect();
+        let a: Vec<u32> = rows.iter().zip(&assign).filter(|(_, &s)| !s).map(|(&r, _)| r).collect();
+        let b: Vec<u32> = rows.iter().zip(&assign).filter(|(_, &s)| s).map(|(&r, _)| r).collect();
         // Reject tiny degenerate splits.
         if a.len() < self.cfg.min_instances / 10 || b.len() < self.cfg.min_instances / 10 {
             return None;

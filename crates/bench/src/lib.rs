@@ -107,13 +107,9 @@ pub fn run_pairwisehist(ph: &PairwiseHist, queries: &[Query]) -> Vec<QueryOutcom
                         latency,
                         supported: true,
                     },
-                    None => {
-                        QueryOutcome { estimate: None, bounds: None, latency, supported: true }
-                    }
+                    None => QueryOutcome { estimate: None, bounds: None, latency, supported: true },
                 },
-                Err(_) => {
-                    QueryOutcome { estimate: None, bounds: None, latency, supported: false }
-                }
+                Err(_) => QueryOutcome { estimate: None, bounds: None, latency, supported: false },
             }
         })
         .collect()
@@ -134,9 +130,7 @@ pub fn run_baseline<B: AqpBaseline + ?Sized>(engine: &B, queries: &[Query]) -> V
                     latency,
                     supported: true,
                 },
-                Err(_) => {
-                    QueryOutcome { estimate: None, bounds: None, latency, supported: false }
-                }
+                Err(_) => QueryOutcome { estimate: None, bounds: None, latency, supported: false },
             }
         })
         .collect()
@@ -161,8 +155,7 @@ pub fn error_stats(outcomes: &[QueryOutcome], truths: &[Option<f64>]) -> ErrorSt
         .filter(|(o, _)| o.supported)
         .filter_map(|(o, t)| relative_error(o.estimate, *t))
         .collect();
-    let latencies: Vec<f64> =
-        outcomes.iter().filter(|o| o.supported).map(|o| o.latency).collect();
+    let latencies: Vec<f64> = outcomes.iter().filter(|o| o.supported).map(|o| o.latency).collect();
     ErrorStats {
         median_error: median(&errors).unwrap_or(f64::NAN),
         supported: outcomes.iter().filter(|o| o.supported).count(),
@@ -226,8 +219,7 @@ pub fn kde_templates(queries: &[Query]) -> Vec<(String, String)> {
 /// to `target_rows` with the IDEBench-style generator. A target below
 /// `seed_rows` is the analogue generated at the target size.
 pub fn scaled_dataset(name: &str, seed_rows: usize, target_rows: usize, seed: u64) -> Dataset {
-    let base =
-        ph_datagen::generate(name, seed_rows.min(target_rows), seed).expect("known dataset");
+    let base = ph_datagen::generate(name, seed_rows.min(target_rows), seed).expect("known dataset");
     if target_rows <= seed_rows {
         return base;
     }

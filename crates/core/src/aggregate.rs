@@ -128,8 +128,7 @@ fn avg(w: &Weights, bins: &DimBins) -> Estimate {
     let weighted_mean = |wv: &[f64], total: f64, c: &[f64]| -> Option<f64> {
         (total > W_EPS).then(|| wv.iter().zip(c).map(|(x, y)| x * y).sum::<f64>() / total)
     };
-    let value =
-        weighted_mean(&w.w, w.total(), &bins.mid).expect("caller checked non-empty");
+    let value = weighted_mean(&w.w, w.total(), &bins.mid).expect("caller checked non-empty");
     let mut lo = value;
     let mut hi = value;
     for (wv, total) in [(&w.lo, w.total_lo()), (&w.hi, w.total_hi())] {
@@ -167,23 +166,18 @@ fn min_max(
 
     // Estimate (Eq 30 / Eq 33 with the u = 2 special case).
     let t_est = first(&w.w, W_EPS)?;
-    let value = if single_col
-        && bins.uniq[t_est] == 2
-        && w.w[t_est] < bins.counts[t_est] as f64 / 2.0
-    {
-        far(t_est) as f64
-    } else {
-        near(t_est) as f64
-    };
+    let value =
+        if single_col && bins.uniq[t_est] == 2 && w.w[t_est] < bins.counts[t_est] as f64 / 2.0 {
+            far(t_est) as f64
+        } else {
+            near(t_est) as f64
+        };
 
     // Outer bound (MIN's lower / MAX's upper): first bin that *could* hold weight
     // (Eq 31), with Table 3's u = 2 low-weight refinement.
     let outer = match first(&w.hi, W_EPS) {
         Some(t) => {
-            if single_col
-                && bins.uniq[t] == 2
-                && w.hi[t] < bins.counts[t] as f64 / 5.0
-            {
+            if single_col && bins.uniq[t] == 2 && w.hi[t] < bins.counts[t] as f64 / 5.0 {
                 far(t) as f64
             } else {
                 near(t) as f64
@@ -286,8 +280,7 @@ fn var(w: &Weights, bins: &DimBins) -> Estimate {
         Some((m2 - m1 * m1).max(0.0))
     }
     let value = moments(&w.w, w.total(), |t| bins.mid[t]).expect("caller checked non-empty");
-    let avg_est =
-        w.w.iter().zip(&bins.mid).map(|(a, b)| a * b).sum::<f64>() / w.total();
+    let avg_est = w.w.iter().zip(&bins.mid).map(|(a, b)| a * b).sum::<f64>() / w.total();
     // ξ⁻: each bin's points as close to the mean as possible; ξ⁺: as far as possible.
     let xi_lo = |t: usize| {
         let (vlo, vhi) = (bins.vmin[t] as f64, bins.vmax[t] as f64);
@@ -421,15 +414,8 @@ mod tests {
     fn u2_special_case_for_min() {
         let mut chi2 = Chi2Cache::new(0.001);
         // Single bin with only two unique values 0 and 9; low coverage weight.
-        let b = DimBins::finalize(
-            vec![-0.5, 9.5],
-            vec![0],
-            vec![9],
-            vec![2],
-            vec![100],
-            50,
-            &mut chi2,
-        );
+        let b =
+            DimBins::finalize(vec![-0.5, 9.5], vec![0], vec![9], vec![2], vec![100], 50, &mut chi2);
         let w = Weights::new(vec![10.0], vec![5.0], vec![15.0]);
         // Single-column query, w < h/2: estimate should flip to vmax.
         let e = estimate(AggFunc::Min, &w, &b, 1.0, true, 50).unwrap();

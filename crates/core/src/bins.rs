@@ -62,8 +62,7 @@ impl DimBins {
         let mut c_lo = Vec::with_capacity(k);
         let mut c_hi = Vec::with_capacity(k);
         for t in 0..k {
-            let (m, lo, hi) =
-                centre_bounds(vmin[t], vmax[t], uniq[t], counts[t], m_min, chi2);
+            let (m, lo, hi) = centre_bounds(vmin[t], vmax[t], uniq[t], counts[t], m_min, chi2);
             mid.push(m);
             c_lo.push(lo);
             c_hi.push(hi);
@@ -148,10 +147,7 @@ fn centre_bounds(
         let delta = (hi_v - lo_v) / s;
         let crit = chi2.critical(s as u32 - 1);
         let spread = delta / 6.0 * (3.0 * crit * (s * s - 1.0) / h).sqrt();
-        (
-            lo_v + (s - 1.0) * delta / 2.0 - spread,
-            lo_v + (s + 1.0) * delta / 2.0 + spread,
-        )
+        (lo_v + (s - 1.0) * delta / 2.0 - spread, lo_v + (s + 1.0) * delta / 2.0 + spread)
     };
     // The weighted centre always lies within the value extremes.
     c_lo = c_lo.clamp(lo_v, hi_v);
@@ -215,10 +211,7 @@ mod tests {
         let mut chi2 = Chi2Cache::new(0.001);
         let (_, lo_small, hi_small) = centre_bounds(0, 1000, 100, 2000, 1000, &mut chi2);
         let (_, lo_big, hi_big) = centre_bounds(0, 1000, 100, 200_000, 1000, &mut chi2);
-        assert!(
-            hi_big - lo_big < hi_small - lo_small,
-            "more points must tighten Theorem 1 bounds"
-        );
+        assert!(hi_big - lo_big < hi_small - lo_small, "more points must tighten Theorem 1 bounds");
         // Both centred near the true uniform centre 500.
         assert!((0.5 * (lo_big + hi_big) - 500.0).abs() < 20.0);
     }

@@ -70,8 +70,7 @@ pub(crate) fn usable_alpha(alpha: f64) -> bool {
 impl PairwiseHistConfig {
     /// The effective `M` for a realised sample of `ns_used` rows.
     pub fn m_min(&self, ns_used: usize) -> usize {
-        self.m_absolute
-            .unwrap_or_else(|| ((ns_used as f64 * 0.01).round() as usize).max(2))
+        self.m_absolute.unwrap_or_else(|| ((ns_used as f64 * 0.01).round() as usize).max(2))
     }
 }
 
@@ -222,8 +221,7 @@ impl PairwiseHist {
         let params = BuildParams { n_total, ns, m_min, alpha: cfg.alpha };
 
         // --- 1-d histograms (Algorithm 1 lines 2-12) ---
-        let null_codes: Vec<Option<u64>> =
-            (0..d).map(|c| pre.transform(c).null_code()).collect();
+        let null_codes: Vec<Option<u64>> = (0..d).map(|c| pre.transform(c).null_code()).collect();
         let sorted_cols: Vec<Vec<u64>> = (0..d)
             .map(|c| {
                 let mut v: Vec<u64> = sample.columns[c]
@@ -260,12 +258,10 @@ impl PairwiseHist {
             .collect();
 
         // --- 2-d histograms (lines 13-26), parallel across pairs ---
-        let tasks: Vec<(usize, usize)> =
-            (1..d).flat_map(|j| (0..j).map(move |i| (i, j))).collect();
+        let tasks: Vec<(usize, usize)> = (1..d).flat_map(|j| (0..j).map(move |i| (i, j))).collect();
         let n_pairs = tasks.len();
-        let bin_of: Vec<Vec<u32>> = (0..d)
-            .map(|c| bin_rows(&sample.columns[c], null_codes[c], &hist1d[c]))
-            .collect();
+        let bin_of: Vec<Vec<u32>> =
+            (0..d).map(|c| bin_rows(&sample.columns[c], null_codes[c], &hist1d[c])).collect();
         let column = |c: usize| PairColumn {
             index: c,
             values: &sample.columns[c],
@@ -303,8 +299,7 @@ impl PairwiseHist {
                 }
             });
         }
-        let pairs: Vec<PairHist> =
-            pairs.into_iter().map(|p| p.expect("pair built")).collect();
+        let pairs: Vec<PairHist> = pairs.into_iter().map(|p| p.expect("pair built")).collect();
 
         // Precompute chi-squared criticals up to the largest sub-bin count any bin
         // can request at query time.
@@ -320,8 +315,7 @@ impl PairwiseHist {
             .max()
             .unwrap_or(0) as usize;
         let max_s = terrell_scott(max_u.max(1)).max(2);
-        let crit: Vec<f64> =
-            (1..=max_s).map(|dof| chi2_critical(cfg.alpha, dof as f64)).collect();
+        let crit: Vec<f64> = (1..=max_s).map(|dof| chi2_critical(cfg.alpha, dof as f64)).collect();
 
         Self {
             ns_at_build: params.ns,
@@ -396,8 +390,7 @@ fn downsample_seeds(mut seeds: Vec<u64>, max_seeds: usize) -> Vec<u64> {
         return seeds;
     }
     let step = seeds.len() as f64 / max_seeds as f64;
-    let picked: Vec<u64> =
-        (0..max_seeds).map(|k| seeds[(k as f64 * step) as usize]).collect();
+    let picked: Vec<u64> = (0..max_seeds).map(|k| seeds[(k as f64 * step) as usize]).collect();
     seeds = picked;
     seeds.dedup();
     seeds
@@ -422,9 +415,8 @@ mod tests {
                 }
             })
             .collect();
-        let c: Vec<Option<&str>> = (0..n)
-            .map(|i| Some(if i % 3 == 0 { "a" } else { "b" }))
-            .collect();
+        let c: Vec<Option<&str>> =
+            (0..n).map(|i| Some(if i % 3 == 0 { "a" } else { "b" })).collect();
         Dataset::builder("t")
             .column(Column::from_ints("x", x))
             .unwrap()
@@ -460,10 +452,7 @@ mod tests {
     #[test]
     fn build_produces_all_pairs() {
         let data = dataset(5000, 1);
-        let ph = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: 5000, ..Default::default() },
-        );
+        let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 5000, ..Default::default() });
         assert_eq!(ph.n_columns(), 3);
         assert_eq!(ph.pairs.len(), 3); // C(3,2)
         assert_eq!(ph.pair(0, 1).col_i, 0);
@@ -500,10 +489,7 @@ mod tests {
     #[test]
     fn sampling_ratio_reflected() {
         let data = dataset(10_000, 3);
-        let ph = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: 1000, ..Default::default() },
-        );
+        let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 1000, ..Default::default() });
         assert_eq!(ph.params().ns, 1000);
         assert!((ph.params().rho() - 0.1).abs() < 1e-12);
     }
@@ -511,10 +497,7 @@ mod tests {
     #[test]
     fn counts_match_sample_nonnull() {
         let data = dataset(6000, 4);
-        let ph = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: 6000, ..Default::default() },
-        );
+        let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 6000, ..Default::default() });
         // Column y has ~5% nulls; 1-d counts must equal non-null sample rows.
         let y_nonnull = data.column(1).valid_count() as u64;
         assert_eq!(ph.hist1d(1).counts.iter().sum::<u64>(), y_nonnull);

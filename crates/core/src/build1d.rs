@@ -215,8 +215,7 @@ mod tests {
     #[test]
     fn empty_column_single_empty_bin() {
         let mut chi2 = Chi2Cache::new(0.001);
-        let bins =
-            build_dim_bins_1d(&[], &[-0.5, 0.5], 10, SplitRule::EqualWidth, &mut chi2);
+        let bins = build_dim_bins_1d(&[], &[-0.5, 0.5], 10, SplitRule::EqualWidth, &mut chi2);
         assert_eq!(bins.k(), 1);
         assert_eq!(bins.counts[0], 0);
     }
@@ -234,13 +233,7 @@ mod tests {
         values.extend(std::iter::repeat_n(299, 4000));
         values.sort_unstable();
         let mut chi2 = Chi2Cache::new(0.001);
-        let bins = build_dim_bins_1d(
-            &values,
-            &[-0.5, 299.5],
-            50,
-            SplitRule::EqualDepth,
-            &mut chi2,
-        );
+        let bins = build_dim_bins_1d(&values, &[-0.5, 299.5], 50, SplitRule::EqualDepth, &mut chi2);
         assert_eq!(bins.counts.iter().sum::<u64>(), 8000);
     }
 

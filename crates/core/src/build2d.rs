@@ -268,7 +268,12 @@ pub(crate) fn build_pair(
         for (cell, (&end, &c)) in cursor.iter().zip(&counts0).enumerate() {
             if end != LIGHT {
                 let parents = [(bins_i, cell / kj0), (bins_j, cell % kj0)];
-                refiner.refine_cell(&mut points[(end - c) as usize..end as usize], parents, by, tally);
+                refiner.refine_cell(
+                    &mut points[(end - c) as usize..end as usize],
+                    parents,
+                    by,
+                    tally,
+                );
             }
         }
     }
@@ -484,7 +489,13 @@ impl Refiner<'_> {
             (None, None) => return,
             (Some(_), None) => 0,
             (None, Some(_)) => 1,
-            (Some(a), Some(b)) => if a >= b { 0 } else { 1 },
+            (Some(a), Some(b)) => {
+                if a >= b {
+                    0
+                } else {
+                    1
+                }
+            }
         };
         let Some(view) = views[d].as_ref() else { return };
         let (lo, hi) = bounds[d];
@@ -668,7 +679,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let n = 8000;
         let xi: Vec<u64> = (0..n)
-            .map(|_| if rng.gen_bool(0.5) { rng.gen_range(0..50) } else { rng.gen_range(900..1000) })
+            .map(
+                |_| if rng.gen_bool(0.5) { rng.gen_range(0..50) } else { rng.gen_range(900..1000) },
+            )
             .collect();
         let xj: Vec<u64> = xi.iter().map(|&v| 1000 - v + rng.gen_range(0..20)).collect();
         let pair = setup(xi, xj, 80);
@@ -751,7 +764,15 @@ mod tests {
                     };
                     build_dim_bins_1d(&sorted, &edges, m_min, split_rule, chi2)
                 }
-                _ => DimBins::finalize(vec![-0.5, 0.5], vec![0], vec![0], vec![0], vec![0], m_min, chi2),
+                _ => DimBins::finalize(
+                    vec![-0.5, 0.5],
+                    vec![0],
+                    vec![0],
+                    vec![0],
+                    vec![0],
+                    m_min,
+                    chi2,
+                ),
             };
             let bin_of = bin_rows(&values, Some(NULL), &bins);
             GenColumn { values, sorted, bins, bin_of }
@@ -804,8 +825,15 @@ mod tests {
         let mut dim = |parent: Vec<u32>| {
             let k = parent.len();
             let edges = (0..=k).map(|t| t as f64 - 0.5).collect();
-            let bins =
-                DimBins::finalize(edges, vec![0; k], vec![1; k], vec![1; k], vec![1; k], 10, &mut chi2);
+            let bins = DimBins::finalize(
+                edges,
+                vec![0; k],
+                vec![1; k],
+                vec![1; k],
+                vec![1; k],
+                10,
+                &mut chi2,
+            );
             PairDim { bins, parent }
         };
         PairHist { col_i: 0, col_j: 1, dim_i: dim(parent_i), dim_j: dim(parent_j), counts }
@@ -885,27 +913,13 @@ mod tests {
         let mut chi2 = Chi2Cache::new(0.001);
         let mut mk = |edges: Vec<f64>, c: Vec<u64>| {
             let k = c.len();
-            DimBins::finalize(
-                edges,
-                vec![0; k],
-                vec![1; k],
-                vec![1; k],
-                c,
-                10,
-                &mut chi2,
-            )
+            DimBins::finalize(edges, vec![0; k], vec![1; k], vec![1; k], c, 10, &mut chi2)
         };
         let pair = PairHist {
             col_i: 0,
             col_j: 1,
-            dim_i: PairDim {
-                bins: mk(vec![-0.5, 4.5, 9.5], vec![30, 10]),
-                parent: vec![0, 1],
-            },
-            dim_j: PairDim {
-                bins: mk(vec![-0.5, 4.5, 9.5], vec![25, 15]),
-                parent: vec![0, 1],
-            },
+            dim_i: PairDim { bins: mk(vec![-0.5, 4.5, 9.5], vec![30, 10]), parent: vec![0, 1] },
+            dim_j: PairDim { bins: mk(vec![-0.5, 4.5, 9.5], vec![25, 15]), parent: vec![0, 1] },
             counts: vec![20, 10, 5, 5],
         };
         // Coverage [1, 0] on j: row sums of first column -> i-parents [20, 5].

@@ -220,8 +220,5 @@ fn finalize_dim(
         start = end;
     }
     let parent = crate::storage::parent_map(&edges, &parent_bins.edges);
-    PairDim {
-        bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2),
-        parent,
-    }
+    PairDim { bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2), parent }
 }

@@ -290,16 +290,8 @@ pub fn coverage_bounds(
     let chi = crit(s as usize - 1);
     let a = (beta * s).floor();
     let b = (beta * s).ceil();
-    let lo = if a <= 0.0 {
-        0.0
-    } else {
-        (a / s) - (a / s) * (chi * (s - a) / (hf * a)).sqrt()
-    };
-    let hi = if b >= s {
-        1.0
-    } else {
-        (b / s) + (b / s) * (chi * (s - b) / (hf * b)).sqrt()
-    };
+    let lo = if a <= 0.0 { 0.0 } else { (a / s) - (a / s) * (chi * (s - a) / (hf * a)).sqrt() };
+    let hi = if b >= s { 1.0 } else { (b / s) + (b / s) * (chi * (s - b) / (hf * b)).sqrt() };
     (lo.clamp(0.0, beta), hi.clamp(beta, 1.0))
 }
 
@@ -357,15 +349,13 @@ mod tests {
             RangeSet::interval(0, 630)
         );
         // Equality to a non-representable fraction matches nothing.
-        assert!(RangeSet::from_condition(CmpOp::Eq, EncodedLiteral::Num(0.5), max)
-            .is_empty());
+        assert!(RangeSet::from_condition(CmpOp::Eq, EncodedLiteral::Num(0.5), max).is_empty());
     }
 
     #[test]
     fn out_of_domain_literals() {
         let max = 10;
-        assert!(RangeSet::from_condition(CmpOp::Gt, EncodedLiteral::Num(10.0), max)
-            .is_empty());
+        assert!(RangeSet::from_condition(CmpOp::Gt, EncodedLiteral::Num(10.0), max).is_empty());
         assert_eq!(
             RangeSet::from_condition(CmpOp::Lt, EncodedLiteral::Num(-5.0), max),
             RangeSet::empty()

@@ -181,9 +181,8 @@ impl PairwiseHist {
     /// plan canonicalization — everything except touching the histograms.
     pub(crate) fn plan_query(&self, q: &Query) -> Result<PhPlan, AqpError> {
         let pre = &self.pre;
-        let agg_col = pre
-            .column_index(&q.column)
-            .ok_or_else(|| AqpError::UnknownColumn(q.column.clone()))?;
+        let agg_col =
+            pre.column_index(&q.column).ok_or_else(|| AqpError::UnknownColumn(q.column.clone()))?;
         let numeric = pre.transform(agg_col).is_numeric();
         if !numeric && q.agg != AggFunc::Count {
             return Err(AqpError::BadAggregate(format!(
@@ -197,9 +196,7 @@ impl PairwiseHist {
             None => None,
         };
         let single_col = q.group_by.is_none()
-            && plan
-                .as_ref()
-                .is_none_or(|p| p.columns().iter().all(|&c| c == agg_col));
+            && plan.as_ref().is_none_or(|p| p.columns().iter().all(|&c| c == agg_col));
         let clamp = plan.as_ref().and_then(|p| conjunctive_range(p, agg_col));
 
         let group = match &q.group_by {
@@ -234,8 +231,7 @@ impl PairwiseHist {
             }
             Some((gcol, n_groups)) => {
                 let work = n_groups * self.hist1d(p.agg_col).k();
-                let workers =
-                    if work >= PARALLEL_GROUP_WORK { workers_for(n_groups) } else { 1 };
+                let workers = if work >= PARALLEL_GROUP_WORK { workers_for(n_groups) } else { 1 };
                 AqpAnswer::Groups(self.execute_groups(agg, p, gcol, n_groups, workers, &mut ctx))
             }
         }
@@ -278,11 +274,8 @@ impl PairwiseHist {
             }
             let w = weights_from_probs(self, agg_col, probs);
             // A group with no estimated satisfying rows is not in the answer.
-            let e = if w.total() > W_EPS {
-                self.finish(agg, &w, agg_col, false, clamp)
-            } else {
-                None
-            };
+            let e =
+                if w.total() > W_EPS { self.finish(agg, &w, agg_col, false, clamp) } else { None };
             ctx.recycle(w.into_probs());
             let e = e?;
             let label = self
@@ -340,8 +333,9 @@ impl PairwiseHist {
         let w = compute_weights(self, Some(&plan), anchor);
         let n = self.params().n_total.max(1) as f64;
         let rho = self.params().rho();
-        let count = estimate(AggFunc::Count, &w, self.hist1d(anchor), rho, false, self.params().m_min)
-            .expect("COUNT is always defined");
+        let count =
+            estimate(AggFunc::Count, &w, self.hist1d(anchor), rho, false, self.params().m_min)
+                .expect("COUNT is always defined");
         Ok(Estimate::ordered(
             (count.value / n).clamp(0.0, 1.0),
             (count.lo / n).clamp(0.0, 1.0),
@@ -380,16 +374,12 @@ impl PairwiseHist {
                     (ivs[0].0 as f64, ivs[ivs.len() - 1].1 as f64)
                 };
                 enc = match agg {
-                    AggFunc::Min => Estimate::ordered(
-                        enc.value.max(range_lo),
-                        enc.lo.max(range_lo),
-                        enc.hi,
-                    ),
-                    AggFunc::Max => Estimate::ordered(
-                        enc.value.min(range_hi),
-                        enc.lo,
-                        enc.hi.min(range_hi),
-                    ),
+                    AggFunc::Min => {
+                        Estimate::ordered(enc.value.max(range_lo), enc.lo.max(range_lo), enc.hi)
+                    }
+                    AggFunc::Max => {
+                        Estimate::ordered(enc.value.min(range_hi), enc.lo, enc.hi.min(range_hi))
+                    }
                     AggFunc::Median => Estimate::ordered(
                         enc.value.clamp(range_lo, range_hi),
                         enc.lo.max(range_lo),
@@ -409,8 +399,7 @@ impl PairwiseHist {
             (AggFunc::Count, _) | (_, None) => enc,
             (AggFunc::Sum, Some((a, b))) => {
                 // Σ(a·x + b) = a·Σx + b·n: needs the COUNT estimate for the offset.
-                let (n_for_lo, n_for_hi) =
-                    if b >= 0.0 { (n.lo, n.hi) } else { (n.hi, n.lo) };
+                let (n_for_lo, n_for_hi) = if b >= 0.0 { (n.lo, n.hi) } else { (n.hi, n.lo) };
                 Estimate::ordered(
                     a * enc.value + b * n.value,
                     a * enc.lo + b * n_for_lo,
@@ -432,10 +421,8 @@ impl PairwiseHist {
             (AggFunc::Avg, _) => out.value,
             // VAR is the one aggregate whose merge rule reads the part means
             // (law of total variance), so only it pays the extra dot products.
-            (AggFunc::Var, Some((a, b))) => {
-                estimate(AggFunc::Avg, w, bins, rho, single_col, m_min)
-                    .map_or(0.0, |m| a * m.value + b)
-            }
+            (AggFunc::Var, Some((a, b))) => estimate(AggFunc::Avg, w, bins, rho, single_col, m_min)
+                .map_or(0.0, |m| a * m.value + b),
             // Everything else: untracked (no merge rule consumes it).
             _ => 0.0,
         };
@@ -457,8 +444,7 @@ impl AqpEngine for PairwiseHist {
 
     fn prepare(&self, query: &Query) -> Result<Prepared, PhError> {
         let plan = self.plan_query(query)?;
-        Ok(Prepared::new(ENGINE_NAME, query.clone(), Box::new(plan))
-            .with_token(self.plan_token()))
+        Ok(Prepared::new(ENGINE_NAME, query.clone(), Box::new(plan)).with_token(self.plan_token()))
     }
 
     fn execute(&self, prepared: &Prepared) -> Result<AqpAnswer, PhError> {
@@ -480,10 +466,8 @@ fn conjunctive_range(plan: &PlanNode, col: usize) -> Option<RangeSet> {
             .filter_map(|ch| conjunctive_range(ch, col))
             .reduce(|a, b| a.intersect(&b)),
         PlanNode::Or(children) => {
-            let parts: Vec<RangeSet> = children
-                .iter()
-                .map(|ch| conjunctive_range(ch, col))
-                .collect::<Option<_>>()?;
+            let parts: Vec<RangeSet> =
+                children.iter().map(|ch| conjunctive_range(ch, col)).collect::<Option<_>>()?;
             parts.into_iter().reduce(|a, b| a.union(&b))
         }
     }
@@ -556,10 +540,7 @@ mod tests {
     }
 
     fn build(data: &Dataset) -> PairwiseHist {
-        PairwiseHist::build(
-            data,
-            &PairwiseHistConfig { ns: data.n_rows(), ..Default::default() },
-        )
+        PairwiseHist::build(data, &PairwiseHistConfig { ns: data.n_rows(), ..Default::default() })
     }
 
     fn check(ph: &PairwiseHist, data: &Dataset, sql: &str, tol: f64) {
@@ -583,7 +564,12 @@ mod tests {
         check(&ph, &data, "SELECT COUNT(delay) FROM flights WHERE dist > 1000", 0.02);
         check(&ph, &data, "SELECT SUM(dist) FROM flights WHERE air_time > 100", 0.05);
         check(&ph, &data, "SELECT AVG(dist) FROM flights WHERE air_time > 100", 0.05);
-        check(&ph, &data, "SELECT AVG(air_time) FROM flights WHERE dist >= 500 AND dist < 1500", 0.05);
+        check(
+            &ph,
+            &data,
+            "SELECT AVG(air_time) FROM flights WHERE dist >= 500 AND dist < 1500",
+            0.05,
+        );
     }
 
     #[test]
@@ -659,11 +645,7 @@ mod tests {
                 Some(p) => PlanNode::And(vec![p.clone(), leaf]),
                 None => leaf,
             };
-            let w = crate::weights::reference::compute_weights_naive(
-                ph,
-                Some(&grouped),
-                agg_col,
-            );
+            let w = crate::weights::reference::compute_weights_naive(ph, Some(&grouped), agg_col);
             if w.total() <= W_EPS {
                 continue;
             }
@@ -697,10 +679,7 @@ mod tests {
         ] {
             let q = parse_query(sql).unwrap();
             let agg_col = ph.pre.column_index(&q.column).unwrap();
-            let plan = q
-                .predicate
-                .as_ref()
-                .map(|p| compile_predicate(p, &ph.pre).unwrap());
+            let plan = q.predicate.as_ref().map(|p| compile_predicate(p, &ph.pre).unwrap());
             let factored = ph.execute(&q).unwrap();
             let naive = group_by_naive(&ph, q.agg, plan.as_ref(), agg_col, gcol, n_groups);
             let AqpAnswer::Groups(factored) = factored else { panic!("expected groups") };
@@ -739,7 +718,9 @@ mod tests {
         };
         let bits = |g: &BTreeMap<String, Estimate>| -> Vec<(String, [u64; 5])> {
             g.iter()
-                .map(|(k, e)| (k.clone(), [e.value, e.lo, e.hi, e.support, e.mean].map(f64::to_bits)))
+                .map(|(k, e)| {
+                    (k.clone(), [e.value, e.lo, e.hi, e.support, e.mean].map(f64::to_bits))
+                })
                 .collect()
         };
         let serial = groups(1);
@@ -777,16 +758,12 @@ mod tests {
             let sql = format!("SELECT COUNT(delay) FROM flights WHERE {pred}");
             let q = parse_query(&sql).unwrap();
             let agg_col = ph.pre.column_index("delay").unwrap();
-            let canonical =
-                compile_predicate(q.predicate.as_ref().unwrap(), &ph.pre).unwrap();
-            let raw = crate::plan::compile_predicate_raw(q.predicate.as_ref().unwrap(), &ph.pre)
-                .unwrap();
+            let canonical = compile_predicate(q.predicate.as_ref().unwrap(), &ph.pre).unwrap();
+            let raw =
+                crate::plan::compile_predicate_raw(q.predicate.as_ref().unwrap(), &ph.pre).unwrap();
             let fast = compute_weights(&ph, Some(&canonical), agg_col);
-            let naive_canonical = crate::weights::reference::compute_weights_naive(
-                &ph,
-                Some(&canonical),
-                agg_col,
-            );
+            let naive_canonical =
+                crate::weights::reference::compute_weights_naive(&ph, Some(&canonical), agg_col);
             assert_eq!(
                 fast, naive_canonical,
                 "case {case} ({sql}): optimized kernel must match reference"
@@ -794,11 +771,8 @@ mod tests {
             // Canonicalization itself: same-column merges are exact interval
             // algebra; cross-column structure is preserved. Compare against the
             // raw (uncanonicalized) plan within 1e-12.
-            let naive_raw = crate::weights::reference::compute_weights_naive(
-                &ph,
-                Some(&raw),
-                agg_col,
-            );
+            let naive_raw =
+                crate::weights::reference::compute_weights_naive(&ph, Some(&raw), agg_col);
             let same_col_merge_possible = {
                 // When one AND/OR level sees the same column twice, merging
                 // replaces the independence approximation by exact algebra and
@@ -839,10 +813,8 @@ mod tests {
     fn group_by_matches_exact_groups() {
         let data = flights_like(20_000, 11);
         let ph = build(&data);
-        let q = parse_query(
-            "SELECT COUNT(delay) FROM flights WHERE dist > 500 GROUP BY carrier",
-        )
-        .unwrap();
+        let q = parse_query("SELECT COUNT(delay) FROM flights WHERE dist > 500 GROUP BY carrier")
+            .unwrap();
         let approx = ph.execute(&q).unwrap();
         let truth = evaluate(&q, &data).unwrap();
         let (AqpAnswer::Groups(ag), ExactAnswer::Groups(tg)) = (&approx, &truth) else {
@@ -937,10 +909,8 @@ mod tests {
     #[test]
     fn sampled_synopsis_scales_counts() {
         let data = flights_like(40_000, 17);
-        let ph = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: 8_000, ..Default::default() },
-        );
+        let ph =
+            PairwiseHist::build(&data, &PairwiseHistConfig { ns: 8_000, ..Default::default() });
         let q = parse_query("SELECT COUNT(delay) FROM flights WHERE dist > 1000").unwrap();
         let a = ph.execute(&q).unwrap().scalar().unwrap();
         let t = evaluate(&q, &data).unwrap().scalar().unwrap();

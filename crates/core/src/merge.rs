@@ -204,9 +204,7 @@ fn pooled_variance(parts: &[Estimate]) -> Estimate {
 
 /// MIN / MAX: fold value, lo and hi with the same extreme.
 fn extreme(parts: &[Estimate], pick: fn(f64, f64) -> f64) -> Estimate {
-    let fold = |f: fn(&Estimate) -> f64| {
-        parts.iter().map(f).reduce(pick).expect("non-empty parts")
-    };
+    let fold = |f: fn(&Estimate) -> f64| parts.iter().map(f).reduce(pick).expect("non-empty parts");
     let support: f64 = parts.iter().map(|e| e.support).sum();
     with_moments(
         Estimate::ordered(fold(|e| e.value), fold(|e| e.lo), fold(|e| e.hi)),
@@ -219,9 +217,8 @@ fn extreme(parts: &[Estimate], pick: fn(f64, f64) -> f64) -> Estimate {
 fn weighted_median(parts: &[Estimate]) -> Estimate {
     let s = Supports::of(parts);
     // Ascending by value, ties in part order: the order a stable sort gives.
-    let by_value = |a: &usize, b: &usize| {
-        parts[*a].value.total_cmp(&parts[*b].value).then(a.cmp(b))
-    };
+    let by_value =
+        |a: &usize, b: &usize| parts[*a].value.total_cmp(&parts[*b].value).then(a.cmp(b));
     // Walked by repeated selection rather than sorted into a vector: a table
     // has a handful of segments, and this runs on the allocation-free path.
     let mut acc = 0.0;
@@ -353,10 +350,8 @@ mod tests {
         let mut g2 = BTreeMap::new();
         g2.insert("a".to_string(), est(20.0, 19.0, 21.0, 20.0, 0.0));
         g2.insert("c".to_string(), est(7.0, 7.0, 7.0, 7.0, 0.0));
-        let merged = merge_answers(
-            AggFunc::Count,
-            vec![AqpAnswer::Groups(g1), AqpAnswer::Groups(g2)],
-        );
+        let merged =
+            merge_answers(AggFunc::Count, vec![AqpAnswer::Groups(g1), AqpAnswer::Groups(g2)]);
         let groups = merged.groups().expect("grouped answer");
         assert_eq!(groups["a"].value, 30.0, "shared label sums");
         assert_eq!(groups["b"].value, 5.0, "label in one part passes through");
@@ -366,10 +361,8 @@ mod tests {
     #[test]
     fn empty_and_none_parts_degrade_cleanly() {
         assert_eq!(merge_estimates(AggFunc::Avg, &[]), None);
-        let merged = merge_answers(
-            AggFunc::Avg,
-            vec![AqpAnswer::Scalar(None), AqpAnswer::Scalar(None)],
-        );
+        let merged =
+            merge_answers(AggFunc::Avg, vec![AqpAnswer::Scalar(None), AqpAnswer::Scalar(None)]);
         assert_eq!(merged, AqpAnswer::Scalar(None), "all-empty selections stay NULL");
         let one = est(3.0, 2.0, 4.0, 9.0, 3.0);
         let merged = merge_answers(

@@ -180,10 +180,8 @@ fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
         },
         seed: r.u64()?,
     };
-    let policy = SealPolicy {
-        rows: positive(r.u64()?)?,
-        max_staleness: r.f64().filter(|s| *s >= 0.0)?,
-    };
+    let policy =
+        SealPolicy { rows: positive(r.u64()?)?, max_staleness: r.f64().filter(|s| *s >= 0.0)? };
     let wal_seq = r.u64()?;
     let n_segments = r.u32()?;
     let n_segments = r.count(n_segments.into(), 8)?;
@@ -396,11 +394,8 @@ fn export(
     delta_rows: Option<&Dataset>,
 ) -> Result<(), PhError> {
     let state = cell.snapshot();
-    let mut blobs: Vec<Blob> = state
-        .segments
-        .iter()
-        .map(|s| Blob::New(segment_to_bytes(&s.engine, &s.store)))
-        .collect();
+    let mut blobs: Vec<Blob> =
+        state.segments.iter().map(|s| Blob::New(segment_to_bytes(&s.engine, &s.store))).collect();
     if let (Some(rows), Some(delta)) = (delta_rows, state.delta.as_ref()) {
         let store = ColumnarStore::encode(&state.pre.encode(rows));
         blobs.push(Blob::New(segment_to_bytes(delta, &store)));
@@ -652,7 +647,8 @@ impl Session {
         let mut loaded: Vec<(String, Arc<TableCell>, u64)> = Vec::new();
         {
             let mut map = session.tables.write().unwrap_or_else(PoisonError::into_inner);
-            let mut quarantined = session.quarantined.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut quarantined =
+                session.quarantined.lock().unwrap_or_else(PoisonError::into_inner);
             for path in &paths {
                 if path.extension().and_then(|e| e.to_str()) != Some("pwhs") {
                     continue;
@@ -660,11 +656,8 @@ impl Session {
                 // Until the manifest's checksum clears, the name bytes inside
                 // it cannot be trusted — early failures quarantine under the
                 // file's base name instead.
-                let file_base = path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("<non-utf8>")
-                    .to_string();
+                let file_base =
+                    path.file_stem().and_then(|s| s.to_str()).unwrap_or("<non-utf8>").to_string();
                 let fail = |k: &str, e: PhError| (k.to_string(), e);
                 let corrupt =
                     |detail: String| PhError::Corrupt(format!("{}: {detail}", path.display()));
@@ -714,7 +707,10 @@ impl Session {
                         }
                         let cell = Arc::new(TableCell::new(state));
                         cell.writer.lock().unwrap_or_else(PoisonError::into_inner).durable =
-                            Durable { home: Some((dir.to_path_buf(), blobs)), sealed_seq: watermark };
+                            Durable {
+                                home: Some((dir.to_path_buf(), blobs)),
+                                sealed_seq: watermark,
+                            };
                         cell.durability.committed_seq.store(watermark, Ordering::Relaxed);
                         cell.wal_seq.store(watermark, Ordering::Relaxed);
                         map.insert(name.clone(), cell.clone());
@@ -925,7 +921,11 @@ mod tests {
         assert_eq!(files(&dir), 4, "2 manifests + 2 segment blobs");
         s.drop_table("gone").unwrap();
         assert_eq!(s.save_dir(&dir).unwrap(), 1);
-        assert_eq!(files(&dir), 2, "dropped table's blobs swept, the re-save's superseded ones too");
+        assert_eq!(
+            files(&dir),
+            2,
+            "dropped table's blobs swept, the re-save's superseded ones too"
+        );
         let reopened = Session::open_dir(&dir).unwrap();
         assert_eq!(reopened.tables(), vec!["keep"]);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1087,7 +1087,10 @@ mod tests {
             assert_eq!(after.len() as u64, k + 1, "one blob per sealed segment");
             assert_eq!(logged(), 0, "seal {k}: the sealed batches left the log");
             let stats = s.table_stats("t").unwrap();
-            assert_eq!((stats.checkpoints, stats.checkpoint_failures, stats.wal_records), (k + 1, 0, 0));
+            assert_eq!(
+                (stats.checkpoints, stats.checkpoint_failures, stats.wal_records),
+                (k + 1, 0, 0)
+            );
         }
         let live = s.sql("SELECT AVG(y) FROM t WHERE x > 200").unwrap();
         drop(s);

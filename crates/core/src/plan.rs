@@ -131,26 +131,21 @@ pub(crate) fn compile_predicate_raw(
     match pred {
         Predicate::Cond(c) => compile_condition(c, pre),
         Predicate::And(children) => {
-            let compiled: Vec<PlanNode> = children
-                .iter()
-                .map(|p| compile_predicate_raw(p, pre))
-                .collect::<Result<_, _>>()?;
+            let compiled: Vec<PlanNode> =
+                children.iter().map(|p| compile_predicate_raw(p, pre)).collect::<Result<_, _>>()?;
             Ok(PlanNode::And(compiled))
         }
         Predicate::Or(children) => {
-            let compiled: Vec<PlanNode> = children
-                .iter()
-                .map(|p| compile_predicate_raw(p, pre))
-                .collect::<Result<_, _>>()?;
+            let compiled: Vec<PlanNode> =
+                children.iter().map(|p| compile_predicate_raw(p, pre)).collect::<Result<_, _>>()?;
             Ok(PlanNode::Or(compiled))
         }
     }
 }
 
 fn compile_condition(c: &Condition, pre: &Preprocessor) -> Result<PlanNode, AqpError> {
-    let col = pre
-        .column_index(&c.column)
-        .ok_or_else(|| AqpError::UnknownColumn(c.column.clone()))?;
+    let col =
+        pre.column_index(&c.column).ok_or_else(|| AqpError::UnknownColumn(c.column.clone()))?;
     let tr = pre.transform(col);
     if !tr.is_numeric() && !matches!(c.op, CmpOp::Eq | CmpOp::Ne) {
         return Err(AqpError::InvalidPredicate(format!(
@@ -158,9 +153,8 @@ fn compile_condition(c: &Condition, pre: &Preprocessor) -> Result<PlanNode, AqpE
             c.op, c.column
         )));
     }
-    let lit = pre
-        .encode_literal(col, &c.value)
-        .map_err(|e| AqpError::InvalidPredicate(e.to_string()))?;
+    let lit =
+        pre.encode_literal(col, &c.value).map_err(|e| AqpError::InvalidPredicate(e.to_string()))?;
     // The range bound for numeric columns is the encoded domain's
     // representability cap (2^52, see ph_gd's `MAX_ENC`), *not* the fitted
     // `max_enc`: ingested batches legitimately extend a column past its
@@ -215,11 +209,7 @@ fn rebuild(children: Vec<PlanNode>, intersect: bool) -> PlanNode {
             PlanNode::Leaf { col, ranges, .. } => {
                 match leaves.iter_mut().find(|(c, _)| *c == col) {
                     Some((_, acc)) => {
-                        *acc = if intersect {
-                            acc.intersect(&ranges)
-                        } else {
-                            acc.union(&ranges)
-                        }
+                        *acc = if intersect { acc.intersect(&ranges) } else { acc.union(&ranges) }
                     }
                     None => leaves.push((col, ranges)),
                 }
@@ -417,10 +407,8 @@ mod tests {
 
     #[test]
     fn or_drops_empty_branches() {
-        let p = canonicalize(PlanNode::Or(vec![
-            PlanNode::leaf(0, RangeSet::empty()),
-            leaf(1, 5, 9),
-        ]));
+        let p =
+            canonicalize(PlanNode::Or(vec![PlanNode::leaf(0, RangeSet::empty()), leaf(1, 5, 9)]));
         assert_eq!(p, leaf(1, 5, 9));
         // All branches empty: one empty leaf survives as the predicate's anchor.
         let p = canonicalize(PlanNode::Or(vec![

@@ -43,11 +43,7 @@ pub struct Prepared {
 impl Prepared {
     /// Wraps an engine's plan payload. `engine` must be the preparing engine's
     /// [`AqpEngine::name`].
-    pub fn new(
-        engine: &'static str,
-        query: Query,
-        payload: Box<dyn Any + Send + Sync>,
-    ) -> Self {
+    pub fn new(engine: &'static str, query: Query, payload: Box<dyn Any + Send + Sync>) -> Self {
         let fingerprint = query.fingerprint();
         Self { query, fingerprint, engine, token: 0, session: 0, payload }
     }

@@ -542,7 +542,10 @@ mod tests {
             .unwrap()
             .column(C::from_floats("f", vec![Some(1.25), None, Some(0.5), Some(9.0)], 2))
             .unwrap()
-            .column(C::from_timestamps("ts", vec![Some(1_700_000_000), Some(1_700_000_500), Some(1_700_000_100), None]))
+            .column(C::from_timestamps(
+                "ts",
+                vec![Some(1_700_000_000), Some(1_700_000_500), Some(1_700_000_100), None],
+            ))
             .unwrap()
             .column(C::from_strings("c", vec![Some("x"), Some("y"), Some("x"), None]))
             .unwrap()
@@ -592,7 +595,9 @@ mod tests {
         let x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..800))).collect();
         let y: Vec<Option<f64>> = x
             .iter()
-            .map(|v| (!rng.gen_bool(0.05)).then(|| v.unwrap() as f64 * 0.25 + rng.gen_range(0.0..40.0)))
+            .map(|v| {
+                (!rng.gen_bool(0.05)).then(|| v.unwrap() as f64 * 0.25 + rng.gen_range(0.0..40.0))
+            })
             .collect();
         let c: Vec<Option<&str>> =
             (0..n).map(|_| Some(["a", "b", "c", "d"][rng.gen_range(0..4usize)])).collect();

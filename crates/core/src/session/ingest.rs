@@ -158,9 +158,10 @@ impl Session {
         // real value). The lookup that decides the first is the one the fold
         // encodes through.
         let ranks = pre.resolve(batch);
-        let has_novel_null = batch.columns().iter().enumerate().any(|(col, c)| {
-            c.valid_count() < c.len() && pre.transform(col).null_code().is_none()
-        });
+        let has_novel_null =
+            batch.columns().iter().enumerate().any(|(col, c)| {
+                c.valid_count() < c.len() && pre.transform(col).null_code().is_none()
+            });
         drop(admit);
 
         let (next, outcome) = if ranks.has_novel() || has_novel_null {
@@ -307,11 +308,7 @@ impl Session {
         let after = segments.len();
         cell.swap(cur.successor(cur.epoch, cur.pre.clone(), segments, cur.delta.clone()));
         let _ = self.checkpoint(table, &cell, &mut w);
-        Ok(CompactReport {
-            segments_before: before,
-            segments_after: after,
-            rows_compacted,
-        })
+        Ok(CompactReport { segments_before: before, segments_after: after, rows_compacted })
     }
 }
 
@@ -536,10 +533,8 @@ mod tests {
     #[test]
     fn ingest_schema_mismatch_rejected() {
         let s = session_with("t", 1_000, 12);
-        let bad = Dataset::builder("t")
-            .column(Column::from_ints("x", vec![Some(1)]))
-            .unwrap()
-            .build();
+        let bad =
+            Dataset::builder("t").column(Column::from_ints("x", vec![Some(1)])).unwrap().build();
         assert!(matches!(s.ingest("t", &bad), Err(PhError::Schema(_))));
         // Same names, wrong type: rejected before anything mutates.
         let before = s.engine("t").unwrap().params().clone();

@@ -124,8 +124,8 @@ mod ingest;
 mod query;
 
 pub use ingest::IngestReport;
-pub use query::{BatchSession, CacheStats};
 use query::PlanCache;
+pub use query::{BatchSession, CacheStats};
 
 /// Process-unique session ids for the plan identity check (never 0: 0 means
 /// "unbound" on a [`Prepared`](crate::Prepared)).
@@ -404,9 +404,8 @@ impl Session {
                 u16::MAX
             )));
         }
-        let taken = |name: &str| {
-            Err(PhError::Schema(format!("table '{name}' is already registered")))
-        };
+        let taken =
+            |name: &str| Err(PhError::Schema(format!("table '{name}' is already registered")));
         if self.tables.read().unwrap_or_else(PoisonError::into_inner).contains_key(&name) {
             return taken(&name);
         }
@@ -455,8 +454,17 @@ impl Session {
         if removed.is_none() {
             // Dropping a quarantined table is how an operator discards damaged
             // files for good: the next save_dir sweeps them.
-            if self.quarantined.lock().unwrap_or_else(PoisonError::into_inner).remove(table).is_some() {
-                self.dropped.lock().unwrap_or_else(PoisonError::into_inner).insert(table.to_string());
+            if self
+                .quarantined
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(table)
+                .is_some()
+            {
+                self.dropped
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(table.to_string());
                 return Ok(());
             }
             return Err(PhError::UnknownTable(table.to_string()));
@@ -472,7 +480,8 @@ impl Session {
     /// snapshot stays valid (and answers from its version) even if writers swap
     /// in newer state — or drop the table — afterwards.
     pub fn engine(&self, table: &str) -> Option<TableSnapshot> {
-        let cell = self.tables.read().unwrap_or_else(PoisonError::into_inner).get(table).cloned()?;
+        let cell =
+            self.tables.read().unwrap_or_else(PoisonError::into_inner).get(table).cloned()?;
         Some(TableSnapshot(cell.snapshot()))
     }
 
@@ -480,11 +489,7 @@ impl Session {
     /// segment row stores, and raw un-sealed delta rows (the sum of each table's
     /// [`Session::footprint_report`] total).
     pub fn footprint(&self) -> usize {
-        self.tables()
-            .iter()
-            .filter_map(|t| self.footprint_report(t).ok())
-            .map(|r| r.total)
-            .sum()
+        self.tables().iter().filter_map(|t| self.footprint_report(t).ok()).map(|r| r.total).sum()
     }
 
     /// Per-table storage breakdown: synopsis bytes vs compressed row-store bytes
@@ -512,12 +517,12 @@ impl Session {
     }
 
     fn cell(&self, table: &str) -> Result<Arc<TableCell>, PhError> {
-        self.tables.read().unwrap_or_else(PoisonError::into_inner).get(table).cloned().ok_or_else(|| {
-            match self.quarantined.lock().unwrap_or_else(PoisonError::into_inner).get(table) {
+        self.tables.read().unwrap_or_else(PoisonError::into_inner).get(table).cloned().ok_or_else(
+            || match self.quarantined.lock().unwrap_or_else(PoisonError::into_inner).get(table) {
                 Some(reason) => PhError::Quarantined(format!("'{table}': {reason}")),
                 None => PhError::UnknownTable(table.to_string()),
-            }
-        })
+            },
+        )
     }
 
     /// Serving statistics for one table: plan epoch, segment count, sealed vs
@@ -557,11 +562,7 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             cache: self.cache_stats(),
-            tables: self
-                .tables()
-                .iter()
-                .filter_map(|t| self.table_stats(t).ok())
-                .collect(),
+            tables: self.tables().iter().filter_map(|t| self.table_stats(t).ok()).collect(),
         }
     }
 }
@@ -592,8 +593,7 @@ pub(crate) mod tests {
         // paths need batches the fitted transforms can represent.
         x[0] = Some(0);
         y[0] = Some(0);
-        let c: Vec<Option<&str>> =
-            (0..n).map(|i| Some(["a", "b", "c"][i % 3])).collect();
+        let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][i % 3])).collect();
         Dataset::builder(name)
             .column(Column::from_ints("x", x))
             .unwrap()

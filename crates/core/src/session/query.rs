@@ -112,15 +112,29 @@ impl PlanCache {
     }
 
     fn get_by_text(&self, sql: &str) -> Option<Arc<Prepared>> {
-        self.shard_for_text(sql).read().unwrap_or_else(PoisonError::into_inner).by_text.get(sql).cloned()
+        self.shard_for_text(sql)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .by_text
+            .get(sql)
+            .cloned()
     }
 
     fn has_text(&self, sql: &str) -> bool {
-        self.shard_for_text(sql).read().unwrap_or_else(PoisonError::into_inner).by_text.contains_key(sql)
+        self.shard_for_text(sql)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .by_text
+            .contains_key(sql)
     }
 
     fn get_by_fp(&self, fp: u64) -> Option<Arc<Prepared>> {
-        self.shard_for_fp(fp).read().unwrap_or_else(PoisonError::into_inner).by_fingerprint.get(&fp).cloned()
+        self.shard_for_fp(fp)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .by_fingerprint
+            .get(&fp)
+            .cloned()
     }
 
     /// Records a plan under its fingerprint and the spelling that produced it.
@@ -130,7 +144,10 @@ impl PlanCache {
     fn insert(&self, sql: &str, plan: &Arc<Prepared>) {
         let per_shard = (PLAN_CACHE_CAP / PLAN_CACHE_SHARDS).max(1);
         {
-            let mut shard = self.shard_for_fp(plan.fingerprint()).write().unwrap_or_else(PoisonError::into_inner);
+            let mut shard = self
+                .shard_for_fp(plan.fingerprint())
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             if shard.by_fingerprint.len() >= per_shard {
                 shard.by_fingerprint.clear();
             }
@@ -279,8 +296,7 @@ impl Session {
             let _root = span(Stage::Query);
             self.sql(sql)
         };
-        let spans =
-            ph_obs::trace::take().map(ph_obs::Trace::into_spans).unwrap_or_default();
+        let spans = ph_obs::trace::take().map(ph_obs::Trace::into_spans).unwrap_or_default();
         Ok((result?, spans))
     }
 
@@ -421,11 +437,8 @@ mod tests {
         ] {
             let p = s.prepare(sql).unwrap();
             let via_prepared = s.execute(&p).unwrap();
-            let direct = s
-                .engine("t")
-                .unwrap()
-                .execute(&ph_sql::parse_query(sql).unwrap())
-                .unwrap();
+            let direct =
+                s.engine("t").unwrap().execute(&ph_sql::parse_query(sql).unwrap()).unwrap();
             assert_eq!(via_prepared, direct, "{sql}");
         }
     }
@@ -434,14 +447,8 @@ mod tests {
     fn parse_errors_surface_as_ph_error() {
         let s = session_with("t", 1_000, 7);
         assert!(matches!(s.sql("SELECT COUNT(x FROM t"), Err(PhError::Parse(_))));
-        assert!(matches!(
-            s.sql("SELECT SUM(c) FROM t"),
-            Err(PhError::InvalidQuery(_))
-        ));
-        assert!(matches!(
-            s.sql("SELECT COUNT(zzz) FROM t"),
-            Err(PhError::UnknownColumn(_))
-        ));
+        assert!(matches!(s.sql("SELECT SUM(c) FROM t"), Err(PhError::InvalidQuery(_))));
+        assert!(matches!(s.sql("SELECT COUNT(zzz) FROM t"), Err(PhError::UnknownColumn(_))));
     }
 
     /// Regression (satellite fix): a `Prepared` from a *different session* whose

@@ -18,8 +18,8 @@
 use std::sync::Arc;
 
 use ph_encoding::{
-    bits_for, golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m, BitPlane,
-    BitReader, BitWriter, Bytes,
+    bits_for, golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m, BitPlane, BitReader,
+    BitWriter, Bytes,
 };
 use ph_gd::Preprocessor;
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
@@ -521,11 +521,8 @@ mod tests {
                 }
             })
             .collect();
-        let z: Vec<Option<f64>> =
-            (0..n).map(|_| Some(rng.gen_range(0.0..50.0))).collect();
-        let c: Vec<Option<&str>> = (0..n)
-            .map(|i| Some(["a", "b", "c"][i % 3]))
-            .collect();
+        let z: Vec<Option<f64>> = (0..n).map(|_| Some(rng.gen_range(0.0..50.0))).collect();
+        let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][i % 3])).collect();
         Dataset::builder("t")
             .column(Column::from_ints("x", x))
             .unwrap()
@@ -539,18 +536,15 @@ mod tests {
     }
 
     fn build(n: usize, seed: u64) -> PairwiseHist {
-        PairwiseHist::build(
-            &dataset(n, seed),
-            &PairwiseHistConfig { ns: n, ..Default::default() },
-        )
+        PairwiseHist::build(&dataset(n, seed), &PairwiseHistConfig { ns: n, ..Default::default() })
     }
 
     #[test]
     fn roundtrip_preserves_structure() {
         let ph = build(20_000, 1);
         let bytes = ph.to_bytes();
-        let back = PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone())
-            .expect("deserialize");
+        let back =
+            PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone()).expect("deserialize");
         assert_eq!(back.params, ph.params);
         assert_eq!(back.hist1d, ph.hist1d);
         assert_eq!(back.pairs, ph.pairs);
@@ -591,8 +585,7 @@ mod tests {
         let bytes = ph.to_bytes();
         for cut in [0, 3, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                PairwiseHist::from_bytes(&bytes[..cut], ph.preprocessor().clone())
-                    .is_none(),
+                PairwiseHist::from_bytes(&bytes[..cut], ph.preprocessor().clone()).is_none(),
                 "cut at {cut} must fail cleanly"
             );
         }
@@ -625,10 +618,7 @@ mod tests {
         let ph = build(2_000, 6);
         let bytes = ph.to_bytes();
         let other = Preprocessor::fit(
-            &Dataset::builder("o")
-                .column(Column::from_ints("a", vec![Some(1)]))
-                .unwrap()
-                .build(),
+            &Dataset::builder("o").column(Column::from_ints("a", vec![Some(1)])).unwrap().build(),
         );
         assert!(PairwiseHist::from_bytes(&bytes, Arc::new(other)).is_none());
     }

@@ -35,11 +35,7 @@ impl PairwiseHist {
     /// # Panics
     /// Panics if the batch's column count differs from the synopsis schema.
     pub fn ingest(&mut self, rows: &EncodedMatrix) {
-        assert_eq!(
-            rows.n_columns(),
-            self.n_columns(),
-            "batch schema does not match the synopsis"
-        );
+        assert_eq!(rows.n_columns(), self.n_columns(), "batch schema does not match the synopsis");
         let batch = rows.n_rows;
         if batch == 0 {
             return;
@@ -179,8 +175,7 @@ mod tests {
 
     fn dataset(n: usize, offset: i64, seed: u64) -> Dataset {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let x: Vec<Option<i64>> =
-            (0..n).map(|_| Some(offset + rng.gen_range(0..500))).collect();
+        let x: Vec<Option<i64>> = (0..n).map(|_| Some(offset + rng.gen_range(0..500))).collect();
         let y: Vec<Option<i64>> =
             x.iter().map(|v| Some(v.unwrap() * 2 + rng.gen_range(0..40))).collect();
         Dataset::builder("t")
@@ -194,10 +189,8 @@ mod tests {
     #[test]
     fn ingest_tracks_count_growth() {
         let base = dataset(20_000, 0, 1);
-        let mut ph = PairwiseHist::build(
-            &base,
-            &PairwiseHistConfig { ns: 20_000, ..Default::default() },
-        );
+        let mut ph =
+            PairwiseHist::build(&base, &PairwiseHistConfig { ns: 20_000, ..Default::default() });
         let more = dataset(10_000, 0, 2);
         ph.ingest(&ph.preprocessor().clone().encode(&more));
         assert_eq!(ph.params().n_total, 30_000);
@@ -217,10 +210,8 @@ mod tests {
     #[test]
     fn out_of_range_values_extend_outer_bins() {
         let base = dataset(10_000, 0, 3);
-        let mut ph = PairwiseHist::build(
-            &base,
-            &PairwiseHistConfig { ns: 10_000, ..Default::default() },
-        );
+        let mut ph =
+            PairwiseHist::build(&base, &PairwiseHistConfig { ns: 10_000, ..Default::default() });
         // New data shifted far beyond the built range. Note: the preprocessor was
         // fitted on the base range, so shift within the same fitted transform.
         let more = dataset(5_000, 300, 4);
@@ -233,10 +224,8 @@ mod tests {
     #[test]
     fn staleness_grows_with_updates() {
         let base = dataset(10_000, 0, 5);
-        let mut ph = PairwiseHist::build(
-            &base,
-            &PairwiseHistConfig { ns: 10_000, ..Default::default() },
-        );
+        let mut ph =
+            PairwiseHist::build(&base, &PairwiseHistConfig { ns: 10_000, ..Default::default() });
         assert_eq!(ph.staleness(), 0.0);
         let more = dataset(10_000, 0, 6);
         ph.ingest(&ph.preprocessor().clone().encode(&more));
@@ -246,10 +235,8 @@ mod tests {
     #[test]
     fn sampled_synopsis_thins_ingested_batches() {
         let base = dataset(40_000, 0, 7);
-        let mut ph = PairwiseHist::build(
-            &base,
-            &PairwiseHistConfig { ns: 10_000, ..Default::default() },
-        );
+        let mut ph =
+            PairwiseHist::build(&base, &PairwiseHistConfig { ns: 10_000, ..Default::default() });
         let more = dataset(20_000, 0, 8);
         ph.ingest(&ph.preprocessor().clone().encode(&more));
         assert_eq!(ph.params().n_total, 60_000);
@@ -287,10 +274,8 @@ mod tests {
     #[test]
     fn empty_batch_is_noop() {
         let base = dataset(5_000, 0, 9);
-        let mut ph = PairwiseHist::build(
-            &base,
-            &PairwiseHistConfig { ns: 5_000, ..Default::default() },
-        );
+        let mut ph =
+            PairwiseHist::build(&base, &PairwiseHistConfig { ns: 5_000, ..Default::default() });
         let before = ph.params().clone();
         ph.ingest(&EncodedMatrix::new(vec![Vec::new(), Vec::new()]));
         assert_eq!(ph.params(), &before);

@@ -124,11 +124,7 @@ pub(crate) fn read_wal(path: &Path) -> Result<WalReplay, PhError> {
     };
     if data.len() < WAL_MAGIC.len() {
         // A crash during the very first append can tear mid-magic.
-        return Ok(WalReplay {
-            records: Vec::new(),
-            torn_tail: !data.is_empty(),
-            valid_len: 0,
-        });
+        return Ok(WalReplay { records: Vec::new(), torn_tail: !data.is_empty(), valid_len: 0 });
     }
     let mut r = Bytes::new(&data);
     if r.take(WAL_MAGIC.len()) != Some(WAL_MAGIC) {
@@ -319,17 +315,13 @@ mod tests {
 
     fn batch(n: usize, seed: u64) -> Dataset {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ints: Vec<Option<i64>> = (0..n)
-            .map(|_| rng.gen_bool(0.9).then(|| rng.gen_range(-5_000..5_000)))
-            .collect();
-        let ts: Vec<Option<i64>> =
-            (0..n).map(|i| Some(1_700_000_000 + i as i64 * 17)).collect();
-        let floats: Vec<Option<f64>> = (0..n)
-            .map(|_| rng.gen_bool(0.95).then(|| rng.gen_range(-1.0e6..1.0e6)))
-            .collect();
-        let cats: Vec<Option<&str>> = (0..n)
-            .map(|i| (i % 7 != 0).then(|| ["red", "green", "blue"][i % 3]))
-            .collect();
+        let ints: Vec<Option<i64>> =
+            (0..n).map(|_| rng.gen_bool(0.9).then(|| rng.gen_range(-5_000..5_000))).collect();
+        let ts: Vec<Option<i64>> = (0..n).map(|i| Some(1_700_000_000 + i as i64 * 17)).collect();
+        let floats: Vec<Option<f64>> =
+            (0..n).map(|_| rng.gen_bool(0.95).then(|| rng.gen_range(-1.0e6..1.0e6))).collect();
+        let cats: Vec<Option<&str>> =
+            (0..n).map(|i| (i % 7 != 0).then(|| ["red", "green", "blue"][i % 3])).collect();
         Dataset::builder("wal_batch")
             .column(Column::from_ints("i", ints))
             .unwrap()

@@ -324,13 +324,10 @@ impl<'a> WeightCtx<'a> {
         let mut band = kb..kb;
         for t in 0..kb {
             let beta = bin_coverage(&cov_dim.bins, t, ranges);
-            let (bl, bh) = coverage_bounds(
-                beta,
-                cov_dim.bins.counts[t],
-                cov_dim.bins.uniq[t],
-                m_min,
-                |dof| ph.critical(dof),
-            );
+            let (bl, bh) =
+                coverage_bounds(beta, cov_dim.bins.counts[t], cov_dim.bins.uniq[t], m_min, |dof| {
+                    ph.critical(dof)
+                });
             cov.p[t] = beta;
             cov.lo[t] = bl;
             cov.hi[t] = bh;
@@ -473,9 +470,15 @@ pub(crate) mod reference {
                         pair.fold_coverage(c, cover_on_j, k)
                             .iter()
                             .zip(h1d)
-                            .map(|(&num, &h)| {
-                                if h > 0 { (num / h as f64).clamp(0.0, 1.0) } else { 0.0 }
-                            })
+                            .map(
+                                |(&num, &h)| {
+                                    if h > 0 {
+                                        (num / h as f64).clamp(0.0, 1.0)
+                                    } else {
+                                        0.0
+                                    }
+                                },
+                            )
                             .collect()
                     };
                     Probs { p: fold(&cov), lo: fold(&cov_lo), hi: fold(&cov_hi) }
@@ -535,19 +538,13 @@ mod tests {
             .column(Column::from_ints("y", y))
             .unwrap()
             .build();
-        let ph = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: n, ..Default::default() },
-        );
+        let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: n, ..Default::default() });
         (data, ph)
     }
 
     fn weights_for(ph: &PairwiseHist, sql: &str, agg_col: usize) -> Weights {
         let q = parse_query(sql).unwrap();
-        let plan = q
-            .predicate
-            .as_ref()
-            .map(|p| compile_predicate(p, ph.preprocessor()).unwrap());
+        let plan = q.predicate.as_ref().map(|p| compile_predicate(p, ph.preprocessor()).unwrap());
         compute_weights(ph, plan.as_ref(), agg_col)
     }
 
@@ -675,10 +672,8 @@ mod tests {
     #[test]
     fn optimized_kernel_matches_reference_bitwise() {
         let data = multi_column(12_000, 41);
-        let ph = PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: 8_000, ..Default::default() },
-        );
+        let ph =
+            PairwiseHist::build(&data, &PairwiseHistConfig { ns: 8_000, ..Default::default() });
         let pre = ph.preprocessor();
         let queries = ph_workload::generate(
             &data,
@@ -720,12 +715,10 @@ mod tests {
     #[test]
     fn repeated_leaves_are_evaluated_once_per_context() {
         let (_, ph) = setup(5000);
-        let q = parse_query(
-            "SELECT COUNT(x) FROM t WHERE x < 100 AND y > 300 OR x > 400 AND y > 300",
-        )
-        .unwrap();
-        let plan = compile_predicate(q.predicate.as_ref().unwrap(), ph.preprocessor())
-            .unwrap();
+        let q =
+            parse_query("SELECT COUNT(x) FROM t WHERE x < 100 AND y > 300 OR x > 400 AND y > 300")
+                .unwrap();
+        let plan = compile_predicate(q.predicate.as_ref().unwrap(), ph.preprocessor()).unwrap();
         let mut slots = Vec::new();
         fn memos(node: &PlanNode, out: &mut Vec<(usize, Option<u32>)>) {
             match node {

@@ -15,8 +15,8 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     (
         100usize..800,
         any::<u64>(),
-        10i64..200,   // value range scale
-        0u8..3,       // correlation style
+        10i64..200, // value range scale
+        0u8..3,     // correlation style
     )
         .prop_map(|(n, seed, range, style)| {
             use rand::{Rng, SeedableRng};
@@ -41,9 +41,7 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
                     }
                 })
                 .collect();
-            let c: Vec<Option<&str>> = (0..n)
-                .map(|i| Some(["a", "b", "c"][i % 3]))
-                .collect();
+            let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][i % 3])).collect();
             Dataset::builder("p")
                 .column(Column::from_ints("x", x))
                 .unwrap()

@@ -28,8 +28,7 @@ pub fn scale_up(seed_data: &Dataset, target_rows: usize, seed: u64) -> Dataset {
     // Split columns into numeric (joint Gaussian) and categorical (marginal).
     let numeric_cols: Vec<usize> =
         (0..d).filter(|&c| seed_data.column(c).ty() != ColumnType::Categorical).collect();
-    let stats: Vec<NumStats> =
-        numeric_cols.iter().map(|&c| NumStats::fit(seed_data, c)).collect();
+    let stats: Vec<NumStats> = numeric_cols.iter().map(|&c| NumStats::fit(seed_data, c)).collect();
     let corr = correlation_matrix(seed_data, &numeric_cols, &stats);
     let chol = cholesky(&corr);
 
@@ -44,9 +43,7 @@ pub fn scale_up(seed_data: &Dataset, target_rows: usize, seed: u64) -> Dataset {
     let cat_freqs: Vec<Vec<f64>> = cat_cols.iter().map(|&c| code_freqs(seed_data, c)).collect();
     let cat_null: Vec<f64> = cat_cols
         .iter()
-        .map(|&c| {
-            1.0 - seed_data.column(c).valid_count() as f64 / seed_data.n_rows().max(1) as f64
-        })
+        .map(|&c| 1.0 - seed_data.column(c).valid_count() as f64 / seed_data.n_rows().max(1) as f64)
         .collect();
 
     let k = numeric_cols.len();
@@ -65,9 +62,7 @@ pub fn scale_up(seed_data: &Dataset, target_rows: usize, seed: u64) -> Dataset {
                 out_numeric[i].push(Some((s.mean + s.sd * zi).clamp(s.min, s.max)));
             }
         }
-        for ((freqs, null_frac), out) in
-            cat_freqs.iter().zip(&cat_null).zip(out_cat.iter_mut())
-        {
+        for ((freqs, null_frac), out) in cat_freqs.iter().zip(&cat_null).zip(out_cat.iter_mut()) {
             if rng.gen_bool(*null_frac) {
                 out.push(None);
             } else {

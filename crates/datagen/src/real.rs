@@ -119,8 +119,7 @@ enum MeterStyle {
 fn meters(name: &str, n: usize, seed: u64, style: MeterStyle) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let channels = 11;
-    let mut cols: Vec<Vec<Option<f64>>> =
-        (0..channels).map(|_| Vec::with_capacity(n)).collect();
+    let mut cols: Vec<Vec<Option<f64>>> = (0..channels).map(|_| Vec::with_capacity(n)).collect();
     let mut on = false;
     for i in 0..n {
         let base = match style {
@@ -191,8 +190,7 @@ fn build(n: usize, seed: u64) -> Dataset {
 fn current(n: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let channels = 23;
-    let mut cols: Vec<Vec<Option<f64>>> =
-        (0..channels).map(|_| Vec::with_capacity(n)).collect();
+    let mut cols: Vec<Vec<Option<f64>>> = (0..channels).map(|_| Vec::with_capacity(n)).collect();
     for i in 0..n {
         let base = (8.0 + diurnal(i, DAY, 5.0) + gaussian(&mut rng)).max(0.1);
         for (c, col) in cols.iter_mut().enumerate() {
@@ -329,8 +327,7 @@ fn flights(n: usize, seed: u64) -> Dataset {
                 rng.gen_range(0.0..0.3),
             ];
             let total: f64 = parts.iter().sum();
-            let shares: Vec<i64> =
-                parts.iter().map(|p| (p / total * adel) as i64).collect();
+            let shares: Vec<i64> = parts.iter().map(|p| (p / total * adel) as i64).collect();
             air_sys_delay.push(Some(shares[0]));
             security_delay.push(Some(shares[1]));
             airline_delay.push(Some(shares[2]));
@@ -353,42 +350,73 @@ fn flights(n: usize, seed: u64) -> Dataset {
     let airport_dict: Vec<String> = (0..airports).map(|a| format!("AP{a:03}")).collect();
     let tail_dict: Vec<String> = (0..4000).map(|t| format!("N{t:04}")).collect();
     let flag_dict = vec!["0".to_string(), "1".to_string()];
-    let reason_dict: Vec<String> =
-        ["A", "B", "C", "D"].iter().map(|s| s.to_string()).collect();
+    let reason_dict: Vec<String> = ["A", "B", "C", "D"].iter().map(|s| s.to_string()).collect();
 
     Dataset::builder("Flights")
-        .column(Column::from_ints("year", vec![Some(2015); n])).unwrap()
-        .column(Column::from_ints("month", month)).unwrap()
-        .column(Column::from_ints("day", day)).unwrap()
-        .column(Column::from_ints("day_of_week", dow)).unwrap()
-        .column(Column::from_codes("airline", airline, airline_dict)).unwrap()
-        .column(Column::from_ints("flight_number", flight_number)).unwrap()
-        .column(Column::from_codes("tail_number", tail, tail_dict)).unwrap()
-        .column(Column::from_codes("origin_airport", origin, airport_dict.clone())).unwrap()
-        .column(Column::from_codes("destination_airport", dest, airport_dict)).unwrap()
-        .column(Column::from_ints("scheduled_departure", sched_dep)).unwrap()
-        .column(Column::from_ints("departure_time", dep_time)).unwrap()
-        .column(Column::from_ints("departure_delay", dep_delay)).unwrap()
-        .column(Column::from_ints("taxi_out", taxi_out)).unwrap()
-        .column(Column::from_ints("wheels_off", wheels_off)).unwrap()
-        .column(Column::from_ints("scheduled_time", sched_time)).unwrap()
-        .column(Column::from_ints("elapsed_time", elapsed)).unwrap()
-        .column(Column::from_ints("air_time", air_time)).unwrap()
-        .column(Column::from_ints("distance", distance)).unwrap()
-        .column(Column::from_ints("wheels_on", wheels_on)).unwrap()
-        .column(Column::from_ints("taxi_in", taxi_in)).unwrap()
-        .column(Column::from_ints("scheduled_arrival", sched_arr)).unwrap()
-        .column(Column::from_ints("arrival_time", arr_time)).unwrap()
-        .column(Column::from_ints("arrival_delay", arr_delay)).unwrap()
-        .column(Column::from_codes("diverted", diverted, flag_dict.clone())).unwrap()
-        .column(Column::from_codes("cancelled", cancelled, flag_dict)).unwrap()
-        .column(Column::from_codes("cancellation_reason", cancel_reason, reason_dict)).unwrap()
-        .column(Column::from_ints("air_system_delay", air_sys_delay)).unwrap()
-        .column(Column::from_ints("security_delay", security_delay)).unwrap()
-        .column(Column::from_ints("airline_delay", airline_delay)).unwrap()
-        .column(Column::from_ints("late_aircraft_delay", late_ac_delay)).unwrap()
-        .column(Column::from_ints("weather_delay", weather_delay)).unwrap()
-        .column(Column::from_ints("air_system_flag", (0..n).map(|_| Some(0)).collect())).unwrap()
+        .column(Column::from_ints("year", vec![Some(2015); n]))
+        .unwrap()
+        .column(Column::from_ints("month", month))
+        .unwrap()
+        .column(Column::from_ints("day", day))
+        .unwrap()
+        .column(Column::from_ints("day_of_week", dow))
+        .unwrap()
+        .column(Column::from_codes("airline", airline, airline_dict))
+        .unwrap()
+        .column(Column::from_ints("flight_number", flight_number))
+        .unwrap()
+        .column(Column::from_codes("tail_number", tail, tail_dict))
+        .unwrap()
+        .column(Column::from_codes("origin_airport", origin, airport_dict.clone()))
+        .unwrap()
+        .column(Column::from_codes("destination_airport", dest, airport_dict))
+        .unwrap()
+        .column(Column::from_ints("scheduled_departure", sched_dep))
+        .unwrap()
+        .column(Column::from_ints("departure_time", dep_time))
+        .unwrap()
+        .column(Column::from_ints("departure_delay", dep_delay))
+        .unwrap()
+        .column(Column::from_ints("taxi_out", taxi_out))
+        .unwrap()
+        .column(Column::from_ints("wheels_off", wheels_off))
+        .unwrap()
+        .column(Column::from_ints("scheduled_time", sched_time))
+        .unwrap()
+        .column(Column::from_ints("elapsed_time", elapsed))
+        .unwrap()
+        .column(Column::from_ints("air_time", air_time))
+        .unwrap()
+        .column(Column::from_ints("distance", distance))
+        .unwrap()
+        .column(Column::from_ints("wheels_on", wheels_on))
+        .unwrap()
+        .column(Column::from_ints("taxi_in", taxi_in))
+        .unwrap()
+        .column(Column::from_ints("scheduled_arrival", sched_arr))
+        .unwrap()
+        .column(Column::from_ints("arrival_time", arr_time))
+        .unwrap()
+        .column(Column::from_ints("arrival_delay", arr_delay))
+        .unwrap()
+        .column(Column::from_codes("diverted", diverted, flag_dict.clone()))
+        .unwrap()
+        .column(Column::from_codes("cancelled", cancelled, flag_dict))
+        .unwrap()
+        .column(Column::from_codes("cancellation_reason", cancel_reason, reason_dict))
+        .unwrap()
+        .column(Column::from_ints("air_system_delay", air_sys_delay))
+        .unwrap()
+        .column(Column::from_ints("security_delay", security_delay))
+        .unwrap()
+        .column(Column::from_ints("airline_delay", airline_delay))
+        .unwrap()
+        .column(Column::from_ints("late_aircraft_delay", late_ac_delay))
+        .unwrap()
+        .column(Column::from_ints("weather_delay", weather_delay))
+        .unwrap()
+        .column(Column::from_ints("air_system_flag", (0..n).map(|_| Some(0)).collect()))
+        .unwrap()
         .build()
 }
 
@@ -417,10 +445,14 @@ fn gas(n: usize, seed: u64) -> Dataset {
         }
     }
     let mut b = Dataset::builder("Gas")
-        .column(timestamps(n, 30)).unwrap()
-        .column(Column::from_floats("temperature", temp_c, 2)).unwrap()
-        .column(Column::from_floats("humidity", humidity, 2)).unwrap()
-        .column(Column::from_floats("flow", flow, 2)).unwrap();
+        .column(timestamps(n, 30))
+        .unwrap()
+        .column(Column::from_floats("temperature", temp_c, 2))
+        .unwrap()
+        .column(Column::from_floats("humidity", humidity, 2))
+        .unwrap()
+        .column(Column::from_floats("flow", flow, 2))
+        .unwrap();
     for (c, data) in cols.into_iter().enumerate() {
         b = b.column(Column::from_floats(format!("R{}", c + 1), data, 2)).unwrap();
     }
@@ -449,15 +481,24 @@ fn light(n: usize, seed: u64) -> Dataset {
     let flag_dict = vec!["no".to_string(), "yes".to_string()];
     let dev_dict: Vec<String> = (0..5).map(|d| format!("node{d}")).collect();
     Dataset::builder("Light")
-        .column(timestamps(n, 120)).unwrap()
-        .column(Column::from_floats("lux", lux, 1)).unwrap()
-        .column(Column::from_floats("red", std::mem::take(&mut rgbc[0]), 1)).unwrap()
-        .column(Column::from_floats("green", std::mem::take(&mut rgbc[1]), 1)).unwrap()
-        .column(Column::from_floats("blue", std::mem::take(&mut rgbc[2]), 1)).unwrap()
-        .column(Column::from_floats("clear", std::mem::take(&mut rgbc[3]), 1)).unwrap()
-        .column(Column::from_codes("motion", motion, flag_dict)).unwrap()
-        .column(Column::from_floats("battery", battery, 1)).unwrap()
-        .column(Column::from_codes("device", device, dev_dict)).unwrap()
+        .column(timestamps(n, 120))
+        .unwrap()
+        .column(Column::from_floats("lux", lux, 1))
+        .unwrap()
+        .column(Column::from_floats("red", std::mem::take(&mut rgbc[0]), 1))
+        .unwrap()
+        .column(Column::from_floats("green", std::mem::take(&mut rgbc[1]), 1))
+        .unwrap()
+        .column(Column::from_floats("blue", std::mem::take(&mut rgbc[2]), 1))
+        .unwrap()
+        .column(Column::from_floats("clear", std::mem::take(&mut rgbc[3]), 1))
+        .unwrap()
+        .column(Column::from_codes("motion", motion, flag_dict))
+        .unwrap()
+        .column(Column::from_floats("battery", battery, 1))
+        .unwrap()
+        .column(Column::from_codes("device", device, dev_dict))
+        .unwrap()
         .build()
 }
 
@@ -476,14 +517,20 @@ fn power(n: usize, seed: u64) -> Dataset {
     for i in 0..n {
         // The UCI trace has ~1.25% missing measurement windows.
         if rng.gen_bool(0.0125) {
-            for v in
-                [&mut active, &mut reactive, &mut voltage, &mut intensity, &mut sub1, &mut sub2, &mut sub3]
-            {
+            for v in [
+                &mut active,
+                &mut reactive,
+                &mut voltage,
+                &mut intensity,
+                &mut sub1,
+                &mut sub2,
+                &mut sub3,
+            ] {
                 v.push(None);
             }
         } else {
-            let load = (0.3 + diurnal(i, DAY, 0.8).max(-0.25) + lognormal(&mut rng, -1.2, 0.9))
-                .min(11.0);
+            let load =
+                (0.3 + diurnal(i, DAY, 0.8).max(-0.25) + lognormal(&mut rng, -1.2, 0.9)).min(11.0);
             active.push(Some(load));
             reactive.push(Some((0.1 + 0.05 * load + 0.04 * gaussian(&mut rng)).max(0.0)));
             voltage.push(Some(240.0 - 1.5 * load + 1.2 * gaussian(&mut rng)));
@@ -492,22 +539,34 @@ fn power(n: usize, seed: u64) -> Dataset {
             let laundry = if rng.gen_bool(0.08) { lognormal(&mut rng, 3.2, 0.4) } else { 1.0 };
             sub1.push(Some(kitchen.min(80.0)));
             sub2.push(Some(laundry.min(80.0)));
-            sub3.push(Some((6.0 + 5.0 * diurnal(i, DAY, 1.0).max(0.0) + gaussian(&mut rng)).max(0.0)));
+            sub3.push(Some(
+                (6.0 + 5.0 * diurnal(i, DAY, 1.0).max(0.0) + gaussian(&mut rng)).max(0.0),
+            ));
         }
         month.push(Some(1 + (i / (DAY * 30)) as i64 % 12));
         weekday.push(Some(((i / DAY) % 7) as i64 + 1));
     }
     Dataset::builder("Power")
-        .column(timestamps(n, 60)).unwrap()
-        .column(Column::from_floats("global_active_power", active, 3)).unwrap()
-        .column(Column::from_floats("global_reactive_power", reactive, 3)).unwrap()
-        .column(Column::from_floats("voltage", voltage, 2)).unwrap()
-        .column(Column::from_floats("global_intensity", intensity, 1)).unwrap()
-        .column(Column::from_floats("sub_metering_1", sub1, 1)).unwrap()
-        .column(Column::from_floats("sub_metering_2", sub2, 1)).unwrap()
-        .column(Column::from_floats("sub_metering_3", sub3, 1)).unwrap()
-        .column(Column::from_ints("month", month)).unwrap()
-        .column(Column::from_ints("weekday", weekday)).unwrap()
+        .column(timestamps(n, 60))
+        .unwrap()
+        .column(Column::from_floats("global_active_power", active, 3))
+        .unwrap()
+        .column(Column::from_floats("global_reactive_power", reactive, 3))
+        .unwrap()
+        .column(Column::from_floats("voltage", voltage, 2))
+        .unwrap()
+        .column(Column::from_floats("global_intensity", intensity, 1))
+        .unwrap()
+        .column(Column::from_floats("sub_metering_1", sub1, 1))
+        .unwrap()
+        .column(Column::from_floats("sub_metering_2", sub2, 1))
+        .unwrap()
+        .column(Column::from_floats("sub_metering_3", sub3, 1))
+        .unwrap()
+        .column(Column::from_ints("month", month))
+        .unwrap()
+        .column(Column::from_ints("weekday", weekday))
+        .unwrap()
         .build()
 }
 
@@ -523,9 +582,29 @@ fn taxis(n: usize, seed: u64) -> Dataset {
         ($($name:ident),*) => { $(let mut $name = Vec::with_capacity(n);)* };
     }
     vecs!(
-        taxi_id, start_ts, end_ts, seconds, miles, pickup_area, dropoff_area, fare,
-        tips, tolls, extras, total, payment, company, p_lat, p_lon, d_lat, d_lon,
-        p_tract, d_tract, shared, pooled, speed
+        taxi_id,
+        start_ts,
+        end_ts,
+        seconds,
+        miles,
+        pickup_area,
+        dropoff_area,
+        fare,
+        tips,
+        tolls,
+        extras,
+        total,
+        payment,
+        company,
+        p_lat,
+        p_lon,
+        d_lat,
+        d_lon,
+        p_tract,
+        d_tract,
+        shared,
+        pooled,
+        speed
     );
     for i in 0..n {
         taxi_id.push(Some(zipf(&mut rng, 500, 0.7) as u32));
@@ -572,29 +651,52 @@ fn taxis(n: usize, seed: u64) -> Dataset {
     let taxi_dict: Vec<String> = (0..500).map(|t| format!("taxi{t:03}")).collect();
     let flag_dict = vec!["false".to_string(), "true".to_string()];
     Dataset::builder("Taxis")
-        .column(Column::from_codes("taxi_id", taxi_id, taxi_dict)).unwrap()
-        .column(Column::from_timestamps("trip_start", start_ts)).unwrap()
-        .column(Column::from_timestamps("trip_end", end_ts)).unwrap()
-        .column(Column::from_ints("trip_seconds", seconds)).unwrap()
-        .column(Column::from_floats("trip_miles", miles, 2)).unwrap()
-        .column(Column::from_codes("pickup_area", pickup_area, area_dict.clone())).unwrap()
-        .column(Column::from_codes("dropoff_area", dropoff_area, area_dict)).unwrap()
-        .column(Column::from_floats("fare", fare, 2)).unwrap()
-        .column(Column::from_floats("tips", tips, 2)).unwrap()
-        .column(Column::from_floats("tolls", tolls, 2)).unwrap()
-        .column(Column::from_floats("extras", extras, 2)).unwrap()
-        .column(Column::from_floats("trip_total", total, 2)).unwrap()
-        .column(Column::from_codes("payment_type", payment, pay_dict)).unwrap()
-        .column(Column::from_codes("company", company, company_dict)).unwrap()
-        .column(Column::from_floats("pickup_latitude", p_lat, 4)).unwrap()
-        .column(Column::from_floats("pickup_longitude", p_lon, 4)).unwrap()
-        .column(Column::from_floats("dropoff_latitude", d_lat, 4)).unwrap()
-        .column(Column::from_floats("dropoff_longitude", d_lon, 4)).unwrap()
-        .column(Column::from_ints("pickup_tract", p_tract)).unwrap()
-        .column(Column::from_ints("dropoff_tract", d_tract)).unwrap()
-        .column(Column::from_codes("shared_trip", shared, flag_dict)).unwrap()
-        .column(Column::from_ints("trips_pooled", pooled)).unwrap()
-        .column(Column::from_floats("speed_mph", speed, 1)).unwrap()
+        .column(Column::from_codes("taxi_id", taxi_id, taxi_dict))
+        .unwrap()
+        .column(Column::from_timestamps("trip_start", start_ts))
+        .unwrap()
+        .column(Column::from_timestamps("trip_end", end_ts))
+        .unwrap()
+        .column(Column::from_ints("trip_seconds", seconds))
+        .unwrap()
+        .column(Column::from_floats("trip_miles", miles, 2))
+        .unwrap()
+        .column(Column::from_codes("pickup_area", pickup_area, area_dict.clone()))
+        .unwrap()
+        .column(Column::from_codes("dropoff_area", dropoff_area, area_dict))
+        .unwrap()
+        .column(Column::from_floats("fare", fare, 2))
+        .unwrap()
+        .column(Column::from_floats("tips", tips, 2))
+        .unwrap()
+        .column(Column::from_floats("tolls", tolls, 2))
+        .unwrap()
+        .column(Column::from_floats("extras", extras, 2))
+        .unwrap()
+        .column(Column::from_floats("trip_total", total, 2))
+        .unwrap()
+        .column(Column::from_codes("payment_type", payment, pay_dict))
+        .unwrap()
+        .column(Column::from_codes("company", company, company_dict))
+        .unwrap()
+        .column(Column::from_floats("pickup_latitude", p_lat, 4))
+        .unwrap()
+        .column(Column::from_floats("pickup_longitude", p_lon, 4))
+        .unwrap()
+        .column(Column::from_floats("dropoff_latitude", d_lat, 4))
+        .unwrap()
+        .column(Column::from_floats("dropoff_longitude", d_lon, 4))
+        .unwrap()
+        .column(Column::from_ints("pickup_tract", p_tract))
+        .unwrap()
+        .column(Column::from_ints("dropoff_tract", d_tract))
+        .unwrap()
+        .column(Column::from_codes("shared_trip", shared, flag_dict))
+        .unwrap()
+        .column(Column::from_ints("trips_pooled", pooled))
+        .unwrap()
+        .column(Column::from_floats("speed_mph", speed, 1))
+        .unwrap()
         .build()
 }
 
@@ -616,11 +718,16 @@ fn temp(n: usize, seed: u64) -> Dataset {
     }
     let dev_dict: Vec<String> = (0..10).map(|d| format!("sensor{d}")).collect();
     Dataset::builder("Temp")
-        .column(timestamps(n, 10)).unwrap()
-        .column(Column::from_floats("temperature", temperature, 2)).unwrap()
-        .column(Column::from_floats("humidity", humidity, 2)).unwrap()
-        .column(Column::from_floats("battery", battery, 3)).unwrap()
-        .column(Column::from_codes("device", device, dev_dict)).unwrap()
+        .column(timestamps(n, 10))
+        .unwrap()
+        .column(Column::from_floats("temperature", temperature, 2))
+        .unwrap()
+        .column(Column::from_floats("humidity", humidity, 2))
+        .unwrap()
+        .column(Column::from_floats("battery", battery, 3))
+        .unwrap()
+        .column(Column::from_codes("device", device, dev_dict))
+        .unwrap()
         .build()
 }
 

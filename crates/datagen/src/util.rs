@@ -33,7 +33,13 @@ pub fn diurnal(i: usize, period: usize, amplitude: f64) -> f64 {
 }
 
 /// Mean-reverting random walk step (Ornstein–Uhlenbeck flavoured).
-pub fn walk_step<R: Rng + ?Sized>(rng: &mut R, current: f64, mean: f64, pull: f64, noise: f64) -> f64 {
+pub fn walk_step<R: Rng + ?Sized>(
+    rng: &mut R,
+    current: f64,
+    mean: f64,
+    pull: f64,
+    noise: f64,
+) -> f64 {
     current + pull * (mean - current) + noise * gaussian(rng)
 }
 

@@ -25,8 +25,11 @@ impl BitPlane {
     /// `⌈len·width / 8⌉` long.
     pub fn from_bytes(bytes: &[u8], len: usize, width: u32) -> Option<Self> {
         let bits = (len as u64).checked_mul(width as u64)?;
-        (width <= 64 && bytes.len() as u64 == bits.div_ceil(8))
-            .then(|| Self { width, len, bytes: bytes.to_vec() })
+        (width <= 64 && bytes.len() as u64 == bits.div_ceil(8)).then(|| Self {
+            width,
+            len,
+            bytes: bytes.to_vec(),
+        })
     }
 
     /// Values held.

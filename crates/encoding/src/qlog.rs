@@ -131,7 +131,12 @@ mod tests {
                 latency_micros: 9,
                 sql: "SELEC oops".into(),
             },
-            QlogRecord { ts_micros: 1_700_000_000_001_000, status: 503, latency_micros: 1, sql: String::new() },
+            QlogRecord {
+                ts_micros: 1_700_000_000_001_000,
+                status: 503,
+                latency_micros: 1,
+                sql: String::new(),
+            },
         ];
         assert_eq!(roundtrip(&records).as_deref(), Some(&records[..]));
     }

@@ -65,10 +65,7 @@ impl ExactEngine {
             CompiledPredicate::compile(p, &self.data)?;
         }
         if let Some(g) = &query.group_by {
-            let gcol = self
-                .data
-                .column_index(g)
-                .map_err(|_| PhError::UnknownColumn(g.clone()))?;
+            let gcol = self.data.column_index(g).map_err(|_| PhError::UnknownColumn(g.clone()))?;
             if self.data.column(gcol).ty() != ph_types::ColumnType::Categorical {
                 return Err(PhError::InvalidQuery(format!(
                     "GROUP BY requires a categorical column, got '{g}'"
@@ -118,10 +115,7 @@ mod tests {
 
     fn data() -> Dataset {
         Dataset::builder("t")
-            .column(Column::from_ints(
-                "x",
-                vec![Some(1), Some(2), Some(3), Some(4), None, Some(6)],
-            ))
+            .column(Column::from_ints("x", vec![Some(1), Some(2), Some(3), Some(4), None, Some(6)]))
             .unwrap()
             .column(Column::from_strings(
                 "g",

@@ -82,9 +82,7 @@ pub fn evaluate(query: &Query, data: &Dataset) -> Result<ExactAnswer, ExactError
             Ok(ExactAnswer::Scalar(acc.finish()))
         }
         Some(g) => {
-            let gcol = data
-                .column_index(g)
-                .map_err(|_| ExactError::UnknownColumn(g.clone()))?;
+            let gcol = data.column_index(g).map_err(|_| ExactError::UnknownColumn(g.clone()))?;
             let group = data.column(gcol);
             if group.ty() != ColumnType::Categorical {
                 return Err(ExactError::BadGroupBy(g.clone()));
@@ -99,8 +97,7 @@ pub fn evaluate(query: &Query, data: &Dataset) -> Result<ExactAnswer, ExactError
                     }
                 }
                 let Some(code) = group.code(r) else { continue };
-                let acc =
-                    accs[code as usize].get_or_insert_with(|| Accumulator::new(query.agg));
+                let acc = accs[code as usize].get_or_insert_with(|| Accumulator::new(query.agg));
                 if let Some(x) = agg.numeric(r) {
                     acc.push(x);
                 } else if agg.is_valid(r) {
@@ -120,12 +117,7 @@ pub fn evaluate(query: &Query, data: &Dataset) -> Result<ExactAnswer, ExactError
 }
 
 /// Scans rows passing the predicate, feeding non-null aggregation values to `f`.
-fn scan(
-    data: &Dataset,
-    agg_col: usize,
-    pred: &Option<CompiledPredicate>,
-    mut f: impl FnMut(f64),
-) {
+fn scan(data: &Dataset, agg_col: usize, pred: &Option<CompiledPredicate>, mut f: impl FnMut(f64)) {
     let col = data.column(agg_col);
     let categorical = col.ty() == ColumnType::Categorical;
     for r in 0..data.n_rows() {
@@ -212,10 +204,7 @@ impl Accumulator {
                 if v.len() % 2 == 1 {
                     hi
                 } else {
-                    let lo = v[..mid]
-                        .iter()
-                        .copied()
-                        .fold(f64::NEG_INFINITY, f64::max);
+                    let lo = v[..mid].iter().copied().fold(f64::NEG_INFINITY, f64::max);
                     0.5 * (lo + hi)
                 }
             }
@@ -231,10 +220,7 @@ mod tests {
 
     fn data() -> Dataset {
         Dataset::builder("t")
-            .column(Column::from_ints(
-                "x",
-                vec![Some(1), Some(2), Some(3), Some(4), None, Some(6)],
-            ))
+            .column(Column::from_ints("x", vec![Some(1), Some(2), Some(3), Some(4), None, Some(6)]))
             .unwrap()
             .column(Column::from_strings(
                 "g",

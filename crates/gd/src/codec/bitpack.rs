@@ -104,10 +104,7 @@ mod tests {
         let restored = BitPackCodec::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(restored.decode(), vals);
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
-        assert_eq!(
-            BitPackCodec::size_for(vals.len(), 5, u64::MAX),
-            c.to_bytes().len()
-        );
+        assert_eq!(BitPackCodec::size_for(vals.len(), 5, u64::MAX), c.to_bytes().len());
     }
 
     #[test]

@@ -170,8 +170,7 @@ impl ColumnStats {
 /// then code-interval evaluation) in the order run-end, dict, bitpack, delta.
 pub fn choose_codec(values: &[u64]) -> ColumnCodec {
     let stats = ColumnStats::gather(values);
-    let mut best_size =
-        RunEndCodec::size_for(stats.n_rows, stats.n_runs, stats.min, stats.max);
+    let mut best_size = RunEndCodec::size_for(stats.n_rows, stats.n_runs, stats.min, stats.max);
     let mut best = 3u8;
     if let Some(distinct) = &stats.distinct {
         let s = DictCodec::size_for(stats.n_rows, distinct);
@@ -285,8 +284,7 @@ mod tests {
             ColumnCodec::Dict(DictCodec::encode(&vals)),
             ColumnCodec::RunEnd(RunEndCodec::encode(&vals)),
         ] {
-            let restored =
-                ColumnCodec::from_tag_bytes(codec.tag(), &codec.to_bytes()).unwrap();
+            let restored = ColumnCodec::from_tag_bytes(codec.tag(), &codec.to_bytes()).unwrap();
             assert_eq!(restored.decode(), vals);
             assert_eq!(restored.name(), codec.name());
             assert_eq!(codec.packed_bytes(), codec.to_bytes().len());

@@ -269,9 +269,7 @@ mod tests {
                 2 => {
                     let base = rng.below(1 << 40);
                     let step = rng.below(1000);
-                    (0..rng.below(300))
-                        .map(|i| base + i * step + rng.below(16))
-                        .collect()
+                    (0..rng.below(300)).map(|i| base + i * step + rng.below(16)).collect()
                 }
                 _ => (0..rng.below(120)).map(|_| rng.next_u64()).collect(),
             }

@@ -142,8 +142,7 @@ impl DeltaCodec {
         }
         let min_zz = r.uvarint()?;
         let n_anchors = n_rows.div_ceil(DELTA_BLOCK);
-        let bits =
-            n_anchors * anchor_width as usize + (n_rows - n_anchors) * delta_width as usize;
+        let bits = n_anchors * anchor_width as usize + (n_rows - n_anchors) * delta_width as usize;
         let packed = r.take(bits.div_ceil(8))?.to_vec();
         r.finish()?;
         Some(Self { n_rows, anchor_width, delta_width, min_zz, packed })
@@ -200,10 +199,7 @@ mod tests {
             .map(|r| zigzag(vals[r].wrapping_sub(vals[r - 1]) as i64))
             .max()
             .unwrap();
-        assert_eq!(
-            DeltaCodec::size_for(vals.len(), max, min_zz, max_zz),
-            c.to_bytes().len()
-        );
+        assert_eq!(DeltaCodec::size_for(vals.len(), max, min_zz, max_zz), c.to_bytes().len());
     }
 
     #[test]

@@ -26,8 +26,7 @@ fn dict_payload_len(dict: &[u64]) -> usize {
     match dict.first() {
         None => 0,
         Some(&first) => {
-            uvarint_len(first)
-                + dict.windows(2).map(|w| uvarint_len(w[1] - w[0])).sum::<usize>()
+            uvarint_len(first) + dict.windows(2).map(|w| uvarint_len(w[1] - w[0])).sum::<usize>()
         }
     }
 }

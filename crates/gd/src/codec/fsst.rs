@@ -99,11 +99,7 @@ impl SymbolTable {
     }
 
     fn matcher(&self) -> HashMap<&[u8], u8> {
-        self.symbols
-            .iter()
-            .enumerate()
-            .map(|(i, sym)| (sym.as_slice(), i as u8))
-            .collect()
+        self.symbols.iter().enumerate().map(|(i, sym)| (sym.as_slice(), i as u8)).collect()
     }
 
     /// Compresses one string by greedy longest-match against the table.

@@ -84,9 +84,7 @@ impl EncodedPred {
     pub fn matches(&self, v: u64) -> bool {
         match *self {
             EncodedPred::Eq(t) => v == t,
-            EncodedPred::Range { lo, hi } => {
-                lo.is_none_or(|l| v >= l) && hi.is_none_or(|h| v <= h)
-            }
+            EncodedPred::Range { lo, hi } => lo.is_none_or(|l| v >= l) && hi.is_none_or(|h| v <= h),
         }
     }
 }

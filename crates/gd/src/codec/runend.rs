@@ -38,13 +38,7 @@ impl RunEndCodec {
         }
         let min = values.iter().copied().min().unwrap_or(0);
         let max = values.iter().copied().max().unwrap_or(0);
-        Self {
-            n_rows: column.len(),
-            values,
-            ends,
-            min,
-            val_width: width_for(max - min),
-        }
+        Self { n_rows: column.len(), values, ends, min, val_width: width_for(max - min) }
     }
 
     /// Exact serialized size given run count and the value range of the runs.
@@ -150,8 +144,12 @@ mod tests {
 
     #[test]
     fn collapses_runs_and_roundtrips() {
-        let vals: Vec<u64> =
-            [5u64; 300].iter().chain([9u64; 200].iter()).chain([5u64; 100].iter()).copied().collect();
+        let vals: Vec<u64> = [5u64; 300]
+            .iter()
+            .chain([9u64; 200].iter())
+            .chain([5u64; 100].iter())
+            .copied()
+            .collect();
         let c = RunEndCodec::encode(&vals);
         assert_eq!(c.ends, [300, 500, 600]);
         assert_eq!(c.decode(), vals);
@@ -163,8 +161,12 @@ mod tests {
 
     #[test]
     fn run_skipping_counts() {
-        let vals: Vec<u64> =
-            [1u64; 1000].iter().chain([2u64; 500].iter()).chain([1u64; 250].iter()).copied().collect();
+        let vals: Vec<u64> = [1u64; 1000]
+            .iter()
+            .chain([2u64; 500].iter())
+            .chain([1u64; 250].iter())
+            .copied()
+            .collect();
         let c = RunEndCodec::encode(&vals);
         assert_eq!(c.count_matching(&EncodedPred::Eq(1)), 1250);
         assert_eq!(c.count_matching(&EncodedPred::Eq(2)), 500);
@@ -192,7 +194,9 @@ mod tests {
         }
         // Hand-built ends over 4 rows: only strictly increasing ones from
         // ≥ 1 that end at n_rows are accepted.
-        for (ends, ok) in [(vec![2u64, 4], true), (vec![2], false), (vec![4, 4], false), (vec![0, 4], false)] {
+        for (ends, ok) in
+            [(vec![2u64, 4], true), (vec![2], false), (vec![4, 4], false), (vec![0, 4], false)]
+        {
             let mut bytes = Vec::new();
             write_uvarint(&mut bytes, 4); // n_rows
             write_uvarint(&mut bytes, ends.len() as u64); // n_runs

@@ -65,9 +65,8 @@ impl GdCompressor {
 
     /// [`fit`](Self::fit) on a sample of at most `fit_rows` rows.
     fn fit_sampled(data: &EncodedMatrix, fit_rows: usize) -> GdSplit {
-        let widths: Vec<u32> = (0..data.n_columns())
-            .map(|c| bits_for(data.column_max(c)))
-            .collect();
+        let widths: Vec<u32> =
+            (0..data.n_columns()).map(|c| bits_for(data.column_max(c))).collect();
         let dev_bits = Self::fit_dev_bits(data, &widths, fit_rows);
         GdSplit { widths, dev_bits }
     }
@@ -170,11 +169,7 @@ impl GdCompressor {
 
 /// Total compressed size in bits under the GD size model.
 fn size_bits(n: usize, n_bases: usize, widths: &[u32], dev_bits: &[u32]) -> u64 {
-    let base_width: u64 = widths
-        .iter()
-        .zip(dev_bits)
-        .map(|(&w, &d)| (w - d) as u64)
-        .sum();
+    let base_width: u64 = widths.iter().zip(dev_bits).map(|(&w, &d)| (w - d) as u64).sum();
     let dev_width: u64 = dev_bits.iter().map(|&d| d as u64).sum();
     let id_bits = bits_for(n_bases.saturating_sub(1) as u64) as u64;
     n_bases as u64 * base_width + n as u64 * (id_bits + dev_width)
@@ -391,9 +386,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let n = 4000;
         // High byte from a tiny alphabet, low 8 bits uniform noise.
-        let col: Vec<u64> = (0..n)
-            .map(|_| ((rng.gen_range(0..4u64)) << 8) | rng.gen_range(0..256u64))
-            .collect();
+        let col: Vec<u64> =
+            (0..n).map(|_| ((rng.gen_range(0..4u64)) << 8) | rng.gen_range(0..256u64)).collect();
         let m = EncodedMatrix::new(vec![col]);
         let store = GdCompressor::new().compress(&m);
         assert!(

@@ -39,11 +39,7 @@ impl EncodedMatrix {
     /// Returns the sub-matrix with only the given rows, in order.
     pub fn take_rows(&self, rows: &[usize]) -> EncodedMatrix {
         EncodedMatrix {
-            columns: self
-                .columns
-                .iter()
-                .map(|c| rows.iter().map(|&r| c[r]).collect())
-                .collect(),
+            columns: self.columns.iter().map(|c| rows.iter().map(|&r| c[r]).collect()).collect(),
             n_rows: rows.len(),
         }
     }

@@ -144,9 +144,7 @@ impl ColumnTransform {
     /// The category string at a given frequency rank.
     pub fn category(&self, rank: usize) -> Option<&str> {
         match self {
-            ColumnTransform::Categorical { by_rank, .. } => {
-                by_rank.get(rank).map(|s| s.as_str())
-            }
+            ColumnTransform::Categorical { by_rank, .. } => by_rank.get(rank).map(|s| s.as_str()),
             ColumnTransform::Numeric { .. } => None,
         }
     }
@@ -689,11 +687,7 @@ mod tests {
         Dataset::builder("t")
             .column(Column::from_ints("i", vec![Some(-5), Some(10), None, Some(0)]))
             .unwrap()
-            .column(Column::from_floats(
-                "f",
-                vec![Some(10.22), Some(9.99), Some(10.25), None],
-                2,
-            ))
+            .column(Column::from_floats("f", vec![Some(10.22), Some(9.99), Some(10.25), None], 2))
             .unwrap()
             .column(Column::from_strings(
                 "c",
@@ -741,10 +735,7 @@ mod tests {
             .unwrap()
             .build();
         let pre = Preprocessor::fit(&d);
-        assert_eq!(
-            pre.encode_literal(0, &Value::Int(150)).unwrap(),
-            EncodedLiteral::Num(81.0)
-        );
+        assert_eq!(pre.encode_literal(0, &Value::Int(150)).unwrap(), EncodedLiteral::Num(81.0));
         assert_eq!(
             pre.encode_literal(1, &Value::Float(90.5)).unwrap(),
             EncodedLiteral::Num(905.0 - 25.0)
@@ -855,10 +846,7 @@ mod tests {
         let ph: ph_types::PhError = pre.decode_value(2, 7).unwrap_err().into();
         assert!(matches!(ph, ph_types::PhError::Corrupt(_)));
         // Numeric codes beyond 2^52 are unrepresentable.
-        assert!(matches!(
-            pre.decode_value(0, (1 << 52) + 1),
-            Err(GdError::CorruptCode { .. })
-        ));
+        assert!(matches!(pre.decode_value(0, (1 << 52) + 1), Err(GdError::CorruptCode { .. })));
         // Out-of-range column index is a typed error too.
         assert!(matches!(pre.decode_value(99, 0), Err(GdError::BadColumn(99))));
     }
@@ -887,10 +875,7 @@ mod tests {
             .map(|i| format!("https://telemetry.plant-{:02}.example.com/sensor/{i}", i % 7))
             .collect();
         let refs: Vec<Option<&str>> = cats.iter().map(|s| Some(s.as_str())).collect();
-        let d = Dataset::builder("t")
-            .column(Column::from_strings("url", refs))
-            .unwrap()
-            .build();
+        let d = Dataset::builder("t").column(Column::from_strings("url", refs)).unwrap().build();
         let pre = Preprocessor::fit(&d);
         let bytes = pre.to_bytes();
         let plain_total: usize = cats.iter().map(|s| s.len() + 1).sum();
@@ -1040,10 +1025,8 @@ mod tests {
 
     #[test]
     fn all_null_column_is_degenerate_but_valid() {
-        let d = Dataset::builder("t")
-            .column(Column::from_ints("x", vec![None, None]))
-            .unwrap()
-            .build();
+        let d =
+            Dataset::builder("t").column(Column::from_ints("x", vec![None, None])).unwrap().build();
         let pre = Preprocessor::fit(&d);
         let enc = pre.encode(&d);
         let null = pre.transform(0).null_code().unwrap();

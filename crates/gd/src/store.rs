@@ -70,10 +70,8 @@ impl GdStore {
         let d = self.widths.len();
         let mut key: Vec<u64> = vec![0; d];
         // Continue the packed deviation stream where the last row ended.
-        let mut dev_writer = BitWriter::resume(
-            std::mem::take(&mut self.devs),
-            self.n_rows as u64 * self.dev_stride,
-        );
+        let mut dev_writer =
+            BitWriter::resume(std::mem::take(&mut self.devs), self.n_rows as u64 * self.dev_stride);
         for r in 0..data.n_rows {
             for c in 0..d {
                 let v = data.get(r, c);
@@ -137,11 +135,8 @@ impl GdStore {
         let mut out = Vec::with_capacity(d);
         for c in 0..d {
             let db = self.dev_bits[c];
-            let dev = if db > 0 {
-                reader.read_bits(db).expect("deviation stream truncated")
-            } else {
-                0
-            };
+            let dev =
+                if db > 0 { reader.read_bits(db).expect("deviation stream truncated") } else { 0 };
             out.push((base[c] << db) | dev);
         }
         out
@@ -186,9 +181,8 @@ impl GdStore {
     pub fn base_values(&self, col: usize) -> Vec<u64> {
         let d = self.widths.len();
         let shift = self.dev_bits[col];
-        let mut vals: Vec<u64> = (0..self.n_bases())
-            .map(|b| self.base_parts[b * d + col] << shift)
-            .collect();
+        let mut vals: Vec<u64> =
+            (0..self.n_bases()).map(|b| self.base_parts[b * d + col] << shift).collect();
         vals.sort_unstable();
         vals.dedup();
         vals
@@ -292,10 +286,7 @@ impl GdStore {
         // ph-lint: allow(bounded-reserve) — `n_bases` is capped at MAX_CODEC_ROWS above, and the payload was checked to hold every base's bits
         let mut base_index = HashMap::with_capacity(n_bases);
         for b in 0..n_bases {
-            base_index.insert(
-                base_parts[b * d..(b + 1) * d].to_vec().into_boxed_slice(),
-                b as u32,
-            );
+            base_index.insert(base_parts[b * d..(b + 1) * d].to_vec().into_boxed_slice(), b as u32);
         }
         Some(Self {
             widths,

@@ -177,8 +177,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_ascii_alphabetic() || c == b'_' || c >= 0x80 => {
                 let start = i;
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] >= 0x80)
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] >= 0x80)
                 {
                     i += 1;
                 }
@@ -273,7 +272,9 @@ fn scan_prefixed_literal(src: &str, i: usize) -> (TokKind, String, usize) {
     if raw {
         // Raw: no escapes; ends at `"` + `hashes` hash marks.
         while j < b.len() {
-            if b[j] == b'"' && b[j + 1..].iter().take(hashes).filter(|&&c| c == b'#').count() == hashes {
+            if b[j] == b'"'
+                && b[j + 1..].iter().take(hashes).filter(|&&c| c == b'#').count() == hashes
+            {
                 return (TokKind::Str, src[start..j].to_string(), j + 1 + hashes);
             }
             j += 1;
@@ -358,12 +359,7 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        lex(src)
-            .tokens
-            .into_iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text)
-            .collect()
+        lex(src).tokens.into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
     }
 
     #[test]

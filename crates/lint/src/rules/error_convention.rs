@@ -50,8 +50,10 @@ pub fn check(ctx: &FileCtx, ws: &WsCtx, out: &mut Vec<Diagnostic>) {
             i += 1;
             continue;
         }
-        while matches!(ctx.ident(j), Some("const") | Some("async") | Some("unsafe") | Some("extern"))
-        {
+        while matches!(
+            ctx.ident(j),
+            Some("const") | Some("async") | Some("unsafe") | Some("extern")
+        ) {
             j += 1;
             if toks.get(j).is_some_and(|t| t.kind == crate::lexer::TokKind::Str) {
                 j += 1; // extern "C"
@@ -107,12 +109,7 @@ pub fn check(ctx: &FileCtx, ws: &WsCtx, out: &mut Vec<Diagnostic>) {
 
 /// Examines the return type tokens `[start..end)`; returns the offending
 /// error type name if the convention is broken.
-fn offending_error_type(
-    ctx: &FileCtx,
-    ws: &WsCtx,
-    start: usize,
-    end: usize,
-) -> Option<String> {
+fn offending_error_type(ctx: &FileCtx, ws: &WsCtx, start: usize, end: usize) -> Option<String> {
     let toks = &ctx.tokens;
     // Locate the first `Result` identifier in the return type.
     let r = (start..end).find(|&k| toks[k].is_ident("Result"))?;
@@ -120,10 +117,8 @@ fn offending_error_type(
     if !ctx.punct(r + 1, '<') {
         return None;
     }
-    let io_alias = r >= 3
-        && ctx.punct(r - 1, ':')
-        && ctx.punct(r - 2, ':')
-        && ctx.ident(r - 3) == Some("io");
+    let io_alias =
+        r >= 3 && ctx.punct(r - 1, ':') && ctx.punct(r - 2, ':') && ctx.ident(r - 3) == Some("io");
     // Split the generic arguments at top level.
     let mut depth = 1i32;
     let mut k = r + 2;

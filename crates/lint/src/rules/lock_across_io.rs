@@ -164,7 +164,7 @@ fn parse_guard_let(ctx: &FileCtx, i: usize, depth: i32) -> Option<(Guard, usize)
 fn ends_in_guard_acquisition(ctx: &FileCtx, start: usize, end: usize) -> bool {
     let toks = &ctx.tokens;
     let mut k = end; // exclusive
-    // Strip trailing `?`.
+                     // Strip trailing `?`.
     while k > start && toks[k - 1].is_punct('?') {
         k -= 1;
     }
@@ -199,11 +199,7 @@ fn ends_in_guard_acquisition(ctx: &FileCtx, start: usize, end: usize) -> bool {
 
 /// Index of the `(` matching the `)` at `close`, searching no further back
 /// than `floor`. (Option for easy `?` use; `None` on imbalance.)
-fn matching_open_paren(
-    toks: &[crate::lexer::Token],
-    close: usize,
-    floor: usize,
-) -> Option<usize> {
+fn matching_open_paren(toks: &[crate::lexer::Token], close: usize, floor: usize) -> Option<usize> {
     let mut bal = 0i32;
     let mut k = close;
     loop {

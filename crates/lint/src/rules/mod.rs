@@ -57,8 +57,7 @@ impl WsCtx {
     pub fn absorb(&mut self, ctx: &FileCtx) {
         let toks = &ctx.tokens;
         for i in 0..toks.len() {
-            if !(toks[i].is_ident("impl") && toks.get(i + 1).is_some_and(|t| t.is_ident("From")))
-            {
+            if !(toks[i].is_ident("impl") && toks.get(i + 1).is_some_and(|t| t.is_ident("From"))) {
                 continue;
             }
             if !ctx.punct(i + 2, '<') {

@@ -22,7 +22,18 @@ use crate::scope::FileCtx;
 pub const NAME: &str = "no-panic-serving";
 
 /// Panic-family macro names.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne", "debug_assert", "debug_assert_eq", "debug_assert_ne"];
+const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+    "debug_assert",
+    "debug_assert_eq",
+    "debug_assert_ne",
+];
 
 /// Macros whose panics are debug-only or deliberate assertions: flagged via
 /// the stricter subset only. (`assert!` in serving code is a real abort and
@@ -49,7 +60,12 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
     let toks = &ctx.tokens;
     let mut diag = |i: usize, msg: String| {
-        out.push(Diagnostic { file: ctx.rel.clone(), line: toks[i].line, rule: NAME, message: msg });
+        out.push(Diagnostic {
+            file: ctx.rel.clone(),
+            line: toks[i].line,
+            rule: NAME,
+            message: msg,
+        });
     };
     for i in 0..toks.len() {
         if ctx.in_test[i] {
@@ -80,10 +96,7 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             && !EXEMPT_MACROS.contains(&t.text.as_str())
             && ctx.punct(i + 1, '!')
         {
-            diag(
-                i,
-                format!("{}! aborts the serving thread; return an error instead", t.text),
-            );
+            diag(i, format!("{}! aborts the serving thread; return an error instead", t.text));
             continue;
         }
         // Slice/array indexing: `expr[...]` panics out of bounds. An opening
@@ -92,8 +105,7 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         // or type syntax.
         if t.is_punct('[') && i > 0 {
             let p = &toks[i - 1];
-            let indexing = matches!(p.kind, TokKind::Ident)
-                && !is_keyword_before_bracket(&p.text)
+            let indexing = matches!(p.kind, TokKind::Ident) && !is_keyword_before_bracket(&p.text)
                 || p.is_punct(')')
                 || p.is_punct(']')
                 || p.is_punct('?');
@@ -115,9 +127,25 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 fn is_keyword_before_bracket(word: &str) -> bool {
     matches!(
         word,
-        "return" | "in" | "break" | "else" | "match" | "if" | "while" | "mut" | "dyn" | "as"
+        "return"
+            | "in"
+            | "break"
+            | "else"
+            | "match"
+            | "if"
+            | "while"
+            | "mut"
+            | "dyn"
+            | "as"
             | "let"
-            | "impl" | "where" | "const" | "static" | "type" | "box" | "move" | "yield"
+            | "impl"
+            | "where"
+            | "const"
+            | "static"
+            | "type"
+            | "box"
+            | "move"
+            | "yield"
     )
 }
 

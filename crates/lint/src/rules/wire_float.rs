@@ -46,8 +46,7 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         }
         let t = &toks[i];
         // `.to_string()`.
-        if t.is_ident("to_string") && i > 0 && toks[i - 1].is_punct('.') && ctx.punct(i + 1, '(')
-        {
+        if t.is_ident("to_string") && i > 0 && toks[i - 1].is_punct('.') && ctx.punct(i + 1, '(') {
             out.push(Diagnostic {
                 file: ctx.rel.clone(),
                 line: t.line,
@@ -65,8 +64,7 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 file: ctx.rel.clone(),
                 line: t.line,
                 rule: NAME,
-                message: "`as f32` narrows an f64 — bit-identity across the wire is lost"
-                    .into(),
+                message: "`as f32` narrows an f64 — bit-identity across the wire is lost".into(),
             });
             continue;
         }

@@ -284,9 +284,10 @@ fn parse_allows(comments: &[Comment], tokens: &[Token]) -> Vec<Allow> {
             continue;
         }
         let rest = rest[keyword_len..].trim_start();
-        let (rules, justification) = match rest.strip_prefix('(').and_then(|r| {
-            r.find(')').map(|close| (&r[..close], &r[close + 1..]))
-        }) {
+        let (rules, justification) = match rest
+            .strip_prefix('(')
+            .and_then(|r| r.find(')').map(|close| (&r[..close], &r[close + 1..])))
+        {
             Some((inside, after)) => {
                 let rules: Vec<String> = inside
                     .split(',')
@@ -320,12 +321,7 @@ fn covered_line(c: &Comment, tokens: &[Token]) -> u32 {
     if c.trailing {
         return c.line_start;
     }
-    tokens
-        .iter()
-        .map(|t| t.line)
-        .filter(|&l| l > c.line_end)
-        .min()
-        .unwrap_or(c.line_end)
+    tokens.iter().map(|t| t.line).filter(|&l| l > c.line_end).min().unwrap_or(c.line_end)
 }
 
 #[cfg(test)]

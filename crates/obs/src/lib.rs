@@ -39,7 +39,9 @@ mod ring;
 mod slow;
 pub mod trace;
 
-pub use metrics::{push_header, push_sample, Counter, Gauge, Histogram, Kind, Registry, HIST_BUCKETS};
+pub use metrics::{
+    push_header, push_sample, Counter, Gauge, Histogram, Kind, Registry, HIST_BUCKETS,
+};
 pub use ring::{DecodedSpan, SpanRing};
 pub use slow::{SlowQuery, SlowRing};
 pub use trace::{span, SpanGuard, SpanRec, Stage, Trace};

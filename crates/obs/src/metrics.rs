@@ -131,9 +131,7 @@ impl Histogram {
 
     /// Per-bucket counts (non-cumulative), index = `⌊log₂ v⌋`.
     pub fn bucket_counts(&self) -> [u64; HIST_BUCKETS] {
-        std::array::from_fn(|i| {
-            self.buckets.get(i).map(|b| b.load(Ordering::Relaxed)).unwrap_or(0)
-        })
+        std::array::from_fn(|i| self.buckets.get(i).map(|b| b.load(Ordering::Relaxed)).unwrap_or(0))
     }
 
     /// Adds every bucket and the sum of `other` into `self`.

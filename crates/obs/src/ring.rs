@@ -174,13 +174,7 @@ fn decode_buf(buf: &[u8], out: &mut Vec<DecodedSpan>) {
         st = DeltaState { trace_id, start_ns };
         out.push(DecodedSpan {
             trace_id,
-            rec: SpanRec {
-                id: id as u32,
-                parent: parent as u32,
-                stage,
-                start_ns,
-                dur_ns,
-            },
+            rec: SpanRec { id: id as u32, parent: parent as u32, stage, start_ns, dur_ns },
         });
     }
 }

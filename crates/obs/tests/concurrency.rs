@@ -72,9 +72,13 @@ fn parse_sample(line: &str) -> (String, Vec<(String, String)>, f64) {
                 .split(',')
                 .filter(|p| !p.is_empty())
                 .map(|pair| {
-                    let (k, v) = pair.split_once('=').unwrap_or_else(|| panic!("bad label in {line:?}"));
+                    let (k, v) =
+                        pair.split_once('=').unwrap_or_else(|| panic!("bad label in {line:?}"));
                     let v = v.strip_prefix('"').and_then(|v| v.strip_suffix('"'));
-                    (k.to_string(), v.unwrap_or_else(|| panic!("unquoted label in {line:?}")).to_string())
+                    (
+                        k.to_string(),
+                        v.unwrap_or_else(|| panic!("unquoted label in {line:?}")).to_string(),
+                    )
                 })
                 .collect();
             (name.to_string(), labels)
@@ -131,7 +135,10 @@ fn exposition_parses_line_by_line_while_writers_run() {
                     assert!(seen_type.contains(family), "sample before TYPE: {line:?}");
                     assert!(value.is_finite() || value.is_infinite(), "NaN sample: {line:?}");
                     if name.ends_with("_bucket") {
-                        assert!(labels.iter().any(|(k, _)| k == "le"), "bucket without le: {line:?}");
+                        assert!(
+                            labels.iter().any(|(k, _)| k == "le"),
+                            "bucket without le: {line:?}"
+                        );
                     }
                 }
             }
@@ -182,7 +189,13 @@ fn slow_ring_never_exceeds_cap_under_concurrent_offers() {
     });
     assert_eq!(ring.len(), CAP);
     // Sub-threshold offers are filtered even with room conceptually "free".
-    assert!(!ring.offer(SlowQuery { fingerprint: 0, total_us: 99, status: 200, unix_ms: 0, spans: Vec::new() }));
+    assert!(!ring.offer(SlowQuery {
+        fingerprint: 0,
+        total_us: 99,
+        status: 200,
+        unix_ms: 0,
+        spans: Vec::new()
+    }));
 }
 
 /// The self-checking span payload: `dur_ns` is a hash of the span's identity,

@@ -41,21 +41,20 @@ fn main() {
     let mut queries: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            usage();
-        });
+        let mut value = |name: &str| {
+            it.next().unwrap_or_else(|| {
+                eprintln!("{name} needs a value");
+                usage();
+            })
+        };
         match flag.as_str() {
             "--addr" => addr = Some(value("--addr")),
             "--connections" => {
                 profile.active = value("--connections").parse().unwrap_or_else(|_| usage())
             }
-            "--hold" => {
-                profile.held_idle = value("--hold").parse().unwrap_or_else(|_| usage())
-            }
+            "--hold" => profile.held_idle = value("--hold").parse().unwrap_or_else(|_| usage()),
             "--pipeline" => {
-                profile.pipeline_depth =
-                    value("--pipeline").parse().unwrap_or_else(|_| usage())
+                profile.pipeline_depth = value("--pipeline").parse().unwrap_or_else(|_| usage())
             }
             "--seconds" => seconds = value("--seconds").parse().unwrap_or_else(|_| usage()),
             "--sql" => queries.push(value("--sql")),

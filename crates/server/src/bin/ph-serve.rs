@@ -60,10 +60,12 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            usage();
-        });
+        let mut value = |name: &str| {
+            it.next().unwrap_or_else(|| {
+                eprintln!("{name} needs a value");
+                usage();
+            })
+        };
         match flag.as_str() {
             "--addr" => args.addr = value("--addr"),
             "--workers" => {
@@ -73,8 +75,7 @@ fn parse_args() -> Args {
                 args.cfg.queue_depth = value("--queue").parse().unwrap_or_else(|_| usage())
             }
             "--max-conns" => {
-                args.cfg.max_connections =
-                    value("--max-conns").parse().unwrap_or_else(|_| usage())
+                args.cfg.max_connections = value("--max-conns").parse().unwrap_or_else(|_| usage())
             }
             "--read-timeout" => {
                 let secs: f64 = value("--read-timeout").parse().unwrap_or_else(|_| usage());
@@ -98,9 +99,7 @@ fn parse_args() -> Args {
             }
             "--no-tracing" => ph_server::obs::set_tracing(false),
             "--data-dir" => args.data_dir = Some(value("--data-dir")),
-            "--demo" => {
-                args.demo_rows = value("--demo").parse().unwrap_or_else(|_| usage())
-            }
+            "--demo" => args.demo_rows = value("--demo").parse().unwrap_or_else(|_| usage()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -126,8 +125,8 @@ fn main() {
         },
         None => {
             let s = Session::new();
-            let data = ph_datagen::generate("Power", args.demo_rows, 7)
-                .expect("demo dataset generates");
+            let data =
+                ph_datagen::generate("Power", args.demo_rows, 7).expect("demo dataset generates");
             eprintln!(
                 "no --data-dir: registered demo table 'Power' ({} rows, columns: {})",
                 data.n_rows(),
@@ -151,7 +150,11 @@ fn main() {
         args.cfg.workers,
         args.cfg.queue_depth,
         args.cfg.max_connections,
-        args.cfg.query_log.as_deref().map(|p| p.display().to_string()).unwrap_or_else(|| "off".into()),
+        args.cfg
+            .query_log
+            .as_deref()
+            .map(|p| p.display().to_string())
+            .unwrap_or_else(|| "off".into()),
     );
     match args.serve_seconds {
         // Bounded run (CI smoke): serve, then shut down gracefully — drain

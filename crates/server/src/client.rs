@@ -213,9 +213,8 @@ impl Client {
         idempotent: bool,
     ) -> Result<(u16, Json), ClientError> {
         let (status, text) = self.exchange_text(method, target, content_type, body, idempotent)?;
-        let doc = Json::parse(&text).map_err(|e| {
-            ClientError::Protocol(format!("response is not JSON: {e} in {text:?}"))
-        })?;
+        let doc = Json::parse(&text)
+            .map_err(|e| ClientError::Protocol(format!("response is not JSON: {e} in {text:?}")))?;
         Ok((status, doc))
     }
 
@@ -254,8 +253,7 @@ impl Client {
                 }
                 Err(HttpError::Incomplete) => {
                     self.conn = None;
-                    first_error
-                        .get_or_insert(ClientError::Transport("connection closed".into()));
+                    first_error.get_or_insert(ClientError::Transport("connection closed".into()));
                 }
                 Err(HttpError::TooLarge(m)) => {
                     self.conn = None;
@@ -304,11 +302,8 @@ impl Client {
     /// Ingests JSON rows (`[{"col": value, …}, …]`) into `table`. Returns the
     /// server's ingest report as JSON.
     pub fn ingest_rows(&mut self, table: &str, rows: Vec<Json>) -> Result<Json, ClientError> {
-        let body = obj(vec![
-            ("table", Json::Str(table.to_string())),
-            ("rows", Json::Arr(rows)),
-        ])
-        .to_string();
+        let body = obj(vec![("table", Json::Str(table.to_string())), ("rows", Json::Arr(rows))])
+            .to_string();
         let (status, doc) =
             self.exchange("POST", "/ingest", "application/json", body.as_bytes(), false)?;
         Self::ok_or_server_error(status, doc)
@@ -418,9 +413,7 @@ impl Client {
     pub fn query_scalar(&mut self, sql: &str) -> Result<ph_core::Estimate, ClientError> {
         match self.query(sql)? {
             AqpAnswer::Scalar(Some(e)) => Ok(e),
-            AqpAnswer::Scalar(None) => {
-                Err(ClientError::Protocol("query returned SQL NULL".into()))
-            }
+            AqpAnswer::Scalar(None) => Err(ClientError::Protocol("query returned SQL NULL".into())),
             AqpAnswer::Groups(_) => {
                 Err(ClientError::Protocol("query returned groups, not a scalar".into()))
             }

@@ -225,11 +225,7 @@ impl<'a> EventLoop<'a> {
                     self.conns.len() - 1
                 }
             };
-            let registered = self
-                .shared
-                .poller
-                .add(&conn.stream, Event::readable(key))
-                .is_ok();
+            let registered = self.shared.poller.add(&conn.stream, Event::readable(key)).is_ok();
             if !registered {
                 self.free.push(key);
                 continue;
@@ -328,8 +324,7 @@ impl<'a> EventLoop<'a> {
                         if conn.inflight.len() > 1 {
                             self.shared.metrics.pipelined.inc();
                         }
-                        let keep =
-                            req.keep_alive() && !self.shared.stop.load(Ordering::Acquire);
+                        let keep = req.keep_alive() && !self.shared.stop.load(Ordering::Acquire);
                         if !keep {
                             // The response will say `Connection: close`; later
                             // pipelined bytes are dead.
@@ -388,8 +383,7 @@ impl<'a> EventLoop<'a> {
             let text = metrics_text(shared);
             let micros = t0.elapsed().as_micros() as u64;
             shared.metrics.endpoint(Endpoint::Metrics).record(200, micros);
-            let bytes =
-                response_bytes_typed(200, "text/plain; version=0.0.4", &text, keep);
+            let bytes = response_bytes_typed(200, "text/plain; version=0.0.4", &text, keep);
             self.fill(key, seq, bytes, keep);
             return;
         }
@@ -470,11 +464,8 @@ impl<'a> EventLoop<'a> {
     /// A finished response; dropped if the connection died or the slot was
     /// reused (generation mismatch) since its request was parsed.
     fn apply_done(&mut self, done: Done) {
-        let live = self
-            .conns
-            .get(done.key)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|c| c.gen == done.gen);
+        let live =
+            self.conns.get(done.key).and_then(|s| s.as_ref()).is_some_and(|c| c.gen == done.gen);
         if live {
             self.fill(done.key, done.seq, done.bytes, done.keep_alive);
         }
@@ -593,8 +584,7 @@ impl<'a> EventLoop<'a> {
                 conn.read_deadline = Some(deadline);
                 arm = Some((conn.gen, deadline));
             }
-            close_now =
-                conn.closing && conn.inflight.is_empty() && conn.out_pos >= conn.out.len();
+            close_now = conn.closing && conn.inflight.is_empty() && conn.out_pos >= conn.out.len();
         }
         if let Some((gen, deadline)) = arm {
             self.wheel.schedule(key, gen, deadline);
@@ -655,8 +645,7 @@ impl<'a> EventLoop<'a> {
         let want_w = conn.out_pos < conn.out.len();
         if want_w != conn.interest_w {
             conn.interest_w = want_w;
-            let interest =
-                if want_w { Event::all(key) } else { Event::readable(key) };
+            let interest = if want_w { Event::all(key) } else { Event::readable(key) };
             let _ = self.shared.poller.modify(&conn.stream, interest);
         }
     }
@@ -707,8 +696,10 @@ fn route_inline(shared: &Shared, req: &Request) -> Option<(Endpoint, u16, Json)>
                 ("uptime_seconds", Json::Num(shared.started.elapsed().as_secs_f64())),
             ]),
         )),
-        (_, "/query" | "/ingest" | "/tables" | "/stats" | "/healthz" | "/metrics"
-        | "/debug/slow") => {
+        (
+            _,
+            "/query" | "/ingest" | "/tables" | "/stats" | "/healthz" | "/metrics" | "/debug/slow",
+        ) => {
             let body = error_body(
                 405,
                 "method_not_allowed",

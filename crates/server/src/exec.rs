@@ -262,10 +262,7 @@ fn handle_query(batch: &mut BatchSession<'_>, sql: Option<&str>) -> (u16, Json) 
         Ok(answer) => {
             let mut body = answer_to_json(&answer);
             if let Json::Obj(members) = &mut body {
-                members.push((
-                    "latency_us".into(),
-                    Json::Num(t0.elapsed().as_micros() as f64),
-                ));
+                members.push(("latency_us".into(), Json::Num(t0.elapsed().as_micros() as f64)));
             }
             (200, body)
         }
@@ -398,7 +395,11 @@ mod tests {
         let shed = queue.push_wake(vec![job(0, 1), job(0, 2)]);
         assert_eq!(seqs(&shed), vec![2], "cap of 2 sheds the third");
         assert_eq!(queue.hwm.load(Ordering::Relaxed), 2);
-        assert_eq!(seqs(&queue.pop_run().unwrap()), vec![0, 1], "a still-queued run takes its connection's next job");
+        assert_eq!(
+            seqs(&queue.pop_run().unwrap()),
+            vec![0, 1],
+            "a still-queued run takes its connection's next job"
+        );
         let q = Arc::clone(&queue);
         let waiter = std::thread::spawn(move || q.pop_run());
         std::thread::sleep(Duration::from_millis(20));
@@ -427,7 +428,9 @@ mod tests {
         for key in 0..63 {
             assert_eq!(queue.pop_run().unwrap()[0].key, key);
         }
-        for (key, run) in [(100, vec![0, 1]), (101, vec![0]), (102, vec![0, 1]), (103, (0..70).collect())] {
+        for (key, run) in
+            [(100, vec![0, 1]), (101, vec![0]), (102, vec![0, 1]), (103, (0..70).collect())]
+        {
             let popped = queue.pop_run().unwrap();
             assert!(popped.iter().all(|j| j.key == key));
             assert_eq!(seqs(&popped), run);

@@ -87,9 +87,7 @@ impl Request {
     /// Whether the client asked to keep the connection open afterwards
     /// (HTTP/1.1 default unless `Connection: close`).
     pub fn keep_alive(&self) -> bool {
-        !self
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        !self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
 
@@ -139,8 +137,8 @@ fn percent_decode(s: &str) -> String {
 /// Parses the head of a request (everything up to, excluding, the blank line)
 /// into method/path/params/headers. The body is attached by the caller.
 pub fn parse_request_head(head: &[u8]) -> Result<Request, HttpError> {
-    let text = std::str::from_utf8(head)
-        .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
+    let text =
+        std::str::from_utf8(head).map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
     let mut lines = head_lines(text);
     let start = lines.next().ok_or_else(|| HttpError::Malformed("empty head".into()))?;
     let mut parts = start.split_ascii_whitespace();
@@ -185,8 +183,8 @@ pub fn parse_request_head(head: &[u8]) -> Result<Request, HttpError> {
 
 /// Parses a response head into `(status, headers)`.
 pub fn parse_response_head(head: &[u8]) -> Result<(u16, Headers), HttpError> {
-    let text = std::str::from_utf8(head)
-        .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
+    let text =
+        std::str::from_utf8(head).map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
     let mut lines = head_lines(text);
     let start = lines.next().ok_or_else(|| HttpError::Malformed("empty head".into()))?;
     let mut parts = start.split_ascii_whitespace();
@@ -197,16 +195,13 @@ pub fn parse_response_head(head: &[u8]) -> Result<(u16, Headers), HttpError> {
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed(format!("unsupported version {version:?}")));
     }
-    let status: u16 = status
-        .parse()
-        .map_err(|_| HttpError::Malformed(format!("bad status code {status:?}")))?;
+    let status: u16 =
+        status.parse().map_err(|_| HttpError::Malformed(format!("bad status code {status:?}")))?;
     let headers = parse_header_lines(lines)?;
     Ok((status, headers))
 }
 
-fn parse_header_lines<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<Headers, HttpError> {
+fn parse_header_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers, HttpError> {
     let mut headers = Vec::new();
     for line in lines {
         let (name, value) = line
@@ -245,10 +240,7 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
 /// Oversized bodies are rejected from the `Content-Length` header alone —
 /// before the body arrives — so a hostile declaration never makes the loop
 /// buffer it.
-pub fn try_parse_request(
-    buf: &mut Vec<u8>,
-    max_body: usize,
-) -> Result<Option<Request>, HttpError> {
+pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Request>, HttpError> {
     let Some(sep) = find_head_end(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
             return Err(HttpError::TooLarge(format!("head exceeds {MAX_HEAD_BYTES} bytes")));
@@ -330,9 +322,7 @@ impl<S: Read + Write> HttpConn<S> {
                 return Ok(head);
             }
             if self.buf.len() > MAX_HEAD_BYTES {
-                return Err(HttpError::TooLarge(format!(
-                    "head exceeds {MAX_HEAD_BYTES} bytes"
-                )));
+                return Err(HttpError::TooLarge(format!("head exceeds {MAX_HEAD_BYTES} bytes")));
             }
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
@@ -460,8 +450,7 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let req =
-            parse_request_head(b"GET / HTTP/1.1\r\nConnection: Close\r\n").unwrap();
+        let req = parse_request_head(b"GET / HTTP/1.1\r\nConnection: Close\r\n").unwrap();
         assert!(!req.keep_alive());
     }
 
@@ -536,7 +525,10 @@ mod tests {
         let a = try_parse_request(&mut buf, 1024).unwrap().unwrap();
         let b = try_parse_request(&mut buf, 1024).unwrap().unwrap();
         let c = try_parse_request(&mut buf, 1024).unwrap().unwrap();
-        assert_eq!((a.path.as_str(), b.path.as_str(), c.path.as_str()), ("/healthz", "/query", "/stats"));
+        assert_eq!(
+            (a.path.as_str(), b.path.as_str(), c.path.as_str()),
+            ("/healthz", "/query", "/stats")
+        );
         assert_eq!(b.body, b"ok");
         assert!(!c.keep_alive());
         assert_eq!(try_parse_request(&mut buf, 1024).unwrap(), None);

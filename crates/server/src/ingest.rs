@@ -30,9 +30,8 @@ pub(crate) fn dataset_from_body(
     session: &Session,
     req: &Request,
 ) -> Result<(String, Dataset), PhError> {
-    let is_csv = req
-        .header("content-type")
-        .is_some_and(|ct| ct.to_ascii_lowercase().contains("text/csv"));
+    let is_csv =
+        req.header("content-type").is_some_and(|ct| ct.to_ascii_lowercase().contains("text/csv"));
     if is_csv {
         let table = req
             .param("table")
@@ -73,9 +72,8 @@ pub(crate) fn dataset_from_body(
 fn rows_from_json(rows: &[Json]) -> Result<(Vec<String>, Vec<Vec<Cell>>), PhError> {
     let mut names: Vec<String> = Vec::new();
     for (i, row) in rows.iter().enumerate() {
-        let members = row
-            .as_obj()
-            .ok_or_else(|| PhError::Schema(format!("row {i} is not a JSON object")))?;
+        let members =
+            row.as_obj().ok_or_else(|| PhError::Schema(format!("row {i} is not a JSON object")))?;
         for (k, _) in members {
             if !names.contains(k) {
                 names.push(k.clone());
@@ -84,9 +82,8 @@ fn rows_from_json(rows: &[Json]) -> Result<(Vec<String>, Vec<Vec<Cell>>), PhErro
     }
     let mut out = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let members = row
-            .as_obj()
-            .ok_or_else(|| PhError::Schema(format!("row {i} is not a JSON object")))?;
+        let members =
+            row.as_obj().ok_or_else(|| PhError::Schema(format!("row {i} is not a JSON object")))?;
         let mut cells = Vec::with_capacity(names.len());
         for name in &names {
             let cell = match members.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
@@ -110,8 +107,8 @@ fn rows_from_json(rows: &[Json]) -> Result<(Vec<String>, Vec<Vec<Cell>>), PhErro
 /// escapes. An **unquoted** empty field is NULL; a quoted empty field is the
 /// empty string.
 fn parse_csv(body: &[u8]) -> Result<(Vec<String>, Vec<Vec<Cell>>), PhError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| PhError::Schema("CSV body is not UTF-8".into()))?;
+    let text =
+        std::str::from_utf8(body).map_err(|_| PhError::Schema("CSV body is not UTF-8".into()))?;
     let mut rows: Vec<Vec<(String, bool)>> = Vec::new(); // (field, was_quoted)
     let mut row: Vec<(String, bool)> = Vec::new();
     let mut field = String::new();
@@ -164,9 +161,7 @@ fn parse_csv(body: &[u8]) -> Result<(Vec<String>, Vec<Vec<Cell>>), PhError> {
     // Drop blank trailing lines.
     rows.retain(|r| !matches!(r.as_slice(), [(f, false)] if f.is_empty()));
     let mut it = rows.into_iter();
-    let header = it
-        .next()
-        .ok_or_else(|| PhError::Schema("CSV body has no header line".into()))?;
+    let header = it.next().ok_or_else(|| PhError::Schema("CSV body has no header line".into()))?;
     let names: Vec<String> = header.into_iter().map(|(n, _)| n.trim().to_string()).collect();
     let mut out = Vec::new();
     for (i, row) in it.enumerate() {
@@ -179,13 +174,15 @@ fn parse_csv(body: &[u8]) -> Result<(Vec<String>, Vec<Vec<Cell>>), PhError> {
         }
         out.push(
             row.into_iter()
-                .map(|(f, was_quoted)| {
-                    if f.is_empty() && !was_quoted {
-                        Cell::Null
-                    } else {
-                        Cell::Str(f)
-                    }
-                })
+                .map(
+                    |(f, was_quoted)| {
+                        if f.is_empty() && !was_quoted {
+                            Cell::Null
+                        } else {
+                            Cell::Str(f)
+                        }
+                    },
+                )
                 .collect(),
         );
     }
@@ -201,9 +198,7 @@ fn assemble(
     names: &[String],
     rows: Vec<Vec<Cell>>,
 ) -> Result<Dataset, PhError> {
-    let snapshot = session
-        .engine(table)
-        .ok_or_else(|| PhError::UnknownTable(table.to_string()))?;
+    let snapshot = session.engine(table).ok_or_else(|| PhError::UnknownTable(table.to_string()))?;
     let pre = snapshot.engine().preprocessor().clone();
     // Map each schema column to its position in the payload. Unknown payload
     // columns are rejected — silently dropping data a client thought it
@@ -226,9 +221,7 @@ fn assemble(
             at.and_then(|j| row.get(j)).unwrap_or(&Cell::Null)
         }
         let bad = |i: usize, detail: &str| {
-            PhError::Schema(format!(
-                "row {i} column '{col_name}' of table '{table}': {detail}"
-            ))
+            PhError::Schema(format!("row {i} column '{col_name}' of table '{table}': {detail}"))
         };
         let column = match pre.column_type(col) {
             ty @ (ColumnType::Int | ColumnType::Timestamp) => {

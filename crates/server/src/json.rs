@@ -262,12 +262,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         {
                             let low = parse_hex4(bytes, *pos + 7)?;
                             if (0xDC00..0xE000).contains(&low) {
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                out.push(
-                                    char::from_u32(combined)
-                                        .ok_or("invalid surrogate pair")?,
-                                );
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                                out.push(char::from_u32(combined).ok_or("invalid surrogate pair")?);
                                 // `u XXXX \ u YYYY` = 11 bytes from the `u`.
                                 *pos += 11;
                                 continue;
@@ -308,17 +304,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    ) {
+    while matches!(bytes.get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
         *pos += 1;
     }
     let text = std::str::from_utf8(bytes.get(start..*pos).unwrap_or_default())
         .map_err(|_| format!("bad number at offset {start}"))?;
-    let x: f64 = text
-        .parse()
-        .map_err(|_| format!("bad number {text:?} at offset {start}"))?;
+    let x: f64 = text.parse().map_err(|_| format!("bad number {text:?} at offset {start}"))?;
     if x.is_finite() {
         Ok(x)
     } else {
@@ -367,17 +358,29 @@ mod tests {
 
     #[test]
     fn surrogate_pairs_decode() {
-        assert_eq!(
-            Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
-            Some("😀")
-        );
+        assert_eq!(Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
     }
 
     #[test]
     fn hostile_inputs_error_cleanly() {
         for bad in [
-            "", "{", "[", "\"", "{\"a\"}", "{\"a\":}", "[1,]", "nul", "tru", "01x",
-            "--3", "1e", "{\"a\":1,}", "\"\\u12\"", "\u{0}", "[[[[", "1 2",
+            "",
+            "{",
+            "[",
+            "\"",
+            "{\"a\"}",
+            "{\"a\":}",
+            "[1,]",
+            "nul",
+            "tru",
+            "01x",
+            "--3",
+            "1e",
+            "{\"a\":1,}",
+            "\"\\u12\"",
+            "\u{0}",
+            "[[[[",
+            "1 2",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
         }

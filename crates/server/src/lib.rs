@@ -101,10 +101,10 @@ pub mod wire;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use json::Json;
+pub use load::{run_load, LoadProfile, LoadReport};
 /// The observability substrate, re-exported for embedders and the `ph-serve`
 /// bin (runtime tracing switch, registry/ring types).
 pub use ph_obs as obs;
-pub use load::{run_load, LoadProfile, LoadReport};
 pub use querylog::{read_query_log, read_query_log_lossy, QueryLogWriter};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use wire::{answer_from_json, answer_to_json, error_body, status_for};

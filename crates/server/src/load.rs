@@ -90,9 +90,8 @@ pub fn run_load(
     // Open the idle population first so the active loops run while it is
     // held, not before it exists. Sockets that fail to open (fd limits,
     // admission 503 + close) are simply not counted.
-    let held: Vec<TcpStream> = (0..profile.held_idle)
-        .filter_map(|_| TcpStream::connect(addr).ok())
-        .collect();
+    let held: Vec<TcpStream> =
+        (0..profile.held_idle).filter_map(|_| TcpStream::connect(addr).ok()).collect();
     let held_idle = held.len();
     let stop = AtomicBool::new(false);
     let t0 = Instant::now();
@@ -168,8 +167,8 @@ pub fn run_load(
             let mut s = s;
             let mut byte = [0u8; 1];
             match s.read(&mut byte) {
-                Ok(0) => false, // EOF: server closed it
-                Ok(_) => true,  // stray byte, still open
+                Ok(0) => false,                                       // EOF: server closed it
+                Ok(_) => true,                                        // stray byte, still open
                 Err(e) => e.kind() == std::io::ErrorKind::WouldBlock, // silent and open
             }
         })

@@ -14,9 +14,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use ph_encoding::{
-    read_qlog_body, read_qlog_prefix, write_qlog_record, QlogRecord, QLOG_MAGIC,
-};
+use ph_encoding::{read_qlog_body, read_qlog_prefix, write_qlog_record, QlogRecord, QLOG_MAGIC};
 use ph_types::{faultfs, PhError};
 
 struct LogInner {
@@ -42,10 +40,8 @@ impl QueryLogWriter {
     /// Appends one record, stamped with the current wall clock. Each record is
     /// one appended write — a crash loses at most the record being written.
     pub fn append(&self, status: u16, latency_micros: u64, sql: &str) {
-        let ts_micros = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0);
+        let ts_micros =
+            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0);
         let rec = QlogRecord { ts_micros, status, latency_micros, sql: sql.to_owned() };
         let mut buf = Vec::with_capacity(sql.len() + 16);
         // Poison recovery: a panicking appender can at worst have lost its own

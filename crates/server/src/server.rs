@@ -98,8 +98,8 @@ pub use crate::config::ServerConfig;
 use crate::event_loop::{EventLoop, LISTENER_KEY};
 use crate::exec::{executor_loop, Done, WorkQueue};
 use crate::querylog::QueryLogWriter;
-use crate::stats::{Endpoint, Metrics};
 pub use crate::stats::ServerStats;
+use crate::stats::{Endpoint, Metrics};
 
 /// Span capacity of the flight-recorder ring behind `/debug/slow` and
 /// `ph_query_stage_seconds` (varint/delta encoded; 64k spans < 1 MB).
@@ -142,7 +142,13 @@ impl Shared {
     /// Drains the executing thread's finished trace into the per-stage
     /// histograms, the span flight recorder, and — for a slow query — the
     /// forensics ring. No-op when the request ran untraced.
-    pub(crate) fn finish_trace(&self, endpoint: Endpoint, status: u16, total_us: u64, sql: Option<&str>) {
+    pub(crate) fn finish_trace(
+        &self,
+        endpoint: Endpoint,
+        status: u16,
+        total_us: u64,
+        sql: Option<&str>,
+    ) {
         let Some(trace) = ph_obs::trace::take() else { return };
         let spans = trace.into_spans();
         for s in &spans {

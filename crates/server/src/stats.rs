@@ -75,7 +75,11 @@ impl EndpointMetrics {
     fn new(registry: &Registry, name: &'static str) -> Self {
         let ep: &[(&str, &str)] = &[("endpoint", name)];
         Self {
-            requests: registry.counter("ph_http_requests_total", "Requests served, by endpoint.", ep),
+            requests: registry.counter(
+                "ph_http_requests_total",
+                "Requests served, by endpoint.",
+                ep,
+            ),
             status_4xx: registry.counter(
                 "ph_http_errors_total",
                 "Error responses, by endpoint and status class.",
@@ -607,7 +611,8 @@ mod tests {
         }
         let text = m.registry.render();
         for (i, s) in ph_obs::trace::ALL_STAGES.iter().enumerate() {
-            let line = format!("ph_query_stage_seconds_count{{stage=\"{}\"}} {}\n", s.name(), i + 1);
+            let line =
+                format!("ph_query_stage_seconds_count{{stage=\"{}\"}} {}\n", s.name(), i + 1);
             assert!(text.contains(&line), "{} did not record under its own label", s.name());
         }
     }

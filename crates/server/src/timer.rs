@@ -71,8 +71,8 @@ impl TimerWheel {
             }
             // The slot's next firing tick at or after cursor+1.
             let base = self.cursor + 1;
-            let phase = (i as u64 + WHEEL_SLOTS as u64 - base % WHEEL_SLOTS as u64)
-                % WHEEL_SLOTS as u64;
+            let phase =
+                (i as u64 + WHEEL_SLOTS as u64 - base % WHEEL_SLOTS as u64) % WHEEL_SLOTS as u64;
             let tick = base + phase;
             nearest = Some(nearest.map_or(tick, |n| n.min(tick)));
         }

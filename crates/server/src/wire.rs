@@ -85,9 +85,7 @@ pub fn answer_to_json(answer: &AqpAnswer) -> Json {
             ("kind", Json::Str("groups".into())),
             (
                 "groups",
-                Json::Obj(
-                    groups.iter().map(|(g, e)| (g.clone(), estimate_to_json(e))).collect(),
-                ),
+                Json::Obj(groups.iter().map(|(g, e)| (g.clone(), estimate_to_json(e))).collect()),
             ),
         ]),
     }
@@ -143,7 +141,13 @@ mod tests {
         );
         m.insert(
             "é☃".to_string(),
-            Estimate { value: f64::MAX, lo: f64::MIN_POSITIVE, hi: f64::MAX, support: 0.0, mean: 0.0 },
+            Estimate {
+                value: f64::MAX,
+                lo: f64::MIN_POSITIVE,
+                hi: f64::MAX,
+                support: 0.0,
+                mean: 0.0,
+            },
         );
         let groups = AqpAnswer::Groups(m);
         for answer in [scalar, null, groups] {

@@ -55,8 +55,7 @@ fn pipelined_responses_are_in_order_and_bit_identical() {
     ];
     let mut client = Client::new(server.local_addr().to_string());
     for _ in 0..5 {
-        let answers = client.query_pipelined(&sqls)
-            .expect("pipelined batch");
+        let answers = client.query_pipelined(&sqls).expect("pipelined batch");
         assert_eq!(answers.len(), sqls.len());
         for (sql, answer) in sqls.iter().zip(answers) {
             let direct = session.sql(sql).expect(sql);
@@ -170,10 +169,7 @@ fn slowloris_is_closed_at_deadline_without_degrading_neighbors() {
     // few wakeups, not a blocked worker.
     latencies.sort();
     let p50 = latencies[latencies.len() / 2];
-    assert!(
-        p50 < Duration::from_millis(100),
-        "neighbor p50 degraded to {p50:?} during slowloris"
-    );
+    assert!(p50 < Duration::from_millis(100), "neighbor p50 degraded to {p50:?} during slowloris");
     server.shutdown();
 }
 
@@ -191,8 +187,9 @@ fn holds_1000_idle_keepalive_connections_while_serving() {
     let (session, server) = serve(cfg, 6_000);
     let addr = server.local_addr();
 
-    let held: Vec<TcpStream> =
-        (0..1_000).map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("conn {i}: {e}"))).collect();
+    let held: Vec<TcpStream> = (0..1_000)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("conn {i}: {e}")))
+        .collect();
     // The accept loop is readiness-driven; give it a beat to drain the backlog.
     let t0 = Instant::now();
     while server.stats().open_connections < 1_000 {
@@ -242,7 +239,8 @@ fn holds_1000_idle_keepalive_connections_while_serving() {
 /// itself with a per-drain shared snapshot. Same answers, same contracts.
 #[test]
 fn inline_mode_serves_without_executor_threads() {
-    let cfg = ServerConfig { workers: 0, queue_depth: 16, max_connections: 32, ..Default::default() };
+    let cfg =
+        ServerConfig { workers: 0, queue_depth: 16, max_connections: 32, ..Default::default() };
     let (session, server) = serve(cfg, 6_000);
     let mut client = Client::new(server.local_addr().to_string());
     for sql in [
@@ -485,7 +483,10 @@ fn exhausted_fd_budget_parks_accept_instead_of_spinning() {
     let mut fresh = Client::new(addr);
     let t0 = Instant::now();
     while fresh.healthz().is_err() {
-        assert!(t0.elapsed() < Duration::from_secs(5), "no connection accepted 5 s after the flood");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "no connection accepted 5 s after the flood"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
 }

@@ -14,8 +14,9 @@ fn demo_dataset(name: &str, n: usize) -> Dataset {
     // Deterministic, mixed-type, with anchored minima so in-distribution
     // ingest batches stay on the edge-free path.
     let x: Vec<Option<i64>> = (0..n).map(|i| Some((i as i64 * 7) % 1000)).collect();
-    let y: Vec<Option<f64>> =
-        (0..n).map(|i| if i % 29 == 0 { None } else { Some(((i as i64 * 13) % 500) as f64 / 10.0) }).collect();
+    let y: Vec<Option<f64>> = (0..n)
+        .map(|i| if i % 29 == 0 { None } else { Some(((i as i64 * 13) % 500) as f64 / 10.0) })
+        .collect();
     let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c", "d"][i % 4])).collect();
     Dataset::builder(name)
         .column(Column::from_ints("x", x))
@@ -359,10 +360,8 @@ fn ingest_error_is_pherror_shaped_at_the_session_layer_too() {
     // HTTP layer) must reject these, so nothing depends on transport checks.
     let session = Session::new();
     session.register(demo_dataset("demo", 1_000)).unwrap();
-    let bad_schema = Dataset::builder("demo")
-        .column(Column::from_ints("wrong", vec![Some(1)]))
-        .unwrap()
-        .build();
+    let bad_schema =
+        Dataset::builder("demo").column(Column::from_ints("wrong", vec![Some(1)])).unwrap().build();
     assert!(matches!(session.ingest("demo", &bad_schema), Err(PhError::Schema(_))));
     assert!(matches!(
         session.ingest("nosuch", &demo_dataset("nosuch", 10)),

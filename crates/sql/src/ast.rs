@@ -252,7 +252,11 @@ mod tests {
 
     #[test]
     fn columns_deduplicate() {
-        let p = Predicate::And(vec![cond("a", CmpOp::Gt, 1), cond("a", CmpOp::Lt, 5), cond("b", CmpOp::Eq, 2)]);
+        let p = Predicate::And(vec![
+            cond("a", CmpOp::Gt, 1),
+            cond("a", CmpOp::Lt, 5),
+            cond("b", CmpOp::Eq, 2),
+        ]);
         assert_eq!(p.columns(), vec!["a", "b"]);
         assert_eq!(p.n_conditions(), 3);
         assert!(!p.has_or());

@@ -221,8 +221,7 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, LexError> {
                     }
                     i += 1;
                 }
-                let text: String =
-                    input[start..i].chars().filter(|&c| c != '_').collect();
+                let text: String = input[start..i].chars().filter(|&c| c != '_').collect();
                 match text.parse::<f64>() {
                     Ok(n) => tokens.push((Token::Number(n), start)),
                     Err(_) => return Err(LexError::BadNumber { text, at: start }),
@@ -274,10 +273,7 @@ mod tests {
     #[test]
     fn negative_and_scientific_numbers() {
         let toks = lex("-3.5 1e-3 +2").unwrap();
-        assert_eq!(
-            toks,
-            vec![Token::Number(-3.5), Token::Number(1e-3), Token::Number(2.0)]
-        );
+        assert_eq!(toks, vec![Token::Number(-3.5), Token::Number(1e-3), Token::Number(2.0)]);
     }
 
     #[test]

@@ -322,8 +322,7 @@ mod tests {
 
     #[test]
     fn parentheses_override_precedence() {
-        let q =
-            parse_query("SELECT SUM(x) FROM t WHERE (a = 1 OR b = 2) AND c = 3").unwrap();
+        let q = parse_query("SELECT SUM(x) FROM t WHERE (a = 1 OR b = 2) AND c = 3").unwrap();
         match q.predicate.unwrap() {
             Predicate::And(children) => {
                 assert!(matches!(children[0], Predicate::Or(_)));
@@ -395,10 +394,9 @@ mod tests {
 
     #[test]
     fn display_reparses_identically() {
-        let original = parse_query(
-            "SELECT VAR(y) FROM t WHERE (a > 1 OR b <= 2.5) AND c = 'x y' GROUP BY g",
-        )
-        .unwrap();
+        let original =
+            parse_query("SELECT VAR(y) FROM t WHERE (a > 1 OR b <= 2.5) AND c = 'x y' GROUP BY g")
+                .unwrap();
         let reparsed = parse_query(&original.to_string()).unwrap();
         assert_eq!(original, reparsed);
     }

@@ -67,9 +67,11 @@ fn chi2_pdf(x: f64, k: f64) -> f64 {
         return 0.0;
     }
     let half_k = k / 2.0;
-    ((half_k - 1.0) * x.ln() - x / 2.0 - half_k * std::f64::consts::LN_2
+    ((half_k - 1.0) * x.ln()
+        - x / 2.0
+        - half_k * std::f64::consts::LN_2
         - crate::gamma::ln_gamma(half_k))
-        .exp()
+    .exp()
 }
 
 /// Memoised `χ²_α` lookups keyed by integer degrees of freedom, for a fixed `α`.
@@ -97,10 +99,7 @@ impl Chi2Cache {
     /// `χ²_α` at `dof` degrees of freedom.
     pub fn critical(&mut self, dof: u32) -> f64 {
         let alpha = self.alpha;
-        *self
-            .table
-            .entry(dof)
-            .or_insert_with(|| chi2_critical(alpha, dof as f64))
+        *self.table.entry(dof).or_insert_with(|| chi2_critical(alpha, dof as f64))
     }
 }
 

@@ -113,10 +113,7 @@ mod tests {
         assert!((reg_lower_gamma(1.0, 50.0) - 1.0).abs() < 1e-12);
         // P(1, x) = 1 - e^{-x} (exponential distribution CDF).
         for x in [0.1, 0.5, 1.0, 3.0, 10.0] {
-            assert!(
-                (reg_lower_gamma(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-10,
-                "x = {x}"
-            );
+            assert!((reg_lower_gamma(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-10, "x = {x}");
         }
     }
 

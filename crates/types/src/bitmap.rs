@@ -181,9 +181,20 @@ mod tests {
 
     #[test]
     fn extend_from_range_matches_bit_by_bit_pushes() {
-        let src = Bitmap::from_bools(&(0..300).map(|i| i % 3 == 0 || i % 7 == 2).collect::<Vec<_>>());
+        let src =
+            Bitmap::from_bools(&(0..300).map(|i| i % 3 == 0 || i % 7 == 2).collect::<Vec<_>>());
         for held in [0usize, 1, 37, 63, 64, 65, 128] {
-            for (start, len) in [(0, 0), (0, 300), (1, 64), (5, 59), (63, 2), (64, 64), (70, 200), (299, 1), (300, 0)] {
+            for (start, len) in [
+                (0, 0),
+                (0, 300),
+                (1, 64),
+                (5, 59),
+                (63, 2),
+                (64, 64),
+                (70, 200),
+                (299, 1),
+                (300, 0),
+            ] {
                 let mut fast = Bitmap::new_clear(0);
                 let mut slow = Bitmap::new_clear(0);
                 for i in 0..held {

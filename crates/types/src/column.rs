@@ -153,11 +153,7 @@ impl Column {
     /// Builds a categorical column directly from dictionary codes.
     ///
     /// Codes must index into `dict`; `None` entries become NULL.
-    pub fn from_codes(
-        name: impl Into<String>,
-        codes: Vec<Option<u32>>,
-        dict: Vec<String>,
-    ) -> Self {
+    pub fn from_codes(name: impl Into<String>, codes: Vec<Option<u32>>, dict: Vec<String>) -> Self {
         let mut validity = Bitmap::new_clear(codes.len());
         let mut data = Vec::with_capacity(codes.len());
         for (i, v) in codes.into_iter().enumerate() {
@@ -328,8 +324,12 @@ impl Column {
         let ColumnData::Cat(codes, dict) = &self.data else {
             return None;
         };
-        let mut used: Vec<u32> =
-            codes.iter().enumerate().filter(|(i, _)| self.validity.get(*i)).map(|(_, &c)| c).collect();
+        let mut used: Vec<u32> = codes
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.validity.get(*i))
+            .map(|(_, &c)| c)
+            .collect();
         used.sort_unstable();
         used.dedup();
         if used.len() == dict.len() {
@@ -338,7 +338,15 @@ impl Column {
         let compact = codes
             .iter()
             .enumerate()
-            .map(|(i, c)| if self.validity.get(i) { used.partition_point(|u| u < c) as u32 } else { 0 })
+            .map(
+                |(i, c)| {
+                    if self.validity.get(i) {
+                        used.partition_point(|u| u < c) as u32
+                    } else {
+                        0
+                    }
+                },
+            )
             .collect();
         let kept = used.iter().map(|&c| dict[c as usize].clone()).collect();
         Some(Column::new(
@@ -383,7 +391,11 @@ impl Column {
                         other_dict.iter().map(|s| index.position_or_push(dict, s)).collect();
                     self.dict_bytes += dict[held..].iter().map(|s| entry_bytes(s)).sum::<usize>();
                     codes.extend(other_codes.iter().enumerate().map(|(i, &c)| {
-                        if other.validity.get(i) { remap[c as usize] } else { 0 }
+                        if other.validity.get(i) {
+                            remap[c as usize]
+                        } else {
+                            0
+                        }
                     }));
                 }
             }

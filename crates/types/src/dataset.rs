@@ -230,11 +230,7 @@ impl DatasetBuilder {
 
     /// Finishes the build.
     pub fn build(self) -> Dataset {
-        Dataset {
-            name: self.name,
-            n_rows: self.n_rows.unwrap_or(0),
-            columns: self.columns,
-        }
+        Dataset { name: self.name, n_rows: self.n_rows.unwrap_or(0), columns: self.columns }
     }
 }
 
@@ -365,11 +361,15 @@ mod tests {
                 let want: Vec<&String> =
                     used.iter().map(|&c| &held.dictionary().unwrap()[c as usize]).collect();
                 assert_eq!(dict.iter().collect::<Vec<_>>(), want, "seed {seed}");
-                assert_eq!(col.heap_size(), Column::from_codes(
-                    col.name(),
-                    (0..col.len()).map(|i| col.code(i)).collect(),
-                    dict.to_vec(),
-                ).heap_size());
+                assert_eq!(
+                    col.heap_size(),
+                    Column::from_codes(
+                        col.name(),
+                        (0..col.len()).map(|i| col.code(i)).collect(),
+                        dict.to_vec(),
+                    )
+                    .heap_size()
+                );
             }
             // Nothing left to drop: the second pass borrows, and a slice of it
             // compacts to the same thing however it is cut.
@@ -391,7 +391,11 @@ mod tests {
             while start < whole.n_rows() {
                 let len = rng.gen_range(1..60);
                 let cut = whole.slice(start, len);
-                let batch = if rng.gen_bool(0.6) { cut.with_compact_dictionaries().into_owned() } else { cut };
+                let batch = if rng.gen_bool(0.6) {
+                    cut.with_compact_dictionaries().into_owned()
+                } else {
+                    cut
+                };
                 match grown.as_mut() {
                     Some(g) => g.append(&batch).unwrap(),
                     None => grown = Some(batch),

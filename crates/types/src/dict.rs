@@ -25,8 +25,9 @@ impl DictIndex {
     /// Indexes `entries`. Of equal strings the lowest position answers.
     pub fn build(entries: &[String]) -> Self {
         let mut by_string: Vec<u32> = (0..entries.len() as u32).collect();
-        by_string
-            .sort_unstable_by(|&a, &b| entries[a as usize].cmp(&entries[b as usize]).then(a.cmp(&b)));
+        by_string.sort_unstable_by(|&a, &b| {
+            entries[a as usize].cmp(&entries[b as usize]).then(a.cmp(&b))
+        });
         Self { by_string }
     }
 

@@ -37,10 +37,9 @@ pub enum TypeError {
 impl fmt::Display for TypeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TypeError::LengthMismatch { column, expected, got } => write!(
-                f,
-                "column '{column}' has {got} rows but the table has {expected}"
-            ),
+            TypeError::LengthMismatch { column, expected, got } => {
+                write!(f, "column '{column}' has {got} rows but the table has {expected}")
+            }
             TypeError::DuplicateColumn(c) => write!(f, "duplicate column name '{c}'"),
             TypeError::UnknownColumn(c) => write!(f, "unknown column '{c}'"),
             TypeError::BadDictionaryCode { column, code } => {

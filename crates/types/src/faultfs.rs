@@ -296,8 +296,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("ph_faultfs_{}_{name}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("ph_faultfs_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -151,23 +151,18 @@ impl<'a> Generator<'a> {
     fn candidate(&self, rng: &mut StdRng) -> Option<Query> {
         let agg = self.cfg.aggs[rng.gen_range(0..self.cfg.aggs.len())];
         // Aggregation column: numeric for value aggregates; COUNT may hit anything.
-        let agg_col = if agg == AggFunc::Count && rng.gen_bool(0.15)
-            && !self.categorical_cols.is_empty()
-        {
-            self.categorical_cols[rng.gen_range(0..self.categorical_cols.len())]
-        } else {
-            *pick(rng, &self.numeric_cols)?
-        };
+        let agg_col =
+            if agg == AggFunc::Count && rng.gen_bool(0.15) && !self.categorical_cols.is_empty() {
+                self.categorical_cols[rng.gen_range(0..self.categorical_cols.len())]
+            } else {
+                *pick(rng, &self.numeric_cols)?
+            };
 
         let n_preds = rng.gen_range(self.cfg.min_predicates..=self.cfg.max_predicates);
         let mut conditions = Vec::with_capacity(n_preds);
         // Distinct predicate columns, chosen from both kinds.
-        let mut pool: Vec<usize> = self
-            .numeric_cols
-            .iter()
-            .chain(self.categorical_cols.iter())
-            .copied()
-            .collect();
+        let mut pool: Vec<usize> =
+            self.numeric_cols.iter().chain(self.categorical_cols.iter()).copied().collect();
         for _ in 0..n_preds {
             if pool.is_empty() {
                 break;
@@ -270,8 +265,7 @@ impl<'a> Generator<'a> {
         match evaluate(&count_query, check) {
             Ok(ans) => {
                 let count = ans.scalar().unwrap_or(0.0);
-                let needed =
-                    (self.cfg.min_selectivity * check.n_rows() as f64).clamp(1.0, 50.0);
+                let needed = (self.cfg.min_selectivity * check.n_rows() as f64).clamp(1.0, 50.0);
                 count >= needed
             }
             Err(_) => false,
@@ -360,10 +354,7 @@ mod tests {
                 group_by: None,
             };
             let truth = evaluate(&count_q, &d).unwrap().scalar().unwrap();
-            assert!(
-                truth / d.n_rows() as f64 >= 0.002,
-                "query {q} selects only {truth} rows"
-            );
+            assert!(truth / d.n_rows() as f64 >= 0.002, "query {q} selects only {truth} rows");
         }
     }
 
@@ -379,10 +370,7 @@ mod tests {
     #[test]
     fn group_by_generation() {
         let d = data();
-        let cfg = WorkloadConfig {
-            group_by_probability: 1.0,
-            ..WorkloadConfig::initial(7)
-        };
+        let cfg = WorkloadConfig { group_by_probability: 1.0, ..WorkloadConfig::initial(7) };
         let qs = generate(&d, &cfg);
         assert!(qs.iter().all(|q| q.group_by.as_deref() == Some("c")));
     }

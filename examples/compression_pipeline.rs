@@ -47,7 +47,10 @@ fn main() {
         let query = parse_query(sql).unwrap();
         let approx = ph.execute(&query).unwrap().scalar().unwrap();
         let truth = evaluate(&query, &data).unwrap().scalar().unwrap();
-        println!("{sql}\n  estimate {:.2} in [{:.2}, {:.2}], exact {:.2}", approx.value, approx.lo, approx.hi, truth);
+        println!(
+            "{sql}\n  estimate {:.2} in [{:.2}, {:.2}], exact {:.2}",
+            approx.value, approx.lo, approx.hi, truth
+        );
     }
 
     // --- Synopsis persistence: ship the sub-MB synopsis to the edge ---

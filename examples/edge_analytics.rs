@@ -44,11 +44,20 @@ fn main() {
     );
 
     let questions = [
-        ("how many readings above 25C?", "SELECT COUNT(temperature) FROM Temp WHERE temperature > 25;"),
+        (
+            "how many readings above 25C?",
+            "SELECT COUNT(temperature) FROM Temp WHERE temperature > 25;",
+        ),
         ("average humidity when warm", "SELECT AVG(humidity) FROM Temp WHERE temperature > 20;"),
-        ("median temperature on sensor0", "SELECT MEDIAN(temperature) FROM Temp WHERE device = 'sensor0';"),
+        (
+            "median temperature on sensor0",
+            "SELECT MEDIAN(temperature) FROM Temp WHERE device = 'sensor0';",
+        ),
         ("worst-case battery under load", "SELECT MIN(battery) FROM Temp WHERE temperature > 22;"),
-        ("per-device hot readings", "SELECT COUNT(temperature) FROM Temp WHERE temperature > 25 GROUP BY device;"),
+        (
+            "per-device hot readings",
+            "SELECT COUNT(temperature) FROM Temp WHERE temperature > 25 GROUP BY device;",
+        ),
     ];
     for (label, sql) in questions {
         let t0 = std::time::Instant::now();

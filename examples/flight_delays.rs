@@ -10,15 +10,8 @@ use pairwisehist::prelude::*;
 
 fn main() {
     let data = pairwisehist::datagen::generate("Flights", 300_000, 11).expect("dataset");
-    let ph = PairwiseHist::build(
-        &data,
-        &PairwiseHistConfig { ns: 100_000, ..Default::default() },
-    );
-    println!(
-        "{} rows, 32 columns -> synopsis {} bytes\n",
-        data.n_rows(),
-        ph.synopsis_size().total
-    );
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 100_000, ..Default::default() });
+    println!("{} rows, 32 columns -> synopsis {} bytes\n", data.n_rows(), ph.synopsis_size().total);
 
     // The Fig 7 query shape: same-column AND group, OR with operator precedence,
     // float literal on a different column.
@@ -27,21 +20,13 @@ fn main() {
     report(&ph, &data, fig7);
 
     // Long-haul delay profile.
-    report(
-        &ph,
-        &data,
-        "SELECT MEDIAN(arrival_delay) FROM Flights WHERE distance > 2000;",
-    );
+    report(&ph, &data, "SELECT MEDIAN(arrival_delay) FROM Flights WHERE distance > 2000;");
     report(
         &ph,
         &data,
         "SELECT VAR(departure_delay) FROM Flights WHERE distance > 1000 AND air_time > 100;",
     );
-    report(
-        &ph,
-        &data,
-        "SELECT MAX(taxi_out) FROM Flights WHERE origin_airport = 'AP000';",
-    );
+    report(&ph, &data, "SELECT MAX(taxi_out) FROM Flights WHERE origin_airport = 'AP000';");
 
     // Per-airline counts of significantly delayed flights.
     let q = parse_query(

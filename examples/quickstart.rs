@@ -95,7 +95,10 @@ fn main() {
         let batch = pairwisehist::datagen::generate("Power", 5_000, 100 + k).expect("batch");
         let r = session.ingest("Power", &batch).expect("ingest");
         if r.sealed_segments > 0 {
-            println!("batch {k}: sealed {} segment(s), staleness {:.2}", r.sealed_segments, r.staleness);
+            println!(
+                "batch {k}: sealed {} segment(s), staleness {:.2}",
+                r.sealed_segments, r.staleness
+            );
         }
     }
     let fp = session.footprint_report("Power").expect("footprint");
@@ -126,11 +129,7 @@ fn main() {
         });
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                scope.spawn(move || {
-                    (0..200)
-                        .filter(|_| session.sql(queries[0]).is_ok())
-                        .count()
-                })
+                scope.spawn(move || (0..200).filter(|_| session.sql(queries[0]).is_ok()).count())
             })
             .collect();
         readers.into_iter().map(|h| h.join().expect("reader")).sum()

@@ -49,12 +49,8 @@ fn main() {
         let estimate = client.query_scalar(sql).expect("served query");
         let micros = t0.elapsed().as_secs_f64() * 1e6;
         let query = parse_query(sql).expect("valid query");
-        let truth = exact
-            .answer(&query)
-            .expect("exact answer")
-            .scalar()
-            .expect("scalar query")
-            .value;
+        let truth =
+            exact.answer(&query).expect("exact answer").scalar().expect("scalar query").value;
         println!(
             "{sql}\n  -> {:.1} in [{:.1}, {:.1}]  (exact {truth:.1}, {micros:.0} µs round trip)",
             estimate.value, estimate.lo, estimate.hi,

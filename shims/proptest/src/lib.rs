@@ -229,8 +229,7 @@ pub mod prop {
 
 pub mod prelude {
     pub use crate::{
-        any, prop, prop_assert, prop_assert_eq, proptest, Arbitrary, ProptestConfig,
-        Strategy,
+        any, prop, prop_assert, prop_assert_eq, proptest, Arbitrary, ProptestConfig, Strategy,
     };
 }
 

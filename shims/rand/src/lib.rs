@@ -156,10 +156,7 @@ pub mod rngs {
     impl super::Rng for StdRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
-            let out = self.s[0]
-                .wrapping_add(self.s[3])
-                .rotate_left(23)
-                .wrapping_add(self.s[0]);
+            let out = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
             let t = self.s[1] << 17;
             self.s[2] ^= self.s[0];
             self.s[3] ^= self.s[1];
@@ -197,15 +194,8 @@ pub mod seq {
         ///
         /// Dense draws use a partial Fisher–Yates shuffle; sparse draws use
         /// rejection sampling. Order is unspecified (callers sort when needed).
-        pub fn sample<R: Rng + ?Sized>(
-            rng: &mut R,
-            length: usize,
-            amount: usize,
-        ) -> IndexVec {
-            assert!(
-                amount <= length,
-                "cannot sample {amount} indices from {length}"
-            );
+        pub fn sample<R: Rng + ?Sized>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
+            assert!(amount <= length, "cannot sample {amount} indices from {length}");
             if amount * 3 >= length {
                 let mut pool: Vec<usize> = (0..length).collect();
                 for i in 0..amount {

@@ -211,8 +211,8 @@ pub use ph_workload as workload;
 pub mod prelude {
     pub use ph_core::{
         AqpAnswer, AqpEngine, AqpError, CacheStats, CompactReport, Estimate, FootprintReport,
-        IngestReport, PairwiseHist, PairwiseHistConfig, Prepared, Session, SessionStats,
-        SplitRule, TableSnapshot, TableStats,
+        IngestReport, PairwiseHist, PairwiseHistConfig, Prepared, Session, SessionStats, SplitRule,
+        TableSnapshot, TableStats,
     };
     pub use ph_exact::{evaluate, ExactAnswer, ExactEngine};
     pub use ph_gd::{GdCompressor, GdStore, Preprocessor};

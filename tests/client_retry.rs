@@ -43,8 +43,7 @@ fn connect_retries_until_the_listener_appears() {
         let addr = addr.clone();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(200));
-            Server::bind(session, &addr, ServerConfig { workers: 2, ..Default::default() })
-                .unwrap()
+            Server::bind(session, &addr, ServerConfig { workers: 2, ..Default::default() }).unwrap()
         })
     };
 

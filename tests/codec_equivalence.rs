@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 
 use pairwisehist::core::RangeSet;
-use pairwisehist::gd::{
-    choose_store, ColumnarStore, EncodedPred, GdCompressor, RowStore,
-};
+use pairwisehist::gd::{choose_store, ColumnarStore, EncodedPred, GdCompressor, RowStore};
 use pairwisehist::prelude::*;
 use pairwisehist::sql::CmpOp;
 
@@ -111,9 +109,8 @@ fn session_count_sealed_matching_is_exact() {
     let lit = pre.encode_literal(0, &Value::Int(4)).unwrap();
     let rs = RangeSet::from_condition(CmpOp::Ge, lit, u64::MAX);
     let got = snap.count_sealed_matching(0, &rs).expect("store present");
-    let want = (0..n)
-        .filter(|&i| matches!(data.column(0).value(i), Value::Int(v) if v >= 4))
-        .count();
+    let want =
+        (0..n).filter(|&i| matches!(data.column(0).value(i), Value::Int(v) if v >= 4)).count();
     assert_eq!(got, want as u64, "run-skipping range count must be exact");
 
     // Out-of-range column is a clean None, not a panic.
@@ -142,9 +139,8 @@ fn sealed_segments_count_exactly_across_stores() {
     };
     let got = snap.count_sealed_matching(2, &RangeSet::point(rank));
     let count_in = |d: &Dataset| {
-        (0..d.n_rows())
-            .filter(|&i| d.column(2).value(i) == Value::Str("beta".into()))
-            .count() as u64
+        (0..d.n_rows()).filter(|&i| d.column(2).value(i) == Value::Str("beta".into())).count()
+            as u64
     };
     // 1 500 rows at a 500-row threshold seal whole: nothing is left in the delta.
     assert_eq!(session.table_stats("t").unwrap().delta_rows, 0);

@@ -24,16 +24,16 @@ fn dataset(n: usize, seed: u64) -> Dataset {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..1000))).collect();
-    let y: Vec<Option<i64>> = x
-        .iter()
-        .map(|v| {
-            if rng.gen_bool(0.02) {
-                None
-            } else {
-                Some(v.unwrap() * 2 + rng.gen_range(0..90))
-            }
-        })
-        .collect();
+    let y: Vec<Option<i64>> =
+        x.iter()
+            .map(|v| {
+                if rng.gen_bool(0.02) {
+                    None
+                } else {
+                    Some(v.unwrap() * 2 + rng.gen_range(0..90))
+                }
+            })
+            .collect();
     let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][i % 3])).collect();
     Dataset::builder("t")
         .column(Column::from_ints("x", x))

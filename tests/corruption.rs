@@ -22,7 +22,9 @@ fn dataset(name: &str, n: usize, seed: u64) -> Dataset {
     let x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..1000))).collect();
     let y: Vec<Option<i64>> = x
         .iter()
-        .map(|v| if rng.gen_bool(0.05) { None } else { Some(v.unwrap() * 2 + rng.gen_range(0..40)) })
+        .map(
+            |v| if rng.gen_bool(0.05) { None } else { Some(v.unwrap() * 2 + rng.gen_range(0..40)) },
+        )
         .collect();
     let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][i % 3])).collect();
     Dataset::builder(name)
@@ -50,8 +52,8 @@ fn copy_dir(src: &Path, dst: &Path) {
 fn template() -> &'static PathBuf {
     static DIR: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
     DIR.get_or_init(|| {
-        let dir = std::env::temp_dir()
-            .join(format!("ph_corruption_template_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("ph_corruption_template_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let session = Session::new();
         session.register(dataset("t", BASE_ROWS, 1)).unwrap();
@@ -182,8 +184,7 @@ fn qlog_template() -> &'static (Vec<u8>, Vec<pairwisehist::encoding::QlogRecord>
     static CLEAN: std::sync::OnceLock<(Vec<u8>, Vec<pairwisehist::encoding::QlogRecord>)> =
         std::sync::OnceLock::new();
     CLEAN.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("ph_qlog_corr_tpl_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("ph_qlog_corr_tpl_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("q.phqlog");
@@ -332,7 +333,8 @@ fn retired_formats_quarantine_without_taking_down_the_catalog() {
     let dir = std::env::temp_dir().join(format!("ph_retired_formats_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let session = Session::new();
-    let tables = [("healthy", 21), ("oldseg", 22), ("rowless", 23), ("oldmanifest", 25), ("v4", 26)];
+    let tables =
+        [("healthy", 21), ("oldseg", 22), ("rowless", 23), ("oldmanifest", 25), ("v4", 26)];
     for (name, seed) in tables {
         session.register(dataset(name, BASE_ROWS, seed)).unwrap();
     }
@@ -469,9 +471,6 @@ fn hostile_gd_store_header_quarantines_instead_of_aborting() {
         .quarantined()
         .iter()
         .any(|(name, why)| name == "hostile" && why.contains("row-store kind 1")));
-    assert!(matches!(
-        reopened.sql("SELECT COUNT(x) FROM hostile"),
-        Err(PhError::Quarantined(_))
-    ));
+    assert!(matches!(reopened.sql("SELECT COUNT(x) FROM hostile"), Err(PhError::Quarantined(_))));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -114,7 +114,12 @@ fn copy_dir(src: &Path, dst: &Path) {
 /// with a non-empty delta) and, when `compact`, a compaction after batch 4.
 /// Returns the per-batch acknowledgement flags (`ingest` returned `Ok`);
 /// `only` skips the batches it marks `false` (the twins' subset).
-fn run_workload(session: &Session, dir: &Path, only: [bool; BATCHES], compact: bool) -> [bool; BATCHES] {
+fn run_workload(
+    session: &Session,
+    dir: &Path,
+    only: [bool; BATCHES],
+    compact: bool,
+) -> [bool; BATCHES] {
     let mut acked = [false; BATCHES];
     for i in 1..=BATCHES as u64 {
         if only[i as usize - 1] {
@@ -202,7 +207,8 @@ fn twin_answers(
 ) -> Vec<pairwisehist::core::AqpAnswer> {
     memo.entry((subset, compact))
         .or_insert_with(|| {
-            let dir = scratch(&format!("twin_{subset:?}_{compact}").replace([' ', ',', '[', ']'], ""));
+            let dir =
+                scratch(&format!("twin_{subset:?}_{compact}").replace([' ', ',', '[', ']'], ""));
             copy_dir(baseline, &dir);
             let twin = Session::open_dir(&dir).unwrap();
             let acked = run_workload(&twin, &dir, subset, compact);
@@ -234,8 +240,7 @@ fn crash_matrix_recovers_acked_rows_bit_identically() {
     assert!(total_ops > 60, "workload must exercise the durability surface, saw {total_ops}");
     let mut memo = HashMap::new();
 
-    let kinds =
-        [FaultKind::ShortWrite, FaultKind::Enospc, FaultKind::TornRename];
+    let kinds = [FaultKind::ShortWrite, FaultKind::Enospc, FaultKind::TornRename];
     for kind in kinds {
         for k in (0..total_ops).step_by(smoke_stride()) {
             let tag = format!("{kind:?}_{k}");

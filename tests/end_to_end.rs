@@ -61,16 +61,10 @@ fn full_pipeline_accuracy_on_power() {
 #[test]
 fn all_seven_aggregates_track_exact() {
     let data = datagen::generate("Gas", 25_000, 2).unwrap();
-    let ph = PairwiseHist::build(
-        &data,
-        &PairwiseHistConfig { ns: 25_000, ..Default::default() },
-    );
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 25_000, ..Default::default() });
     let queries = workload::generate(
         &data,
-        &workload::WorkloadConfig {
-            n_queries: 120,
-            ..workload::WorkloadConfig::scaled(120, 3)
-        },
+        &workload::WorkloadConfig { n_queries: 120, ..workload::WorkloadConfig::scaled(120, 3) },
     );
     let mut per_agg: std::collections::HashMap<AggFunc, Vec<f64>> =
         std::collections::HashMap::new();
@@ -101,10 +95,7 @@ fn all_seven_aggregates_track_exact() {
 #[test]
 fn synopsis_roundtrip_through_facade() {
     let data = datagen::generate("Light", 15_000, 4).unwrap();
-    let ph = PairwiseHist::build(
-        &data,
-        &PairwiseHistConfig { ns: 15_000, ..Default::default() },
-    );
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 15_000, ..Default::default() });
     let bytes = ph.to_bytes();
     assert!(bytes.len() < 500_000, "Light synopsis should be compact, got {}", bytes.len());
     let restored = PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone()).unwrap();
@@ -122,14 +113,8 @@ fn synopsis_roundtrip_through_facade() {
 #[test]
 fn group_by_agrees_with_exact() {
     let data = datagen::generate("Build", 30_000, 5).unwrap();
-    let ph = PairwiseHist::build(
-        &data,
-        &PairwiseHistConfig { ns: 30_000, ..Default::default() },
-    );
-    let q = parse_query(
-        "SELECT COUNT(co2) FROM Build WHERE co2 > 400 GROUP BY room;",
-    )
-    .unwrap();
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 30_000, ..Default::default() });
+    let q = parse_query("SELECT COUNT(co2) FROM Build WHERE co2 > 400 GROUP BY room;").unwrap();
     let approx = ph.execute(&q).unwrap();
     let exact = evaluate(&q, &data).unwrap();
     let (AqpAnswer::Groups(est), ExactAnswer::Groups(truth)) = (&approx, &exact) else {
@@ -164,10 +149,7 @@ fn group_by_agrees_with_exact() {
 #[test]
 fn null_semantics_consistent_on_null_heavy_data() {
     let data = datagen::generate("Aqua", 30_000, 6).unwrap();
-    let ph = PairwiseHist::build(
-        &data,
-        &PairwiseHistConfig { ns: 30_000, ..Default::default() },
-    );
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 30_000, ..Default::default() });
     // pond columns are ~2/3 null by construction.
     for sql in [
         "SELECT COUNT(pond1_temp) FROM Aqua;",
@@ -186,10 +168,7 @@ fn null_semantics_consistent_on_null_heavy_data() {
 #[test]
 fn sampled_synopsis_bounds_contain_truth_mostly() {
     let data = datagen::generate("Basement", 60_000, 7).unwrap();
-    let ph = PairwiseHist::build(
-        &data,
-        &PairwiseHistConfig { ns: 15_000, ..Default::default() },
-    );
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 15_000, ..Default::default() });
     assert!((ph.params().rho() - 0.25).abs() < 1e-9);
     let queries = workload::generate(
         &data,

@@ -48,8 +48,8 @@ const SUPPORT_COUNTS: [usize; 5] = [25, 25, 25, 8, 5];
 /// predicates prune to the segments that matter.
 /// Regenerate with `GOLDEN_PRINT=1 cargo test --test golden_accuracy -- --nocapture`.
 const PH_SEGMENTED_TOLERANCE: [f64; N_QUERIES] = [
-    0.02, 0.02, 0.04, 0.02, 0.13, 0.03, 0.05, 0.04, 0.02, 0.18, 0.08, 0.55, 0.03,
-    0.03, 0.11, 0.07, 0.14, 0.02, 0.13, 0.05, 0.03, 0.02, 0.02, 0.02, 0.02,
+    0.02, 0.02, 0.04, 0.02, 0.13, 0.03, 0.05, 0.04, 0.02, 0.18, 0.08, 0.55, 0.03, 0.03, 0.11, 0.07,
+    0.14, 0.02, 0.13, 0.05, 0.03, 0.02, 0.02, 0.02, 0.02,
 ];
 
 /// Median relative error across the segmented workload (observed 0.0160 —
@@ -93,10 +93,7 @@ fn five_engines_answer_fixed_workload_and_pairwisehist_errors_stay_snapshotted()
     assert_eq!(queries.len(), N_QUERIES, "workload generator must fill the quota");
 
     let exact = ExactEngine::new(data.clone());
-    let ph = PairwiseHist::build(
-        &data,
-        &PairwiseHistConfig { ns: N_ROWS, ..Default::default() },
-    );
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: N_ROWS, ..Default::default() });
     let sampling = SamplingAqp::build(&data, &SamplingConfig { sample_n: 10_000, seed: 1 });
     let spn = SpnAqp::build(&data, &SpnConfig { sample_n: 10_000, ..Default::default() });
     let kde = KdeAqp::build(&data, &KdeConfig { sample_n: 10_000, ..Default::default() });
@@ -175,20 +172,18 @@ fn segmented_table_errors_stay_snapshotted_on_fixed_workload() {
     session.set_max_staleness(f64::INFINITY); // size-based sealing only
     let batch_rows = N_ROWS / N_BATCHES;
     session.set_seal_threshold(batch_rows); // every ingested batch seals
-    // Register a first batch whose fitted transforms cover the whole domain:
-    // the first slice plus, per numeric column, the row holding the dataset
-    // minimum. A later batch dipping below the fitted minimum (deliberately)
-    // forces a refit rebuild that collapses the segment list — production
-    // guidance is to fit transforms over representative data, and this test
-    // needs the pure seal path to exercise multi-segment answering.
+                                            // Register a first batch whose fitted transforms cover the whole domain:
+                                            // the first slice plus, per numeric column, the row holding the dataset
+                                            // minimum. A later batch dipping below the fitted minimum (deliberately)
+                                            // forces a refit rebuild that collapses the segment list — production
+                                            // guidance is to fit transforms over representative data, and this test
+                                            // needs the pure seal path to exercise multi-segment answering.
     let mut first = data.slice(0, batch_rows);
     let argmin_rows: Vec<usize> = (0..data.n_columns())
         .filter_map(|c| {
-            (0..data.n_rows())
-                .filter(|&i| data.column(c).numeric(i).is_some())
-                .min_by(|&a, &b| {
-                    data.column(c).numeric(a).unwrap().total_cmp(&data.column(c).numeric(b).unwrap())
-                })
+            (0..data.n_rows()).filter(|&i| data.column(c).numeric(i).is_some()).min_by(|&a, &b| {
+                data.column(c).numeric(a).unwrap().total_cmp(&data.column(c).numeric(b).unwrap())
+            })
         })
         .collect();
     first.append(&data.take(&argmin_rows)).unwrap();

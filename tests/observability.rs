@@ -79,23 +79,16 @@ fn parse_exposition(body: &str) -> Vec<(String, f64)> {
 }
 
 fn value_of(samples: &[(String, f64)], name: &str) -> f64 {
-    samples
-        .iter()
-        .filter(|(n, _)| n == name)
-        .map(|(_, v)| v)
-        .sum()
+    samples.iter().filter(|(n, _)| n == name).map(|(_, v)| v).sum()
 }
 
 #[test]
 fn metrics_scrape_parses_and_advances_with_traffic() {
     let session = Arc::new(Session::new());
     session.register(dataset(8_000)).unwrap();
-    let server = Server::bind(
-        session,
-        "127.0.0.1:0",
-        ServerConfig { workers: 2, ..Default::default() },
-    )
-    .unwrap();
+    let server =
+        Server::bind(session, "127.0.0.1:0", ServerConfig { workers: 2, ..Default::default() })
+            .unwrap();
     let addr = server.local_addr().to_string();
 
     let (status, body) = http_get(&addr, "/metrics");
@@ -124,18 +117,19 @@ fn metrics_scrape_parses_and_advances_with_traffic() {
     for _ in 0..5 {
         client.query("SELECT AVG(y) FROM obs WHERE x > 500;").unwrap();
     }
-    client.ingest_rows(
-        "obs",
-        (0..50)
-            .map(|i| {
-                Json::Obj(vec![
-                    ("x".into(), Json::Num(f64::from(i))),
-                    ("y".into(), Json::Num(f64::from(i * 3))),
-                ])
-            })
-            .collect(),
-    )
-    .unwrap();
+    client
+        .ingest_rows(
+            "obs",
+            (0..50)
+                .map(|i| {
+                    Json::Obj(vec![
+                        ("x".into(), Json::Num(f64::from(i))),
+                        ("y".into(), Json::Num(f64::from(i * 3))),
+                    ])
+                })
+                .collect(),
+        )
+        .unwrap();
 
     let (_, body) = http_get(&addr, "/metrics");
     let after = parse_exposition(&body);
@@ -190,10 +184,7 @@ fn debug_slow_breaks_queries_into_stages_without_leaking_sql() {
         let spans = entry.get("spans").and_then(Json::as_arr).unwrap();
         let stages: BTreeSet<&str> =
             spans.iter().filter_map(|s| s.get("stage").and_then(Json::as_str)).collect();
-        assert!(
-            stages.len() >= 6,
-            "expected a >=6-stage breakdown, got {stages:?} in {body}"
-        );
+        assert!(stages.len() >= 6, "expected a >=6-stage breakdown, got {stages:?} in {body}");
         for required in ["http_read", "admission", "query", "execute", "serialize"] {
             assert!(stages.contains(required), "stage {required} missing: {stages:?}");
         }
@@ -212,12 +203,9 @@ fn debug_slow_breaks_queries_into_stages_without_leaking_sql() {
 fn healthz_and_stats_expose_version_uptime_and_quantiles() {
     let session = Arc::new(Session::new());
     session.register(dataset(6_000)).unwrap();
-    let server = Server::bind(
-        session,
-        "127.0.0.1:0",
-        ServerConfig { workers: 2, ..Default::default() },
-    )
-    .unwrap();
+    let server =
+        Server::bind(session, "127.0.0.1:0", ServerConfig { workers: 2, ..Default::default() })
+            .unwrap();
     let addr = server.local_addr().to_string();
 
     let mut client = Client::new(addr.clone());
@@ -234,10 +222,8 @@ fn healthz_and_stats_expose_version_uptime_and_quantiles() {
     assert!(health.get("uptime_seconds").and_then(Json::as_f64).unwrap() >= 0.0);
 
     let stats = client.stats().unwrap();
-    let endpoints = stats
-        .get("server")
-        .and_then(|s| s.get("endpoints"))
-        .expect("server.endpoints in /stats");
+    let endpoints =
+        stats.get("server").and_then(|s| s.get("endpoints")).expect("server.endpoints in /stats");
     let query_ep = endpoints.get("query").unwrap_or_else(|| panic!("{stats}"));
     assert_eq!(query_ep.get("requests").and_then(Json::as_f64), Some(4.0));
     for q in ["p50_us", "p90_us", "p99_us"] {
@@ -285,8 +271,7 @@ fn inline_mode_traces_queries_identically() {
 fn trace_report_tells_the_same_story_without_a_server() {
     let session = Session::new();
     session.register(dataset(6_000)).unwrap();
-    let (answer, spans) =
-        session.trace_report("SELECT AVG(y) FROM obs WHERE x > 500;").unwrap();
+    let (answer, spans) = session.trace_report("SELECT AVG(y) FROM obs WHERE x > 500;").unwrap();
     assert_eq!(answer, session.sql("SELECT AVG(y) FROM obs WHERE x > 500;").unwrap());
 
     let stages: BTreeSet<&str> = spans.iter().map(|s| s.stage.name()).collect();
@@ -431,10 +416,18 @@ fn seal_and_compact_under_a_wal_end_in_a_checkpoint_span() {
         spans.iter().filter(|s| s.parent == 0).map(|s| s.stage).collect()
     };
 
-    let sealing = roots(&|| assert_eq!(session.ingest("obs", &dataset(2_500)).unwrap().sealed_segments, 2));
+    let sealing =
+        roots(&|| assert_eq!(session.ingest("obs", &dataset(2_500)).unwrap().sealed_segments, 2));
     assert_eq!(
         sealing,
-        [Stage::Admit, Stage::WalAppend, Stage::WalFsync, Stage::Seal, Stage::Seal, Stage::Checkpoint]
+        [
+            Stage::Admit,
+            Stage::WalAppend,
+            Stage::WalFsync,
+            Stage::Seal,
+            Stage::Seal,
+            Stage::Checkpoint
+        ]
     );
     session.set_seal_threshold(5_000); // every segment is small now
     let compacting = roots(&|| assert_eq!(session.compact("obs").unwrap().segments_after, 1));

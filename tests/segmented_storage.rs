@@ -22,16 +22,16 @@ fn dataset(name: &str, n: usize, seed: u64) -> Dataset {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..1000))).collect();
-    let mut y: Vec<Option<i64>> = x
-        .iter()
-        .map(|v| {
-            if rng.gen_bool(0.04) {
-                None
-            } else {
-                Some(v.unwrap() * 2 + rng.gen_range(0..90))
-            }
-        })
-        .collect();
+    let mut y: Vec<Option<i64>> =
+        x.iter()
+            .map(|v| {
+                if rng.gen_bool(0.04) {
+                    None
+                } else {
+                    Some(v.unwrap() * 2 + rng.gen_range(0..90))
+                }
+            })
+            .collect();
     // Shared domain minima across batches: a batch below a fitted minimum
     // forces a refit rebuild (by design — saturated codes must not be frozen
     // into a store); these tests exercise the seal path, so batches stay
@@ -83,10 +83,8 @@ fn segmented_count_equals_sum_of_per_segment_counts() {
         let merged = session.sql(sql).unwrap().scalar().unwrap();
         let mut engines = snap.segments();
         engines.extend(snap.delta());
-        let per_segment: f64 = engines
-            .iter()
-            .map(|e| e.execute(&q).unwrap().scalar().unwrap().value)
-            .sum();
+        let per_segment: f64 =
+            engines.iter().map(|e| e.execute(&q).unwrap().scalar().unwrap().value).sum();
         assert!(
             (merged.value - per_segment).abs() < 1e-6 * per_segment.abs().max(1.0),
             "{sql}: merged {} != per-segment sum {per_segment}",
@@ -234,7 +232,10 @@ fn segmented_accuracy_at(batch_rows: usize) {
         let merged = session.sql(held_to_the_merge).unwrap().scalar().unwrap().value;
         let per_segment: f64 =
             snap.segments().iter().map(|e| e.execute(&q).unwrap().scalar().unwrap().value).sum();
-        assert!((merged - per_segment).abs() <= 1e-9 * per_segment.abs(), "{merged} vs {per_segment}");
+        assert!(
+            (merged - per_segment).abs() <= 1e-9 * per_segment.abs(),
+            "{merged} vs {per_segment}"
+        );
     }
 
     for (sql, tol_ratio) in [
@@ -363,10 +364,7 @@ fn drop_table_races_cleanly_with_readers() {
     });
 
     assert!(session.tables().is_empty());
-    assert!(matches!(
-        session.sql("SELECT COUNT(x) FROM t"),
-        Err(PhError::UnknownTable(_))
-    ));
+    assert!(matches!(session.sql("SELECT COUNT(x) FROM t"), Err(PhError::UnknownTable(_))));
     // The snapshot is *still* alive after the table is gone from the catalog.
     let est = snapshot.execute(&q).unwrap().scalar().unwrap();
     assert!((est.value - 4_000.0).abs() / 4_000.0 < 0.02);

@@ -55,8 +55,7 @@ fn concurrent_clients_match_direct_session_bit_identically() {
 
     // Direct answers first: the catalog is static, so every later server
     // answer must equal these bit for bit.
-    let direct: Vec<AqpAnswer> =
-        QUERIES.iter().map(|sql| session.sql(sql).expect(sql)).collect();
+    let direct: Vec<AqpAnswer> = QUERIES.iter().map(|sql| session.sql(sql).expect(sql)).collect();
 
     std::thread::scope(|scope| {
         for t in 0..5 {
@@ -122,8 +121,13 @@ fn loop_and_worker_answers_agree_under_concurrency() {
                 for round in 0..30 {
                     let sql = match round % 3 {
                         0 => QUERIES[(t + round) % QUERIES.len()].to_string(),
-                        1 => format!("SELECT SUM(y) FROM colors WHERE x > {};", 1 + t * 100 + round),
-                        _ => format!("SELECT AVG(y) FROM colors WHERE x < {} GROUP BY g;", 500 + round % 4),
+                        1 => {
+                            format!("SELECT SUM(y) FROM colors WHERE x > {};", 1 + t * 100 + round)
+                        }
+                        _ => format!(
+                            "SELECT AVG(y) FROM colors WHERE x < {} GROUP BY g;",
+                            500 + round % 4
+                        ),
                     };
                     let served = client.query(&sql).expect(&sql);
                     let direct = session.sql(&sql).expect(&sql);

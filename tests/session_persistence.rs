@@ -33,8 +33,7 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
                 }
             })
             .collect();
-        let c: Vec<Option<&str>> =
-            (0..n).map(|i| Some(["a", "b", "c", "d"][i % 4])).collect();
+        let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c", "d"][i % 4])).collect();
         Dataset::builder("p")
             .column(Column::from_ints("x", x))
             .unwrap()
@@ -87,10 +86,7 @@ fn reloaded_session_answers_workload_identically() {
     );
     assert_eq!(queries.len(), 50, "workload generator must fill the quota");
 
-    let session = Session::with_config(PairwiseHistConfig {
-        ns: 30_000,
-        ..Default::default()
-    });
+    let session = Session::with_config(PairwiseHistConfig { ns: 30_000, ..Default::default() });
     session.register(data).unwrap();
 
     let dir = std::env::temp_dir().join(format!("ph_sess_wl_{}", std::process::id()));
@@ -193,10 +189,13 @@ fn anchored(n: usize, seed: u64) -> Dataset {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(0..1000))).collect();
-    let mut y: Vec<Option<i64>> =
-        x.iter().map(|v| rng.gen_bool(0.96).then(|| v.unwrap() * 2 + rng.gen_range(0..60))).collect();
+    let mut y: Vec<Option<i64>> = x
+        .iter()
+        .map(|v| rng.gen_bool(0.96).then(|| v.unwrap() * 2 + rng.gen_range(0..60)))
+        .collect();
     (x[0], y[0]) = (Some(0), Some(0));
-    let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][(i * 7 + seed as usize) % 3])).collect();
+    let c: Vec<Option<&str>> =
+        (0..n).map(|i| Some(["a", "b", "c"][(i * 7 + seed as usize) % 3])).collect();
     Dataset::builder("t")
         .column(Column::from_ints("x", x))
         .unwrap()
@@ -221,7 +220,11 @@ const BATTERY: [&str; 6] = [
 fn assert_twins(live: &Session, twin: &Session, more: &[Dataset], tag: &str) {
     let same = |tag: &str| {
         let (l, t) = (live.table_stats("t").unwrap(), twin.table_stats("t").unwrap());
-        assert_eq!((l.segments, l.sealed_rows, l.delta_rows), (t.segments, t.sealed_rows, t.delta_rows), "{tag}");
+        assert_eq!(
+            (l.segments, l.sealed_rows, l.delta_rows),
+            (t.segments, t.sealed_rows, t.delta_rows),
+            "{tag}"
+        );
         for sql in BATTERY {
             assert_eq!(live.sql(sql).unwrap(), twin.sql(sql).unwrap(), "{tag}: {sql}");
         }

@@ -1,10 +1,12 @@
 //! The Table 1 versatility matrix as executable assertions: which engine answers
 //! which query shape, per the paper's §2 catalogue of baseline limitations.
 
-use pairwisehist::baselines::{AqpBaseline, KdeAqp, KdeConfig, SamplingAqp, SamplingConfig, SpnAqp, SpnConfig, Unsupported};
-use pairwisehist::prelude::*;
+use pairwisehist::baselines::{
+    AqpBaseline, KdeAqp, KdeConfig, SamplingAqp, SamplingConfig, SpnAqp, SpnConfig, Unsupported,
+};
 use pairwisehist::datagen;
 use pairwisehist::exact::ExactEngine;
+use pairwisehist::prelude::*;
 
 struct Engines {
     data: Dataset,
@@ -17,10 +19,7 @@ struct Engines {
 fn engines() -> Engines {
     let data = datagen::generate("Taxis", 15_000, 9).unwrap();
     Engines {
-        ph: PairwiseHist::build(
-            &data,
-            &PairwiseHistConfig { ns: 15_000, ..Default::default() },
-        ),
+        ph: PairwiseHist::build(&data, &PairwiseHistConfig { ns: 15_000, ..Default::default() }),
         spn: SpnAqp::build(&data, &SpnConfig { sample_n: 15_000, ..Default::default() }),
         kde: KdeAqp::build(
             &data,
@@ -60,9 +59,16 @@ fn pairwisehist_is_fully_versatile() {
 #[test]
 fn spn_gaps_match_deepdb() {
     let e = engines();
-    assert!(AqpBaseline::execute(&e.spn, &q("SELECT COUNT(fare) FROM Taxis WHERE trip_miles > 3;")).is_ok());
+    assert!(AqpBaseline::execute(
+        &e.spn,
+        &q("SELECT COUNT(fare) FROM Taxis WHERE trip_miles > 3;")
+    )
+    .is_ok());
     assert_eq!(
-        AqpBaseline::execute(&e.spn, &q("SELECT COUNT(fare) FROM Taxis WHERE trip_miles > 3 OR fare > 50;")),
+        AqpBaseline::execute(
+            &e.spn,
+            &q("SELECT COUNT(fare) FROM Taxis WHERE trip_miles > 3 OR fare > 50;")
+        ),
         Err(Unsupported::OrPredicate)
     );
     for sql in [
@@ -84,23 +90,38 @@ fn spn_gaps_match_deepdb() {
 fn kde_gaps_match_dbest() {
     let e = engines();
     // Trained template works.
-    assert!(AqpBaseline::execute(&e.kde, &q("SELECT AVG(fare) FROM Taxis WHERE trip_miles > 2;")).is_ok());
+    assert!(AqpBaseline::execute(&e.kde, &q("SELECT AVG(fare) FROM Taxis WHERE trip_miles > 2;"))
+        .is_ok());
     // Untrained template: declined.
-    assert!(AqpBaseline::execute(&e.kde, &q("SELECT AVG(extras) FROM Taxis WHERE tolls > 1;")).is_err());
+    assert!(
+        AqpBaseline::execute(&e.kde, &q("SELECT AVG(extras) FROM Taxis WHERE tolls > 1;")).is_err()
+    );
     // More than one predicate column.
-    assert!(AqpBaseline::execute(&e.kde, &q("SELECT AVG(fare) FROM Taxis WHERE trip_miles > 2 AND trip_seconds > 60;"))
-        .is_err());
+    assert!(AqpBaseline::execute(
+        &e.kde,
+        &q("SELECT AVG(fare) FROM Taxis WHERE trip_miles > 2 AND trip_seconds > 60;")
+    )
+    .is_err());
     // OR.
     assert_eq!(
-        AqpBaseline::execute(&e.kde, &q("SELECT AVG(fare) FROM Taxis WHERE trip_miles > 9 OR trip_miles < 1;")),
+        AqpBaseline::execute(
+            &e.kde,
+            &q("SELECT AVG(fare) FROM Taxis WHERE trip_miles > 9 OR trip_miles < 1;")
+        ),
         Err(Unsupported::OrPredicate)
     );
     // Categorical-only query.
-    assert!(AqpBaseline::execute(&e.kde, &q("SELECT COUNT(payment_type) FROM Taxis WHERE company = 'co01';"))
-        .is_err());
+    assert!(AqpBaseline::execute(
+        &e.kde,
+        &q("SELECT COUNT(payment_type) FROM Taxis WHERE company = 'co01';")
+    )
+    .is_err());
     // Inequality on a timestamp column.
-    assert!(AqpBaseline::execute(&e.kde, &q("SELECT AVG(fare) FROM Taxis WHERE trip_start > 1577836800;"))
-        .is_err());
+    assert!(AqpBaseline::execute(
+        &e.kde,
+        &q("SELECT AVG(fare) FROM Taxis WHERE trip_start > 1577836800;")
+    )
+    .is_err());
     // Order statistics.
     assert!(matches!(
         AqpBaseline::execute(&e.kde, &q("SELECT MEDIAN(fare) FROM Taxis WHERE trip_miles > 2;")),
@@ -146,6 +167,9 @@ fn sampling_versatile_but_weak_extreme_bounds() {
     let min_q = q("SELECT MIN(fare) FROM Taxis WHERE trip_miles > 1;");
     let a = AqpBaseline::execute(&e.sampling, &min_q).unwrap();
     assert_eq!(a.lo, a.hi, "sample MIN carries no spread");
-    assert!(AqpBaseline::execute(&e.sampling, &q("SELECT MEDIAN(fare) FROM Taxis WHERE trip_miles > 2 OR tips > 3;"))
-        .is_ok());
+    assert!(AqpBaseline::execute(
+        &e.sampling,
+        &q("SELECT MEDIAN(fare) FROM Taxis WHERE trip_miles > 2 OR tips > 3;")
+    )
+    .is_ok());
 }
