@@ -68,6 +68,7 @@ pub use build::{PairwiseHist, PairwiseHistConfig, SplitRule};
 pub use build2d::PairHist;
 pub use coverage::RangeSet;
 pub use engine::{AqpAnswer, AqpError};
+pub use persist::segment_to_bytes;
 pub use prepared::{AqpEngine, Prepared};
 pub use segment::{CompactReport, FootprintReport};
 pub use session::{

@@ -57,17 +57,19 @@
 //!
 //! Every durable format — these two frames ([`ph_encoding::frame`] /
 //! [`ph_encoding::unframe`]), the preprocessor, synopsis and row store inside
-//! them, the ingest log and the query log — decodes through one bounded
-//! cursor, [`ph_encoding::Bytes`], and every reservation a decoder makes is
-//! sized from [`ph_encoding::Bytes::count`]: no reservation exceeds what its
-//! bytes can back (the `bounded-reserve` lint rule).
+//! them, the ingest log and the query log — is written through
+//! [`ph_encoding::Out`] and decodes through its mirror, one bounded cursor,
+//! [`ph_encoding::Bytes`]; every reservation a decoder makes is sized from
+//! [`ph_encoding::Bytes::count`] (the `bounded-reserve` lint rule), and a
+//! segment's store is held to the rows and columns its synopsis and the
+//! preprocessor commit.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
-use ph_encoding::{frame, unframe};
+use ph_encoding::{frame, unframe, Out};
 use ph_gd::{ColumnarStore, Preprocessor};
 use ph_obs::{span, Counter, Stage};
 use ph_types::{faultfs, Dataset, PhError};
@@ -130,28 +132,26 @@ fn table_manifest_to_bytes(
     blobs: &[u64],
 ) -> Vec<u8> {
     frame(TABLE_MAGIC, TABLE_VERSION, |out| {
-        let mut put = |bytes: &[u8]| out.extend_from_slice(bytes);
-        let name = table.as_bytes();
-        debug_assert!(name.len() <= u16::MAX as usize, "register rejects longer names");
-        put(&(name.len() as u16).to_le_bytes());
-        put(name);
+        debug_assert!(table.len() <= u16::MAX as usize, "register rejects longer names");
+        out.u16(table.len() as u16);
+        out.bytes(table.as_bytes());
         let pre_bytes = pre.to_bytes();
-        put(&(pre_bytes.len() as u32).to_le_bytes());
-        put(&pre_bytes);
-        put(&(cfg.ns as u64).to_le_bytes());
-        put(&cfg.m_absolute.map_or(u64::MAX, |m| m as u64).to_le_bytes());
-        put(&cfg.alpha.to_bits().to_le_bytes());
-        put(&[match cfg.split_rule {
+        out.u32(pre_bytes.len() as u32);
+        out.bytes(&pre_bytes);
+        out.u64(cfg.ns as u64);
+        out.u64(cfg.m_absolute.map_or(u64::MAX, |m| m as u64));
+        out.f64(cfg.alpha);
+        out.u8(match cfg.split_rule {
             SplitRule::EqualWidth => 0,
             SplitRule::EqualDepth => 1,
-        }]);
-        put(&cfg.seed.to_le_bytes());
-        put(&(policy.rows as u64).to_le_bytes());
-        put(&policy.max_staleness.to_bits().to_le_bytes());
-        put(&wal_seq.to_le_bytes());
-        put(&(blobs.len() as u32).to_le_bytes());
-        for no in blobs {
-            put(&no.to_le_bytes());
+        });
+        out.u64(cfg.seed);
+        out.u64(policy.rows as u64);
+        out.f64(policy.max_staleness);
+        out.u64(wal_seq);
+        out.u32(blobs.len() as u32);
+        for &no in blobs {
+            out.u64(no);
         }
     })
 }
@@ -193,22 +193,25 @@ fn table_manifest_from_bytes(data: &[u8]) -> Option<TableManifest> {
     Some(TableManifest { name, pre, cfg, policy, wal_seq, blobs })
 }
 
-/// Serializes one segment: its synopsis and its compressed rows.
-fn segment_to_bytes(engine: &PairwiseHist, store: &ColumnarStore) -> Vec<u8> {
+/// Serializes one sealed segment, synopsis and compressed rows, as the `PSG3`
+/// blob a checkpoint commits. [`Session::open_dir`] quarantines a blob whose
+/// store is not the synopsis's rows by the preprocessor's columns.
+pub fn segment_to_bytes(engine: &PairwiseHist, store: &ColumnarStore) -> Vec<u8> {
     frame(SEGMENT_MAGIC, SEGMENT_VERSION, |out| {
         let syn = engine.to_bytes();
-        out.extend_from_slice(&(syn.len() as u64).to_le_bytes());
-        out.extend_from_slice(&syn);
+        out.u64(syn.len() as u64);
+        out.bytes(&syn);
         let store_bytes = store.to_bytes();
-        out.push(COLUMNAR_STORE);
-        out.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&store_bytes);
+        out.u8(COLUMNAR_STORE);
+        out.u64(store_bytes.len() as u64);
+        out.bytes(&store_bytes);
     })
 }
 
 /// Restores a segment blob against the table's shared preprocessor, or says
 /// why not for the quarantine reason: a row-store kind other than the cascade
-/// is named, everything else is [`reject_reason`]'s.
+/// and a store of another shape than `n_total` rows by `pre.n_columns()` are
+/// named, everything else is [`reject_reason`]'s.
 fn segment_from_bytes(
     data: &[u8],
     pre: Arc<Preprocessor>,
@@ -232,9 +235,20 @@ fn segment_from_bytes(
             String::from_utf8_lossy(SEGMENT_MAGIC)
         ));
     }
-    match (PairwiseHist::from_bytes(syn, pre), ColumnarStore::from_bytes(store)) {
-        (Some(engine), Some(store)) => Ok((engine, store)),
-        _ => Err(rejected()),
+    let cols = pre.n_columns();
+    let engine = PairwiseHist::from_bytes(syn, pre).ok_or_else(rejected)?;
+    let rows = engine.params().n_total;
+    match ColumnarStore::shape(store) {
+        Some(found) if found != (rows, cols as u64) => Err(format!(
+            "row store holds {} × {} (rows × columns) where its synopsis and preprocessor \
+             commit {rows} × {cols}",
+            found.0, found.1
+        )),
+        _ => usize::try_from(rows)
+            .ok()
+            .and_then(|n| ColumnarStore::from_bytes(store, n, cols))
+            .map(|store| (engine, store))
+            .ok_or_else(rejected),
     }
 }
 

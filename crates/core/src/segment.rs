@@ -240,6 +240,7 @@ impl TableState {
             .first()
             .map(|s| &s.engine)
             .or(self.delta.as_ref())
+            // ph-lint: allow(no-panic-serving) — registration and refit build a segment, open_dir quarantines a manifest of none, and compact and seal only add or merge
             .expect("a table version always holds at least one engine")
     }
 
@@ -444,62 +445,55 @@ pub(crate) fn decode_store(
 }
 
 /// Decodes an encoded matrix back to the original value domain, column by
-/// column, reversing the fitted transforms (null codes → NULL).
+/// column, reversing the fitted transforms (null codes → NULL); a matrix the
+/// preprocessor's columns do not describe is [`PhError::Corrupt`].
 pub(crate) fn decode_matrix(
     name: &str,
     pre: &Preprocessor,
     m: &EncodedMatrix,
 ) -> Result<Dataset, PhError> {
+    if m.columns.len() != pre.n_columns() {
+        return Err(PhError::Corrupt(format!(
+            "table '{name}': {} stored columns under a preprocessor of {}",
+            m.columns.len(),
+            pre.n_columns()
+        )));
+    }
+    let int = |v| if let Value::Int(i) = v { Some(i) } else { None };
     let mut builder = Dataset::builder(name);
-    for c in 0..pre.n_columns() {
-        let col_name = pre.names()[c].clone();
-        let values = &m.columns[c];
+    for (c, (col_name, values)) in pre.names().iter().zip(&m.columns).enumerate() {
+        let col_name = col_name.clone();
         let column = match pre.column_type(c) {
-            ColumnType::Int | ColumnType::Timestamp => {
-                let ints: Vec<Option<i64>> = values
-                    .iter()
-                    .map(|&v| {
-                        Ok(match pre.decode_value(c, v)? {
-                            Value::Int(i) => Some(i),
-                            _ => None,
-                        })
-                    })
-                    .collect::<Result<_, GdError>>()?;
-                if pre.column_type(c) == ColumnType::Timestamp {
-                    Column::from_timestamps(col_name, ints)
-                } else {
-                    Column::from_ints(col_name, ints)
-                }
+            ColumnType::Int => Column::from_ints(col_name, decoded(pre, c, values, int)?),
+            ColumnType::Timestamp => {
+                Column::from_timestamps(col_name, decoded(pre, c, values, int)?)
             }
-            ColumnType::Float { scale } => Column::from_floats(
-                col_name,
-                values
-                    .iter()
-                    .map(|&v| {
-                        Ok(match pre.decode_value(c, v)? {
-                            Value::Float(f) => Some(f),
-                            _ => None,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, GdError>>()?,
-                scale,
-            ),
+            ColumnType::Float { scale } => {
+                let float = |v| if let Value::Float(f) = v { Some(f) } else { None };
+                Column::from_floats(col_name, decoded(pre, c, values, float)?, scale)
+            }
             ColumnType::Categorical => {
-                let strings: Vec<Option<String>> = values
-                    .iter()
-                    .map(|&v| {
-                        Ok(match pre.decode_value(c, v)? {
-                            Value::Str(s) => Some(s),
-                            _ => None,
-                        })
-                    })
-                    .collect::<Result<_, GdError>>()?;
+                let text = |v| if let Value::Str(s) = v { Some(s) } else { None };
+                let strings = decoded(pre, c, values, text)?;
                 Column::from_strings(col_name, strings.iter().map(|s| s.as_deref()).collect())
             }
         };
-        builder = builder.column(column).expect("preprocessor schema is consistent");
+        builder = builder
+            .column(column)
+            .map_err(|e| PhError::Corrupt(format!("table '{name}': stored rows: {e}")))?;
     }
     Ok(builder.build())
+}
+
+/// Column `c`'s encoded `values` decoded, each through `pick` (`None` for a
+/// NULL).
+fn decoded<T>(
+    pre: &Preprocessor,
+    c: usize,
+    values: &[u64],
+    pick: impl Fn(Value) -> Option<T>,
+) -> Result<Vec<Option<T>>, GdError> {
+    values.iter().map(|&v| pre.decode_value(c, v).map(&pick)).collect()
 }
 
 /// Per-table storage breakdown, as returned by `Session::footprint_report`: what

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use ph_encoding::{
     bits_for, golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m, BitPlane, BitReader,
-    BitWriter, Bytes,
+    BitWriter, Bytes, Out,
 };
 use ph_gd::Preprocessor;
 use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
@@ -62,32 +62,29 @@ impl PairwiseHist {
 
         // --- Params ---
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.params.n_total.to_le_bytes());
-        out.extend_from_slice(&(self.params.ns as u64).to_le_bytes());
-        out.extend_from_slice(&(self.params.m_min as u32).to_le_bytes());
-        out.extend_from_slice(&self.params.alpha.to_le_bytes());
-        out.extend_from_slice(&(d as u16).to_le_bytes());
+        out.bytes(MAGIC);
+        out.u64(self.params.n_total);
+        out.u64(self.params.ns as u64);
+        out.u32(self.params.m_min as u32);
+        out.f64(self.params.alpha);
+        out.u16(d as u16);
         for &mi in &m {
-            out.push(mi as u8);
+            out.u8(mi as u8);
         }
         let params_bytes = out.len();
 
         // --- 1-d histograms ---
         for (c, &mc) in m.iter().enumerate() {
             let bins = self.hist1d(c);
-            write_u32(&mut out, bins.k() as u32);
+            out.u32(bins.k() as u32);
             for &e in &bins.edges {
-                write_le(&mut out, encode_edge(e), mc);
+                out.uint(encode_edge(e), mc);
             }
-            for &v in &bins.vmin {
-                write_le(&mut out, v, mc);
-            }
-            for &v in &bins.vmax {
-                write_le(&mut out, v, mc);
+            for &v in bins.vmin.iter().chain(&bins.vmax) {
+                out.uint(v, mc);
             }
             for &u in &bins.uniq {
-                write_u32(&mut out, u);
+                out.u32(u);
             }
         }
         let hists_1d_bytes = out.len() - params_bytes;
@@ -106,18 +103,18 @@ impl PairwiseHist {
                     .filter(|e| parent_bins.edges.binary_search_by(|p| p.total_cmp(e)).is_err())
                     .map(|&e| encode_edge(e))
                     .collect();
-                write_u32(&mut out, extra.len() as u32);
+                out.u32(extra.len() as u32);
                 for &e in &extra {
-                    write_le(&mut out, e, mc);
+                    out.uint(e, mc);
                 }
                 // Metadata for bins inside split parents (ascending refined order).
                 for t in split_bins(&dim.parent) {
                     // ph-lint: allow(no-panic-serving) — split_bins yields t < parent.len() = k, and vmin/vmax/uniq all have k entries
-                    write_le(&mut out, dim.bins.vmin[t], mc);
+                    out.uint(dim.bins.vmin[t], mc);
                     // ph-lint: allow(no-panic-serving) — same k-bounded index as vmin above
-                    write_le(&mut out, dim.bins.vmax[t], mc);
+                    out.uint(dim.bins.vmax[t], mc);
                     // ph-lint: allow(no-panic-serving) — same k-bounded index as vmin above
-                    write_u32(&mut out, dim.bins.uniq[t]);
+                    out.u32(dim.bins.uniq[t]);
                 }
             }
         }
@@ -127,8 +124,8 @@ impl PairwiseHist {
         for c in 0..d {
             let counts = &self.hist1d(c).counts;
             let lh = bits_for(counts.iter().copied().max().unwrap_or(0));
-            out.push(lh as u8);
-            out.extend_from_slice(BitPlane::pack(counts.iter().copied(), lh).as_bytes());
+            out.u8(lh as u8);
+            out.plane(&BitPlane::pack(counts.iter().copied(), lh));
         }
         for pair in &self.pairs {
             write_pair_counts(&mut out, pair);
@@ -424,13 +421,11 @@ fn write_pair_counts(out: &mut Vec<u8>, pair: &PairHist) {
         bits
     };
     let sparse = sparse_bits < dense_bits;
-    out.push(lh as u8);
-    out.push(sparse as u8);
+    out.u8(lh as u8);
+    out.u8(sparse as u8);
     let mut bits = BitWriter::new();
     if sparse {
-        let mut theta_bytes = Vec::new();
-        ph_encoding::write_uvarint(&mut theta_bytes, theta);
-        out.extend_from_slice(&theta_bytes);
+        out.uvarint(theta);
         let mut prev: i64 = -1;
         for &(idx, c) in &nonzero {
             golomb_encode(&mut bits, (idx as i64 - prev - 1) as u64, gm);
@@ -440,7 +435,7 @@ fn write_pair_counts(out: &mut Vec<u8>, pair: &PairHist) {
     } else {
         bits.write_plane(pair.counts.iter().map(|&c| c as u64), lh);
     }
-    out.extend_from_slice(&bits.finish());
+    out.bytes(&bits.finish());
 }
 
 /// Reads one pair's count matrix (inverse of [`write_pair_counts`]).
@@ -488,16 +483,6 @@ fn encode_edge(e: f64) -> u64 {
 
 fn decode_edge(v: u64) -> f64 {
     (v as f64 - 1.0) / 2.0
-}
-
-fn write_le(out: &mut Vec<u8>, v: u64, width: usize) {
-    debug_assert!(width == 8 || v < (1u64 << (8 * width)), "{v} exceeds {width} bytes");
-    let bytes = v.to_le_bytes();
-    out.extend_from_slice(bytes.get(..width).unwrap_or(&bytes));
-}
-
-fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 #[cfg(test)]

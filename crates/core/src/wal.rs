@@ -46,7 +46,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ph_encoding::{crc32, write_uvarint, Bytes};
+use ph_encoding::{crc32, Bytes, Out};
 use ph_obs::{span, Stage};
 use ph_types::{faultfs, Column, ColumnData, ColumnType, Dataset, PhError};
 
@@ -65,7 +65,7 @@ pub(crate) fn wal_path(dir: &Path, base: &str) -> PathBuf {
 /// construction.
 pub(crate) fn append_record(path: &Path, seq: u64, batch: &Dataset) -> Result<(), PhError> {
     let mut payload = Vec::new();
-    write_uvarint(&mut payload, seq);
+    payload.uvarint(seq);
     encode_batch(&mut payload, batch);
     let mut rec = Vec::new();
     // Prepend the magic when the log is empty, not merely absent: a failed
@@ -73,11 +73,11 @@ pub(crate) fn append_record(path: &Path, seq: u64, batch: &Dataset) -> Result<()
     // and appending a bare record to it would produce an unreadable log.
     let empty = faultfs::file_len(path).map(|n| n == 0).unwrap_or(true);
     if empty {
-        rec.extend_from_slice(WAL_MAGIC);
+        rec.bytes(WAL_MAGIC);
     }
-    write_uvarint(&mut rec, payload.len() as u64);
-    rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
+    rec.uvarint(payload.len() as u64);
+    rec.u32(crc32(&payload));
+    rec.bytes(&payload);
     {
         let _append = span(Stage::WalAppend);
         faultfs::append(path, &rec)?;
@@ -180,65 +180,48 @@ const TAG_TIMESTAMP: u8 = 1;
 const TAG_FLOAT: u8 = 2;
 const TAG_CAT: u8 = 3;
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Serializes a batch with lossless, replay-exact value encoding.
 pub(crate) fn encode_batch(out: &mut Vec<u8>, batch: &Dataset) {
-    write_str(out, batch.name());
-    write_uvarint(out, batch.n_rows() as u64);
-    write_uvarint(out, batch.n_columns() as u64);
+    out.uvarint_str(batch.name());
+    out.uvarint(batch.n_rows() as u64);
+    out.uvarint(batch.n_columns() as u64);
     for col in batch.columns() {
-        write_str(out, col.name());
-        match (col.ty(), col.data()) {
-            (ColumnType::Int, _) => out.push(TAG_INT),
-            (ColumnType::Timestamp, _) => out.push(TAG_TIMESTAMP),
-            (ColumnType::Float { scale }, _) => {
-                out.push(TAG_FLOAT);
-                out.push(scale);
+        out.uvarint_str(col.name());
+        match col.ty() {
+            ColumnType::Int => out.u8(TAG_INT),
+            ColumnType::Timestamp => out.u8(TAG_TIMESTAMP),
+            ColumnType::Float { scale } => {
+                out.u8(TAG_FLOAT);
+                out.u8(scale);
             }
-            (ColumnType::Categorical, _) => out.push(TAG_CAT),
+            ColumnType::Categorical => out.u8(TAG_CAT),
         }
         // Validity bitmap, LSB-first.
         let n = col.len();
-        let mut bits = vec![0u8; n.div_ceil(8)];
-        for i in 0..n {
-            match bits.get_mut(i / 8) {
-                Some(b) if col.is_valid(i) => *b |= 1 << (i % 8),
-                _ => {}
-            }
+        for start in (0..n).step_by(8) {
+            let valid = (start..n.min(start + 8)).filter(|&i| col.is_valid(i));
+            out.u8(valid.fold(0, |byte, i| byte | 1 << (i % 8)));
         }
-        out.extend_from_slice(&bits);
         match col.data() {
             ColumnData::Int(values) => {
                 let mut prev = 0i64;
                 for &v in values {
-                    write_uvarint(out, zigzag(v.wrapping_sub(prev)));
+                    out.ivarint(v.wrapping_sub(prev));
                     prev = v;
                 }
             }
             ColumnData::Float(values) => {
                 for &v in values {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
+                    out.f64(v);
                 }
             }
             ColumnData::Cat(codes, dict) => {
-                write_uvarint(out, dict.len() as u64);
+                out.uvarint(dict.len() as u64);
                 for entry in dict {
-                    write_str(out, entry);
+                    out.uvarint_str(entry);
                 }
                 for &c in codes {
-                    write_uvarint(out, c as u64);
+                    out.uvarint(c as u64);
                 }
             }
         }
@@ -265,7 +248,7 @@ pub(crate) fn decode_batch(r: &mut Bytes<'_>) -> Option<Dataset> {
                 let mut values = Vec::with_capacity(n);
                 let mut prev = 0i64;
                 for i in 0..n {
-                    let v = prev.wrapping_add(unzigzag(r.uvarint()?));
+                    let v = prev.wrapping_add(r.ivarint()?);
                     prev = v;
                     values.push(valid(i).then_some(v));
                 }

@@ -1,19 +1,22 @@
-//! [`Bytes`], the one bounded cursor every durable format decodes through, and
-//! the catalog frame ([`frame`] / [`unframe`]) around the blobs that carry a
-//! CRC trailer.
+//! The wire layer in both directions: [`Bytes`], the one bounded cursor every
+//! durable format decodes through, [`Out`], its mirror that every durable
+//! format encodes through with the same verbs, and the catalog frame
+//! ([`frame`] / [`unframe`]) around the blobs that carry a CRC trailer.
 //!
-//! The rule it enforces: **no reservation exceeds what its bytes can back**. A
-//! decoder reads a length or a count off the wire, and [`Bytes::count`] turns
-//! it into a `usize` only when that many items of at least `min_bytes_each`
-//! bytes fit in what is left; that is the one value a decoder sizes a
-//! `with_capacity`, `reserve` or `vec![_; n]` from (the `bounded-reserve` lint
-//! rule holds the decoders to it). Every other read — fixed-width integers,
-//! uvarints, slices, strings, bit planes — is bounded by the bytes left, so a
-//! hostile length fails with `None` before anything is sized from it.
+//! The rule the reader enforces: **no reservation exceeds what its bytes can
+//! back**. A decoder reads a length or a count off the wire, and
+//! [`Bytes::count`] turns it into a `usize` only when that many items of at
+//! least `min_bytes_each` bytes fit in what is left; that is the one value a
+//! decoder sizes a `with_capacity`, `reserve` or `vec![_; n]` from (the
+//! `bounded-reserve` lint rule holds the decoders to it). Every other read —
+//! fixed-width integers, uvarints, slices, strings, bit planes — is bounded by
+//! the bytes left, so a hostile length fails with `None` before anything is
+//! sized from it. A count no byte backs — the rows of a width-0 plane — the
+//! decoder takes from the parent that committed it.
 
 use crate::bitio::{plane_values, BitPlane, BitReader};
 use crate::crc32::crc32;
-use crate::varint::read_uvarint;
+use crate::varint::{read_ivarint, read_uvarint, zigzag};
 
 /// A read position over a byte slice. Every read either returns what it asked
 /// for and moves past it, or returns `None`.
@@ -121,10 +124,16 @@ impl<'a> Bytes<'a> {
         Some(u64::from_le_bytes(buf))
     }
 
-    /// A uvarint ([`crate::write_uvarint`]).
+    /// A uvarint ([`Out::uvarint`]).
     #[inline]
     pub fn uvarint(&mut self) -> Option<u64> {
         read_uvarint(self.data, &mut self.pos)
+    }
+
+    /// A zigzag ivarint ([`Out::ivarint`]).
+    #[inline]
+    pub fn ivarint(&mut self) -> Option<i64> {
+        read_ivarint(self.data, &mut self.pos)
     }
 
     /// The next `len` bytes as UTF-8.
@@ -171,15 +180,89 @@ impl<'a> Bytes<'a> {
     }
 }
 
+/// The writer twin of [`Bytes`]: each verb appends what the reader's verb of
+/// the same name reads back, into the `Vec<u8>` an encoder was handed.
+pub trait Out {
+    /// Raw bytes, as they are ([`Bytes::take`]).
+    fn bytes(&mut self, b: &[u8]);
+
+    /// One byte.
+    fn u8(&mut self, v: u8);
+
+    /// A little-endian `u16`.
+    fn u16(&mut self, v: u16) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A little-endian `u32`.
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A little-endian `u64`.
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `f64` as its little-endian bits.
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// The low `width` (1..=8) bytes of `v`, little-endian; `v` must fit.
+    fn uint(&mut self, v: u64, width: usize) {
+        debug_assert!(width >= 8 || v >> (8 * width) == 0, "{v} exceeds {width} bytes");
+        let le = v.to_le_bytes();
+        self.bytes(le.get(..width).unwrap_or(&le));
+    }
+
+    /// A LEB128 uvarint: seven bits a byte, low bits first.
+    fn uvarint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8);
+    }
+
+    /// A zigzag-mapped uvarint: small magnitudes of either sign take a byte.
+    fn ivarint(&mut self, v: i64) {
+        self.uvarint(zigzag(v));
+    }
+
+    /// A uvarint length, then the string's UTF-8 bytes.
+    fn uvarint_str(&mut self, s: &str) {
+        self.uvarint(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    /// One byte-aligned bit plane: its bytes, not its shape ([`Bytes::plane`]).
+    fn plane(&mut self, p: &BitPlane) {
+        self.bytes(p.as_bytes());
+    }
+}
+
+impl Out for Vec<u8> {
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+
+    #[inline]
+    fn u8(&mut self, v: u8) {
+        self.push(v);
+    }
+}
+
 /// Wraps a body in the catalog frame: `magic | u8 version | body | u32 crc32`
 /// of every byte before the trailer, little-endian.
 pub fn frame(magic: &[u8; 4], version: u8, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(magic);
-    out.push(version);
+    out.bytes(magic);
+    out.u8(version);
     write_body(&mut out);
     let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.u32(crc);
     out
 }
 
@@ -222,6 +305,36 @@ mod tests {
         assert_eq!((r.u8(), r.uint(0)), (None, Some(0)));
         assert_eq!(Bytes::new(&[1, 2]).u32(), None);
         assert_eq!(Bytes::new(&[0; 9]).uint(9), None);
+    }
+
+    /// Each verb of the writer writes what the reader's verb of the same
+    /// name reads back, and nothing else.
+    #[test]
+    fn out_writes_what_bytes_reads() {
+        let plane = BitPlane::pack([5u64, 0, 3].into_iter(), 3);
+        let mut out = Vec::new();
+        out.u8(7);
+        out.u16(0xBEEF);
+        out.u32(0xDEAD_BEEF);
+        out.u64(u64::MAX);
+        out.f64(-0.25);
+        out.uint(0x12_3456, 3);
+        out.uint(u64::MAX, 8);
+        out.uvarint(300);
+        out.ivarint(-2);
+        out.uvarint_str("é!");
+        out.plane(&plane);
+        out.bytes(b"end");
+        let mut r = Bytes::new(&out);
+        assert_eq!(
+            (r.u8(), r.u16(), r.u32(), r.u64()),
+            (Some(7), Some(0xBEEF), Some(0xDEAD_BEEF), Some(u64::MAX))
+        );
+        assert_eq!((r.f64(), r.uint(3), r.uint(8)), (Some(-0.25), Some(0x12_3456), Some(u64::MAX)));
+        assert_eq!((r.uvarint(), r.ivarint(), r.uvarint_str()), (Some(300), Some(-2), Some("é!")));
+        assert_eq!(r.plane(3, 3), Some(plane));
+        assert_eq!(r.rest(), b"end");
+        assert_eq!(out.len(), 1 + 2 + 4 + 8 + 8 + 3 + 8 + 2 + 1 + 4 + 2 + 3);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   for the geometrically distributed gaps the paper expects.
 //!
 //! Every fixed-width integer array among them (GD base IDs, dense counts, the
-//! column codecs' residuals, codes, runs and deltas) is one [`BitPlane`], and
-//! every durable format decodes through one bounded cursor, [`Bytes`], whose
-//! [`Bytes::count`] is the only size a decoder reserves from.
+//! column codecs' residuals, codes, runs and deltas) is one [`BitPlane`]. Every
+//! durable format is written through one writer, [`Out`], and read back
+//! through its mirror, one bounded cursor, [`Bytes`], whose [`Bytes::count`]
+//! is the only size a decoder reserves from.
 //! All streams are MSB-first within each byte, so encoded sizes match the paper's
 //! `⌈bits / 8⌉` accounting exactly.
 
@@ -28,11 +29,13 @@ mod qlog;
 mod varint;
 
 pub use bitio::{BitPlane, BitReader, BitWriter};
-pub use bytes::{frame, unframe, Bytes};
+pub use bytes::{frame, unframe, Bytes, Out};
 pub use crc32::{crc32, Crc32};
 pub use golomb::{golomb_decode, golomb_encode, golomb_len_bits, optimal_golomb_m};
 pub use qlog::{read_qlog_body, read_qlog_prefix, write_qlog_record, QlogRecord, QLOG_MAGIC};
-pub use varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
+pub use varint::{
+    read_ivarint, read_uvarint, unzigzag, uvarint_len, write_ivarint, write_uvarint, zigzag,
+};
 
 /// Number of bits needed to represent `v` (0 needs 1 bit).
 #[inline]

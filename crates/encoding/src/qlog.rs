@@ -7,7 +7,7 @@
 //! workspace defines, so the server and any offline analyzer agree on it.
 //!
 //! A log file is the 5-byte [`QLOG_MAGIC`] followed by zero or more records.
-//! Every integer field is an LEB128 varint ([`super::write_uvarint`]); the
+//! Every integer field is an LEB128 varint ([`super::Out::uvarint`]); the
 //! timestamp is **delta-encoded** against the previous record (monotone
 //! timestamps — the common case for an append-only log — cost one or two
 //! bytes per record instead of eight):
@@ -23,8 +23,7 @@
 //! Decoding is total: truncated or corrupt input yields `None`, never a panic
 //! — the reader must survive a log cut mid-record by a crash.
 
-use crate::bytes::Bytes;
-use crate::varint::write_uvarint;
+use crate::bytes::{Bytes, Out};
 
 /// File magic of a query log: format name + version.
 pub const QLOG_MAGIC: &[u8; 5] = b"PHQL1";
@@ -48,11 +47,10 @@ pub struct QlogRecord {
 /// a clock, and a small backwards step (NTP slew) must not poison the stream.
 pub fn write_qlog_record(out: &mut Vec<u8>, prev_ts: u64, rec: &QlogRecord) -> u64 {
     let ts = rec.ts_micros.max(prev_ts);
-    write_uvarint(out, ts - prev_ts);
-    write_uvarint(out, u64::from(rec.status));
-    write_uvarint(out, rec.latency_micros);
-    write_uvarint(out, rec.sql.len() as u64);
-    out.extend_from_slice(rec.sql.as_bytes());
+    out.uvarint(ts - prev_ts);
+    out.uvarint(u64::from(rec.status));
+    out.uvarint(rec.latency_micros);
+    out.uvarint_str(&rec.sql);
     ts
 }
 

@@ -1,23 +1,21 @@
 //! LEB128-style unsigned varints for header fields of variable magnitude.
 
+use crate::bytes::Out;
+
 /// Appends `v` as a little-endian base-128 varint.
-pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+pub fn write_uvarint(out: &mut Vec<u8>, v: u64) {
+    out.uvarint(v);
 }
 
-/// Appends `v` as a zigzag-mapped varint: small magnitudes of either sign
-/// encode in one byte, which is what delta streams (trace span starts, qlog
-/// timestamps) need.
+/// Serialized length of `v` as a uvarint, for O(1) size accounting.
+#[inline]
+pub fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Appends `v` as a zigzag-mapped varint ([`Out::ivarint`]).
 pub fn write_ivarint(out: &mut Vec<u8>, v: i64) {
-    write_uvarint(out, zigzag(v));
+    out.ivarint(v);
 }
 
 /// Reads a zigzag varint written by [`write_ivarint`]; `None` on truncated or
@@ -28,13 +26,13 @@ pub fn read_ivarint(data: &[u8], pos: &mut usize) -> Option<i64> {
 
 /// Maps signed to unsigned so small magnitudes stay small: 0, -1, 1, -2 → 0, 1, 2, 3.
 #[inline]
-fn zigzag(v: i64) -> u64 {
+pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
 #[inline]
-fn unzigzag(v: u64) -> i64 {
+pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -73,6 +71,7 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_uvarint(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
+            assert_eq!(uvarint_len(v), buf.len(), "v = {v}");
         }
     }
 
@@ -110,7 +109,7 @@ mod tests {
         fn prop_roundtrip(v in any::<u64>()) {
             let mut buf = Vec::new();
             write_uvarint(&mut buf, v);
-            prop_assert!(buf.len() <= 10);
+            prop_assert_eq!(uvarint_len(v), buf.len());
             let mut pos = 0;
             prop_assert_eq!(read_uvarint(&buf, &mut pos), Some(v));
         }

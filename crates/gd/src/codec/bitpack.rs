@@ -1,9 +1,9 @@
 //! Frame-of-reference bit packing: subtract the column minimum, store residuals
 //! at the fixed width of the largest residual. Constant columns cost 0 bits/row.
 
-use ph_encoding::{write_uvarint, BitPlane, Bytes};
+use ph_encoding::{uvarint_len, BitPlane, Bytes, Out};
 
-use super::{codec_rows, uvarint_len, width_for, EncodedPred};
+use super::{width_for, EncodedPred};
 
 /// Minimum-subtracted fixed-width column store.
 ///
@@ -58,18 +58,18 @@ impl BitPackCodec {
     /// Serializes to the wire layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
-        write_uvarint(&mut out, self.n_rows() as u64);
-        write_uvarint(&mut out, self.min);
-        out.push(self.residuals.width() as u8);
-        out.extend_from_slice(self.residuals.as_bytes());
+        out.uvarint(self.n_rows() as u64);
+        out.uvarint(self.min);
+        out.u8(self.residuals.width() as u8);
+        out.plane(&self.residuals);
         out
     }
 
-    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
-    /// input.
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output of `n_rows` rows;
+    /// `None` on malformed input or another row count.
+    pub fn from_bytes(data: &[u8], n_rows: usize) -> Option<Self> {
         let mut r = Bytes::new(data);
-        let n_rows = codec_rows(r.uvarint()?)?;
+        r.uvarint().filter(|&n| n == n_rows as u64)?;
         let min = r.uvarint()?;
         let width = r.u8()? as u32;
         let residuals = r.plane(n_rows, width)?;
@@ -101,7 +101,7 @@ mod tests {
     fn roundtrip_with_extremes() {
         let vals = vec![5, u64::MAX, 5, 1 << 52, 77];
         let c = BitPackCodec::encode(&vals);
-        let restored = BitPackCodec::from_bytes(&c.to_bytes()).unwrap();
+        let restored = BitPackCodec::from_bytes(&c.to_bytes(), vals.len()).unwrap();
         assert_eq!(restored.decode(), vals);
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
         assert_eq!(BitPackCodec::size_for(vals.len(), 5, u64::MAX), c.to_bytes().len());
@@ -112,10 +112,12 @@ mod tests {
         let c = BitPackCodec::encode(&[1, 2, 3, 4]);
         let mut bytes = c.to_bytes();
         bytes.push(0);
-        assert!(BitPackCodec::from_bytes(&bytes).is_none());
+        assert!(BitPackCodec::from_bytes(&bytes, 4).is_none());
         bytes.truncate(bytes.len() - 2);
-        assert!(BitPackCodec::from_bytes(&bytes).is_none());
-        assert!(BitPackCodec::from_bytes(&[]).is_none());
+        assert!(BitPackCodec::from_bytes(&bytes, 4).is_none());
+        assert!(BitPackCodec::from_bytes(&[], 0).is_none());
+        assert!(BitPackCodec::from_bytes(&c.to_bytes(), 4).is_some());
+        assert!(BitPackCodec::from_bytes(&c.to_bytes(), 5).is_none(), "another row count");
     }
 
     #[test]

@@ -44,24 +44,15 @@ impl ColumnCodec {
         }
     }
 
-    /// Restores a column payload previously written under `tag`.
-    pub fn from_tag_bytes(tag: u8, data: &[u8]) -> Option<Self> {
+    /// Restores a column payload of `n_rows` rows previously written under
+    /// `tag`; `None` on malformed input or another row count.
+    pub fn from_tag_bytes(tag: u8, data: &[u8], n_rows: usize) -> Option<Self> {
         match tag {
-            0 => BitPackCodec::from_bytes(data).map(ColumnCodec::BitPack),
-            1 => DeltaCodec::from_bytes(data).map(ColumnCodec::Delta),
-            2 => DictCodec::from_bytes(data).map(ColumnCodec::Dict),
-            3 => RunEndCodec::from_bytes(data).map(ColumnCodec::RunEnd),
+            0 => BitPackCodec::from_bytes(data, n_rows).map(ColumnCodec::BitPack),
+            1 => DeltaCodec::from_bytes(data, n_rows).map(ColumnCodec::Delta),
+            2 => DictCodec::from_bytes(data, n_rows).map(ColumnCodec::Dict),
+            3 => RunEndCodec::from_bytes(data, n_rows).map(ColumnCodec::RunEnd),
             _ => None,
-        }
-    }
-
-    /// Rows held.
-    pub fn n_rows(&self) -> usize {
-        match self {
-            ColumnCodec::BitPack(c) => c.n_rows(),
-            ColumnCodec::Delta(c) => c.n_rows(),
-            ColumnCodec::Dict(c) => c.n_rows(),
-            ColumnCodec::RunEnd(c) => c.n_rows(),
         }
     }
 
@@ -144,8 +135,7 @@ impl ColumnStats {
                 n_runs += 1;
             }
             if r > 0 && r % DELTA_BLOCK != 0 {
-                let d = v.wrapping_sub(values[r - 1]) as i64;
-                let zz = ((d << 1) ^ (d >> 63)) as u64;
+                let zz = ph_encoding::zigzag(v.wrapping_sub(values[r - 1]) as i64);
                 min_zz = min_zz.min(zz);
                 max_zz = max_zz.max(zz);
                 any_delta = true;
@@ -284,11 +274,13 @@ mod tests {
             ColumnCodec::Dict(DictCodec::encode(&vals)),
             ColumnCodec::RunEnd(RunEndCodec::encode(&vals)),
         ] {
-            let restored = ColumnCodec::from_tag_bytes(codec.tag(), &codec.to_bytes()).unwrap();
+            let bytes = codec.to_bytes();
+            let restored = ColumnCodec::from_tag_bytes(codec.tag(), &bytes, 300).unwrap();
             assert_eq!(restored.decode(), vals);
             assert_eq!(restored.name(), codec.name());
-            assert_eq!(codec.packed_bytes(), codec.to_bytes().len());
+            assert_eq!(codec.packed_bytes(), bytes.len());
+            assert!(ColumnCodec::from_tag_bytes(codec.tag(), &bytes, 301).is_none());
         }
-        assert!(ColumnCodec::from_tag_bytes(9, &[]).is_none());
+        assert!(ColumnCodec::from_tag_bytes(9, &[], 0).is_none());
     }
 }

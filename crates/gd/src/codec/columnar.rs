@@ -2,12 +2,12 @@
 //! [`RowStore`] enum that holds either this or the GreedyGD store — whichever
 //! is smaller, for the storage experiments that compare the two.
 
-use ph_encoding::{write_uvarint, Bytes};
+use ph_encoding::{uvarint_len, Bytes, Out};
 
 use crate::{EncodedMatrix, GdStore};
 
 use super::column::{choose_codec, ColumnCodec};
-use super::{codec_rows, uvarint_len, EncodedPred};
+use super::EncodedPred;
 
 /// A segment's rows, one codec per column.
 ///
@@ -65,34 +65,38 @@ impl ColumnarStore {
     /// Serializes the store.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
-        write_uvarint(&mut out, self.n_rows as u64);
-        write_uvarint(&mut out, self.columns.len() as u64);
+        out.uvarint(self.n_rows as u64);
+        out.uvarint(self.columns.len() as u64);
         for c in &self.columns {
             let payload = c.to_bytes();
-            out.push(c.tag());
-            write_uvarint(&mut out, payload.len() as u64);
-            out.extend_from_slice(&payload);
+            out.u8(c.tag());
+            out.uvarint(payload.len() as u64);
+            out.bytes(&payload);
         }
         out
     }
 
-    /// Restores a store; `None` on any malformed column, row-count mismatch,
-    /// or trailing bytes. Decode paths are total afterwards.
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// The `(rows, columns)` a store body's header claims, whether or not the
+    /// rest decodes: what a refused [`from_bytes`](Self::from_bytes) reports.
+    pub fn shape(data: &[u8]) -> Option<(u64, u64)> {
         let mut r = Bytes::new(data);
-        let n_rows = codec_rows(r.uvarint()?)?;
+        Some((r.uvarint()?, r.uvarint()?))
+    }
+
+    /// Restores a store of the shape its parent committed, `n_rows` rows by
+    /// `n_cols` columns; `None` on another shape, any malformed column or
+    /// trailing bytes. Decode paths are total afterwards.
+    pub fn from_bytes(data: &[u8], n_rows: usize, n_cols: usize) -> Option<Self> {
+        let mut r = Bytes::new(data);
+        if (r.uvarint()?, r.uvarint()?) != (n_rows as u64, n_cols as u64) {
+            return None;
+        }
         // A column is at least its tag and a one-byte payload length.
-        let n_cols = r.uvarint()?;
-        let n_cols = r.count(n_cols, 2)?;
-        let mut columns = Vec::with_capacity(n_cols);
+        let mut columns = Vec::with_capacity(r.count(n_cols as u64, 2)?);
         for _ in 0..n_cols {
             let tag = r.u8()?;
             let len = usize::try_from(r.uvarint()?).ok()?;
-            let codec = ColumnCodec::from_tag_bytes(tag, r.take(len)?)?;
-            if codec.n_rows() != n_rows {
-                return None;
-            }
-            columns.push(codec);
+            columns.push(ColumnCodec::from_tag_bytes(tag, r.take(len)?, n_rows)?);
         }
         r.finish()?;
         Some(Self { n_rows, columns })
@@ -186,7 +190,7 @@ mod tests {
         let s = ColumnarStore::encode(&m);
         assert_eq!(s.decompress().columns, m.columns);
         assert_eq!(s.packed_bytes(), s.to_bytes().len());
-        let restored = ColumnarStore::from_bytes(&s.to_bytes()).unwrap();
+        let restored = ColumnarStore::from_bytes(&s.to_bytes(), 2_000, 4).unwrap();
         assert_eq!(restored.decompress().columns, m.columns);
         assert_eq!(restored.codec_names(), ["delta", "dict", "runend", "bitpack"]);
     }
@@ -195,17 +199,21 @@ mod tests {
     fn from_bytes_rejects_corruption() {
         let m = matrix(vec![(0..100u64).collect(), vec![5; 100]]);
         let bytes = ColumnarStore::encode(&m).to_bytes();
-        assert!(ColumnarStore::from_bytes(&bytes).is_some());
+        assert!(ColumnarStore::from_bytes(&bytes, 100, 2).is_some());
+        assert_eq!(ColumnarStore::shape(&bytes), Some((100, 2)));
+        for (rows, cols) in [(99, 2), (100, 1), (100, 3)] {
+            assert!(ColumnarStore::from_bytes(&bytes, rows, cols).is_none(), "{rows} × {cols}");
+        }
         for cut in 0..bytes.len() {
-            assert!(ColumnarStore::from_bytes(&bytes[..cut]).is_none(), "cut {cut}");
+            assert!(ColumnarStore::from_bytes(&bytes[..cut], 100, 2).is_none(), "cut {cut}");
         }
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(ColumnarStore::from_bytes(&extra).is_none());
+        assert!(ColumnarStore::from_bytes(&extra, 100, 2).is_none());
         let mut bad_tag = bytes.clone();
         // First column tag byte sits right after the two header uvarints.
         bad_tag[2] = 9;
-        assert!(ColumnarStore::from_bytes(&bad_tag).is_none());
+        assert!(ColumnarStore::from_bytes(&bad_tag, 100, 2).is_none());
     }
 
     #[test]
@@ -291,11 +299,10 @@ mod tests {
                     let c = <$ty>::encode(&vals);
                     prop_assert_eq!(c.decode(), vals.clone());
                     prop_assert_eq!(c.packed_bytes(), c.to_bytes().len());
-                    let restored = <$ty>::from_bytes(&c.to_bytes());
+                    let restored = <$ty>::from_bytes(&c.to_bytes(), vals.len());
                     prop_assert!(restored.is_some());
                     let restored = restored.unwrap();
                     prop_assert_eq!(restored.decode(), vals.clone());
-                    prop_assert_eq!(restored.n_rows(), vals.len());
                 }};
             }
             check!(BitPackCodec);
@@ -334,7 +341,7 @@ mod tests {
             let m = matrix(cols);
             let s = ColumnarStore::encode(&m);
             prop_assert_eq!(s.packed_bytes(), s.to_bytes().len());
-            let restored = ColumnarStore::from_bytes(&s.to_bytes());
+            let restored = ColumnarStore::from_bytes(&s.to_bytes(), n, m.columns.len());
             prop_assert!(restored.is_some());
             prop_assert_eq!(restored.unwrap().decompress().columns, m.columns);
         }

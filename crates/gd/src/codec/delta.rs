@@ -7,22 +7,12 @@
 //! value instead, so a block decodes on its own. A fixed-step column needs 0
 //! bits per non-anchor row.
 
-use ph_encoding::{write_uvarint, BitReader, BitWriter, Bytes};
+use ph_encoding::{unzigzag, uvarint_len, zigzag, BitReader, BitWriter, Bytes, Out};
 
-use super::{codec_rows, uvarint_len, width_for, EncodedPred};
+use super::{width_for, EncodedPred};
 
 /// Rows per block: one absolute anchor, then `DELTA_BLOCK - 1` deltas.
 pub(crate) const DELTA_BLOCK: usize = 256;
-
-#[inline]
-fn zigzag(d: i64) -> u64 {
-    ((d << 1) ^ (d >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
 
 /// Blocked zigzag-delta column store.
 ///
@@ -101,11 +91,6 @@ impl DeltaCodec {
         })
     }
 
-    /// Rows held.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
     /// Full decode back to the encoded-domain column.
     pub fn decode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.n_rows);
@@ -123,27 +108,28 @@ impl DeltaCodec {
     /// Serializes to the wire layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
-        write_uvarint(&mut out, self.n_rows as u64);
-        out.push(self.anchor_width as u8);
-        out.push(self.delta_width as u8);
-        write_uvarint(&mut out, self.min_zz);
-        out.extend_from_slice(&self.packed);
+        out.uvarint(self.n_rows as u64);
+        out.u8(self.anchor_width as u8);
+        out.u8(self.delta_width as u8);
+        out.uvarint(self.min_zz);
+        out.bytes(&self.packed);
         out
     }
 
-    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
-    /// input.
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output of `n_rows` rows;
+    /// `None` on malformed input or another row count.
+    pub fn from_bytes(data: &[u8], n_rows: usize) -> Option<Self> {
         let mut r = Bytes::new(data);
-        let n_rows = codec_rows(r.uvarint()?)?;
+        r.uvarint().filter(|&n| n == n_rows as u64)?;
         let [anchor_width, delta_width] = r.array()?.map(u32::from);
         if anchor_width > 64 || delta_width > 64 {
             return None;
         }
         let min_zz = r.uvarint()?;
-        let n_anchors = n_rows.div_ceil(DELTA_BLOCK);
-        let bits = n_anchors * anchor_width as usize + (n_rows - n_anchors) * delta_width as usize;
-        let packed = r.take(bits.div_ceil(8))?.to_vec();
+        let n_anchors = n_rows.div_ceil(DELTA_BLOCK) as u64;
+        let delta_bits = (n_rows as u64 - n_anchors).checked_mul(delta_width.into())?;
+        let bits = (n_anchors * u64::from(anchor_width)).checked_add(delta_bits)?;
+        let packed = r.take(usize::try_from(bits.div_ceil(8)).ok()?)?.to_vec();
         r.finish()?;
         Some(Self { n_rows, anchor_width, delta_width, min_zz, packed })
     }
@@ -172,7 +158,7 @@ mod tests {
         assert_eq!(c.delta_width, 0);
         assert_eq!(c.decode(), vals);
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
-        let restored = DeltaCodec::from_bytes(&c.to_bytes()).unwrap();
+        let restored = DeltaCodec::from_bytes(&c.to_bytes(), vals.len()).unwrap();
         assert_eq!(restored.decode(), vals);
     }
 
@@ -180,7 +166,7 @@ mod tests {
     fn wrapping_sequences_roundtrip() {
         let vals = vec![u64::MAX, 0, u64::MAX - 3, 17, 1 << 63, 0];
         let c = DeltaCodec::encode(&vals);
-        let restored = DeltaCodec::from_bytes(&c.to_bytes()).unwrap();
+        let restored = DeltaCodec::from_bytes(&c.to_bytes(), vals.len()).unwrap();
         assert_eq!(restored.decode(), vals);
     }
 
@@ -188,7 +174,7 @@ mod tests {
     fn multi_block_decode_crosses_anchors() {
         let vals: Vec<u64> = (0..700u64).map(|i| i * i % 9973).collect();
         let c = DeltaCodec::encode(&vals);
-        assert_eq!(DeltaCodec::from_bytes(&c.to_bytes()).unwrap().decode(), vals);
+        assert_eq!(DeltaCodec::from_bytes(&c.to_bytes(), 700).unwrap().decode(), vals);
         let pred = EncodedPred::Range { lo: Some(100), hi: Some(5_000) };
         let want = vals.iter().filter(|&&v| pred.matches(v)).count() as u64;
         assert_eq!(c.count_matching(&pred), want);
@@ -207,10 +193,12 @@ mod tests {
         let vals: Vec<u64> = (0..300u64).collect();
         let bytes = DeltaCodec::encode(&vals).to_bytes();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(DeltaCodec::from_bytes(&bytes[..cut]).is_none(), "cut {cut}");
+            assert!(DeltaCodec::from_bytes(&bytes[..cut], 300).is_none(), "cut {cut}");
         }
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(DeltaCodec::from_bytes(&extra).is_none());
+        assert!(DeltaCodec::from_bytes(&extra, 300).is_none());
+        assert!(DeltaCodec::from_bytes(&bytes, 300).is_some());
+        assert!(DeltaCodec::from_bytes(&bytes, 299).is_none(), "another row count");
     }
 }

@@ -5,9 +5,9 @@
 //! codes, range predicates become a contiguous code interval — both evaluate
 //! on the packed codes without materializing a single value.
 
-use ph_encoding::{write_uvarint, BitPlane, Bytes};
+use ph_encoding::{uvarint_len, BitPlane, Bytes, Out};
 
-use super::{codec_rows, uvarint_len, width_for, EncodedPred};
+use super::{width_for, EncodedPred};
 
 /// Sorted-dictionary column store.
 ///
@@ -100,24 +100,24 @@ impl DictCodec {
     /// Serializes to the wire layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
-        write_uvarint(&mut out, self.n_rows() as u64);
-        write_uvarint(&mut out, self.dict.len() as u64);
+        out.uvarint(self.n_rows() as u64);
+        out.uvarint(self.dict.len() as u64);
         if let Some(&first) = self.dict.first() {
-            write_uvarint(&mut out, first);
+            out.uvarint(first);
             for w in self.dict.windows(2) {
-                write_uvarint(&mut out, w[1] - w[0]);
+                out.uvarint(w[1] - w[0]);
             }
         }
-        out.push(self.codes.width() as u8);
-        out.extend_from_slice(self.codes.as_bytes());
+        out.u8(self.codes.width() as u8);
+        out.plane(&self.codes);
         out
     }
 
-    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
-    /// input.
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output of `n_rows` rows;
+    /// `None` on malformed input or another row count.
+    pub fn from_bytes(data: &[u8], n_rows: usize) -> Option<Self> {
         let mut r = Bytes::new(data);
-        let n_rows = codec_rows(r.uvarint()?)?;
+        r.uvarint().filter(|&n| n == n_rows as u64)?;
         // Every entry takes at least a byte.
         let k = r.uvarint()?;
         let k = r.count(k, 1)?;
@@ -158,7 +158,6 @@ impl DictCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::MAX_CODEC_ROWS;
 
     #[test]
     fn roundtrip_low_cardinality() {
@@ -167,7 +166,7 @@ mod tests {
         assert_eq!(c.dict, [3, 7, 100, 900]);
         assert_eq!(c.decode(), vals);
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
-        let restored = DictCodec::from_bytes(&c.to_bytes()).unwrap();
+        let restored = DictCodec::from_bytes(&c.to_bytes(), vals.len()).unwrap();
         assert_eq!(restored.decode(), vals);
         let mut distinct = vals.clone();
         distinct.sort_unstable();
@@ -182,7 +181,7 @@ mod tests {
         assert_eq!(c.decode(), vec![9; 512]);
         assert_eq!(c.count_matching(&EncodedPred::Eq(9)), 512);
         assert_eq!(c.count_matching(&EncodedPred::Eq(8)), 0);
-        let restored = DictCodec::from_bytes(&c.to_bytes()).unwrap();
+        let restored = DictCodec::from_bytes(&c.to_bytes(), 512).unwrap();
         assert_eq!(restored.decode(), vec![9; 512]);
     }
 
@@ -202,23 +201,24 @@ mod tests {
     fn from_bytes_rejects_corruption() {
         let c = DictCodec::encode(&[1u64, 5, 9, 5, 1]);
         let bytes = c.to_bytes();
-        assert!(DictCodec::from_bytes(&bytes).is_some());
+        assert!(DictCodec::from_bytes(&bytes, 5).is_some());
+        assert!(DictCodec::from_bytes(&bytes, 4).is_none(), "another row count");
         for cut in 0..bytes.len() {
-            assert!(DictCodec::from_bytes(&bytes[..cut]).is_none(), "cut {cut}");
+            assert!(DictCodec::from_bytes(&bytes[..cut], 5).is_none(), "cut {cut}");
         }
         // Zero gap (duplicate dict entry) must be rejected.
         let mut zero_gap = Vec::new();
-        write_uvarint(&mut zero_gap, 2); // n_rows
-        write_uvarint(&mut zero_gap, 2); // k
-        write_uvarint(&mut zero_gap, 5); // dict[0]
-        write_uvarint(&mut zero_gap, 0); // gap of 0 — invalid
-        zero_gap.push(1); // code_width
-        zero_gap.push(0x00);
-        assert!(DictCodec::from_bytes(&zero_gap).is_none());
+        zero_gap.uvarint(2); // n_rows
+        zero_gap.uvarint(2); // k
+        zero_gap.uvarint(5); // dict[0]
+        zero_gap.uvarint(0); // gap of 0 — invalid
+        zero_gap.u8(1); // code_width
+        zero_gap.u8(0x00);
+        assert!(DictCodec::from_bytes(&zero_gap, 2).is_none());
         // A code past the dictionary must be rejected too.
         let mut bad_code = c.to_bytes();
         *bad_code.last_mut().unwrap() |= 0xC0; // row 4's code 0 -> 3, with k = 3
-        assert!(DictCodec::from_bytes(&bad_code).is_none());
+        assert!(DictCodec::from_bytes(&bad_code, 5).is_none());
     }
 
     /// A claimed dictionary size the body cannot back fails before anything is
@@ -226,9 +226,9 @@ mod tests {
     #[test]
     fn from_bytes_bounds_k_by_the_body() {
         let mut body = Vec::new();
-        write_uvarint(&mut body, 0); // n_rows
-        write_uvarint(&mut body, MAX_CODEC_ROWS as u64); // k
+        body.uvarint(0); // n_rows
+        body.uvarint(1 << 28); // k
         assert_eq!(body.len(), 6);
-        assert!(DictCodec::from_bytes(&body).is_none());
+        assert!(DictCodec::from_bytes(&body, 0).is_none());
     }
 }

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use ph_encoding::Bytes;
+use ph_encoding::{Bytes, Out};
 
 /// Escape prefix for bytes with no symbol: `0xFF literal_byte`.
 const ESCAPE: u8 = 0xFF;
@@ -156,10 +156,10 @@ impl SymbolTable {
     /// Serialized table: `u8 n | n × (u8 len | bytes)`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.table_bytes());
-        out.push(self.symbols.len() as u8);
+        out.u8(self.symbols.len() as u8);
         for sym in &self.symbols {
-            out.push(sym.len() as u8);
-            out.extend_from_slice(sym);
+            out.u8(sym.len() as u8);
+            out.bytes(sym);
         }
         out
     }

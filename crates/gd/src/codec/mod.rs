@@ -30,10 +30,10 @@
 //! the smaller of the two for the storage experiments that compare them; GD
 //! wins on whole-row duplication.
 //!
-//! Every codec's `from_bytes` validates enough that `decode` and
-//! `count_matching` are total afterwards — corrupted payloads fail at load with
-//! `None`, never at read with a panic — matching the serving-path posture of
-//! ph-lint rule R2.
+//! Every codec's `from_bytes` takes the row count its parent committed (a
+//! width-0 plane backs any count in no bytes), refuses a body claiming another,
+//! and validates enough that `decode` and `count_matching` are total: damage
+//! fails at load with `None`, never at read with a panic (ph-lint rule R2).
 
 mod bitpack;
 mod column;
@@ -50,16 +50,6 @@ pub use delta::DeltaCodec;
 pub use dict::DictCodec;
 pub use fsst::SymbolTable;
 pub use runend::RunEndCodec;
-
-/// Upper bound on `n_rows` accepted from serialized input. A width-0 plane
-/// holds any number of rows in no bytes, so the body cannot bound a column's
-/// length; this does, for what `decode` later sizes from it.
-pub(crate) const MAX_CODEC_ROWS: usize = 1 << 28;
-
-/// A row count read from a codec body, if it is at most [`MAX_CODEC_ROWS`].
-pub(crate) fn codec_rows(n: u64) -> Option<usize> {
-    usize::try_from(n).ok().filter(|&n| n <= MAX_CODEC_ROWS)
-}
 
 /// A predicate over one column in the *encoded* (non-negative integer) domain,
 /// with **inclusive** bounds. Literals are mapped into this domain by
@@ -97,18 +87,6 @@ pub(crate) fn width_for(v: u64) -> u32 {
     64 - v.leading_zeros()
 }
 
-/// Serialized length of a uvarint, for O(1) size accounting.
-#[inline]
-pub(crate) fn uvarint_len(v: u64) -> usize {
-    let mut v = v;
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,15 +97,6 @@ mod tests {
         assert_eq!(width_for(1), 1);
         assert_eq!(width_for(255), 8);
         assert_eq!(width_for(u64::MAX), 64);
-    }
-
-    #[test]
-    fn uvarint_len_matches_encoder() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            let mut buf = Vec::new();
-            ph_encoding::write_uvarint(&mut buf, v);
-            assert_eq!(uvarint_len(v), buf.len(), "v = {v}");
-        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! predicate is evaluated once per *run* — matching runs contribute their whole
 //! length with one addition, so selective scans skip millions of rows.
 
-use ph_encoding::{write_uvarint, BitWriter, Bytes};
+use ph_encoding::{uvarint_len, BitWriter, Bytes, Out};
 
-use super::{codec_rows, uvarint_len, width_for, EncodedPred};
+use super::{width_for, EncodedPred};
 
 /// Run-end column store.
 ///
@@ -58,11 +58,6 @@ impl RunEndCodec {
         width_for(self.n_rows as u64)
     }
 
-    /// Rows held.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
     /// Full decode back to the encoded-domain column.
     pub fn decode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.n_rows);
@@ -87,23 +82,23 @@ impl RunEndCodec {
     /// Serializes to the wire layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes());
-        write_uvarint(&mut out, self.n_rows as u64);
-        write_uvarint(&mut out, self.values.len() as u64);
-        write_uvarint(&mut out, self.min);
-        out.push(self.val_width as u8);
-        out.push(self.end_width() as u8);
+        out.uvarint(self.n_rows as u64);
+        out.uvarint(self.values.len() as u64);
+        out.uvarint(self.min);
+        out.u8(self.val_width as u8);
+        out.u8(self.end_width() as u8);
         let mut w = BitWriter::new();
         w.write_plane(self.values.iter().map(|&v| v - self.min), self.val_width);
         w.write_plane(self.ends.iter().copied(), self.end_width());
-        out.extend_from_slice(&w.finish());
+        out.bytes(&w.finish());
         out
     }
 
-    /// Restores from [`to_bytes`](Self::to_bytes) output; `None` on malformed
-    /// input.
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Restores from [`to_bytes`](Self::to_bytes) output of `n_rows` rows;
+    /// `None` on malformed input or another row count.
+    pub fn from_bytes(data: &[u8], n_rows: usize) -> Option<Self> {
         let mut r = Bytes::new(data);
-        let n_rows = codec_rows(r.uvarint()?)?;
+        r.uvarint().filter(|&n| n == n_rows as u64)?;
         let n_runs = usize::try_from(r.uvarint()?).ok().filter(|&n| n <= n_rows)?;
         let min = r.uvarint()?;
         let [val_width, end_width] = r.array()?.map(u32::from);
@@ -154,7 +149,7 @@ mod tests {
         assert_eq!(c.ends, [300, 500, 600]);
         assert_eq!(c.decode(), vals);
         assert_eq!(c.packed_bytes(), c.to_bytes().len());
-        let restored = RunEndCodec::from_bytes(&c.to_bytes()).unwrap();
+        let restored = RunEndCodec::from_bytes(&c.to_bytes(), 600).unwrap();
         assert_eq!(restored.decode(), vals);
         assert_eq!(RunEndCodec::size_for(600, 3, 5, 9), c.to_bytes().len());
     }
@@ -178,19 +173,19 @@ mod tests {
     #[test]
     fn empty_column() {
         let c = RunEndCodec::encode(&[]);
-        assert_eq!(c.n_rows(), 0);
         assert_eq!(c.decode(), Vec::<u64>::new());
-        let restored = RunEndCodec::from_bytes(&c.to_bytes()).unwrap();
-        assert_eq!(restored.n_rows(), 0);
+        let restored = RunEndCodec::from_bytes(&c.to_bytes(), 0).unwrap();
+        assert!(restored.decode().is_empty());
     }
 
     #[test]
     fn from_bytes_rejects_non_monotone_ends() {
         let vals = vec![1u64, 1, 2, 2, 3];
         let good = RunEndCodec::encode(&vals).to_bytes();
-        assert!(RunEndCodec::from_bytes(&good).is_some());
+        assert!(RunEndCodec::from_bytes(&good, 5).is_some());
+        assert!(RunEndCodec::from_bytes(&good, 6).is_none(), "another row count");
         for cut in 0..good.len() {
-            assert!(RunEndCodec::from_bytes(&good[..cut]).is_none(), "cut {cut}");
+            assert!(RunEndCodec::from_bytes(&good[..cut], 5).is_none(), "cut {cut}");
         }
         // Hand-built ends over 4 rows: only strictly increasing ones from
         // ≥ 1 that end at n_rows are accepted.
@@ -198,12 +193,12 @@ mod tests {
             [(vec![2u64, 4], true), (vec![2], false), (vec![4, 4], false), (vec![0, 4], false)]
         {
             let mut bytes = Vec::new();
-            write_uvarint(&mut bytes, 4); // n_rows
-            write_uvarint(&mut bytes, ends.len() as u64); // n_runs
-            write_uvarint(&mut bytes, 7); // min
-            bytes.extend([0, 3]); // val_width, end_width = width_for(4)
-            bytes.extend_from_slice(BitPlane::pack(ends.iter().copied(), 3).as_bytes());
-            assert_eq!(RunEndCodec::from_bytes(&bytes).is_some(), ok, "ends {ends:?}");
+            bytes.uvarint(4); // n_rows
+            bytes.uvarint(ends.len() as u64); // n_runs
+            bytes.uvarint(7); // min
+            bytes.bytes(&[0, 3]); // val_width, end_width = width_for(4)
+            bytes.plane(&BitPlane::pack(ends.iter().copied(), 3));
+            assert_eq!(RunEndCodec::from_bytes(&bytes, 4).is_some(), ok, "ends {ends:?}");
         }
     }
 }

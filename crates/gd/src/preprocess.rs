@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use ph_encoding::{write_uvarint, Bytes};
+use ph_encoding::{Bytes, Out};
 use ph_types::{Column, ColumnData, ColumnType, Dataset, DictIndex, Value};
 
 use crate::{EncodedMatrix, SymbolTable};
@@ -363,28 +363,28 @@ impl Preprocessor {
     /// FSST-compressed when the static symbol table pays for itself.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(b"PRE2");
-        write_uvarint(&mut out, self.names.len() as u64);
+        out.bytes(b"PRE2");
+        out.uvarint(self.names.len() as u64);
         for c in 0..self.names.len() {
-            write_str(&mut out, &self.names[c]);
+            out.uvarint_str(&self.names[c]);
             match (&self.types[c], &self.transforms[c]) {
                 (ty, ColumnTransform::Numeric { min_scaled, scale, max_enc, null_code }) => {
-                    out.push(match ty {
+                    out.u8(match ty {
                         ColumnType::Int => 0,
                         ColumnType::Float { .. } => 1,
                         ColumnType::Timestamp => 2,
                         ColumnType::Categorical => unreachable!("numeric transform on categorical"),
                     });
-                    out.push(*scale);
-                    out.extend_from_slice(&min_scaled.to_le_bytes());
-                    out.extend_from_slice(&max_enc.to_le_bytes());
-                    out.push(null_code.is_some() as u8);
+                    out.u8(*scale);
+                    out.u64(*min_scaled as u64);
+                    out.u64(*max_enc);
+                    out.u8(null_code.is_some() as u8);
                 }
                 (_, ColumnTransform::Categorical { by_rank, null_code, .. }) => {
-                    out.push(3);
-                    write_uvarint(&mut out, by_rank.len() as u64);
+                    out.u8(3);
+                    out.uvarint(by_rank.len() as u64);
                     write_dict(&mut out, by_rank);
-                    out.push(null_code.is_some() as u8);
+                    out.u8(null_code.is_some() as u8);
                 }
             }
         }
@@ -504,44 +504,27 @@ impl EncodeScratch {
     }
 }
 
-/// Uvarint-framed string. A fixed-width length field would truncate: any
-/// length serializes exactly here, so a >64 KiB categorical value round-trips
-/// instead of silently corrupting the blob in release builds.
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// PRE2 categorical dictionary block: `u8 mode` then either plain
 /// uvarint-framed strings (mode 0) or an FSST symbol table followed by
-/// uvarint-framed compressed strings (mode 1). FSST wins whenever the shared
-/// symbol table amortizes across redundant entries; the choice is by exact
-/// size, so plain dictionaries never regress.
+/// uvarint-framed compressed strings (mode 1). Uvarint framing means no length
+/// a value can reach is truncated: a >64 KiB categorical value round-trips.
+/// FSST wins whenever the shared symbol table amortizes across redundant
+/// entries; both blocks are written and the shorter kept (plain on a tie), so
+/// plain dictionaries never regress.
 fn write_dict(out: &mut Vec<u8>, by_rank: &[String]) {
-    let plain_len: usize =
-        by_rank.iter().map(|s| crate::codec::uvarint_len(s.len() as u64) + s.len()).sum();
     let table = SymbolTable::build(by_rank);
-    let compressed = table.compress_all(by_rank);
-    let fsst_len: usize = crate::codec::uvarint_len(table.table_bytes() as u64)
-        + table.table_bytes()
-        + compressed
-            .iter()
-            .map(|c| crate::codec::uvarint_len(c.len() as u64) + c.len())
-            .sum::<usize>();
-    if fsst_len < plain_len {
-        out.push(1);
-        write_uvarint(out, table.table_bytes() as u64);
-        out.extend_from_slice(&table.to_bytes());
-        for c in &compressed {
-            write_uvarint(out, c.len() as u64);
-            out.extend_from_slice(c);
-        }
-    } else {
-        out.push(0);
-        for s in by_rank {
-            write_str(out, s);
-        }
+    let mut fsst = vec![1];
+    fsst.uvarint(table.table_bytes() as u64);
+    fsst.bytes(&table.to_bytes());
+    for c in table.compress_all(by_rank) {
+        fsst.uvarint(c.len() as u64);
+        fsst.bytes(&c);
     }
+    let mut plain = vec![0];
+    for s in by_rank {
+        plain.uvarint_str(s);
+    }
+    out.bytes(if fsst.len() < plain.len() { &fsst } else { &plain });
 }
 
 /// A `uvarint n | dict block` ([`write_dict`]): `n` entries, each at least

@@ -4,10 +4,13 @@
 
 use std::collections::HashMap;
 
-use ph_encoding::{bits_for, read_uvarint, write_uvarint, BitReader, BitWriter};
+use ph_encoding::{bits_for, read_uvarint, uvarint_len, write_uvarint, BitReader, BitWriter};
 
-use crate::codec::{uvarint_len, MAX_CODEC_ROWS};
 use crate::EncodedMatrix;
+
+/// Upper bound on each length a store header may claim: a zero-width column
+/// holds any number of rows in no bytes, and no parent commits the count.
+const MAX_ROWS: usize = 1 << 28;
 
 /// A GD-compressed table: deduplicated bases, per-row base IDs and verbatim
 /// deviations (paper Fig 3).
@@ -241,7 +244,7 @@ impl GdStore {
         let mut pos = 0;
         let mut length = || {
             let v = usize::try_from(read_uvarint(data, &mut pos)?).ok()?;
-            (v <= MAX_CODEC_ROWS).then_some(v)
+            (v <= MAX_ROWS).then_some(v)
         };
         let (n_rows, d, n_bases) = (length()?, length()?, length()?);
         let widths: Vec<u32> = data.get(pos..pos + d)?.iter().map(|&b| b as u32).collect();
@@ -259,7 +262,7 @@ impl GdStore {
         // most one base per distinct bit pattern, which bounds free bases; and
         // `base_parts` holds n_bases·d words whatever the widths, so cap that.
         let free_bases = base_bits < 64 && n_bases as u64 > 1 << base_bits;
-        if free_bases || n_bases.checked_mul(d)? > MAX_CODEC_ROWS {
+        if free_bases || n_bases.checked_mul(d)? > MAX_ROWS {
             return None;
         }
         let dev_total = (n_rows as u64).checked_mul(dev_stride)?;
@@ -270,7 +273,7 @@ impl GdStore {
         if reader.remaining_bits() < payload_bits {
             return None;
         }
-        // ph-lint: allow(bounded-reserve) — `n_bases·d` is capped at MAX_CODEC_ROWS above, and the payload was checked to hold every base's bits
+        // ph-lint: allow(bounded-reserve) — `n_bases·d` is capped at MAX_ROWS above, and the payload was checked to hold every base's bits
         let mut base_parts = Vec::with_capacity(n_bases * d);
         for _ in 0..n_bases {
             for c in 0..d {
@@ -283,7 +286,7 @@ impl GdStore {
         }
         let mut dev_writer = BitWriter::new();
         dev_writer.copy_bits(&mut reader, dev_total)?;
-        // ph-lint: allow(bounded-reserve) — `n_bases` is capped at MAX_CODEC_ROWS above, and the payload was checked to hold every base's bits
+        // ph-lint: allow(bounded-reserve) — `n_bases` is capped at MAX_ROWS above, and the payload was checked to hold every base's bits
         let mut base_index = HashMap::with_capacity(n_bases);
         for b in 0..n_bases {
             base_index.insert(base_parts[b * d..(b + 1) * d].to_vec().into_boxed_slice(), b as u32);

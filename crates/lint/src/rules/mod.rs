@@ -19,6 +19,7 @@ pub mod metric_help;
 pub mod no_panic;
 pub mod one_bit_plane;
 pub mod one_parallelism_rule;
+pub mod one_wire_layer;
 pub mod safety_comment;
 pub mod wire_float;
 
@@ -153,8 +154,8 @@ pub const RULES: &[(&str, &str)] = &[
     (
         no_panic::NAME,
         "unwrap/expect/panic!/unreachable!/todo!/unimplemented!/slice-indexing in serving-path \
-         code (ph_server lib + ph_core session/*, persist, wal, storage) — a worker must \
-         degrade, not die",
+         code (ph_server lib + ph_core session/*, persist, segment, wal, storage) — a worker \
+         must degrade, not die",
     ),
     (
         lock_across_io::NAME,
@@ -197,6 +198,11 @@ pub const RULES: &[(&str, &str)] = &[
          stores is a BitPlane, one packer",
     ),
     (
+        one_wire_layer::NAME,
+        "to_le_bytes/write_uvarint/write_ivarint in non-test ph_core or ph_gd code (but the \
+         GreedyGD store) — every durable byte is written through ph_encoding::Out",
+    ),
+    (
         file_size_cap::NAME,
         "a source file under crates/*/src over 1,200 lines — split the module, do not raise \
          the cap",
@@ -225,6 +231,7 @@ pub fn check_file(ctx: &FileCtx, ws: &WsCtx) -> Vec<Diagnostic> {
     one_parallelism_rule::check(ctx, &mut raw);
     bounded_reserve::check(ctx, &mut raw);
     one_bit_plane::check(ctx, &mut raw);
+    one_wire_layer::check(ctx, &mut raw);
     file_size_cap::check(ctx, &mut raw);
     let mut out: Vec<Diagnostic> =
         raw.into_iter().filter(|d| !ctx.is_allowed(d.rule, d.line)).collect();

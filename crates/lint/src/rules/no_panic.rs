@@ -7,7 +7,8 @@
 //! `unwrap`/`expect`, no panic-family macros, and no slice indexing (the
 //! stealthiest panic of all) in `ph_server`'s library code or in the
 //! `ph_core` modules every request crosses (every file of `session/`, then
-//! `persist`, `wal`, `storage`).
+//! `persist`, `segment` — the segment load and the refit's decode — `wal`,
+//! `storage`).
 //!
 //! Scope notes: binaries are exempt (aborting with a message at startup *is*
 //! the operator interface), tests are exempt (an `unwrap` in a test is an
@@ -49,6 +50,7 @@ fn in_scope(rel: &str) -> bool {
         || rel.starts_with("crates/obs/src/")
         || rel.starts_with("crates/core/src/session/")
         || rel == "crates/core/src/persist.rs"
+        || rel == "crates/core/src/segment.rs"
         || rel == "crates/core/src/wal.rs"
         || rel == "crates/core/src/storage.rs"
 }

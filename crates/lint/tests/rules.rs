@@ -331,3 +331,50 @@ fn the_workspace_itself_is_clean() {
         diags.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
     );
 }
+
+/// The segment load and the refit's decode are serving path: an ingest that
+/// forces a refit decodes every stored column under the writer lock.
+#[test]
+fn no_panic_covers_the_segment_decode() {
+    let ws = WsCtx::default();
+    let bad = lint_fixture("no_panic_segment_bad.rs", "crates/core/src/segment.rs", &ws);
+    assert_eq!(rules_fired(&bad), ["no-panic-serving"], "{bad:?}");
+    assert_eq!(bad.iter().map(|d| d.line).collect::<Vec<_>>(), [5, 6], "{bad:?}");
+
+    let good = lint_fixture("no_panic_segment_good.rs", "crates/core/src/segment.rs", &ws);
+    assert!(good.is_empty(), "{good:?}");
+}
+
+#[test]
+fn one_wire_layer_fires_on_bad_and_not_on_good() {
+    let ws = WsCtx::default();
+    let bad = lint_fixture("one_wire_layer_bad.rs", "crates/core/src/storage.rs", &ws);
+    assert_eq!(rules_fired(&bad), ["one-wire-layer"], "{bad:?}");
+    assert_eq!(bad.iter().map(|d| d.line).collect::<Vec<_>>(), [4, 5, 6], "{bad:?}");
+
+    let good = lint_fixture("one_wire_layer_good.rs", "crates/core/src/storage.rs", &ws);
+    assert!(good.is_empty(), "{good:?}");
+}
+
+/// `ph_core` and `ph_gd` are in scope; the writer itself, the GreedyGD store,
+/// the in-memory span ring and the benchmark are not.
+#[test]
+fn one_wire_layer_scope_is_the_durable_formats() {
+    let ws = WsCtx::default();
+    let src = read_fixture("one_wire_layer_bad.rs");
+    let fires = |rel: &str| lint_source(rel, &src, &ws).iter().any(|d| d.rule == "one-wire-layer");
+    for rel in
+        ["crates/core/src/wal.rs", "crates/gd/src/codec/dict.rs", "crates/gd/src/preprocess.rs"]
+    {
+        assert!(fires(rel), "{rel} is out of scope");
+    }
+    for rel in [
+        "crates/encoding/src/bytes.rs",
+        "crates/gd/src/store.rs",
+        "crates/obs/src/ring.rs",
+        "phbench/src/spans.rs",
+        "crates/core/tests/persistence.rs",
+    ] {
+        assert!(!fires(rel), "{rel} is in scope");
+    }
+}

@@ -474,3 +474,86 @@ fn hostile_gd_store_header_quarantines_instead_of_aborting() {
     assert!(matches!(reopened.sql("SELECT COUNT(x) FROM hostile"), Err(PhError::Quarantined(_))));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Saves table `t` of 4 000 rows beside a healthy table, replaces `t`'s
+/// segment blob with `store` under `t`'s own synopsis — written by
+/// `segment_to_bytes`, so its checksum holds — and reopens. Returns `t`'s
+/// quarantine reason, after checking that a refit-forcing ingest (a novel
+/// category) into `t` fails as quarantined instead of decoding the store and
+/// that the healthy table still answers as before.
+fn reopen_with_store(tag: &str, store: &pairwisehist::gd::ColumnarStore) -> String {
+    use pairwisehist::core::segment_to_bytes;
+
+    let dir = std::env::temp_dir().join(format!("ph_store_shape_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::new();
+    session.register(dataset("healthy", BASE_ROWS, 41)).unwrap();
+    session.register(dataset("t", 4_000, 42)).unwrap();
+    session.save_dir(&dir).unwrap();
+    let snap = session.engine("t").unwrap();
+    std::fs::write(segment_of(&dir, "t"), segment_to_bytes(snap.segments()[0], store)).unwrap();
+
+    let reopened = Session::open_dir(&dir).expect("a misshapen store must not fail the open");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let quarantined = reopened.quarantined();
+    let reason = quarantined
+        .iter()
+        .find(|(name, _)| name == "t")
+        .unwrap_or_else(|| panic!("t must be quarantined at open: {quarantined:?}"))
+        .1
+        .clone();
+    let novel = Dataset::builder("t")
+        .column(Column::from_ints("x", vec![Some(1)]))
+        .unwrap()
+        .column(Column::from_ints("y", vec![Some(2)]))
+        .unwrap()
+        .column(Column::from_strings("c", vec![Some("novel")]))
+        .unwrap()
+        .build();
+    assert!(matches!(reopened.ingest("t", &novel), Err(PhError::Quarantined(_))));
+    let sql = "SELECT AVG(y) FROM healthy WHERE x > 300 GROUP BY c";
+    assert_eq!(reopened.sql(sql).unwrap(), session.sql(sql).unwrap());
+    reason
+}
+
+/// A store of one column under a three-column preprocessor, in a blob whose
+/// checksum holds. It once opened and served (the synopsis answers queries),
+/// then panicked the first refit, which indexed the missing columns.
+#[test]
+fn a_store_of_too_few_columns_quarantines_at_open() {
+    use pairwisehist::gd::{ColumnarStore, EncodedMatrix};
+
+    let store = ColumnarStore::encode(&EncodedMatrix::new(vec![vec![0; 4_000]]));
+    let reason = reopen_with_store("columns", &store);
+    assert!(
+        reason.contains("holds 4000 × 1 (rows × columns)") && reason.contains("commit 4000 × 3"),
+        "the reason names the store's shape and the table's: {reason}"
+    );
+}
+
+/// Three width-0 columns that claim 2^28 rows in 33 bytes, under a synopsis
+/// of 4 000. It once opened, and the first refit sized 2 GiB per column from
+/// the claim.
+#[test]
+fn a_store_claiming_more_rows_than_its_synopsis_quarantines_at_open() {
+    use pairwisehist::encoding::Out;
+    use pairwisehist::gd::ColumnarStore;
+
+    let mut bytes = Vec::new();
+    bytes.uvarint(1 << 28);
+    bytes.uvarint(3);
+    for _ in 0..3 {
+        // A bit-pack column: rows, minimum 0, width 0 — no residual bytes.
+        bytes.bytes(&[0, 7]);
+        bytes.uvarint(1 << 28);
+        bytes.bytes(&[0, 0]);
+    }
+    assert_eq!(bytes.len(), 33);
+    let store = ColumnarStore::from_bytes(&bytes, 1 << 28, 3).expect("the store alone decodes");
+    let reason = reopen_with_store("rows", &store);
+    assert!(
+        reason.contains("holds 268435456 × 3 (rows × columns)")
+            && reason.contains("commit 4000 × 3"),
+        "the reason names the store's shape and the table's: {reason}"
+    );
+}

@@ -234,8 +234,8 @@ fn decoding_a_hostile_body_reserves_only_what_it_backs() {
         assert!(refused, "{format}: a hostile body decoded");
         assert!(largest <= 16 * len, "{format}: {largest} bytes reserved for a {len}-byte body");
     };
-    refuses("DictCodec", &dict, 6, &|b| DictCodec::from_bytes(b).is_none());
-    refuses("RunEndCodec", &run_end, 13, &|b| RunEndCodec::from_bytes(b).is_none());
+    refuses("DictCodec", &dict, 6, &|b| DictCodec::from_bytes(b, 0).is_none());
+    refuses("RunEndCodec", &run_end, 13, &|b| RunEndCodec::from_bytes(b, 1 << 28).is_none());
     refuses("PRE2", &pre2, 13, &|b| Preprocessor::from_bytes(b).is_none());
     refuses("PWH1", &pwh1, 39, &|b| PairwiseHist::from_bytes(b, pre.clone()).is_none());
 }
@@ -308,11 +308,34 @@ fn backed_by(len: usize) -> usize {
 /// exempt allocation the result holds.
 type Decode = Box<dyn Fn(&[u8]) -> Option<usize>>;
 
-/// A public decoder and a valid body of its format.
+/// Decodes a body and encodes what it decoded: `None` when it is refused.
+type RoundTrip = Box<dyn Fn(&[u8]) -> Option<Vec<u8>>>;
+
+/// A public decoder, its format's encoder and a valid body of the format.
 struct Target {
     name: &'static str,
     valid: Vec<u8>,
     decode: Decode,
+    round_trip: RoundTrip,
+}
+
+/// The target of a format decoded by `decode` to a `T`, whose largest exempt
+/// allocation is `exempt`, and encoded back by `encode`.
+fn target<T: 'static>(
+    name: &'static str,
+    valid: Vec<u8>,
+    decode: impl Fn(&[u8]) -> Option<T> + 'static,
+    exempt: impl Fn(&T) -> usize + 'static,
+    encode: impl Fn(&T) -> Vec<u8> + 'static,
+) -> Target {
+    let decode = std::rc::Rc::new(decode);
+    let again = decode.clone();
+    Target {
+        name,
+        valid,
+        decode: Box::new(move |b| decode(b).map(|t| exempt(&t))),
+        round_trip: Box::new(move |b| again(b).map(|t| encode(&t))),
+    }
 }
 
 /// Decodes `input` with `target` and holds the largest allocation to the bound.
@@ -419,7 +442,7 @@ fn targets() -> Vec<Target> {
     // A constant column of 2^28 rows: one run, a width-0 value plane.
     let tall =
         [&uvarints(&[1 << 28, 1, 0])[..], &[0, 29], &((1u32 << 28) << 3).to_be_bytes()].concat();
-    assert!(RunEndCodec::from_bytes(&tall).is_some_and(|c| c.n_rows() == 1 << 28));
+    assert!(RunEndCodec::from_bytes(&tall, 1 << 28).is_some());
     let codecs = [
         ColumnCodec::BitPack(BitPackCodec::encode(&column)),
         ColumnCodec::Delta(DeltaCodec::encode(&column)),
@@ -444,59 +467,80 @@ fn targets() -> Vec<Target> {
         prev = write_qlog_record(&mut qlog, prev, &rec);
     }
 
+    let urls_store = ColumnarStore::encode(&fitted.encode(&urls));
+    let shape = (urls_store.n_rows(), urls_store.n_columns());
     let mut targets = vec![
-        Target {
-            name: "PWH1 synopsis",
-            valid: ph.to_bytes(),
-            decode: Box::new(move |b| {
-                let ph = PairwiseHist::from_bytes(b, pre.clone())?;
+        target(
+            "PWH1 synopsis",
+            ph.to_bytes(),
+            move |b| PairwiseHist::from_bytes(b, pre.clone()),
+            |ph| {
                 let d = ph.n_columns();
                 let cells = (0..d).flat_map(|j| (0..j).map(move |i| (i, j)));
-                Some(cells.map(|(i, j)| 4 * ph.pair(i, j).counts.len()).max().unwrap_or(0))
-            }),
-        },
-        Target {
-            name: "PRE2 preprocessor",
-            valid: fitted.to_bytes(),
-            decode: Box::new(|b| Preprocessor::from_bytes(b).map(|_| 0)),
-        },
-        Target {
-            name: "columnar store",
-            valid: ColumnarStore::encode(&fitted.encode(&urls)).to_bytes(),
-            decode: Box::new(|b| ColumnarStore::from_bytes(b).map(|_| 0)),
-        },
-        Target {
-            name: "FSST symbol table",
-            valid: SymbolTable::build(urls.columns()[4].dictionary().unwrap()).to_bytes(),
-            decode: Box::new(|b| SymbolTable::from_bytes(b).map(|_| 0)),
-        },
-        Target {
-            name: "PHQL1 body",
-            valid: qlog,
-            decode: Box::new(|b| read_qlog_body(b).map(|_| 0)),
-        },
-        Target {
-            name: "run-end codec (2^28 rows)",
-            valid: tall,
-            decode: Box::new(|b| ColumnCodec::from_tag_bytes(3, b).map(|_| 0)),
-        },
+                cells.map(|(i, j)| 4 * ph.pair(i, j).counts.len()).max().unwrap_or(0)
+            },
+            PairwiseHist::to_bytes,
+        ),
+        target(
+            "PRE2 preprocessor",
+            fitted.to_bytes(),
+            Preprocessor::from_bytes,
+            |_| 0,
+            Preprocessor::to_bytes,
+        ),
+        target(
+            "columnar store",
+            urls_store.to_bytes(),
+            move |b| ColumnarStore::from_bytes(b, shape.0, shape.1),
+            |_| 0,
+            ColumnarStore::to_bytes,
+        ),
+        target(
+            "FSST symbol table",
+            SymbolTable::build(urls.columns()[4].dictionary().unwrap()).to_bytes(),
+            SymbolTable::from_bytes,
+            |_| 0,
+            SymbolTable::to_bytes,
+        ),
+        target(
+            "PHQL1 body",
+            qlog,
+            read_qlog_body,
+            |_| 0,
+            |records| {
+                let mut out = Vec::new();
+                records.iter().fold(0, |prev, rec| write_qlog_record(&mut out, prev, rec));
+                out
+            },
+        ),
+        target(
+            "run-end codec (2^28 rows)",
+            tall,
+            |b| ColumnCodec::from_tag_bytes(3, b, 1 << 28),
+            |_| 0,
+            ColumnCodec::to_bytes,
+        ),
     ];
     for codec in codecs {
-        let tag = codec.tag();
-        targets.push(Target {
-            name: codec.name(),
-            valid: codec.to_bytes(),
-            decode: Box::new(move |b| ColumnCodec::from_tag_bytes(tag, b).map(|_| 0)),
-        });
+        let (tag, rows) = (codec.tag(), codec.decode().len());
+        targets.push(target(
+            codec.name(),
+            codec.to_bytes(),
+            move |b| ColumnCodec::from_tag_bytes(tag, b, rows),
+            |_| 0,
+            ColumnCodec::to_bytes,
+        ));
     }
     targets
 }
 
-/// Every claim at every offset of every valid blob.
+/// Every claim at every offset of every valid blob, after the valid blob
+/// itself decodes and encodes back to the same bytes.
 #[test]
 fn spliced_lengths_reserve_only_what_their_bodies_back() {
     for target in targets() {
-        assert!((target.decode)(&target.valid).is_some(), "{}: the valid blob", target.name);
+        let back = (target.round_trip)(&target.valid);
+        assert!(back.as_ref() == Some(&target.valid), "{}: the valid blob re-encodes", target.name);
         check(&target, &target.valid, &|| "the valid blob".into());
         for at in 0..target.valid.len() {
             for edit in splices(at) {
@@ -582,9 +626,13 @@ fn reframed(path: &Path, bytes: &[u8], edit: Edit) -> Option<Vec<u8>> {
 }
 
 /// Opens a copy of `template` whose `ext` file has `edit` applied (reframed),
-/// and holds the open's largest allocation to the bound on the directory's
-/// bytes. `None` when the edit does not apply to the file.
-fn open_edited(template: &Path, ext: &str, edit: Option<Edit>) -> Option<()> {
+/// then runs one query, one ingest of `refit` (a batch the fitted transforms
+/// cannot encode, so a refit decodes every stored row) and a compaction, none
+/// of which may panic. The open's largest allocation is held to the bound on
+/// the directory's bytes, and what follows it to that plus 16 bytes per cell
+/// of the rows the opened synopses commit. `None` when the edit does not
+/// apply to the file.
+fn open_edited(template: &Path, ext: &str, edit: Option<Edit>, refit: &Dataset) -> Option<()> {
     let dir = template.with_extension("case");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -598,13 +646,31 @@ fn open_edited(template: &Path, ext: &str, edit: Option<Edit>) -> Option<()> {
         total += bytes.len();
         std::fs::write(dir.join(path.file_name().unwrap()), &bytes).unwrap();
     }
-    let (_, largest) = largest_allocation_of(|| Session::open_dir(&dir).unwrap());
-    std::fs::remove_dir_all(&dir).unwrap();
+    let (session, largest) = largest_allocation_of(|| Session::open_dir(&dir).unwrap());
     let bound = backed_by(total);
+    let case = || format!("open_dir with {edit:?} in the .{ext} file of a {total}-byte catalog");
+    assert!(largest <= bound, "{}: one block of {largest} bytes (bound {bound})", case());
+
+    let committed = session.table_stats("t").map_or(0, |t| t.sealed_rows + t.delta_rows);
+    let columns = session.engine("t").map_or(0, |t| t.preprocessor().n_columns());
+    let bound = bound + 16 * committed as usize * columns;
+    let (outcome, largest) = largest_allocation_of(|| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = session.sql("SELECT COUNT(x) FROM t WHERE x > 100");
+            let refitted = session.ingest("t", refit).is_ok_and(|r| r.rebuilt);
+            let _ = session.compact("t");
+            refitted
+        }))
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+    let refitted =
+        outcome.unwrap_or_else(|_| panic!("{}: a query, a refit or a compaction panicked", case()));
+    assert!(refitted || edit.is_some(), "{}: the unedited catalog did not refit", case());
     assert!(
         largest <= bound,
-        "open_dir with {edit:?} in the .{ext} file: one block of {largest} bytes for a \
-         {total}-byte catalog (bound {bound})"
+        "{}, then a query, a refit and a compaction: one block of {largest} bytes for \
+         {committed} committed rows of {columns} columns (bound {bound})",
+        case()
     );
     Some(())
 }
@@ -613,30 +679,45 @@ fn open_edited(template: &Path, ext: &str, edit: Option<Edit>) -> Option<()> {
 /// and log each pass their checksum once edited: every claim at every offset
 /// of a two-row log record, cuts every 256 bytes into a 32 768-row record
 /// (whose int column is then backed by its validity bytes alone), and random
-/// edits of each file of the small catalog.
+/// edits of each file of the small catalog. Each opened catalog then answers
+/// a query, refits and compacts without a panic, within the bound plus the
+/// rows its synopses commit.
 #[test]
 fn opening_an_edited_catalog_reserves_only_what_its_bytes_back() {
     let small = catalog("small", slice(0, 300), slice(1, 2));
-    let one_int = |n: usize| {
-        let x = (0..n).map(|i| Some((i % 1_000) as i64)).collect();
+    let one_int = |x: Vec<Option<i64>>| {
         Dataset::builder("t").column(Column::from_ints("x", x)).unwrap().build()
     };
-    let wide = catalog("wide", one_int(300), one_int(32_768));
-    for template in [&small, &wide] {
+    let ints = |n: usize| one_int((0..n).map(|i| Some((i % 1_000) as i64)).collect());
+    let wide = catalog("wide", ints(300), ints(32_768));
+    // A novel category, and a NULL in a column fitted without one: each
+    // forces a refit of its table.
+    let novel = Dataset::builder("t")
+        .column(Column::from_ints("ts", vec![Some(5)]))
+        .unwrap()
+        .column(Column::from_ints("x", vec![Some(5)]))
+        .unwrap()
+        .column(Column::from_ints("y", vec![Some(5)]))
+        .unwrap()
+        .column(Column::from_strings("c", vec![Some("novel")]))
+        .unwrap()
+        .build();
+    let null = one_int(vec![None]);
+    for (template, refit) in [(&small, &novel), (&wide, &null)] {
         for ext in ["pwhs", "phseg", "phwal"] {
-            open_edited(template, ext, None).unwrap();
+            open_edited(template, ext, None, refit).unwrap();
         }
     }
 
     let log = std::fs::read(file_of(&small, "phwal")).unwrap();
     for at in 0..log.len() {
         for claim in CLAIMS {
-            open_edited(&small, "phwal", Some(Edit::Uvarint(at, claim)));
+            open_edited(&small, "phwal", Some(Edit::Uvarint(at, claim)), &novel);
         }
     }
     let log = std::fs::read(file_of(&wide, "phwal")).unwrap();
     for at in (0..log.len()).step_by(256) {
-        open_edited(&wide, "phwal", Some(Edit::Cut(at)));
+        open_edited(&wide, "phwal", Some(Edit::Cut(at)), &null);
     }
 
     // splitmix64: a seeded stream of edits.
@@ -651,7 +732,7 @@ fn opening_an_edited_catalog_reserves_only_what_its_bytes_back() {
         let len = std::fs::read(file_of(&small, ext)).unwrap().len();
         for _ in 0..16 {
             let words = [next(), next(), next()];
-            open_edited(&small, ext, Some(random_edit(len, words)));
+            open_edited(&small, ext, Some(random_edit(len, words)), &novel);
         }
     }
     std::fs::remove_dir_all(&small).unwrap();
