@@ -61,12 +61,6 @@ impl Default for PairwiseHistConfig {
     }
 }
 
-/// Whether `α` is a significance level the χ² tests can run at: inside
-/// `(0, 1)` and far enough from 0 that `1 − α` is not 1.
-pub(crate) fn usable_alpha(alpha: f64) -> bool {
-    alpha < 1.0 && 1.0 - alpha < 1.0
-}
-
 impl PairwiseHistConfig {
     /// The effective `M` for a realised sample of `ns_used` rows.
     pub fn m_min(&self, ns_used: usize) -> usize {
@@ -315,7 +309,7 @@ impl PairwiseHist {
             .max()
             .unwrap_or(0) as usize;
         let max_s = terrell_scott(max_u.max(1)).max(2);
-        let crit: Vec<f64> = (1..=max_s).map(|dof| chi2_critical(cfg.alpha, dof as f64)).collect();
+        let crit: Vec<f64> = (1..=max_s as u32).map(|dof| chi2.critical(dof)).collect();
 
         Self {
             ns_at_build: params.ns,

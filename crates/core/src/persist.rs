@@ -72,9 +72,10 @@ use std::sync::{Arc, PoisonError};
 use ph_encoding::{frame, unframe, Out};
 use ph_gd::{ColumnarStore, Preprocessor};
 use ph_obs::{span, Counter, Stage};
+use ph_stats::usable_alpha;
 use ph_types::{faultfs, Dataset, PhError};
 
-use crate::build::{next_plan_epoch, usable_alpha, PairwiseHist, PairwiseHistConfig, SplitRule};
+use crate::build::{next_plan_epoch, PairwiseHist, PairwiseHistConfig, SplitRule};
 use crate::segment::{build_delta, SealPolicy, Segment, TableState};
 use crate::session::{Session, TableCell, Writer};
 use crate::wal;

@@ -393,7 +393,9 @@ impl Session {
     /// Under a WAL home (see [`Session::enable_wal`]) the table is checkpointed
     /// into it before it is published, so a registration that returns `Ok`
     /// survives a crash; one whose checkpoint fails returns the error and
-    /// registers nothing.
+    /// registers nothing. A session whose configured `α` the χ² tests cannot
+    /// run at (see [`ph_stats::usable_alpha`]) refuses every registration with
+    /// [`PhError::Schema`].
     pub fn register(&self, data: Dataset) -> Result<(), PhError> {
         let name = data.name().to_string();
         // The manifest frames the name with a u16 length.
@@ -402,6 +404,12 @@ impl Session {
                 "table name is {} bytes; the limit is {}",
                 name.len(),
                 u16::MAX
+            )));
+        }
+        let alpha = self.default_cfg.alpha;
+        if !ph_stats::usable_alpha(alpha) {
+            return Err(PhError::Schema(format!(
+                "significance level α = {alpha:e} is not one the χ² tests can run at"
             )));
         }
         let taken =
@@ -638,6 +646,19 @@ pub(crate) mod tests {
     fn duplicate_registration_rejected() {
         let s = session_with("t", 2_000, 3);
         assert!(matches!(s.register(dataset("t", 100, 4)), Err(PhError::Schema(_))));
+    }
+
+    /// `α = 1e-17` is inside `(0, 1)`, yet `1 − α == 1`: the first uniformity
+    /// test would take the normal quantile at 1. Registration answers instead.
+    #[test]
+    fn an_unusable_alpha_is_refused_not_a_panic() {
+        for alpha in [1e-17, 1e-300, 5e-324, 0.0, 1.0, f64::NAN] {
+            let s = Session::with_config(PairwiseHistConfig { alpha, ..Default::default() });
+            let register = std::panic::AssertUnwindSafe(|| s.register(dataset("t", 5_000, 5)));
+            let got = std::panic::catch_unwind(register);
+            assert!(matches!(got, Ok(Err(PhError::Schema(_)))), "α = {alpha:e}: {got:?}");
+            assert!(s.tables().is_empty());
+        }
     }
 
     #[test]

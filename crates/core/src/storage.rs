@@ -22,10 +22,10 @@ use ph_encoding::{
     BitWriter, Bytes, Out,
 };
 use ph_gd::Preprocessor;
-use ph_stats::{chi2_critical, normal_quantile, terrell_scott, Chi2Cache};
+use ph_stats::{normal_quantile, terrell_scott, usable_alpha, Chi2Cache};
 
 use crate::bins::DimBins;
-use crate::build::{usable_alpha, BuildParams, PairwiseHist};
+use crate::build::{BuildParams, PairwiseHist};
 use crate::build2d::PairHist;
 
 const MAGIC: &[u8; 4] = b"PWH1";
@@ -171,12 +171,6 @@ impl PairwiseHist {
         let mut chi2 = Chi2Cache::new(alpha);
 
         // --- 1-d histograms ---
-        struct Raw1d {
-            edges: Vec<f64>,
-            vmin: Vec<u64>,
-            vmax: Vec<u64>,
-            uniq: Vec<u32>,
-        }
         let mut raw1d = Vec::with_capacity(d);
         for &mc in &m {
             // A bin is an edge, its extremes and its distinct count.
@@ -198,48 +192,13 @@ impl PairwiseHist {
         }
 
         // --- 2-d extras ---
-        struct RawDim {
-            edges: Vec<f64>,
-            meta: Vec<(u64, u64, u32)>, // split-parent bin metadata
-        }
         // A pair stores at least each dimension's `u32` count of extra edges.
         let n_pairs = r.count((d * d.saturating_sub(1) / 2) as u64, 8)?;
         let mut raw_dims: Vec<(RawDim, RawDim)> = Vec::with_capacity(n_pairs);
         for j in 1..d {
             for i in 0..j {
-                let mut dims = Vec::with_capacity(2);
-                for &col in &[i, j] {
-                    let mc = *m.get(col)?;
-                    let n_extra = r.u32()?;
-                    let n_extra = r.count(n_extra.into(), mc)?;
-                    let parent_edges = &raw1d.get(col)?.edges;
-                    let mut edges = parent_edges.clone();
-                    for _ in 0..n_extra {
-                        edges.push(decode_edge(r.uint(mc)?));
-                    }
-                    edges.sort_by(|a, b| a.total_cmp(b));
-                    edges.dedup();
-                    if edges.len() != parent_edges.len() + n_extra {
-                        return None; // extras must be new, distinct edges
-                    }
-                    // Which refined bins carry stored metadata: those in split parents.
-                    // Each holds its extremes and its distinct count.
-                    let parent = parent_map(&edges, parent_edges);
-                    let n_split = r.count(split_bins(&parent).count() as u64, 2 * mc + 4)?;
-                    let mut meta = Vec::with_capacity(n_split);
-                    for _ in 0..n_split {
-                        let vmin = r.uint(mc)?;
-                        let vmax = r.uint(mc)?;
-                        let uniq = r.u32()?;
-                        if vmin > vmax {
-                            return None; // corrupt metadata: extremes out of order
-                        }
-                        meta.push((vmin, vmax, uniq));
-                    }
-                    dims.push(RawDim { edges, meta });
-                }
-                let di = dims.remove(0);
-                let dj = dims.remove(0);
+                let di = read_pair_dim(&mut r, raw1d.get(i)?, *m.get(i)?)?;
+                let dj = read_pair_dim(&mut r, raw1d.get(j)?, *m.get(j)?)?;
                 raw_dims.push((di, dj));
             }
         }
@@ -253,26 +212,16 @@ impl PairwiseHist {
         }
         let mut pair_counts = Vec::with_capacity(n_pairs);
         for (di, dj) in &raw_dims {
-            let ki = di.edges.len() - 1;
-            let kj = dj.edges.len() - 1;
-            pair_counts.push(read_pair_counts(&mut r, ki, kj)?);
+            pair_counts.push(read_pair_counts(&mut r, di.parent.len(), dj.parent.len())?);
         }
         r.finish()?; // trailing bytes: not a synopsis this encoder wrote
 
         // --- Reassemble ---
         let hist1d: Vec<DimBins> = raw1d
-            .iter()
-            .zip(&counts1d)
+            .into_iter()
+            .zip(counts1d)
             .map(|(raw, counts)| {
-                DimBins::finalize(
-                    raw.edges.clone(),
-                    raw.vmin.clone(),
-                    raw.vmax.clone(),
-                    raw.uniq.clone(),
-                    counts.clone(),
-                    m_min,
-                    &mut chi2,
-                )
+                DimBins::finalize(raw.edges, raw.vmin, raw.vmax, raw.uniq, counts, m_min, &mut chi2)
             })
             .collect();
 
@@ -281,13 +230,9 @@ impl PairwiseHist {
         for j in 1..d {
             for i in 0..j {
                 let ((rdi, rdj), counts) = pair_iter.next()?;
-                let ki = rdi.edges.len() - 1;
-                let kj = rdj.edges.len() - 1;
-                let (row_sums, col_sums) = margins(&counts, ki, kj)?;
-                let dim_i =
-                    rebuild_dim(rdi.edges, rdi.meta, hist1d.get(i)?, row_sums, m_min, &mut chi2)?;
-                let dim_j =
-                    rebuild_dim(rdj.edges, rdj.meta, hist1d.get(j)?, col_sums, m_min, &mut chi2)?;
+                let (row_sums, col_sums) = margins(&counts, rdi.parent.len(), rdj.parent.len())?;
+                let dim_i = rdi.finalize(row_sums, m_min, &mut chi2);
+                let dim_j = rdj.finalize(col_sums, m_min, &mut chi2);
                 pairs.push(PairHist { col_i: i, col_j: j, dim_i, dim_j, counts });
             }
         }
@@ -304,7 +249,7 @@ impl PairwiseHist {
             .max()
             .unwrap_or(0) as usize;
         let max_s = terrell_scott(max_u.max(1)).max(2);
-        let crit = (1..=max_s).map(|dof| chi2_critical(alpha, dof as f64)).collect();
+        let crit = (1..=max_s as u32).map(|dof| chi2.critical(dof)).collect();
 
         Some(PairwiseHist {
             ns_at_build: ns,
@@ -319,79 +264,121 @@ impl PairwiseHist {
     }
 }
 
+/// One decoded 1-d histogram, before its counts are read.
+struct Raw1d {
+    edges: Vec<f64>,
+    vmin: Vec<u64>,
+    vmax: Vec<u64>,
+    uniq: Vec<u32>,
+}
+
+/// One decoded pair dimension, before its margins are known: refined edges,
+/// the parent map, and every refined bin's metadata.
+struct RawDim {
+    edges: Vec<f64>,
+    parent: Vec<u32>,
+    vmin: Vec<u64>,
+    vmax: Vec<u64>,
+    uniq: Vec<u32>,
+}
+
+impl RawDim {
+    fn finalize(
+        self,
+        counts: Vec<u64>,
+        m_min: usize,
+        chi2: &mut Chi2Cache,
+    ) -> crate::build2d::PairDim {
+        let bins =
+            DimBins::finalize(self.edges, self.vmin, self.vmax, self.uniq, counts, m_min, chi2);
+        crate::build2d::PairDim { bins, parent: self.parent }
+    }
+}
+
+/// Reads one pair dimension's extras: its additional edges, then the metadata
+/// of the refined bins inside split parents. Every other refined bin copies
+/// its parent 1-d bin's metadata.
+fn read_pair_dim(r: &mut Bytes<'_>, parent_bins: &Raw1d, mc: usize) -> Option<RawDim> {
+    let n_extra = r.u32()?;
+    let n_extra = r.count(n_extra.into(), mc)?;
+    let parent_edges = &parent_bins.edges;
+    let mut edges = parent_edges.clone();
+    for _ in 0..n_extra {
+        edges.push(decode_edge(r.uint(mc)?));
+    }
+    edges.sort_by(|a, b| a.total_cmp(b));
+    edges.dedup();
+    if edges.len() != parent_edges.len() + n_extra {
+        return None; // extras must be new, distinct edges
+    }
+    let parent = parent_map(&edges, parent_edges);
+    let mut vmin = gather(&parent_bins.vmin, &parent);
+    let mut vmax = gather(&parent_bins.vmax, &parent);
+    let mut uniq = gather(&parent_bins.uniq, &parent);
+    // A split bin holds its own extremes and distinct count, in refined order.
+    for t in split_bins(&parent) {
+        let lo = r.uint(mc)?;
+        let hi = r.uint(mc)?;
+        if lo > hi {
+            return None; // corrupt metadata: extremes out of order
+        }
+        *vmin.get_mut(t)? = lo;
+        *vmax.get_mut(t)? = hi;
+        *uniq.get_mut(t)? = r.u32()?;
+    }
+    Some(RawDim { edges, parent, vmin, vmax, uniq })
+}
+
+/// `meta[parent[t]]` for every refined bin `t`: a 1-d bin's metadata, copied to
+/// each refined bin it holds.
+fn gather<T: Copy>(meta: &[T], parent: &[u32]) -> Vec<T> {
+    // ph-lint: allow(no-panic-serving) — parent_map clamps every entry below the 1-d bin count, and the 1-d vmin/vmax/uniq each hold one entry per bin
+    parent.iter().map(|&p| meta[p as usize]).collect()
+}
+
 /// Row and column sums of a row-major `ki × kj` count matrix.
 fn margins(counts: &[u32], ki: usize, kj: usize) -> Option<(Vec<u64>, Vec<u64>)> {
+    if kj == 0 || counts.len() != ki.checked_mul(kj)? {
+        return None;
+    }
     let mut row_sums = vec![0u64; ki];
     let mut col_sums = vec![0u64; kj];
-    for ri in 0..ki {
-        for rj in 0..kj {
-            let cnt = *counts.get(ri * kj + rj)? as u64;
-            *row_sums.get_mut(ri)? += cnt;
-            *col_sums.get_mut(rj)? += cnt;
+    for (row, row_sum) in counts.chunks_exact(kj).zip(&mut row_sums) {
+        for (&cnt, col_sum) in row.iter().zip(&mut col_sums) {
+            *row_sum += cnt as u64;
+            *col_sum += cnt as u64;
         }
     }
     Some((row_sums, col_sums))
 }
 
-/// Rebuilds a pair dimension from stored extras: metadata for split-parent bins comes
-/// from the wire, everything else copies the 1-d histogram.
-fn rebuild_dim(
-    edges: Vec<f64>,
-    meta: Vec<(u64, u64, u32)>,
-    parent_bins: &DimBins,
-    counts: Vec<u64>,
-    m_min: usize,
-    chi2: &mut Chi2Cache,
-) -> Option<crate::build2d::PairDim> {
-    let parent = parent_map(&edges, &parent_bins.edges);
-    let k = edges.len() - 1;
-    let mut vmin = Vec::with_capacity(k);
-    let mut vmax = Vec::with_capacity(k);
-    let mut uniq = Vec::with_capacity(k);
-    let mut meta_iter = meta.into_iter();
-    let split: std::collections::HashSet<usize> = split_bins(&parent).collect();
-    for t in 0..k {
-        if split.contains(&t) {
-            let (lo, hi, u) = meta_iter.next()?;
-            vmin.push(lo);
-            vmax.push(hi);
-            uniq.push(u);
-        } else {
-            let p = *parent.get(t)? as usize;
-            vmin.push(*parent_bins.vmin.get(p)?);
-            vmax.push(*parent_bins.vmax.get(p)?);
-            uniq.push(*parent_bins.uniq.get(p)?);
-        }
-    }
-    Some(crate::build2d::PairDim {
-        bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2),
-        parent,
+/// Indices of refined bins whose parent was split (contains more than one refined
+/// bin); exactly these carry stored metadata. `parent` is non-decreasing (refined
+/// edges nest in the 1-d edges), so a parent's children are one run and a bin is
+/// split exactly when a neighbour shares its parent.
+fn split_bins(parent: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    (0..parent.len()).filter(move |&t| {
+        let p = parent.get(t);
+        (t > 0 && parent.get(t - 1) == p) || parent.get(t + 1) == p
     })
 }
 
-/// Indices of refined bins whose parent was split (contains more than one refined
-/// bin); exactly these carry stored metadata.
-fn split_bins(parent: &[u32]) -> impl Iterator<Item = usize> + '_ {
-    let mut children = std::collections::HashMap::new();
-    for &p in parent {
-        *children.entry(p).or_insert(0u32) += 1;
-    }
-    parent
-        .iter()
-        .enumerate()
-        .filter(move |(_, p)| children.get(p).is_some_and(|&c| c > 1))
-        .map(|(t, _)| t)
-}
-
 /// Maps each refined bin to the 1-d bin containing it (refined edges are a superset
-/// of the 1-d edges, so every refined interval nests in exactly one parent).
+/// of the 1-d edges, so every refined interval nests in exactly one parent): the
+/// last parent edge below the refined bin's midpoint, clamped to the 1-d range.
+/// Midpoints ascend, so one merge-like walk finds them all.
 pub(crate) fn parent_map(edges: &[f64], parent_edges: &[f64]) -> Vec<u32> {
-    (0..edges.len() - 1)
-        .map(|t| {
-            // ph-lint: allow(no-panic-serving) — t ranges over 0..len-1, so t and t+1 are in bounds
-            let mid = 0.5 * (edges[t] + edges[t + 1]);
-            let p = parent_edges.partition_point(|&e| e < mid).saturating_sub(1);
-            p.min(parent_edges.len().saturating_sub(2)) as u32
+    let last = parent_edges.len().saturating_sub(2);
+    let mut below = 0; // parent edges below the current midpoint
+    edges
+        .windows(2)
+        .map(|w| {
+            // ph-lint: allow(no-panic-serving) — windows(2) yields exactly 2 elements
+            let mid = 0.5 * (w[0] + w[1]);
+            while parent_edges.get(below).is_some_and(|&e| e < mid) {
+                below += 1;
+            }
+            below.saturating_sub(1).min(last) as u32
         })
         .collect()
 }
@@ -488,7 +475,7 @@ fn decode_edge(v: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::PairwiseHistConfig;
+    use crate::build::{PairwiseHistConfig, SplitRule};
     use ph_sql::parse_query;
     use ph_types::{Column, Dataset};
     use rand::{Rng, SeedableRng};
@@ -606,6 +593,159 @@ mod tests {
             &Dataset::builder("o").column(Column::from_ints("a", vec![Some(1)])).unwrap().build(),
         );
         assert!(PairwiseHist::from_bytes(&bytes, Arc::new(other)).is_none());
+    }
+
+    /// `a` and `b` hold the same bins, every float compared by its bits.
+    fn assert_same_bins(a: &DimBins, b: &DimBins, at: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.edges), bits(&b.edges), "{at}: edges");
+        assert_eq!(a.vmin, b.vmin, "{at}: vmin");
+        assert_eq!(a.vmax, b.vmax, "{at}: vmax");
+        assert_eq!(a.uniq, b.uniq, "{at}: uniq");
+        assert_eq!(a.counts, b.counts, "{at}: counts");
+        assert_eq!(bits(&a.mid), bits(&b.mid), "{at}: mid");
+        assert_eq!(bits(&a.c_lo), bits(&b.c_lo), "{at}: c_lo");
+        assert_eq!(bits(&a.c_hi), bits(&b.c_hi), "{at}: c_hi");
+    }
+
+    /// What `from_bytes` rebuilds from `to_bytes` is the built synopsis, field
+    /// by field: not only the same bytes out again, the same memory.
+    fn assert_decodes_to_itself(ph: &PairwiseHist) {
+        let back = PairwiseHist::from_bytes(&ph.to_bytes(), ph.preprocessor().clone())
+            .expect("a built synopsis decodes");
+        assert_eq!(back.params, ph.params);
+        assert_eq!(back.ns_at_build, ph.ns_at_build);
+        assert_eq!(back.z98.to_bits(), ph.z98.to_bits());
+        let crit = |p: &PairwiseHist| p.crit.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(crit(&back), crit(ph), "precomputed χ² criticals");
+        assert_eq!(back.hist1d.len(), ph.hist1d.len());
+        for (c, (a, b)) in back.hist1d.iter().zip(&ph.hist1d).enumerate() {
+            assert_same_bins(a, b, &format!("1-d column {c}"));
+        }
+        assert_eq!(back.pairs.len(), ph.pairs.len());
+        for (a, b) in back.pairs.iter().zip(&ph.pairs) {
+            let at = format!("pair ({}, {})", b.col_i, b.col_j);
+            assert_eq!((a.col_i, a.col_j), (b.col_i, b.col_j), "{at}");
+            assert_eq!(a.counts, b.counts, "{at}: counts");
+            assert_eq!(a.dim_i.parent, b.dim_i.parent, "{at}: parent i");
+            assert_eq!(a.dim_j.parent, b.dim_j.parent, "{at}: parent j");
+            assert_same_bins(&a.dim_i.bins, &b.dim_i.bins, &format!("{at} dim i"));
+            assert_same_bins(&a.dim_j.bins, &b.dim_j.bins, &format!("{at} dim j"));
+        }
+    }
+
+    /// A registered Flights table: 1-d bins holding one value, split parents
+    /// next to unsplit ones, sparse and dense count matrices.
+    #[test]
+    fn a_registered_flights_synopsis_decodes_to_itself() {
+        let data = ph_datagen::generate("Flights", 20_000, 7).expect("known dataset");
+        let session = crate::session::Session::new();
+        session.register(data).unwrap();
+        let snap = session.engine("Flights").unwrap();
+        assert_decodes_to_itself(snap.segments()[0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Generated tables: narrow and wide value ranges, NULLs, a sample
+        /// smaller than the table, both split rules.
+        #[test]
+        fn prop_generated_synopses_decode_to_themselves(
+            n in 50usize..4_000,
+            seed in proptest::prelude::any::<u64>(),
+            sample_pct in 20usize..101,
+            equal_depth in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut builder = Dataset::builder("g");
+            for c in 0..4 {
+                let range = [2, 40, 5_000, 1 << 40][rng.gen_range(0..4)];
+                let nulls = [0.0, 0.1, 0.9][rng.gen_range(0..3)];
+                let col: Vec<Option<i64>> = (0..n)
+                    .map(|_| (!rng.gen_bool(nulls)).then(|| rng.gen_range(0..range)))
+                    .collect();
+                builder = builder.column(Column::from_ints(format!("c{c}"), col)).unwrap();
+            }
+            let cat: Vec<Option<&str>> =
+                (0..n).map(|i| Some(["a", "b", "c", "d", "e"][(i * 7 + i / 3) % 5])).collect();
+            let data = builder.column(Column::from_strings("s", cat)).unwrap().build();
+            let cfg = PairwiseHistConfig {
+                ns: (n * sample_pct / 100).max(1),
+                split_rule: if equal_depth { SplitRule::EqualDepth } else { SplitRule::EqualWidth },
+                seed,
+                ..Default::default()
+            };
+            assert_decodes_to_itself(&PairwiseHist::build(&data, &cfg));
+        }
+
+        /// The linear parent map is the binary search per refined bin it
+        /// replaced, and the neighbour test in `split_bins` is the per-parent
+        /// count it replaced, also for extras outside the 1-d range, which
+        /// clamp to the first or the last parent.
+        #[test]
+        fn prop_linear_parent_map_and_split_bins_equal_their_references(
+            n_parent in 2usize..12,
+            n_extra in 0usize..24,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut all: Vec<u64> = (0..200).collect();
+            for i in (1..all.len()).rev() {
+                all.swap(i, rng.gen_range(0..=i));
+            }
+            // Parent edges in the middle of the code range, extras anywhere in
+            // it (below and above the parents too), as decoded edges are.
+            let mut parent_codes: Vec<u64> = all[..n_parent].iter().map(|c| c + 100).collect();
+            parent_codes.sort_unstable();
+            parent_codes.dedup();
+            let parent_edges: Vec<f64> = parent_codes.iter().map(|&c| decode_edge(c)).collect();
+            let mut edges = parent_edges.clone();
+            edges.extend(
+                all[n_parent..n_parent + n_extra]
+                    .iter()
+                    .map(|&c| decode_edge(2 * c + rng.gen_range(0..2))),
+            );
+            edges.sort_by(|a, b| a.total_cmp(b));
+            edges.dedup();
+
+            let parent = parent_map(&edges, &parent_edges);
+            let reference: Vec<u32> = edges
+                .windows(2)
+                .map(|w| {
+                    let mid = 0.5 * (w[0] + w[1]);
+                    let p = parent_edges.partition_point(|&e| e < mid).saturating_sub(1);
+                    p.min(parent_edges.len() - 2) as u32
+                })
+                .collect();
+            proptest::prop_assert_eq!(&parent, &reference);
+            proptest::prop_assert!(parent.windows(2).all(|w| w[0] <= w[1]));
+            proptest::prop_assert_eq!(
+                split_bins(&parent).collect::<Vec<_>>(),
+                split_bins_by_counting(&parent)
+            );
+
+            // Any non-decreasing map, runs of any length from any start.
+            let mut map = Vec::new();
+            let mut p = rng.gen_range(0..3u32);
+            for _ in 0..n_extra {
+                p += rng.gen_range(0..3);
+                map.extend(std::iter::repeat_n(p, rng.gen_range(1..4)));
+            }
+            proptest::prop_assert_eq!(
+                split_bins(&map).collect::<Vec<_>>(),
+                split_bins_by_counting(&map)
+            );
+        }
+    }
+
+    /// The per-parent child count `split_bins` used to keep in a `HashMap`.
+    fn split_bins_by_counting(parent: &[u32]) -> Vec<usize> {
+        let mut children = std::collections::HashMap::new();
+        for &p in parent {
+            *children.entry(p).or_insert(0u32) += 1;
+        }
+        (0..parent.len()).filter(|&t| children[&parent[t]] > 1).collect()
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! freedom. Construction performs this test once per candidate bin, so critical values
 //! are memoised per degree-of-freedom in [`Chi2Cache`].
 
-use std::collections::HashMap;
-
 use crate::gamma::reg_lower_gamma;
 use crate::normal::normal_quantile;
 
@@ -24,13 +22,20 @@ pub fn chi2_sf(x: f64, k: f64) -> f64 {
     1.0 - chi2_cdf(x, k)
 }
 
+/// Whether `α` is a significance level the χ² tests can run at: inside
+/// `(0, 1)` and far enough from 0 that `1 − α` is not 1 (the quantile the
+/// critical value starts from is taken at `1 − α`).
+pub fn usable_alpha(alpha: f64) -> bool {
+    alpha < 1.0 && 1.0 - alpha < 1.0
+}
+
 /// Upper-tail quantile: the `x` with `Pr(X > x) = alpha` at `k` degrees of freedom.
 ///
 /// Seeds Newton iteration with the Wilson–Hilferty cube approximation, then polishes
 /// with bisection-guarded Newton on the survival function; converges to ~1e-10 in a
 /// handful of steps.
 pub fn chi2_critical(alpha: f64, k: f64) -> f64 {
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha {alpha} outside (0,1)");
+    assert!(usable_alpha(alpha), "alpha {alpha} is not a usable significance level");
     assert!(k > 0.0, "chi2_critical needs positive dof, got {k}");
 
     // Wilson–Hilferty start point.
@@ -77,18 +82,24 @@ fn chi2_pdf(x: f64, k: f64) -> f64 {
 /// Memoised `χ²_α` lookups keyed by integer degrees of freedom, for a fixed `α`.
 ///
 /// Histogram construction calls the test with `s ∈ [2, ~30]` sub-bins over and over;
-/// this cache turns each lookup after the first into a hash probe.
+/// this cache turns each lookup after the first into an index into a dense table.
+/// Degrees of freedom are Terrell–Scott sub-bin counts less one, so the table never
+/// grows past ≈ 2 000 entries (`(2 · u32::MAX)^⅓`).
 #[derive(Debug, Clone)]
 pub struct Chi2Cache {
     alpha: f64,
-    table: HashMap<u32, f64>,
+    /// `table[dof]`, `None` until first asked for.
+    table: Vec<Option<f64>>,
 }
 
 impl Chi2Cache {
     /// New cache for significance level `alpha`.
+    ///
+    /// # Panics
+    /// Panics unless [`usable_alpha`] holds for `alpha`.
     pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha {alpha} outside (0,1)");
-        Self { alpha, table: HashMap::new() }
+        assert!(usable_alpha(alpha), "alpha {alpha} is not a usable significance level");
+        Self { alpha, table: Vec::new() }
     }
 
     /// The significance level this cache serves.
@@ -98,8 +109,12 @@ impl Chi2Cache {
 
     /// `χ²_α` at `dof` degrees of freedom.
     pub fn critical(&mut self, dof: u32) -> f64 {
+        let i = dof as usize;
+        if i >= self.table.len() {
+            self.table.resize(i + 1, None);
+        }
         let alpha = self.alpha;
-        *self.table.entry(dof).or_insert_with(|| chi2_critical(alpha, dof as f64))
+        *self.table[i].get_or_insert_with(|| chi2_critical(alpha, dof as f64))
     }
 }
 
@@ -161,8 +176,22 @@ mod tests {
             let b = chi2_critical(0.001, dof as f64);
             assert!((a - b).abs() < 1e-12);
         }
-        // Second lookup hits the memo and must agree.
+        // Second lookup hits the memo and must agree, bit for bit.
         let again = cache.critical(5);
-        assert!((again - chi2_critical(0.001, 5.0)).abs() < 1e-12);
+        assert_eq!(again.to_bits(), chi2_critical(0.001, 5.0).to_bits());
+        // Out of order, past the filled prefix, then inside it.
+        assert_eq!(cache.critical(40).to_bits(), chi2_critical(0.001, 40.0).to_bits());
+        assert_eq!(cache.critical(25).to_bits(), chi2_critical(0.001, 25.0).to_bits());
+    }
+
+    #[test]
+    fn usable_alpha_refuses_what_the_quantile_cannot_take() {
+        for alpha in [0.001, 0.05, 0.5, 1e-15] {
+            assert!(usable_alpha(alpha), "{alpha}");
+            assert!(chi2_critical(alpha, 3.0).is_finite());
+        }
+        for alpha in [0.0, -0.1, 1.0, 1.5, 1e-17, 1e-300, 5e-324, f64::NAN, f64::INFINITY] {
+            assert!(!usable_alpha(alpha), "{alpha}");
+        }
     }
 }

@@ -24,7 +24,7 @@ mod gamma;
 mod normal;
 mod sampling;
 
-pub use chi2::{chi2_cdf, chi2_critical, chi2_sf, Chi2Cache};
+pub use chi2::{chi2_cdf, chi2_critical, chi2_sf, usable_alpha, Chi2Cache};
 pub use gamma::{ln_gamma, reg_lower_gamma};
 pub use normal::{normal_cdf, normal_quantile};
 pub use sampling::{gaussian, Gaussian};
