@@ -12,7 +12,7 @@ use ph_stats::{terrell_scott, Chi2Cache};
 /// Bins along one dimension of a histogram: edges plus the paper's metadata
 /// (minimum/maximum actual value, unique count, bin count) and the derived midpoints
 /// and weighted-centre bounds (§4.2).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct DimBins {
     /// `k + 1` strictly ascending half-integer edges.
     pub edges: Vec<f64>,
@@ -30,6 +30,37 @@ pub struct DimBins {
     pub c_lo: Vec<f64>,
     /// Derived: weighted-centre upper bounds `c⁺` (Eq 10).
     pub c_hi: Vec<f64>,
+}
+
+impl Clone for DimBins {
+    fn clone(&self) -> Self {
+        let Self { edges, vmin, vmax, uniq, counts, mid, c_lo, c_hi } = self;
+        Self {
+            edges: edges.clone(),
+            vmin: vmin.clone(),
+            vmax: vmax.clone(),
+            uniq: uniq.clone(),
+            counts: counts.clone(),
+            mid: mid.clone(),
+            c_lo: c_lo.clone(),
+            c_hi: c_hi.clone(),
+        }
+    }
+
+    /// Copies `source` into the buffers `self` already owns: no allocation
+    /// when they are large enough. Destructured field by field, so a new field
+    /// cannot be forgotten here.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { edges, vmin, vmax, uniq, counts, mid, c_lo, c_hi } = self;
+        edges.clone_from(&source.edges);
+        vmin.clone_from(&source.vmin);
+        vmax.clone_from(&source.vmax);
+        uniq.clone_from(&source.uniq);
+        counts.clone_from(&source.counts);
+        mid.clone_from(&source.mid);
+        c_lo.clone_from(&source.c_lo);
+        c_hi.clone_from(&source.c_hi);
+    }
 }
 
 impl DimBins {

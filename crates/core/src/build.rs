@@ -94,7 +94,7 @@ impl BuildParams {
 
 /// The PairwiseHist synopsis: per-column histograms, per-pair histograms, and the
 /// pre-processing transforms needed to run queries.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PairwiseHist {
     pub(crate) params: BuildParams,
     pub(crate) hist1d: Vec<DimBins>,
@@ -112,6 +112,39 @@ pub struct PairwiseHist {
     /// rejects plans from a different epoch (clones share the epoch — their plans
     /// are interchangeable; a rebuild never does).
     pub(crate) plan_epoch: u64,
+}
+
+impl Clone for PairwiseHist {
+    fn clone(&self) -> Self {
+        let Self { params, hist1d, pairs, pre, crit, z98, ns_at_build, plan_epoch } = self;
+        Self {
+            params: params.clone(),
+            hist1d: hist1d.clone(),
+            pairs: pairs.clone(),
+            pre: pre.clone(),
+            crit: crit.clone(),
+            z98: *z98,
+            ns_at_build: *ns_at_build,
+            plan_epoch: *plan_epoch,
+        }
+    }
+
+    /// Copies `source` into the buffers `self` already owns — every bin and
+    /// count array of every pair — so a synopsis of `source`'s shape is copied
+    /// without one allocation. The plain-ingest fold recycles the delta
+    /// synopsis it superseded this way (`Session::ingest`). Destructured field
+    /// by field, so a new field cannot be forgotten here.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { params, hist1d, pairs, pre, crit, z98, ns_at_build, plan_epoch } = self;
+        params.clone_from(&source.params);
+        hist1d.clone_from(&source.hist1d);
+        pairs.clone_from(&source.pairs);
+        pre.clone_from(&source.pre);
+        crit.clone_from(&source.crit);
+        *z98 = source.z98;
+        *ns_at_build = source.ns_at_build;
+        *plan_epoch = source.plan_epoch;
+    }
 }
 
 /// Monotonic source for [`PairwiseHist::plan_epoch`]. Never reused within a
@@ -388,6 +421,43 @@ fn downsample_seeds(mut seeds: Vec<u64>, max_seeds: usize) -> Vec<u64> {
     seeds = picked;
     seeds.dedup();
     seeds
+}
+
+/// `a` and `b` are the same synopsis field by field, every float compared by
+/// its bits; only the plan epoch (a decoded synopsis mints its own) is not
+/// compared.
+#[cfg(test)]
+pub(crate) fn assert_same_synopsis(a: &PairwiseHist, b: &PairwiseHist, at: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let same_bins = |a: &DimBins, b: &DimBins, at: &str| {
+        assert_eq!(bits(&a.edges), bits(&b.edges), "{at}: edges");
+        assert_eq!(a.vmin, b.vmin, "{at}: vmin");
+        assert_eq!(a.vmax, b.vmax, "{at}: vmax");
+        assert_eq!(a.uniq, b.uniq, "{at}: uniq");
+        assert_eq!(a.counts, b.counts, "{at}: counts");
+        assert_eq!(bits(&a.mid), bits(&b.mid), "{at}: mid");
+        assert_eq!(bits(&a.c_lo), bits(&b.c_lo), "{at}: c_lo");
+        assert_eq!(bits(&a.c_hi), bits(&b.c_hi), "{at}: c_hi");
+    };
+    assert_eq!(a.params, b.params, "{at}: params");
+    assert_eq!(a.ns_at_build, b.ns_at_build, "{at}: ns at build");
+    assert_eq!(a.z98.to_bits(), b.z98.to_bits(), "{at}: z98");
+    assert_eq!(bits(&a.crit), bits(&b.crit), "{at}: precomputed χ² criticals");
+    assert!(Arc::ptr_eq(&a.pre, &b.pre), "{at}: preprocessor");
+    assert_eq!(a.hist1d.len(), b.hist1d.len(), "{at}: columns");
+    for (c, (a, b)) in a.hist1d.iter().zip(&b.hist1d).enumerate() {
+        same_bins(a, b, &format!("{at}: 1-d column {c}"));
+    }
+    assert_eq!(a.pairs.len(), b.pairs.len(), "{at}: pairs");
+    for (a, b) in a.pairs.iter().zip(&b.pairs) {
+        let at = format!("{at}: pair ({}, {})", b.col_i, b.col_j);
+        assert_eq!((a.col_i, a.col_j), (b.col_i, b.col_j), "{at}");
+        assert_eq!(a.counts, b.counts, "{at}: counts");
+        assert_eq!(a.dim_i.parent, b.dim_i.parent, "{at}: parent i");
+        assert_eq!(a.dim_j.parent, b.dim_j.parent, "{at}: parent j");
+        same_bins(&a.dim_i.bins, &b.dim_i.bins, &format!("{at} dim i"));
+        same_bins(&a.dim_j.bins, &b.dim_j.bins, &format!("{at} dim j"));
+    }
 }
 
 #[cfg(test)]

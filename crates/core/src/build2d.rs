@@ -16,7 +16,7 @@ const MAX_DEPTH: u32 = 64;
 
 /// One dimension of a pair histogram: refined bins plus the mapping back to the
 /// parent one-dimensional histogram's bins.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct PairDim {
     /// Bin metadata over the refined edges, computed from the full column (so
     /// unrefined bins coincide with the 1-d histogram's bins — the property the
@@ -28,7 +28,7 @@ pub struct PairDim {
 
 /// The two-dimensional histogram `H⁽ⁱʲ⁾` for one column pair, with per-dimension
 /// refined edges and metadata (Fig 4).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct PairHist {
     /// First column index (`i < j` by construction).
     pub col_i: usize,
@@ -41,6 +41,45 @@ pub struct PairHist {
     /// Bin counts, row-major `k⁽ⁱ|ʲ⁾ × k⁽ʲ|ⁱ⁾`, over rows non-null in **both**
     /// columns.
     pub counts: Vec<u32>,
+}
+
+impl Clone for PairDim {
+    fn clone(&self) -> Self {
+        let Self { bins, parent } = self;
+        Self { bins: bins.clone(), parent: parent.clone() }
+    }
+
+    /// Copies `source` into the buffers `self` already owns (see
+    /// [`DimBins`]'s `clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        let Self { bins, parent } = self;
+        bins.clone_from(&source.bins);
+        parent.clone_from(&source.parent);
+    }
+}
+
+impl Clone for PairHist {
+    fn clone(&self) -> Self {
+        let Self { col_i, col_j, dim_i, dim_j, counts } = self;
+        Self {
+            col_i: *col_i,
+            col_j: *col_j,
+            dim_i: dim_i.clone(),
+            dim_j: dim_j.clone(),
+            counts: counts.clone(),
+        }
+    }
+
+    /// Copies `source` into the buffers `self` already owns (see
+    /// [`DimBins`]'s `clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        let Self { col_i, col_j, dim_i, dim_j, counts } = self;
+        *col_i = source.col_i;
+        *col_j = source.col_j;
+        dim_i.clone_from(&source.dim_i);
+        dim_j.clone_from(&source.dim_j);
+        counts.clone_from(&source.counts);
+    }
 }
 
 impl PairHist {

@@ -543,16 +543,32 @@ impl Session {
     /// Edits the seal policy the session registers tables with, and every
     /// registered table's, checkpointing each table whose policy changed (the
     /// policy decides where a replay seals, so the log cannot stand in for
-    /// it).
+    /// it). An edit that changes no table's policy returns without a writer
+    /// lock or an allocation: only this function changes a published policy,
+    /// so the published ones are what it would find under the locks.
     pub(crate) fn set_policy(&self, edit: impl Fn(&mut SealPolicy)) {
         edit(&mut self.policy.lock().unwrap_or_else(PoisonError::into_inner));
+        let edited = |policy: SealPolicy| {
+            let mut next = policy;
+            edit(&mut next);
+            (next != policy).then_some(next)
+        };
+        let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
+        if tables.values().all(|cell| edited(cell.snapshot().policy).is_none()) {
+            return;
+        }
+        drop(tables);
         for (name, cell) in self.cells() {
             let mut w = cell.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let cur = cell.snapshot();
-            let mut next =
-                cur.successor(cur.epoch, cur.pre.clone(), cur.segments.clone(), cur.delta.clone());
-            edit(&mut next.policy);
-            if next.policy != cur.policy {
+            if let Some(policy) = edited(cur.policy) {
+                let mut next = cur.successor(
+                    cur.epoch,
+                    cur.pre.clone(),
+                    cur.segments.clone(),
+                    cur.delta.clone(),
+                );
+                next.policy = policy;
                 cell.swap(next);
                 let _ = self.checkpoint(&name, &cell, &mut w);
             }

@@ -144,10 +144,14 @@ pub(crate) struct Writer {
     pub(crate) delta_rows: Option<Dataset>,
     /// What the table has committed to the WAL home (`crate::persist`).
     pub(crate) durable: Durable,
-    /// Reusable encode buffers for the seal path: recycling the column buffers
-    /// across seals removes the allocation spike that dominated ingest tail
-    /// latency (p99 ≫ p50 on seal batches).
-    seal_scratch: ph_gd::EncodeScratch,
+    /// Reusable encode buffers for the seal path and the plain fold:
+    /// recycling the column buffers across seals removes the allocation spike
+    /// that dominated ingest tail latency (p99 ≫ p50 on seal batches).
+    encode_scratch: ph_gd::EncodeScratch,
+    /// The delta synopsis of a version this writer superseded and no reader
+    /// held any more: the next plain fold copies the published delta into its
+    /// buffers (`clone_from`) instead of allocating a fresh copy.
+    spare_delta: Option<PairwiseHist>,
 }
 
 /// The epoch cell of one table: the current state, swapped atomically under
@@ -187,9 +191,11 @@ impl TableCell {
         self.state.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    /// Publishes a replacement state.
-    pub(crate) fn swap(&self, next: TableState) {
-        *self.state.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+    /// Publishes a replacement state and returns the one it replaced, so that
+    /// whatever dropping it frees is freed outside the state lock.
+    pub(crate) fn swap(&self, next: TableState) -> Arc<TableState> {
+        let next = Arc::new(next);
+        std::mem::replace(&mut *self.state.write().unwrap_or_else(PoisonError::into_inner), next)
     }
 }
 

@@ -595,43 +595,12 @@ mod tests {
         assert!(PairwiseHist::from_bytes(&bytes, Arc::new(other)).is_none());
     }
 
-    /// `a` and `b` hold the same bins, every float compared by its bits.
-    fn assert_same_bins(a: &DimBins, b: &DimBins, at: &str) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.edges), bits(&b.edges), "{at}: edges");
-        assert_eq!(a.vmin, b.vmin, "{at}: vmin");
-        assert_eq!(a.vmax, b.vmax, "{at}: vmax");
-        assert_eq!(a.uniq, b.uniq, "{at}: uniq");
-        assert_eq!(a.counts, b.counts, "{at}: counts");
-        assert_eq!(bits(&a.mid), bits(&b.mid), "{at}: mid");
-        assert_eq!(bits(&a.c_lo), bits(&b.c_lo), "{at}: c_lo");
-        assert_eq!(bits(&a.c_hi), bits(&b.c_hi), "{at}: c_hi");
-    }
-
     /// What `from_bytes` rebuilds from `to_bytes` is the built synopsis, field
     /// by field: not only the same bytes out again, the same memory.
     fn assert_decodes_to_itself(ph: &PairwiseHist) {
         let back = PairwiseHist::from_bytes(&ph.to_bytes(), ph.preprocessor().clone())
             .expect("a built synopsis decodes");
-        assert_eq!(back.params, ph.params);
-        assert_eq!(back.ns_at_build, ph.ns_at_build);
-        assert_eq!(back.z98.to_bits(), ph.z98.to_bits());
-        let crit = |p: &PairwiseHist| p.crit.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(crit(&back), crit(ph), "precomputed χ² criticals");
-        assert_eq!(back.hist1d.len(), ph.hist1d.len());
-        for (c, (a, b)) in back.hist1d.iter().zip(&ph.hist1d).enumerate() {
-            assert_same_bins(a, b, &format!("1-d column {c}"));
-        }
-        assert_eq!(back.pairs.len(), ph.pairs.len());
-        for (a, b) in back.pairs.iter().zip(&ph.pairs) {
-            let at = format!("pair ({}, {})", b.col_i, b.col_j);
-            assert_eq!((a.col_i, a.col_j), (b.col_i, b.col_j), "{at}");
-            assert_eq!(a.counts, b.counts, "{at}: counts");
-            assert_eq!(a.dim_i.parent, b.dim_i.parent, "{at}: parent i");
-            assert_eq!(a.dim_j.parent, b.dim_j.parent, "{at}: parent j");
-            assert_same_bins(&a.dim_i.bins, &b.dim_i.bins, &format!("{at} dim i"));
-            assert_same_bins(&a.dim_j.bins, &b.dim_j.bins, &format!("{at} dim j"));
-        }
+        crate::build::assert_same_synopsis(&back, ph, "decoded");
     }
 
     /// A registered Flights table: 1-d bins holding one value, split parents

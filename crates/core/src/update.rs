@@ -15,6 +15,14 @@
 //!   raw data);
 //! * if the synopsis was built from a ρ < 1 sample, ingested batches are themselves
 //!   sub-sampled at ρ (deterministically) so the sample stays unbiased.
+//!
+//! A fold costs O(sampled rows × (columns + pairs)) plus one pass over every
+//! bin to refresh its derived metadata: each value is searched for once in its
+//! column's 1-d edges, and a pair dimension then looks only among that 1-d
+//! bin's refined children. What `Session::ingest` folds into is a copy of the
+//! published delta synopsis; it writes that copy over the superseded version's
+//! buffers (`PairwiseHist`'s `clone_from`) whenever no reader still holds that
+//! version, so a plain batch allocates nothing in proportion to the synopsis.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -32,6 +40,9 @@ impl PairwiseHist {
     /// `N` grows by the full batch; the internal sample grows by ~`ρ · batch` rows,
     /// keeping the sampling ratio stable.
     ///
+    /// Each sampled value is searched for once, in its column's 1-d edges; a
+    /// pair dimension then looks only among that 1-d bin's refined children.
+    ///
     /// # Panics
     /// Panics if the batch's column count differs from the synopsis schema.
     pub fn ingest(&mut self, rows: &EncodedMatrix) {
@@ -48,45 +59,49 @@ impl PairwiseHist {
         );
         let sampled: Vec<usize> =
             (0..batch).filter(|_| rho >= 1.0 || rng.gen::<f64>() < rho).collect();
+        let n = sampled.len();
 
-        let null_codes: Vec<Option<u64>> =
-            (0..self.n_columns()).map(|c| self.pre.transform(c).null_code()).collect();
-
-        // 1-d updates.
-        #[allow(clippy::needless_range_loop)]
-        for c in 0..self.n_columns() {
+        // 1-d updates, keeping each sampled value's 1-d bin: column `c`'s are
+        // `bin1d[c * n..][..n]`, `NULL_BIN` where the value is NULL.
+        let mut bin1d = vec![NULL_BIN; self.n_columns() * n];
+        for (c, bins) in self.hist1d.iter_mut().enumerate() {
+            let null = self.pre.transform(c).null_code();
             let col = &rows.columns[c];
-            for &r in &sampled {
+            for (slot, &r) in bin1d[c * n..][..n].iter_mut().zip(&sampled) {
                 let v = col[r];
-                if Some(v) == null_codes[c] {
+                if Some(v) == null {
                     continue;
                 }
-                let t = locate_extending(&mut self.hist1d[c], v);
-                bump_bin(&mut self.hist1d[c], t, v);
+                let t = locate_extending(bins, v);
+                bump_bin(bins, t, v);
+                *slot = t as u32;
             }
         }
         // 2-d updates: counts plus per-dimension marginals and metadata.
+        let (mut first_i, mut first_j) = (Vec::new(), Vec::new());
         for pair in &mut self.pairs {
             let (ci, cj) = (pair.col_i, pair.col_j);
-            let coli = &rows.columns[ci];
-            let colj = &rows.columns[cj];
+            let (coli, colj) = (&rows.columns[ci], &rows.columns[cj]);
+            let (bin_i, bin_j) = (&bin1d[ci * n..][..n], &bin1d[cj * n..][..n]);
+            children(&pair.dim_i.parent, self.hist1d[ci].k(), &mut first_i);
+            children(&pair.dim_j.parent, self.hist1d[cj].k(), &mut first_j);
             let kj = pair.kj();
-            for &r in &sampled {
-                let (a, b) = (coli[r], colj[r]);
-                if Some(a) == null_codes[ci] || Some(b) == null_codes[cj] {
+            for ((&r, &pi), &pj) in sampled.iter().zip(bin_i).zip(bin_j) {
+                if pi == NULL_BIN || pj == NULL_BIN {
                     continue;
                 }
-                let ti = locate_extending(&mut pair.dim_i.bins, a);
-                let tj = locate_extending(&mut pair.dim_j.bins, b);
+                let (a, b) = (coli[r], colj[r]);
+                let ti = locate_child(&mut pair.dim_i.bins, &first_i, pi, a);
+                let tj = locate_child(&mut pair.dim_j.bins, &first_j, pj, b);
                 pair.counts[ti * kj + tj] += 1;
                 bump_bin(&mut pair.dim_i.bins, ti, a);
                 bump_bin(&mut pair.dim_j.bins, tj, b);
             }
         }
 
-        // Refresh derived metadata (midpoints, weighted-centre bounds) for all bins;
-        // cheap relative to ingestion.
-        let mut chi2 = Chi2Cache::new(self.params.alpha);
+        // Refresh derived metadata (midpoints, weighted-centre bounds) for all
+        // bins, through the χ² criticals the synopsis already holds.
+        let mut chi2 = Chi2Cache::seeded(self.params.alpha, &self.crit);
         let m_min = self.params.m_min;
         for bins in &mut self.hist1d {
             bins.refresh(m_min, &mut chi2);
@@ -97,7 +112,7 @@ impl PairwiseHist {
         }
 
         self.params.n_total += batch as u64;
-        self.params.ns += sampled.len();
+        self.params.ns += n;
     }
 
     /// Out-of-place ingest: returns a new synopsis equal to `self` with `rows`
@@ -109,6 +124,11 @@ impl PairwiseHist {
     /// plans stay valid across the swap (edge-free ingest never refits the
     /// preprocessor, so resolved column indices and encoded literals still mean
     /// the same thing). A full rebuild, by contrast, always mints a fresh epoch.
+    ///
+    /// The clone allocates every bin and count array afresh. A caller that
+    /// keeps a spare synopsis — `Session::ingest` keeps the version it
+    /// superseded — gets the same result with no allocation from
+    /// `spare.clone_from(self)` followed by [`PairwiseHist::ingest`].
     ///
     /// # Panics
     /// Panics if the batch's column count differs from the synopsis schema.
@@ -128,6 +148,37 @@ impl PairwiseHist {
         }
         1.0 - self.ns_at_build as f64 / self.params.ns as f64
     }
+}
+
+/// The 1-d bin of a NULL value: it has none.
+const NULL_BIN: u32 = u32::MAX;
+
+/// Fills `first` so that `first[t]..first[t + 1]` is the run of refined bins
+/// whose parent is 1-d bin `t`, for each of `k1` 1-d bins, over a
+/// non-decreasing `parent` map.
+fn children(parent: &[u32], k1: usize, first: &mut Vec<u32>) {
+    first.clear();
+    let mut r = 0;
+    first.extend((0..=k1).map(|t| {
+        while parent.get(r).is_some_and(|&p| (p as usize) < t) {
+            r += 1;
+        }
+        r as u32
+    }));
+}
+
+/// The refined bin of `v`, a value of 1-d bin `t`, searched for among `t`'s
+/// children when their run brackets `v` — which makes it the bin a search of
+/// every edge finds, with no edge to widen. Otherwise (an outer edge `v`
+/// widens, or a run that misses `v`, as a decoded dimension's extras outside
+/// the 1-d range can leave) it is that search.
+fn locate_child(bins: &mut DimBins, first: &[u32], t: u32, v: u64) -> usize {
+    let (lo, hi) = (first[t as usize] as usize, first[t as usize + 1] as usize);
+    let x = v as f64;
+    if lo < hi && bins.edges[lo] < x && x < bins.edges[hi] {
+        return lo + bins.edges[lo + 1..hi].partition_point(|&e| e < x);
+    }
+    locate_extending(bins, v)
 }
 
 /// Finds the bin containing `v`, widening the outer edges when `v` falls outside
@@ -166,9 +217,12 @@ fn bump_bin(bins: &mut DimBins, t: usize, v: u64) {
 }
 
 #[cfg(test)]
+pub(crate) mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::PairwiseHistConfig;
+    use crate::build::{PairwiseHistConfig, SplitRule};
     use ph_sql::parse_query;
     use ph_types::{Column, Dataset};
     use rand::{Rng, SeedableRng};
@@ -269,6 +323,131 @@ mod tests {
         assert_eq!(original.staleness(), 0.0);
         let q = parse_query("SELECT COUNT(x) FROM t").unwrap();
         assert_eq!(swapped.execute(&q).unwrap(), in_place.execute(&q).unwrap());
+    }
+
+    /// A synopsis over 2–5 generated columns: narrow and wide value ranges,
+    /// NULLs, a sample smaller than the table (ρ < 1), both split rules.
+    fn generated(rng: &mut rand::rngs::StdRng) -> PairwiseHist {
+        let n = rng.gen_range(50..3_000);
+        let mut builder = Dataset::builder("g");
+        for c in 0..rng.gen_range(2..6) {
+            let range = [2, 40, 5_000, 1 << 30][rng.gen_range(0..4)];
+            let nulls = [0.0, 0.1, 0.6][rng.gen_range(0..3)];
+            let col: Vec<Option<i64>> =
+                (0..n).map(|_| (!rng.gen_bool(nulls)).then(|| rng.gen_range(0..range))).collect();
+            builder = builder.column(Column::from_ints(format!("c{c}"), col)).unwrap();
+        }
+        let cfg = PairwiseHistConfig {
+            ns: (n * rng.gen_range(20..101) / 100).max(1),
+            split_rule: if rng.gen_bool(0.3) {
+                SplitRule::EqualDepth
+            } else {
+                SplitRule::EqualWidth
+            },
+            seed: rng.gen(),
+            ..Default::default()
+        };
+        PairwiseHist::build(&builder.build(), &cfg)
+    }
+
+    /// `rows` encoded rows for `ph`: NULL codes, and values inside, below and
+    /// above each column's 1-d range.
+    fn batch(rng: &mut rand::rngs::StdRng, ph: &PairwiseHist, rows: usize) -> EncodedMatrix {
+        let columns = (0..ph.n_columns())
+            .map(|c| {
+                let bins = ph.hist1d(c);
+                let lo = (bins.edges[0] + 0.5) as u64;
+                let hi = (bins.edges[bins.k()] - 0.5) as u64;
+                let null = ph.preprocessor().transform(c).null_code();
+                (0..rows)
+                    .map(|_| match (rng.gen_range(0..10), null) {
+                        (0, Some(code)) => code,
+                        (1, _) => rng.gen_range(0..=lo),
+                        (2, _) => hi + rng.gen_range(0..50),
+                        _ => rng.gen_range(lo..=hi),
+                    })
+                    .collect()
+            })
+            .collect();
+        EncodedMatrix::new(columns)
+    }
+
+    /// `ph` through its bytes, after its first pair's `i` dimension gains an
+    /// empty refined bin below the 1-d range (when the code range leaves room)
+    /// and its `j` dimension one above it (when that needs no wider edges): a
+    /// decoded synopsis whose extras lie outside the 1-d range.
+    fn with_outer_extras(ph: &PairwiseHist, gap: f64) -> PairwiseHist {
+        fn insert(dim: &mut crate::build2d::PairDim, at: usize, edge: f64, parent: u32) {
+            let b = &mut dim.bins;
+            let v = if at == 0 { edge + 0.5 } else { edge - 0.5 };
+            b.edges.insert(if at == 0 { 0 } else { at + 1 }, edge);
+            for (meta, x) in [(&mut b.mid, v), (&mut b.c_lo, v), (&mut b.c_hi, v)] {
+                meta.insert(at, x);
+            }
+            b.vmin.insert(at, v as u64);
+            b.vmax.insert(at, v as u64);
+            b.uniq.insert(at, 1);
+            b.counts.insert(at, 0);
+            dim.parent.insert(at, parent);
+        }
+        let bytes_of = |e: f64| (64 - ((2.0 * e + 1.0) as u64).leading_zeros()).div_ceil(8);
+        let mut out = ph.clone();
+        let pair = &mut out.pairs[0];
+        let kj = pair.kj();
+        let bottom = pair.dim_i.bins.edges[0] - gap;
+        if bottom >= -0.5 {
+            insert(&mut pair.dim_i, 0, bottom, 0);
+            pair.counts.splice(0..0, std::iter::repeat_n(0, kj));
+        }
+        let top = pair.dim_j.bins.edges[kj];
+        if bytes_of(top + gap) == bytes_of(top) {
+            let parent = pair.dim_j.parent[kj - 1];
+            insert(&mut pair.dim_j, kj, top + gap, parent);
+            pair.counts =
+                pair.counts.chunks(kj).flat_map(|row| row.iter().copied().chain([0])).collect();
+        }
+        PairwiseHist::from_bytes(&out.to_bytes(), ph.preprocessor().clone())
+            .expect("a synopsis with outer extras decodes")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Reusing each value's 1-d bin and the synopsis's own χ² criticals
+        /// folds what the full search per pair dimension and a fresh χ² memo
+        /// fold, field for field: over NULLs, values below and above the
+        /// range, ρ < 1, built and decoded synopses, and decoded ones whose
+        /// extras lie outside the 1-d range, batch after batch.
+        #[test]
+        fn prop_fold_equals_reference(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let built = generated(&mut rng);
+            let start = match seed % 3 {
+                0 => built,
+                1 => PairwiseHist::from_bytes(&built.to_bytes(), built.preprocessor().clone())
+                    .expect("a built synopsis decodes"),
+                _ => with_outer_extras(&built, rng.gen_range(1..4) as f64),
+            };
+            let (mut fast, mut slow) = (start.clone(), start);
+            for round in 0..3 {
+                let n = rng.gen_range(1..400);
+                let rows = batch(&mut rng, &fast, n);
+                fast.ingest(&rows);
+                reference::ingest(&mut slow, &rows);
+                crate::build::assert_same_synopsis(&fast, &slow, &format!("seed {seed} round {round}"));
+            }
+        }
+
+        /// `a.clone_from(&b)` is `b.clone()` whatever shape `a` had before:
+        /// fewer or more columns, bins and pairs, another plan epoch.
+        #[test]
+        fn prop_clone_from_equals_clone(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut a, b) = (generated(&mut rng), generated(&mut rng));
+            a.clone_from(&b);
+            crate::build::assert_same_synopsis(&a, &b.clone(), &format!("seed {seed}"));
+            proptest::prop_assert_eq!(a.plan_epoch(), b.plan_epoch());
+        }
     }
 
     #[test]

@@ -216,6 +216,15 @@ impl<'a> BitReader<'a> {
     /// Reads `n` bits MSB-first into the low bits of a `u64`; `None` if fewer remain.
     #[inline]
     pub fn read_bits(&mut self, n: u32) -> Option<u64> {
+        let v = self.peek_bits(n)?;
+        self.pos += n as u64;
+        Some(v)
+    }
+
+    /// The next `n` bits, as [`BitReader::read_bits`] reads them, without
+    /// moving past them.
+    #[inline]
+    fn peek_bits(&self, n: u32) -> Option<u64> {
         assert!(n <= 64, "cannot read more than 64 bits at once (asked {n})");
         if self.remaining_bits() < n as u64 {
             return None;
@@ -225,7 +234,6 @@ impl<'a> BitReader<'a> {
         }
         let byte = (self.pos / 8) as usize;
         let off = (self.pos % 8) as u32;
-        self.pos += n as u64;
         // The bits sit in at most nine bytes: one aligned word, plus the top of
         // a ninth byte when `off + n > 64`.
         let v = match self.data.get(byte..byte + 8) {
@@ -265,13 +273,25 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads a unary code (count of leading one-bits before the terminating zero).
+    /// `None` if the data ends first; the reader is then at the end.
+    ///
+    /// Counts the ones of up to 64 bits at a time.
     pub fn read_unary(&mut self) -> Option<u64> {
         let mut q = 0u64;
         loop {
-            match self.read_bit()? {
-                true => q += 1,
-                false => return Some(q),
+            let n = self.remaining_bits().min(64) as u32;
+            if n == 0 {
+                return None;
             }
+            // Left-aligned, so the bits past the window read as zeros.
+            let window = self.peek_bits(n)? << (64 - n);
+            let ones = window.leading_ones();
+            if ones < n {
+                self.pos += ones as u64 + 1;
+                return Some(q + ones as u64);
+            }
+            self.pos += n as u64;
+            q += n as u64;
         }
     }
 
@@ -454,5 +474,78 @@ mod tests {
         assert_eq!(r.bit_pos(), at);
         assert_eq!(r.read_plane(3, 3).unwrap().collect::<Vec<_>>(), [7, 0, 7]);
         assert_eq!(r.read_plane(1_000_000, 0).map(|p| p.len()), Some(1_000_000));
+    }
+
+    /// [`BitReader::read_unary`] as it was: one bit a call.
+    fn unary_bitwise(r: &mut BitReader<'_>) -> Option<u64> {
+        let mut q = 0;
+        loop {
+            match r.read_bit()? {
+                true => q += 1,
+                false => return Some(q),
+            }
+        }
+    }
+
+    /// Counting a 64-bit window's leading ones reads what the bit-at-a-time
+    /// loop reads and stops where it stops — `None` at the end of the data
+    /// included: runs from empty to several words long, at every alignment
+    /// (random bit reads between them), a last run the data ends inside, and a
+    /// reader sought past the end.
+    #[test]
+    fn word_unary_matches_the_bitwise_reference() {
+        let mut state = 0x756e_6172_7900_0001u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let streams = if cfg!(miri) { 12 } else { 400 };
+        for stream in 0..streams {
+            let mut w = BitWriter::new();
+            for _ in 0..next(24) {
+                match next(4) {
+                    0 => w.write_unary(next(3)),
+                    1 => w.write_unary(60 + next(10)),
+                    2 => w.write_unary(next(200)),
+                    _ => {
+                        let width = 1 + next(20) as u32;
+                        w.write_bits(next(1 << width), width);
+                    }
+                }
+            }
+            // Half the streams end inside a run of ones, padding included.
+            if stream % 2 == 1 {
+                for _ in 0..next(130) {
+                    w.write_bit(true);
+                }
+            }
+            let used = (w.bit_len() % 8) as u32;
+            let mut data = w.finish();
+            if let (1, Some(last)) = (stream % 2, data.last_mut()) {
+                if used > 0 {
+                    *last |= 0xFF >> used;
+                }
+            }
+            let (mut fast, mut slow) = (BitReader::new(&data), BitReader::new(&data));
+            loop {
+                if next(5) == 0 {
+                    let n = next(65) as u32;
+                    assert_eq!(fast.read_bits(n), slow.read_bits(n), "stream {stream}");
+                } else {
+                    let (got, want) = (fast.read_unary(), unary_bitwise(&mut slow));
+                    assert_eq!(got, want, "stream {stream} at bit {}", slow.bit_pos());
+                }
+                assert_eq!(fast.bit_pos(), slow.bit_pos(), "stream {stream}");
+                if slow.remaining_bits() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(fast.read_unary(), None);
+            fast.seek(data.len() as u64 * 8 + 5);
+            assert_eq!(fast.read_unary(), None);
+            assert_eq!(fast.bit_pos(), data.len() as u64 * 8 + 5);
+        }
     }
 }

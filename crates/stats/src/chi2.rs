@@ -102,6 +102,19 @@ impl Chi2Cache {
         Self { alpha, table: Vec::new() }
     }
 
+    /// A cache for `alpha` that already holds `crit`, where `crit[d - 1]` is
+    /// `χ²_α` at `d` degrees of freedom as [`Chi2Cache::critical`] computes it
+    /// — the table a synopsis keeps from its own build — so none of those is
+    /// computed again.
+    ///
+    /// # Panics
+    /// Panics unless [`usable_alpha`] holds for `alpha`.
+    pub fn seeded(alpha: f64, crit: &[f64]) -> Self {
+        let mut cache = Self::new(alpha);
+        cache.table = std::iter::once(None).chain(crit.iter().copied().map(Some)).collect();
+        cache
+    }
+
     /// The significance level this cache serves.
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -182,6 +195,17 @@ mod tests {
         // Out of order, past the filled prefix, then inside it.
         assert_eq!(cache.critical(40).to_bits(), chi2_critical(0.001, 40.0).to_bits());
         assert_eq!(cache.critical(25).to_bits(), chi2_critical(0.001, 25.0).to_bits());
+    }
+
+    #[test]
+    fn a_seeded_cache_answers_what_a_fresh_one_computes() {
+        let mut fresh = Chi2Cache::new(0.01);
+        let crit: Vec<f64> = (1..=12).map(|dof| fresh.critical(dof)).collect();
+        let mut seeded = Chi2Cache::seeded(0.01, &crit);
+        for dof in 1..=20 {
+            assert_eq!(seeded.critical(dof).to_bits(), fresh.critical(dof).to_bits(), "{dof}");
+        }
+        assert_eq!(Chi2Cache::seeded(0.01, &[]).critical(3).to_bits(), crit[2].to_bits());
     }
 
     #[test]

@@ -188,6 +188,119 @@ fn readers_stay_consistent_while_writer_ingests() {
     assert_eq!(session.sql(WORKLOAD[0]).unwrap(), timeline[BATCHES][0]);
 }
 
+/// Plain folds recycle the delta synopsis of the version they supersede —
+/// but only a version no reader holds. Two readers pin a version (a
+/// `TableSnapshot`, and a `BatchSession`'s table pin), keep answering from it
+/// bit for bit across several folds, then let it go and pin the newest; two
+/// more race the writer through `Session::sql`. Every answer is one of the
+/// serial timeline's, and the final state is its last. Under ThreadSanitizer
+/// this is the `Arc::try_unwrap` hand-off between the writer and the last
+/// reader to drop a version.
+#[test]
+fn pinned_versions_survive_recycled_folds() {
+    const FOLDS: usize = 12;
+    let folds: Vec<Dataset> = (0..FOLDS as u64).map(|k| dataset(300, 500 + k)).collect();
+    let open = || {
+        let s = Session::with_config(config());
+        // Every batch after the first folds into the delta: no seal, no refit.
+        s.set_max_staleness(f64::INFINITY);
+        s.register(dataset(BASE_ROWS, 7)).unwrap();
+        s.ingest("t", &dataset(300, 499)).unwrap();
+        s
+    };
+    let answers = |s: &Session| -> Vec<AqpAnswer> {
+        WORKLOAD.iter().map(|sql| s.sql(sql).expect("twin answers")).collect()
+    };
+    let twin = open();
+    let mut timeline = vec![answers(&twin)];
+    for batch in &folds {
+        let report = twin.ingest("t", batch).unwrap();
+        assert!(!report.rebuilt, "every batch must fold: {report:?}");
+        timeline.push(answers(&twin));
+    }
+    let queries: Vec<Query> = WORKLOAD.iter().map(|sql| parse_query(sql).unwrap()).collect();
+
+    let session = open();
+    let done = AtomicBool::new(false);
+    let pinned = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        let (session, done, pinned) = (&session, &done, &pinned);
+        let (timeline, queries, folds) = (&timeline, &queries, &folds);
+        let on_timeline = |qi: usize, answer: &AqpAnswer| {
+            assert!(
+                timeline.iter().any(|step| step[qi] == *answer),
+                "answer outside the fold timeline for {}: {answer:?}",
+                WORKLOAD[qi]
+            );
+        };
+
+        scope.spawn(move || {
+            pinned.wait();
+            for batch in folds {
+                let report = session.ingest("t", batch).expect("concurrent ingest");
+                assert!(!report.rebuilt, "{report:?}");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            done.store(true, Ordering::Release);
+        });
+
+        // A snapshot holder: each pinned version answers alike until let go.
+        scope.spawn(move || {
+            let mut first_pin = Some(pinned);
+            while !done.load(Ordering::Acquire) {
+                let snap = session.engine("t").unwrap();
+                let first: Vec<AqpAnswer> =
+                    queries.iter().map(|q| snap.execute(q).unwrap()).collect();
+                if let Some(barrier) = first_pin.take() {
+                    barrier.wait();
+                }
+                first.iter().enumerate().for_each(|(qi, a)| on_timeline(qi, a));
+                for _ in 0..3 {
+                    for (q, want) in queries.iter().zip(&first) {
+                        assert_eq!(snap.execute(q).unwrap(), *want, "a held snapshot moved");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+        });
+
+        // A batch: its first query pins the table for the batch's lifetime.
+        scope.spawn(move || {
+            let mut first_pin = Some(pinned);
+            while !done.load(Ordering::Acquire) {
+                let mut batch = session.batch();
+                let first: Vec<AqpAnswer> =
+                    WORKLOAD.iter().map(|sql| batch.sql(sql).unwrap()).collect();
+                if let Some(barrier) = first_pin.take() {
+                    barrier.wait();
+                }
+                first.iter().enumerate().for_each(|(qi, a)| on_timeline(qi, a));
+                for _ in 0..3 {
+                    for (sql, want) in WORKLOAD.iter().zip(&first) {
+                        assert_eq!(batch.sql(sql).unwrap(), *want, "a batch's pin moved");
+                    }
+                }
+            }
+        });
+
+        for _ in 0..2 {
+            scope.spawn(move || loop {
+                let finished = done.load(Ordering::Acquire);
+                for (qi, sql) in WORKLOAD.iter().enumerate() {
+                    on_timeline(qi, &session.sql(sql).unwrap());
+                }
+                if finished {
+                    break;
+                }
+            });
+        }
+    });
+
+    for (qi, sql) in WORKLOAD.iter().enumerate() {
+        assert_eq!(session.sql(sql).unwrap(), timeline[FOLDS][qi], "final answer: {sql}");
+    }
+}
+
 /// Registration races: concurrent `register` calls on distinct tables all land;
 /// on the same name exactly one wins — no torn catalog state either way.
 #[test]
