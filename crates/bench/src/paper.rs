@@ -350,7 +350,7 @@ fn ph(ns: usize) -> Kind {
 }
 
 enum Built {
-    Ph(PairwiseHist),
+    Ph(Box<PairwiseHist>),
     Baseline(Box<dyn AqpBaseline>),
 }
 
@@ -423,15 +423,15 @@ impl Bench {
         let seed = self.seed;
         let t0 = Instant::now();
         let built = match kind {
-            Kind::Ph(cfg) => Built::Ph(PairwiseHist::build_from_gd(
+            Kind::Ph(cfg) => Built::Ph(Box::new(PairwiseHist::build_from_gd(
                 &self.store,
                 self.pre.clone(),
                 &PairwiseHistConfig { seed, ..cfg },
-            )),
-            Kind::PhScratch(ns) => Built::Ph(PairwiseHist::build(
+            ))),
+            Kind::PhScratch(ns) => Built::Ph(Box::new(PairwiseHist::build(
                 &self.data,
                 &PairwiseHistConfig { ns, seed, ..Default::default() },
-            )),
+            ))),
             Kind::Spn(ns) => Built::Baseline(Box::new(SpnAqp::build(
                 &self.data,
                 &SpnConfig { sample_n: ns, seed, ..Default::default() },

@@ -12,7 +12,7 @@ use ph_stats::{terrell_scott, Chi2Cache};
 /// Bins along one dimension of a histogram: edges plus the paper's metadata
 /// (minimum/maximum actual value, unique count, bin count) and the derived midpoints
 /// and weighted-centre bounds (§4.2).
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DimBins {
     /// `k + 1` strictly ascending half-integer edges.
     pub edges: Vec<f64>,
@@ -32,34 +32,29 @@ pub struct DimBins {
     pub c_hi: Vec<f64>,
 }
 
-impl Clone for DimBins {
-    fn clone(&self) -> Self {
-        let Self { edges, vmin, vmax, uniq, counts, mid, c_lo, c_hi } = self;
-        Self {
-            edges: edges.clone(),
-            vmin: vmin.clone(),
-            vmax: vmax.clone(),
-            uniq: uniq.clone(),
-            counts: counts.clone(),
-            mid: mid.clone(),
-            c_lo: c_lo.clone(),
-            c_hi: c_hi.clone(),
-        }
-    }
+/// One bin's value metadata: `v⁻`, `v⁺` and `u`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BinMeta {
+    /// Minimum actual value `v⁻`.
+    pub vmin: u64,
+    /// Maximum actual value `v⁺`.
+    pub vmax: u64,
+    /// Unique value count `u`.
+    pub uniq: u32,
+}
 
-    /// Copies `source` into the buffers `self` already owns: no allocation
-    /// when they are large enough. Destructured field by field, so a new field
-    /// cannot be forgotten here.
-    fn clone_from(&mut self, source: &Self) {
-        let Self { edges, vmin, vmax, uniq, counts, mid, c_lo, c_hi } = self;
-        edges.clone_from(&source.edges);
-        vmin.clone_from(&source.vmin);
-        vmax.clone_from(&source.vmax);
-        uniq.clone_from(&source.uniq);
-        counts.clone_from(&source.counts);
-        mid.clone_from(&source.mid);
-        c_lo.clone_from(&source.c_lo);
-        c_hi.clone_from(&source.c_hi);
+impl BinMeta {
+    /// Applies one value of the column to the metadata: `u` counts values
+    /// only as they widen `[v⁻, v⁺]` (see `update.rs`), and a bin no value
+    /// has reached yet (`u = 0`) takes `v` as its only value.
+    pub(crate) fn bump(&mut self, v: u64) {
+        if self.uniq == 0 {
+            *self = BinMeta { vmin: v, vmax: v, uniq: 1 };
+        } else if v < self.vmin {
+            (self.vmin, self.uniq) = (v, self.uniq + 1);
+        } else if v > self.vmax {
+            (self.vmax, self.uniq) = (v, self.uniq + 1);
+        }
     }
 }
 
@@ -67,6 +62,12 @@ impl DimBins {
     /// Number of bins `k`.
     pub fn k(&self) -> usize {
         self.counts.len()
+    }
+
+    /// Bin `t`'s value metadata.
+    #[inline]
+    pub fn meta(&self, t: usize) -> BinMeta {
+        BinMeta { vmin: self.vmin[t], vmax: self.vmax[t], uniq: self.uniq[t] }
     }
 
     /// Assembles bins from construction output and derives midpoints and

@@ -12,7 +12,7 @@ use ph_types::{sample_rows, Dataset};
 
 use crate::bins::DimBins;
 use crate::build1d::{build_dim_bins_1d, edges_from_seeds};
-use crate::build2d::{bin_rows, build_pair, PairColumn, PairHist, PairScratch};
+use crate::build2d::{bin_rows, build_pair, PairColumn, PairHist, PairParts, PairScratch, Pairs};
 
 /// Bin split-point rule. The paper tested both and found equal-width slightly better
 /// (§4.1); equal-depth is retained for the ablation benches.
@@ -94,12 +94,15 @@ impl BuildParams {
 
 /// The PairwiseHist synopsis: per-column histograms, per-pair histograms, and the
 /// pre-processing transforms needed to run queries.
-#[derive(Debug)]
+///
+/// Every pair lives in a fixed handful of flat buffers, so a clone makes a
+/// few allocations per column, whatever the number of pairs.
+#[derive(Debug, Clone)]
 pub struct PairwiseHist {
     pub(crate) params: BuildParams,
     pub(crate) hist1d: Vec<DimBins>,
     /// Triangular pair storage: index [`pair_index`] for `i < j`.
-    pub(crate) pairs: Vec<PairHist>,
+    pub(crate) pairs: Pairs,
     pub(crate) pre: Arc<Preprocessor>,
     /// χ²_α critical values by degrees of freedom (1-based: `crit[dof - 1]`),
     /// precomputed up to the largest Terrell–Scott `s` any bin can require.
@@ -112,39 +115,6 @@ pub struct PairwiseHist {
     /// rejects plans from a different epoch (clones share the epoch — their plans
     /// are interchangeable; a rebuild never does).
     pub(crate) plan_epoch: u64,
-}
-
-impl Clone for PairwiseHist {
-    fn clone(&self) -> Self {
-        let Self { params, hist1d, pairs, pre, crit, z98, ns_at_build, plan_epoch } = self;
-        Self {
-            params: params.clone(),
-            hist1d: hist1d.clone(),
-            pairs: pairs.clone(),
-            pre: pre.clone(),
-            crit: crit.clone(),
-            z98: *z98,
-            ns_at_build: *ns_at_build,
-            plan_epoch: *plan_epoch,
-        }
-    }
-
-    /// Copies `source` into the buffers `self` already owns — every bin and
-    /// count array of every pair — so a synopsis of `source`'s shape is copied
-    /// without one allocation. The plain-ingest fold recycles the delta
-    /// synopsis it superseded this way (`Session::ingest`). Destructured field
-    /// by field, so a new field cannot be forgotten here.
-    fn clone_from(&mut self, source: &Self) {
-        let Self { params, hist1d, pairs, pre, crit, z98, ns_at_build, plan_epoch } = self;
-        params.clone_from(&source.params);
-        hist1d.clone_from(&source.hist1d);
-        pairs.clone_from(&source.pairs);
-        pre.clone_from(&source.pre);
-        crit.clone_from(&source.crit);
-        *z98 = source.z98;
-        *ns_at_build = source.ns_at_build;
-        *plan_epoch = source.plan_epoch;
-    }
 }
 
 /// Monotonic source for [`PairwiseHist::plan_epoch`]. Never reused within a
@@ -290,7 +260,6 @@ impl PairwiseHist {
         let bin_of: Vec<Vec<u32>> =
             (0..d).map(|c| bin_rows(&sample.columns[c], null_codes[c], &hist1d[c])).collect();
         let column = |c: usize| PairColumn {
-            index: c,
             values: &sample.columns[c],
             bin_of: &bin_of[c],
             sorted: &sorted_cols[c],
@@ -300,15 +269,15 @@ impl PairwiseHist {
             |&(i, j): &(usize, usize), chi2: &mut Chi2Cache, scratch: &mut PairScratch| {
                 build_pair(column(i), column(j), m_min, cfg.split_rule, chi2, scratch)
             };
-        let mut pairs: Vec<Option<PairHist>> = (0..n_pairs).map(|_| None).collect();
+        let mut built: Vec<Option<PairParts>> = (0..n_pairs).map(|_| None).collect();
         if workers <= 1 {
             let mut scratch = PairScratch::default();
             for (t, task) in tasks.iter().enumerate() {
-                pairs[t] = Some(build_one(task, &mut chi2, &mut scratch));
+                built[t] = Some(build_one(task, &mut chi2, &mut scratch));
             }
         } else {
             let next = AtomicUsize::new(0);
-            let results: Mutex<&mut Vec<Option<PairHist>>> = Mutex::new(&mut pairs);
+            let results: Mutex<&mut Vec<Option<PairParts>>> = Mutex::new(&mut built);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
@@ -326,22 +295,18 @@ impl PairwiseHist {
                 }
             });
         }
-        let pairs: Vec<PairHist> = pairs.into_iter().map(|p| p.expect("pair built")).collect();
+        let mut pairs = Pairs::default();
+        pairs.cells.reserve_exact(built.iter().flatten().map(|p| p.cells.len()).sum());
+        for part in built {
+            let part = part.expect("pair built");
+            pairs.push(&part.dims);
+            pairs.cells.extend(part.cells);
+        }
+        pairs.fill_margins();
 
         // Precompute chi-squared criticals up to the largest sub-bin count any bin
         // can request at query time.
-        let max_u = hist1d
-            .iter()
-            .map(|h| h.uniq.iter().copied().max().unwrap_or(0))
-            .chain(pairs.iter().flat_map(|p| {
-                [
-                    p.dim_i.bins.uniq.iter().copied().max().unwrap_or(0),
-                    p.dim_j.bins.uniq.iter().copied().max().unwrap_or(0),
-                ]
-            }))
-            .max()
-            .unwrap_or(0) as usize;
-        let max_s = terrell_scott(max_u.max(1)).max(2);
+        let max_s = max_sub_bins(&hist1d, &pairs);
         let crit: Vec<f64> = (1..=max_s as u32).map(|dof| chi2.critical(dof)).collect();
 
         Self {
@@ -386,9 +351,9 @@ impl PairwiseHist {
     }
 
     /// Pair histogram for columns `(a, b)` in either order.
-    pub fn pair(&self, a: usize, b: usize) -> &PairHist {
+    pub fn pair(&self, a: usize, b: usize) -> PairHist<'_> {
         let (i, j) = if a < b { (a, b) } else { (b, a) };
-        &self.pairs[pair_index(i, j)]
+        self.pairs.get(pair_index(i, j), [i, j], [&self.hist1d[i], &self.hist1d[j]])
     }
 
     /// χ²_α at `dof` degrees of freedom (precomputed table with a compute fallback).
@@ -406,8 +371,20 @@ impl PairwiseHist {
 
     /// Total number of 2-d cells across pairs.
     pub fn total_2d_cells(&self) -> usize {
-        self.pairs.iter().map(|p| p.counts.len()).sum()
+        self.pairs.cells.len()
     }
+}
+
+/// The largest Terrell–Scott sub-bin count `s` (at least 2) any bin of
+/// `hist1d` or any split pair bin can request: the `crit` table's length.
+pub(crate) fn max_sub_bins(hist1d: &[DimBins], pairs: &Pairs) -> usize {
+    let max_u = hist1d
+        .iter()
+        .flat_map(|h| h.uniq.iter().copied())
+        .chain(pairs.split_bins.iter().map(|b| b.uniq))
+        .max()
+        .unwrap_or(0) as usize;
+    terrell_scott(max_u.max(1)).max(2)
 }
 
 /// Uniformly downsamples seed values to at most `max_seeds` entries (Algorithm 1
@@ -448,16 +425,8 @@ pub(crate) fn assert_same_synopsis(a: &PairwiseHist, b: &PairwiseHist, at: &str)
     for (c, (a, b)) in a.hist1d.iter().zip(&b.hist1d).enumerate() {
         same_bins(a, b, &format!("{at}: 1-d column {c}"));
     }
-    assert_eq!(a.pairs.len(), b.pairs.len(), "{at}: pairs");
-    for (a, b) in a.pairs.iter().zip(&b.pairs) {
-        let at = format!("{at}: pair ({}, {})", b.col_i, b.col_j);
-        assert_eq!((a.col_i, a.col_j), (b.col_i, b.col_j), "{at}");
-        assert_eq!(a.counts, b.counts, "{at}: counts");
-        assert_eq!(a.dim_i.parent, b.dim_i.parent, "{at}: parent i");
-        assert_eq!(a.dim_j.parent, b.dim_j.parent, "{at}: parent j");
-        same_bins(&a.dim_i.bins, &b.dim_i.bins, &format!("{at} dim i"));
-        same_bins(&a.dim_j.bins, &b.dim_j.bins, &format!("{at} dim j"));
-    }
+    assert_eq!(bits(&a.pairs.split_edges), bits(&b.pairs.split_edges), "{at}: split edges");
+    assert_eq!(a.pairs, b.pairs, "{at}: pairs");
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! Two-dimensional pairwise histogram construction (`RefineBin2D`, §4.1, Fig 5).
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use ph_stats::Chi2Cache;
 
-use crate::bins::DimBins;
+use crate::bins::{BinMeta, DimBins};
 use crate::build::SplitRule;
 use crate::build1d::count_unique_sorted;
 use crate::uniform::{snap_split, snap_split_equal_depth, test_uniform};
@@ -14,83 +15,223 @@ use crate::uniform::{snap_split, snap_split_equal_depth, test_uniform};
 /// Recursion depth cap (splits halve a dimension each time).
 const MAX_DEPTH: u32 = 64;
 
-/// One dimension of a pair histogram: refined bins plus the mapping back to the
-/// parent one-dimensional histogram's bins.
-#[derive(Debug, PartialEq)]
-pub struct PairDim {
-    /// Bin metadata over the refined edges, computed from the full column (so
-    /// unrefined bins coincide with the 1-d histogram's bins — the property the
-    /// storage encoding of Fig 6 exploits).
-    pub bins: DimBins,
-    /// `parent[r]` is the 1-d bin containing refined bin `r`.
-    pub parent: Vec<u32>,
+/// Every pair histogram of a synopsis, in a fixed handful of flat buffers:
+/// the in-memory form of `PWH1`'s pair section (Fig 6). A pair dimension
+/// keeps only what its column's 1-d histogram cannot tell: the 1-d bin and
+/// the count-matrix margin of each refined bin, and the interior edges and
+/// value metadata of the children of split 1-d bins. An unsplit refined bin
+/// *is* its 1-d parent, read from the column's [`DimBins`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Pairs {
+    /// Where each dimension (pair `p`'s `i`, then its `j`, at `2p` and
+    /// `2p + 1`, in `build::pair_index` order) ends in the buffers below.
+    at: Vec<At>,
+    /// Each pair's count matrix, row-major `k⁽ⁱ|ʲ⁾ × k⁽ʲ|ⁱ⁾`, over rows
+    /// non-null in both columns.
+    pub(crate) cells: Vec<u32>,
+    /// Per refined bin: its margin of the count matrix.
+    pub(crate) margins: Vec<u64>,
+    /// Per refined bin: the 1-d bin holding it (non-decreasing per dimension).
+    pub(crate) parents: Vec<u32>,
+    /// Per dimension, ascending: the edges its splits added inside 1-d bins.
+    pub(crate) split_edges: Vec<f64>,
+    /// Per child of a split 1-d bin, in refined order: its `v±` and `u` over
+    /// every value of its column, as the 1-d bins' are.
+    pub(crate) split_bins: Vec<BinMeta>,
 }
 
-/// The two-dimensional histogram `H⁽ⁱʲ⁾` for one column pair, with per-dimension
-/// refined edges and metadata (Fig 4).
-#[derive(Debug, PartialEq)]
-pub struct PairHist {
+/// Where one dimension ends in each [`Pairs`] buffer (`cells`: where an `i`
+/// dimension's pair's count matrix starts, and a `j` one's ends).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct At {
+    cells: usize,
+    bins: usize,
+    edges: usize,
+    split: usize,
+}
+
+/// One pair dimension's ranges in the [`Pairs`] buffers: `bins` in
+/// `margins` and `parents`, `edges` in `split_edges`, `split` in `split_bins`.
+#[derive(Clone)]
+pub(crate) struct DimRanges {
+    pub bins: Range<usize>,
+    pub edges: Range<usize>,
+    pub split: Range<usize>,
+}
+
+/// One pair dimension as built or decoded, before [`Pairs::push`] appends
+/// it: the parent map, the interior edges of split 1-d bins and the metadata
+/// of their children.
+#[derive(Debug, Default)]
+pub(crate) struct DimParts {
+    pub parent: Vec<u32>,
+    pub edges: Vec<f64>,
+    pub split: Vec<BinMeta>,
+}
+
+/// One pair as [`build_pair`] builds it.
+pub(crate) struct PairParts {
+    pub cells: Vec<u32>,
+    pub dims: [DimParts; 2],
+}
+
+impl Pairs {
+    /// Number of pairs.
+    pub(crate) fn len(&self) -> usize {
+        self.at.len() / 2
+    }
+
+    /// The cells of every pair's count matrix, appended to `cells` or not.
+    pub(crate) fn n_cells(&self) -> usize {
+        self.at.last().map_or(0, |a| a.cells)
+    }
+
+    /// Appends a pair of dimensions `dims`. Its count matrix is for the
+    /// caller to append to `cells` (the decoder reads every pair's dimensions
+    /// first), and its margins for [`fill_margins`](Self::fill_margins).
+    pub(crate) fn push(&mut self, dims: &[DimParts; 2]) {
+        let start = self.n_cells();
+        let end = start + dims[0].parent.len() * dims[1].parent.len();
+        for (dim, cells) in dims.iter().zip([start, end]) {
+            self.parents.extend_from_slice(&dim.parent);
+            self.split_edges.extend_from_slice(&dim.edges);
+            self.split_bins.extend_from_slice(&dim.split);
+            let (bins, edges, split) =
+                (self.parents.len(), self.split_edges.len(), self.split_bins.len());
+            self.at.push(At { cells, bins, edges, split });
+        }
+        self.margins.resize(self.parents.len(), 0);
+    }
+
+    /// Pair `p`'s ranges in the buffers: its cells, then its two dimensions.
+    pub(crate) fn ranges(&self, p: usize) -> (Range<usize>, [DimRanges; 2]) {
+        let start = if p == 0 { At::default() } else { self.at[2 * p - 1] };
+        let (i, j) = (self.at[2 * p], self.at[2 * p + 1]);
+        let dim = |a: At, b: At| DimRanges {
+            bins: a.bins..b.bins,
+            edges: a.edges..b.edges,
+            split: a.split..b.split,
+        };
+        (i.cells..j.cells, [dim(start, i), dim(i, j)])
+    }
+
+    /// Sets every refined bin's margin to its row or column sum.
+    pub(crate) fn fill_margins(&mut self) {
+        for p in 0..self.len() {
+            let (cells, [ri, rj]) = self.ranges(p);
+            let kj = rj.bins.len();
+            let (mi, mj) = self.margins[ri.bins.start..rj.bins.end].split_at_mut(ri.bins.len());
+            mi.fill(0);
+            mj.fill(0);
+            for (row, m) in self.cells[cells].chunks_exact(kj).zip(mi) {
+                for (&c, mj) in row.iter().zip(mj.iter_mut()) {
+                    *m += c as u64;
+                    *mj += c as u64;
+                }
+            }
+        }
+    }
+
+    /// Pair `p`, of columns `cols` whose 1-d histograms are `bases`.
+    pub(crate) fn get<'a>(
+        &'a self,
+        p: usize,
+        cols: [usize; 2],
+        bases: [&'a DimBins; 2],
+    ) -> PairHist<'a> {
+        let (cells, [ri, rj]) = self.ranges(p);
+        let dim = |r: DimRanges, base| PairDim {
+            base,
+            parent: &self.parents[r.bins.clone()],
+            counts: &self.margins[r.bins],
+            edges: &self.split_edges[r.edges],
+            split: &self.split_bins[r.split],
+        };
+        PairHist {
+            col_i: cols[0],
+            col_j: cols[1],
+            dim_i: dim(ri, bases[0]),
+            dim_j: dim(rj, bases[1]),
+            counts: &self.cells[cells],
+        }
+    }
+}
+
+/// One dimension of a pair histogram, borrowed from the synopsis's flat pair
+/// buffers: refined bins mapped onto the column's 1-d bins.
+#[derive(Debug, Clone, Copy)]
+pub struct PairDim<'a> {
+    /// The column's 1-d histogram, which holds every unsplit bin's edges,
+    /// `v±` and `u`.
+    pub base: &'a DimBins,
+    /// `parent[r]` is the 1-d bin containing refined bin `r`.
+    pub parent: &'a [u32],
+    /// Per refined bin: its margin of the count matrix, the `h` of Theorem 2
+    /// for pair-restricted coverage.
+    pub counts: &'a [u64],
+    /// The edges the pair's splits added inside 1-d bins, ascending.
+    pub edges: &'a [f64],
+    /// `v±` and `u` of the children of split 1-d bins, in refined order.
+    pub split: &'a [BinMeta],
+}
+
+impl PairDim<'_> {
+    /// Number of refined bins.
+    pub fn k(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// Calls `f(r, h, meta)` with each refined bin `r`'s margin and value
+    /// metadata, in order: a walk over the runs of refined bins that share
+    /// a 1-d bin, an unsplit one read from the 1-d histogram, the children
+    /// of a split one from the dimension's own list.
+    #[inline]
+    pub(crate) fn for_each_bin(&self, mut f: impl FnMut(usize, u64, BinMeta)) {
+        let (parent, counts) = (self.parent, self.counts);
+        let mut split = self.split.iter();
+        let mut r = 0;
+        while let Some(&p) = parent.get(r) {
+            let run = 1 + parent[r + 1..].iter().take_while(|&&q| q == p).count();
+            if run == 1 {
+                f(r, counts[r], self.base.meta(p as usize));
+            } else {
+                for (t, &meta) in (r..r + run).zip(split.by_ref()) {
+                    f(t, counts[t], meta);
+                }
+            }
+            r += run;
+        }
+    }
+}
+
+/// The two-dimensional histogram `H⁽ⁱʲ⁾` for one column pair (Fig 4),
+/// borrowed from the synopsis's flat pair buffers: its count matrix and its
+/// two refined dimensions. [`PairwiseHist::pair`](crate::PairwiseHist::pair)
+/// returns one.
+#[derive(Debug, Clone, Copy)]
+pub struct PairHist<'a> {
     /// First column index (`i < j` by construction).
     pub col_i: usize,
     /// Second column index.
     pub col_j: usize,
     /// Refined bins along column `i` (`e⁽ⁱ|ʲ⁾`).
-    pub dim_i: PairDim,
+    pub dim_i: PairDim<'a>,
     /// Refined bins along column `j` (`e⁽ʲ|ⁱ⁾`).
-    pub dim_j: PairDim,
+    pub dim_j: PairDim<'a>,
     /// Bin counts, row-major `k⁽ⁱ|ʲ⁾ × k⁽ʲ|ⁱ⁾`, over rows non-null in **both**
     /// columns.
-    pub counts: Vec<u32>,
+    pub counts: &'a [u32],
 }
 
-impl Clone for PairDim {
-    fn clone(&self) -> Self {
-        let Self { bins, parent } = self;
-        Self { bins: bins.clone(), parent: parent.clone() }
-    }
-
-    /// Copies `source` into the buffers `self` already owns (see
-    /// [`DimBins`]'s `clone_from`).
-    fn clone_from(&mut self, source: &Self) {
-        let Self { bins, parent } = self;
-        bins.clone_from(&source.bins);
-        parent.clone_from(&source.parent);
-    }
-}
-
-impl Clone for PairHist {
-    fn clone(&self) -> Self {
-        let Self { col_i, col_j, dim_i, dim_j, counts } = self;
-        Self {
-            col_i: *col_i,
-            col_j: *col_j,
-            dim_i: dim_i.clone(),
-            dim_j: dim_j.clone(),
-            counts: counts.clone(),
-        }
-    }
-
-    /// Copies `source` into the buffers `self` already owns (see
-    /// [`DimBins`]'s `clone_from`).
-    fn clone_from(&mut self, source: &Self) {
-        let Self { col_i, col_j, dim_i, dim_j, counts } = self;
-        *col_i = source.col_i;
-        *col_j = source.col_j;
-        dim_i.clone_from(&source.dim_i);
-        dim_j.clone_from(&source.dim_j);
-        counts.clone_from(&source.counts);
-    }
-}
-
-impl PairHist {
+impl PairHist<'_> {
     /// `k⁽ⁱ|ʲ⁾`.
     pub fn ki(&self) -> usize {
-        self.dim_i.bins.k()
+        self.dim_i.k()
     }
 
     /// `k⁽ʲ|ⁱ⁾`.
     pub fn kj(&self) -> usize {
-        self.dim_j.bins.k()
+        self.dim_j.k()
     }
 
     /// Computes `H⁽ⁱʲ⁾ β` (Eq 27-28) for a leaf's three coverage vectors at once
@@ -151,7 +292,7 @@ impl PairHist {
             for ri in band {
                 let (bp, bl, bh) = (cov_p[ri], cov_lo[ri], cov_hi[ri]);
                 let row = &self.counts[ri * kj..(ri + 1) * kj];
-                for (&c, &parent) in row.iter().zip(&self.dim_j.parent) {
+                for (&c, &parent) in row.iter().zip(self.dim_j.parent) {
                     let (c, parent) = (c as f64, parent as usize);
                     out_p[parent] += c * bp;
                     out_lo[parent] += c * bl;
@@ -205,8 +346,6 @@ impl PairHist {
 /// computed once per build and shared by the `d − 1` pairs the column is in.
 #[derive(Clone, Copy)]
 pub(crate) struct PairColumn<'a> {
-    /// Column index in the table.
-    pub index: usize,
     /// The sample column, NULL codes included, in row order.
     pub values: &'a [u64],
     /// `bin_of[r]`: the 1-d bin of `values[r]`, or [`NULL_BIN`] for a NULL row.
@@ -254,6 +393,7 @@ pub(crate) struct PairScratch {
 const LIGHT: u32 = u32::MAX;
 
 /// Builds the pair histogram for columns `(i, j)` over the rows non-null in both.
+/// Its margins are left to [`Pairs::fill_margins`].
 pub(crate) fn build_pair(
     i: PairColumn<'_>,
     j: PairColumn<'_>,
@@ -261,7 +401,7 @@ pub(crate) fn build_pair(
     split_rule: SplitRule,
     chi2: &mut Chi2Cache,
     scratch: &mut PairScratch,
-) -> PairHist {
+) -> PairParts {
     let (bins_i, bins_j) = (i.bins, j.bins);
     let (ki0, kj0) = (bins_i.k(), bins_j.k());
     // `(bin_i, bin_j)` of every row both columns have a value in.
@@ -337,22 +477,9 @@ pub(crate) fn build_pair(
         }
         counts
     };
-    // Per-dimension counts are the matrix marginals (rows non-null in both columns):
-    // they are the `h` of Theorem 2 for pair-restricted coverage, and — unlike
-    // full-column counts — are exactly derivable from the stored count matrix.
-    let mut row_sums = vec![0u64; ki];
-    let mut col_sums = vec![0u64; kj];
-    for ri in 0..ki {
-        for rj in 0..kj {
-            let c = counts[ri * kj + rj] as u64;
-            row_sums[ri] += c;
-            col_sums[rj] += c;
-        }
-    }
-    let dim_i = finalize_dim(i.sorted, edges_i, &first_i, bins_i, row_sums, m_min, chi2);
-    let dim_j = finalize_dim(j.sorted, edges_j, &first_j, bins_j, col_sums, m_min, chi2);
-
-    PairHist { col_i: i.index, col_j: j.index, dim_i, dim_j, counts }
+    let dim_i = finalize_dim(i.sorted, &edges_i, &first_i, bins_i);
+    let dim_j = finalize_dim(j.sorted, &edges_j, &first_j, bins_j);
+    PairParts { cells: counts, dims: [dim_i, dim_j] }
 }
 
 /// For each 1-d edge, its index among the refined edges (a superset of them):
@@ -569,58 +696,40 @@ fn merge_edges(base: &[f64], extra: &BTreeSet<i64>) -> Vec<f64> {
     all
 }
 
-/// Builds a [`PairDim`]: full-column value metadata (`v±`, `u`) over the refined
-/// edges — so unsplit bins coincide with the 1-d histogram's, the property the Fig 6
-/// storage layout exploits — combined with matrix-marginal counts, plus the parent
-/// map back to the 1-d histogram. `first` is [`first_refined`] of the edges.
-///
-/// A refined bin whose parent no cell split *is* that parent over the same
-/// sorted column, so its metadata is copied from the 1-d histogram; only the
-/// values of split parents are scanned.
-fn finalize_dim(
-    sorted: &[u64],
-    edges: Vec<f64>,
-    first: &[u32],
-    parent_bins: &DimBins,
-    counts: Vec<u64>,
-    m_min: usize,
-    chi2: &mut Chi2Cache,
-) -> PairDim {
-    let k = edges.len() - 1;
-    assert_eq!(counts.len(), k);
-    let mut vmin = Vec::with_capacity(k);
-    let mut vmax = Vec::with_capacity(k);
-    let mut uniq = Vec::with_capacity(k);
-    let mut parent = Vec::with_capacity(k);
+/// One pair dimension's [`DimParts`]: the parent map back to the 1-d
+/// histogram, and for each 1-d bin a cell split, its interior edges and its
+/// children's value metadata (`v±`, `u`) over the full column. `first` is
+/// [`first_refined`] of the refined `edges`. An unsplit bin is its 1-d
+/// parent, so only the values of split parents are scanned.
+fn finalize_dim(sorted: &[u64], edges: &[f64], first: &[u32], parent_bins: &DimBins) -> DimParts {
+    let mut dim = DimParts { parent: Vec::with_capacity(edges.len() - 1), ..Default::default() };
     let mut start = 0usize;
     for p in 0..parent_bins.k() {
         let refined = first[p] as usize..first[p + 1] as usize;
         let end = start + parent_bins.counts[p] as usize;
-        parent.resize(refined.end, p as u32);
-        if refined.len() == 1 {
-            vmin.push(parent_bins.vmin[p]);
-            vmax.push(parent_bins.vmax[p]);
-            uniq.push(parent_bins.uniq[p]);
-        } else {
+        dim.parent.resize(refined.end, p as u32);
+        if refined.len() > 1 {
+            dim.edges.extend_from_slice(&edges[refined.start + 1..refined.end]);
             for t in refined {
                 let (e_lo, e_hi) = (edges[t], edges[t + 1]);
                 let stop = start + sorted[start..end].partition_point(|&v| (v as f64) < e_hi);
                 let slice = &sorted[start..stop];
-                if slice.is_empty() {
-                    vmin.push(e_lo.ceil().max(0.0) as u64);
-                    vmax.push(e_hi.floor().max(0.0) as u64);
-                    uniq.push(0);
-                } else {
-                    vmin.push(slice[0]);
-                    vmax.push(slice[slice.len() - 1]);
-                    uniq.push(count_unique_sorted(slice) as u32);
-                }
+                dim.split.push(match (slice.first(), slice.last()) {
+                    (Some(&vmin), Some(&vmax)) => {
+                        BinMeta { vmin, vmax, uniq: count_unique_sorted(slice) as u32 }
+                    }
+                    _ => BinMeta {
+                        vmin: e_lo.ceil().max(0.0) as u64,
+                        vmax: e_hi.floor().max(0.0) as u64,
+                        uniq: 0,
+                    },
+                });
                 start = stop;
             }
         }
         start = end;
     }
-    PairDim { bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2), parent }
+    dim
 }
 
 #[cfg(test)]
@@ -632,8 +741,30 @@ mod tests {
     use crate::build1d::{build_dim_bins_1d, edges_from_seeds};
     use rand::{Rng, SeedableRng};
 
+    /// Built pairs assembled into [`Pairs`], over their columns' 1-d bins.
+    struct Assembled {
+        pairs: Pairs,
+        bases: [DimBins; 2],
+    }
+
+    impl Assembled {
+        fn new(parts: impl IntoIterator<Item = PairParts>, bases: [DimBins; 2]) -> Self {
+            let mut pairs = Pairs::default();
+            for part in parts {
+                pairs.push(&part.dims);
+                pairs.cells.extend(part.cells);
+            }
+            pairs.fill_margins();
+            Self { pairs, bases }
+        }
+
+        fn pair(&self, p: usize) -> PairHist<'_> {
+            self.pairs.get(p, [0, 1], [&self.bases[0], &self.bases[1]])
+        }
+    }
+
     /// Builds 1-d bins + the pair for two correlated columns.
-    fn setup(xi: Vec<u64>, xj: Vec<u64>, m_min: usize) -> PairHist {
+    fn setup(xi: Vec<u64>, xj: Vec<u64>, m_min: usize) -> Assembled {
         let mut chi2 = Chi2Cache::new(0.001);
         let mut si = xi.clone();
         si.sort_unstable();
@@ -644,14 +775,15 @@ mod tests {
         let bi = build_dim_bins_1d(&si, &ei, m_min, SplitRule::EqualWidth, &mut chi2);
         let bj = build_dim_bins_1d(&sj, &ej, m_min, SplitRule::EqualWidth, &mut chi2);
         let (oi, oj) = (bin_rows(&xi, None, &bi), bin_rows(&xj, None, &bj));
-        build_pair(
-            PairColumn { index: 0, values: &xi, bin_of: &oi, sorted: &si, bins: &bi },
-            PairColumn { index: 1, values: &xj, bin_of: &oj, sorted: &sj, bins: &bj },
+        let part = build_pair(
+            PairColumn { values: &xi, bin_of: &oi, sorted: &si, bins: &bi },
+            PairColumn { values: &xj, bin_of: &oj, sorted: &sj, bins: &bj },
             m_min,
             SplitRule::EqualWidth,
             &mut chi2,
             &mut PairScratch::default(),
-        )
+        );
+        Assembled::new([part], [bi, bj])
     }
 
     #[test]
@@ -660,7 +792,8 @@ mod tests {
         let n = 6000;
         let xi: Vec<u64> = (0..n).map(|_| rng.gen_range(0..500)).collect();
         let xj: Vec<u64> = xi.iter().map(|&v| v * 2 + rng.gen_range(0..50)).collect();
-        let pair = setup(xi, xj, 60);
+        let built = setup(xi, xj, 60);
+        let pair = built.pair(0);
         let total: u64 = pair.counts.iter().map(|&c| c as u64).sum();
         assert_eq!(total, n as u64);
         assert_eq!(pair.counts.len(), pair.ki() * pair.kj());
@@ -691,7 +824,8 @@ mod tests {
             build_dim_bins_1d(&si, &ei, 200, SplitRule::EqualWidth, &mut chi2).k()
                 + build_dim_bins_1d(&sj, &ej, 200, SplitRule::EqualWidth, &mut chi2).k()
         };
-        let pair = setup(xi, xj, 200);
+        let built = setup(xi, xj, 200);
+        let pair = built.pair(0);
         assert!(
             pair.ki() + pair.kj() > k1d,
             "dependent data must trigger 2-d refinement (ki={}, kj={}, 1-d total={})",
@@ -707,7 +841,8 @@ mod tests {
         let n = 20_000;
         let xi: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
         let xj: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-        let pair = setup(xi, xj, 200);
+        let built = setup(xi, xj, 200);
+        let pair = built.pair(0);
         // Uniform marginals & independence: with alpha = 0.001 refinement should be
         // rare. Allow a couple of false-positive splits.
         assert!(pair.ki() <= 4 && pair.kj() <= 4, "ki={} kj={}", pair.ki(), pair.kj());
@@ -723,18 +858,16 @@ mod tests {
             )
             .collect();
         let xj: Vec<u64> = xi.iter().map(|&v| 1000 - v + rng.gen_range(0..20)).collect();
-        let pair = setup(xi, xj, 80);
+        let built = setup(xi, xj, 80);
+        let pair = built.pair(0);
         assert!(pair.dim_i.parent.windows(2).all(|w| w[0] <= w[1]), "parents monotone");
-        // Refined bins within a parent must tile the parent exactly: per-parent
-        // full-column counts agree between refined and 1-d bins.
-        let k1 = *pair.dim_i.parent.iter().max().unwrap() as usize + 1;
-        let mut per_parent = vec![0u64; k1];
+        // Refined bins within a parent must tile the parent exactly: with no
+        // NULLs, a 1-d bin's margins sum to its count.
+        let mut per_parent = vec![0u64; pair.dim_i.base.k()];
         for (r, &p) in pair.dim_i.parent.iter().enumerate() {
-            per_parent[p as usize] += pair.dim_i.bins.counts[r];
+            per_parent[p as usize] += pair.dim_i.counts[r];
         }
-        let total_refined: u64 = per_parent.iter().sum();
-        let total_1d: u64 = pair.dim_i.bins.counts.iter().sum();
-        assert_eq!(total_refined, total_1d);
+        assert_eq!(per_parent, pair.dim_i.base.counts);
     }
 
     /// A NULL's code in the generated columns (outside every value range).
@@ -817,9 +950,8 @@ mod tests {
             GenColumn { values, sorted, bins, bin_of }
         }
 
-        fn column(&self, index: usize) -> PairColumn<'_> {
+        fn column(&self) -> PairColumn<'_> {
             PairColumn {
-                index,
                 values: &self.values,
                 bin_of: &self.bin_of,
                 sorted: &self.sorted,
@@ -848,34 +980,31 @@ mod tests {
             let a = GenColumn::generate(&mut rng, n, &[], m_min, split_rule, &mut chi2);
             let b = GenColumn::generate(&mut rng, n, &a.values, m_min, split_rule, &mut chi2);
             let mut scratch = PairScratch::default();
-            for (i, j) in [(a.column(0), b.column(1)), (b.column(0), a.column(1))] {
-                let built = build_pair(i, j, m_min, split_rule, &mut chi2, &mut scratch);
-                let expected = reference::build_pair(i, j, m_min, split_rule, &mut chi2);
-                proptest::prop_assert_eq!(built, expected, "seed {}", seed);
+            for (i, j) in [(&a, &b), (&b, &a)] {
+                let (ci, cj) = (i.column(), j.column());
+                let built = build_pair(ci, cj, m_min, split_rule, &mut chi2, &mut scratch);
+                let built = Assembled::new([built], [i.bins.clone(), j.bins.clone()]);
+                let expected = reference::build_pair(ci, cj, m_min, split_rule, &mut chi2);
+                proptest::prop_assert_eq!(
+                    reference::DensePair::of(built.pair(0)),
+                    expected,
+                    "seed {}",
+                    seed
+                );
             }
         }
     }
 
     /// A hand-assembled pair: `counts` is `ki × kj`, and each dimension's refined
-    /// bins map onto `parent_k` 1-d bins through a monotone parent map. Only what
-    /// the folds read is meaningful; the bin metadata is filler.
-    fn pair_of(counts: Vec<u32>, parent_i: Vec<u32>, parent_j: Vec<u32>) -> PairHist {
+    /// bins map onto 1-d bins through a monotone parent map. Only what the
+    /// folds read is meaningful: no 1-d bin is split, and the 1-d bins are filler.
+    fn pair_of(counts: Vec<u32>, parent_i: Vec<u32>, parent_j: Vec<u32>) -> Assembled {
         let mut chi2 = Chi2Cache::new(0.001);
-        let mut dim = |parent: Vec<u32>| {
-            let k = parent.len();
-            let edges = (0..=k).map(|t| t as f64 - 0.5).collect();
-            let bins = DimBins::finalize(
-                edges,
-                vec![0; k],
-                vec![1; k],
-                vec![1; k],
-                vec![1; k],
-                10,
-                &mut chi2,
-            );
-            PairDim { bins, parent }
-        };
-        PairHist { col_i: 0, col_j: 1, dim_i: dim(parent_i), dim_j: dim(parent_j), counts }
+        let base =
+            DimBins::finalize(vec![-0.5, 0.5], vec![0], vec![0], vec![0], vec![0], 10, &mut chi2);
+        let dim = |parent| DimParts { parent, ..Default::default() };
+        let part = PairParts { cells: counts, dims: [dim(parent_i), dim(parent_j)] };
+        Assembled::new([part], [base.clone(), base])
     }
 
     proptest::proptest! {
@@ -901,7 +1030,8 @@ mod tests {
                     if dead || rng.gen_bool(0.3) { 0 } else { rng.gen_range(1..5_000u32) }
                 })
                 .collect();
-            let pair = pair_of(counts, parent_i, parent_j);
+            let built = pair_of(counts, parent_i, parent_j);
+            let pair = built.pair(0);
 
             for cover_on_j in [true, false] {
                 let kb = if cover_on_j { kj } else { ki };
@@ -949,18 +1079,8 @@ mod tests {
     #[test]
     fn fold_coverage_row_and_column() {
         // Tiny hand-built pair: 2x2 counts, identity parents.
-        let mut chi2 = Chi2Cache::new(0.001);
-        let mut mk = |edges: Vec<f64>, c: Vec<u64>| {
-            let k = c.len();
-            DimBins::finalize(edges, vec![0; k], vec![1; k], vec![1; k], c, 10, &mut chi2)
-        };
-        let pair = PairHist {
-            col_i: 0,
-            col_j: 1,
-            dim_i: PairDim { bins: mk(vec![-0.5, 4.5, 9.5], vec![30, 10]), parent: vec![0, 1] },
-            dim_j: PairDim { bins: mk(vec![-0.5, 4.5, 9.5], vec![25, 15]), parent: vec![0, 1] },
-            counts: vec![20, 10, 5, 5],
-        };
+        let built = pair_of(vec![20, 10, 5, 5], vec![0, 1], vec![0, 1]);
+        let pair = built.pair(0);
         // Coverage [1, 0] on j: row sums of first column -> i-parents [20, 5].
         assert_eq!(pair.fold_coverage(&[1.0, 0.0], true, 2), vec![20.0, 5.0]);
         // Coverage [0.5, 0.5] on i -> j-parents [12.5, 7.5].

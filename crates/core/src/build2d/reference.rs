@@ -1,9 +1,55 @@
 //! The pair build as it refined before each heavy cell was sorted once: every
 //! recursion level copies and sorts both dimensions' values and re-sorts the
-//! points, and every refined bin's metadata comes from a scan of the whole
-//! column. It is the oracle [`build_pair`](super::build_pair) is tested against.
+//! points, and every refined bin's edges, metadata and margin are spelled out,
+//! the metadata from a scan of the whole column. It is the oracle
+//! [`build_pair`](super::build_pair) is tested against, through
+//! [`DensePair::of`].
 
 use super::*;
+
+/// A pair with every refined bin spelled out, as pairs were held before
+/// unsplit bins were read from the 1-d histograms: what the reference build
+/// and the reference fold (`update::reference`) produce.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DensePair {
+    pub dims: [DenseDim; 2],
+    pub counts: Vec<u32>,
+}
+
+/// One dimension of a [`DensePair`]: every refined edge, and per refined bin
+/// its value metadata, its margin and its parent 1-d bin.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DenseDim {
+    pub edges: Vec<f64>,
+    pub meta: Vec<BinMeta>,
+    pub counts: Vec<u64>,
+    pub parent: Vec<u32>,
+}
+
+impl DensePair {
+    /// `pair` with each unsplit bin's edges and metadata copied from its
+    /// 1-d parent.
+    pub fn of(pair: PairHist<'_>) -> Self {
+        Self {
+            dims: [DenseDim::of(pair.dim_i), DenseDim::of(pair.dim_j)],
+            counts: pair.counts.to_vec(),
+        }
+    }
+}
+
+impl DenseDim {
+    fn of(dim: PairDim<'_>) -> Self {
+        let mut edges = dim.base.edges.clone();
+        edges.extend_from_slice(dim.edges);
+        edges.sort_by(f64::total_cmp);
+        let (mut counts, mut meta) = (Vec::new(), Vec::new());
+        dim.for_each_bin(|_, h, m| {
+            counts.push(h);
+            meta.push(m);
+        });
+        Self { edges, meta, counts, parent: dim.parent.to_vec() }
+    }
+}
 
 /// [`build_pair`](super::build_pair) as it was.
 pub(crate) fn build_pair(
@@ -12,7 +58,7 @@ pub(crate) fn build_pair(
     m_min: usize,
     split_rule: SplitRule,
     chi2: &mut Chi2Cache,
-) -> PairHist {
+) -> DensePair {
     let (bins_i, bins_j) = (i.bins, j.bins);
     let (ki0, kj0) = (bins_i.k(), bins_j.k());
     // `(bin_i, bin_j)` of every row both columns have a value in.
@@ -109,10 +155,9 @@ pub(crate) fn build_pair(
             col_sums[rj] += c;
         }
     }
-    let dim_i = finalize_dim(i.sorted, edges_i, bins_i, row_sums, m_min, chi2);
-    let dim_j = finalize_dim(j.sorted, edges_j, bins_j, col_sums, m_min, chi2);
-
-    PairHist { col_i: i.index, col_j: j.index, dim_i, dim_j, counts }
+    let dim_i = finalize_dim(i.sorted, edges_i, bins_i, row_sums);
+    let dim_j = finalize_dim(j.sorted, edges_j, bins_j, col_sums);
+    DensePair { dims: [dim_i, dim_j], counts }
 }
 
 /// `RefineBin2D` over the heavy cells of one pair: the build parameters, the
@@ -195,30 +240,34 @@ fn finalize_dim(
     edges: Vec<f64>,
     parent_bins: &DimBins,
     counts: Vec<u64>,
-    m_min: usize,
-    chi2: &mut Chi2Cache,
-) -> PairDim {
+) -> DenseDim {
     let k = edges.len() - 1;
     assert_eq!(counts.len(), k);
-    let mut vmin = Vec::with_capacity(k);
-    let mut vmax = Vec::with_capacity(k);
-    let mut uniq = Vec::with_capacity(k);
+    let mut meta = Vec::with_capacity(k);
     let mut start = 0usize;
     for t in 0..k {
         let (e_lo, e_hi) = (edges[t], edges[t + 1]);
         let end = start + sorted[start..].partition_point(|&v| (v as f64) < e_hi);
         let slice = &sorted[start..end];
-        if slice.is_empty() {
-            vmin.push(e_lo.ceil().max(0.0) as u64);
-            vmax.push(e_hi.floor().max(0.0) as u64);
-            uniq.push(0);
+        meta.push(if slice.is_empty() {
+            BinMeta {
+                vmin: e_lo.ceil().max(0.0) as u64,
+                vmax: e_hi.floor().max(0.0) as u64,
+                uniq: 0,
+            }
         } else {
-            vmin.push(slice[0]);
-            vmax.push(slice[slice.len() - 1]);
-            uniq.push(count_unique_sorted(slice) as u32);
-        }
+            BinMeta {
+                vmin: slice[0],
+                vmax: slice[slice.len() - 1],
+                uniq: count_unique_sorted(slice) as u32,
+            }
+        });
         start = end;
     }
-    let parent = crate::storage::parent_map(&edges, &parent_bins.edges);
-    PairDim { bins: DimBins::finalize(edges, vmin, vmax, uniq, counts, m_min, chi2), parent }
+    // The 1-d bin below each refined bin's midpoint.
+    let parent = edges
+        .windows(2)
+        .map(|w| parent_bins.edges.partition_point(|&e| e < 0.5 * (w[0] + w[1])) as u32 - 1)
+        .collect();
+    DenseDim { edges, meta, counts, parent }
 }

@@ -10,7 +10,7 @@ use ph_gd::EncodedLiteral;
 use ph_sql::CmpOp;
 use ph_stats::terrell_scott;
 
-use crate::bins::DimBins;
+use crate::bins::BinMeta;
 
 /// A union of disjoint, sorted, closed integer intervals `[lo, hi]` over the encoded
 /// domain of one column.
@@ -231,11 +231,13 @@ impl RangeSet {
 ///   overlap (Eq 16's `f_t`);
 /// * the `u = 2` special case uses the half-credit rule;
 /// * the total is capped at 1.
-pub fn bin_coverage(bins: &DimBins, t: usize, rs: &RangeSet) -> f64 {
-    if bins.counts[t] == 0 {
+///
+/// `h` is the bin's count and `meta` its value metadata.
+pub fn bin_coverage(h: u64, meta: BinMeta, rs: &RangeSet) -> f64 {
+    if h == 0 {
         return 0.0;
     }
-    let (vmin, vmax, u) = (bins.vmin[t], bins.vmax[t], bins.uniq[t]);
+    let BinMeta { vmin, vmax, uniq: u } = meta;
     if u <= 1 {
         return if rs.contains(vmin) { 1.0 } else { 0.0 };
     }
@@ -298,7 +300,7 @@ pub fn coverage_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ph_stats::{chi2_critical, Chi2Cache};
+    use ph_stats::chi2_critical;
     use proptest::prelude::*;
 
     fn rs(ivs: &[(u64, u64)]) -> RangeSet {
@@ -388,64 +390,42 @@ mod tests {
         assert_eq!(c.complement(30), set);
     }
 
+    /// One bin over values `0..=99` holding `uniq` of them.
+    fn bin(uniq: u32) -> BinMeta {
+        BinMeta { vmin: 0, vmax: 99, uniq }
+    }
+
     #[test]
     fn coverage_cases() {
-        let mut chi2 = Chi2Cache::new(0.001);
         // One bin, values 0..=99, u = 100, h = 1000.
-        let bins = DimBins::finalize(
-            vec![-0.5, 99.5],
-            vec![0],
-            vec![99],
-            vec![100],
-            vec![1000],
-            100,
-            &mut chi2,
-        );
+        let b = bin(100);
         // Full cover.
-        assert_eq!(bin_coverage(&bins, 0, &RangeSet::full(200)), 1.0);
+        assert_eq!(bin_coverage(1000, b, &RangeSet::full(200)), 1.0);
         // No overlap.
-        assert_eq!(bin_coverage(&bins, 0, &RangeSet::interval(200, 300)), 0.0);
+        assert_eq!(bin_coverage(1000, b, &RangeSet::interval(200, 300)), 0.0);
         // Dense bin (u = extent): [0, 49] covers exactly 50 of 100 values.
-        let half = bin_coverage(&bins, 0, &RangeSet::interval(0, 49));
+        let half = bin_coverage(1000, b, &RangeSet::interval(0, 49));
         assert!((half - 0.5).abs() < 1e-12);
         // Point: 1/u.
-        assert!((bin_coverage(&bins, 0, &RangeSet::point(42)) - 0.01).abs() < 1e-12);
+        assert!((bin_coverage(1000, b, &RangeSet::point(42)) - 0.01).abs() < 1e-12);
+        // An empty bin covers nothing.
+        assert_eq!(bin_coverage(0, b, &RangeSet::full(200)), 0.0);
     }
 
     #[test]
     fn coverage_sparse_bin_uses_width_fraction() {
-        let mut chi2 = Chi2Cache::new(0.001);
         // u = 50 < extent 100: falls back to the paper's width-fraction rule.
-        let bins = DimBins::finalize(
-            vec![-0.5, 99.5],
-            vec![0],
-            vec![99],
-            vec![50],
-            vec![1000],
-            100,
-            &mut chi2,
-        );
-        let c = bin_coverage(&bins, 0, &RangeSet::interval(0, 49));
+        let c = bin_coverage(1000, bin(50), &RangeSet::interval(0, 49));
         assert!((c - 49.0 / 99.0).abs() < 1e-12);
     }
 
     #[test]
     fn coverage_u2_half_rule() {
-        let mut chi2 = Chi2Cache::new(0.001);
-        let bins = DimBins::finalize(
-            vec![-0.5, 99.5],
-            vec![0],
-            vec![99],
-            vec![2],
-            vec![50],
-            100,
-            &mut chi2,
-        );
         // Covers only vmin.
-        assert_eq!(bin_coverage(&bins, 0, &RangeSet::interval(0, 50)), 0.5);
+        assert_eq!(bin_coverage(50, bin(2), &RangeSet::interval(0, 50)), 0.5);
         // Covers both extremes -> 1 even though middle uncovered.
         let both = RangeSet::point(0).union(&RangeSet::point(99));
-        assert_eq!(bin_coverage(&bins, 0, &both), 1.0);
+        assert_eq!(bin_coverage(50, bin(2), &both), 1.0);
     }
 
     #[test]

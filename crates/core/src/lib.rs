@@ -63,9 +63,9 @@ mod wal;
 mod weights;
 
 pub use aggregate::Estimate;
-pub use bins::DimBins;
+pub use bins::{BinMeta, DimBins};
 pub use build::{PairwiseHist, PairwiseHistConfig, SplitRule};
-pub use build2d::PairHist;
+pub use build2d::{PairDim, PairHist};
 pub use coverage::RangeSet;
 pub use engine::{AqpAnswer, AqpError};
 pub use persist::segment_to_bytes;

@@ -69,10 +69,8 @@ impl Session {
     /// appends to the table's raw delta rows and folds into the delta's synopsis
     /// through the edge-free update path (`update.rs`), leaving every sealed
     /// segment untouched. The fold is out of place, into a copy of the delta
-    /// synopsis; that copy is written over the buffers of the version the
-    /// previous fold superseded, so it allocates nothing unless a reader still
-    /// held that version when it was superseded (then it is a fresh clone, the
-    /// one term left that is not O(batch)). When the delta
+    /// synopsis: a few buffers per column, whatever the number of pairs, the
+    /// one term left that is not O(batch). When the delta
     /// crosses [`Session::set_seal_threshold`] rows — or its staleness crosses
     /// [`Session::set_max_staleness`] — it is **sealed**: cut into segment-sized
     /// slices, each compressed and refined into a fresh synopsis, appended to
@@ -221,9 +219,8 @@ impl Session {
                     _ => seal_delta(&cur, &rows, &mut w.encode_scratch),
                 },
                 // Pure O(batch) path: fold the encoded batch into the delta
-                // synopsis (or build it from the first batch), keep the epoch.
-                // Out of place, as `with_ingested` is, but into the spare's
-                // buffers when this writer kept one.
+                // synopsis out of place (or build it from the first batch),
+                // keep the epoch.
                 None => {
                     let delta = {
                         let _fold = span(Stage::Fold);
@@ -231,14 +228,7 @@ impl Session {
                             Some(engine) => {
                                 let rows =
                                     pre.encode_resolved(batch, &ranks, &mut w.encode_scratch);
-                                let mut next = match w.spare_delta.take() {
-                                    Some(mut spare) => {
-                                        spare.clone_from(engine);
-                                        spare
-                                    }
-                                    None => engine.clone(),
-                                };
-                                next.ingest(&rows);
+                                let next = engine.with_ingested(&rows);
                                 w.encode_scratch.reclaim(rows);
                                 next
                             }
@@ -257,21 +247,13 @@ impl Session {
         let delta_bytes = w.delta_rows.as_ref().map_or(0, Dataset::heap_size);
         cell.delta_bytes.store(delta_bytes, Ordering::Relaxed);
         let staleness = next.staleness();
-        let superseded = cell.swap(next);
-        // Once this writer's own handle is gone, a fold's superseded version
-        // is unshared unless a reader still holds it; if it is unshared, its
-        // delta synopsis becomes the next fold's spare. A seal or refit leaves
-        // no spare (the next batch builds a fresh delta), so no spare keeps
-        // old transforms alive.
-        drop(cur);
+        // Whatever the superseded version frees is freed here, outside the
+        // state lock (unless a reader still holds it).
+        drop(cell.swap(next));
         let rebuilt = !matches!(outcome, Outcome::Fold);
         if rebuilt {
-            drop(superseded);
-            w.spare_delta = None;
             self.cache.invalidate_table(table);
             self.sealed(table, &cell, &mut w);
-        } else {
-            w.spare_delta = Arc::try_unwrap(superseded).ok().and_then(|state| state.delta);
         }
         Ok(IngestReport {
             rows: batch.n_rows(),

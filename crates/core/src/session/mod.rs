@@ -148,10 +148,6 @@ pub(crate) struct Writer {
     /// recycling the column buffers across seals removes the allocation spike
     /// that dominated ingest tail latency (p99 ≫ p50 on seal batches).
     encode_scratch: ph_gd::EncodeScratch,
-    /// The delta synopsis of a version this writer superseded and no reader
-    /// held any more: the next plain fold copies the published delta into its
-    /// buffers (`clone_from`) instead of allocating a fresh copy.
-    spare_delta: Option<PairwiseHist>,
 }
 
 /// The epoch cell of one table: the current state, swapped atomically under

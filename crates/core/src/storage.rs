@@ -22,11 +22,11 @@ use ph_encoding::{
     BitWriter, Bytes, Out,
 };
 use ph_gd::Preprocessor;
-use ph_stats::{normal_quantile, terrell_scott, usable_alpha, Chi2Cache};
+use ph_stats::{normal_quantile, usable_alpha, Chi2Cache};
 
-use crate::bins::DimBins;
-use crate::build::{BuildParams, PairwiseHist};
-use crate::build2d::PairHist;
+use crate::bins::{BinMeta, DimBins};
+use crate::build::{max_sub_bins, BuildParams, PairwiseHist};
+use crate::build2d::{DimParts, Pairs};
 
 const MAGIC: &[u8; 4] = b"PWH1";
 
@@ -89,33 +89,25 @@ impl PairwiseHist {
         }
         let hists_1d_bytes = out.len() - params_bytes;
 
-        // --- 2-d extras ---
-        for pair in &self.pairs {
-            for (dim, col) in [(&pair.dim_i, pair.col_i), (&pair.dim_j, pair.col_j)] {
-                let parent_bins = self.hist1d(col);
-                // Width 8 is unreachable fallback: `col` indexes a registered column.
-                let mc = m.get(col).copied().unwrap_or(8);
-                // Additional edges: refined edges not present in the 1-d histogram.
-                let extra: Vec<u64> = dim
-                    .bins
-                    .edges
-                    .iter()
-                    .filter(|e| parent_bins.edges.binary_search_by(|p| p.total_cmp(e)).is_err())
-                    .map(|&e| encode_edge(e))
-                    .collect();
-                out.u32(extra.len() as u32);
-                for &e in &extra {
-                    out.uint(e, mc);
+        // --- 2-d extras: each dimension's split edges, then its split bins ---
+        let mut p = 0;
+        for j in 1..d {
+            for i in 0..j {
+                for (col, dim) in [i, j].into_iter().zip(self.pairs.ranges(p).1) {
+                    // Width 8 is unreachable fallback: `col` indexes a registered column.
+                    let mc = m.get(col).copied().unwrap_or(8);
+                    let edges = self.pairs.split_edges.get(dim.edges).unwrap_or_default();
+                    out.u32(edges.len() as u32);
+                    for &e in edges {
+                        out.uint(encode_edge(e), mc);
+                    }
+                    for b in self.pairs.split_bins.get(dim.split).unwrap_or_default() {
+                        out.uint(b.vmin, mc);
+                        out.uint(b.vmax, mc);
+                        out.u32(b.uniq);
+                    }
                 }
-                // Metadata for bins inside split parents (ascending refined order).
-                for t in split_bins(&dim.parent) {
-                    // ph-lint: allow(no-panic-serving) — split_bins yields t < parent.len() = k, and vmin/vmax/uniq all have k entries
-                    out.uint(dim.bins.vmin[t], mc);
-                    // ph-lint: allow(no-panic-serving) — same k-bounded index as vmin above
-                    out.uint(dim.bins.vmax[t], mc);
-                    // ph-lint: allow(no-panic-serving) — same k-bounded index as vmin above
-                    out.u32(dim.bins.uniq[t]);
-                }
+                p += 1;
             }
         }
         let hists_2d_bytes = out.len() - params_bytes - hists_1d_bytes;
@@ -127,8 +119,11 @@ impl PairwiseHist {
             out.u8(lh as u8);
             out.plane(&BitPlane::pack(counts.iter().copied(), lh));
         }
-        for pair in &self.pairs {
-            write_pair_counts(&mut out, pair);
+        for p in 0..self.pairs.len() {
+            write_pair_counts(
+                &mut out,
+                self.pairs.cells.get(self.pairs.ranges(p).0).unwrap_or_default(),
+            );
         }
         let counts_bytes = out.len() - params_bytes - hists_1d_bytes - hists_2d_bytes;
 
@@ -194,12 +189,16 @@ impl PairwiseHist {
         // --- 2-d extras ---
         // A pair stores at least each dimension's `u32` count of extra edges.
         let n_pairs = r.count((d * d.saturating_sub(1) / 2) as u64, 8)?;
-        let mut raw_dims: Vec<(RawDim, RawDim)> = Vec::with_capacity(n_pairs);
+        let mut pairs = Pairs::default();
+        let mut dims = [DimParts::default(), DimParts::default()];
         for j in 1..d {
             for i in 0..j {
-                let di = read_pair_dim(&mut r, raw1d.get(i)?, *m.get(i)?)?;
-                let dj = read_pair_dim(&mut r, raw1d.get(j)?, *m.get(j)?)?;
-                raw_dims.push((di, dj));
+                for ((col, dim), mc) in
+                    [i, j].into_iter().zip(&mut dims).zip([m.get(i)?, m.get(j)?])
+                {
+                    read_pair_dim(&mut r, &raw1d.get(col)?.edges, *mc, dim)?;
+                }
+                pairs.push(&dims);
             }
         }
 
@@ -210,11 +209,14 @@ impl PairwiseHist {
             let [counts] = r.planes([(raw.edges.len() - 1, lh)])?;
             counts1d.push(counts.collect::<Vec<_>>());
         }
-        let mut pair_counts = Vec::with_capacity(n_pairs);
-        for (di, dj) in &raw_dims {
-            pair_counts.push(read_pair_counts(&mut r, di.parent.len(), dj.parent.len())?);
+        // ph-lint: allow(bounded-reserve) — the `ki·kj` cells of every pair, from edges already decoded (each refined bin backed by bytes of this body), not a length field; the matrices are dense in memory by design
+        pairs.cells.reserve_exact(pairs.n_cells());
+        for p in 0..n_pairs {
+            let (_, [di, dj]) = pairs.ranges(p);
+            read_pair_counts(&mut r, di.bins.len(), dj.bins.len(), &mut pairs.cells)?;
         }
         r.finish()?; // trailing bytes: not a synopsis this encoder wrote
+        pairs.fill_margins();
 
         // --- Reassemble ---
         let hist1d: Vec<DimBins> = raw1d
@@ -224,31 +226,7 @@ impl PairwiseHist {
                 DimBins::finalize(raw.edges, raw.vmin, raw.vmax, raw.uniq, counts, m_min, &mut chi2)
             })
             .collect();
-
-        let mut pairs = Vec::with_capacity(n_pairs);
-        let mut pair_iter = raw_dims.into_iter().zip(pair_counts);
-        for j in 1..d {
-            for i in 0..j {
-                let ((rdi, rdj), counts) = pair_iter.next()?;
-                let (row_sums, col_sums) = margins(&counts, rdi.parent.len(), rdj.parent.len())?;
-                let dim_i = rdi.finalize(row_sums, m_min, &mut chi2);
-                let dim_j = rdj.finalize(col_sums, m_min, &mut chi2);
-                pairs.push(PairHist { col_i: i, col_j: j, dim_i, dim_j, counts });
-            }
-        }
-
-        let max_u = hist1d
-            .iter()
-            .map(|h| h.uniq.iter().copied().max().unwrap_or(0))
-            .chain(pairs.iter().flat_map(|p| {
-                [
-                    p.dim_i.bins.uniq.iter().copied().max().unwrap_or(0),
-                    p.dim_j.bins.uniq.iter().copied().max().unwrap_or(0),
-                ]
-            }))
-            .max()
-            .unwrap_or(0) as usize;
-        let max_s = terrell_scott(max_u.max(1)).max(2);
+        let max_s = max_sub_bins(&hist1d, &pairs);
         let crit = (1..=max_s as u32).map(|dof| chi2.critical(dof)).collect();
 
         Some(PairwiseHist {
@@ -272,124 +250,61 @@ struct Raw1d {
     uniq: Vec<u32>,
 }
 
-/// One decoded pair dimension, before its margins are known: refined edges,
-/// the parent map, and every refined bin's metadata.
-struct RawDim {
-    edges: Vec<f64>,
-    parent: Vec<u32>,
-    vmin: Vec<u64>,
-    vmax: Vec<u64>,
-    uniq: Vec<u32>,
-}
-
-impl RawDim {
-    fn finalize(
-        self,
-        counts: Vec<u64>,
-        m_min: usize,
-        chi2: &mut Chi2Cache,
-    ) -> crate::build2d::PairDim {
-        let bins =
-            DimBins::finalize(self.edges, self.vmin, self.vmax, self.uniq, counts, m_min, chi2);
-        crate::build2d::PairDim { bins, parent: self.parent }
-    }
-}
-
-/// Reads one pair dimension's extras: its additional edges, then the metadata
-/// of the refined bins inside split parents. Every other refined bin copies
-/// its parent 1-d bin's metadata.
-fn read_pair_dim(r: &mut Bytes<'_>, parent_bins: &Raw1d, mc: usize) -> Option<RawDim> {
+/// Reads one pair dimension's extras into `dim`: its split edges, then the
+/// metadata of the refined bins they split the 1-d bins into. Every other
+/// refined bin is its 1-d parent. An edge not strictly inside a 1-d bin, or
+/// out of ascending order, is refused: no encoder writes one.
+fn read_pair_dim(
+    r: &mut Bytes<'_>,
+    parent_edges: &[f64],
+    mc: usize,
+    dim: &mut DimParts,
+) -> Option<()> {
     let n_extra = r.u32()?;
     let n_extra = r.count(n_extra.into(), mc)?;
-    let parent_edges = &parent_bins.edges;
-    let mut edges = parent_edges.clone();
+    dim.edges.clear();
     for _ in 0..n_extra {
-        edges.push(decode_edge(r.uint(mc)?));
+        dim.edges.push(decode_edge(r.uint(mc)?));
     }
-    edges.sort_by(|a, b| a.total_cmp(b));
-    edges.dedup();
-    if edges.len() != parent_edges.len() + n_extra {
-        return None; // extras must be new, distinct edges
+    // One walk over both edge lists: the parent map and the split bins' count.
+    dim.parent.clear();
+    let mut extras = dim.edges.iter().copied().peekable();
+    let mut n_split = 0;
+    for (p, w) in parent_edges.windows(2).enumerate() {
+        let &[lo, hi] = w else { return None };
+        let (mut below, first) = (lo, dim.parent.len());
+        dim.parent.push(p as u32);
+        while let Some(e) = extras.next_if(|&e| e < hi) {
+            if e <= below {
+                return None;
+            }
+            below = e;
+            dim.parent.push(p as u32);
+        }
+        if dim.parent.len() - first > 1 {
+            n_split += dim.parent.len() - first;
+        }
     }
-    let parent = parent_map(&edges, parent_edges);
-    let mut vmin = gather(&parent_bins.vmin, &parent);
-    let mut vmax = gather(&parent_bins.vmax, &parent);
-    let mut uniq = gather(&parent_bins.uniq, &parent);
-    // A split bin holds its own extremes and distinct count, in refined order.
-    for t in split_bins(&parent) {
-        let lo = r.uint(mc)?;
-        let hi = r.uint(mc)?;
-        if lo > hi {
+    if extras.next().is_some() {
+        return None; // at or beyond the top 1-d edge
+    }
+    dim.split.clear();
+    for _ in 0..n_split {
+        let (vmin, vmax) = (r.uint(mc)?, r.uint(mc)?);
+        if vmin > vmax {
             return None; // corrupt metadata: extremes out of order
         }
-        *vmin.get_mut(t)? = lo;
-        *vmax.get_mut(t)? = hi;
-        *uniq.get_mut(t)? = r.u32()?;
+        dim.split.push(BinMeta { vmin, vmax, uniq: r.u32()? });
     }
-    Some(RawDim { edges, parent, vmin, vmax, uniq })
-}
-
-/// `meta[parent[t]]` for every refined bin `t`: a 1-d bin's metadata, copied to
-/// each refined bin it holds.
-fn gather<T: Copy>(meta: &[T], parent: &[u32]) -> Vec<T> {
-    // ph-lint: allow(no-panic-serving) — parent_map clamps every entry below the 1-d bin count, and the 1-d vmin/vmax/uniq each hold one entry per bin
-    parent.iter().map(|&p| meta[p as usize]).collect()
-}
-
-/// Row and column sums of a row-major `ki × kj` count matrix.
-fn margins(counts: &[u32], ki: usize, kj: usize) -> Option<(Vec<u64>, Vec<u64>)> {
-    if kj == 0 || counts.len() != ki.checked_mul(kj)? {
-        return None;
-    }
-    let mut row_sums = vec![0u64; ki];
-    let mut col_sums = vec![0u64; kj];
-    for (row, row_sum) in counts.chunks_exact(kj).zip(&mut row_sums) {
-        for (&cnt, col_sum) in row.iter().zip(&mut col_sums) {
-            *row_sum += cnt as u64;
-            *col_sum += cnt as u64;
-        }
-    }
-    Some((row_sums, col_sums))
-}
-
-/// Indices of refined bins whose parent was split (contains more than one refined
-/// bin); exactly these carry stored metadata. `parent` is non-decreasing (refined
-/// edges nest in the 1-d edges), so a parent's children are one run and a bin is
-/// split exactly when a neighbour shares its parent.
-fn split_bins(parent: &[u32]) -> impl Iterator<Item = usize> + '_ {
-    (0..parent.len()).filter(move |&t| {
-        let p = parent.get(t);
-        (t > 0 && parent.get(t - 1) == p) || parent.get(t + 1) == p
-    })
-}
-
-/// Maps each refined bin to the 1-d bin containing it (refined edges are a superset
-/// of the 1-d edges, so every refined interval nests in exactly one parent): the
-/// last parent edge below the refined bin's midpoint, clamped to the 1-d range.
-/// Midpoints ascend, so one merge-like walk finds them all.
-pub(crate) fn parent_map(edges: &[f64], parent_edges: &[f64]) -> Vec<u32> {
-    let last = parent_edges.len().saturating_sub(2);
-    let mut below = 0; // parent edges below the current midpoint
-    edges
-        .windows(2)
-        .map(|w| {
-            // ph-lint: allow(no-panic-serving) — windows(2) yields exactly 2 elements
-            let mid = 0.5 * (w[0] + w[1]);
-            while parent_edges.get(below).is_some_and(|&e| e < mid) {
-                below += 1;
-            }
-            below.saturating_sub(1).min(last) as u32
-        })
-        .collect()
+    Some(())
 }
 
 /// Writes the count matrix of one pair, choosing dense vs sparse by exact bit cost.
-fn write_pair_counts(out: &mut Vec<u8>, pair: &PairHist) {
-    let cells = pair.counts.len() as u64;
-    let max = pair.counts.iter().copied().max().unwrap_or(0) as u64;
+fn write_pair_counts(out: &mut Vec<u8>, counts: &[u32]) {
+    let cells = counts.len() as u64;
+    let max = counts.iter().copied().max().unwrap_or(0) as u64;
     let lh = bits_for(max);
-    let nonzero: Vec<(u64, u64)> = pair
-        .counts
+    let nonzero: Vec<(u64, u64)> = counts
         .iter()
         .enumerate()
         .filter(|(_, &c)| c > 0)
@@ -420,37 +335,37 @@ fn write_pair_counts(out: &mut Vec<u8>, pair: &PairHist) {
             prev = idx as i64;
         }
     } else {
-        bits.write_plane(pair.counts.iter().map(|&c| c as u64), lh);
+        bits.write_plane(counts.iter().map(|&c| c as u64), lh);
     }
     out.bytes(&bits.finish());
 }
 
-/// Reads one pair's count matrix (inverse of [`write_pair_counts`]).
-fn read_pair_counts(r: &mut Bytes<'_>, ki: usize, kj: usize) -> Option<Vec<u32>> {
+/// Reads one pair's count matrix (inverse of [`write_pair_counts`]) onto the
+/// end of `cells`.
+fn read_pair_counts(r: &mut Bytes<'_>, ki: usize, kj: usize, cells: &mut Vec<u32>) -> Option<()> {
     let lh = r.u8().map(u32::from).filter(|lh| (1..=32).contains(lh))?;
     let sparse = r.u8()? != 0;
-    let cells = ki.checked_mul(kj)?;
+    let n = ki.checked_mul(kj)?;
     if !sparse {
-        let [counts] = r.planes([(cells, lh)])?;
-        return Some(counts.map(|c| c as u32).collect());
+        let [counts] = r.planes([(n, lh)])?;
+        cells.extend(counts.map(|c| c as u32));
+        return Some(());
     }
-    let theta = r.uvarint().filter(|&t| t <= cells as u64)?;
-    let gm = optimal_golomb_m((theta as f64 / cells.max(1) as f64).clamp(1e-9, 1.0));
-    // ph-lint: allow(bounded-reserve) — `ki·kj` cells from edges already decoded, each backed by a byte of this body, not a length field; the matrix is dense in memory by design
-    let mut counts = vec![0u32; cells];
+    let theta = r.uvarint().filter(|&t| t <= n as u64)?;
+    let gm = optimal_golomb_m((theta as f64 / n.max(1) as f64).clamp(1e-9, 1.0));
+    let start = cells.len();
+    cells.resize(start + n, 0);
+    let counts = cells.get_mut(start..)?;
     let mut reader = BitReader::new(r.clone().rest());
     let mut prev: i64 = -1;
     for _ in 0..theta {
         let gap = golomb_decode(&mut reader, gm)?;
         let idx = (prev + 1 + gap as i64) as usize;
-        if idx >= cells {
-            return None;
-        }
         *counts.get_mut(idx)? = reader.read_bits(lh)? as u32;
         prev = idx as i64;
     }
     r.take(reader.bit_pos().div_ceil(8) as usize)?;
-    Some(counts)
+    Some(())
 }
 
 /// Byte width for edges/values of one column: enough for the doubled top edge.
@@ -648,73 +563,80 @@ mod tests {
             assert_decodes_to_itself(&PairwiseHist::build(&data, &cfg));
         }
 
-        /// The linear parent map is the binary search per refined bin it
-        /// replaced, and the neighbour test in `split_bins` is the per-parent
-        /// count it replaced, also for extras outside the 1-d range, which
-        /// clamp to the first or the last parent.
+        /// The one walk of `read_pair_dim` finds the parent map a binary
+        /// search per refined bin finds and reads the metadata of exactly
+        /// the bins of split parents; an extra edge at or beyond either outer
+        /// 1-d edge, on an inner 1-d edge, repeated or out of order is refused.
         #[test]
-        fn prop_linear_parent_map_and_split_bins_equal_their_references(
+        fn prop_read_pair_dim_maps_parents_and_refuses_edges_outside_the_1d_bins(
             n_parent in 2usize..12,
             n_extra in 0usize..24,
             seed in proptest::prelude::any::<u64>(),
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut all: Vec<u64> = (0..200).collect();
-            for i in (1..all.len()).rev() {
-                all.swap(i, rng.gen_range(0..=i));
+            let mut codes: Vec<u64> = (100..300).collect();
+            for i in (1..codes.len()).rev() {
+                codes.swap(i, rng.gen_range(0..=i));
             }
-            // Parent edges in the middle of the code range, extras anywhere in
-            // it (below and above the parents too), as decoded edges are.
-            let mut parent_codes: Vec<u64> = all[..n_parent].iter().map(|c| c + 100).collect();
+            let mut parent_codes = codes[..n_parent].to_vec();
             parent_codes.sort_unstable();
-            parent_codes.dedup();
+            let (bottom, top) = (parent_codes[0], parent_codes[n_parent - 1]);
+            let mut extras: Vec<u64> = codes[n_parent..]
+                .iter()
+                .copied()
+                .filter(|&c| bottom < c && c < top)
+                .take(n_extra)
+                .collect();
+            extras.sort_unstable();
             let parent_edges: Vec<f64> = parent_codes.iter().map(|&c| decode_edge(c)).collect();
             let mut edges = parent_edges.clone();
-            edges.extend(
-                all[n_parent..n_parent + n_extra]
-                    .iter()
-                    .map(|&c| decode_edge(2 * c + rng.gen_range(0..2))),
-            );
-            edges.sort_by(|a, b| a.total_cmp(b));
-            edges.dedup();
-
-            let parent = parent_map(&edges, &parent_edges);
+            edges.extend(extras.iter().map(|&c| decode_edge(c)));
+            edges.sort_by(f64::total_cmp);
             let reference: Vec<u32> = edges
                 .windows(2)
-                .map(|w| {
-                    let mid = 0.5 * (w[0] + w[1]);
-                    let p = parent_edges.partition_point(|&e| e < mid).saturating_sub(1);
-                    p.min(parent_edges.len() - 2) as u32
-                })
+                .map(|w| parent_edges.partition_point(|&e| e < 0.5 * (w[0] + w[1])) as u32 - 1)
                 .collect();
-            proptest::prop_assert_eq!(&parent, &reference);
-            proptest::prop_assert!(parent.windows(2).all(|w| w[0] <= w[1]));
-            proptest::prop_assert_eq!(
-                split_bins(&parent).collect::<Vec<_>>(),
-                split_bins_by_counting(&parent)
-            );
+            let n_split = (0..reference.len())
+                .filter(|&t| reference.iter().filter(|&&p| p == reference[t]).count() > 1)
+                .count();
+            // The body `to_bytes` writes, two bytes wide, with `spare` more
+            // metadata entries than the split bins need.
+            let body = |extras: &[u64], spare: usize| {
+                let mut out = Vec::new();
+                out.u32(extras.len() as u32);
+                for &e in extras {
+                    out.uint(e, 2);
+                }
+                for t in 0..n_split + spare {
+                    out.uint(t as u64, 2);
+                    out.uint(t as u64 + 1, 2);
+                    out.u32(2);
+                }
+                out
+            };
+            let read = |body: &[u8]| {
+                let mut r = Bytes::new(body);
+                let mut dim = DimParts::default();
+                read_pair_dim(&mut r, &parent_edges, 2, &mut dim).map(|()| (dim, r.rest().len()))
+            };
+            let (dim, left) = read(&body(&extras, 0)).expect("a written dimension reads");
+            proptest::prop_assert_eq!(&dim.parent, &reference);
+            proptest::prop_assert_eq!((dim.split.len(), left), (n_split, 0));
 
-            // Any non-decreasing map, runs of any length from any start.
-            let mut map = Vec::new();
-            let mut p = rng.gen_range(0..3u32);
-            for _ in 0..n_extra {
-                p += rng.gen_range(0..3);
-                map.extend(std::iter::repeat_n(p, rng.gen_range(1..4)));
+            let interior = parent_codes[rng.gen_range(1..n_parent)];
+            let mut refused = vec![bottom, top, top + 1 + rng.gen_range(0..50), bottom - 1, interior];
+            refused.extend(extras.first());
+            for bad in refused {
+                let mut edited = extras.clone();
+                edited.insert(edited.partition_point(|&e| e < bad), bad);
+                proptest::prop_assert!(read(&body(&edited, 64)).is_none(), "extra {} read", bad);
             }
-            proptest::prop_assert_eq!(
-                split_bins(&map).collect::<Vec<_>>(),
-                split_bins_by_counting(&map)
-            );
+            if extras.len() > 1 {
+                let mut swapped = extras.clone();
+                swapped.swap(0, 1);
+                proptest::prop_assert!(read(&body(&swapped, 64)).is_none(), "out of order read");
+            }
         }
-    }
-
-    /// The per-parent child count `split_bins` used to keep in a `HashMap`.
-    fn split_bins_by_counting(parent: &[u32]) -> Vec<usize> {
-        let mut children = std::collections::HashMap::new();
-        for &p in parent {
-            *children.entry(p).or_insert(0u32) += 1;
-        }
-        (0..parent.len()).filter(|&t| children[&parent[t]] > 1).collect()
     }
 
     #[test]

@@ -16,13 +16,20 @@
 //! * if the synopsis was built from a ρ < 1 sample, ingested batches are themselves
 //!   sub-sampled at ρ (deterministically) so the sample stays unbiased.
 //!
-//! A fold costs O(sampled rows × (columns + pairs)) plus one pass over every
-//! bin to refresh its derived metadata: each value is searched for once in its
-//! column's 1-d edges, and a pair dimension then looks only among that 1-d
-//! bin's refined children. What `Session::ingest` folds into is a copy of the
-//! published delta synopsis; it writes that copy over the superseded version's
-//! buffers (`PairwiseHist`'s `clone_from`) whenever no reader still holds that
-//! version, so a plain batch allocates nothing in proportion to the synopsis.
+//! Each rule computes what the build computes, so a folded synopsis is one a
+//! decode of its bytes gives back:
+//!
+//! * a column's outer edges are its 1-d histogram's, which every pair
+//!   dimension of the column shares: there is no second copy to widen;
+//! * an unsplit pair bin is its 1-d parent and needs no update of its own;
+//! * a child of a split 1-d bin takes `v±` / `u` from every row non-NULL in
+//!   its own column, as `build2d::finalize_dim` does;
+//! * cells and margins count the rows non-NULL in both columns.
+//!
+//! A fold costs O(sampled rows × (columns + pairs)) plus one pass over the
+//! 1-d bins to refresh their derived metadata: each value is searched for
+//! once in its column's 1-d edges, and a pair dimension then looks only
+//! among that 1-d bin's split children, if it has any.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -30,7 +37,7 @@ use rand::SeedableRng;
 use ph_gd::EncodedMatrix;
 use ph_stats::Chi2Cache;
 
-use crate::bins::DimBins;
+use crate::bins::{BinMeta, DimBins};
 use crate::build::PairwiseHist;
 
 impl PairwiseHist {
@@ -41,7 +48,7 @@ impl PairwiseHist {
     /// keeping the sampling ratio stable.
     ///
     /// Each sampled value is searched for once, in its column's 1-d edges; a
-    /// pair dimension then looks only among that 1-d bin's refined children.
+    /// pair dimension then looks only among that 1-d bin's split children.
     ///
     /// # Panics
     /// Panics if the batch's column count differs from the synopsis schema.
@@ -63,7 +70,8 @@ impl PairwiseHist {
 
         // 1-d updates, keeping each sampled value's 1-d bin: column `c`'s are
         // `bin1d[c * n..][..n]`, `NULL_BIN` where the value is NULL.
-        let mut bin1d = vec![NULL_BIN; self.n_columns() * n];
+        let d = self.n_columns();
+        let mut bin1d = vec![NULL_BIN; d * n];
         for (c, bins) in self.hist1d.iter_mut().enumerate() {
             let null = self.pre.transform(c).null_code();
             let col = &rows.columns[c];
@@ -73,42 +81,55 @@ impl PairwiseHist {
                     continue;
                 }
                 let t = locate_extending(bins, v);
-                bump_bin(bins, t, v);
+                bins.counts[t] += 1;
+                let mut meta = bins.meta(t);
+                meta.bump(v);
+                (bins.vmin[t], bins.vmax[t], bins.uniq[t]) = (meta.vmin, meta.vmax, meta.uniq);
                 *slot = t as u32;
             }
         }
-        // 2-d updates: counts plus per-dimension marginals and metadata.
-        let (mut first_i, mut first_j) = (Vec::new(), Vec::new());
-        for pair in &mut self.pairs {
-            let (ci, cj) = (pair.col_i, pair.col_j);
-            let (coli, colj) = (&rows.columns[ci], &rows.columns[cj]);
-            let (bin_i, bin_j) = (&bin1d[ci * n..][..n], &bin1d[cj * n..][..n]);
-            children(&pair.dim_i.parent, self.hist1d[ci].k(), &mut first_i);
-            children(&pair.dim_j.parent, self.hist1d[cj].k(), &mut first_j);
-            let kj = pair.kj();
-            for ((&r, &pi), &pj) in sampled.iter().zip(bin_i).zip(bin_j) {
-                if pi == NULL_BIN || pj == NULL_BIN {
-                    continue;
+        // 2-d updates: split children's metadata, then cells and margins.
+        let pairs = &mut self.pairs;
+        let (mut runs_i, mut runs_j) = (Vec::new(), Vec::new());
+        let mut p = 0;
+        for cj in 1..d {
+            for ci in 0..cj {
+                let (cells, [di, dj]) = pairs.ranges(p);
+                p += 1;
+                for (dim, c, out) in [(&di, ci, &mut runs_i), (&dj, cj, &mut runs_j)] {
+                    if !dim.split.is_empty() {
+                        runs(&pairs.parents[dim.bins.clone()], self.hist1d[c].k(), out);
+                    }
                 }
-                let (a, b) = (coli[r], colj[r]);
-                let ti = locate_child(&mut pair.dim_i.bins, &first_i, pi, a);
-                let tj = locate_child(&mut pair.dim_j.bins, &first_j, pj, b);
-                pair.counts[ti * kj + tj] += 1;
-                bump_bin(&mut pair.dim_i.bins, ti, a);
-                bump_bin(&mut pair.dim_j.bins, tj, b);
+                let (si, sj) =
+                    pairs.split_bins[di.split.start..dj.split.end].split_at_mut(di.split.len());
+                let mut fold_i =
+                    DimFold { edges: &pairs.split_edges[di.edges], split: si, runs: &runs_i };
+                let mut fold_j =
+                    DimFold { edges: &pairs.split_edges[dj.edges], split: sj, runs: &runs_j };
+                let (mi, mj) =
+                    pairs.margins[di.bins.start..dj.bins.end].split_at_mut(di.bins.len());
+                let (cells, kj) = (&mut pairs.cells[cells], mj.len());
+                let (coli, colj) = (&rows.columns[ci], &rows.columns[cj]);
+                let (bin_i, bin_j) = (&bin1d[ci * n..][..n], &bin1d[cj * n..][..n]);
+                for ((&r, &pi), &pj) in sampled.iter().zip(bin_i).zip(bin_j) {
+                    let ti = fold_i.bin(pi, coli[r]);
+                    let tj = fold_j.bin(pj, colj[r]);
+                    if let (Some(ti), Some(tj)) = (ti, tj) {
+                        cells[ti * kj + tj] += 1;
+                        mi[ti] += 1;
+                        mj[tj] += 1;
+                    }
+                }
             }
         }
 
-        // Refresh derived metadata (midpoints, weighted-centre bounds) for all
-        // bins, through the χ² criticals the synopsis already holds.
+        // Refresh the 1-d bins' derived metadata (midpoints, weighted-centre
+        // bounds) through the χ² criticals the synopsis already holds.
         let mut chi2 = Chi2Cache::seeded(self.params.alpha, &self.crit);
         let m_min = self.params.m_min;
         for bins in &mut self.hist1d {
             bins.refresh(m_min, &mut chi2);
-        }
-        for pair in &mut self.pairs {
-            pair.dim_i.bins.refresh(m_min, &mut chi2);
-            pair.dim_j.bins.refresh(m_min, &mut chi2);
         }
 
         self.params.n_total += batch as u64;
@@ -125,10 +146,8 @@ impl PairwiseHist {
     /// preprocessor, so resolved column indices and encoded literals still mean
     /// the same thing). A full rebuild, by contrast, always mints a fresh epoch.
     ///
-    /// The clone allocates every bin and count array afresh. A caller that
-    /// keeps a spare synopsis — `Session::ingest` keeps the version it
-    /// superseded — gets the same result with no allocation from
-    /// `spare.clone_from(self)` followed by [`PairwiseHist::ingest`].
+    /// The clone copies a few buffers per column and a fixed handful for all
+    /// the pairs together, whatever their number.
     ///
     /// # Panics
     /// Panics if the batch's column count differs from the synopsis schema.
@@ -153,32 +172,54 @@ impl PairwiseHist {
 /// The 1-d bin of a NULL value: it has none.
 const NULL_BIN: u32 = u32::MAX;
 
-/// Fills `first` so that `first[t]..first[t + 1]` is the run of refined bins
-/// whose parent is 1-d bin `t`, for each of `k1` 1-d bins, over a
-/// non-decreasing `parent` map.
-fn children(parent: &[u32], k1: usize, first: &mut Vec<u32>) {
-    first.clear();
-    let mut r = 0;
-    first.extend((0..=k1).map(|t| {
-        while parent.get(r).is_some_and(|&p| (p as usize) < t) {
+/// Fills `out` with, for each of `k1` 1-d bins and then one past the last,
+/// where its refined bins start and where their metadata start among the
+/// split bins, over a non-decreasing `parent` map that names every 1-d bin.
+fn runs(parent: &[u32], k1: usize, out: &mut Vec<(usize, usize)>) {
+    out.clear();
+    let (mut r, mut split) = (0, 0);
+    for t in 0..=k1 {
+        out.push((r, split));
+        let first = r;
+        while parent.get(r) == Some(&(t as u32)) {
             r += 1;
         }
-        r as u32
-    }));
+        if r - first > 1 {
+            split += r - first;
+        }
+    }
 }
 
-/// The refined bin of `v`, a value of 1-d bin `t`, searched for among `t`'s
-/// children when their run brackets `v` — which makes it the bin a search of
-/// every edge finds, with no edge to widen. Otherwise (an outer edge `v`
-/// widens, or a run that misses `v`, as a decoded dimension's extras outside
-/// the 1-d range can leave) it is that search.
-fn locate_child(bins: &mut DimBins, first: &[u32], t: u32, v: u64) -> usize {
-    let (lo, hi) = (first[t as usize] as usize, first[t as usize + 1] as usize);
-    let x = v as f64;
-    if lo < hi && bins.edges[lo] < x && x < bins.edges[hi] {
-        return lo + bins.edges[lo + 1..hi].partition_point(|&e| e < x);
+/// One pair dimension as a fold writes it: its split edges, its split bins'
+/// metadata and its [`runs`].
+struct DimFold<'a> {
+    edges: &'a [f64],
+    split: &'a mut [BinMeta],
+    runs: &'a [(usize, usize)],
+}
+
+impl DimFold<'_> {
+    /// The refined bin of `v`, a value of 1-d bin `t` (`None` for a NULL):
+    /// `t` itself when nothing in the dimension is split, else found among
+    /// `t`'s children, whose metadata it updates when `t` is split.
+    #[inline]
+    fn bin(&mut self, t: u32, v: u64) -> Option<usize> {
+        if t == NULL_BIN {
+            return None;
+        }
+        if self.split.is_empty() {
+            return Some(t as usize);
+        }
+        let t = t as usize;
+        let ((first, split), (next, _)) = (self.runs[t], self.runs[t + 1]);
+        if next - first == 1 {
+            return Some(first);
+        }
+        // `first - t` split edges lie below this bin's children.
+        let child = self.edges[first - t..next - t - 1].partition_point(|&e| e < v as f64);
+        self.split[split + child].bump(v);
+        Some(first + child)
     }
-    locate_extending(bins, v)
 }
 
 /// Finds the bin containing `v`, widening the outer edges when `v` falls outside
@@ -194,26 +235,6 @@ fn locate_extending(bins: &mut DimBins, v: u64) -> usize {
         return bins.k() - 1;
     }
     bins.bin_of(v).expect("value within widened edges")
-}
-
-/// Applies one value to a bin's count and value metadata.
-fn bump_bin(bins: &mut DimBins, t: usize, v: u64) {
-    let was_empty = bins.counts[t] == 0;
-    bins.counts[t] += 1;
-    if was_empty {
-        bins.vmin[t] = v;
-        bins.vmax[t] = v;
-        bins.uniq[t] = 1;
-        return;
-    }
-    // Unique counts only grow when the span grows (see module docs).
-    if v < bins.vmin[t] {
-        bins.vmin[t] = v;
-        bins.uniq[t] += 1;
-    } else if v > bins.vmax[t] {
-        bins.vmax[t] = v;
-        bins.uniq[t] += 1;
-    }
 }
 
 #[cfg(test)]
@@ -372,81 +393,66 @@ mod tests {
         EncodedMatrix::new(columns)
     }
 
-    /// `ph` through its bytes, after its first pair's `i` dimension gains an
-    /// empty refined bin below the 1-d range (when the code range leaves room)
-    /// and its `j` dimension one above it (when that needs no wider edges): a
-    /// decoded synopsis whose extras lie outside the 1-d range.
-    fn with_outer_extras(ph: &PairwiseHist, gap: f64) -> PairwiseHist {
-        fn insert(dim: &mut crate::build2d::PairDim, at: usize, edge: f64, parent: u32) {
-            let b = &mut dim.bins;
-            let v = if at == 0 { edge + 0.5 } else { edge - 0.5 };
-            b.edges.insert(if at == 0 { 0 } else { at + 1 }, edge);
-            for (meta, x) in [(&mut b.mid, v), (&mut b.c_lo, v), (&mut b.c_hi, v)] {
-                meta.insert(at, x);
-            }
-            b.vmin.insert(at, v as u64);
-            b.vmax.insert(at, v as u64);
-            b.uniq.insert(at, 1);
-            b.counts.insert(at, 0);
-            dim.parent.insert(at, parent);
+    /// A generated synopsis, as built or through its bytes.
+    fn built_or_decoded(rng: &mut rand::rngs::StdRng) -> PairwiseHist {
+        let built = generated(rng);
+        if rng.gen_bool(0.5) {
+            return built;
         }
-        let bytes_of = |e: f64| (64 - ((2.0 * e + 1.0) as u64).leading_zeros()).div_ceil(8);
-        let mut out = ph.clone();
-        let pair = &mut out.pairs[0];
-        let kj = pair.kj();
-        let bottom = pair.dim_i.bins.edges[0] - gap;
-        if bottom >= -0.5 {
-            insert(&mut pair.dim_i, 0, bottom, 0);
-            pair.counts.splice(0..0, std::iter::repeat_n(0, kj));
-        }
-        let top = pair.dim_j.bins.edges[kj];
-        if bytes_of(top + gap) == bytes_of(top) {
-            let parent = pair.dim_j.parent[kj - 1];
-            insert(&mut pair.dim_j, kj, top + gap, parent);
-            pair.counts =
-                pair.counts.chunks(kj).flat_map(|row| row.iter().copied().chain([0])).collect();
-        }
-        PairwiseHist::from_bytes(&out.to_bytes(), ph.preprocessor().clone())
-            .expect("a synopsis with outer extras decodes")
+        PairwiseHist::from_bytes(&built.to_bytes(), built.preprocessor().clone())
+            .expect("a built synopsis decodes")
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// Reusing each value's 1-d bin and the synopsis's own χ² criticals
-        /// folds what the full search per pair dimension and a fresh χ² memo
-        /// fold, field for field: over NULLs, values below and above the
-        /// range, ρ < 1, built and decoded synopses, and decoded ones whose
-        /// extras lie outside the 1-d range, batch after batch.
+        /// Reusing each value's 1-d bin, reading unsplit pair bins from the
+        /// 1-d histograms and the synopsis's own χ² criticals fold what the
+        /// dense per-refined-bin oracle folds, field for field: over NULLs,
+        /// values below and above the range, ρ < 1, built and decoded
+        /// synopses, batch after batch.
         #[test]
         fn prop_fold_equals_reference(seed in proptest::prelude::any::<u64>()) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let built = generated(&mut rng);
-            let start = match seed % 3 {
-                0 => built,
-                1 => PairwiseHist::from_bytes(&built.to_bytes(), built.preprocessor().clone())
-                    .expect("a built synopsis decodes"),
-                _ => with_outer_extras(&built, rng.gen_range(1..4) as f64),
-            };
-            let (mut fast, mut slow) = (start.clone(), start);
+            let mut fast = built_or_decoded(&mut rng);
+            let mut slow = reference::Dense::of(&fast);
             for round in 0..3 {
                 let n = rng.gen_range(1..400);
                 let rows = batch(&mut rng, &fast, n);
                 fast.ingest(&rows);
-                reference::ingest(&mut slow, &rows);
-                crate::build::assert_same_synopsis(&fast, &slow, &format!("seed {seed} round {round}"));
+                reference::ingest(&mut slow, fast.preprocessor(), &rows);
+                proptest::prop_assert_eq!(
+                    &reference::Dense::of(&fast),
+                    &slow,
+                    "seed {} round {}",
+                    seed,
+                    round
+                );
             }
         }
 
-        /// `a.clone_from(&b)` is `b.clone()` whatever shape `a` had before:
-        /// fewer or more columns, bins and pairs, another plan epoch.
+        /// A folded synopsis is what a decode of its bytes gives back, field
+        /// by field, batch after batch, but for what the wire does not carry:
+        /// the sample size at the last build (`ns_at_build`), the plan epoch,
+        /// and the χ² criticals past the shorter table (`crit` is a memo the
+        /// decoder sizes for the bins it reads).
         #[test]
-        fn prop_clone_from_equals_clone(seed in proptest::prelude::any::<u64>()) {
+        fn prop_folded_synopsis_decodes_to_itself(seed in proptest::prelude::any::<u64>()) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let (mut a, b) = (generated(&mut rng), generated(&mut rng));
-            a.clone_from(&b);
-            crate::build::assert_same_synopsis(&a, &b.clone(), &format!("seed {seed}"));
-            proptest::prop_assert_eq!(a.plan_epoch(), b.plan_epoch());
+            let mut ph = built_or_decoded(&mut rng);
+            for round in 0..3 {
+                let n = rng.gen_range(1..400);
+                let rows = batch(&mut rng, &ph, n);
+                ph.ingest(&rows);
+                let mut back = PairwiseHist::from_bytes(&ph.to_bytes(), ph.preprocessor().clone())
+                    .unwrap_or_else(|| panic!("seed {seed} round {round}: a folded synopsis decodes"));
+                let mut live = ph.clone();
+                back.ns_at_build = live.ns_at_build;
+                let common = live.crit.len().min(back.crit.len());
+                live.crit.truncate(common);
+                back.crit.truncate(common);
+                crate::build::assert_same_synopsis(&back, &live, &format!("seed {seed} round {round}"));
+            }
         }
     }
 

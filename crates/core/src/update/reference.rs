@@ -1,68 +1,104 @@
-//! The fold as it searched before each row's 1-d bin was reused: every pair
-//! dimension searches all of its refined edges for every value, and the
-//! derived metadata is refreshed through a fresh χ² memo. It is the oracle
+//! The fold as a dense per-refined-bin oracle: every pair dimension spelled
+//! out ([`DensePair`]), each value searched for among all of a dimension's
+//! refined edges with its outer edges widened, every refined bin's `v±` / `u`
+//! taken from every row non-NULL in its own column, and the 1-d bins' derived
+//! metadata refreshed through a fresh χ² memo. It is the oracle
 //! [`PairwiseHist::ingest`] is tested against.
 
 use super::*;
+use crate::build::BuildParams;
+use crate::build2d::reference::DensePair;
+use ph_gd::Preprocessor;
 
-/// [`PairwiseHist::ingest`] as it was.
-pub(crate) fn ingest(ph: &mut PairwiseHist, rows: &EncodedMatrix) {
-    assert_eq!(rows.n_columns(), ph.n_columns(), "batch schema does not match the synopsis");
+/// A synopsis with every pair spelled out.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Dense {
+    pub params: BuildParams,
+    pub hist1d: Vec<DimBins>,
+    pub pairs: Vec<DensePair>,
+}
+
+impl Dense {
+    pub fn of(ph: &PairwiseHist) -> Self {
+        let d = ph.n_columns();
+        let pairs = (1..d)
+            .flat_map(|j| (0..j).map(move |i| (i, j)))
+            .map(|(i, j)| DensePair::of(ph.pair(i, j)))
+            .collect();
+        Self { params: ph.params.clone(), hist1d: ph.hist1d.clone(), pairs }
+    }
+}
+
+/// [`PairwiseHist::ingest`] over every refined bin.
+pub(crate) fn ingest(dense: &mut Dense, pre: &Preprocessor, rows: &EncodedMatrix) {
+    let d = dense.hist1d.len();
+    assert_eq!(rows.n_columns(), d, "batch schema does not match the synopsis");
     let batch = rows.n_rows;
     if batch == 0 {
         return;
     }
-    let rho = ph.params.rho();
+    let params = &mut dense.params;
+    let rho = params.rho();
     let mut rng = rand::rngs::StdRng::seed_from_u64(
-        0x1b5e_11ed ^ (ph.params.n_total) ^ ((ph.params.ns as u64) << 32),
+        0x1b5e_11ed ^ (params.n_total) ^ ((params.ns as u64) << 32),
     );
     let sampled: Vec<usize> = (0..batch).filter(|_| rho >= 1.0 || rng.gen::<f64>() < rho).collect();
+    let value = |c: usize, r: usize| {
+        let v = rows.columns[c][r];
+        (Some(v) != pre.transform(c).null_code()).then_some(v)
+    };
 
-    let null_codes: Vec<Option<u64>> =
-        (0..ph.n_columns()).map(|c| ph.pre.transform(c).null_code()).collect();
-
-    // 1-d updates.
-    #[allow(clippy::needless_range_loop)]
-    for c in 0..ph.n_columns() {
-        let col = &rows.columns[c];
-        for &r in &sampled {
-            let v = col[r];
-            if Some(v) == null_codes[c] {
-                continue;
+    // 1-d updates: a bin no row has reached yet takes the value as its only one.
+    for (c, bins) in dense.hist1d.iter_mut().enumerate() {
+        for v in sampled.iter().filter_map(|&r| value(c, r)) {
+            let t = locate_extending(bins, v);
+            bins.counts[t] += 1;
+            if bins.counts[t] == 1 {
+                (bins.vmin[t], bins.vmax[t], bins.uniq[t]) = (v, v, 1);
+            } else if v < bins.vmin[t] {
+                (bins.vmin[t], bins.uniq[t]) = (v, bins.uniq[t] + 1);
+            } else if v > bins.vmax[t] {
+                (bins.vmax[t], bins.uniq[t]) = (v, bins.uniq[t] + 1);
             }
-            let t = locate_extending(&mut ph.hist1d[c], v);
-            bump_bin(&mut ph.hist1d[c], t, v);
         }
     }
-    // 2-d updates: counts plus per-dimension marginals and metadata.
-    for pair in &mut ph.pairs {
-        let (ci, cj) = (pair.col_i, pair.col_j);
-        let coli = &rows.columns[ci];
-        let colj = &rows.columns[cj];
-        let kj = pair.kj();
+    // 2-d updates: each dimension's metadata from its own column, then cells
+    // and margins from the rows both columns have a value in.
+    let cols = (1..d).flat_map(|j| (0..j).map(move |i| [i, j]));
+    for (pair, cols) in dense.pairs.iter_mut().zip(cols) {
+        let kj = pair.dims[1].counts.len();
         for &r in &sampled {
-            let (a, b) = (coli[r], colj[r]);
-            if Some(a) == null_codes[ci] || Some(b) == null_codes[cj] {
-                continue;
+            let [ti, tj] = [0, 1].map(|side| {
+                let v = value(cols[side], r)?;
+                let dim = &mut pair.dims[side];
+                let t = locate(&mut dim.edges, v);
+                dim.meta[t].bump(v);
+                Some(t)
+            });
+            if let (Some(ti), Some(tj)) = (ti, tj) {
+                pair.counts[ti * kj + tj] += 1;
+                pair.dims[0].counts[ti] += 1;
+                pair.dims[1].counts[tj] += 1;
             }
-            let ti = locate_extending(&mut pair.dim_i.bins, a);
-            let tj = locate_extending(&mut pair.dim_j.bins, b);
-            pair.counts[ti * kj + tj] += 1;
-            bump_bin(&mut pair.dim_i.bins, ti, a);
-            bump_bin(&mut pair.dim_j.bins, tj, b);
         }
     }
 
-    let mut chi2 = Chi2Cache::new(ph.params.alpha);
-    let m_min = ph.params.m_min;
-    for bins in &mut ph.hist1d {
-        bins.refresh(m_min, &mut chi2);
+    let mut chi2 = Chi2Cache::new(params.alpha);
+    for bins in &mut dense.hist1d {
+        bins.refresh(params.m_min, &mut chi2);
     }
-    for pair in &mut ph.pairs {
-        pair.dim_i.bins.refresh(m_min, &mut chi2);
-        pair.dim_j.bins.refresh(m_min, &mut chi2);
-    }
+    params.n_total += batch as u64;
+    params.ns += sampled.len();
+}
 
-    ph.params.n_total += batch as u64;
-    ph.params.ns += sampled.len();
+/// The bin of `v` among all of `edges`, widening the outer ones to reach it.
+fn locate(edges: &mut [f64], v: u64) -> usize {
+    let (x, k) = (v as f64, edges.len() - 1);
+    if x < edges[0] {
+        edges[0] = x - 0.5;
+    }
+    if x > edges[k] {
+        edges[k] = x + 0.5;
+    }
+    edges[1..k].partition_point(|&e| e < x)
 }

@@ -297,10 +297,10 @@ impl<'a> WeightCtx<'a> {
         let bins = self.ph.hist1d(self.agg_col);
         let m_min = self.ph.params().m_min;
         for t in 0..self.k {
-            let beta = bin_coverage(bins, t, ranges);
-            let (bl, bh) = coverage_bounds(beta, bins.counts[t], bins.uniq[t], m_min, |dof| {
-                self.ph.critical(dof)
-            });
+            let h = bins.counts[t];
+            let beta = bin_coverage(h, bins.meta(t), ranges);
+            let (bl, bh) =
+                coverage_bounds(beta, h, bins.uniq[t], m_min, |dof| self.ph.critical(dof));
             out.p[t] = beta;
             out.lo[t] = bl;
             out.hi[t] = bh;
@@ -314,27 +314,24 @@ impl<'a> WeightCtx<'a> {
         let ph = self.ph;
         let pair = ph.pair(self.agg_col, col);
         let cover_on_j = pair.col_j == col;
-        let cov_dim = if cover_on_j { &pair.dim_j } else { &pair.dim_i };
-        let kb = cov_dim.bins.k();
+        let cov_dim = if cover_on_j { pair.dim_j } else { pair.dim_i };
+        let kb = cov_dim.k();
         let m_min = ph.params().m_min;
         let cov = &mut self.scratch.cov;
         cov.resize(kb);
         // The refined bins with any coverage at all: `β⁻ ≤ β ≤ β⁺`, so a zero
         // upper bound means all three are zero and the fold can skip the bin.
         let mut band = kb..kb;
-        for t in 0..kb {
-            let beta = bin_coverage(&cov_dim.bins, t, ranges);
-            let (bl, bh) =
-                coverage_bounds(beta, cov_dim.bins.counts[t], cov_dim.bins.uniq[t], m_min, |dof| {
-                    ph.critical(dof)
-                });
+        cov_dim.for_each_bin(|t, h, meta| {
+            let beta = bin_coverage(h, meta, ranges);
+            let (bl, bh) = coverage_bounds(beta, h, meta.uniq, m_min, |dof| ph.critical(dof));
             cov.p[t] = beta;
             cov.lo[t] = bl;
             cov.hi[t] = bh;
             if bh != 0.0 {
                 band = band.start.min(t)..t + 1;
             }
-        }
+        });
         pair.fold_coverage3(
             [&cov.p, &cov.lo, &cov.hi],
             cover_on_j,
@@ -431,7 +428,7 @@ pub(crate) mod reference {
                     let mut lo = Vec::with_capacity(k);
                     let mut hi = Vec::with_capacity(k);
                     for t in 0..k {
-                        let beta = bin_coverage(bins, t, ranges);
+                        let beta = bin_coverage(bins.counts[t], bins.meta(t), ranges);
                         let (bl, bh) = coverage_bounds(
                             beta,
                             bins.counts[t],
@@ -447,24 +444,21 @@ pub(crate) mod reference {
                 } else {
                     let pair = ph.pair(agg_col, *col);
                     let cover_on_j = pair.col_j == *col;
-                    let cov_dim = if cover_on_j { &pair.dim_j } else { &pair.dim_i };
-                    let kb = cov_dim.bins.k();
+                    let cov_dim = if cover_on_j { pair.dim_j } else { pair.dim_i };
+                    let kb = cov_dim.k();
                     let mut cov = Vec::with_capacity(kb);
                     let mut cov_lo = Vec::with_capacity(kb);
                     let mut cov_hi = Vec::with_capacity(kb);
-                    for t in 0..kb {
-                        let beta = bin_coverage(&cov_dim.bins, t, ranges);
-                        let (bl, bh) = coverage_bounds(
-                            beta,
-                            cov_dim.bins.counts[t],
-                            cov_dim.bins.uniq[t],
-                            ph.params().m_min,
-                            |dof| ph.critical(dof),
-                        );
+                    cov_dim.for_each_bin(|_, h, meta| {
+                        let beta = bin_coverage(h, meta, ranges);
+                        let (bl, bh) =
+                            coverage_bounds(beta, h, meta.uniq, ph.params().m_min, |dof| {
+                                ph.critical(dof)
+                            });
                         cov.push(beta);
                         cov_lo.push(bl);
                         cov_hi.push(bh);
-                    }
+                    });
                     let h1d = &ph.hist1d(agg_col).counts;
                     let fold = |c: &[f64]| -> Vec<f64> {
                         pair.fold_coverage(c, cover_on_j, k)

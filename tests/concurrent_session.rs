@@ -188,14 +188,14 @@ fn readers_stay_consistent_while_writer_ingests() {
     assert_eq!(session.sql(WORKLOAD[0]).unwrap(), timeline[BATCHES][0]);
 }
 
-/// Plain folds recycle the delta synopsis of the version they supersede —
-/// but only a version no reader holds. Two readers pin a version (a
-/// `TableSnapshot`, and a `BatchSession`'s table pin), keep answering from it
-/// bit for bit across several folds, then let it go and pin the newest; two
-/// more race the writer through `Session::sql`. Every answer is one of the
-/// serial timeline's, and the final state is its last. Under ThreadSanitizer
-/// this is the `Arc::try_unwrap` hand-off between the writer and the last
-/// reader to drop a version.
+/// Plain folds supersede the version a reader may still hold (their delta
+/// synopsis once recycled the superseded one's buffers, which the name
+/// recalls). Two readers pin a version (a `TableSnapshot`, and a
+/// `BatchSession`'s table pin), keep answering from it bit for bit across
+/// several folds, then let it go and pin the newest; two more race the
+/// writer through `Session::sql`. Every answer is one of the serial
+/// timeline's, and the final state is its last. Under ThreadSanitizer this
+/// is the hand-off between the writer and the last reader to drop a version.
 #[test]
 fn pinned_versions_survive_recycled_folds() {
     const FOLDS: usize = 12;

@@ -557,3 +557,46 @@ fn a_store_claiming_more_rows_than_its_synopsis_quarantines_at_open() {
         "the reason names the store's shape and the table's: {reason}"
     );
 }
+
+/// A pair dimension's split edges lie strictly inside the column's 1-d bins,
+/// so a synopsis whose split edge sits at or beyond an outer 1-d edge is
+/// refused, whatever the rest of its bytes: taking it would give the pair a
+/// copy of the column's range of its own. No encoder writes one.
+#[test]
+fn a_split_edge_at_or_beyond_the_outer_edges_is_refused() {
+    use rand::{Rng, SeedableRng};
+    // Skewed `x`, and `y` a tight function of it: the pair refines `x`.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let x: Vec<i64> = (0..20_000).map(|_| (rng.gen::<f64>().powi(2) * 1000.0) as i64).collect();
+    let y = x.iter().map(|v| Some(v + rng.gen_range(0..10))).collect();
+    let data = Dataset::builder("t")
+        .column(Column::from_ints("x", x.into_iter().map(Some).collect()))
+        .unwrap()
+        .column(Column::from_ints("y", y))
+        .unwrap()
+        .build();
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 20_000, ..Default::default() });
+    let bytes = ph.to_bytes();
+    // The pair section opens with pair (x, y)'s x dimension: its count of
+    // split edges, then the edges, ascending, each as wide as x's 1-d edges
+    // (the first width after the 34-byte header).
+    let size = ph.synopsis_size();
+    let at = size.params + size.hists_1d;
+    let n_extra = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    assert!(n_extra > 0, "x splits in its pair with y");
+    let width = bytes[34] as usize;
+    let (first, last) = (at + 4, at + 4 + (n_extra - 1) * width);
+    let edges = &ph.hist1d(0).edges;
+    let code = |e: f64| (2.0 * e + 1.0) as u64;
+    let (bottom, top) = (code(edges[0]), code(edges[edges.len() - 1]));
+    assert!(PairwiseHist::from_bytes(&bytes, ph.preprocessor().clone()).is_some());
+    for (slot, bad) in [(first, bottom), (last, top), (last, top + 1)] {
+        assert!(bad < 1 << (8 * width), "the edit fits the edge's width");
+        let mut edited = bytes.clone();
+        edited[slot..slot + width].copy_from_slice(&bad.to_le_bytes()[..width]);
+        assert!(
+            PairwiseHist::from_bytes(&edited, ph.preprocessor().clone()).is_none(),
+            "a split edge coded {bad} (outer edges {bottom} and {top}) decoded"
+        );
+    }
+}

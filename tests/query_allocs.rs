@@ -2,9 +2,10 @@
 //! of a scalar plan — or a `BatchSession::sql` once the batch has pinned its
 //! table — runs in the calling thread's scratch buffers and allocates
 //! nothing, whatever the aggregate, the predicate shape or the number of
-//! segments the plan fans out over. The plain ingest path is held to a
-//! handful of allocations per column, none per pair: its fold copies the
-//! delta synopsis into the buffers of the version it superseded.
+//! segments the plan fans out over. The plain ingest path, a seal-policy
+//! change and `compact` are held to a handful of allocations per column,
+//! none per pair: a synopsis keeps every pair in a fixed handful of flat
+//! buffers, so a copy of the delta synopsis is a few buffers per column.
 //!
 //! The count comes from a counting `#[global_allocator]` that tallies per
 //! thread, so what other tests of this binary (or the harness) allocate
@@ -33,11 +34,14 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// The largest size this thread asked for in one allocation, in bytes.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread asked for, over all its allocations.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn bump(size: usize) {
     // `try_with`: a thread tearing down its locals may still free and allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
     let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
 }
 
@@ -73,6 +77,13 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// `f`'s result, allocations and bytes allocated.
+fn bytes_of<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = BYTES.with(Cell::get);
+    let (out, allocs) = allocations_of(f);
+    (out, allocs, BYTES.with(Cell::get) - before)
 }
 
 fn largest_allocation_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
@@ -201,8 +212,7 @@ fn cached_scalar_queries_allocate_nothing_whatever_the_segment_count() {
 }
 
 /// A WAL-less table of the first `columns` Flights columns, `rows` registered,
-/// plus a delta of one 50-row append and three folded ones: by then the writer
-/// holds a spare synopsis of the delta's shape.
+/// plus a delta of one 50-row append and three folded ones.
 fn flights_with_delta(columns: usize, rows: usize) -> (Session, Dataset) {
     let all = pairwisehist::datagen::generate("Flights", rows, 3).unwrap();
     let mut builder = Dataset::builder("Flights");
@@ -220,12 +230,13 @@ fn flights_with_delta(columns: usize, rows: usize) -> (Session, Dataset) {
 }
 
 /// One more plain append costs a bounded number of allocations, a handful
-/// per column whatever the number of pairs (≈ 230 / 320 / 400 at 8 / 16 / 32
-/// columns): the fold writes the published delta synopsis over the spare's
-/// buffers, where a fresh copy of it made ≈ 840 / 2 700 / 10 100 (28 / 120 /
-/// 496 pairs). A seal-policy call that changes nothing allocates nothing,
-/// where it once copied every table's delta synopsis (≈ 19 000 allocations at
-/// 32 columns).
+/// per column whatever the number of pairs: its out-of-place copy of the
+/// delta synopsis is a few buffers per column, where one `Vec` per bin array
+/// of every pair dimension made ≈ 840 / 2 700 / 10 100 at 8 / 16 / 32
+/// columns (28 / 120 / 496 pairs). A seal-policy call that changes nothing
+/// allocates nothing; one that changes the policy, and a `compact` with
+/// nothing to merge, stay within the fold's bound, where each once copied the
+/// delta synopsis pair by pair (≈ 19 000 allocations at 32 columns).
 #[test]
 fn a_plain_fold_allocates_per_column_not_per_pair() {
     for columns in [8, 16, 32] {
@@ -240,7 +251,35 @@ fn a_plain_fold_allocates_per_column_not_per_pair() {
             session.set_seal_threshold(50_000);
         });
         assert_eq!(policy, 0, "{columns} columns: an unchanged seal policy allocated");
+        let (_, changed) = allocations_of(|| session.set_seal_threshold(40_000));
+        assert!(changed <= bound, "{columns} columns: a policy change made {changed} allocations");
+        let (report, compact) = allocations_of(|| session.compact("Flights").unwrap());
+        assert_eq!(report.segments_after, 1, "{report:?}");
+        assert!(compact <= bound, "{columns} columns: compact made {compact} allocations");
+        assert_eq!(session.table_stats("Flights").unwrap().delta_rows, 250);
     }
+}
+
+/// A clone of a 32-column Flights synopsis (496 pairs) makes a few
+/// allocations per column: every pair lives in a fixed handful of flat
+/// buffers (264 allocations measured), where one `Vec` per bin array of
+/// every pair dimension made 9 683. It also copies at least 30 % fewer
+/// bytes: an unsplit pair bin no longer repeats its 1-d parent's edges,
+/// metadata and derived centres (381 972 bytes measured, 1 036 064 before).
+#[test]
+fn a_synopsis_clone_allocates_per_column_not_per_pair() {
+    const BYTES_WITH_A_VEC_PER_PAIR_ARRAY: u64 = 1_036_064;
+    let data = pairwisehist::datagen::generate("Flights", 4_000, 3).unwrap();
+    let ph = PairwiseHist::build(&data, &PairwiseHistConfig { ns: 4_000, ..Default::default() });
+    let d = ph.n_columns() as u64;
+    assert_eq!(d, 32);
+    let (copy, allocs, bytes) = bytes_of(|| ph.clone());
+    assert_eq!(copy.to_bytes(), ph.to_bytes());
+    assert!(allocs <= 8 * d + 32, "{allocs} allocations for {d} columns");
+    assert!(
+        bytes * 10 <= BYTES_WITH_A_VEC_PER_PAIR_ARRAY * 7,
+        "{bytes} bytes, not 30 % below {BYTES_WITH_A_VEC_PER_PAIR_ARRAY}"
+    );
 }
 
 /// Hostile bodies of four formats, each a few bytes that claim a huge count:
@@ -520,9 +559,8 @@ fn targets() -> Vec<Target> {
             ph.to_bytes(),
             move |b| PairwiseHist::from_bytes(b, pre.clone()),
             |ph| {
-                let d = ph.n_columns();
-                let cells = (0..d).flat_map(|j| (0..j).map(move |i| (i, j)));
-                cells.map(|(i, j)| 4 * ph.pair(i, j).counts.len()).max().unwrap_or(0)
+                // Every pair's count matrix, in one buffer.
+                4 * ph.total_2d_cells()
             },
             PairwiseHist::to_bytes,
         ),

@@ -360,3 +360,50 @@ fn a_batch_with_a_two_mib_categorical_value_replays() {
     assert_eq!(twin.sql(sql).unwrap(), answer);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Regression: a fold widened each histogram's outer edge separately, so a
+/// row beyond the delta's range of `x` whose `y` is NULL widened `x`'s 1-d
+/// edges and the `(x, c)` pair but left the `(x, y)` pair's copy of the edge
+/// behind. An export of that delta wrote the stale edge as a split edge, and
+/// reopening it quarantined the table. A pair dimension now reads its outer
+/// edges from the 1-d histogram, so there is no copy to leave behind.
+#[test]
+fn an_export_of_a_delta_folded_beyond_its_range_reopens() {
+    use rand::{Rng, SeedableRng};
+    // `n` rows with `x` in 400..600, one of them (if `straggler`) at
+    // x = 900 with `y` NULL: beyond the delta's range, inside the fitted one.
+    let batch = |n: usize, seed: u64, straggler: bool| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut x: Vec<Option<i64>> = (0..n).map(|_| Some(rng.gen_range(400..600))).collect();
+        let mut y: Vec<Option<i64>> =
+            x.iter().map(|v| Some(v.unwrap() * 2 + rng.gen_range(0..60))).collect();
+        if straggler {
+            (x[n / 2], y[n / 2]) = (Some(900), None);
+        }
+        let c: Vec<Option<&str>> = (0..n).map(|i| Some(["a", "b", "c"][i % 3])).collect();
+        Dataset::builder("t")
+            .column(Column::from_ints("x", x))
+            .unwrap()
+            .column(Column::from_ints("y", y))
+            .unwrap()
+            .column(Column::from_strings("c", c))
+            .unwrap()
+            .build()
+    };
+    let live = Session::new();
+    live.register(anchored(2_000, 3)).unwrap();
+    for (n, seed, straggler) in [(200, 31, false), (50, 32, true)] {
+        let report = live.ingest("t", &batch(n, seed, straggler)).unwrap();
+        assert!(!report.rebuilt && report.sealed_segments == 0, "a plain fold: {report:?}");
+    }
+    assert_eq!(live.table_stats("t").unwrap().delta_rows, 250);
+
+    let dir = home("folded_export");
+    live.save_dir(&dir).unwrap();
+    let reopened = Session::open_dir(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(reopened.quarantined(), Vec::new());
+    for sql in BATTERY {
+        assert_eq!(reopened.sql(sql).unwrap(), live.sql(sql).unwrap(), "{sql}");
+    }
+}
