@@ -49,7 +49,21 @@ impl BitPlane {
 
     /// The values, in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        plane_values(BitReader::new(&self.bytes), self.len, self.width)
+        plane_values(&self.bytes, 0, self.len, self.width)
+    }
+
+    /// The largest value, `None` if the plane is empty: one pass over the
+    /// packed bytes in a loop monomorphised for the width, and none at all at
+    /// width 0.
+    pub fn max(&self) -> Option<u64> {
+        match (self.len, self.width) {
+            (0, _) => None,
+            (_, 0) => Some(0),
+            (len, width) => {
+                let max_of: fn(&[u8], u64, usize) -> u64 = by_width!(width, max_of);
+                Some(max_of(&self.bytes, 0, len))
+            }
+        }
     }
 
     /// The packed bytes.
@@ -58,17 +72,242 @@ impl BitPlane {
     }
 }
 
-/// `len` values of `width` bits from `bits`, whose caller checked that they
-/// are all there (so the `unwrap_or` never fires): the one unpacker behind
-/// [`BitPlane::iter`] and [`BitReader::read_plane`]. A mapped range rather than
-/// an `Iterator` impl of its own, because std trusts a range's length: a
-/// `collect` into a `Vec` ran about twice as fast this way.
-pub(crate) fn plane_values(
-    mut bits: BitReader<'_>,
+/// `len` values of `width` (≤ 64) bits packed from bit `pos` of `bytes`, whose
+/// caller checked that `bytes` holds them all: the one unpacker behind
+/// [`BitPlane::iter`], [`BitReader::read_plane`] and [`Bytes::planes`](crate::Bytes::planes).
+pub(crate) fn plane_values(bytes: &[u8], pos: u64, len: usize, width: u32) -> PlaneValues<'_> {
+    let unpack: fn(&[u8], u64, &mut [u64]) = by_width!(width, unpack_into);
+    PlaneValues { bytes, pos, len, width, unpack, buf: [0; CHUNK], at: 0, filled: 0 }
+}
+
+/// Values a plane iterator unpacks at a time.
+const CHUNK: usize = 64;
+
+/// `$f::<W>` for the `W` that is `$width` (≤ 64): a `match` on the width,
+/// once per plane, picks a loop monomorphised for it, as facet_bitcode's
+/// `copy_for_size!` does for element sizes.
+macro_rules! by_width {
+    ($width:expr, $f:ident) => {
+        by_width!($width, $f;
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+            32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60
+            61 62 63)
+    };
+    ($width:expr, $f:ident; $($w:literal)*) => {
+        match $width {
+            $($w => $f::<$w>,)*
+            _ => $f::<64>,
+        }
+    };
+}
+use by_width;
+
+/// The iterator [`plane_values`] returns: it unpacks up to [`CHUNK`] values
+/// at a time into a buffer, through the [`unpack_into`] for its width, and
+/// hands them out from there.
+#[derive(Debug, Clone)]
+pub(crate) struct PlaneValues<'a> {
+    bytes: &'a [u8],
+    /// Bit position of the first value not yet unpacked.
+    pos: u64,
+    /// Values not yet unpacked.
     len: usize,
     width: u32,
-) -> impl ExactSizeIterator<Item = u64> + '_ {
-    (0..len).map(move |_| bits.read_bits(width).unwrap_or(0))
+    unpack: fn(&[u8], u64, &mut [u64]),
+    /// Unpacked values; `buf[at..filled]` are still to be handed out.
+    buf: [u64; CHUNK],
+    at: usize,
+    filled: usize,
+}
+
+impl PlaneValues<'_> {
+    /// Unpacks the next chunk into `buf`; `None` once every value is out.
+    #[inline]
+    fn refill(&mut self) -> Option<()> {
+        let n = self.len.min(CHUNK);
+        let out = self.buf.get_mut(..n).filter(|out| !out.is_empty())?;
+        (self.unpack)(self.bytes, self.pos, out);
+        self.pos += n as u64 * self.width as u64;
+        (self.len, self.at, self.filled) = (self.len - n, 0, n);
+        Some(())
+    }
+
+    /// The unpacked values not yet handed out.
+    #[inline]
+    fn buffered(&self) -> &[u64] {
+        self.buf.get(self.at..self.filled).unwrap_or_default()
+    }
+}
+
+impl Iterator for PlaneValues<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.at == self.filled {
+            self.refill()?;
+        }
+        let v = self.buf.get(self.at).copied();
+        self.at += 1;
+        v
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.len + self.buffered().len();
+        (n, Some(n))
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, u64) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = self.buffered().iter().fold(init, |acc, &v| f(acc, v));
+        while self.refill().is_some() {
+            acc = self.buffered().iter().fold(acc, |acc, &v| f(acc, v));
+        }
+        acc
+    }
+}
+
+impl ExactSizeIterator for PlaneValues<'_> {}
+
+/// Fills `out` with the `out.len()` values of `W` bits from bit `pos` of
+/// `bytes`, which holds them.
+fn unpack_into<const W: u32>(bytes: &[u8], pos: u64, out: &mut [u64]) {
+    let mut slots = out.iter_mut();
+    fold_width::<W, _, _>(bytes, pos, slots.len(), (), |(), v| {
+        if let Some(slot) = slots.next() {
+            *slot = v;
+        }
+    });
+}
+
+/// The largest of the `len` values of `W` bits from bit `pos` of `bytes`,
+/// which holds them (0 if there are none).
+fn max_of<const W: u32>(bytes: &[u8], pos: u64, len: usize) -> u64 {
+    fold_width::<W, _, _>(bytes, pos, len, 0, u64::max)
+}
+
+/// The big-endian 8-byte word at byte `pos / 8` of `bytes`, `None` within
+/// eight bytes of the end.
+#[inline(always)]
+fn window(bytes: &[u8], pos: u64) -> Option<u64> {
+    let at = usize::try_from(pos / 8).ok()?;
+    bytes.get(at..)?.first_chunk().map(|w| u64::from_be_bytes(*w))
+}
+
+/// Folds `f` over the `len` values of `W` bits from bit `pos` of `bytes`,
+/// which holds them: zeros at width 0 without reading a byte; whole bytes
+/// from a byte-aligned start, fixed-size big-endian chunks; otherwise up to
+/// 56 bits, groups of eight values, then one 8-byte window per value; wider,
+/// one 16-byte window per value; [`bits_at`] for the values in the last 8
+/// (or 16) bytes.
+#[inline(always)]
+fn fold_width<const W: u32, B, F: FnMut(B, u64) -> B>(
+    bytes: &[u8],
+    mut pos: u64,
+    mut len: usize,
+    mut acc: B,
+    mut f: F,
+) -> B {
+    if W == 0 {
+        return (0..len).fold(acc, |acc, _| f(acc, 0));
+    }
+    let at = usize::try_from(pos / 8).unwrap_or(usize::MAX);
+    if W.is_multiple_of(8) && pos.is_multiple_of(8) {
+        let n_bytes = len.saturating_mul(W as usize / 8);
+        if let Some(run) = bytes.get(at..).and_then(|b| b.get(..n_bytes)) {
+            let chunks = run.chunks_exact(W as usize / 8);
+            return chunks.fold(acc, |acc, c| f(acc, c.iter().fold(0, |v, &b| v << 8 | b as u64)));
+        }
+    }
+    if W <= 56 {
+        // A start mid-byte gets its own copy of the group loop, so the
+        // byte-aligned one (every `BitPlane`) shifts by constants.
+        let from = bytes.get(at..).unwrap_or_default();
+        let groups;
+        (acc, groups) = match pos % 8 {
+            0 => fold_groups::<W, B, F>(from, 0, len / 8, acc, &mut f),
+            off => fold_groups::<W, B, F>(from, off as u32, len / 8, acc, &mut f),
+        };
+        pos += groups as u64 * 8 * W as u64;
+        len -= groups * 8;
+        while len > 0 {
+            let Some(word) = window(bytes, pos) else { break };
+            acc = f(acc, (word << (pos % 8)) >> (64 - W));
+            pos += W as u64;
+            len -= 1;
+        }
+    } else {
+        // Up to 71 bits from the value's first byte on: a 16-byte window.
+        while len > 0 {
+            let at = usize::try_from(pos / 8).unwrap_or(usize::MAX);
+            let Some(word) = bytes.get(at..).and_then(|b| b.first_chunk()) else { break };
+            acc = f(acc, ((u128::from_be_bytes(*word) << (pos % 8)) >> (128 - W)) as u64);
+            pos += W as u64;
+            len -= 1;
+        }
+    }
+    (0..len).fold(acc, |acc, _| {
+        let v = bits_at(bytes, pos, W);
+        pos += W as u64;
+        f(acc, v)
+    })
+}
+
+/// Up to `groups` groups of eight `W`-bit values from bit `off` (< 8) of
+/// `bytes` folded into `acc`, and how many were: it stops at the first group
+/// whose `W + 8` bytes run past the end. Eight values fill `W` bytes and each
+/// one's window starts within them, so those bytes hold all eight windows.
+#[inline(always)]
+fn fold_groups<const W: u32, B, F: FnMut(B, u64) -> B>(
+    bytes: &[u8],
+    off: u32,
+    groups: usize,
+    mut acc: B,
+    f: &mut F,
+) -> (B, usize) {
+    let w = W as usize;
+    for g in 0..groups {
+        let Some(group) = bytes.get(g * w..).and_then(|b| b.get(..w + 8)) else {
+            return (acc, g);
+        };
+        for j in 0..8 {
+            let bit = off % 8 + j * W;
+            let word = group
+                .get((bit / 8) as usize..)
+                .and_then(|b| b.first_chunk())
+                .map_or(0, |b| u64::from_be_bytes(*b));
+            acc = f(acc, (word << (bit % 8)) >> (64 - W));
+        }
+    }
+    (acc, groups)
+}
+
+/// The `n ≤ 64` bits at bit `pos` of `data`, which holds them all: one
+/// aligned word, plus the top of a ninth byte when `pos % 8 + n > 64`; within
+/// eight bytes of the end, the bytes there gathered one by one.
+#[inline]
+fn bits_at(data: &[u8], pos: u64, n: u32) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    let byte = (pos / 8) as usize;
+    let off = (pos % 8) as u32;
+    match window(data, pos) {
+        Some(w) => {
+            let w = w << off;
+            match (off + n).checked_sub(64) {
+                None | Some(0) => w >> (64 - n),
+                Some(spill) => (w >> (64 - n)) | (data[byte + 8] >> (8 - spill)) as u64,
+            }
+        }
+        None => {
+            let tail = &data[byte..];
+            let acc = tail.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64);
+            let spare = tail.len() as u32 * 8 - off - n;
+            (acc >> spare) & (u64::MAX >> (64 - n))
+        }
+    }
 }
 
 /// Appends bits MSB-first into a growable byte buffer.
@@ -226,33 +465,7 @@ impl<'a> BitReader<'a> {
     #[inline]
     fn peek_bits(&self, n: u32) -> Option<u64> {
         assert!(n <= 64, "cannot read more than 64 bits at once (asked {n})");
-        if self.remaining_bits() < n as u64 {
-            return None;
-        }
-        if n == 0 {
-            return Some(0);
-        }
-        let byte = (self.pos / 8) as usize;
-        let off = (self.pos % 8) as u32;
-        // The bits sit in at most nine bytes: one aligned word, plus the top of
-        // a ninth byte when `off + n > 64`.
-        let v = match self.data.get(byte..byte + 8) {
-            Some(word) => {
-                let w = u64::from_be_bytes(word.try_into().expect("slice of 8")) << off;
-                match (off + n).checked_sub(64) {
-                    None | Some(0) => w >> (64 - n),
-                    Some(spill) => (w >> (64 - n)) | (self.data[byte + 8] >> (8 - spill)) as u64,
-                }
-            }
-            // Within eight bytes of the end: gather what is there.
-            None => {
-                let tail = &self.data[byte..];
-                let acc = tail.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64);
-                let spare = tail.len() as u32 * 8 - off - n;
-                (acc >> spare) & (u64::MAX >> (64 - n))
-            }
-        };
-        Some(v)
+        (self.remaining_bits() >= n as u64).then(|| bits_at(self.data, self.pos, n))
     }
 
     /// The next `len` values of `width` bits (the inverse of
@@ -267,7 +480,7 @@ impl<'a> BitReader<'a> {
         if width > 64 || bits > self.remaining_bits() {
             return None;
         }
-        let plane = plane_values(self.clone(), len, width);
+        let plane = plane_values(self.data, self.pos, len, width);
         self.pos += bits;
         Some(plane)
     }
@@ -474,6 +687,93 @@ mod tests {
         assert_eq!(r.bit_pos(), at);
         assert_eq!(r.read_plane(3, 3).unwrap().collect::<Vec<_>>(), [7, 0, 7]);
         assert_eq!(r.read_plane(1_000_000, 0).map(|p| p.len()), Some(1_000_000));
+    }
+
+    /// The values `fold` hands out, in order.
+    fn by_fold(values: impl Iterator<Item = u64>) -> Vec<u64> {
+        values.fold(Vec::new(), |mut out, v| {
+            out.push(v);
+            out
+        })
+    }
+
+    /// The unpacker before it went a word at a time: one
+    /// [`BitReader::read_bits`] per value.
+    fn plane_by_read_bits(r: &mut BitReader<'_>, len: usize, width: u32) -> Vec<u64> {
+        (0..len).map(|_| r.read_bits(width).expect("the plane is all there")).collect()
+    }
+
+    /// Every way of driving the word-at-a-time unpacker — `next`
+    /// (`collect`), `fold`, a `fold` taking over after some `next`s, and
+    /// [`BitPlane::max`] — reads what one `read_bits` per value reads: at
+    /// every width, at lengths across the eight-value group, the 8-byte
+    /// window and the 64-value chunk boundaries, from every bit offset (the
+    /// second plane of [`Bytes::planes`](crate::Bytes::planes)), with random
+    /// and all-ones values, ending at the end of the slice or followed by set
+    /// bits the unpacker must not let in.
+    #[test]
+    fn plane_paths_match_a_read_bits_per_value() {
+        let mut state = 0x706c_616e_6500_0001u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let lens: &[usize] = if cfg!(miri) {
+            &[0, 1, 7, 9, 17, 26]
+        } else {
+            &[0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 33, 63, 64, 65, 127, 129, 300]
+        };
+        let heads: &[u32] = if cfg!(miri) { &[0, 5] } else { &[0, 1, 2, 3, 4, 5, 6, 7] };
+        for width in 0..=64u32 {
+            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            for &len in lens {
+                for ones in [false, true] {
+                    let values: Vec<u64> =
+                        (0..len).map(|_| if ones { mask } else { next() & mask }).collect();
+                    let at = format!("width {width}, {len} values, all ones {ones}");
+                    let plane = BitPlane::pack(values.iter().copied(), width);
+                    let by_read_bits =
+                        plane_by_read_bits(&mut BitReader::new(plane.as_bytes()), len, width);
+                    assert_eq!(by_read_bits, values, "{at}");
+                    assert_eq!(plane.iter().collect::<Vec<_>>(), values, "{at}");
+                    assert_eq!(by_fold(plane.iter()), values, "{at}");
+                    assert_eq!(plane.max(), values.iter().copied().max(), "{at}");
+                    let mut resumed = plane.iter();
+                    let head: Vec<u64> = resumed.by_ref().take(len / 3).collect();
+                    assert_eq!(resumed.len(), len - len / 3, "{at}");
+                    assert_eq!([head, by_fold(resumed)].concat(), values, "{at}");
+                    for &head_bits in heads {
+                        for trailer in [0u32, 71] {
+                            let mut w = BitWriter::new();
+                            w.write_plane(std::iter::repeat_n(1, head_bits as usize), 1);
+                            w.write_plane(values.iter().copied(), width);
+                            for _ in 0..trailer {
+                                w.write_bit(true);
+                            }
+                            let bytes = w.finish();
+                            let at = format!("{at}, from bit {head_bits}, {trailer} bits after");
+                            let mut r = BitReader::new(&bytes);
+                            r.seek(head_bits as u64);
+                            assert_eq!(plane_by_read_bits(&mut r, len, width), values, "{at}");
+                            let shapes = [(head_bits as usize, 1), (len, width)];
+                            let [_, second] = crate::Bytes::new(&bytes).planes(shapes).unwrap();
+                            assert_eq!(by_fold(second), values, "{at}");
+                            let [_, second] = crate::Bytes::new(&bytes).planes(shapes).unwrap();
+                            assert_eq!(second.collect::<Vec<_>>(), values, "{at}");
+                            let mut r = BitReader::new(&bytes);
+                            r.seek(head_bits as u64);
+                            let read = r.read_plane(len, width).unwrap();
+                            assert_eq!(
+                                read.fold(0, u64::max),
+                                values.iter().fold(0, |a, &v| a.max(v))
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// [`BitReader::read_unary`] as it was: one bit a call.

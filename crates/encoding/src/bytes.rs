@@ -14,7 +14,7 @@
 //! sized from it. A count no byte backs — the rows of a width-0 plane — the
 //! decoder takes from the parent that committed it.
 
-use crate::bitio::{plane_values, BitPlane, BitReader};
+use crate::bitio::{plane_values, BitPlane};
 use crate::crc32::crc32;
 use crate::varint::{read_ivarint, read_uvarint, zigzag};
 
@@ -171,10 +171,11 @@ impl<'a> Bytes<'a> {
             let plane = (width <= 64).then(|| (len as u64).checked_mul(width as u64))??;
             bits = bits.checked_add(plane)?;
         }
-        let mut r = BitReader::new(self.take(usize::try_from(bits.div_ceil(8)).ok()?)?);
+        let data = self.take(usize::try_from(bits.div_ceil(8)).ok()?)?;
+        let mut pos = 0u64;
         Some(shapes.map(|(len, width)| {
-            let values = plane_values(r.clone(), len, width);
-            r.seek(r.bit_pos() + len as u64 * width as u64);
+            let values = plane_values(data, pos, len, width);
+            pos += len as u64 * width as u64;
             values
         }))
     }

@@ -289,7 +289,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
 
         #[test]
         fn prop_every_codec_roundtrips(vals in column_strategy()) {

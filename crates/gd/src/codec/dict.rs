@@ -138,7 +138,7 @@ impl DictCodec {
         let codes = r.plane(n_rows, code_width)?;
         r.finish()?;
         // Every code names an entry, so decode stays total.
-        if codes.iter().any(|c| c >= k as u64) {
+        if codes.max().is_some_and(|c| c >= k as u64) {
             return None;
         }
         let dict_bytes = dict_payload_len(&dict);
@@ -219,6 +219,63 @@ mod tests {
         let mut bad_code = c.to_bytes();
         *bad_code.last_mut().unwrap() |= 0xC0; // row 4's code 0 -> 3, with k = 3
         assert!(DictCodec::from_bytes(&bad_code, 5).is_none());
+    }
+
+    /// A body of `codes` at the narrowest width for a `k`-entry dictionary
+    /// (`0, 1, …, k-1`), whatever the codes are.
+    fn body_with_codes(k: u64, codes: &[u64]) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.uvarint(codes.len() as u64);
+        body.uvarint(k);
+        body.uvarint(0);
+        for _ in 1..k {
+            body.uvarint(1);
+        }
+        let width = width_for(k - 1);
+        body.u8(width as u8);
+        body.plane(&BitPlane::pack(codes.iter().copied(), width));
+        body
+    }
+
+    /// One code equal to `k` is refused wherever the packed check meets it:
+    /// the first value, mid-plane, the first value inside the last eight
+    /// bytes (read by the gather tail) and the last one; `k - 1` there is
+    /// accepted. Width 8 and 16 take the byte-chunk path, 2 and 13 the
+    /// eight-value groups. (Width 1 has no code equal to `k`, and width 32
+    /// takes a 2^31-entry dictionary.)
+    #[test]
+    fn from_bytes_refuses_one_code_equal_to_k_anywhere() {
+        for width in [2u32, 8, 13, 16] {
+            let k = (1u64 << (width - 1)) + 1;
+            let n = 300;
+            let codes: Vec<u64> = (0..n as u64).map(|i| i * 7919 % (k - 1)).collect();
+            let tail_bit = 8 * ((n * width as usize).div_ceil(8) - 8);
+            let first_in_tail = tail_bit.div_ceil(width as usize);
+            for row in [0, n / 2, first_in_tail, n - 1] {
+                let mut codes = codes.clone();
+                codes[row] = k - 1;
+                let ok = body_with_codes(k, &codes);
+                assert!(DictCodec::from_bytes(&ok, n).is_some(), "width {width}, row {row}");
+                codes[row] = k;
+                let bad = body_with_codes(k, &codes);
+                assert!(DictCodec::from_bytes(&bad, n).is_none(), "width {width}, row {row}");
+            }
+        }
+    }
+
+    /// A width-0 plane costs no bytes whatever its rows: a one-entry
+    /// dictionary over 2^28 rows validates without walking them.
+    #[test]
+    fn from_bytes_validates_a_width_zero_plane_without_walking_it() {
+        let rows = 1usize << 28;
+        let mut body = Vec::new();
+        body.uvarint(rows as u64);
+        body.uvarint(1); // k
+        body.uvarint(42); // dict[0]
+        body.u8(0); // code_width
+        let c = DictCodec::from_bytes(&body, rows).unwrap();
+        assert_eq!((c.n_rows(), c.codes.max()), (rows, Some(0)));
+        assert_eq!(c.to_bytes(), body);
     }
 
     /// A claimed dictionary size the body cannot back fails before anything is

@@ -108,7 +108,11 @@ impl RunEndCodec {
         // Both planes and nothing after them but the last byte's padding.
         let [values, ends] = r.planes([(n_runs, val_width), (n_runs, end_width)])?;
         r.finish()?;
-        let values: Vec<u64> = values.map(|v| min.checked_add(v)).collect::<Option<_>>()?;
+        let values: Vec<u64> = values.map(|v| min.wrapping_add(v)).collect();
+        // A `min + v` past `u64::MAX` wrapped to below `min`.
+        if values.iter().any(|&v| v < min) {
+            return None;
+        }
         let ends: Vec<u64> = ends.collect();
         // Strictly increasing from ≥ 1, the last one closing the column.
         let increasing = ends.first() != Some(&0) && ends.windows(2).all(|w| w[0] < w[1]);
@@ -176,6 +180,54 @@ mod tests {
         assert_eq!(c.decode(), Vec::<u64>::new());
         let restored = RunEndCodec::from_bytes(&c.to_bytes(), 0).unwrap();
         assert!(restored.decode().is_empty());
+    }
+
+    /// A body of `values` (`min`-subtracted, at `val_width` bits) and `ends`.
+    fn body(n_rows: u64, min: u64, val_width: u32, values: &[u64], ends: &[u64]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.uvarint(n_rows);
+        bytes.uvarint(ends.len() as u64);
+        bytes.uvarint(min);
+        let end_width = width_for(n_rows);
+        bytes.bytes(&[val_width as u8, end_width as u8]);
+        let mut w = BitWriter::new();
+        w.write_plane(values.iter().copied(), val_width);
+        w.write_plane(ends.iter().copied(), end_width);
+        bytes.bytes(&w.finish());
+        bytes
+    }
+
+    /// The checks that run on the collected planes refuse exactly what the
+    /// per-value ones did: an equal or a decreasing end at the first and the
+    /// last pair, and a `min + v` past `u64::MAX` at the first and the last
+    /// value.
+    #[test]
+    fn from_bytes_refuses_bad_ends_and_overflow_at_either_end() {
+        let n_runs = 100usize;
+        let n_rows = 10 * n_runs as u64;
+        let ends: Vec<u64> = (1..=n_runs as u64).map(|r| 10 * r).collect();
+        let values: Vec<u64> = (0..n_runs as u64).map(|r| r % 5).collect();
+        let good = body(n_rows, 7, 3, &values, &ends);
+        let decoded = RunEndCodec::from_bytes(&good, n_rows as usize).unwrap();
+        assert_eq!(decoded.values, values.iter().map(|v| v + 7).collect::<Vec<_>>());
+        assert_eq!(decoded.ends, ends);
+        let last = n_runs - 1;
+        for (at, by) in [(0, 10), (0, 11), (last - 1, 10), (last - 1, 11)] {
+            let mut ends = ends.clone();
+            ends[at] += by; // equal to its successor, then past it
+            let bad = body(n_rows, 7, 3, &values, &ends);
+            assert!(RunEndCodec::from_bytes(&bad, n_rows as usize).is_none(), "end {at} + {by}");
+        }
+        let min = u64::MAX - 4;
+        for at in [0, last] {
+            let mut values = values.clone();
+            values[at] = 4;
+            let ok = body(n_rows, min, 3, &values, &ends);
+            assert!(RunEndCodec::from_bytes(&ok, n_rows as usize).is_some(), "value {at}");
+            values[at] = 5;
+            let bad = body(n_rows, min, 3, &values, &ends);
+            assert!(RunEndCodec::from_bytes(&bad, n_rows as usize).is_none(), "value {at}");
+        }
     }
 
     #[test]

@@ -324,7 +324,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 40 }))]
 
         /// Same split as the reference search on every shape, fitted on all rows
         /// and on a sample.

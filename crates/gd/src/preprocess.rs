@@ -901,7 +901,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(60))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 60 }))]
 
         /// However a batch carries its dictionary — the fitted table's own, a
         /// superset with strings no row uses, a permutation, or compacted to

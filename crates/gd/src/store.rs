@@ -427,7 +427,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 32 }))]
         #[test]
         fn prop_roundtrip(seed in 0u64..1000, n in 1usize..200, d in 1usize..5) {
             let m = random_matrix(seed, n, d);
